@@ -6,7 +6,7 @@ Run:  python demos/demo_02_fusion_and_encoding.py
 import numpy as np
 
 from vqalab import tensor as T
-from vqalab.encoder import (embedding_table_init, encode_question_baseline,
+from vqalab.encoder import (embedding_table_init, encode_questions_baseline,
                             gru_params_init)
 from vqalab.fusion import block_fuse, block_params_init, near_equal_partition
 from vqalab.tensor import Tensor
@@ -16,16 +16,17 @@ from vqalab.tensor import Tensor
 # rank 15 over a 1000-wide projection) partitions like this:
 print("chunk sizes for 1000 / 15:", near_equal_partition(1000, 15))
 
-# Desk-scale parameters: fuse a 12-dim "visual" vector with an 8-dim "text"
-# vector into 10 outputs through a 16-wide projection, 4 chunks of rank 3.
+# Desk-scale parameters: fuse 12-dim "visual" rows with 8-dim "text" rows
+# into 10 outputs through a 16-wide projection, 4 chunks of rank 3. Every
+# model function takes row-batches; here a batch of two.
 params = block_params_init(d_x=12, d_y=8, proj_dim=16, out_proj_dim=16,
                            out_dim=10, chunks=4, rank=3, seed=0,
                            use_bias=False)
 rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=12))
-y = Tensor(rng.normal(size=8))
+x = Tensor(rng.normal(size=(2, 12)))
+y = Tensor(rng.normal(size=(2, 8)))
 z = block_fuse(x, y, params)
-print("fused vector:", np.round(z.data, 3))
+print("fused rows:\n", np.round(z.data, 3))
 
 # With biases off the map is exactly bilinear: scaling one input scales the
 # output, and either argument distributes over addition.
@@ -36,11 +37,11 @@ print("homogeneity drift:", np.max(np.abs(z2.data - 2 * z.data)))
 table = embedding_table_init(vocab_size=20, dim=8, seed=1)
 fwd = gru_params_init(8, 6, seed=2)
 bwd = gru_params_init(8, 6, seed=3)
-question = [4, 11, 7, 2]
-encoding = encode_question_baseline(question, table, fwd, bwd)
-print("question encoding dim (2 x hidden):", encoding.shape)
+questions = np.array([[4, 11, 7, 2]])       # (batch, length) token ids
+encoding = encode_questions_baseline(questions, table, fwd, bwd)
+print("question encoding shape (batch, 2 x hidden):", encoding.shape)
 
 # It is a function of the tokens alone: re-encoding gives the identical
 # vector, no matter what image it will later be fused with.
-again = encode_question_baseline(question, table, fwd, bwd)
+again = encode_questions_baseline(questions, table, fwd, bwd)
 print("bit-identical re-encoding:", np.array_equal(encoding.data, again.data))

@@ -11,14 +11,15 @@ Run:  python demos/demo_03_grounded_encoding.py
 import numpy as np
 
 from vqalab.data import DataConfig, generate_dataset
-from vqalab.encoder import embedding_table_from, gru_params_init
-from vqalab.grounding import (SceneFeatures, VgqeParams, encode_question_vgqe,
-                              trace_records, vgw_params_init)
+from vqalab.encoder import EmbeddingTable, gru_params_init
+from vqalab.grounding import (VgqeParams, encode_question_vgqe, trace_records,
+                              vgw_params_init)
+from vqalab.tensor import Tensor
 
 # A tiny dataset supplies scenes whose label features encode the shape of
 # each object, plus the shared word/label embedding table.
 ds = generate_dataset(DataConfig(n_train=40, n_test=10, seed=7))
-table = embedding_table_from(ds.vocab.embedding)
+table = EmbeddingTable(Tensor(ds.vocab.embedding))
 
 params = VgqeParams(
     vgw=vgw_params_init(d_v=ds.config.d_v, d_w=ds.config.d_w, refined_dim=16,
@@ -29,12 +30,14 @@ params = VgqeParams(
 )
 
 example = next(ex for ex in ds.train.examples if ex.qtype < ds.config.shapes)
-scene = SceneFeatures(example.visual_matrix(), example.label_matrix())
 words = [ds.vocab.tokens[t] for t in example.tokens]
 print("question:", " ".join(words))
 print("scene shapes:", [ds.vocab.shapes[o.shape] for o in example.objects])
 
-encoding, trace = encode_question_vgqe(scene, example.tokens, table, params)
+# encode_question_vgqe runs one question over one scene, (objects, dims)
+# arrays, through the batched encoder and keeps its attention weights.
+encoding, trace = encode_question_vgqe(example.visual_matrix(), example.label_matrix(),
+                                       example.tokens, table, params)
 print("encoding dim:", encoding.shape)
 
 # The attention trace is one weight row per question word. At random
@@ -50,9 +53,9 @@ for word, weights in zip(words, trace["forward"]):
 other = next(ex for ex in ds.train.examples[1:]
              if ex.tokens == example.tokens and
              [o.shape for o in ex.objects] != [o.shape for o in example.objects])
-other_scene = SceneFeatures(other.visual_matrix(), other.label_matrix())
-other_encoding, _ = encode_question_vgqe(other_scene, example.tokens, table, params)
-gap = np.max(np.abs(encoding.data - other_encoding.data))
+other_encoding, _ = encode_question_vgqe(other.visual_matrix(), other.label_matrix(),
+                                         example.tokens, table, params)
+gap = np.max(np.abs(encoding - other_encoding))
 print(f"L-infinity gap between encodings of the same question: {gap:.4f}")
 
 # Traces serialize to JSON records, the format the report command emits.

@@ -8,19 +8,19 @@ the two encoders under distribution shift.
 """
 
 from .data import DataConfig, DatasetSplit, SyntheticDataset, generate_dataset
-from .encoder import (EmbeddingTable, GruParams, QuestionTokens, embed,
-                      embedding_table_init, encode_question_baseline, gru_cell,
-                      gru_params_init)
+from .encoder import (EmbeddingTable, GruParams, embed, embedding_table_init,
+                      encode_questions_baseline, gru_cell, gru_params_init,
+                      run_gru)
 from .evaluate import (EvalReport, bias_gap, evaluate_split,
                        summarize_predictions, vqa_accuracy)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
-from .grounding import (SceneFeatures, VgqeParams, VgqeState, VgwParams,
-                        encode_question_vgqe, vgqe_cell_step, vgw_attention,
-                        vgw_fuse, vgw_params_init)
-from .model import (ModelConfig, ModelParams, count_parameters, forward,
-                    init_model, load_checkpoint, predict, save_checkpoint)
+from .grounding import (VgqeParams, VgwParams, encode_question_vgqe,
+                        encode_questions_vgqe, grounded_words, vgw_attention,
+                        vgw_params_init)
+from .model import (ModelConfig, ModelParams, count_parameters, forward_batch,
+                    init_model, load_checkpoint, save_checkpoint)
 from .tensor import Tensor, backward, grad_check, no_grad
 from .train import (AdamWState, ScheduleConfig, TrainConfig, adamw_step,
-                    clip_grad_norm, cross_entropy, lr_at_epoch, train)
+                    clip_grad_norm, cross_entropy_rows, lr_at_epoch, train)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .data import (DataConfig, generate_dataset, load_dataset, save_dataset)
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, run_all
-from .grounding import SceneFeatures, encode_question_vgqe, trace_records
+from .grounding import encode_question_vgqe, trace_records
 from .model import (ModelConfig, count_parameters, init_model, load_checkpoint,
                     save_checkpoint)
 from .tensor import using_dtype
@@ -223,9 +223,8 @@ def cmd_report(args) -> int:
             with T.no_grad():
                 for idx in sorted(int(i) for i in chosen):
                     ex = split.examples[idx]
-                    scene = SceneFeatures(ex.visual_matrix(), ex.label_matrix())
-                    _, trace = encode_question_vgqe(scene, ex.tokens,
-                                                    params.embedding,
+                    _, trace = encode_question_vgqe(ex.visual_matrix(), ex.label_matrix(),
+                                                    ex.tokens, params.embedding,
                                                     params.vgqe_params())
                     traces.extend(trace_records(ex.example_id, trace))
     with open(out_dir / "traces.json", "w") as fh:
@@ -303,7 +302,7 @@ def run(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, ValueError, KeyError) as err:
+    except (CliError, FileNotFoundError, ValueError, KeyError, IndexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,8 @@
 
 The baseline question encoder is deliberately language-only: a frozen
 embedding lookup followed by a bidirectional GRU over the token sequence,
-returning the concatenated final states of both directions. Nothing
+returning the concatenated final states of both directions. Every function
+takes row-batches: a (B, T) token matrix, (B, d) inputs and states. Nothing
 image-shaped enters this module, so the same token sequence always encodes
 to the bit-identical vector regardless of the scene it is later paired with.
 """
@@ -20,8 +21,9 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class EmbeddingTable:
+    """Frozen word vectors: looked up, never trained."""
+
     vectors: Tensor           # (vocab, d_w)
-    frozen: bool = True
 
     @property
     def vocab_size(self) -> int:
@@ -34,55 +36,23 @@ class EmbeddingTable:
     def named_arrays(self, prefix: str = "embedding"):
         yield f"{prefix}.vectors", self.vectors
 
-    def named_parameters(self, prefix: str = "embedding"):
-        if not self.frozen:
-            yield f"{prefix}.vectors", self.vectors
 
-
-def embedding_table_init(vocab_size: int, dim: int, seed: int,
-                         frozen: bool = True) -> EmbeddingTable:
+def embedding_table_init(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     """Unit-variance Gaussian rows standing in for pre-trained word vectors."""
     rng = seeded_rng(seed, 0xE4BED)
-    vectors = Tensor(rng.normal(size=(vocab_size, dim)), requires_grad=not frozen)
-    return EmbeddingTable(vectors=vectors, frozen=frozen)
+    return EmbeddingTable(Tensor(rng.normal(size=(vocab_size, dim))))
 
 
-def embedding_table_from(vectors: np.ndarray, frozen: bool = True) -> EmbeddingTable:
-    return EmbeddingTable(Tensor(np.asarray(vectors), requires_grad=not frozen), frozen=frozen)
-
-
-@dataclass
-class QuestionTokens:
-    tokens: list[int]
-    qtype: int = 0
-
-    def __post_init__(self):
-        if len(self.tokens) < 1:
-            raise ValueError("a question must contain at least one token")
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-
-def _token_ids(tokens) -> list[int]:
-    if isinstance(tokens, QuestionTokens):
-        return tokens.tokens
-    return list(tokens)
-
-
-def embed(tokens, table: EmbeddingTable) -> Tensor:
-    """Look up token rows, order preserved: (T, d_w)."""
-    ids = _token_ids(tokens)
-    if not ids:
+def embed(ids, table: EmbeddingTable) -> Tensor:
+    """Look up token rows, order preserved: ids of shape S -> S + (d_w,)."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
         raise ValueError("cannot embed an empty token sequence")
-    for t in ids:
-        if not (0 <= t < table.vocab_size):
-            raise IndexError(f"token id {t} out of range for vocabulary "
-                             f"of size {table.vocab_size}")
-    if table.frozen:
-        return Tensor(table.vectors.data[ids])
-    return T.gather_rows(table.vectors, ids)
+    bad = (ids < 0) | (ids >= table.vocab_size)
+    if bad.any():
+        raise IndexError(f"token id {ids[bad][0]} out of range for vocabulary "
+                         f"of size {table.vocab_size}")
+    return Tensor(table.vectors.data[ids])
 
 
 @dataclass
@@ -125,20 +95,17 @@ def gru_params_init(input_dim: int, hidden_dim: int, seed: int) -> GruParams:
 
 
 def gru_cell(x, h_prev, p: GruParams) -> Tensor:
-    """One recurrence step. Accepts vectors or row-batches of them."""
+    """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H)."""
     x, h_prev = T.as_tensor(x), T.as_tensor(h_prev)
-    single = x.data.ndim == 1
-    x2 = T.reshape(x, (1, x.shape[0])) if single else x
-    h2 = T.reshape(h_prev, (1, h_prev.shape[0])) if single else h_prev
-    if x2.shape[1] != p.input_dim or h2.shape[1] != p.hidden_dim:
-        raise ShapeError(f"gru_cell: input {x.shape} / state {h_prev.shape} do not "
-                         f"match parameters ({p.input_dim}, {p.hidden_dim})")
-    z = T.sigmoid(T.add(T.add(T.matmul(x2, p.w_update), T.matmul(h2, p.u_update)), p.b_update))
-    r = T.sigmoid(T.add(T.add(T.matmul(x2, p.w_reset), T.matmul(h2, p.u_reset)), p.b_reset))
-    cand = T.tanh(T.add(T.add(T.matmul(x2, p.w_cand),
-                              T.matmul(T.mul(r, h2), p.u_cand)), p.b_cand))
-    h = T.add(T.mul(T.sub(1.0, z), h2), T.mul(z, cand))
-    return T.reshape(h, (p.hidden_dim,)) if single else h
+    if x.data.ndim != 2 or h_prev.data.ndim != 2 \
+            or x.shape[1] != p.input_dim or h_prev.shape[1] != p.hidden_dim:
+        raise ShapeError(f"gru_cell: input {x.shape} / state {h_prev.shape} are not "
+                         f"row-batches of the parameter dims ({p.input_dim}, {p.hidden_dim})")
+    z = T.sigmoid(T.add(T.add(T.matmul(x, p.w_update), T.matmul(h_prev, p.u_update)), p.b_update))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, p.w_reset), T.matmul(h_prev, p.u_reset)), p.b_reset))
+    cand = T.tanh(T.add(T.add(T.matmul(x, p.w_cand),
+                              T.matmul(T.mul(r, h_prev), p.u_cand)), p.b_cand))
+    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, cand))
 
 
 def run_gru(steps: list[Tensor], p: GruParams, reverse: bool = False) -> Tensor:
@@ -151,19 +118,10 @@ def run_gru(steps: list[Tensor], p: GruParams, reverse: bool = False) -> Tensor:
     return h
 
 
-def encode_question_baseline(tokens, table: EmbeddingTable,
-                             forward: GruParams, backward: GruParams) -> Tensor:
-    """Bidirectional recurrence over embeddings; concatenated final states (2H,)."""
-    ids = _token_ids(tokens)
-    if not ids:
-        raise ValueError("cannot encode an empty question")
-    out = encode_questions_baseline(np.asarray([ids]), table, forward, backward)
-    return T.reshape(out, (out.shape[1],))
-
-
 def encode_questions_baseline(token_matrix: np.ndarray, table: EmbeddingTable,
                               forward: GruParams, backward: GruParams) -> Tensor:
-    """Batched variant: (B, T) token ids -> (B, 2H). All rows share one length."""
+    """Bidirectional recurrence over embeddings: (B, T) token ids -> (B, 2H),
+    the concatenated final states. All rows share one length."""
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")

@@ -1,10 +1,10 @@
-"""Block-term bilinear fusion of two feature vectors.
+"""Block-term bilinear fusion of two row-batches of feature vectors.
 
 Both inputs are projected into a shared space, split into chunks, and each
 chunk pair is combined by a sum of R rank-one-style bilinear maps (a low-rank
 factorization per chunk). The per-chunk results are concatenated and projected
-to the output dimension. With biases and the output nonlinearity disabled the
-whole map is exactly bilinear in its two inputs.
+to the output dimension. With biases disabled the whole map is exactly
+bilinear in its two inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class BlockFusionParams:
     x_chunks: list[tuple[int, int]] = field(default_factory=list)
     out_chunks: list[tuple[int, int]] = field(default_factory=list)
     use_bias: bool = True
-    use_output_nonlinearity: bool = False
 
     @property
     def chunks(self) -> int:
@@ -77,8 +76,7 @@ class BlockFusionParams:
 
 def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
                       out_dim: int, chunks: int, rank: int, seed: int,
-                      use_bias: bool = True,
-                      use_output_nonlinearity: bool = False) -> BlockFusionParams:
+                      use_bias: bool = True) -> BlockFusionParams:
     """Build fusion parameters with near-equal chunk partitions, seeded."""
     if chunks < 1 or rank < 1:
         raise ValueError("chunks and rank must be >= 1")
@@ -103,27 +101,18 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
         x_chunks=_ranges(x_sizes),
         out_chunks=_ranges(out_sizes),
         use_bias=use_bias,
-        use_output_nonlinearity=use_output_nonlinearity,
     )
 
 
 def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
-    """Fuse x (d_x) with y (d_y) into a vector of p.out_dim.
-
-    Accepts single vectors or row-batches (B, d); batches stay batched.
-    """
+    """Fuse row-batches x (B, d_x) and y (B, d_y) into (B, p.out_dim)."""
     x, y = T.as_tensor(x), T.as_tensor(y)
-    single = x.data.ndim == 1
-    if single != (y.data.ndim == 1):
-        raise ShapeError(f"block_fuse: mixed batched/unbatched inputs {x.shape}, {y.shape}")
-    x2 = T.reshape(x, (1, x.shape[0])) if single else x
-    y2 = T.reshape(y, (1, y.shape[0])) if single else y
-    if x2.shape[1] != p.d_x or y2.shape[1] != p.d_y:
-        raise ShapeError(f"block_fuse: inputs {x.shape}, {y.shape} do not match "
-                         f"parameter dims ({p.d_x}, {p.d_y})")
+    if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != p.d_x or y.shape[1] != p.d_y:
+        raise ShapeError(f"block_fuse: inputs {x.shape}, {y.shape} are not row-batches "
+                         f"of the parameter dims ({p.d_x}, {p.d_y})")
 
-    px = p.proj_x(x2)
-    py = p.proj_y(y2)
+    px = p.proj_x(x)
+    py = p.proj_y(y)
     parts = []
     for c, (start, end) in enumerate(p.x_chunks):
         x_c = T.narrow(px, 1, start, end - start)
@@ -134,17 +123,4 @@ def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
             acc = term if acc is None else T.add(acc, term)
         parts.append(acc)
     z = T.concat(parts, axis=1)
-    if p.use_output_nonlinearity:
-        z = T.l2_normalize_rows(T.signed_sqrt(z))
-    out = p.proj_out(z)
-    return T.reshape(out, (p.out_dim,)) if single else out
-
-
-def elementwise_fuse(x, y, proj_x: Linear, proj_y: Linear) -> Tensor:
-    """Plain projected-product fusion, kept as an ablation fallback."""
-    x, y = T.as_tensor(x), T.as_tensor(y)
-    single = x.data.ndim == 1
-    x2 = T.reshape(x, (1, x.shape[0])) if single else x
-    y2 = T.reshape(y, (1, y.shape[0])) if single else y
-    out = T.mul(proj_x(x2), proj_y(y2))
-    return T.reshape(out, (out.shape[1],)) if single else out
+    return p.proj_out(z)

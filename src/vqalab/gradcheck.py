@@ -2,8 +2,9 @@
 
 Each check builds a scalar loss through one subsystem and compares analytic
 gradients against central differences (eps=1e-5, 64-bit) for every parameter
-feeding it. Check dimensions are kept small so the whole suite runs in
-seconds; the tolerance is 1e-4 throughout.
+feeding it. Model functions run on row-batches of two, so gradients that
+cross rows are covered too. Check dimensions are kept small so the whole suite
+runs in seconds; the tolerance is 1e-4 throughout.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 from . import tensor as T
 from .encoder import embedding_table_init, gru_cell, gru_params_init
 from .fusion import block_fuse, block_params_init
-from .grounding import (SceneFeatures, VgqeParams, VgqeState,
-                        encode_question_vgqe, vgqe_cell_step, vgw_attention,
-                        vgw_fuse, vgw_params_init)
-from .model import FusionConfig, ModelConfig, forward, init_model
+from .grounding import (VgqeParams, encode_questions_vgqe, grounded_words,
+                        vgw_attention, vgw_params_init)
+from .model import FusionConfig, ModelConfig, forward_batch, init_model
 from .tensor import Tensor
-from .train import cross_entropy
+from .train import cross_entropy_rows
 
 TOLERANCE = 1e-4
 EPS = 1e-5
@@ -85,10 +85,10 @@ def check_fusion() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(1)
     p = block_params_init(5, 4, 6, 6, 3, chunks=2, rank=2, seed=3)
-    x = Tensor(rng.normal(size=5), requires_grad=True)
-    y = Tensor(rng.normal(size=4), requires_grad=True)
-    probe = Tensor(rng.normal(size=3))
-    loss = lambda: T.dot(block_fuse(x, y, p), probe)
+    x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 3)))
+    loss = lambda: T.mul(block_fuse(x, y, p), probe).sum()
     _check("fusion", "block_fuse_inputs", loss, [("x", x), ("y", y)], results)
     _check("fusion", "block_fuse_params", loss, list(p.named_arrays()), results)
     return results
@@ -98,10 +98,10 @@ def check_encoder() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(2)
     p = gru_params_init(4, 3, seed=4)
-    x = Tensor(rng.normal(size=4), requires_grad=True)
-    h = Tensor(rng.normal(size=3), requires_grad=True)
-    probe = Tensor(rng.normal(size=3))
-    loss = lambda: T.dot(gru_cell(x, h, p), probe)
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 3)))
+    loss = lambda: T.mul(gru_cell(x, h, p), probe).sum()
     _check("encoder", "gru_cell_inputs", loss, [("x", x), ("h", h)], results)
     _check("encoder", "gru_cell_params", loss, list(p.named_arrays()), results)
     return results
@@ -120,44 +120,37 @@ def check_grounding() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(3)
     p = _small_vgqe()
-    scene = SceneFeatures(visual=rng.normal(size=(3, 4)),
-                          labels=rng.normal(size=(3, 4)))
-    word = Tensor(rng.normal(size=4), requires_grad=True)
-    probe_v = Tensor(rng.normal(size=4))
+    visual = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    labels = Tensor(rng.normal(size=(2, 3, 4)))
+    word = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    probe_v = Tensor(rng.normal(size=(2, 4)))
 
     def attn_loss():
-        _, f = vgw_attention(scene.labels, word, p.vgw.attn_vector,
-                             p.vgw.attn_matrix, scene.visual)
-        return T.dot(f, probe_v)
+        _, f = vgw_attention(labels, word, p.vgw.attn_vector, p.vgw.attn_matrix, visual)
+        return T.mul(f, probe_v).sum()
 
     _check("vgqe", "vgw_attention", attn_loss,
            [("word", word), ("attn_vector", p.vgw.attn_vector),
             ("attn_matrix", p.vgw.attn_matrix)], results)
 
-    attended = Tensor(rng.normal(size=4), requires_grad=True)
-    probe_g = Tensor(rng.normal(size=4))
-    fuse_loss = lambda: T.dot(vgw_fuse(attended, word, p.vgw), probe_g)
-    _check("vgqe", "vgw_fuse", fuse_loss,
-           [("attended", attended), ("word", word)] + list(p.vgw.named_arrays()),
-           results)
+    probe_g = Tensor(rng.normal(size=(2, 4)))
 
-    h0 = Tensor(rng.normal(size=3))
-    probe_h = Tensor(rng.normal(size=3))
+    def grounded_loss():
+        (g,), _ = grounded_words(visual, labels, [word], p.vgw)
+        return T.mul(g, probe_g).sum()
 
-    def cell_loss():
-        stepped, _ = vgqe_cell_step(scene, word, VgqeState(h=h0), p)
-        return T.dot(stepped.h, probe_h)
-
-    _check("vgqe", "vgqe_cell_step", cell_loss, list(p.named_arrays()), results)
+    _check("vgqe", "grounded_words", grounded_loss,
+           [("visual", visual), ("word", word)] + list(p.vgw.named_arrays()), results)
 
     table = embedding_table_init(8, 4, seed=6)
-    probe_enc = Tensor(rng.normal(size=6))
+    tokens = np.array([[1, 5, 2], [7, 0, 5]])
+    probe_enc = Tensor(rng.normal(size=(2, 6)))
 
     def encode_loss():
-        enc, _ = encode_question_vgqe(scene, [1, 5, 2], table, p)
-        return T.dot(enc, probe_enc)
+        enc = encode_questions_vgqe(visual.data, labels.data, tokens, table, p)
+        return T.mul(enc, probe_enc).sum()
 
-    _check("vgqe", "encode_question", encode_loss, list(p.named_arrays()), results)
+    _check("vgqe", "encode_questions", encode_loss, list(p.named_arrays()), results)
     return results
 
 
@@ -169,12 +162,14 @@ def _check_model(variant: str, results: list[CheckResult]) -> None:
                       obj_fusion=FusionConfig(6, 6, 2, 2))
     params = init_model(cfg)
     rng = np.random.default_rng(4)
-    scene = SceneFeatures(visual=rng.normal(size=(3, 6)),
-                          labels=rng.normal(size=(3, 5)))
-    tokens = [1, 4, 2, 7]
+    visual = rng.normal(size=(2, 3, 6))
+    labels = rng.normal(size=(2, 3, 5))
+    tokens = np.array([[1, 4, 2, 7], [3, 3, 8, 0]])
+    answers = np.array([3, 6])
 
     def loss():
-        return cross_entropy(forward(scene, tokens, params), target=3)
+        logits = forward_batch(params, visual, labels, tokens)
+        return T.reduce_mean(cross_entropy_rows(logits, answers))
 
     _check("model", f"{variant}_full", loss, list(params.named_parameters()), results)
 

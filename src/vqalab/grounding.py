@@ -9,7 +9,8 @@ scene, which is exactly what the language-only baseline encoder lacks.
 Attention scores come from the label embeddings only; attended values come
 from the visual features only. Scoring for object i is
 ``score_i = a . (M (l_i * q))`` with a learned vector ``a`` and matrix ``M``
-(no bias terms), softmax-normalized over the scene's objects.
+(no bias terms), softmax-normalized over the scene's objects. Every function
+but the single-question trace helper takes row-batches of scenes and words.
 """
 
 from __future__ import annotations
@@ -19,35 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EmbeddingTable, GruParams, _token_ids, embed, gru_cell
+# gru_cell is not called here; the name stays bound because perfbench/tracer.py
+# wraps it at vqalab.grounding:gru_cell.
+from .encoder import EmbeddingTable, GruParams, embed, gru_cell, run_gru  # noqa: F401
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .layers import Linear, linear_init, matrix_init, seeded_rng, vector_init
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class SceneFeatures:
-    """Per-object visual features (k, d_v) and label embeddings (k, d_w)."""
-
-    visual: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.visual = np.asarray(self.visual, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
-        if self.visual.ndim != 2 or self.labels.ndim != 2:
-            raise ShapeError("scene features must be matrices (objects x dims)")
-        if self.visual.shape[0] != self.labels.shape[0]:
-            raise ShapeError(f"visual ({self.visual.shape[0]}) and label "
-                             f"({self.labels.shape[0]}) object counts differ")
-        if self.visual.shape[0] < 1:
-            raise ShapeError("a scene needs at least one object")
-        if not (np.isfinite(self.visual).all() and np.isfinite(self.labels).all()):
-            raise ValueError("scene features must be finite")
-
-    @property
-    def object_count(self) -> int:
-        return self.visual.shape[0]
 
 
 @dataclass
@@ -60,18 +38,6 @@ class VgwParams:
     refine_hidden: Linear      # d_w -> d
     refine_out: Linear         # d -> d
     fusion: BlockFusionParams  # (d_v, d) -> grounded_dim
-
-    @property
-    def word_dim(self) -> int:
-        return self.attn_vector.shape[0]
-
-    @property
-    def refined_dim(self) -> int:
-        return self.refine_out.d_out
-
-    @property
-    def grounded_dim(self) -> int:
-        return self.fusion.out_dim
 
     def named_arrays(self, prefix: str = "vgw"):
         yield f"{prefix}.attn_vector", self.attn_vector
@@ -95,30 +61,12 @@ class VgqeParams:
     def shared_vgw(self) -> bool:
         return self.vgw_backward is None
 
-    def vgw_for(self, direction: str) -> VgwParams:
-        if direction == "backward" and self.vgw_backward is not None:
-            return self.vgw_backward
-        return self.vgw
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.rnn_forward.hidden_dim
-
     def named_arrays(self, prefix: str = "vgqe"):
         yield from self.vgw.named_arrays(f"{prefix}.vgw")
         if self.vgw_backward is not None:
             yield from self.vgw_backward.named_arrays(f"{prefix}.vgw_backward")
         yield from self.rnn_forward.named_arrays(f"{prefix}.rnn_forward")
         yield from self.rnn_backward.named_arrays(f"{prefix}.rnn_backward")
-
-
-@dataclass
-class VgqeState:
-    h: Tensor
-
-    def __post_init__(self):
-        if not np.isfinite(self.h.data).all():
-            raise ValueError("recurrent state must be finite")
 
 
 def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
@@ -136,138 +84,80 @@ def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
     )
 
 
-def _as_batched_scene(visual, labels):
-    """Lift (k, d) scene matrices to (1, k, d) constants; pass 3-D through."""
-    v = T.as_tensor(visual)
-    l = T.as_tensor(labels)
-    if v.data.ndim == 2:
-        v = T.reshape(v, (1,) + v.shape)
-    if l.data.ndim == 2:
-        l = T.reshape(l, (1,) + l.shape)
-    if v.data.ndim != 3 or l.data.ndim != 3 or v.shape[:2] != l.shape[:2]:
-        raise ShapeError(f"scene tensors disagree: visual {v.shape}, labels {l.shape}")
-    return v, l
-
-
 def vgw_attention(labels, word, attn_vector: Tensor, attn_matrix: Tensor,
                   visual) -> tuple[Tensor, Tensor]:
     """Score objects by label-word agreement; return (weights, attended visual).
 
-    Unbatched: labels (k, d_w), word (d_w,), visual (k, d_v) -> ((k,), (d_v,)).
-    Batched: labels (B, k, d_w), word (B, d_w), visual (B, k, d_v).
+    labels (B, k, d_w), word (B, d_w), visual (B, k, d_v) -> ((B, k), (B, d_v)).
     """
-    word = T.as_tensor(word)
-    single = word.data.ndim == 1
-    w2 = T.reshape(word, (1, word.shape[0])) if single else word
-    v3, l3 = _as_batched_scene(visual, labels)
-    batch, k, d_w = l3.shape
-    if w2.shape != (batch, d_w):
-        raise ShapeError(f"word batch {w2.shape} does not match labels {l3.shape}")
+    labels, word, visual = T.as_tensor(labels), T.as_tensor(word), T.as_tensor(visual)
+    if labels.data.ndim != 3 or visual.data.ndim != 3 or labels.shape[:2] != visual.shape[:2]:
+        raise ShapeError(f"scene tensors disagree: visual {visual.shape}, labels {labels.shape}")
+    batch, k, d_w = labels.shape
+    if word.shape != (batch, d_w):
+        raise ShapeError(f"word batch {word.shape} does not match labels {labels.shape}")
     if attn_vector.shape != (d_w,) or attn_matrix.shape != (d_w, d_w):
         raise ShapeError(f"attention parameters sized {attn_vector.shape}/"
                          f"{attn_matrix.shape} do not match word dim {d_w}")
 
-    labels_flat = T.reshape(l3, (batch * k, d_w))
-    word_rep = T.repeat_rows(w2, k)
+    labels_flat = T.reshape(labels, (batch * k, d_w))
+    word_rep = T.repeat_rows(word, k)
     gated = T.mul(labels_flat, word_rep)
-    mapped = T.matmul(gated, T.transpose(attn_matrix))
-    scores = T.matmul(mapped, T.reshape(attn_vector, (d_w, 1)))
+    # a.(M g) == (a^T M).g: one (1, d_w) row times M, then one column per object
+    row = T.matmul(T.reshape(attn_vector, (1, d_w)), attn_matrix)
+    scores = T.matmul(gated, T.reshape(row, (d_w, 1)))
     alpha = T.softmax(T.reshape(scores, (batch, k)), axis=1)
-    attended = T.attend(alpha, v3)
-    if single:
-        return T.reshape(alpha, (k,)), T.reshape(attended, (attended.shape[1],))
-    return alpha, attended
+    return alpha, T.attend(alpha, visual)
 
 
-def refine_word(word, p: VgwParams) -> Tensor:
-    """Two-layer projection of the raw word embedding (rectifier between)."""
-    return p.refine_out(T.relu(p.refine_hidden(word)))
+def grounded_words(v3: Tensor, l3: Tensor, words: list[Tensor],
+                   vgw: VgwParams) -> tuple[list[Tensor], list[Tensor]]:
+    """Ground each (B, d_w) word in its scene: attention over the objects, then
+    fusion of the attended visual feature with the refined word.
 
-
-def vgw_fuse(attended, word, p: VgwParams) -> Tensor:
-    """Fuse the attended visual feature with the refined word embedding."""
-    word = T.as_tensor(word)
-    single = word.data.ndim == 1
-    w2 = T.reshape(word, (1, word.shape[0])) if single else word
-    a2 = (T.reshape(attended, (1, attended.shape[0]))
-          if T.as_tensor(attended).data.ndim == 1 else T.as_tensor(attended))
-    refined = refine_word(w2, p)
-    grounded = block_fuse(a2, refined, p.fusion)
-    return T.reshape(grounded, (grounded.shape[1],)) if single else grounded
-
-
-def grounded_word(visual, labels, word, p: VgwParams) -> tuple[Tensor, Tensor]:
-    """Attention plus fusion: the visually grounded embedding for one word."""
-    alpha, attended = vgw_attention(labels, word, p.attn_vector, p.attn_matrix, visual)
-    return vgw_fuse(attended, word, p), alpha
-
-
-def vgqe_cell_step(scene: SceneFeatures, word, state: VgqeState, p: VgqeParams,
-                   direction: str = "forward") -> tuple[VgqeState, Tensor]:
-    """One grounded recurrence step; returns the new state and the attention
-    weights used at this step (for traces)."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    vgw = p.vgw_for(direction)
-    g_t, alpha = grounded_word(scene.visual, scene.labels, word, vgw)
-    rnn = p.rnn_forward if direction == "forward" else p.rnn_backward
-    h = gru_cell(g_t, state.h, rnn)
-    return VgqeState(h=h), alpha
-
-
-def encode_question_vgqe(scene: SceneFeatures, tokens, table: EmbeddingTable,
-                         p: VgqeParams) -> tuple[Tensor, dict[str, np.ndarray]]:
-    """Encode one question against one scene.
-
-    Returns the concatenated final states (2H,) and per-direction attention
-    traces, each a (T, k) matrix indexed by timestep.
+    Returns the grounded words (B, grounded_dim) and the attention weights
+    (B, k), one of each per word.
     """
-    ids = _token_ids(tokens)
-    if not ids:
-        raise ValueError("cannot encode an empty question")
-    enc, traces = encode_questions_vgqe(
-        np.asarray(scene.visual)[None], np.asarray(scene.labels)[None],
-        np.asarray([ids]), table, p, return_trace=True)
-    trace = {direction: mat[:, 0, :] for direction, mat in traces.items()}
-    return T.reshape(enc, (enc.shape[1],)), trace
+    grounded, alphas = [], []
+    for word in words:
+        alpha, attended = vgw_attention(l3, word, vgw.attn_vector, vgw.attn_matrix, v3)
+        refined = vgw.refine_out(T.relu(vgw.refine_hidden(word)))
+        grounded.append(block_fuse(attended, refined, vgw.fusion))
+        alphas.append(alpha)
+    return grounded, alphas
 
 
 def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
                           token_matrix: np.ndarray, table: EmbeddingTable,
                           p: VgqeParams, return_trace: bool = False):
-    """Batched grounded encoding: scenes (B, k, *) and tokens (B, T) -> (B, 2H).
+    """Grounded encoding: scenes (B, k, *) and tokens (B, T) -> (B, 2H).
 
-    With a shared grounded-word module the per-word grounding is computed once
-    and consumed by both reading directions.
+    With return_trace, also the attention weights per direction, each a
+    (T, B, k) array indexed by timestep. With a shared grounded-word module
+    the per-word grounding is computed once and consumed by both reading
+    directions.
     """
+    visual, labels = np.asarray(visual), np.asarray(labels)
+    if visual.ndim != 3 or labels.ndim != 3 or visual.shape[:2] != labels.shape[:2]:
+        raise ShapeError(f"scene arrays disagree: visual {visual.shape}, labels "
+                         f"{labels.shape}; both need (batch, objects, dims)")
+    if visual.shape[1] < 1:
+        raise ShapeError("a scene needs at least one object")
+    if not (np.isfinite(visual).all() and np.isfinite(labels).all()):
+        raise ValueError("scene features must be finite")
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
-    batch, length = token_matrix.shape
-    v3 = T.as_tensor(np.asarray(visual))
-    l3 = T.as_tensor(np.asarray(labels))
+    v3, l3 = Tensor(visual), Tensor(labels)
 
-    words = [embed(token_matrix[:, t], table) for t in range(length)]
-    fwd_inputs, fwd_alphas = [], []
-    for w in words:
-        g, alpha = _grounded_word_batched(v3, l3, w, p.vgw)
-        fwd_inputs.append(g)
-        fwd_alphas.append(alpha)
+    words = [embed(token_matrix[:, t], table) for t in range(token_matrix.shape[1])]
+    fwd_inputs, fwd_alphas = grounded_words(v3, l3, words, p.vgw)
     if p.shared_vgw:
         bwd_inputs, bwd_alphas = fwd_inputs, fwd_alphas
     else:
-        bwd_inputs, bwd_alphas = [], []
-        for w in words:
-            g, alpha = _grounded_word_batched(v3, l3, w, p.vgw_backward)
-            bwd_inputs.append(g)
-            bwd_alphas.append(alpha)
-
-    h_f = Tensor(np.zeros((batch, p.hidden_dim)))
-    for g in fwd_inputs:
-        h_f = gru_cell(g, h_f, p.rnn_forward)
-    h_b = Tensor(np.zeros((batch, p.hidden_dim)))
-    for g in reversed(bwd_inputs):
-        h_b = gru_cell(g, h_b, p.rnn_backward)
+        bwd_inputs, bwd_alphas = grounded_words(v3, l3, words, p.vgw_backward)
+    h_f = run_gru(fwd_inputs, p.rnn_forward)
+    h_b = run_gru(bwd_inputs, p.rnn_backward, reverse=True)
     encoding = T.concat([h_f, h_b], axis=1)
 
     if not return_trace:
@@ -279,11 +169,16 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
     return encoding, traces
 
 
-def _grounded_word_batched(v3: Tensor, l3: Tensor, word: Tensor,
-                           vgw: VgwParams) -> tuple[Tensor, Tensor]:
-    alpha, attended = vgw_attention(l3, word, vgw.attn_vector, vgw.attn_matrix, v3)
-    refined = refine_word(word, vgw)
-    return block_fuse(attended, refined, vgw.fusion), alpha
+def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable,
+                         p: VgqeParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Encode one question against one scene, for attention traces.
+
+    visual (k, d_v), labels (k, d_w) and a token list -> the (2H,) encoding
+    and per-direction attention weights, each a (T, k) array.
+    """
+    enc, traces = encode_questions_vgqe(np.asarray(visual)[None], np.asarray(labels)[None],
+                                        np.asarray([tokens]), table, p, return_trace=True)
+    return enc.data[0], {direction: mat[:, 0, :] for direction, mat in traces.items()}
 
 
 def trace_records(question_id: str, trace: dict[str, np.ndarray]) -> list[dict]:

@@ -5,7 +5,8 @@ the encoded question, the fused vectors are max-pooled over objects, and a
 two-layer classifier produces answer logits. They differ only in the question
 encoder: the baseline encodes from words alone; the grounded variant runs the
 visually grounded encoder, so its question representation already depends on
-the scene. Logits are raw; the softmax lives in the loss.
+the scene. Logits are raw; the softmax lives in the loss. The forward pass
+takes row-batches of scenes and token rows, a batch of one included.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .encoder import (EmbeddingTable, GruParams, _token_ids,
-                      embedding_table_from, embedding_table_init,
+from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
-from .grounding import (SceneFeatures, VgqeParams, VgwParams,
-                        encode_questions_vgqe, vgw_params_init)
+from .grounding import (VgqeParams, VgwParams, encode_questions_vgqe,
+                        vgw_params_init)
 from .layers import Linear, linear_init, seeded_rng
 from .tensor import ShapeError, Tensor
 
@@ -111,11 +111,9 @@ class ModelParams:
         yield from self.cls_out.named_arrays("cls_out")
 
     def named_parameters(self):
-        """Trainable arrays only (frozen embeddings excluded)."""
-        frozen = {name for name, _ in self.embedding.named_arrays("embedding")} \
-            if self.embedding.frozen else set()
+        """Trainable arrays: every array but the frozen embedding table."""
         for name, t in self.named_arrays():
-            if name not in frozen:
+            if t is not self.embedding.vectors:
                 yield name, t
 
 
@@ -128,13 +126,12 @@ def init_model(config: ModelConfig,
     """
     rng = seeded_rng(config.seed, 0xD0DE)
     if embedding_vectors is not None:
-        embedding = embedding_table_from(embedding_vectors, frozen=True)
+        embedding = EmbeddingTable(Tensor(np.asarray(embedding_vectors)))
         if embedding.dim != config.d_w or embedding.vocab_size != config.vocab_size:
             raise ShapeError(f"embedding table {embedding.vectors.shape} does not match "
                              f"config (vocab={config.vocab_size}, d_w={config.d_w})")
     else:
-        embedding = embedding_table_init(config.vocab_size, config.d_w,
-                                         seed=config.seed, frozen=True)
+        embedding = embedding_table_init(config.vocab_size, config.d_w, seed=config.seed)
 
     vgw = vgw_backward = None
     if config.variant == "vgqe":
@@ -213,22 +210,6 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
     return params.cls_out(hidden)
 
 
-def forward(scene: SceneFeatures, tokens, params: ModelParams,
-            training: bool = False,
-            drop_rng: np.random.Generator | None = None) -> Tensor:
-    """Single-example logits (A,)."""
-    ids = _token_ids(tokens)
-    logits = forward_batch(params, scene.visual[None], scene.labels[None],
-                           np.asarray([ids]), training=training, drop_rng=drop_rng)
-    return T.reshape(logits, (logits.shape[1],))
-
-
-def predict(logits) -> int:
-    """Argmax answer id; ties resolve toward the smaller id."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    return int(np.argmax(data))
-
-
 def count_parameters(params: ModelParams) -> int:
     """Exact count of learnable scalars (frozen tables contribute nothing)."""
     return sum(t.size for _, t in params.named_parameters())
@@ -291,8 +272,15 @@ def load_checkpoint(path) -> ModelParams:
     if not bin_path.exists():
         raise FileNotFoundError(f"checkpoint data file not found: {bin_path}")
     raw = bin_path.read_bytes()
+    sizes = [int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+             for entry in manifest["arrays"]]
+    expected = max((entry["byte_offset"] + nbytes
+                    for entry, nbytes in zip(manifest["arrays"], sizes)), default=0)
+    if len(raw) != expected:
+        raise ValueError(f"checkpoint data file {bin_path} holds {len(raw)} bytes, "
+                         f"its manifest expects {expected}")
     seen = set()
-    for entry in manifest["arrays"]:
+    for entry, nbytes in zip(manifest["arrays"], sizes):
         name = entry["name"]
         if name not in arrays:
             raise ValueError(f"checkpoint array {name!r} is not part of this config")
@@ -301,10 +289,8 @@ def load_checkpoint(path) -> ModelParams:
         if shape != target.shape:
             raise ShapeError(f"checkpoint array {name!r} has shape {shape}, "
                              f"config expects {target.shape}")
-        dtype = np.dtype(entry["dtype"])
-        nbytes = int(np.prod(shape)) * dtype.itemsize if shape else dtype.itemsize
         start = entry["byte_offset"]
-        data = np.frombuffer(raw[start:start + nbytes], dtype=dtype).reshape(shape)
+        data = np.frombuffer(raw[start:start + nbytes], dtype=entry["dtype"]).reshape(shape)
         target.data = data.astype(target.data.dtype).copy()
         seen.add(name)
     missing = set(arrays) - seen

@@ -324,26 +324,6 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    def bw(g):
-        return (g.T,)
-    return _record("transpose", (a,), a.data.T.copy(), bw)
-
-
-def matvec(a, x) -> Tensor:
-    """(m, n) @ (n,) -> (m,). Convenience over matmul + reshape."""
-    a, x = as_tensor(a), as_tensor(x)
-    if a.data.ndim != 2 or x.data.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shapes disagree: {a.shape} @ {x.shape}")
-    a_data, x_data = a.data, x.data
-    def bw(g):
-        return np.outer(g, x_data), a_data.T @ g
-    return _record("matvec", (a, x), a_data @ x_data, bw)
-
-
 def dot(x, y) -> Tensor:
     x, y = as_tensor(x), as_tensor(y)
     if x.data.ndim != 1 or x.shape != y.shape:
@@ -404,20 +384,6 @@ def repeat_rows(a, r: int) -> Tensor:
     def bw(g):
         return (g.reshape(m, r, n).sum(axis=1),)
     return _record("repeat_rows", (a,), np.repeat(a.data, r, axis=0), bw)
-
-
-def gather_rows(table, ids) -> Tensor:
-    """Row lookup table[ids]; gradient scatter-adds into the table."""
-    table = as_tensor(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a matrix table, got {table.shape}")
-    n_rows = table.shape[0]
-    def bw(g):
-        out = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(out, ids, g)
-        return (out,)
-    return _record("gather_rows", (table,), table.data[ids], bw)
 
 
 # ---------------------------------------------------------------------------
@@ -533,32 +499,6 @@ def logsumexp_rows(x) -> Tensor:
     def bw(g):
         return (soft * g[:, None],)
     return _record("logsumexp_rows", (x,), out, bw)
-
-
-def signed_sqrt(x) -> Tensor:
-    """sign(x) * sqrt(|x|); subgradient 0 at exactly zero entries."""
-    x = as_tensor(x)
-    root = np.sqrt(np.abs(x.data))
-    out = np.sign(x.data) * root
-    safe = np.where(root > 0, root, 1.0)
-    deriv = np.where(root > 0, 0.5 / safe, 0.0)
-    def bw(g):
-        return (g * deriv,)
-    return _record("signed_sqrt", (x,), out, bw)
-
-
-def l2_normalize_rows(x, eps: float = 1e-12) -> Tensor:
-    """Scale each row of a matrix to unit Euclidean norm."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects a matrix, got {x.shape}")
-    norm = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True)) + eps
-    out = x.data / norm
-    x_data = x.data
-    def bw(g):
-        inner = (g * x_data).sum(axis=1, keepdims=True)
-        return (g / norm - x_data * (inner / norm**3),)
-    return _record("l2_normalize_rows", (x,), out, bw)
 
 
 # ---------------------------------------------------------------------------

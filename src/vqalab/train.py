@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .data import DatasetSplit
 from .layers import seeded_rng
-from .model import ModelParams, forward_batch, predict
+from .model import ModelParams, forward_batch
 from .tensor import Tensor
 
 
@@ -90,16 +90,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= a):
         raise IndexError(f"target id out of range for {a} answers")
     return T.sub(T.logsumexp_rows(logits), T.rows_pick(logits, targets))
-
-
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Scalar loss for a single logits vector."""
-    if logits.data.ndim != 1:
-        raise T.ShapeError(f"expected a logits vector, got shape {logits.shape}")
-    if not (0 <= target < logits.shape[0]):
-        raise IndexError(f"target {target} out of range for {logits.shape[0]} answers")
-    rows = T.reshape(logits, (1, logits.shape[0]))
-    return T.reshape(cross_entropy_rows(rows, np.asarray([target])), ())
 
 
 # ---------------------------------------------------------------------------

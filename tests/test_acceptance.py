@@ -16,14 +16,14 @@ import pytest
 from vqalab import tensor as T
 from vqalab.cli import run as cli_run
 from vqalab.data import DataConfig, DatasetSplit, generate_dataset
-from vqalab.encoder import embedding_table_init, encode_question_baseline
+from vqalab.encoder import embedding_table_init, encode_questions_baseline
 from vqalab.evaluate import report_from_json
 from vqalab.experiment import experiment_train_config, run_bias_shift
 from vqalab.fusion import block_fuse, block_params_init
 from vqalab.gradcheck import run_all
-from vqalab.grounding import (SceneFeatures, VgqeParams, encode_question_vgqe,
-                              vgw_attention, vgw_params_init)
-from vqalab.model import ModelConfig, forward, init_model
+from vqalab.grounding import (VgqeParams, encode_questions_vgqe, vgw_attention,
+                              vgw_params_init)
+from vqalab.model import ModelConfig, forward_batch, init_model
 from vqalab.tensor import Tensor
 from vqalab.train import TrainConfig, train
 from vqalab.encoder import gru_params_init
@@ -72,19 +72,19 @@ def test_criterion_algebraic_invariants(criterion_output):
         vgw = vgw_params_init(d_v=6, d_w=4, refined_dim=3, grounded_dim=4,
                               fusion_proj=4, fusion_out_proj=4, chunks=2,
                               rank=2, seed=seed)
-        visual = rng.normal(size=(k, 6))
-        labels = rng.normal(size=(k, 4))
-        word = Tensor(rng.normal(size=4))
+        visual = rng.normal(size=(2, k, 6))
+        labels = rng.normal(size=(2, k, 4))
+        word = Tensor(rng.normal(size=(2, 4)))
         alpha, attended = vgw_attention(labels, word, vgw.attn_vector,
                                         vgw.attn_matrix, visual)
         perm = rng.permutation(k)
-        alpha_p, attended_p = vgw_attention(labels[perm], word, vgw.attn_vector,
-                                            vgw.attn_matrix, visual[perm])
+        alpha_p, attended_p = vgw_attention(labels[:, perm], word, vgw.attn_vector,
+                                            vgw.attn_matrix, visual[:, perm])
         perm_worst = max(perm_worst,
-                         float(np.max(np.abs(alpha.data[perm] - alpha_p.data))),
+                         float(np.max(np.abs(alpha.data[:, perm] - alpha_p.data))),
                          float(np.max(np.abs(attended.data - attended_p.data))))
-        convex_ok &= bool(np.all(attended.data >= visual.min(axis=0) - 1e-12)
-                          and np.all(attended.data <= visual.max(axis=0) + 1e-12))
+        convex_ok &= bool(np.all(attended.data >= visual.min(axis=1) - 1e-12)
+                          and np.all(attended.data <= visual.max(axis=1) + 1e-12))
     assert perm_worst <= 1e-9
     assert convex_ok
 
@@ -92,8 +92,8 @@ def test_criterion_algebraic_invariants(criterion_output):
     p = block_params_init(5, 4, 6, 6, 3, chunks=2, rank=2, seed=0, use_bias=False)
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
-        x1, x2 = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
-        y = Tensor(rng.normal(size=4))
+        x1, x2 = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 5)))
+        y = Tensor(rng.normal(size=(2, 4)))
         homo = np.max(np.abs(block_fuse(T.scale(x1, 2.0), y, p).data
                              - 2.0 * block_fuse(x1, y, p).data))
         addi = np.max(np.abs(block_fuse(T.add(x1, x2), y, p).data
@@ -114,12 +114,11 @@ def test_criterion_algebraic_invariants(criterion_output):
         params = init_model(cfg)
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
-            scene = SceneFeatures(rng.normal(size=(4, 6)), rng.normal(size=(4, 5)))
-            tokens = [1, 4, 2]
-            logits = forward(scene, tokens, params).data
+            visual, labels = rng.normal(size=(2, 4, 6)), rng.normal(size=(2, 4, 5))
+            tokens = np.array([[1, 4, 2], [3, 0, 8]])
+            logits = forward_batch(params, visual, labels, tokens).data
             perm = rng.permutation(4)
-            permuted = SceneFeatures(scene.visual[perm], scene.labels[perm])
-            logits_p = forward(permuted, tokens, params).data
+            logits_p = forward_batch(params, visual[:, perm], labels[:, perm], tokens).data
             pool_worst = max(pool_worst, float(np.max(np.abs(logits - logits_p))))
     assert pool_worst <= 1e-9
 
@@ -147,17 +146,18 @@ def test_criterion_encoder_contrast(criterion_output):
     min_gap = np.inf
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        tokens = list(rng.integers(0, 10, size=int(rng.integers(2, 6))))
-        scene_a = SceneFeatures(rng.normal(size=(4, d_v)), rng.normal(size=(4, d_w)))
-        scene_b = SceneFeatures(rng.normal(size=(4, d_v)), scene_a.labels.copy())
+        tokens = rng.integers(0, 10, size=(1, int(rng.integers(2, 6))))
+        # scene b shares scene a's labels and differs in its visual features
+        visual = rng.normal(size=(2, 4, d_v))
+        labels = np.repeat(rng.normal(size=(1, 4, d_w)), 2, axis=0)
 
-        base_a = encode_question_baseline(tokens, table, fwd, bwd).data
-        base_b = encode_question_baseline(tokens, table, fwd, bwd).data
+        base_a = encode_questions_baseline(tokens, table, fwd, bwd).data
+        base_b = encode_questions_baseline(tokens, table, fwd, bwd).data
         assert np.array_equal(base_a, base_b), "baseline encoding not bit-identical"
 
-        enc_a, _ = encode_question_vgqe(scene_a, tokens, table, vgqe)
-        enc_b, _ = encode_question_vgqe(scene_b, tokens, table, vgqe)
-        gap = float(np.max(np.abs(enc_a.data - enc_b.data)))
+        enc = encode_questions_vgqe(visual, labels, np.repeat(tokens, 2, axis=0),
+                                    table, vgqe).data
+        gap = float(np.max(np.abs(enc[0] - enc[1])))
         min_gap = min(min_gap, gap)
         assert gap > 1e-6, f"grounded encodings indistinguishable at seed {seed}"
     criterion_output.announce(True, "criterion 3, encoder contrast",

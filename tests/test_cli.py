@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,23 @@ class TestEval:
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
+
+    def test_out_of_range_token_id_names_it(self, workspace, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        split = data_dir / "test.jsonl"
+        lines = split.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["tokens"][0] = 99
+        lines[3] = json.dumps(record)
+        split.write_text("\n".join(lines) + "\n")
+        code = run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(data_dir), "--split", "test",
+                    "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "token id 99" in err
 
     def test_eval_deterministic(self, workspace, tmp_path):
         outs = []

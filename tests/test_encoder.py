@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vqalab import encoder, tensor as T
-from vqalab.encoder import (EmbeddingTable, QuestionTokens, embed,
-                            embedding_table_init, encode_question_baseline,
-                            gru_cell, gru_params_init)
+from vqalab import tensor as T
+from vqalab.encoder import (EmbeddingTable, embed, embedding_table_init,
+                            encode_questions_baseline, gru_cell,
+                            gru_params_init)
 from vqalab.tensor import Tensor
 
 
@@ -41,16 +41,18 @@ class TestEmbedding:
         table = embedding_table_init(5, 3, seed=0)
         with pytest.raises(IndexError, match="7"):
             embed([0, 7], table)
+        with pytest.raises(IndexError, match="-1"):
+            embed(np.array([[0, 1], [-1, 2]]), table)
 
     def test_frozen_table_contributes_no_parameters(self):
-        table = embedding_table_init(5, 3, seed=0, frozen=True)
-        assert list(table.named_parameters()) == []
-        thawed = embedding_table_init(5, 3, seed=0, frozen=False)
-        assert len(list(thawed.named_parameters())) == 1
+        table = embedding_table_init(5, 3, seed=0)
+        assert not table.vectors.requires_grad
+        assert not embed(np.array([[1, 2]]), table).requires_grad
 
     def test_question_tokens_validates_length(self):
+        table = embedding_table_init(5, 3, seed=0)
         with pytest.raises(ValueError):
-            QuestionTokens(tokens=[], qtype=0)
+            embed(np.zeros(0, dtype=int), table)
 
 
 class TestGruCell:
@@ -58,7 +60,7 @@ class TestGruCell:
         p = gru_params_init(3, 2, seed=0)
         for _, t in p.named_arrays():
             t.data[:] = 0.0
-        h = gru_cell(Tensor(np.ones(3)), Tensor(np.zeros(2)), p)
+        h = gru_cell(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 2))), p)
         assert np.allclose(h.data, 0.0)
 
     def test_leak_with_zero_weights(self):
@@ -66,31 +68,32 @@ class TestGruCell:
         p = gru_params_init(2, 1, seed=0)
         for _, t in p.named_arrays():
             t.data[:] = 0.0
-        h = gru_cell(Tensor([1.0, -1.0]), Tensor([0.8]), p)
-        assert np.allclose(h.data, [0.4])
+        h = gru_cell(Tensor([[1.0, -1.0], [0.0, 2.0]]), Tensor([[0.8], [-0.2]]), p)
+        assert np.allclose(h.data, [[0.4], [-0.1]])
 
     def test_matches_duplicate_dense_oracle(self):
         p = gru_params_init(4, 3, seed=5)
         rng = np.random.default_rng(1)
-        x, h = rng.normal(size=4), rng.normal(size=3)
+        x, h = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
         got = gru_cell(Tensor(x), Tensor(h), p).data
-        want = gru_oracle(x[None, :], h[None, :], p)[0]
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got - gru_oracle(x, h, p))) < 1e-12
 
     def test_dimension_mismatch(self):
         p = gru_params_init(4, 3, seed=0)
         with pytest.raises(T.ShapeError):
-            gru_cell(Tensor(np.zeros(5)), Tensor(np.zeros(3)), p)
+            gru_cell(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))), p)
+        with pytest.raises(T.ShapeError):
+            gru_cell(Tensor(np.zeros(4)), Tensor(np.zeros(3)), p)
 
     def test_gradients_match_finite_differences(self):
         p = gru_params_init(3, 2, seed=9)
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=3), requires_grad=True)
-        h = Tensor(rng.normal(size=2), requires_grad=True)
-        probe = Tensor(rng.normal(size=2))
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(2, 2)))
 
         def loss():
-            return T.dot(gru_cell(x, h, p), probe)
+            return T.mul(gru_cell(x, h, p), probe).sum()
 
         errs = [T.grad_check(lambda t: loss(), x), T.grad_check(lambda t: loss(), h)]
         errs += [T.grad_check(lambda t: loss(), t) for _, t in p.named_arrays()]
@@ -103,50 +106,54 @@ class TestBaselineEncoder:
         self.fwd = gru_params_init(4, 3, seed=4)
         self.bwd = gru_params_init(4, 3, seed=5)
 
+    def encode(self, ids, fwd=None, bwd=None):
+        return encode_questions_baseline(np.asarray(ids), self.table,
+                                         fwd or self.fwd, bwd or self.bwd)
+
     def test_single_step_unrolling(self):
-        out = encode_question_baseline([7], self.table, self.fwd, self.bwd).data
-        x = self.table.vectors.data[7]
-        h0 = Tensor(np.zeros(3))
-        f = gru_cell(Tensor(x), h0, self.fwd).data
-        b = gru_cell(Tensor(x), h0, self.bwd).data
-        assert np.allclose(out, np.concatenate([f, b]))
+        out = self.encode([[7]]).data
+        x = Tensor(self.table.vectors.data[[7]])
+        h0 = Tensor(np.zeros((1, 3)))
+        f = gru_cell(x, h0, self.fwd).data
+        b = gru_cell(x, h0, self.bwd).data
+        assert np.allclose(out, np.concatenate([f, b], axis=1))
 
     def test_reversal_swaps_direction_roles(self):
         # shared parameters: encoding of reversed tokens swaps the two halves
-        out = encode_question_baseline([1, 2, 3], self.table, self.fwd, self.fwd).data
-        rev = encode_question_baseline([3, 2, 1], self.table, self.fwd, self.fwd).data
+        out = self.encode([[1, 2, 3], [4, 0, 9]], self.fwd, self.fwd).data
+        rev = self.encode([[3, 2, 1], [9, 0, 4]], self.fwd, self.fwd).data
         h = 3
-        assert np.allclose(out[:h], rev[h:], atol=1e-12)
-        assert np.allclose(out[h:], rev[:h], atol=1e-12)
+        assert np.allclose(out[:, :h], rev[:, h:], atol=1e-12)
+        assert np.allclose(out[:, h:], rev[:, :h], atol=1e-12)
 
     def test_matches_manual_unroll_oracle(self):
-        ids = [2, 9, 4]
-        got = encode_question_baseline(ids, self.table, self.fwd, self.bwd).data
-        xs = self.table.vectors.data[ids]
-        hf = np.zeros((1, 3))
+        ids = np.array([[2, 9, 4], [0, 3, 3]])
+        got = self.encode(ids).data
+        xs = self.table.vectors.data[ids]          # (B, T, d_w)
+        hf = np.zeros((2, 3))
         for t in range(3):
-            hf = gru_oracle(xs[t][None, :], hf, self.fwd)
-        hb = np.zeros((1, 3))
+            hf = gru_oracle(xs[:, t], hf, self.fwd)
+        hb = np.zeros((2, 3))
         for t in (2, 1, 0):
-            hb = gru_oracle(xs[t][None, :], hb, self.bwd)
-        assert np.max(np.abs(got - np.concatenate([hf[0], hb[0]]))) < 1e-12
+            hb = gru_oracle(xs[:, t], hb, self.bwd)
+        assert np.max(np.abs(got - np.concatenate([hf, hb], axis=1))) < 1e-12
 
     def test_output_dimension_is_twice_hidden(self):
-        out = encode_question_baseline([0, 1], self.table, self.fwd, self.bwd)
-        assert out.shape == (6,)
+        out = self.encode([[0, 1], [2, 3], [4, 5]])
+        assert out.shape == (3, 6)
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            encode_question_baseline([], self.table, self.fwd, self.bwd)
+            self.encode(np.zeros((1, 0), dtype=int))
 
     def test_image_independence_bit_identical(self):
-        a = encode_question_baseline([1, 2], self.table, self.fwd, self.bwd).data
-        b = encode_question_baseline([1, 2], self.table, self.fwd, self.bwd).data
+        a = self.encode([[1, 2]]).data
+        b = self.encode([[1, 2]]).data
         assert np.array_equal(a, b)
 
     def test_batched_matches_single(self):
         ids = np.array([[1, 2, 3], [4, 5, 6]])
-        batched = encoder.encode_questions_baseline(ids, self.table, self.fwd, self.bwd).data
+        batched = self.encode(ids).data
         for i in range(2):
-            single = encode_question_baseline(list(ids[i]), self.table, self.fwd, self.bwd).data
-            assert np.max(np.abs(batched[i] - single)) < 1e-12
+            single = self.encode(ids[i:i + 1]).data
+            assert np.max(np.abs(batched[i] - single[0])) < 1e-12

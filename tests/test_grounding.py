@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from vqalab import grounding, tensor as T
-from vqalab.encoder import embedding_table_init, gru_params_init
-from vqalab.grounding import (SceneFeatures, VgqeParams, VgqeState, VgwParams,
-                              encode_question_vgqe, grounded_word,
-                              trace_records, vgqe_cell_step, vgw_attention,
-                              vgw_fuse, vgw_params_init)
+from vqalab import tensor as T
+from vqalab.encoder import embedding_table_init, gru_cell, gru_params_init
+from vqalab.fusion import block_params_init
+from vqalab.grounding import (VgqeParams, VgwParams, encode_question_vgqe,
+                              encode_questions_vgqe, grounded_words,
+                              trace_records, vgw_attention, vgw_params_init)
 from vqalab.tensor import Tensor
 
 D_V, D_W, D_REF, D_G, HIDDEN = 4, 4, 3, 4, 3
@@ -27,9 +27,19 @@ def make_vgqe(seed=0, shared=True):
     )
 
 
-def make_scene(rng, k=3):
-    return SceneFeatures(visual=rng.normal(size=(k, D_V)),
-                         labels=rng.normal(size=(k, D_W)))
+def make_scenes(rng, batch=2, k=3):
+    """Visual (B, k, d_v) and label (B, k, d_w) arrays."""
+    return rng.normal(size=(batch, k, D_V)), rng.normal(size=(batch, k, D_W))
+
+
+def attend_rows(visual, labels, words, p: VgwParams):
+    return vgw_attention(labels, words, p.attn_vector, p.attn_matrix, visual)
+
+
+def ground(visual, labels, words, p: VgwParams):
+    """Grounded words (B, D_G) for one (B, d_w) word per row."""
+    (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [Tensor(words)], p)
+    return g.data
 
 
 def softmax_np(x):
@@ -38,14 +48,14 @@ def softmax_np(x):
 
 
 def attention_oracle(labels, visual, word, vec, mat):
-    """Independent dense evaluation of the scoring rule."""
+    """Independent dense evaluation of the scoring rule for one scene."""
     scores = np.array([vec @ (mat @ (labels[i] * word)) for i in range(len(labels))])
     alpha = softmax_np(scores)
     return alpha, alpha @ visual
 
 
 def fuse_oracle(attended, word, p: VgwParams):
-    """Independent dense evaluation of refine + block fusion."""
+    """Independent dense evaluation of refine + block fusion, row-wise."""
     refined = np.maximum(word @ p.refine_hidden.weight.data + p.refine_hidden.bias.data, 0)
     refined = refined @ p.refine_out.weight.data + p.refine_out.bias.data
     f = p.fusion
@@ -56,10 +66,10 @@ def fuse_oracle(attended, word, p: VgwParams):
         acc = 0.0
         for r in range(f.rank):
             fx, fy = f.factors_x[c][r], f.factors_y[c][r]
-            acc = acc + (px[lo:hi] @ fx.weight.data + fx.bias.data) \
-                      * (py[lo:hi] @ fy.weight.data + fy.bias.data)
+            acc = acc + (px[..., lo:hi] @ fx.weight.data + fx.bias.data) \
+                      * (py[..., lo:hi] @ fy.weight.data + fy.bias.data)
         parts.append(acc)
-    return np.concatenate(parts) @ f.proj_out.weight.data + f.proj_out.bias.data
+    return np.concatenate(parts, axis=-1) @ f.proj_out.weight.data + f.proj_out.bias.data
 
 
 def gru_oracle(x, h, p):
@@ -70,94 +80,110 @@ def gru_oracle(x, h, p):
     return (1.0 - z) * h + z * cand
 
 
+def encoding_oracle(visual, labels, words, p: VgqeParams):
+    """Dense evaluation of the grounded encoder: words is (B, T, d_w)."""
+    batch, length = words.shape[:2]
+    halves = []
+    for vgw, rnn, steps in ((p.vgw, p.rnn_forward, range(length)),
+                            (p.vgw_backward or p.vgw, p.rnn_backward,
+                             range(length - 1, -1, -1))):
+        h = np.zeros((batch, HIDDEN))
+        for t in steps:
+            attended = np.stack([
+                attention_oracle(labels[b], visual[b], words[b, t],
+                                 vgw.attn_vector.data, vgw.attn_matrix.data)[1]
+                for b in range(batch)])
+            h = gru_oracle(fuse_oracle(attended, words[:, t], vgw), h, rnn)
+        halves.append(h)
+    return np.concatenate(halves, axis=1)
+
+
 class TestAttention:
     def test_single_object_gets_all_weight(self):
         rng = np.random.default_rng(0)
-        scene = make_scene(rng, k=1)
-        p = make_vgw()
-        alpha, attended = vgw_attention(scene.labels, rng.normal(size=D_W),
-                                        p.attn_vector, p.attn_matrix, scene.visual)
-        assert np.allclose(alpha.data, [1.0])
-        assert np.allclose(attended.data, scene.visual[0])
+        visual, labels = make_scenes(rng, k=1)
+        alpha, attended = attend_rows(visual, labels, rng.normal(size=(2, D_W)), make_vgw())
+        assert np.allclose(alpha.data, 1.0)
+        assert np.allclose(attended.data, visual[:, 0])
 
     def test_identical_labels_give_uniform_weights(self):
         rng = np.random.default_rng(1)
         label = rng.normal(size=D_W)
-        scene = SceneFeatures(visual=rng.normal(size=(4, D_V)),
-                              labels=np.tile(label, (4, 1)))
-        p = make_vgw()
-        alpha, attended = vgw_attention(scene.labels, rng.normal(size=D_W),
-                                        p.attn_vector, p.attn_matrix, scene.visual)
+        visual = rng.normal(size=(2, 4, D_V))
+        labels = np.tile(label, (2, 4, 1))
+        alpha, attended = attend_rows(visual, labels, rng.normal(size=(2, D_W)), make_vgw())
         assert np.allclose(alpha.data, 0.25)
-        assert np.allclose(attended.data, scene.visual.mean(axis=0))
+        assert np.allclose(attended.data, visual.mean(axis=1))
 
     def test_hand_evaluated_two_object_case(self):
-        visual = np.array([[1.0, 0.0], [0.0, 2.0]])
-        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        word = np.array([1.0, 1.0])
+        visual = np.array([[[1.0, 0.0], [0.0, 2.0]]])
+        labels = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        word = np.array([[1.0, 1.0]])
         vec, mat = Tensor([1.0, 0.0]), Tensor(np.eye(2))
         alpha, attended = vgw_attention(labels, word, vec, mat, visual)
         e = np.e
         want_alpha = np.array([e / (e + 1), 1 / (e + 1)])
-        assert np.max(np.abs(alpha.data - want_alpha)) < 1e-5
-        want_f = want_alpha[0] * visual[0] + want_alpha[1] * visual[1]
-        assert np.max(np.abs(attended.data - want_f)) < 1e-5
+        assert np.max(np.abs(alpha.data[0] - want_alpha)) < 1e-5
+        want_f = want_alpha[0] * visual[0, 0] + want_alpha[1] * visual[0, 1]
+        assert np.max(np.abs(attended.data[0] - want_f)) < 1e-5
 
     def test_matches_independent_dense_oracle(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            scene = make_scene(rng)
-            word = rng.normal(size=D_W)
+            visual, labels = make_scenes(rng, batch=3)
+            words = rng.normal(size=(3, D_W))
             p = make_vgw(seed)
-            alpha, attended = vgw_attention(scene.labels, word, p.attn_vector,
-                                            p.attn_matrix, scene.visual)
-            want_a, want_f = attention_oracle(scene.labels, scene.visual, word,
-                                              p.attn_vector.data, p.attn_matrix.data)
-            assert np.max(np.abs(alpha.data - want_a)) < 1e-12
-            assert np.max(np.abs(attended.data - want_f)) < 1e-12
+            alpha, attended = attend_rows(visual, labels, words, p)
+            for b in range(3):
+                want_a, want_f = attention_oracle(labels[b], visual[b], words[b],
+                                                  p.attn_vector.data, p.attn_matrix.data)
+                assert np.max(np.abs(alpha.data[b] - want_a)) < 1e-12
+                assert np.max(np.abs(attended.data[b] - want_f)) < 1e-12
 
     def test_weights_positive_and_normalized(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            scene = make_scene(rng, k=5)
-            p = make_vgw(seed)
-            alpha, _ = vgw_attention(scene.labels, rng.normal(size=D_W),
-                                     p.attn_vector, p.attn_matrix, scene.visual)
+            visual, labels = make_scenes(rng, k=5)
+            alpha, _ = attend_rows(visual, labels, rng.normal(size=(2, D_W)), make_vgw(seed))
             assert np.all(alpha.data > 0)
-            assert abs(alpha.data.sum() - 1.0) < 1e-6
+            assert np.max(np.abs(alpha.data.sum(axis=1) - 1.0)) < 1e-6
 
     def test_convex_combination_bounds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            scene = make_scene(rng, k=4)
-            p = make_vgw(seed)
-            _, attended = vgw_attention(scene.labels, rng.normal(size=D_W),
-                                        p.attn_vector, p.attn_matrix, scene.visual)
-            lo = scene.visual.min(axis=0) - 1e-12
-            hi = scene.visual.max(axis=0) + 1e-12
+            visual, labels = make_scenes(rng, k=4)
+            _, attended = attend_rows(visual, labels, rng.normal(size=(2, D_W)),
+                                      make_vgw(seed))
+            lo = visual.min(axis=1) - 1e-12
+            hi = visual.max(axis=1) + 1e-12
             assert np.all(attended.data >= lo) and np.all(attended.data <= hi)
 
     def test_empty_scene_rejected(self):
-        with pytest.raises(T.ShapeError):
-            SceneFeatures(visual=np.zeros((0, D_V)), labels=np.zeros((0, D_W)))
+        table = embedding_table_init(12, D_W, seed=1)
+        with pytest.raises(T.ShapeError, match="at least one object"):
+            encode_questions_vgqe(np.zeros((2, 0, D_V)), np.zeros((2, 0, D_W)),
+                                  np.array([[1], [2]]), table, make_vgqe())
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(0)
-        scene = make_scene(rng)
-        p = make_vgw()
+        visual, labels = make_scenes(rng)
         with pytest.raises(T.ShapeError):
-            vgw_attention(scene.labels, rng.normal(size=D_W + 1),
-                          p.attn_vector, p.attn_matrix, scene.visual)
+            attend_rows(visual, labels, rng.normal(size=(2, D_W + 1)), make_vgw())
+        with pytest.raises(T.ShapeError):
+            attend_rows(visual[0], labels[0], rng.normal(size=D_W), make_vgw())
 
 
 class TestVgwFuse:
+    """The fusion half of the grounded-word module, seen through singleton
+    scenes, where attention puts all weight on the one object."""
+
     def test_zero_visual_with_flags_off_gives_zero(self):
         p = make_vgw()
-        p.fusion = __import__("vqalab.fusion", fromlist=["block_params_init"]) \
-            .block_params_init(D_V, D_REF, 4, 4, D_G, 2, 2, seed=0, use_bias=False)
+        p.fusion = block_params_init(D_V, D_REF, 4, 4, D_G, 2, 2, seed=0, use_bias=False)
         rng = np.random.default_rng(3)
-        out = vgw_fuse(Tensor(np.zeros(D_V)), Tensor(rng.normal(size=D_W)), p)
-        assert np.allclose(out.data, 0.0)
+        out = ground(np.zeros((2, 1, D_V)), rng.normal(size=(2, 1, D_W)),
+                     rng.normal(size=(2, D_W)), p)
+        assert np.allclose(out, 0.0)
 
     def test_distinct_visuals_give_distinct_groundings(self):
         # desk-scale dims; tiny output dims make cosines unstable
@@ -166,74 +192,75 @@ class TestVgwFuse:
             p = vgw_params_init(d_v=32, d_w=16, refined_dim=16, grounded_dim=32,
                                 fusion_proj=32, fusion_out_proj=32, chunks=4,
                                 rank=3, seed=seed)
-            word = Tensor(rng.normal(size=16))
-            a = vgw_fuse(Tensor(rng.normal(size=32)), word, p).data
-            b = vgw_fuse(Tensor(rng.normal(size=32)), word, p).data
+            word = rng.normal(size=(1, 16))
+            labels = rng.normal(size=(1, 1, 16))
+            a = ground(rng.normal(size=(1, 1, 32)), labels, word, p)[0]
+            b = ground(rng.normal(size=(1, 1, 32)), labels, word, p)[0]
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-12)
             assert cos < 0.999
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         p = make_vgw()
-        f, w = Tensor(rng.normal(size=D_V)), Tensor(rng.normal(size=D_W))
-        assert np.array_equal(vgw_fuse(f, w, p).data, vgw_fuse(f, w, p).data)
+        visual, labels = make_scenes(rng, k=1)
+        words = rng.normal(size=(2, D_W))
+        assert np.array_equal(ground(visual, labels, words, p),
+                              ground(visual, labels, words, p))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         p = make_vgw(7)
-        f, w = rng.normal(size=D_V), rng.normal(size=D_W)
-        got = vgw_fuse(Tensor(f), Tensor(w), p).data
-        assert np.max(np.abs(got - fuse_oracle(f, w, p))) < 1e-12
+        visual, labels = make_scenes(rng, batch=3, k=1)
+        words = rng.normal(size=(3, D_W))
+        got = ground(visual, labels, words, p)
+        assert np.max(np.abs(got - fuse_oracle(visual[:, 0], words, p))) < 1e-12
 
 
 class TestCellStep:
+    """One grounded recurrence step: a one-token question."""
+
+    def setup_method(self):
+        self.table = embedding_table_init(12, D_W, seed=1)
+
     def test_zero_gru_weights_ignore_everything(self):
         p = make_vgqe()
         for _, t in p.rnn_forward.named_arrays():
             t.data[:] = 0.0
         rng = np.random.default_rng(6)
-        state = VgqeState(h=Tensor(np.zeros(HIDDEN)))
-        new, _ = vgqe_cell_step(make_scene(rng), Tensor(rng.normal(size=D_W)), state, p)
-        assert np.allclose(new.h.data, 0.0)
+        visual, labels = make_scenes(rng)
+        enc = encode_questions_vgqe(visual, labels, np.array([[3], [5]]), self.table, p)
+        assert np.allclose(enc.data[:, :HIDDEN], 0.0)
 
     def test_singleton_scene_equals_direct_visual(self):
         rng = np.random.default_rng(7)
         p = make_vgqe(seed=2)
-        scene = make_scene(rng, k=1)
-        word = Tensor(rng.normal(size=D_W))
-        state = VgqeState(h=Tensor(rng.normal(size=HIDDEN)))
-        stepped, alpha = vgqe_cell_step(scene, word, state, p)
-        direct = vgw_fuse(Tensor(scene.visual[0]), word, p.vgw)
-        from vqalab.encoder import gru_cell
-        want = gru_cell(direct, state.h, p.rnn_forward).data
-        assert np.allclose(alpha.data, [1.0])
-        assert np.max(np.abs(stepped.h.data - want)) < 1e-12
+        visual, labels = make_scenes(rng, k=1)
+        tokens = np.array([[4], [9]])
+        enc, traces = encode_questions_vgqe(visual, labels, tokens, self.table, p,
+                                            return_trace=True)
+        words = self.table.vectors.data[tokens[:, 0]]
+        direct = fuse_oracle(visual[:, 0], words, p.vgw)
+        want = gru_oracle(direct, np.zeros((2, HIDDEN)), p.rnn_forward)
+        assert np.allclose(traces["forward"], 1.0)
+        assert np.max(np.abs(enc.data[:, :HIDDEN] - want)) < 1e-12
 
     def test_matches_composition_of_suboracles(self):
+        # two steps, so the second one starts from a nonzero state
         rng = np.random.default_rng(8)
-        p = make_vgqe(seed=3)
-        scene = make_scene(rng, k=3)
-        word = rng.normal(size=D_W)
-        h0 = rng.normal(size=HIDDEN)
-        stepped, alpha = vgqe_cell_step(scene, Tensor(word),
-                                        VgqeState(h=Tensor(h0)), p)
-        want_alpha, want_f = attention_oracle(scene.labels, scene.visual, word,
-                                              p.vgw.attn_vector.data,
-                                              p.vgw.attn_matrix.data)
-        want_g = fuse_oracle(want_f, word, p.vgw)
-        want_h = gru_oracle(want_g[None, :], h0[None, :], p.rnn_forward)[0]
-        assert np.max(np.abs(alpha.data - want_alpha)) < 1e-12
-        assert np.max(np.abs(stepped.h.data - want_h)) < 1e-12
+        for shared in (True, False):
+            p = make_vgqe(seed=3, shared=shared)
+            visual, labels = make_scenes(rng, k=3)
+            tokens = np.array([[4, 1], [0, 7]])
+            got = encode_questions_vgqe(visual, labels, tokens, self.table, p).data
+            want = encoding_oracle(visual, labels, self.table.vectors.data[tokens], p)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_backward_direction_uses_backward_rnn(self):
         rng = np.random.default_rng(9)
         p = make_vgqe(seed=4)
-        scene = make_scene(rng)
-        word = Tensor(rng.normal(size=D_W))
-        state = VgqeState(h=Tensor(np.zeros(HIDDEN)))
-        fwd, _ = vgqe_cell_step(scene, word, state, p, "forward")
-        bwd, _ = vgqe_cell_step(scene, word, state, p, "backward")
-        assert not np.allclose(fwd.h.data, bwd.h.data)
+        visual, labels = make_scenes(rng)
+        enc = encode_questions_vgqe(visual, labels, np.array([[2], [6]]), self.table, p)
+        assert not np.allclose(enc.data[:, :HIDDEN], enc.data[:, HIDDEN:])
 
 
 class TestEncoder:
@@ -241,62 +268,94 @@ class TestEncoder:
         self.table = embedding_table_init(12, D_W, seed=1)
         self.params = make_vgqe(seed=5)
 
+    def encode(self, visual, labels, tokens, params=None, trace=False):
+        return encode_questions_vgqe(visual, labels, np.asarray(tokens), self.table,
+                                     params or self.params, return_trace=trace)
+
     def test_scene_sensitivity(self):
         hits = 0
         for seed in range(20):
             rng = np.random.default_rng(200 + seed)
-            tokens = list(rng.integers(0, 12, size=4))
-            enc_a, _ = encode_question_vgqe(make_scene(rng), tokens, self.table, self.params)
-            enc_b, _ = encode_question_vgqe(make_scene(rng), tokens, self.table, self.params)
-            if np.max(np.abs(enc_a.data - enc_b.data)) > 1e-6:
+            tokens = np.tile(rng.integers(0, 12, size=4), (2, 1))
+            enc = self.encode(*make_scenes(rng), tokens).data
+            if np.max(np.abs(enc[0] - enc[1])) > 1e-6:
                 hits += 1
         assert hits == 20
 
     def test_object_permutation_invariance(self):
         rng = np.random.default_rng(10)
-        scene = make_scene(rng, k=4)
-        tokens = [1, 5, 3]
-        enc, trace = encode_question_vgqe(scene, tokens, self.table, self.params)
+        visual, labels = make_scenes(rng, k=4)
+        tokens = [[1, 5, 3], [2, 2, 0]]
+        enc, trace = self.encode(visual, labels, tokens, trace=True)
         perm = rng.permutation(4)
-        permuted = SceneFeatures(visual=scene.visual[perm], labels=scene.labels[perm])
-        enc_p, trace_p = encode_question_vgqe(permuted, tokens, self.table, self.params)
+        enc_p, trace_p = self.encode(visual[:, perm], labels[:, perm], tokens, trace=True)
         assert np.max(np.abs(enc.data - enc_p.data)) <= 1e-9
         for direction in ("forward", "backward"):
-            assert np.max(np.abs(trace[direction][:, perm] - trace_p[direction])) <= 1e-9
+            assert np.max(np.abs(trace[direction][..., perm] - trace_p[direction])) <= 1e-9
 
     def test_single_token_reduces_to_cell_step(self):
         rng = np.random.default_rng(11)
-        scene = make_scene(rng)
-        enc, _ = encode_question_vgqe(scene, [4], self.table, self.params)
-        word = Tensor(self.table.vectors.data[4])
-        zero = VgqeState(h=Tensor(np.zeros(HIDDEN)))
-        f, _ = vgqe_cell_step(scene, word, zero, self.params, "forward")
-        b, _ = vgqe_cell_step(scene, word, zero, self.params, "backward")
-        assert np.max(np.abs(enc.data - np.concatenate([f.h.data, b.h.data]))) < 1e-12
+        visual, labels = make_scenes(rng)
+        enc = self.encode(visual, labels, [[4], [4]]).data
+        word = Tensor(self.table.vectors.data[[4, 4]])
+        (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [word], self.params.vgw)
+        zero = Tensor(np.zeros((2, HIDDEN)))
+        f = gru_cell(g, zero, self.params.rnn_forward).data
+        b = gru_cell(g, zero, self.params.rnn_backward).data
+        assert np.max(np.abs(enc - np.concatenate([f, b], axis=1))) < 1e-12
 
     def test_trace_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
-        _, trace = encode_question_vgqe(make_scene(rng, k=5), [0, 1, 2],
+        visual, labels = make_scenes(rng, batch=1, k=5)
+        _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
                                         self.table, self.params)
         for mat in trace.values():
+            assert mat.shape == (3, 5)
             assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-6
+
+    def test_trace_helper_matches_batched_row(self):
+        rng = np.random.default_rng(18)
+        visual, labels = make_scenes(rng, k=4)
+        tokens = [[3, 1, 4], [1, 5, 9]]
+        enc, traces = self.encode(visual, labels, tokens, trace=True)
+        one, trace = encode_question_vgqe(visual[1], labels[1], tokens[1],
+                                          self.table, self.params)
+        assert np.max(np.abs(one - enc.data[1])) < 1e-12
+        for direction in ("forward", "backward"):
+            assert np.max(np.abs(trace[direction] - traces[direction][:, 1])) < 1e-12
 
     def test_shared_vgw_directions_share_traces(self):
         rng = np.random.default_rng(13)
-        _, trace = encode_question_vgqe(make_scene(rng), [0, 1], self.table, self.params)
+        _, trace = self.encode(*make_scenes(rng), [[0, 1], [2, 3]], trace=True)
         assert np.array_equal(trace["forward"], trace["backward"])
         unshared = make_vgqe(seed=5, shared=False)
-        _, trace2 = encode_question_vgqe(make_scene(rng), [0, 1], self.table, unshared)
+        _, trace2 = self.encode(*make_scenes(rng), [[0, 1], [2, 3]], unshared, trace=True)
         assert not np.array_equal(trace2["forward"], trace2["backward"])
 
     def test_empty_question_rejected(self):
         rng = np.random.default_rng(14)
+        visual, labels = make_scenes(rng)
         with pytest.raises(ValueError):
-            encode_question_vgqe(make_scene(rng), [], self.table, self.params)
+            self.encode(visual, labels, np.zeros((2, 0), dtype=int))
+        with pytest.raises(ValueError):
+            encode_question_vgqe(visual[0], labels[0], [], self.table, self.params)
+
+    def test_malformed_scene_rejected(self):
+        rng = np.random.default_rng(19)
+        visual, labels = make_scenes(rng, k=3)
+        with pytest.raises(T.ShapeError, match="disagree"):
+            self.encode(visual, labels[:, :2], [[1], [2]])
+        with pytest.raises(T.ShapeError, match="disagree"):
+            self.encode(visual[0], labels[0], [[1]])
+        visual[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            self.encode(visual, labels, [[1], [2]])
 
     def test_trace_records_schema(self):
         rng = np.random.default_rng(15)
-        _, trace = encode_question_vgqe(make_scene(rng), [0, 1, 2], self.table, self.params)
+        visual, labels = make_scenes(rng, batch=1)
+        _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
+                                        self.table, self.params)
         recs = trace_records("q-7", trace)
         assert [r["direction"] for r in recs] == ["forward", "backward"]
         assert all(r["question_id"] == "q-7" for r in recs)
@@ -304,34 +363,21 @@ class TestEncoder:
 
 
 class TestGradients:
-    def test_full_cell_over_all_parameters(self):
-        rng = np.random.default_rng(16)
-        p = make_vgqe(seed=6)
-        scene = make_scene(rng, k=3)
-        word = Tensor(rng.normal(size=D_W))
-        h0 = Tensor(rng.normal(size=HIDDEN))
-        probe = Tensor(rng.normal(size=HIDDEN))
+    def check_all_parameters(self, p, tokens, seed):
+        rng = np.random.default_rng(seed)
+        visual, labels = make_scenes(rng, k=3)
+        table = embedding_table_init(9, D_W, seed=2)
+        probe = Tensor(rng.normal(size=(2, 2 * HIDDEN)))
 
         def loss():
-            stepped, _ = vgqe_cell_step(scene, word, VgqeState(h=h0), p)
-            return T.dot(stepped.h, probe)
+            enc = encode_questions_vgqe(visual, labels, tokens, table, p)
+            return T.mul(enc, probe).sum()
 
-        worst = max(T.grad_check(lambda t: loss(), t)
-                    for _, t in p.named_arrays())
-        assert worst < 1e-4
+        return max(T.grad_check(lambda t: loss(), t) for _, t in p.named_arrays())
+
+    def test_full_cell_over_all_parameters(self):
+        assert self.check_all_parameters(make_vgqe(seed=6), np.array([[1], [5]]), 16) < 1e-4
 
     def test_end_to_end_encoding_over_all_parameters(self):
-        rng = np.random.default_rng(17)
-        p = make_vgqe(seed=8)
-        scene = make_scene(rng, k=3)
-        table = embedding_table_init(9, D_W, seed=2)
-        tokens = [1, 7, 3]
-        probe = Tensor(rng.normal(size=2 * HIDDEN))
-
-        def loss():
-            enc, _ = encode_question_vgqe(scene, tokens, table, p)
-            return T.dot(enc, probe)
-
-        worst = max(T.grad_check(lambda t: loss(), t)
-                    for _, t in p.named_arrays())
-        assert worst < 1e-4
+        p = make_vgqe(seed=8, shared=False)
+        assert self.check_all_parameters(p, np.array([[1, 7, 3], [0, 2, 8]]), 17) < 1e-4

@@ -1,12 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vqalab import model as M, tensor as T
-from vqalab.grounding import SceneFeatures
-from vqalab.model import (FusionConfig, ModelConfig, count_parameters, forward,
-                          forward_batch, init_model, load_checkpoint, predict,
+from vqalab.data import DataConfig, generate_dataset
+from vqalab.evaluate import predict_split
+from vqalab.model import (FusionConfig, ModelConfig, count_parameters,
+                          forward_batch, init_model, load_checkpoint,
                           save_checkpoint)
 from vqalab.tensor import Tensor
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TINY = dict(d_v=6, d_w=5, hidden=4, refined_dim=4, grounded_dim=6, pooled_dim=6,
             answer_count=8, vocab_size=9,
@@ -18,10 +24,10 @@ def tiny_config(variant="baseline", **kw):
     return ModelConfig(variant=variant, **merged)
 
 
-def make_scene(rng, k=3, cfg=None):
+def make_scenes(rng, batch=2, k=3, cfg=None):
+    """Visual (B, k, d_v) and label (B, k, d_w) arrays."""
     cfg = cfg or tiny_config()
-    return SceneFeatures(visual=rng.normal(size=(k, cfg.d_v)),
-                         labels=rng.normal(size=(k, cfg.d_w)))
+    return rng.normal(size=(batch, k, cfg.d_v)), rng.normal(size=(batch, k, cfg.d_w))
 
 
 class TestForward:
@@ -29,41 +35,43 @@ class TestForward:
         cfg = tiny_config()
         params = init_model(cfg)
         rng = np.random.default_rng(0)
-        scene = make_scene(rng, k=1)
-        logits = forward(scene, [1, 2], params)
-        assert logits.shape == (cfg.answer_count,)
+        visual, labels = make_scenes(rng, k=1)
+        logits = forward_batch(params, visual, labels, np.array([[1, 2], [3, 4]]))
+        assert logits.shape == (2, cfg.answer_count)
         assert np.all(np.isfinite(logits.data))
 
     @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
     def test_object_permutation_leaves_logits_unchanged(self, variant):
         cfg = tiny_config(variant)
         params = init_model(cfg)
+        tokens = np.array([[0, 3, 1], [2, 2, 5]])
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            scene = make_scene(rng, k=4)
-            tokens = [0, 3, 1]
-            base = forward(scene, tokens, params).data
+            visual, labels = make_scenes(rng, k=4)
+            base = forward_batch(params, visual, labels, tokens).data
             perm = rng.permutation(4)
-            permuted = SceneFeatures(scene.visual[perm], scene.labels[perm])
-            assert np.max(np.abs(forward(permuted, tokens, params).data - base)) <= 1e-9
+            permuted = forward_batch(params, visual[:, perm], labels[:, perm], tokens).data
+            assert np.max(np.abs(permuted - base)) <= 1e-9
 
     def test_eval_mode_is_deterministic(self):
         params = init_model(tiny_config("vgqe", dropout=0.2))
         rng = np.random.default_rng(1)
-        scene = make_scene(rng)
-        a = forward(scene, [1, 2, 3], params).data
-        b = forward(scene, [1, 2, 3], params).data
+        visual, labels = make_scenes(rng)
+        tokens = np.array([[1, 2, 3], [4, 5, 6]])
+        a = forward_batch(params, visual, labels, tokens).data
+        b = forward_batch(params, visual, labels, tokens).data
         assert np.array_equal(a, b)
 
     def test_training_mode_requires_rng_and_applies_dropout(self):
         params = init_model(tiny_config(dropout=0.5))
         rng = np.random.default_rng(2)
-        scene = make_scene(rng)
+        visual, labels = make_scenes(rng)
+        tokens = np.array([[0], [1]])
         with pytest.raises(ValueError):
-            forward(scene, [0], params, training=True)
-        a = forward(scene, [0], params, training=True,
-                    drop_rng=np.random.default_rng(5)).data
-        b = forward(scene, [0], params).data
+            forward_batch(params, visual, labels, tokens, training=True)
+        a = forward_batch(params, visual, labels, tokens, training=True,
+                          drop_rng=np.random.default_rng(5)).data
+        b = forward_batch(params, visual, labels, tokens).data
         assert not np.allclose(a, b)
 
     def test_scene_shape_validation(self):
@@ -78,36 +86,56 @@ class TestEncoderContrast:
         cfg = tiny_config("baseline")
         params = init_model(cfg)
         rng = np.random.default_rng(3)
-        s1, s2 = make_scene(rng), make_scene(rng)
-        tokens = np.array([[1, 2, 3]])
-        q1 = M.encode_questions(params, s1.visual[None], s1.labels[None], tokens).data
-        q2 = M.encode_questions(params, s2.visual[None], s2.labels[None], tokens).data
-        assert np.array_equal(q1, q2)
-        l1 = forward(s1, [1, 2, 3], params).data
-        l2 = forward(s2, [1, 2, 3], params).data
-        assert not np.allclose(l1, l2)
+        visual, labels = make_scenes(rng)                   # two different scenes
+        tokens = np.array([[1, 2, 3], [1, 2, 3]])
+        q = M.encode_questions(params, visual, labels, tokens).data
+        assert np.array_equal(q[0], q[1])
+        logits = forward_batch(params, visual, labels, tokens).data
+        assert not np.allclose(logits[0], logits[1])
 
     def test_grounded_encoding_tracks_scene(self):
         cfg = tiny_config("vgqe")
         params = init_model(cfg)
         rng = np.random.default_rng(4)
-        tokens = np.array([[1, 2, 3]])
-        s1, s2 = make_scene(rng), make_scene(rng)
-        q1 = M.encode_questions(params, s1.visual[None], s1.labels[None], tokens).data
-        q2 = M.encode_questions(params, s2.visual[None], s2.labels[None], tokens).data
-        assert np.max(np.abs(q1 - q2)) > 1e-6
+        visual, labels = make_scenes(rng)
+        tokens = np.array([[1, 2, 3], [1, 2, 3]])
+        q = M.encode_questions(params, visual, labels, tokens).data
+        assert np.max(np.abs(q[0] - q[1])) > 1e-6
+
+
+@pytest.fixture(scope="module")
+def small_ds():
+    return generate_dataset(DataConfig(shapes=3, colors=3, objects_per_scene=3, d_v=6,
+                                       d_w=5, n_train=16, n_test=12, count_max=2, seed=0))
+
+
+def constant_predictor(ds, bias):
+    """A model whose logits are `bias` for every example."""
+    cfg = tiny_config(answer_count=ds.vocab.answer_count, vocab_size=len(ds.vocab.tokens))
+    params = init_model(cfg, embedding_vectors=ds.vocab.embedding)
+    params.cls_out.weight.data[:] = 0.0
+    params.cls_out.bias.data[:] = bias
+    return params
 
 
 class TestPredict:
-    def test_argmax(self):
-        assert predict(np.array([0.1, 0.9])) == 1
+    """Predictions are the argmax of the logits, as predict_split computes them."""
 
-    def test_tie_breaks_to_smaller_id(self):
-        assert predict(np.array([0.5, 0.5])) == 0
+    def test_argmax(self, small_ds):
+        bias = np.zeros(small_ds.vocab.answer_count)
+        bias[:2] = [0.1, 0.9]
+        assert set(predict_split(constant_predictor(small_ds, bias), small_ds.test)) == {1}
 
-    def test_shift_invariance(self):
-        logits = np.array([0.3, -1.0, 2.0])
-        assert predict(logits) == predict(logits + 10.0)
+    def test_tie_breaks_to_smaller_id(self, small_ds):
+        bias = np.zeros(small_ds.vocab.answer_count)
+        bias[[2, 5]] = 0.5
+        assert set(predict_split(constant_predictor(small_ds, bias), small_ds.test)) == {2}
+
+    def test_shift_invariance(self, small_ds):
+        bias = np.random.default_rng(0).normal(size=small_ds.vocab.answer_count)
+        preds = predict_split(constant_predictor(small_ds, bias), small_ds.test)
+        shifted = predict_split(constant_predictor(small_ds, bias + 10.0), small_ds.test)
+        assert preds == shifted == [int(np.argmax(bias))] * len(small_ds.test)
 
 
 class TestCountParameters:
@@ -144,12 +172,12 @@ def test_full_model_gradients(variant):
     cfg = tiny_config(variant, dropout=0.0)
     params = init_model(cfg)
     rng = np.random.default_rng(6)
-    scene = make_scene(rng, k=3)
-    tokens = [1, 4, 2, 7]
-    probe = Tensor(rng.normal(size=cfg.answer_count))
+    visual, labels = make_scenes(rng, k=3)
+    tokens = np.array([[1, 4, 2, 7], [0, 8, 8, 3]])
+    probe = Tensor(rng.normal(size=(2, cfg.answer_count)))
 
     def loss():
-        return T.dot(forward(scene, tokens, params), probe)
+        return T.mul(forward_batch(params, visual, labels, tokens), probe).sum()
 
     worst, worst_name = 0.0, None
     for name, t in params.named_parameters():
@@ -183,7 +211,6 @@ class TestCheckpoint:
         params = init_model(tiny_config(seed=1))
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
-        import json
         manifest = json.loads(path.read_text())
         manifest["config"]["hidden"] = 5  # inconsistent with stored arrays
         path.write_text(json.dumps(manifest))
@@ -193,3 +220,26 @@ class TestCheckpoint:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope"):
             load_checkpoint(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("delta", [-8, 8])
+    def test_data_file_length_checked(self, tmp_path, delta):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(tiny_config("vgqe", seed=2)), path)
+        bin_path = tmp_path / "ckpt.json.bin"
+        raw = bin_path.read_bytes()
+        bin_path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
+        message = f"{bin_path} holds {len(raw) + delta} bytes, its manifest expects {len(raw)}"
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint data file {message}"
+
+    def test_golden_checkpoint_reproduces_logits(self):
+        # Written by the code before the single-example paths were removed:
+        # a vgqe model (unshared grounded-word modules) with perturbed weights,
+        # plus its logits on one fixed batch. It pins array names, orientation
+        # and the file format until a deliberate format change replaces it.
+        params = load_checkpoint(GOLDEN / "vgqe_tiny.json")
+        batch = json.loads((GOLDEN / "vgqe_tiny_logits.json").read_text())
+        logits = forward_batch(params, np.array(batch["visual"]), np.array(batch["labels"]),
+                               np.array(batch["tokens"])).data
+        assert np.max(np.abs(logits - np.array(batch["logits"]))) < 1e-12

@@ -9,7 +9,7 @@ from vqalab.model import FusionConfig, ModelConfig, init_model
 from vqalab.tensor import Tensor
 from vqalab.train import (AdamWState, ScheduleConfig, TrainConfig,
                           TrainingDiverged, adamw_init, adamw_step,
-                          clip_grad_norm, constant_schedule, cross_entropy,
+                          clip_grad_norm, constant_schedule,
                           cross_entropy_rows, lr_at_epoch, train)
 
 
@@ -29,32 +29,35 @@ def reference_adamw(param, grads, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        loss = cross_entropy(Tensor(np.zeros(4)), 1)
-        assert abs(loss.item() - math.log(4)) < 1e-12
+        loss = cross_entropy_rows(Tensor(np.zeros((2, 4))), np.array([1, 3]))
+        assert np.max(np.abs(loss.data - math.log(4))) < 1e-12
 
     def test_extreme_logits_stable(self):
-        loss = cross_entropy(Tensor([1000.0, 0.0]), 0)
-        assert 0.0 <= loss.item() < 1e-9
+        loss = cross_entropy_rows(Tensor([[1000.0, 0.0], [0.0, -1000.0]]), np.array([0, 0]))
+        assert np.all(loss.data >= 0.0) and np.all(loss.data < 1e-9)
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(0)
-        logits = Tensor(rng.normal(size=5), requires_grad=True)
-        target = 3
-        T.backward(cross_entropy(logits, target))
-        soft = np.exp(logits.data) / np.exp(logits.data).sum()
-        onehot = np.eye(5)[target]
+        logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        targets = np.array([3, 0, 3])
+        T.backward(cross_entropy_rows(logits, targets).sum())
+        soft = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
+        onehot = np.eye(5)[targets]
         assert np.max(np.abs(logits.grad - (soft - onehot))) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=6), requires_grad=True)
-        assert T.grad_check(lambda t: cross_entropy(t, 2), x) < 1e-6
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        targets = np.array([2, 5])
+        assert T.grad_check(lambda t: T.reduce_mean(cross_entropy_rows(t, targets)), x) < 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(Tensor(np.zeros(3)), 5)
+            cross_entropy_rows(Tensor(np.zeros((1, 3))), np.array([5]))
         with pytest.raises(IndexError):
             cross_entropy_rows(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        with pytest.raises(IndexError):
+            cross_entropy_rows(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
 
 
 class TestAdamW:
