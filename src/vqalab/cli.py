@@ -219,14 +219,12 @@ def cmd_report(args) -> int:
             chosen = rng.choice(len(split.examples),
                                 size=min(args.traces, len(split.examples)),
                                 replace=False)
-            from . import tensor as T
-            with T.no_grad():
-                for idx in sorted(int(i) for i in chosen):
-                    ex = split.examples[idx]
-                    _, trace = encode_question_vgqe(ex.visual_matrix(), ex.label_matrix(),
-                                                    ex.tokens, params.embedding,
-                                                    params.vgqe_params())
-                    traces.extend(trace_records(ex.example_id, trace))
+            for idx in sorted(int(i) for i in chosen):
+                ex = split.examples[idx]
+                _, trace = encode_question_vgqe(ex.visual_matrix(), ex.label_matrix(),
+                                                ex.tokens, params.embedding,
+                                                params.vgqe_params())
+                traces.extend(trace_records(ex.example_id, trace))
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -344,7 +344,16 @@ def save_split(split: DatasetSplit, path) -> None:
             fh.write("\n")
 
 
-def load_split(path, name: str | None = None) -> DatasetSplit:
+def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
+    for i in ids:
+        if not 0 <= i < size:
+            raise ValueError(f"{where}: {what} id {i} out of range for {vocabulary} "
+                             f"of size {size}")
+
+
+def load_split(path, vocab: Vocabularies, name: str | None = None) -> DatasetSplit:
+    """Read one JSONL split; every token, answer, object shape and object color
+    id must index into its vocabulary."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
@@ -360,6 +369,14 @@ def load_split(path, name: str | None = None) -> DatasetSplit:
             for fieldname in REQUIRED_FIELDS:
                 if fieldname not in record:
                     raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
+            where = f"{path}:{lineno}"
+            _check_ids(where, "token", record["tokens"], "vocabulary", len(vocab.tokens))
+            _check_ids(where, "answer", [record["answer"]], "answer vocabulary",
+                       vocab.answer_count)
+            _check_ids(where, "object shape", [o["shape"] for o in record["objects"]],
+                       "shape vocabulary", len(vocab.shapes))
+            _check_ids(where, "object color", [o["color"] for o in record["objects"]],
+                       "color vocabulary", len(vocab.colors))
             objects = [SyntheticObject(shape=o["shape"], color=o["color"],
                                        v=np.asarray(o["v"], dtype=float),
                                        l=np.asarray(o["l"], dtype=float))
@@ -419,8 +436,8 @@ def load_dataset(data_dir) -> SyntheticDataset:
     bias = {int(qt): TypeBias(**b) for qt, b in manifest["bias_spec"].items()}
     return SyntheticDataset(
         config=config, vocab=vocab, bias=bias,
-        train=load_split(data_dir / "train.jsonl", "train"),
-        test=load_split(data_dir / "test.jsonl", "test"),
-        test_iid=load_split(data_dir / "test_iid.jsonl", "test_iid"),
+        train=load_split(data_dir / "train.jsonl", vocab, "train"),
+        test=load_split(data_dir / "test.jsonl", vocab, "test"),
+        test_iid=load_split(data_dir / "test_iid.jsonl", vocab, "test_iid"),
         feature_map=np.asarray(manifest["feature_map"]),
     )

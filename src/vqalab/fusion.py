@@ -5,6 +5,10 @@ chunk pair is combined by a sum of R rank-one-style bilinear maps (a low-rank
 factorization per chunk). The per-chunk results are concatenated and projected
 to the output dimension. With biases disabled the whole map is exactly
 bilinear in its two inputs.
+
+Each chunk keeps its R factor maps per side in one rank-stacked affine map,
+weight (P_c, R*O_c) with column r*O_c + o for rank r, so the whole chunk-and-
+rank core is one tape op, ``tensor.block_bilinear``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ def _ranges(sizes: list[int]) -> list[tuple[int, int]]:
 class BlockFusionParams:
     proj_x: Linear                      # d_x -> P
     proj_y: Linear                      # d_y -> P
-    factors_x: list[list[Linear]]       # [chunk][rank]: x-chunk -> out-chunk
-    factors_y: list[list[Linear]]
+    factors_x: list[Linear]             # [chunk]: x-chunk -> R stacked out-chunks
+    factors_y: list[Linear]
     proj_out: Linear                    # P_out -> o
     x_chunks: list[tuple[int, int]] = field(default_factory=list)
     out_chunks: list[tuple[int, int]] = field(default_factory=list)
@@ -50,7 +54,8 @@ class BlockFusionParams:
 
     @property
     def rank(self) -> int:
-        return len(self.factors_x[0])
+        start, end = self.out_chunks[0]
+        return self.factors_x[0].d_out // (end - start)
 
     @property
     def d_x(self) -> int:
@@ -68,10 +73,21 @@ class BlockFusionParams:
         yield from self.proj_x.named_arrays(f"{prefix}.proj_x")
         yield from self.proj_y.named_arrays(f"{prefix}.proj_y")
         for c in range(self.chunks):
-            for r in range(self.rank):
-                yield from self.factors_x[c][r].named_arrays(f"{prefix}.factor_x.{c}.{r}")
-                yield from self.factors_y[c][r].named_arrays(f"{prefix}.factor_y.{c}.{r}")
+            yield from self.factors_x[c].named_arrays(f"{prefix}.factor_x.{c}")
+            yield from self.factors_y[c].named_arrays(f"{prefix}.factor_y.{c}")
         yield from self.proj_out.named_arrays(f"{prefix}.proj_out")
+
+
+def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int, rank: int,
+                       bias: bool) -> Linear:
+    """R affine maps d_in -> d_out, drawn one after another, stacked rank-major
+    into one d_in -> R*d_out map."""
+    maps = [linear_init(rng, d_in, d_out, bias=bias) for _ in range(rank)]
+    weight = Tensor(np.concatenate([m.weight.data for m in maps], axis=1),
+                    requires_grad=True)
+    b = Tensor(np.concatenate([m.bias.data for m in maps]), requires_grad=True) \
+        if bias else None
+    return Linear(weight, b)
 
 
 def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
@@ -88,10 +104,8 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
     out_sizes = near_equal_partition(out_proj_dim, chunks)
     factors_x, factors_y = [], []
     for c in range(chunks):
-        fx = [linear_init(rng, x_sizes[c], out_sizes[c], bias=use_bias) for _ in range(rank)]
-        fy = [linear_init(rng, x_sizes[c], out_sizes[c], bias=use_bias) for _ in range(rank)]
-        factors_x.append(fx)
-        factors_y.append(fy)
+        factors_x.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank, use_bias))
+        factors_y.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank, use_bias))
     return BlockFusionParams(
         proj_x=linear_init(rng, d_x, proj_dim, bias=use_bias),
         proj_y=linear_init(rng, d_y, proj_dim, bias=use_bias),
@@ -111,16 +125,10 @@ def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
         raise ShapeError(f"block_fuse: inputs {x.shape}, {y.shape} are not row-batches "
                          f"of the parameter dims ({p.d_x}, {p.d_y})")
 
-    px = p.proj_x(x)
-    py = p.proj_y(y)
-    parts = []
-    for c, (start, end) in enumerate(p.x_chunks):
-        x_c = T.narrow(px, 1, start, end - start)
-        y_c = T.narrow(py, 1, start, end - start)
-        acc = None
-        for r in range(p.rank):
-            term = T.mul(p.factors_x[c][r](x_c), p.factors_y[c][r](y_c))
-            acc = term if acc is None else T.add(acc, term)
-        parts.append(acc)
-    z = T.concat(parts, axis=1)
+    z = T.block_bilinear(p.proj_x(x), p.proj_y(y),
+                         [f.weight for f in p.factors_x],
+                         [f.bias for f in p.factors_x] if p.use_bias else None,
+                         [f.weight for f in p.factors_y],
+                         [f.bias for f in p.factors_y] if p.use_bias else None,
+                         p.x_chunks, p.out_chunks, p.rank)
     return p.proj_out(z)

@@ -78,7 +78,34 @@ def check_tensor_ops() -> list[CheckResult]:
         _check("tensor_core", name, fn, [("x", x)], results)
     _check("tensor_core", "matmul_weight",
            lambda: T.matmul(left, w).sum(), [("w", w)], results)
+    _check_block_bilinear(rng, results)
     return results
+
+
+def _check_block_bilinear(rng, results) -> None:
+    # unequal chunks: P=7 splits 3/2/2, P_out=5 splits 2/2/1; C=3, R=2
+    x_chunks = [(0, 3), (3, 5), (5, 7)]
+    out_chunks = [(0, 2), (2, 4), (4, 5)]
+    rank = 2
+    px = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    py = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(2, 5)))
+
+    def side():
+        return ([Tensor(rng.normal(size=(xe - xs, rank * (oe - os_))), requires_grad=True)
+                 for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)],
+                [Tensor(rng.normal(size=rank * (oe - os_)), requires_grad=True)
+                 for os_, oe in out_chunks])
+
+    (wx, bx), (wy, by) = side(), side()
+    for name, bias_x, bias_y in (("block_bilinear", bx, by),
+                                 ("block_bilinear_nobias", None, None)):
+        def loss(bias_x=bias_x, bias_y=bias_y):
+            z = T.block_bilinear(px, py, wx, bias_x, wy, bias_y, x_chunks, out_chunks, rank)
+            return T.mul(z, probe).sum()
+        inputs = [px, py, *wx, *wy] + ([*bx, *by] if bias_x is not None else [])
+        _check("tensor_core", name, loss, [(str(i), t) for i, t in enumerate(inputs)],
+               results)
 
 
 def check_fusion() -> list[CheckResult]:
@@ -126,7 +153,7 @@ def check_grounding() -> list[CheckResult]:
     probe_v = Tensor(rng.normal(size=(2, 4)))
 
     def attn_loss():
-        _, f = vgw_attention(labels, word, p.vgw.attn_vector, p.vgw.attn_matrix, visual)
+        _, f = vgw_attention(labels, word, p.vgw.score_column(), visual)
         return T.mul(f, probe_v).sum()
 
     _check("vgqe", "vgw_attention", attn_loss,

@@ -46,6 +46,13 @@ class VgwParams:
         yield from self.refine_out.named_arrays(f"{prefix}.refine_out")
         yield from self.fusion.named_arrays(f"{prefix}.fusion")
 
+    def score_column(self) -> Tensor:
+        """The (d_w, 1) column (a^T M)^T: a.(M g) == g.(a^T M), so each object
+        scores with one matmul against this column."""
+        d_w = self.attn_vector.shape[0]
+        row = T.matmul(T.reshape(self.attn_vector, (1, d_w)), self.attn_matrix)
+        return T.reshape(row, (d_w, 1))
+
 
 @dataclass
 class VgqeParams:
@@ -84,11 +91,11 @@ def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
     )
 
 
-def vgw_attention(labels, word, attn_vector: Tensor, attn_matrix: Tensor,
-                  visual) -> tuple[Tensor, Tensor]:
+def vgw_attention(labels, word, score_column: Tensor, visual) -> tuple[Tensor, Tensor]:
     """Score objects by label-word agreement; return (weights, attended visual).
 
     labels (B, k, d_w), word (B, d_w), visual (B, k, d_v) -> ((B, k), (B, d_v)).
+    score_column is the (d_w, 1) column (a^T M)^T of VgwParams.score_column().
     """
     labels, word, visual = T.as_tensor(labels), T.as_tensor(word), T.as_tensor(visual)
     if labels.data.ndim != 3 or visual.data.ndim != 3 or labels.shape[:2] != visual.shape[:2]:
@@ -96,16 +103,14 @@ def vgw_attention(labels, word, attn_vector: Tensor, attn_matrix: Tensor,
     batch, k, d_w = labels.shape
     if word.shape != (batch, d_w):
         raise ShapeError(f"word batch {word.shape} does not match labels {labels.shape}")
-    if attn_vector.shape != (d_w,) or attn_matrix.shape != (d_w, d_w):
-        raise ShapeError(f"attention parameters sized {attn_vector.shape}/"
-                         f"{attn_matrix.shape} do not match word dim {d_w}")
+    if score_column.shape != (d_w, 1):
+        raise ShapeError(f"attention score column sized {score_column.shape} does not "
+                         f"match word dim {d_w}")
 
     labels_flat = T.reshape(labels, (batch * k, d_w))
     word_rep = T.repeat_rows(word, k)
     gated = T.mul(labels_flat, word_rep)
-    # a.(M g) == (a^T M).g: one (1, d_w) row times M, then one column per object
-    row = T.matmul(T.reshape(attn_vector, (1, d_w)), attn_matrix)
-    scores = T.matmul(gated, T.reshape(row, (d_w, 1)))
+    scores = T.matmul(gated, score_column)
     alpha = T.softmax(T.reshape(scores, (batch, k)), axis=1)
     return alpha, T.attend(alpha, visual)
 
@@ -119,8 +124,9 @@ def grounded_words(v3: Tensor, l3: Tensor, words: list[Tensor],
     (B, k), one of each per word.
     """
     grounded, alphas = [], []
+    column = vgw.score_column()
     for word in words:
-        alpha, attended = vgw_attention(l3, word, vgw.attn_vector, vgw.attn_matrix, v3)
+        alpha, attended = vgw_attention(l3, word, column, v3)
         refined = vgw.refine_out(T.relu(vgw.refine_hidden(word)))
         grounded.append(block_fuse(attended, refined, vgw.fusion))
         alphas.append(alpha)
@@ -174,10 +180,13 @@ def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable,
     """Encode one question against one scene, for attention traces.
 
     visual (k, d_v), labels (k, d_w) and a token list -> the (2H,) encoding
-    and per-direction attention weights, each a (T, k) array.
+    and per-direction attention weights, each a (T, k) array. Runs without
+    recording, since it returns plain arrays.
     """
-    enc, traces = encode_questions_vgqe(np.asarray(visual)[None], np.asarray(labels)[None],
-                                        np.asarray([tokens]), table, p, return_trace=True)
+    with T.no_grad():
+        enc, traces = encode_questions_vgqe(np.asarray(visual)[None],
+                                            np.asarray(labels)[None], np.asarray([tokens]),
+                                            table, p, return_trace=True)
     return enc.data[0], {direction: mat[:, 0, :] for direction, mat in traces.items()}
 
 

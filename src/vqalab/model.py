@@ -219,7 +219,7 @@ def count_parameters(params: ModelParams) -> int:
 # checkpoints: one flat binary of arrays plus a JSON manifest
 
 
-CHECKPOINT_FORMAT = "vqalab-flat-arrays-v1"
+CHECKPOINT_FORMAT = "vqalab-flat-arrays-v2"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -264,7 +264,8 @@ def load_checkpoint(path) -> ModelParams:
     with open(path) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {path}")
+        raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
+                         f"expected {CHECKPOINT_FORMAT!r}")
     config = ModelConfig(**manifest["config"])
     params = init_model(config)
     arrays = dict(params.named_arrays())

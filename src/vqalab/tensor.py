@@ -469,6 +469,79 @@ def attend(weights, values) -> Tensor:
     return _record("attend", (weights, values), np.einsum("bk,bkd->bd", w_data, v_data), bw)
 
 
+def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
+                   wy_chunks: Sequence, by_chunks: Sequence | None,
+                   x_chunks: Sequence[tuple[int, int]],
+                   out_chunks: Sequence[tuple[int, int]], rank: int) -> Tensor:
+    """Block-term bilinear core: (N, P) x (N, P) -> (N, P_out), chunk by chunk.
+
+    Chunk c reads columns x_chunks[c] of px and py and writes columns
+    out_chunks[c]. Its factor weights are rank-stacked, (P_c, R*O_c) with
+    column r*O_c + o for rank r, and biases (R*O_c,), or None without bias:
+    u = px_c @ Wx_c + bx_c, v = py_c @ Wy_c + by_c, and the output chunk is
+    the sum over ranks of the (u * v) column blocks, added in rank order.
+    """
+    px, py = as_tensor(px), as_tensor(py)
+    wx = [as_tensor(w) for w in wx_chunks]
+    wy = [as_tensor(w) for w in wy_chunks]
+    bx = None if bx_chunks is None else [as_tensor(b) for b in bx_chunks]
+    by = None if by_chunks is None else [as_tensor(b) for b in by_chunks]
+    if px.data.ndim != 2 or px.shape != py.shape or px.shape[1] != x_chunks[-1][1]:
+        raise ShapeError(f"block_bilinear: inputs {px.shape}, {py.shape} do not match "
+                         f"{x_chunks[-1][1]} chunked columns")
+    if (bx is None) != (by is None):
+        raise ShapeError("block_bilinear: give biases for both sides or for neither")
+    if not len(wx) == len(wy) == len(x_chunks) == len(out_chunks) \
+            or (bx is not None and not len(bx) == len(by) == len(x_chunks)):
+        raise ShapeError(f"block_bilinear: {len(x_chunks)} input chunks, "
+                         f"{len(out_chunks)} output chunks and {len(wx)}/{len(wy)} "
+                         "factor weights do not agree")
+    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+        w_shape, b_shape = (xe - xs, rank * (oe - os_)), (rank * (oe - os_),)
+        if wx[c].shape != w_shape or wy[c].shape != w_shape or \
+                (bx is not None and (bx[c].shape != b_shape or by[c].shape != b_shape)):
+            raise ShapeError(f"block_bilinear: chunk {c} factors do not have weight "
+                             f"shape {w_shape} and bias shape {b_shape}")
+
+    px_data, py_data = px.data, py.data
+    wx_data, wy_data = [w.data for w in wx], [w.data for w in wy]
+    out = np.empty((px.shape[0], out_chunks[-1][1]), dtype=px_data.dtype)
+    saved = []
+    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+        u = px_data[:, xs:xe] @ wx_data[c]
+        v = py_data[:, xs:xe] @ wy_data[c]
+        if bx is not None:
+            u += bx[c].data
+            v += by[c].data
+        uv = u * v
+        width = oe - os_
+        acc = uv[:, :width]
+        for r in range(1, rank):
+            acc = acc + uv[:, r * width:(r + 1) * width]
+        out[:, os_:oe] = acc
+        saved.append((u, v))
+
+    def bw(g):
+        g_px, g_py = np.zeros_like(px_data), np.zeros_like(py_data)
+        g_wx, g_wy, g_bx, g_by = [], [], [], []
+        for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+            u, v = saved[c]
+            g_uv = np.tile(g[:, os_:oe], (1, rank))
+            g_u, g_v = g_uv * v, g_uv * u
+            g_px[:, xs:xe] = g_u @ wx_data[c].T
+            g_py[:, xs:xe] = g_v @ wy_data[c].T
+            g_wx.append(px_data[:, xs:xe].T @ g_u)
+            g_wy.append(py_data[:, xs:xe].T @ g_v)
+            g_bx.append(g_u.sum(axis=0))
+            g_by.append(g_v.sum(axis=0))
+        if bx is None:
+            return (g_px, g_py, *g_wx, *g_wy)
+        return (g_px, g_py, *g_wx, *g_bx, *g_wy, *g_by)
+
+    inputs = (px, py, *wx, *wy) if bx is None else (px, py, *wx, *bx, *wy, *by)
+    return _record("block_bilinear", inputs, out, bw)
+
+
 def rows_pick(x, ids) -> Tensor:
     """Pick one entry per row: (B, n), ids (B,) -> (B,)."""
     x = as_tensor(x)

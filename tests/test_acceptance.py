@@ -75,11 +75,10 @@ def test_criterion_algebraic_invariants(criterion_output):
         visual = rng.normal(size=(2, k, 6))
         labels = rng.normal(size=(2, k, 4))
         word = Tensor(rng.normal(size=(2, 4)))
-        alpha, attended = vgw_attention(labels, word, vgw.attn_vector,
-                                        vgw.attn_matrix, visual)
+        alpha, attended = vgw_attention(labels, word, vgw.score_column(), visual)
         perm = rng.permutation(k)
-        alpha_p, attended_p = vgw_attention(labels[:, perm], word, vgw.attn_vector,
-                                            vgw.attn_matrix, visual[:, perm])
+        alpha_p, attended_p = vgw_attention(labels[:, perm], word, vgw.score_column(),
+                                            visual[:, perm])
         perm_worst = max(perm_worst,
                          float(np.max(np.abs(alpha.data[:, perm] - alpha_p.data))),
                          float(np.max(np.abs(attended.data - attended_p.data))))

@@ -120,22 +120,40 @@ class TestEval:
         assert code == 2
         assert "absent.json" in capsys.readouterr().err
 
-    def test_out_of_range_token_id_names_it(self, workspace, tmp_path, capsys):
+    def eval_with_record_edit(self, workspace, tmp_path, edit):
+        """Run eval on a copy of the data whose fourth test record went through edit."""
         data_dir = tmp_path / "data"
         shutil.copytree(workspace / "data", data_dir)
         split = data_dir / "test.jsonl"
         lines = split.read_text().splitlines()
         record = json.loads(lines[3])
-        record["tokens"][0] = 99
+        edit(record)
         lines[3] = json.dumps(record)
         split.write_text("\n".join(lines) + "\n")
-        code = run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+        return run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
                     "--data", str(data_dir), "--split", "test",
-                    "--report", str(tmp_path / "r.json")])
+                    "--report", str(tmp_path / "r.json")]), split
+
+    def test_out_of_range_token_id_names_it(self, workspace, tmp_path, capsys):
+        def bad_token(record):
+            record["tokens"][0] = 99
+
+        code, split = self.eval_with_record_edit(workspace, tmp_path, bad_token)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "token id 99" in err
+        assert f"{split}:4: token id 99 out of range for vocabulary of size" in err
+
+    def test_out_of_range_answer_id_names_it(self, workspace, tmp_path, capsys):
+        def bad_answer(record):
+            record["answer"] = 42
+
+        code, split = self.eval_with_record_edit(workspace, tmp_path, bad_answer)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{split}:4: answer id 42 out of range for answer vocabulary of size" in err
 
     def test_eval_deterministic(self, workspace, tmp_path):
         outs = []

@@ -161,7 +161,7 @@ class TestSerialization:
         split = D.DatasetSplit(name="mini", examples=small_ds.train.examples[:3])
         path = tmp_path / "mini.jsonl"
         save_split(split, path)
-        loaded = load_split(path, "mini")
+        loaded = load_split(path, small_ds.vocab, "mini")
         assert len(loaded) == 3
         for a, b in zip(split.examples, loaded.examples):
             assert a.example_id == b.example_id
@@ -177,19 +177,41 @@ class TestSerialization:
         text = path.read_text().splitlines()
         path.write_text(text[0] + "\n" + text[1][: len(text[1]) // 2] + "\n")
         with pytest.raises(ValueError, match=":2"):
-            load_split(path)
+            load_split(path, small_ds.vocab)
 
-    def test_missing_field_named(self, tmp_path):
+    def test_missing_field_named(self, tmp_path, small_ds):
         record = {"id": "x", "type": 0, "tokens": [0], "objects": []}
         path = tmp_path / "missing.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="answer"):
-            load_split(path)
+            load_split(path, small_ds.vocab)
 
-    def test_empty_file_is_valid(self, tmp_path):
+    @pytest.mark.parametrize("field,bad,message", [
+        ("tokens", -1, "token id -1 out of range for vocabulary of size 14"),
+        ("answer", 11, "answer id 11 out of range for answer vocabulary of size 11"),
+        ("shape", 6, "object shape id 6 out of range for shape vocabulary of size 6"),
+        ("color", -1, "object color id -1 out of range for color vocabulary of size 5")])
+    def test_out_of_range_ids_rejected_at_load(self, tmp_path, field, bad, message):
+        save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)), tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        if field == "tokens":
+            record["tokens"][-1] = bad
+        elif field == "answer":
+            record["answer"] = bad
+        else:
+            record["objects"][1][field] = bad
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    def test_empty_file_is_valid(self, tmp_path, small_ds):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert len(load_split(path)) == 0
+        assert len(load_split(path, small_ds.vocab)) == 0
 
     def test_dataset_round_trip(self, tmp_path):
         ds = generate_dataset(DataConfig(n_train=40, n_test=15, seed=6))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vqalab import fusion, tensor as T
+from vqalab.layers import linear_init, seeded_rng
 from vqalab.tensor import Tensor
 
 
@@ -44,6 +45,35 @@ class TestInitDeterminism:
     def test_different_seed_differs(self):
         a, b = dump(make_params(seed=1)), dump(make_params(seed=2))
         assert any(not np.array_equal(a[n], b[n]) for n in a)
+
+    def test_rank_stacked_layout(self):
+        p = make_params(P=7, P_out=5, C=3, R=2)
+        shapes = {name: t.shape for name, t in p.named_arrays()}
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+            for side in ("x", "y"):
+                assert shapes[f"fusion.factor_{side}.{c}.weight"] == (hi - lo, 2 * (o_hi - o_lo))
+                assert shapes[f"fusion.factor_{side}.{c}.bias"] == (2 * (o_hi - o_lo),)
+        assert len(shapes) == 6 + 4 * 3
+        assert p.rank == 2
+
+    def test_draws_follow_per_rank_order(self):
+        # per chunk: R x-factors, then R y-factors, each stacked rank-major;
+        # then proj_x, proj_y, proj_out
+        p = make_params(P=7, P_out=5, C=3, R=2, seed=4)
+        rng = seeded_rng(4, 0xB10C)
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+            for stacked in (p.factors_x[c], p.factors_y[c]):
+                width = o_hi - o_lo
+                for r in range(2):
+                    drawn = linear_init(rng, hi - lo, width)
+                    cols = slice(r * width, (r + 1) * width)
+                    assert np.array_equal(stacked.weight.data[:, cols], drawn.weight.data)
+                    assert np.array_equal(stacked.bias.data[cols], drawn.bias.data)
+        for layer, (d_in, d_out) in ((p.proj_x, (5, 7)), (p.proj_y, (4, 7)),
+                                     (p.proj_out, (5, 3))):
+            drawn = linear_init(rng, d_in, d_out)
+            assert np.array_equal(layer.weight.data, drawn.weight.data)
+            assert np.array_equal(layer.bias.data, drawn.bias.data)
 
     def test_bias_flag_controls_bias_arrays(self):
         with_bias = dump(make_params(use_bias=True))
@@ -93,10 +123,37 @@ class TestAgainstDenseOracle:
         x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         got = fusion.block_fuse(Tensor(x), Tensor(y), p).data
 
-        a = p.factors_x[0][0].weight.data
-        b = p.factors_y[0][0].weight.data
+        a = p.factors_x[0].weight.data
+        b = p.factors_y[0].weight.data
         w_out = p.proj_out.weight.data
         expected = ((x @ a) * (y @ b)) @ w_out
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_matches_per_chunk_per_rank_composition(self, use_bias):
+        # the composition block_bilinear replaces: per chunk, R separate affine
+        # factor maps per side, multiplied and summed rank by rank
+        p = make_params(d_x=5, d_y=4, P=7, P_out=5, o=3, C=3, R=3, seed=8,
+                        use_bias=use_bias)
+        rng = np.random.default_rng(10)
+        x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+        affine = lambda v, layer: v @ layer.weight.data + (
+            layer.bias.data if use_bias else 0.0)
+        px, py = affine(x, p.proj_x), affine(y, p.proj_y)
+        parts = []
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+            wx, wy = p.factors_x[c], p.factors_y[c]
+            acc = None
+            for r in range(p.rank):
+                cols = slice(r * (o_hi - o_lo), (r + 1) * (o_hi - o_lo))
+                u = px[:, lo:hi] @ wx.weight.data[:, cols]
+                v = py[:, lo:hi] @ wy.weight.data[:, cols]
+                if use_bias:
+                    u, v = u + wx.bias.data[cols], v + wy.bias.data[cols]
+                acc = u * v if acc is None else acc + u * v
+            parts.append(acc)
+        expected = affine(np.concatenate(parts, axis=1), p.proj_out)
+        got = fusion.block_fuse(Tensor(x), Tensor(y), p).data
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_batched_rows_match_vector_calls(self):
@@ -116,8 +173,7 @@ def test_zeroing_chunk_factors_touches_only_that_slice():
     x, y = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 4)))
     before = fusion.block_fuse(x, y, p).data.copy()
     target = 1
-    for r in range(p.rank):
-        p.factors_x[target][r].weight.data[:] = 0.0
+    p.factors_x[target].weight.data[:] = 0.0
     after = fusion.block_fuse(x, y, p).data
     lo, hi = p.out_chunks[target]
     assert np.allclose(after[:, lo:hi], 0.0)

@@ -33,7 +33,7 @@ def make_scenes(rng, batch=2, k=3):
 
 
 def attend_rows(visual, labels, words, p: VgwParams):
-    return vgw_attention(labels, words, p.attn_vector, p.attn_matrix, visual)
+    return vgw_attention(labels, words, p.score_column(), visual)
 
 
 def ground(visual, labels, words, p: VgwParams):
@@ -62,12 +62,13 @@ def fuse_oracle(attended, word, p: VgwParams):
     px = attended @ f.proj_x.weight.data + f.proj_x.bias.data
     py = refined @ f.proj_y.weight.data + f.proj_y.bias.data
     parts = []
-    for c, (lo, hi) in enumerate(f.x_chunks):
+    for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(f.x_chunks, f.out_chunks)):
+        fx, fy = f.factors_x[c], f.factors_y[c]
         acc = 0.0
         for r in range(f.rank):
-            fx, fy = f.factors_x[c][r], f.factors_y[c][r]
-            acc = acc + (px[..., lo:hi] @ fx.weight.data + fx.bias.data) \
-                      * (py[..., lo:hi] @ fy.weight.data + fy.bias.data)
+            cols = slice(r * (o_hi - o_lo), (r + 1) * (o_hi - o_lo))
+            acc = acc + (px[..., lo:hi] @ fx.weight.data[:, cols] + fx.bias.data[cols]) \
+                      * (py[..., lo:hi] @ fy.weight.data[:, cols] + fy.bias.data[cols])
         parts.append(acc)
     return np.concatenate(parts, axis=-1) @ f.proj_out.weight.data + f.proj_out.bias.data
 
@@ -119,8 +120,8 @@ class TestAttention:
         visual = np.array([[[1.0, 0.0], [0.0, 2.0]]])
         labels = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         word = np.array([[1.0, 1.0]])
-        vec, mat = Tensor([1.0, 0.0]), Tensor(np.eye(2))
-        alpha, attended = vgw_attention(labels, word, vec, mat, visual)
+        # a = (1, 0) and M = I score with the column (a^T M)^T = (1, 0)^T
+        alpha, attended = vgw_attention(labels, word, Tensor([[1.0], [0.0]]), visual)
         e = np.e
         want_alpha = np.array([e / (e + 1), 1 / (e + 1)])
         assert np.max(np.abs(alpha.data[0] - want_alpha)) < 1e-5
@@ -171,6 +172,9 @@ class TestAttention:
             attend_rows(visual, labels, rng.normal(size=(2, D_W + 1)), make_vgw())
         with pytest.raises(T.ShapeError):
             attend_rows(visual[0], labels[0], rng.normal(size=D_W), make_vgw())
+        with pytest.raises(T.ShapeError, match="score column"):
+            vgw_attention(labels, rng.normal(size=(2, D_W)), Tensor(np.ones((D_W + 1, 1))),
+                          visual)
 
 
 class TestVgwFuse:

@@ -160,6 +160,17 @@ class TestCountParameters:
         emb = params.embedding.vectors.size
         assert count_parameters(params) == total_arrays - emb
 
+    @pytest.mark.parametrize("kw,count,arrays", [
+        (dict(variant="baseline"), 18155, 44),
+        (dict(variant="vgqe"), 26427, 72),
+        (dict(variant="vgqe", shared_vgw=False), 31627, 100)])
+    def test_default_config_counts(self, kw, count, arrays):
+        # scalar counts as before the fusion factors were rank-stacked; one
+        # array per chunk and side where there was one per chunk, side and rank
+        params = init_model(ModelConfig(**kw))
+        assert count_parameters(params) == count
+        assert len(list(params.named_parameters())) == arrays
+
     def test_vgqe_has_more_capacity(self):
         base = count_parameters(init_model(tiny_config("baseline")))
         vgqe = count_parameters(init_model(tiny_config("vgqe")))
@@ -234,12 +245,24 @@ class TestCheckpoint:
         assert str(err.value) == f"checkpoint data file {message}"
 
     def test_golden_checkpoint_reproduces_logits(self):
-        # Written by the code before the single-example paths were removed:
-        # a vgqe model (unshared grounded-word modules) with perturbed weights,
-        # plus its logits on one fixed batch. It pins array names, orientation
-        # and the file format until a deliberate format change replaces it.
+        # A vgqe model (unshared grounded-word modules) with perturbed weights,
+        # plus its logits on one fixed batch. The logits were computed with the
+        # v1 per-rank fusion layout; the checkpoint is the same arrays rearranged
+        # into the v2 rank-stacked layout. It pins array names, orientation and
+        # the file format until a deliberate format change replaces it.
         params = load_checkpoint(GOLDEN / "vgqe_tiny.json")
         batch = json.loads((GOLDEN / "vgqe_tiny_logits.json").read_text())
         logits = forward_batch(params, np.array(batch["visual"]), np.array(batch["labels"]),
                                np.array(batch["tokens"])).data
         assert np.max(np.abs(logits - np.array(batch["logits"]))) < 1e-12
+
+    def test_v1_manifest_refused(self, tmp_path):
+        path = tmp_path / "old.json"
+        save_checkpoint(init_model(tiny_config("vgqe")), path)
+        manifest = json.loads(path.read_text())
+        manifest["format"] = "vqalab-flat-arrays-v1"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v1', "
+                                  "expected 'vqalab-flat-arrays-v2'")

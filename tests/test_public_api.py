@@ -16,13 +16,13 @@ SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
         "_record", "_reduce_to", "active_tape", "add", "as_tensor", "attend", "backward",
-        "concat", "dot", "exp", "get_default_dtype", "grad_check", "log",
+        "block_bilinear", "concat", "dot", "exp", "get_default_dtype", "grad_check", "log",
         "logsumexp_rows", "matmul", "mul", "narrow", "no_grad", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
         "scale", "set_default_dtype", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
-    "fusion": {"BlockFusionParams", "_ranges", "block_fuse", "block_params_init",
-               "near_equal_partition"},
+    "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
+               "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
                 "encode_questions_baseline", "gru_cell", "gru_params_init", "run_gru"},
     "grounding": {"VgqeParams", "VgwParams", "encode_question_vgqe",

@@ -1,0 +1,63 @@
+"""Tape record counts of the hot paths, pinned exactly.
+
+Step time is dominated by per-op Python overhead, so the number of records a
+forward pass puts on the tape is the cost model. A change that falls back to
+composing block fusion chunk by chunk and rank by rank, or that leaves
+records behind, changes these counts.
+"""
+
+import numpy as np
+import pytest
+
+from vqalab import tensor as T
+from vqalab.fusion import block_fuse, block_params_init
+from vqalab.grounding import encode_question_vgqe
+from vqalab.model import FusionConfig, ModelConfig, forward_batch, init_model
+from vqalab.tensor import Tensor
+from vqalab.train import cross_entropy_rows
+
+TINY = dict(d_v=6, d_w=5, hidden=4, refined_dim=4, grounded_dim=6, pooled_dim=6,
+            answer_count=8, vocab_size=9, dropout=0.0,
+            vgw_fusion=FusionConfig(6, 6, 2, 2), obj_fusion=FusionConfig(6, 6, 2, 2))
+
+
+def records_added(fn):
+    before = len(T.active_tape())
+    out = fn()
+    return out, len(T.active_tape()) - before
+
+
+@pytest.mark.parametrize("use_bias,count", [(True, 7), (False, 4)])
+def test_block_fuse_records(use_bias, count):
+    # proj_x and proj_y (matmul, bias add), block_bilinear, proj_out
+    p = block_params_init(32, 64, 32, 32, 32, chunks=4, rank=3, seed=0, use_bias=use_bias)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(5, 32)), requires_grad=True)
+    y = Tensor(rng.normal(size=(5, 64)))
+    out, added = records_added(lambda: block_fuse(x, y, p))
+    assert added == count
+    assert [r.op for r in T.active_tape().records[-added:]].count("block_bilinear") == 1
+    T.backward(out.sum())
+
+
+@pytest.mark.parametrize("variant,count", [("baseline", 146), ("vgqe", 197)])
+def test_training_step_records(variant, count):
+    params = init_model(ModelConfig(variant=variant, seed=3, **TINY))
+    rng = np.random.default_rng(1)
+    visual, labels = rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 3, 5))
+    tokens = np.array([[1, 4, 2], [0, 8, 8], [3, 3, 5], [7, 6, 2]])
+    loss, added = records_added(lambda: T.reduce_mean(cross_entropy_rows(
+        forward_batch(params, visual, labels, tokens), np.array([0, 3, 5, 7]))))
+    assert added == count
+    T.backward(loss)
+    assert len(T.active_tape()) == 0
+
+
+def test_trace_helper_leaves_no_records():
+    params = init_model(ModelConfig(variant="vgqe"))
+    rng = np.random.default_rng(2)
+    before = len(T.active_tape())
+    for _ in range(3):
+        encode_question_vgqe(rng.normal(size=(8, 32)), rng.normal(size=(8, 16)),
+                             [0, 5, 3, 9], params.embedding, params.vgqe_params())
+    assert len(T.active_tape()) == before

@@ -303,3 +303,23 @@ def test_dtype_switch():
         t = Tensor([1.0, 2.0])
         assert t.data.dtype == np.float32
     assert Tensor([1.0]).data.dtype == np.float64
+
+
+def test_block_bilinear_rejects_mismatched_factors():
+    # two chunks: columns 0:2 -> 0:1 and 2:3 -> 1:2, rank 2
+    x_chunks, out_chunks = [(0, 2), (2, 3)], [(0, 1), (1, 2)]
+    px = py = Tensor(np.ones((4, 3)))
+    w = [Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2)))]
+    b = [Tensor(np.ones(2)), Tensor(np.ones(2))]
+    out = T.block_bilinear(px, py, w, b, w, b, x_chunks, out_chunks, 2)
+    assert np.array_equal(out.data, np.full((4, 2), [2 * 9.0, 2 * 4.0]))
+    with pytest.raises(ShapeError, match="chunk 1"):
+        T.block_bilinear(px, py, w, b, [w[0], Tensor(np.ones((1, 3)))], b,
+                         x_chunks, out_chunks, 2)
+    with pytest.raises(ShapeError, match="both sides"):
+        T.block_bilinear(px, py, w, b, w, None, x_chunks, out_chunks, 2)
+    with pytest.raises(ShapeError, match="do not agree"):
+        T.block_bilinear(px, py, w[:1], None, w[:1], None, x_chunks, out_chunks, 2)
+    with pytest.raises(ShapeError, match="chunked columns"):
+        T.block_bilinear(Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))), w, b, w, b,
+                         x_chunks, out_chunks, 2)
