@@ -29,15 +29,18 @@ params = VgqeParams(
     rnn_backward=gru_params_init(32, 32, seed=2),
 )
 
-example = next(ex for ex in ds.train.examples if ex.qtype < ds.config.shapes)
-words = [ds.vocab.tokens[t] for t in example.tokens]
+# The split is columnar: row i of each array is example i.
+train = ds.train
+i = int(np.flatnonzero(train.qtypes < ds.config.shapes)[0])
+tokens = train.tokens[i, :train.lengths[i]]
+words = [ds.vocab.tokens[t] for t in tokens]
 print("question:", " ".join(words))
-print("scene shapes:", [ds.vocab.shapes[o.shape] for o in example.objects])
+print("scene shapes:", [ds.vocab.shapes[s] for s in train.shapes[i]])
 
 # encode_question_vgqe runs one question over one scene, (objects, dims)
 # arrays, through the batched encoder and keeps its attention weights.
-encoding, trace = encode_question_vgqe(example.visual_matrix(), example.label_matrix(),
-                                       example.tokens, table, params)
+encoding, trace = encode_question_vgqe(train.visual[i], train.labels[i], tokens,
+                                       table, params)
 print("encoding dim:", encoding.shape)
 
 # The attention trace is one weight row per question word. At random
@@ -50,13 +53,13 @@ for word, weights in zip(words, trace["forward"]):
 
 # The same question over a different scene yields a different encoding;
 # the language-only encoder cannot do that.
-other = next(ex for ex in ds.train.examples[1:]
-             if ex.tokens == example.tokens and
-             [o.shape for o in ex.objects] != [o.shape for o in example.objects])
-other_encoding, _ = encode_question_vgqe(other.visual_matrix(), other.label_matrix(),
-                                         example.tokens, table, params)
+same_question = (train.tokens == train.tokens[i]).all(axis=1)
+other_scene = (train.shapes != train.shapes[i]).any(axis=1)
+j = int(np.flatnonzero(same_question & other_scene)[0])
+other_encoding, _ = encode_question_vgqe(train.visual[j], train.labels[j], tokens,
+                                         table, params)
 gap = np.max(np.abs(encoding - other_encoding))
 print(f"L-infinity gap between encodings of the same question: {gap:.4f}")
 
 # Traces serialize to JSON records, the format the report command emits.
-print("trace record keys:", sorted(trace_records(example.example_id, trace)[0]))
+print("trace record keys:", sorted(trace_records(train.ids[i], trace)[0]))

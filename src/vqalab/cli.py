@@ -216,15 +216,13 @@ def cmd_report(args) -> int:
             ds = load_dataset(data_dir)
             split = ds.splits()[vgqe.split]
             rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
-            chosen = rng.choice(len(split.examples),
-                                size=min(args.traces, len(split.examples)),
+            chosen = rng.choice(len(split), size=min(args.traces, len(split)),
                                 replace=False)
             for idx in sorted(int(i) for i in chosen):
-                ex = split.examples[idx]
-                _, trace = encode_question_vgqe(ex.visual_matrix(), ex.label_matrix(),
-                                                ex.tokens, params.embedding,
-                                                params.vgqe_params())
-                traces.extend(trace_records(ex.example_id, trace))
+                _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
+                                                split.tokens[idx, :split.lengths[idx]],
+                                                params.embedding, params.vgqe_params())
+                traces.extend(trace_records(split.ids[idx], trace))
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -22,7 +22,8 @@ matters.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +78,11 @@ class Vocabularies:
     colors: list[str]
     embedding: np.ndarray          # (len(tokens), d_w), the shared frozen table
 
-    @property
+    @cached_property
     def token_ids(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
 
-    @property
+    @cached_property
     def answer_ids(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.answers)}
 
@@ -100,36 +101,23 @@ class TypeBias:
 
 
 @dataclass
-class SyntheticObject:
-    shape: int
-    color: int
-    v: np.ndarray
-    l: np.ndarray
-
-
-@dataclass
-class VqaExample:
-    example_id: str
-    qtype: int
-    tokens: list[int]
-    answer: int
-    objects: list[SyntheticObject]
-    split: str = "train"
-
-    def visual_matrix(self) -> np.ndarray:
-        return np.stack([o.v for o in self.objects])
-
-    def label_matrix(self) -> np.ndarray:
-        return np.stack([o.l for o in self.objects])
-
-
-@dataclass
 class DatasetSplit:
+    """One split as columns: row i of every array is example i. Token rows are
+    padded with -1 past their length, so a pad that reaches `embed` fails its
+    range check."""
     name: str
-    examples: list[VqaExample]
+    ids: list[str]
+    qtypes: np.ndarray           # (N,)
+    tokens: np.ndarray           # (N, T_max), -1 past each row's length
+    lengths: np.ndarray          # (N,)
+    answers: np.ndarray          # (N,)
+    shapes: np.ndarray           # (N, k) object shape ids
+    colors: np.ndarray           # (N, k) object color ids
+    visual: np.ndarray           # (N, k, d_v)
+    labels: np.ndarray           # (N, k, d_w)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
 
 @dataclass
@@ -219,20 +207,11 @@ def _answer_probs(bias: TypeBias, split: str) -> np.ndarray:
     return probs
 
 
-def _make_object(shape: int, color: int, config: DataConfig,
-                 feature_map: np.ndarray, vocab: Vocabularies,
-                 rng: np.random.Generator) -> SyntheticObject:
-    column = shape * config.colors + color
-    v = feature_map[:, column] + config.noise_v * rng.normal(size=config.d_v)
-    label_row = vocab.token_ids[vocab.shapes[shape]]
-    l = vocab.embedding[label_row] + config.noise_l * rng.normal(size=config.d_w)
-    return SyntheticObject(shape=shape, color=color, v=v, l=l)
-
-
 def _scene_shapes_for(template: str, target_shape: int, answer: int,
                       config: DataConfig, vocab: Vocabularies,
-                      rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Choose (shape, color) pairs consistent with the ground-truth answer."""
+                      rng: np.random.Generator) -> np.ndarray:
+    """Choose a scene consistent with the ground-truth answer: its object shape
+    ids and color ids, a (2, k) array."""
     k = config.objects_per_scene
     other_shapes = [s for s in range(config.shapes) if s != target_shape]
 
@@ -242,36 +221,48 @@ def _scene_shapes_for(template: str, target_shape: int, answer: int,
     if template == "color":
         # exactly one target object; its color is the answer
         pairs = [(target_shape, answer)] + [distractor() for _ in range(k - 1)]
-    elif template == "exists":
-        present = vocab.answers[answer] == "yes"
-        n_target = int(rng.integers(1, min(config.count_max, k) + 1)) if present else 0
-        pairs = [(target_shape, int(rng.integers(config.colors)))
-                 for _ in range(n_target)]
-        pairs += [distractor() for _ in range(k - n_target)]
-    else:  # count
-        n_target = int(vocab.answers[answer])
+    else:
+        if template == "exists":
+            present = vocab.answers[answer] == "yes"
+            n_target = int(rng.integers(1, min(config.count_max, k) + 1)) if present else 0
+        else:  # count
+            n_target = int(vocab.answers[answer])
         pairs = [(target_shape, int(rng.integers(config.colors)))
                  for _ in range(n_target)]
         pairs += [distractor() for _ in range(k - n_target)]
     rng.shuffle(pairs)
-    return [(int(s), int(c)) for s, c in pairs]
+    return np.array(pairs, dtype=np.int64).T
 
 
-def _generate_example(index: int, split: str, config: DataConfig,
-                      vocab: Vocabularies, bias: dict[int, TypeBias],
-                      feature_map: np.ndarray) -> VqaExample:
-    seq = np.random.SeedSequence([config.seed, _SPLIT_CODES[split], index])
-    rng = np.random.default_rng(seq)
-    qtype = int(rng.integers(num_question_types(config)))
-    type_bias = bias[qtype]
-    answer = int(rng.choice(type_bias.answers, p=_answer_probs(type_bias, split)))
-    template, target_shape = TEMPLATES[qtype // config.shapes], qtype % config.shapes
-    pairs = _scene_shapes_for(template, target_shape, answer, config, vocab, rng)
-    objects = [_make_object(s, c, config, feature_map, vocab, rng) for s, c in pairs]
-    words = template_tokens(template, vocab.shapes[target_shape])
-    tokens = [vocab.token_ids[w] for w in words]
-    return VqaExample(example_id=f"{split}-{index:06d}", qtype=qtype,
-                      tokens=tokens, answer=answer, objects=objects, split=split)
+def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
+                    bias: dict[int, TypeBias], feature_map: np.ndarray) -> DatasetSplit:
+    """Fill the rows of one split; row i draws only from the (seed, split, i)
+    stream. One normal draw per scene holds each object's visual noise then
+    its label noise, in object order."""
+    k, d_v, d_w = config.objects_per_scene, config.d_v, config.d_w
+    token_ids = vocab.token_ids
+    questions = [[token_ids[w] for w in question_type_name(qt, config, vocab).split()]
+                 for qt in range(num_question_types(config))]
+    label_centroids = vocab.embedding[[token_ids[s] for s in vocab.shapes]]
+    qtypes, answers = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    shapes, colors = np.zeros((n, k), dtype=np.int64), np.zeros((n, k), dtype=np.int64)
+    visual, labels = np.empty((n, k, d_v)), np.empty((n, k, d_w))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SPLIT_CODES[name], i]))
+        qtype = int(rng.integers(len(questions)))
+        type_bias = bias[qtype]
+        answer = int(rng.choice(type_bias.answers, p=_answer_probs(type_bias, name)))
+        template, target_shape = TEMPLATES[qtype // config.shapes], qtype % config.shapes
+        qtypes[i], answers[i] = qtype, answer
+        shapes[i], colors[i] = _scene_shapes_for(template, target_shape, answer, config,
+                                                 vocab, rng)
+        noise = rng.normal(size=(k, d_v + d_w))
+        visual[i] = (feature_map[:, shapes[i] * config.colors + colors[i]].T
+                     + config.noise_v * noise[:, :d_v])
+        labels[i] = label_centroids[shapes[i]] + config.noise_l * noise[:, d_v:]
+    tokens, lengths = _padded([questions[q] for q in qtypes])
+    return DatasetSplit(name, [f"{name}-{i:06d}" for i in range(n)], qtypes, tokens,
+                        lengths, answers, shapes, colors, visual, labels)
 
 
 def generate_dataset(config: DataConfig) -> SyntheticDataset:
@@ -283,33 +274,32 @@ def generate_dataset(config: DataConfig) -> SyntheticDataset:
     vocab = build_vocabularies(config, table_rng)
     feature_map = map_rng.normal(size=(config.d_v, config.shapes * config.colors))
     bias = build_bias_spec(config, vocab, bias_rng)
-
-    def split_of(name: str, n: int) -> DatasetSplit:
-        return DatasetSplit(name=name, examples=[
-            _generate_example(i, name, config, vocab, bias, feature_map)
-            for i in range(n)])
-
     return SyntheticDataset(
         config=config, vocab=vocab, bias=bias,
-        train=split_of("train", config.n_train),
-        test=split_of("test", config.n_test),
-        test_iid=split_of("test_iid", config.n_test),
+        train=_generate_split("train", config.n_train, config, vocab, bias, feature_map),
+        test=_generate_split("test", config.n_test, config, vocab, bias, feature_map),
+        test_iid=_generate_split("test_iid", config.n_test, config, vocab, bias,
+                                 feature_map),
         feature_map=feature_map,
     )
+
+
+def _padded(token_rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token rows as an (N, T_max) array padded with -1, and their lengths."""
+    lengths = np.array([len(row) for row in token_rows], dtype=np.int64)
+    tokens = np.full((len(token_rows), lengths.max(initial=0)), -1, dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = [t for row in token_rows
+                                                             for t in row]
+    return tokens, lengths
 
 
 def answer_distribution(split: DatasetSplit, qtype: int,
                         answer_count: int) -> np.ndarray:
     """Normalized answer histogram of one question type within a split."""
-    counts = np.zeros(answer_count)
-    seen = False
-    for ex in split.examples:
-        if ex.qtype == qtype:
-            counts[ex.answer] += 1
-            seen = True
-    if not seen:
+    answers = split.answers[split.qtypes == qtype]
+    if not answers.size:
         raise KeyError(f"question type {qtype} does not occur in split {split.name!r}")
-    return counts / counts.sum()
+    return np.bincount(answers, minlength=answer_count) / answers.size
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -327,18 +317,17 @@ def save_split(split: DatasetSplit, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for ex in split.examples:
+        for i, example_id in enumerate(split.ids):
             record = {
-                "id": ex.example_id,
-                "type": ex.qtype,
-                "tokens": ex.tokens,
-                "answer": ex.answer,
-                "objects": [{
-                    "shape": o.shape,
-                    "color": o.color,
-                    "v": o.v.tolist(),
-                    "l": o.l.tolist(),
-                } for o in ex.objects],
+                "id": example_id,
+                "type": int(split.qtypes[i]),
+                "tokens": split.tokens[i, :split.lengths[i]].tolist(),
+                "answer": int(split.answers[i]),
+                "objects": [{"shape": s, "color": c, "v": v, "l": l}
+                            for s, c, v, l in zip(split.shapes[i].tolist(),
+                                                  split.colors[i].tolist(),
+                                                  split.visual[i].tolist(),
+                                                  split.labels[i].tolist())],
             }
             fh.write(json.dumps(record))
             fh.write("\n")
@@ -351,42 +340,64 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
                              f"of size {size}")
 
 
-def load_split(path, vocab: Vocabularies, name: str | None = None) -> DatasetSplit:
-    """Read one JSONL split; every token, answer, object shape and object color
-    id must index into its vocabulary."""
+def load_split(path, config: DataConfig, vocab: Vocabularies,
+               name: str | None = None) -> DatasetSplit:
+    """Read one JSONL split into columns. Every question needs a token, every
+    token, answer, object shape and object color id must index into its
+    vocabulary, and every scene must hold `objects_per_scene` objects of `d_v`
+    visual and `d_w` label values, all finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
-    examples = []
+    k = config.objects_per_scene
+    ids, qtypes, token_rows, answers, shapes, colors, visual, labels = ([] for _ in range(8))
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: malformed JSON line ({err})") from err
+                raise ValueError(f"{where}: malformed JSON line ({err})") from err
             for fieldname in REQUIRED_FIELDS:
                 if fieldname not in record:
-                    raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
-            where = f"{path}:{lineno}"
+                    raise ValueError(f"{where}: missing field {fieldname!r}")
+            objects = record["objects"]
+            if not record["tokens"]:
+                raise ValueError(f"{where}: empty token list")
+            if len(objects) != k:
+                raise ValueError(f"{where}: {len(objects)} objects, expected "
+                                 f"objects_per_scene {k}")
+            shapes.append([o["shape"] for o in objects])
+            colors.append([o["color"] for o in objects])
             _check_ids(where, "token", record["tokens"], "vocabulary", len(vocab.tokens))
             _check_ids(where, "answer", [record["answer"]], "answer vocabulary",
                        vocab.answer_count)
-            _check_ids(where, "object shape", [o["shape"] for o in record["objects"]],
-                       "shape vocabulary", len(vocab.shapes))
-            _check_ids(where, "object color", [o["color"] for o in record["objects"]],
-                       "color vocabulary", len(vocab.colors))
-            objects = [SyntheticObject(shape=o["shape"], color=o["color"],
-                                       v=np.asarray(o["v"], dtype=float),
-                                       l=np.asarray(o["l"], dtype=float))
-                       for o in record["objects"]]
-            examples.append(VqaExample(
-                example_id=record["id"], qtype=record["type"],
-                tokens=list(record["tokens"]), answer=record["answer"],
-                objects=objects,
-                split=name or path.stem))
-    return DatasetSplit(name=name or path.stem, examples=examples)
+            _check_ids(where, "object shape", shapes[-1], "shape vocabulary",
+                       len(vocab.shapes))
+            _check_ids(where, "object color", colors[-1], "color vocabulary",
+                       len(vocab.colors))
+            for key, dim, size, column in (("v", "d_v", config.d_v, visual),
+                                           ("l", "d_w", config.d_w, labels)):
+                for j, o in enumerate(objects):
+                    if len(o[key]) != size:
+                        raise ValueError(f"{where}: object {j} has {len(o[key])} {key!r} "
+                                         f"values, expected {dim} {size}")
+                column.append(np.array([o[key] for o in objects], dtype=float))
+                if not np.isfinite(column[-1]).all():
+                    raise ValueError(f"{where}: non-finite object feature")
+            ids.append(record["id"])
+            qtypes.append(record["type"])
+            token_rows.append(record["tokens"])
+            answers.append(record["answer"])
+    tokens, lengths = _padded(token_rows)
+    return DatasetSplit(name or path.stem, ids, np.array(qtypes, dtype=np.int64), tokens,
+                        lengths, np.array(answers, dtype=np.int64),
+                        np.array(shapes, dtype=np.int64).reshape(-1, k),
+                        np.array(colors, dtype=np.int64).reshape(-1, k),
+                        np.array(visual).reshape(-1, k, config.d_v),
+                        np.array(labels).reshape(-1, k, config.d_w))
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict:
@@ -398,7 +409,7 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict:
     a = ds.vocab.answer_count
     histograms = {
         name: {str(qt): answer_distribution(split, qt, a).tolist()
-               for qt in sorted({ex.qtype for ex in split.examples})}
+               for qt in np.unique(split.qtypes).tolist()}
         for name, split in ds.splits().items()
     }
     manifest = {
@@ -436,8 +447,8 @@ def load_dataset(data_dir) -> SyntheticDataset:
     bias = {int(qt): TypeBias(**b) for qt, b in manifest["bias_spec"].items()}
     return SyntheticDataset(
         config=config, vocab=vocab, bias=bias,
-        train=load_split(data_dir / "train.jsonl", vocab, "train"),
-        test=load_split(data_dir / "test.jsonl", vocab, "test"),
-        test_iid=load_split(data_dir / "test_iid.jsonl", vocab, "test_iid"),
+        train=load_split(data_dir / "train.jsonl", config, vocab, "train"),
+        test=load_split(data_dir / "test.jsonl", config, vocab, "test"),
+        test_iid=load_split(data_dir / "test_iid.jsonl", config, vocab, "test_iid"),
         feature_map=np.asarray(manifest["feature_map"]),
     )

@@ -75,7 +75,7 @@ class EvalReport:
 def predict_split(params: ModelParams, split: DatasetSplit,
                   batch_size: int = 256) -> list[int]:
     """Deterministic predictions for every example, original order."""
-    preds = np.zeros(len(split.examples), dtype=int)
+    preds = np.zeros(len(split), dtype=int)
     with T.no_grad():
         for batch in length_bucketed_batches(split, batch_size, rng=None):
             visual, labels, tokens, _ = stack_batch(split, batch)
@@ -119,12 +119,12 @@ def summarize_predictions(records: list[PredictionRecord], answer_count: int,
 def evaluate_split(params: ModelParams, split: DatasetSplit,
                    ds: SyntheticDataset, batch_size: int = 256) -> EvalReport:
     """Run the model over a split (dropout off) and summarize."""
-    if not split.examples:
+    if not len(split):
         raise ValueError("cannot evaluate an empty split")
     preds = predict_split(params, split, batch_size)
-    records = [PredictionRecord(example_id=ex.example_id, qtype=ex.qtype,
-                                answer=ex.answer, prediction=p)
-               for ex, p in zip(split.examples, preds)]
+    records = [PredictionRecord(example_id=i, qtype=q, answer=a, prediction=p)
+               for i, q, a, p in zip(split.ids, split.qtypes.tolist(),
+                                     split.answers.tolist(), preds)]
     report = summarize_predictions(records, ds.vocab.answer_count,
                                    ds.type_names(), split=split.name,
                                    variant=params.config.variant)
@@ -138,20 +138,14 @@ def bias_gap(report_iid: EvalReport, report_ood: EvalReport) -> float:
 
 
 def constant_majority_floor(train_split: DatasetSplit, eval_split: DatasetSplit) -> float:
-    """Accuracy of always answering each type's train-majority answer,
-    computed by counting (the prior-exploitation baseline)."""
-    majorities: dict[int, int] = {}
-    counts: dict[int, dict[int, int]] = {}
-    for ex in train_split.examples:
-        counts.setdefault(ex.qtype, {})
-        counts[ex.qtype][ex.answer] = counts[ex.qtype].get(ex.answer, 0) + 1
-    for qtype, hist in counts.items():
-        majorities[qtype] = max(sorted(hist), key=lambda a: hist[a])
-    total = 0.0
-    for ex in eval_split.examples:
-        pred = majorities.get(ex.qtype)
-        total += vqa_accuracy(pred, [ex.answer]) if pred is not None else 0.0
-    return total / len(eval_split.examples)
+    """Accuracy of always answering each type's train-majority answer (the
+    smallest answer id among tied counts), computed by counting (the
+    prior-exploitation baseline)."""
+    correct = 0
+    for qtype in np.unique(train_split.qtypes):
+        majority = np.argmax(np.bincount(train_split.answers[train_split.qtypes == qtype]))
+        correct += np.count_nonzero(eval_split.answers[eval_split.qtypes == qtype] == majority)
+    return correct / len(eval_split)
 
 
 # ---------------------------------------------------------------------------

@@ -159,15 +159,14 @@ def length_bucketed_batches(split: DatasetSplit, batch_size: int,
 
     With a generator the order is a seeded shuffle; without, dataset order.
     """
-    indices = np.arange(len(split.examples))
+    indices = np.arange(len(split))
     if rng is not None:
         rng.shuffle(indices)
     buckets: dict[int, list[int]] = {}
     batches = []
-    for idx in indices:
-        length = len(split.examples[idx].tokens)
+    for idx, length in zip(indices.tolist(), split.lengths[indices].tolist()):
         bucket = buckets.setdefault(length, [])
-        bucket.append(int(idx))
+        bucket.append(idx)
         if len(bucket) == batch_size:
             batches.append(bucket)
             buckets[length] = []
@@ -178,12 +177,9 @@ def length_bucketed_batches(split: DatasetSplit, batch_size: int,
 
 
 def stack_batch(split: DatasetSplit, batch: list[int]):
-    examples = [split.examples[i] for i in batch]
-    visual = np.stack([ex.visual_matrix() for ex in examples])
-    labels = np.stack([ex.label_matrix() for ex in examples])
-    tokens = np.asarray([ex.tokens for ex in examples])
-    answers = np.asarray([ex.answer for ex in examples])
-    return visual, labels, tokens, answers
+    """The batch's visual, label, token and answer rows; tokens end at its longest question."""
+    return (split.visual[batch], split.labels[batch],
+            split.tokens[batch, :split.lengths[batch].max()], split.answers[batch])
 
 
 @dataclass
@@ -198,7 +194,7 @@ class EpochStats:
 def train(params: ModelParams, split: DatasetSplit,
           config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     """Optimize params on a split; returns the params and a per-epoch log."""
-    if not split.examples:
+    if not len(split):
         raise ValueError("cannot train on an empty split")
     named = list(params.named_parameters())
     state = adamw_init(named, weight_decay=config.weight_decay)
@@ -228,7 +224,7 @@ def train(params: ModelParams, split: DatasetSplit,
             T.zero_grads(t for _, t in named)
             total_loss += loss_value * len(batch)
             total_correct += int((logits.data.argmax(axis=1) == answers).sum())
-        n = len(split.examples)
+        n = len(split)
         log.append(EpochStats(epoch=epoch, lr=lr, mean_loss=total_loss / n,
                               accuracy=total_correct / n,
                               wall_time=time.perf_counter() - started))

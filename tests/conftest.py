@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 
@@ -19,3 +22,15 @@ class CriterionOutput:
 @pytest.fixture
 def criterion_output(capfd):
     return CriterionOutput(capfd)
+
+
+@pytest.fixture
+def split_rows():
+    """Some rows of a columnar split as a split of their own: `index` is a
+    slice or a list of row numbers."""
+    def take(split, index):
+        rows = np.arange(len(split))[index]
+        columns = {f.name: getattr(split, f.name)[rows] for f in dataclasses.fields(split)
+                   if f.name not in ("name", "ids")}
+        return dataclasses.replace(split, ids=[split.ids[i] for i in rows], **columns)
+    return take

@@ -15,7 +15,7 @@ import pytest
 
 from vqalab import tensor as T
 from vqalab.cli import run as cli_run
-from vqalab.data import DataConfig, DatasetSplit, generate_dataset
+from vqalab.data import DataConfig, generate_dataset
 from vqalab.encoder import embedding_table_init, encode_questions_baseline
 from vqalab.evaluate import report_from_json
 from vqalab.experiment import experiment_train_config, run_bias_shift
@@ -168,9 +168,9 @@ def test_criterion_encoder_contrast(criterion_output):
 
 
 @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
-def test_criterion_overfit_sanity(variant, criterion_output):
+def test_criterion_overfit_sanity(variant, criterion_output, split_rows):
     ds = generate_dataset(DataConfig(n_train=64, n_test=8, seed=11))
-    subset = DatasetSplit("train", ds.train.examples[:32])
+    subset = split_rows(ds.train, slice(0, 32))
     cfg = ModelConfig(variant=variant, answer_count=ds.vocab.answer_count,
                       vocab_size=len(ds.vocab.tokens), dropout=0.0, seed=0)
     params = init_model(cfg, embedding_vectors=ds.vocab.embedding)

@@ -50,9 +50,13 @@ class TestVqaAccuracy:
             vqa_accuracy(0, [])
 
 
+def rows(split):
+    """(id, qtype, answer) per example of a columnar split."""
+    return zip(split.ids, split.qtypes.tolist(), split.answers.tolist())
+
+
 def oracle_records(split):
-    return [PredictionRecord(ex.example_id, ex.qtype, ex.answer, ex.answer)
-            for ex in split.examples]
+    return [PredictionRecord(i, q, a, a) for i, q, a in rows(split)]
 
 
 class TestSummaries:
@@ -64,9 +68,7 @@ class TestSummaries:
 
     def test_constant_majority_on_inverted_priors(self, ds):
         majorities = {qt: b.train_majority for qt, b in ds.bias.items()}
-        records = [PredictionRecord(ex.example_id, ex.qtype, ex.answer,
-                                    majorities[ex.qtype])
-                   for ex in ds.test.examples]
+        records = [PredictionRecord(i, q, a, majorities[q]) for i, q, a in rows(ds.test)]
         report = summarize_predictions(records, ds.vocab.answer_count, ds.type_names())
         floor = constant_majority_floor(ds.train, ds.test)
         # counting oracle: per-type accuracy equals the test-split mass of the
@@ -77,13 +79,23 @@ class TestSummaries:
         assert report.overall == pytest.approx(floor, abs=1e-9)
         assert report.overall < 0.35
 
+    def test_constant_majority_floor_breaks_ties_to_smallest_id(self, ds, split_rows):
+        # type 0 answers 3, 1, 1, 3 in train (a tie), type 1 answers 2;
+        # the eval rows answer 1, 3, 3, 2
+        def hand_split(qtypes, answers):
+            split = split_rows(ds.train, list(range(len(qtypes))))
+            split.qtypes, split.answers = np.array(qtypes), np.array(answers)
+            return split
+        train_split = hand_split([0, 0, 0, 0, 1], [3, 1, 1, 3, 2])
+        eval_split = hand_split([0, 0, 0, 1], [1, 3, 3, 2])
+        assert constant_majority_floor(train_split, eval_split) == 2 / 4
+
     def test_uniform_random_predictor_near_chance(self, ds):
         rng = np.random.default_rng(0)
         color_ids = [ds.vocab.answer_ids[c] for c in ds.vocab.colors]
         color_types = [qt for qt in ds.bias if qt < ds.config.shapes]
-        records = [PredictionRecord(ex.example_id, ex.qtype, ex.answer,
-                                    int(rng.choice(color_ids)))
-                   for ex in ds.test.examples if ex.qtype in color_types]
+        records = [PredictionRecord(i, q, a, int(rng.choice(color_ids)))
+                   for i, q, a in rows(ds.test) if q in color_types]
         report = summarize_predictions(records, ds.vocab.answer_count, ds.type_names())
         k = len(color_ids)
         n = report.count
@@ -91,9 +103,8 @@ class TestSummaries:
 
     def test_type_weighted_mean_equals_overall(self, ds):
         rng = np.random.default_rng(1)
-        records = [PredictionRecord(ex.example_id, ex.qtype, ex.answer,
-                                    int(rng.integers(ds.vocab.answer_count)))
-                   for ex in ds.test.examples]
+        records = [PredictionRecord(i, q, a, int(rng.integers(ds.vocab.answer_count)))
+                   for i, q, a in rows(ds.test)]
         report = summarize_predictions(records, ds.vocab.answer_count, ds.type_names())
         assert abs(report.type_weighted_mean() - report.overall) < 1e-9
 
@@ -122,12 +133,11 @@ class TestEvaluateSplit:
         b = evaluate_split(params, ds.test, ds)
         assert a.overall == b.overall
         assert abs(a.type_weighted_mean() - a.overall) < 1e-9
-        assert a.count == len(ds.test.examples)
+        assert a.count == len(ds.test)
 
-    def test_empty_split_rejected(self, ds, params):
-        from vqalab.data import DatasetSplit
+    def test_empty_split_rejected(self, ds, params, split_rows):
         with pytest.raises(ValueError):
-            evaluate_split(params, DatasetSplit("empty", []), ds)
+            evaluate_split(params, split_rows(ds.test, slice(0, 0)), ds)
 
 
 class TestBiasGap:
@@ -146,9 +156,7 @@ class TestBiasGap:
     def test_constant_majority_gap_positive(self, ds):
         majorities = {qt: b.train_majority for qt, b in ds.bias.items()}
         def const_records(split):
-            return [PredictionRecord(ex.example_id, ex.qtype, ex.answer,
-                                     majorities[ex.qtype])
-                    for ex in split.examples]
+            return [PredictionRecord(i, q, a, majorities[q]) for i, q, a in rows(split)]
         r_iid = summarize_predictions(const_records(ds.test_iid),
                                       ds.vocab.answer_count, ds.type_names())
         r_ood = summarize_predictions(const_records(ds.test),

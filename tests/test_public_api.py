@@ -1,7 +1,8 @@
 """The package surface: every re-export resolves, and the modules that gave up
-their single-example API define exactly the batch-first functions and classes
-listed here. A deleted name that comes back, or a half-done deletion, fails
-the second test; a deliberate addition updates its module's list."""
+their single-example API (and, for `data`, per-example and per-object
+classes) define exactly the batch-first functions and classes listed here. A
+deleted name that comes back, or a half-done deletion, fails the second test;
+a deliberate addition updates its module's list."""
 
 import ast
 import importlib
@@ -21,6 +22,12 @@ SURFACE = {
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
         "scale", "set_default_dtype", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
+    "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
+             "TypeBias", "Vocabularies", "_answer_probs", "_check_ids", "_generate_split",
+             "_padded", "_scene_shapes_for", "answer_distribution",
+             "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
+             "load_split", "num_question_types", "question_type_name", "save_dataset",
+             "save_split", "template_tokens", "total_variation", "type_answer_domain"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vqalab import tensor as T
-from vqalab.data import DataConfig, DatasetSplit, generate_dataset
+from vqalab.data import DataConfig, generate_dataset
 from vqalab.model import FusionConfig, ModelConfig, init_model
 from vqalab.tensor import Tensor
 from vqalab.train import (AdamWState, ScheduleConfig, TrainConfig,
@@ -211,10 +211,10 @@ class TestTrainLoop:
             train(params, ds.train, cfg)
         assert err.value.epoch >= 1 and err.value.batch >= 0
 
-    def test_empty_split_rejected(self):
+    def test_empty_split_rejected(self, split_rows):
         ds, params = tiny_setup(n=16)
         with pytest.raises(ValueError):
-            train(params, DatasetSplit(name="empty", examples=[]), TrainConfig(epochs=1))
+            train(params, split_rows(ds.train, slice(0, 0)), TrainConfig(epochs=1))
 
     def test_log_csv_round_trip(self, tmp_path):
         from vqalab.train import write_training_log
