@@ -12,8 +12,7 @@ import numpy as np
 
 from vqalab.data import DataConfig, generate_dataset
 from vqalab.encoder import EmbeddingTable, gru_params_init
-from vqalab.grounding import (VgqeParams, encode_question_vgqe, trace_records,
-                              vgw_params_init)
+from vqalab.grounding import encode_question_vgqe, trace_records, vgw_params_init
 from vqalab.tensor import Tensor
 
 # A tiny dataset supplies scenes whose label features encode the shape of
@@ -21,13 +20,12 @@ from vqalab.tensor import Tensor
 ds = generate_dataset(DataConfig(n_train=40, n_test=10, seed=7))
 table = EmbeddingTable(Tensor(ds.vocab.embedding))
 
-params = VgqeParams(
-    vgw=vgw_params_init(d_v=ds.config.d_v, d_w=ds.config.d_w, refined_dim=16,
-                        grounded_dim=32, fusion_proj=32, fusion_out_proj=32,
-                        chunks=4, rank=3, seed=0),
-    rnn_forward=gru_params_init(32, 32, seed=1),
-    rnn_backward=gru_params_init(32, 32, seed=2),
-)
+# One grounded-word module, read by a forward and a backward recurrence.
+parts = (vgw_params_init(d_v=ds.config.d_v, d_w=ds.config.d_w, refined_dim=16,
+                         grounded_dim=32, fusion_proj=32, fusion_out_proj=32,
+                         chunks=4, rank=3, seed=0),
+         gru_params_init(32, 32, seed=1),
+         gru_params_init(32, 32, seed=2))
 
 # The split is columnar: row i of each array is example i.
 train = ds.train
@@ -40,7 +38,7 @@ print("scene shapes:", [ds.vocab.shapes[s] for s in train.shapes[i]])
 # encode_question_vgqe runs one question over one scene, (objects, dims)
 # arrays, through the batched encoder and keeps its attention weights.
 encoding, trace = encode_question_vgqe(train.visual[i], train.labels[i], tokens,
-                                       table, params)
+                                       table, *parts)
 print("encoding dim:", encoding.shape)
 
 # The attention trace is one weight row per question word. At random
@@ -57,7 +55,7 @@ same_question = (train.tokens == train.tokens[i]).all(axis=1)
 other_scene = (train.shapes != train.shapes[i]).any(axis=1)
 j = int(np.flatnonzero(same_question & other_scene)[0])
 other_encoding, _ = encode_question_vgqe(train.visual[j], train.labels[j], tokens,
-                                         table, params)
+                                         table, *parts)
 gap = np.max(np.abs(encoding - other_encoding))
 print(f"L-infinity gap between encodings of the same question: {gap:.4f}")
 

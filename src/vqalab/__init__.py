@@ -14,9 +14,8 @@ from .encoder import (EmbeddingTable, GruParams, embed, embedding_table_init,
 from .evaluate import (EvalReport, bias_gap, evaluate_split,
                        summarize_predictions, vqa_accuracy)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
-from .grounding import (VgqeParams, VgwParams, encode_question_vgqe,
-                        encode_questions_vgqe, grounded_words, vgw_attention,
-                        vgw_params_init)
+from .grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,
+                        grounded_words, vgw_attention, vgw_params_init)
 from .model import (ModelConfig, ModelParams, count_parameters, forward_batch,
                     init_model, load_checkpoint, save_checkpoint)
 from .tensor import Tensor, backward, grad_check, no_grad

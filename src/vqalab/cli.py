@@ -221,7 +221,8 @@ def cmd_report(args) -> int:
             for idx in sorted(int(i) for i in chosen):
                 _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
                                                 split.tokens[idx, :split.lengths[idx]],
-                                                params.embedding, params.vgqe_params())
+                                                params.embedding, params.vgw,
+                                                params.gru_fwd, params.gru_bwd)
                 traces.extend(trace_records(split.ids[idx], trace))
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)

@@ -335,6 +335,8 @@ def save_split(split: DatasetSplit, path) -> None:
 
 def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
     for i in ids:
+        if type(i) is not int:
+            raise ValueError(f"{where}: {what} id {i!r} is not an integer")
         if not 0 <= i < size:
             raise ValueError(f"{where}: {what} id {i} out of range for {vocabulary} "
                              f"of size {size}")
@@ -343,13 +345,14 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
 def load_split(path, config: DataConfig, vocab: Vocabularies,
                name: str | None = None) -> DatasetSplit:
     """Read one JSONL split into columns. Every question needs a token, every
-    token, answer, object shape and object color id must index into its
-    vocabulary, and every scene must hold `objects_per_scene` objects of `d_v`
-    visual and `d_w` label values, all finite."""
+    question type, token, answer, object shape and object color id must be an
+    integer indexing into its vocabulary, and every scene must hold
+    `objects_per_scene` objects of `d_v` visual and `d_w` label numbers, all
+    finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
-    k = config.objects_per_scene
+    k, n_types = config.objects_per_scene, num_question_types(config)
     ids, qtypes, token_rows, answers, shapes, colors, visual, labels = ([] for _ in range(8))
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -371,6 +374,7 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
                                  f"objects_per_scene {k}")
             shapes.append([o["shape"] for o in objects])
             colors.append([o["color"] for o in objects])
+            _check_ids(where, "question type", [record["type"]], "question types", n_types)
             _check_ids(where, "token", record["tokens"], "vocabulary", len(vocab.tokens))
             _check_ids(where, "answer", [record["answer"]], "answer vocabulary",
                        vocab.answer_count)
@@ -384,7 +388,10 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
                     if len(o[key]) != size:
                         raise ValueError(f"{where}: object {j} has {len(o[key])} {key!r} "
                                          f"values, expected {dim} {size}")
-                column.append(np.array([o[key] for o in objects], dtype=float))
+                values = np.array([o[key] for o in objects])
+                if values.dtype.kind not in "iuf" or values.ndim != 2:
+                    raise ValueError(f"{where}: non-numeric {key!r} value")
+                column.append(values.astype(float, copy=False))
                 if not np.isfinite(column[-1]).all():
                     raise ValueError(f"{where}: non-finite object feature")
             ids.append(record["id"])

@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .encoder import embedding_table_init, gru_cell, gru_params_init
 from .fusion import block_fuse, block_params_init
-from .grounding import (VgqeParams, encode_questions_vgqe, grounded_words,
-                        vgw_attention, vgw_params_init)
+from .grounding import (encode_questions_vgqe, grounded_words, vgw_attention,
+                        vgw_params_init)
 from .model import FusionConfig, ModelConfig, forward_batch, init_model
 from .tensor import Tensor
 from .train import cross_entropy_rows
@@ -59,17 +59,19 @@ def check_tensor_ops() -> list[CheckResult]:
     left = Tensor(rng.normal(size=(2, 3)))
     probe = Tensor(rng.normal(size=6))
     values = Tensor(rng.normal(size=(4, 3, 2)))
+    # (2, 6) weights from values already drawn; a new draw would shift later inputs
+    cat_probe = Tensor(values.data.reshape(4, 6)[:2])
 
     cases = {
         "elementwise": lambda: T.mul(T.sigmoid(x), T.tanh(T.scale(x, 0.5))).sum(),
-        "relu_exp_log": lambda: T.log(T.add(T.exp(T.relu(x)), 1.0)).sum(),
+        "relu": lambda: T.dot(T.relu(x), probe),
         "matmul": lambda: T.matmul(T.reshape(x, (2, 3)), right).sum(),
         "softmax": lambda: T.dot(T.softmax(x), probe),
         "reductions": lambda: T.add(T.add(x.max(), x.mean()),
                                     T.reshape(x, (2, 3)).max(axis=1).sum()),
         "logsumexp_rows": lambda: T.logsumexp_rows(T.reshape(x, (2, 3))).sum(),
-        "concat_narrow": lambda: T.narrow(T.concat([T.reshape(x, (2, 3))] * 2, axis=1),
-                                          1, 2, 3).sum(),
+        "concat": lambda: T.mul(T.concat([T.reshape(x, (2, 3)), T.reshape(T.tanh(x), (2, 3))],
+                                         axis=1), cat_probe).sum(),
         "repeat_attend": lambda: T.attend(
             T.softmax(T.reshape(T.repeat_rows(T.reshape(x, (2, 3)), 2), (4, 3)), axis=1),
             values).sum(),
@@ -135,49 +137,51 @@ def check_encoder() -> list[CheckResult]:
 
 
 def _small_vgqe(seed=5):
+    """A grounded-word module and its forward and backward recurrences."""
     vgw = vgw_params_init(d_v=4, d_w=4, refined_dim=3, grounded_dim=4,
                           fusion_proj=4, fusion_out_proj=4, chunks=2, rank=2,
                           seed=seed)
-    return VgqeParams(vgw=vgw,
-                      rnn_forward=gru_params_init(4, 3, seed=seed + 1),
-                      rnn_backward=gru_params_init(4, 3, seed=seed + 2))
+    return vgw, gru_params_init(4, 3, seed=seed + 1), gru_params_init(4, 3, seed=seed + 2)
 
 
 def check_grounding() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(3)
-    p = _small_vgqe()
+    vgw, forward, backward = _small_vgqe()
     visual = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     labels = Tensor(rng.normal(size=(2, 3, 4)))
     word = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     probe_v = Tensor(rng.normal(size=(2, 4)))
 
     def attn_loss():
-        _, f = vgw_attention(labels, word, p.vgw.score_column(), visual)
+        _, f = vgw_attention(labels, word, vgw.score_column(), visual)
         return T.mul(f, probe_v).sum()
 
     _check("vgqe", "vgw_attention", attn_loss,
-           [("word", word), ("attn_vector", p.vgw.attn_vector),
-            ("attn_matrix", p.vgw.attn_matrix)], results)
+           [("word", word), ("attn_vector", vgw.attn_vector),
+            ("attn_matrix", vgw.attn_matrix)], results)
 
     probe_g = Tensor(rng.normal(size=(2, 4)))
 
     def grounded_loss():
-        (g,), _ = grounded_words(visual, labels, [word], p.vgw)
+        (g,), _ = grounded_words(visual, labels, [word], vgw)
         return T.mul(g, probe_g).sum()
 
     _check("vgqe", "grounded_words", grounded_loss,
-           [("visual", visual), ("word", word)] + list(p.vgw.named_arrays()), results)
+           [("visual", visual), ("word", word)] + list(vgw.named_arrays()), results)
 
     table = embedding_table_init(8, 4, seed=6)
     tokens = np.array([[1, 5, 2], [7, 0, 5]])
     probe_enc = Tensor(rng.normal(size=(2, 6)))
 
     def encode_loss():
-        enc = encode_questions_vgqe(visual.data, labels.data, tokens, table, p)
+        enc, _ = encode_questions_vgqe(visual.data, labels.data, tokens, table, vgw,
+                                       forward, backward)
         return T.mul(enc, probe_enc).sum()
 
-    _check("vgqe", "encode_questions", encode_loss, list(p.named_arrays()), results)
+    _check("vgqe", "encode_questions", encode_loss,
+           [*vgw.named_arrays(), *forward.named_arrays("forward"),
+            *backward.named_arrays("backward")], results)
     return results
 
 

@@ -54,28 +54,6 @@ class VgwParams:
         return T.reshape(row, (d_w, 1))
 
 
-@dataclass
-class VgqeParams:
-    """Grounded encoder parameters: one (optionally two) grounded-word modules
-    plus independent recurrences per direction."""
-
-    vgw: VgwParams
-    rnn_forward: GruParams
-    rnn_backward: GruParams
-    vgw_backward: VgwParams | None = None   # None: both directions share vgw
-
-    @property
-    def shared_vgw(self) -> bool:
-        return self.vgw_backward is None
-
-    def named_arrays(self, prefix: str = "vgqe"):
-        yield from self.vgw.named_arrays(f"{prefix}.vgw")
-        if self.vgw_backward is not None:
-            yield from self.vgw_backward.named_arrays(f"{prefix}.vgw_backward")
-        yield from self.rnn_forward.named_arrays(f"{prefix}.rnn_forward")
-        yield from self.rnn_backward.named_arrays(f"{prefix}.rnn_backward")
-
-
 def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
                     fusion_proj: int, fusion_out_proj: int, chunks: int,
                     rank: int, seed: int) -> VgwParams:
@@ -134,14 +112,12 @@ def grounded_words(v3: Tensor, l3: Tensor, words: list[Tensor],
 
 
 def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
-                          token_matrix: np.ndarray, table: EmbeddingTable,
-                          p: VgqeParams, return_trace: bool = False):
-    """Grounded encoding: scenes (B, k, *) and tokens (B, T) -> (B, 2H).
+                          token_matrix: np.ndarray, table: EmbeddingTable, vgw: VgwParams,
+                          forward: GruParams, backward: GruParams) -> tuple[Tensor, np.ndarray]:
+    """Grounded encoding: scenes (B, k, *) and tokens (B, T) -> ((B, 2H), attention).
 
-    With return_trace, also the attention weights per direction, each a
-    (T, B, k) array indexed by timestep. With a shared grounded-word module
-    the per-word grounding is computed once and consumed by both reading
-    directions.
+    Each word is grounded once and both reading directions consume it; the
+    attention weights come back as a (T, B, k) array indexed by timestep.
     """
     visual, labels = np.asarray(visual), np.asarray(labels)
     if visual.ndim != 3 or labels.ndim != 3 or visual.shape[:2] != labels.shape[:2]:
@@ -154,40 +130,30 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
-    v3, l3 = Tensor(visual), Tensor(labels)
 
     words = [embed(token_matrix[:, t], table) for t in range(token_matrix.shape[1])]
-    fwd_inputs, fwd_alphas = grounded_words(v3, l3, words, p.vgw)
-    if p.shared_vgw:
-        bwd_inputs, bwd_alphas = fwd_inputs, fwd_alphas
-    else:
-        bwd_inputs, bwd_alphas = grounded_words(v3, l3, words, p.vgw_backward)
-    h_f = run_gru(fwd_inputs, p.rnn_forward)
-    h_b = run_gru(bwd_inputs, p.rnn_backward, reverse=True)
-    encoding = T.concat([h_f, h_b], axis=1)
-
-    if not return_trace:
-        return encoding
-    traces = {
-        "forward": np.stack([a.data for a in fwd_alphas]),    # (T, B, k)
-        "backward": np.stack([a.data for a in bwd_alphas]),
-    }
-    return encoding, traces
+    inputs, alphas = grounded_words(Tensor(visual), Tensor(labels), words, vgw)
+    h_f = run_gru(inputs, forward)
+    h_b = run_gru(inputs, backward, reverse=True)
+    return T.concat([h_f, h_b], axis=1), np.stack([a.data for a in alphas])
 
 
-def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable,
-                         p: VgqeParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable, vgw: VgwParams,
+                         forward: GruParams, backward: GruParams
+                         ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Encode one question against one scene, for attention traces.
 
     visual (k, d_v), labels (k, d_w) and a token list -> the (2H,) encoding
-    and per-direction attention weights, each a (T, k) array. Runs without
-    recording, since it returns plain arrays.
+    and per-direction attention weights, each the same (T, k) array since both
+    directions read one grounding. Runs without recording, since it returns
+    plain arrays.
     """
     with T.no_grad():
-        enc, traces = encode_questions_vgqe(np.asarray(visual)[None],
-                                            np.asarray(labels)[None], np.asarray([tokens]),
-                                            table, p, return_trace=True)
-    return enc.data[0], {direction: mat[:, 0, :] for direction, mat in traces.items()}
+        enc, attention = encode_questions_vgqe(np.asarray(visual)[None],
+                                               np.asarray(labels)[None],
+                                               np.asarray([tokens]), table, vgw,
+                                               forward, backward)
+    return enc.data[0], {"forward": attention[:, 0], "backward": attention[:, 0]}
 
 
 def trace_records(question_id: str, trace: dict[str, np.ndarray]) -> list[dict]:

@@ -12,7 +12,7 @@ takes row-batches of scenes and token rows, a batch of one included.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,7 @@ from . import tensor as T
 from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
-from .grounding import (VgqeParams, VgwParams, encode_questions_vgqe,
-                        vgw_params_init)
+from .grounding import VgwParams, encode_questions_vgqe, vgw_params_init
 from .layers import Linear, linear_init, seeded_rng
 from .tensor import ShapeError, Tensor
 
@@ -53,8 +52,6 @@ class ModelConfig:
     vgw_fusion: FusionConfig = field(default_factory=FusionConfig)
     obj_fusion: FusionConfig = field(default_factory=FusionConfig)
     classifier_hidden: int = 0    # 0: defaults to 2 * pooled_dim
-    prepool_nonlinearity: bool = False
-    shared_vgw: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -84,26 +81,17 @@ class ModelParams:
     obj_fusion: BlockFusionParams
     cls_hidden: Linear
     cls_out: Linear
-    vgw: VgwParams | None = None
-    vgw_backward: VgwParams | None = None
+    vgw: VgwParams | None = None   # read by both directions of the grounded encoder
 
     @property
     def variant(self) -> str:
         return self.config.variant
-
-    def vgqe_params(self) -> VgqeParams:
-        if self.vgw is None:
-            raise ValueError("baseline parameters carry no grounded-word module")
-        return VgqeParams(vgw=self.vgw, rnn_forward=self.gru_fwd,
-                          rnn_backward=self.gru_bwd, vgw_backward=self.vgw_backward)
 
     def named_arrays(self):
         """Every array in the model, frozen ones included; fixed order."""
         yield from self.embedding.named_arrays("embedding")
         if self.vgw is not None:
             yield from self.vgw.named_arrays("vgw")
-        if self.vgw_backward is not None:
-            yield from self.vgw_backward.named_arrays("vgw_backward")
         yield from self.gru_fwd.named_arrays("gru_fwd")
         yield from self.gru_bwd.named_arrays("gru_bwd")
         yield from self.obj_fusion.named_arrays("obj_fusion")
@@ -133,19 +121,13 @@ def init_model(config: ModelConfig,
     else:
         embedding = embedding_table_init(config.vocab_size, config.d_w, seed=config.seed)
 
-    vgw = vgw_backward = None
+    vgw = None
     if config.variant == "vgqe":
         gru_input = config.grounded_dim
         vgw = vgw_params_init(config.d_v, config.d_w, config.refined_dim,
                               config.grounded_dim, config.vgw_fusion.proj_dim,
                               config.vgw_fusion.out_proj_dim, config.vgw_fusion.chunks,
                               config.vgw_fusion.rank, seed=int(rng.integers(2**31)))
-        if not config.shared_vgw:
-            vgw_backward = vgw_params_init(
-                config.d_v, config.d_w, config.refined_dim, config.grounded_dim,
-                config.vgw_fusion.proj_dim, config.vgw_fusion.out_proj_dim,
-                config.vgw_fusion.chunks, config.vgw_fusion.rank,
-                seed=int(rng.integers(2**31)))
     else:
         gru_input = config.d_w
 
@@ -162,15 +144,15 @@ def init_model(config: ModelConfig,
     return ModelParams(config=config, embedding=embedding, gru_fwd=gru_fwd,
                        gru_bwd=gru_bwd, obj_fusion=obj_fusion,
                        cls_hidden=cls_hidden, cls_out=cls_out,
-                       vgw=vgw, vgw_backward=vgw_backward)
+                       vgw=vgw)
 
 
 def encode_questions(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
                      tokens: np.ndarray) -> Tensor:
     """Question representations (B, 2H) for a batch sharing one length."""
     if params.variant == "vgqe":
-        return encode_questions_vgqe(visual, labels, tokens, params.embedding,
-                                     params.vgqe_params())
+        return encode_questions_vgqe(visual, labels, tokens, params.embedding, params.vgw,
+                                     params.gru_fwd, params.gru_bwd)[0]
     return encode_questions_baseline(tokens, params.embedding,
                                      params.gru_fwd, params.gru_bwd)
 
@@ -199,8 +181,6 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
     v_flat = Tensor(visual.reshape(batch * k, d_v))
     q_rep = T.repeat_rows(q_enc, k)
     fused = block_fuse(v_flat, q_rep, params.obj_fusion)          # (B*k, pooled)
-    if cfg.prepool_nonlinearity:
-        fused = T.relu(fused)
     pooled = T.reduce_max(T.reshape(fused, (batch, k, cfg.pooled_dim)), axis=1)
     if training and cfg.dropout > 0:
         pooled = _dropout(pooled, cfg.dropout, drop_rng)
@@ -219,7 +199,7 @@ def count_parameters(params: ModelParams) -> int:
 # checkpoints: one flat binary of arrays plus a JSON manifest
 
 
-CHECKPOINT_FORMAT = "vqalab-flat-arrays-v2"
+CHECKPOINT_FORMAT = "vqalab-flat-arrays-v3"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -256,6 +236,23 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write("\n")
 
 
+def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
+    """The manifest's config, which must name every ModelConfig field (and
+    every FusionConfig field of each fusion section) and nothing else."""
+    sections = [("", ModelConfig, values)] + [
+        (f"{name}.", FusionConfig, values[name]) for name in ("vgw_fusion", "obj_fusion")
+        if isinstance(values.get(name), dict)]
+    problems = []
+    for prefix, cls, given in sections:
+        known = {f.name for f in fields(cls)}
+        problems += [f"unknown field {prefix}{k}" for k in sorted(set(given) - known)]
+        problems += [f"missing field {prefix}{k}" for k in sorted(known - set(given))]
+    if problems:
+        raise ValueError(f"checkpoint {path} config does not match ModelConfig: "
+                         + ", ".join(problems))
+    return ModelConfig(**values)
+
+
 def load_checkpoint(path) -> ModelParams:
     """Rebuild a model from a manifest, validating every shape against config."""
     path = Path(path)
@@ -266,8 +263,7 @@ def load_checkpoint(path) -> ModelParams:
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")
-    config = ModelConfig(**manifest["config"])
-    params = init_model(config)
+    params = init_model(_config_from_manifest(path, manifest["config"]))
     arrays = dict(params.named_arrays())
     bin_path = path.parent / manifest["data_file"]
     if not bin_path.exists():

@@ -137,9 +137,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -292,22 +289,6 @@ def relu(a) -> Tensor:
     return _record("relu", (a,), a.data * mask, bw)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    def bw(g):
-        return (g * out,)
-    return _record("exp", (a,), out, bw)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    a_data = a.data
-    def bw(g):
-        return (g / a_data,)
-    return _record("log", (a,), np.log(a_data), bw)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -357,22 +338,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
                      for i in range(len(parts)))
     return _record("concat", tuple(parts), np.concatenate([p.data for p in parts], axis=axis), bw)
-
-
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    a = as_tensor(a)
-    if not (0 <= start and start + length <= a.shape[axis]):
-        raise ShapeError(f"narrow [{start}:{start + length}) out of range for "
-                         f"axis {axis} of shape {a.shape}")
-    idx = tuple(slice(None) if d != axis else slice(start, start + length)
-                for d in range(a.data.ndim))
-    full_shape = a.shape
-    def bw(g):
-        out = np.zeros(full_shape, dtype=g.dtype)
-        out[idx] = g
-        return (out,)
-    return _record("narrow", (a,), a.data[idx].copy(), bw)
 
 
 def repeat_rows(a, r: int) -> Tensor:

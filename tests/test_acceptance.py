@@ -21,8 +21,7 @@ from vqalab.evaluate import report_from_json
 from vqalab.experiment import experiment_train_config, run_bias_shift
 from vqalab.fusion import block_fuse, block_params_init
 from vqalab.gradcheck import run_all
-from vqalab.grounding import (VgqeParams, encode_questions_vgqe, vgw_attention,
-                              vgw_params_init)
+from vqalab.grounding import encode_questions_vgqe, vgw_attention, vgw_params_init
 from vqalab.model import ModelConfig, forward_batch, init_model
 from vqalab.tensor import Tensor
 from vqalab.train import TrainConfig, train
@@ -135,13 +134,10 @@ def test_criterion_encoder_contrast(criterion_output):
     table = embedding_table_init(10, d_w, seed=0)
     fwd = gru_params_init(d_w, hidden, seed=1)
     bwd = gru_params_init(d_w, hidden, seed=2)
-    vgqe = VgqeParams(
-        vgw=vgw_params_init(d_v=d_v, d_w=d_w, refined_dim=4, grounded_dim=6,
-                            fusion_proj=6, fusion_out_proj=6, chunks=2, rank=2,
-                            seed=3),
-        rnn_forward=gru_params_init(6, hidden, seed=4),
-        rnn_backward=gru_params_init(6, hidden, seed=5),
-    )
+    vgw = vgw_params_init(d_v=d_v, d_w=d_w, refined_dim=4, grounded_dim=6,
+                          fusion_proj=6, fusion_out_proj=6, chunks=2, rank=2, seed=3)
+    vgqe_fwd = gru_params_init(6, hidden, seed=4)
+    vgqe_bwd = gru_params_init(6, hidden, seed=5)
     min_gap = np.inf
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -154,8 +150,9 @@ def test_criterion_encoder_contrast(criterion_output):
         base_b = encode_questions_baseline(tokens, table, fwd, bwd).data
         assert np.array_equal(base_a, base_b), "baseline encoding not bit-identical"
 
-        enc = encode_questions_vgqe(visual, labels, np.repeat(tokens, 2, axis=0),
-                                    table, vgqe).data
+        enc, _ = encode_questions_vgqe(visual, labels, np.repeat(tokens, 2, axis=0),
+                                       table, vgw, vgqe_fwd, vgqe_bwd)
+        enc = enc.data
         gap = float(np.max(np.abs(enc[0] - enc[1])))
         min_gap = min(min_gap, gap)
         assert gap > 1e-6, f"grounded encodings indistinguishable at seed {seed}"

@@ -155,6 +155,20 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{split}:4: answer id 42 out of range for answer vocabulary of size" in err
 
+    def test_unknown_checkpoint_config_field_names_it(self, workspace, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ckpt"
+        shutil.copytree(workspace / "vgqe", ckpt_dir)
+        path = ckpt_dir / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["bogus"] = 1
+        path.write_text(json.dumps(manifest))
+        code = run(["eval", "--checkpoint", str(path), "--data", str(workspace / "data"),
+                    "--split", "test", "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: checkpoint {path} config does not match ModelConfig: "
+                       "unknown field bogus\n")
+
     def test_eval_deterministic(self, workspace, tmp_path):
         outs = []
         target = tmp_path / "re_report.json"

@@ -214,7 +214,10 @@ class TestSerialization:
         ("l", 17, "object 1 has 17 'l' values, expected d_w 16"),
         ("v", float("nan"), "non-finite object feature"),
         ("l", float("inf"), "non-finite object feature"),
-        ("question", None, "empty token list")])
+        ("question", None, "empty token list"),
+        ("type", 99, "question type id 99 out of range for question types of size 18"),
+        ("v", "x", "non-numeric 'v' value"),
+        ("answer", "3", "answer id '3' is not an integer")])
     def test_out_of_range_ids_rejected_at_load(self, tmp_path, field, bad, message):
         save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)), tmp_path)
         path = tmp_path / "train.jsonl"
@@ -225,13 +228,13 @@ class TestSerialization:
             record["tokens"][-1] = bad
         elif field == "question":
             record["tokens"] = []
-        elif field == "answer":
-            record["answer"] = bad
+        elif field in ("answer", "type"):
+            record[field] = bad
         elif field == "objects":
             record["objects"] = (objects + objects)[:bad]
         elif field in ("v", "l") and isinstance(bad, int):  # a vector of the wrong length
             objects[1][field] = (objects[1][field] * 2)[:bad]
-        elif field in ("v", "l"):  # one non-finite value
+        elif field in ("v", "l"):  # one non-finite or non-numeric value
             objects[1][field][3] = bad
         else:
             objects[1][field] = bad

@@ -4,9 +4,9 @@ import pytest
 from vqalab import tensor as T
 from vqalab.encoder import embedding_table_init, gru_cell, gru_params_init
 from vqalab.fusion import block_params_init
-from vqalab.grounding import (VgqeParams, VgwParams, encode_question_vgqe,
-                              encode_questions_vgqe, grounded_words,
-                              trace_records, vgw_attention, vgw_params_init)
+from vqalab.grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,
+                              grounded_words, trace_records, vgw_attention,
+                              vgw_params_init)
 from vqalab.tensor import Tensor
 
 D_V, D_W, D_REF, D_G, HIDDEN = 4, 4, 3, 4, 3
@@ -18,13 +18,10 @@ def make_vgw(seed=0):
                            seed=seed)
 
 
-def make_vgqe(seed=0, shared=True):
-    return VgqeParams(
-        vgw=make_vgw(seed),
-        rnn_forward=gru_params_init(D_G, HIDDEN, seed=seed + 100),
-        rnn_backward=gru_params_init(D_G, HIDDEN, seed=seed + 200),
-        vgw_backward=None if shared else make_vgw(seed + 300),
-    )
+def make_vgqe(seed=0):
+    """The grounded encoder's parts: (vgw, forward GRU, backward GRU)."""
+    return (make_vgw(seed), gru_params_init(D_G, HIDDEN, seed=seed + 100),
+            gru_params_init(D_G, HIDDEN, seed=seed + 200))
 
 
 def make_scenes(rng, batch=2, k=3):
@@ -81,13 +78,11 @@ def gru_oracle(x, h, p):
     return (1.0 - z) * h + z * cand
 
 
-def encoding_oracle(visual, labels, words, p: VgqeParams):
+def encoding_oracle(visual, labels, words, vgw, forward, backward):
     """Dense evaluation of the grounded encoder: words is (B, T, d_w)."""
     batch, length = words.shape[:2]
     halves = []
-    for vgw, rnn, steps in ((p.vgw, p.rnn_forward, range(length)),
-                            (p.vgw_backward or p.vgw, p.rnn_backward,
-                             range(length - 1, -1, -1))):
+    for rnn, steps in ((forward, range(length)), (backward, range(length - 1, -1, -1))):
         h = np.zeros((batch, HIDDEN))
         for t in steps:
             attended = np.stack([
@@ -163,7 +158,7 @@ class TestAttention:
         table = embedding_table_init(12, D_W, seed=1)
         with pytest.raises(T.ShapeError, match="at least one object"):
             encode_questions_vgqe(np.zeros((2, 0, D_V)), np.zeros((2, 0, D_W)),
-                                  np.array([[1], [2]]), table, make_vgqe())
+                                  np.array([[1], [2]]), table, *make_vgqe())
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -228,42 +223,41 @@ class TestCellStep:
 
     def test_zero_gru_weights_ignore_everything(self):
         p = make_vgqe()
-        for _, t in p.rnn_forward.named_arrays():
+        for _, t in p[1].named_arrays():
             t.data[:] = 0.0
         rng = np.random.default_rng(6)
         visual, labels = make_scenes(rng)
-        enc = encode_questions_vgqe(visual, labels, np.array([[3], [5]]), self.table, p)
+        enc, _ = encode_questions_vgqe(visual, labels, np.array([[3], [5]]), self.table, *p)
         assert np.allclose(enc.data[:, :HIDDEN], 0.0)
 
     def test_singleton_scene_equals_direct_visual(self):
         rng = np.random.default_rng(7)
-        p = make_vgqe(seed=2)
+        vgw, forward, backward = make_vgqe(seed=2)
         visual, labels = make_scenes(rng, k=1)
         tokens = np.array([[4], [9]])
-        enc, traces = encode_questions_vgqe(visual, labels, tokens, self.table, p,
-                                            return_trace=True)
+        enc, attention = encode_questions_vgqe(visual, labels, tokens, self.table,
+                                               vgw, forward, backward)
         words = self.table.vectors.data[tokens[:, 0]]
-        direct = fuse_oracle(visual[:, 0], words, p.vgw)
-        want = gru_oracle(direct, np.zeros((2, HIDDEN)), p.rnn_forward)
-        assert np.allclose(traces["forward"], 1.0)
+        direct = fuse_oracle(visual[:, 0], words, vgw)
+        want = gru_oracle(direct, np.zeros((2, HIDDEN)), forward)
+        assert attention.shape == (1, 2, 1) and np.allclose(attention, 1.0)
         assert np.max(np.abs(enc.data[:, :HIDDEN] - want)) < 1e-12
 
     def test_matches_composition_of_suboracles(self):
         # two steps, so the second one starts from a nonzero state
         rng = np.random.default_rng(8)
-        for shared in (True, False):
-            p = make_vgqe(seed=3, shared=shared)
-            visual, labels = make_scenes(rng, k=3)
-            tokens = np.array([[4, 1], [0, 7]])
-            got = encode_questions_vgqe(visual, labels, tokens, self.table, p).data
-            want = encoding_oracle(visual, labels, self.table.vectors.data[tokens], p)
-            assert np.max(np.abs(got - want)) < 1e-12
+        p = make_vgqe(seed=3)
+        visual, labels = make_scenes(rng, k=3)
+        tokens = np.array([[4, 1], [0, 7]])
+        got, _ = encode_questions_vgqe(visual, labels, tokens, self.table, *p)
+        want = encoding_oracle(visual, labels, self.table.vectors.data[tokens], *p)
+        assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_backward_direction_uses_backward_rnn(self):
         rng = np.random.default_rng(9)
         p = make_vgqe(seed=4)
         visual, labels = make_scenes(rng)
-        enc = encode_questions_vgqe(visual, labels, np.array([[2], [6]]), self.table, p)
+        enc, _ = encode_questions_vgqe(visual, labels, np.array([[2], [6]]), self.table, *p)
         assert not np.allclose(enc.data[:, :HIDDEN], enc.data[:, HIDDEN:])
 
 
@@ -272,16 +266,17 @@ class TestEncoder:
         self.table = embedding_table_init(12, D_W, seed=1)
         self.params = make_vgqe(seed=5)
 
-    def encode(self, visual, labels, tokens, params=None, trace=False):
+    def encode(self, visual, labels, tokens):
+        """(encoding (B, 2H), attention (T, B, k))."""
         return encode_questions_vgqe(visual, labels, np.asarray(tokens), self.table,
-                                     params or self.params, return_trace=trace)
+                                     *self.params)
 
     def test_scene_sensitivity(self):
         hits = 0
         for seed in range(20):
             rng = np.random.default_rng(200 + seed)
             tokens = np.tile(rng.integers(0, 12, size=4), (2, 1))
-            enc = self.encode(*make_scenes(rng), tokens).data
+            enc = self.encode(*make_scenes(rng), tokens)[0].data
             if np.max(np.abs(enc[0] - enc[1])) > 1e-6:
                 hits += 1
         assert hits == 20
@@ -290,29 +285,29 @@ class TestEncoder:
         rng = np.random.default_rng(10)
         visual, labels = make_scenes(rng, k=4)
         tokens = [[1, 5, 3], [2, 2, 0]]
-        enc, trace = self.encode(visual, labels, tokens, trace=True)
+        enc, attention = self.encode(visual, labels, tokens)
         perm = rng.permutation(4)
-        enc_p, trace_p = self.encode(visual[:, perm], labels[:, perm], tokens, trace=True)
+        enc_p, attention_p = self.encode(visual[:, perm], labels[:, perm], tokens)
         assert np.max(np.abs(enc.data - enc_p.data)) <= 1e-9
-        for direction in ("forward", "backward"):
-            assert np.max(np.abs(trace[direction][..., perm] - trace_p[direction])) <= 1e-9
+        assert np.max(np.abs(attention[..., perm] - attention_p)) <= 1e-9
 
     def test_single_token_reduces_to_cell_step(self):
         rng = np.random.default_rng(11)
         visual, labels = make_scenes(rng)
-        enc = self.encode(visual, labels, [[4], [4]]).data
+        enc = self.encode(visual, labels, [[4], [4]])[0].data
+        vgw, forward, backward = self.params
         word = Tensor(self.table.vectors.data[[4, 4]])
-        (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [word], self.params.vgw)
+        (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [word], vgw)
         zero = Tensor(np.zeros((2, HIDDEN)))
-        f = gru_cell(g, zero, self.params.rnn_forward).data
-        b = gru_cell(g, zero, self.params.rnn_backward).data
+        f = gru_cell(g, zero, forward).data
+        b = gru_cell(g, zero, backward).data
         assert np.max(np.abs(enc - np.concatenate([f, b], axis=1))) < 1e-12
 
     def test_trace_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         visual, labels = make_scenes(rng, batch=1, k=5)
         _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
-                                        self.table, self.params)
+                                        self.table, *self.params)
         for mat in trace.values():
             assert mat.shape == (3, 5)
             assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-6
@@ -321,20 +316,23 @@ class TestEncoder:
         rng = np.random.default_rng(18)
         visual, labels = make_scenes(rng, k=4)
         tokens = [[3, 1, 4], [1, 5, 9]]
-        enc, traces = self.encode(visual, labels, tokens, trace=True)
+        enc, attention = self.encode(visual, labels, tokens)
         one, trace = encode_question_vgqe(visual[1], labels[1], tokens[1],
-                                          self.table, self.params)
+                                          self.table, *self.params)
         assert np.max(np.abs(one - enc.data[1])) < 1e-12
         for direction in ("forward", "backward"):
-            assert np.max(np.abs(trace[direction] - traces[direction][:, 1])) < 1e-12
+            assert np.max(np.abs(trace[direction] - attention[:, 1])) < 1e-12
 
     def test_shared_vgw_directions_share_traces(self):
+        # one grounding per word, read by both directions: the trace helper
+        # reports the same (T, k) weights under both keys
         rng = np.random.default_rng(13)
-        _, trace = self.encode(*make_scenes(rng), [[0, 1], [2, 3]], trace=True)
+        visual, labels = make_scenes(rng, batch=1)
+        _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1], self.table,
+                                        *self.params)
+        assert sorted(trace) == ["backward", "forward"]
+        assert trace["forward"].shape == (2, 3)
         assert np.array_equal(trace["forward"], trace["backward"])
-        unshared = make_vgqe(seed=5, shared=False)
-        _, trace2 = self.encode(*make_scenes(rng), [[0, 1], [2, 3]], unshared, trace=True)
-        assert not np.array_equal(trace2["forward"], trace2["backward"])
 
     def test_empty_question_rejected(self):
         rng = np.random.default_rng(14)
@@ -342,7 +340,7 @@ class TestEncoder:
         with pytest.raises(ValueError):
             self.encode(visual, labels, np.zeros((2, 0), dtype=int))
         with pytest.raises(ValueError):
-            encode_question_vgqe(visual[0], labels[0], [], self.table, self.params)
+            encode_question_vgqe(visual[0], labels[0], [], self.table, *self.params)
 
     def test_malformed_scene_rejected(self):
         rng = np.random.default_rng(19)
@@ -359,7 +357,7 @@ class TestEncoder:
         rng = np.random.default_rng(15)
         visual, labels = make_scenes(rng, batch=1)
         _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
-                                        self.table, self.params)
+                                        self.table, *self.params)
         recs = trace_records("q-7", trace)
         assert [r["direction"] for r in recs] == ["forward", "backward"]
         assert all(r["question_id"] == "q-7" for r in recs)
@@ -374,14 +372,15 @@ class TestGradients:
         probe = Tensor(rng.normal(size=(2, 2 * HIDDEN)))
 
         def loss():
-            enc = encode_questions_vgqe(visual, labels, tokens, table, p)
+            enc, _ = encode_questions_vgqe(visual, labels, tokens, table, *p)
             return T.mul(enc, probe).sum()
 
-        return max(T.grad_check(lambda t: loss(), t) for _, t in p.named_arrays())
+        return max(T.grad_check(lambda t: loss(), t)
+                   for part in p for _, t in part.named_arrays())
 
     def test_full_cell_over_all_parameters(self):
         assert self.check_all_parameters(make_vgqe(seed=6), np.array([[1], [5]]), 16) < 1e-4
 
     def test_end_to_end_encoding_over_all_parameters(self):
-        p = make_vgqe(seed=8, shared=False)
+        p = make_vgqe(seed=8)
         assert self.check_all_parameters(p, np.array([[1, 7, 3], [0, 2, 8]]), 17) < 1e-4

@@ -162,8 +162,7 @@ class TestCountParameters:
 
     @pytest.mark.parametrize("kw,count,arrays", [
         (dict(variant="baseline"), 18155, 44),
-        (dict(variant="vgqe"), 26427, 72),
-        (dict(variant="vgqe", shared_vgw=False), 31627, 100)])
+        (dict(variant="vgqe"), 26427, 72)])
     def test_default_config_counts(self, kw, count, arrays):
         # scalar counts as before the fusion factors were rank-stacked; one
         # array per chunk and side where there was one per chunk, side and rank
@@ -245,11 +244,11 @@ class TestCheckpoint:
         assert str(err.value) == f"checkpoint data file {message}"
 
     def test_golden_checkpoint_reproduces_logits(self):
-        # A vgqe model (unshared grounded-word modules) with perturbed weights,
-        # plus its logits on one fixed batch. The logits were computed with the
-        # v1 per-rank fusion layout; the checkpoint is the same arrays rearranged
-        # into the v2 rank-stacked layout. It pins array names, orientation and
-        # the file format until a deliberate format change replaces it.
+        # A vgqe model (one grounded-word module) with perturbed weights, plus
+        # its logits on one fixed batch, both written by the v2 code; the v3
+        # manifest only drops the two config keys v2 had for switches since
+        # removed. It pins array names, orientation and the file format until
+        # a deliberate format change replaces it.
         params = load_checkpoint(GOLDEN / "vgqe_tiny.json")
         batch = json.loads((GOLDEN / "vgqe_tiny_logits.json").read_text())
         logits = forward_batch(params, np.array(batch["visual"]), np.array(batch["labels"]),
@@ -265,4 +264,40 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v1', "
-                                  "expected 'vqalab-flat-arrays-v2'")
+                                  "expected 'vqalab-flat-arrays-v3'")
+
+    def test_v2_manifest_refused(self, tmp_path):
+        # a v2 manifest still carries the removed switches; the format check
+        # names it before its config is read
+        path = tmp_path / "v2.json"
+        save_checkpoint(init_model(tiny_config("vgqe")), path)
+        manifest = json.loads(path.read_text())
+        manifest["format"] = "vqalab-flat-arrays-v2"
+        manifest["config"].update(shared_vgw=True, prepool_nonlinearity=False)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="has format 'vqalab-flat-arrays-v2', "
+                                             "expected 'vqalab-flat-arrays-v3'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("changes,problems", [
+        ({"bogus": 1}, "unknown field bogus"),
+        ({"hidden": None}, "missing field hidden"),
+        ({"obj_fusion.rank2": 1, "vgw_fusion.chunks": None},
+         "missing field vgw_fusion.chunks, unknown field obj_fusion.rank2")])
+    def test_config_fields_checked(self, tmp_path, changes, problems):
+        # a value of None deletes the field
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(tiny_config("vgqe")), path)
+        manifest = json.loads(path.read_text())
+        for dotted, value in changes.items():
+            *outer, key = dotted.split(".")
+            section = manifest["config"][outer[0]] if outer else manifest["config"]
+            if value is None:
+                del section[key]
+            else:
+                section[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint {path} config does not match ModelConfig: "
+                                  f"{problems}")

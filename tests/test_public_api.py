@@ -17,8 +17,8 @@ SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
         "_record", "_reduce_to", "active_tape", "add", "as_tensor", "attend", "backward",
-        "block_bilinear", "concat", "dot", "exp", "get_default_dtype", "grad_check", "log",
-        "logsumexp_rows", "matmul", "mul", "narrow", "no_grad", "reduce_max",
+        "block_bilinear", "concat", "dot", "get_default_dtype", "grad_check",
+        "logsumexp_rows", "matmul", "mul", "no_grad", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
         "scale", "set_default_dtype", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
@@ -32,10 +32,10 @@ SURFACE = {
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
                 "encode_questions_baseline", "gru_cell", "gru_params_init", "run_gru"},
-    "grounding": {"VgqeParams", "VgwParams", "encode_question_vgqe",
+    "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},
-    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_dropout",
+    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_config_from_manifest", "_dropout",
               "count_parameters", "encode_questions", "forward_batch", "init_model",
               "load_checkpoint", "save_checkpoint"},
     "train": {"AdamWState", "EpochStats", "ScheduleConfig", "TrainConfig",
@@ -72,6 +72,16 @@ def test_module_defines_only_its_listed_surface(module_name):
 def test_removed_knobs_stay_removed():
     from vqalab.encoder import EmbeddingTable
     from vqalab.fusion import BlockFusionParams
+    from vqalab.grounding import encode_questions_vgqe
+    from vqalab.model import ModelConfig, ModelParams
+    from vqalab.tensor import Tensor
     assert set(EmbeddingTable.__dataclass_fields__) == {"vectors"}
     assert "use_bias" in BlockFusionParams.__dataclass_fields__
     assert not any("nonlinearity" in f for f in BlockFusionParams.__dataclass_fields__)
+    # one grounded-word module, read by both directions; no pre-pool switch
+    assert not {"shared_vgw", "prepool_nonlinearity"} & set(ModelConfig.__dataclass_fields__)
+    assert len(ModelConfig.__dataclass_fields__) == 14
+    assert "vgw_backward" not in ModelParams.__dataclass_fields__
+    assert not hasattr(ModelParams, "vgqe_params")
+    assert "return_trace" not in inspect.signature(encode_questions_vgqe).parameters
+    assert not hasattr(Tensor, "detach")

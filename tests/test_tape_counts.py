@@ -59,5 +59,6 @@ def test_trace_helper_leaves_no_records():
     before = len(T.active_tape())
     for _ in range(3):
         encode_question_vgqe(rng.normal(size=(8, 32)), rng.normal(size=(8, 16)),
-                             [0, 5, 3, 9], params.embedding, params.vgqe_params())
+                             [0, 5, 3, 9], params.embedding, params.vgw, params.gru_fwd,
+                             params.gru_bwd)
     assert len(T.active_tape()) == before
