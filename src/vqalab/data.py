@@ -311,6 +311,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 REQUIRED_FIELDS = ("id", "type", "tokens", "answer", "objects")
+OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
 
 
 def save_split(split: DatasetSplit, path) -> None:
@@ -344,11 +345,13 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
 
 def load_split(path, config: DataConfig, vocab: Vocabularies,
                name: str | None = None) -> DatasetSplit:
-    """Read one JSONL split into columns. Every question needs a token, every
-    question type, token, answer, object shape and object color id must be an
-    integer indexing into its vocabulary, and every scene must hold
-    `objects_per_scene` objects of `d_v` visual and `d_w` label numbers, all
-    finite."""
+    """Read one JSONL split into columns. Every record is a JSON object with
+    the required fields and lists of tokens and objects. Every question needs
+    a token, every question type, token, answer, object shape and object color
+    id must be an integer indexing into its vocabulary, and every scene must
+    hold `objects_per_scene` objects, each a JSON object with a shape, a color
+    and lists of `d_v` visual and `d_w` label numbers, all finite. A record
+    that breaks a rule raises ValueError naming its path and line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
@@ -363,15 +366,26 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{where}: malformed JSON line ({err})") from err
+            if type(record) is not dict:
+                raise ValueError(f"{where}: record is not a JSON object")
             for fieldname in REQUIRED_FIELDS:
                 if fieldname not in record:
                     raise ValueError(f"{where}: missing field {fieldname!r}")
+            for fieldname in ("tokens", "objects"):
+                if type(record[fieldname]) is not list:
+                    raise ValueError(f"{where}: {fieldname!r} is not a list")
             objects = record["objects"]
             if not record["tokens"]:
                 raise ValueError(f"{where}: empty token list")
             if len(objects) != k:
                 raise ValueError(f"{where}: {len(objects)} objects, expected "
                                  f"objects_per_scene {k}")
+            for j, o in enumerate(objects):
+                if type(o) is not dict:
+                    raise ValueError(f"{where}: object {j} is not a JSON object")
+                if not o.keys() >= OBJECT_FIELDS:
+                    raise ValueError(f"{where}: object {j} is missing field "
+                                     f"{min(OBJECT_FIELDS - o.keys())!r}")
             shapes.append([o["shape"] for o in objects])
             colors.append([o["color"] for o in objects])
             _check_ids(where, "question type", [record["type"]], "question types", n_types)
@@ -385,11 +399,16 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
             for key, dim, size, column in (("v", "d_v", config.d_v, visual),
                                            ("l", "d_w", config.d_w, labels)):
                 for j, o in enumerate(objects):
+                    if type(o[key]) is not list:
+                        raise ValueError(f"{where}: object {j} {key!r} is not a list")
                     if len(o[key]) != size:
                         raise ValueError(f"{where}: object {j} has {len(o[key])} {key!r} "
                                          f"values, expected {dim} {size}")
-                values = np.array([o[key] for o in objects])
-                if values.dtype.kind not in "iuf" or values.ndim != 2:
+                try:
+                    values = np.array([o[key] for o in objects])
+                except ValueError:  # ragged: a list where a number belongs
+                    values = None
+                if values is None or values.dtype.kind not in "iuf" or values.ndim != 2:
                     raise ValueError(f"{where}: non-numeric {key!r} value")
                 column.append(values.astype(float, copy=False))
                 if not np.isfinite(column[-1]).all():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,16 @@ class ModelParams:
     cls_hidden: Linear
     cls_out: Linear
     vgw: VgwParams | None = None   # read by both directions of the grounded encoder
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Pack the trainable arrays into `flat`, in named_parameters() order;
+        each one's data becomes a view of its slice, to be written in place."""
+        leaves = [t for _, t in self.named_parameters()]
+        self.flat = np.concatenate([t.data for t in leaves], axis=None,
+                                   dtype=T.get_default_dtype())
+        for t, view in zip(leaves, np.split(self.flat, np.cumsum([t.size for t in leaves])[:-1])):
+            t.data = view.reshape(t.shape)
 
     @property
     def variant(self) -> str:
@@ -192,35 +203,31 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
 
 def count_parameters(params: ModelParams) -> int:
     """Exact count of learnable scalars (frozen tables contribute nothing)."""
-    return sum(t.size for _, t in params.named_parameters())
+    return params.flat.size
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one flat binary of arrays plus a JSON manifest
+# checkpoints: the embedding bytes, then `flat`, plus a JSON manifest
 
 
 CHECKPOINT_FORMAT = "vqalab-flat-arrays-v3"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write `path` (JSON manifest) and `path`.bin (concatenated arrays)."""
+    """Write `path` (JSON manifest) and `path`.bin (the embedding, then `flat`)."""
     path = Path(path)
     bin_path = path.with_suffix(path.suffix + ".bin")
     entries = []
     offset = 0
-    trainable = {name for name, _ in params.named_parameters()}
-    blobs = []
     for name, t in params.named_arrays():
-        raw = np.ascontiguousarray(t.data).tobytes()
         entries.append({
             "name": name,
             "shape": list(t.shape),
             "dtype": str(t.data.dtype),
             "byte_offset": offset,
-            "trainable": name in trainable,
+            "trainable": t is not params.embedding.vectors,
         })
-        blobs.append(raw)
-        offset += len(raw)
+        offset += t.data.nbytes
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
@@ -229,8 +236,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(bin_path, "wb") as fh:
-        for raw in blobs:
-            fh.write(raw)
+        fh.write(params.embedding.vectors.data.tobytes())
+        fh.write(params.flat.tobytes())
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -254,7 +261,7 @@ def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild a model from a manifest, validating every shape against config."""
+    """Rebuild a model from a manifest laying out the config's arrays as saved."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
@@ -264,33 +271,29 @@ def load_checkpoint(path) -> ModelParams:
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")
     params = init_model(_config_from_manifest(path, manifest["config"]))
-    arrays = dict(params.named_arrays())
+    arrays = list(params.named_arrays())
+    entries = manifest["arrays"]
+    for i, (got, want) in enumerate(zip_longest([entry["name"] for entry in entries],
+                                                (name for name, _ in arrays))):
+        if got != want:
+            raise ValueError(f"checkpoint array {i} is {got!r}, this config expects {want!r}")
+    dtype = np.dtype(entries[0]["dtype"])
+    offset = 0
+    for (name, target), entry in zip(arrays, entries):
+        stored = (np.dtype(entry["dtype"]), tuple(entry["shape"]), entry["byte_offset"])
+        if stored != (dtype, target.shape, offset):
+            raise ValueError(f"checkpoint array {name!r} is {stored[0]} {stored[1]} at byte "
+                             f"{stored[2]}, this config expects {dtype} {target.shape} "
+                             f"at byte {offset}")
+        offset += target.size * dtype.itemsize
     bin_path = path.parent / manifest["data_file"]
     if not bin_path.exists():
         raise FileNotFoundError(f"checkpoint data file not found: {bin_path}")
     raw = bin_path.read_bytes()
-    sizes = [int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
-             for entry in manifest["arrays"]]
-    expected = max((entry["byte_offset"] + nbytes
-                    for entry, nbytes in zip(manifest["arrays"], sizes)), default=0)
-    if len(raw) != expected:
+    if len(raw) != offset:
         raise ValueError(f"checkpoint data file {bin_path} holds {len(raw)} bytes, "
-                         f"its manifest expects {expected}")
-    seen = set()
-    for entry, nbytes in zip(manifest["arrays"], sizes):
-        name = entry["name"]
-        if name not in arrays:
-            raise ValueError(f"checkpoint array {name!r} is not part of this config")
-        target = arrays[name]
-        shape = tuple(entry["shape"])
-        if shape != target.shape:
-            raise ShapeError(f"checkpoint array {name!r} has shape {shape}, "
-                             f"config expects {target.shape}")
-        start = entry["byte_offset"]
-        data = np.frombuffer(raw[start:start + nbytes], dtype=entry["dtype"]).reshape(shape)
-        target.data = data.astype(target.data.dtype).copy()
-        seen.add(name)
-    missing = set(arrays) - seen
-    if missing:
-        raise ValueError(f"checkpoint is missing arrays: {sorted(missing)}")
+                         f"its manifest expects {offset}")
+    embedding = params.embedding.vectors.data
+    embedding[...] = np.frombuffer(raw, dtype, count=embedding.size).reshape(embedding.shape)
+    params.flat[...] = np.frombuffer(raw, dtype, offset=embedding.size * dtype.itemsize)
     return params

@@ -32,9 +32,12 @@ from .tensor import Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, batch: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}")
-        self.epoch, self.batch, self.loss = epoch, batch, loss
+    """A non-finite loss, or a finite loss whose gradient norm is not."""
+
+    def __init__(self, epoch: int, batch: int, loss: float, grad_norm: float | None = None):
+        what = f"loss {loss!r}" if grad_norm is None else f"gradient norm {grad_norm!r}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}")
+        self.epoch, self.batch, self.loss, self.grad_norm = epoch, batch, loss, grad_norm
 
 
 @dataclass
@@ -98,55 +101,48 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 @dataclass
 class AdamWState:
+    m: np.ndarray                 # first and second moments, shaped like ModelParams.flat
+    v: np.ndarray
     lr: float = 3.5e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 2e-5
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_init(named_params, lr: float = 3.5e-4,
+def adamw_init(params_flat: np.ndarray, lr: float = 3.5e-4,
                weight_decay: float = 2e-5) -> AdamWState:
-    state = AdamWState(lr=lr, weight_decay=weight_decay)
-    for name, t in named_params:
-        state.m[name] = np.zeros_like(t.data)
-        state.v[name] = np.zeros_like(t.data)
-    return state
+    return AdamWState(np.zeros_like(params_flat), np.zeros_like(params_flat),
+                      lr=lr, weight_decay=weight_decay)
 
 
-def adamw_step(named_params, grads: dict[str, np.ndarray],
+def adamw_step(params_flat: np.ndarray, grad_flat: np.ndarray,
                state: AdamWState) -> AdamWState:
-    """One decoupled-weight-decay Adam update, in place on the parameters."""
+    """One decoupled-weight-decay Adam update, in place on the whole buffer."""
+    if grad_flat.shape != params_flat.shape:
+        raise T.ShapeError(f"gradient {grad_flat.shape} vs parameters {params_flat.shape}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, param in named_params:
-        g = grads[name]
-        if g.shape != param.data.shape:
-            raise T.ShapeError(f"gradient for {name!r} has shape {g.shape}, "
-                               f"parameter is {param.data.shape}")
-        m = state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        param.data = param.data - state.lr * (update + state.weight_decay * param.data)
+    state.m = state.beta1 * state.m + (1 - state.beta1) * grad_flat
+    state.v = state.beta2 * state.v + (1 - state.beta2) * grad_flat * grad_flat
+    update = (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    params_flat -= state.lr * (update + state.weight_decay * params_flat)
     return state
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray],
-                   max_norm: float = 0.25) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+def clip_grad_norm(grad_flat: np.ndarray, parts: list[np.ndarray],
+                   max_norm: float = 0.25) -> tuple[np.ndarray, float]:
+    """Scale the buffer in place so its L2 norm is at most max_norm; returns it
+    and the pre-clip norm, summed per parameter view in `parts`, in order."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    total = math.sqrt(sum(float((g * g).sum()) for g in parts))
     if total > max_norm:
-        factor = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * factor
-    return grads, total
+        grad_flat *= max_norm / total
+    return grad_flat, total
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +184,9 @@ class EpochStats:
     lr: float
     mean_loss: float
     accuracy: float
+    grad_norm_mean: float         # pre-clip global gradient norm over the epoch's steps
+    grad_norm_max: float
+    clipped_frac: float           # fraction of steps whose norm exceeded clip_norm
     wall_time: float
 
 
@@ -196,8 +195,10 @@ def train(params: ModelParams, split: DatasetSplit,
     """Optimize params on a split; returns the params and a per-epoch log."""
     if not len(split):
         raise ValueError("cannot train on an empty split")
-    named = list(params.named_parameters())
-    state = adamw_init(named, weight_decay=config.weight_decay)
+    leaves = [t for _, t in params.named_parameters()]
+    grad = np.empty_like(params.flat)
+    parts = np.split(grad, np.cumsum([t.size for t in leaves])[:-1])
+    state = adamw_init(params.flat, weight_decay=config.weight_decay)
     log: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -207,6 +208,7 @@ def train(params: ModelParams, split: DatasetSplit,
         drop_rng = seeded_rng(config.seed, 0xD120, epoch)
         total_loss = 0.0
         total_correct = 0
+        norms = []
         for batch_index, batch in enumerate(
                 length_bucketed_batches(split, config.batch_size, shuffle_rng)):
             visual, labels, tokens, answers = stack_batch(split, batch)
@@ -215,18 +217,26 @@ def train(params: ModelParams, split: DatasetSplit,
             loss = T.reduce_mean(cross_entropy_rows(logits, answers))
             loss_value = loss.item()
             if not math.isfinite(loss_value):
+                T.active_tape().clear()
                 raise TrainingDiverged(epoch, batch_index, loss_value)
             T.backward(loss)
-            grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for name, t in named}
-            clip_grad_norm(grads, config.clip_norm)
-            adamw_step(named, grads, state)
-            T.zero_grads(t for _, t in named)
+            np.concatenate([np.zeros_like(t.data) if t.grad is None else t.grad
+                            for t in leaves], axis=None, out=grad)
+            norm = clip_grad_norm(grad, parts, config.clip_norm)[1]
+            if not math.isfinite(norm):
+                T.zero_grads(leaves)
+                raise TrainingDiverged(epoch, batch_index, loss_value, grad_norm=norm)
+            adamw_step(params.flat, grad, state)
+            T.zero_grads(leaves)
+            norms.append(norm)
             total_loss += loss_value * len(batch)
             total_correct += int((logits.data.argmax(axis=1) == answers).sum())
         n = len(split)
         log.append(EpochStats(epoch=epoch, lr=lr, mean_loss=total_loss / n,
                               accuracy=total_correct / n,
+                              grad_norm_mean=sum(norms) / len(norms),
+                              grad_norm_max=max(norms),
+                              clipped_frac=sum(x > config.clip_norm for x in norms) / len(norms),
                               wall_time=time.perf_counter() - started))
     return params, log
 
@@ -236,7 +246,10 @@ def write_training_log(log: list[EpochStats], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "mean_loss", "train_accuracy", "wall_time_s"])
+        writer.writerow(["epoch", "lr", "mean_loss", "train_accuracy", "grad_norm_mean",
+                         "grad_norm_max", "clipped_frac", "wall_time_s"])
         for row in log:
             writer.writerow([row.epoch, repr(row.lr), repr(row.mean_loss),
-                             repr(row.accuracy), f"{row.wall_time:.3f}"])
+                             repr(row.accuracy), repr(row.grad_norm_mean),
+                             repr(row.grad_norm_max), repr(row.clipped_frac),
+                             f"{row.wall_time:.3f}"])

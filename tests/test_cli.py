@@ -21,6 +21,18 @@ TINY_CONFIG = {
 }
 
 
+# sha256 of checkpoint.json.bin after the two-epoch TINY_CONFIG run with
+# --seed 1, as written while each parameter was still its own array with its
+# own AdamW moments: an update that moves one value by one ulp changes them.
+# They hold for one numpy/BLAS build; another BLAS may round matmuls differently.
+GOLDEN_BIN_SHA256 = {
+    ("baseline", "float64"): "d0acd3adf7822be743af9534f9ef705b6bd13824a44818451389854cbd700cc2",
+    ("vgqe", "float64"): "4eb3a3acf6fb6f344a84987f5fe837f4c38709736a5b27a8463f322c9b4690fe",
+    ("baseline", "float32"): "258f55e5dc62d414d6fd524e4fb8924e1a1687279fb59bdbe6e1bac33a8d157d",
+    ("vgqe", "float32"): "a2c1899020e9bed4e03fba521eced10f19f8bbec060b53833fa1f7571f63bc15",
+}
+
+
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -91,6 +103,18 @@ class TestTrain:
         assert run(["train", "--data", str(tmp_path / "nope"), "--variant",
                     "baseline", "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("variant,precision", sorted(GOLDEN_BIN_SHA256))
+    def test_checkpoint_bytes_match_golden_digests(self, workspace, tmp_path, variant,
+                                                   precision):
+        run_dir = workspace / variant
+        if precision != "float64":
+            run_dir = tmp_path / precision
+            assert run(["train", "--data", str(workspace / "data"), "--variant", variant,
+                        "--seed", "1", "--out", str(run_dir),
+                        "--config", str(workspace / "config.json"),
+                        "--precision", precision]) == 0
+        assert sha(run_dir / "checkpoint.json.bin") == GOLDEN_BIN_SHA256[variant, precision]
+
     def test_float32_training_runs(self, workspace, tmp_path):
         out = tmp_path / "f32"
         assert run(["train", "--data", str(workspace / "data"),
@@ -154,6 +178,15 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{split}:4: answer id 42 out of range for answer vocabulary of size" in err
+
+    def test_malformed_object_names_line(self, workspace, tmp_path, capsys):
+        def scalar_features(record):
+            record["objects"][1]["v"] = 5
+
+        code, split = self.eval_with_record_edit(workspace, tmp_path, scalar_features)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {split}:4: object 1 'v' is not a list\n"
 
     def test_unknown_checkpoint_config_field_names_it(self, workspace, tmp_path, capsys):
         ckpt_dir = tmp_path / "ckpt"

@@ -217,14 +217,30 @@ class TestSerialization:
         ("question", None, "empty token list"),
         ("type", 99, "question type id 99 out of range for question types of size 18"),
         ("v", "x", "non-numeric 'v' value"),
-        ("answer", "3", "answer id '3' is not an integer")])
+        ("answer", "3", "answer id '3' is not an integer"),
+        ("v=", 5, "object 1 'v' is not a list"),
+        ("tokens=", 5, "'tokens' is not a list"),
+        ("objects=", "scene", "'objects' is not a list"),
+        ("object", 5, "object 1 is not a JSON object"),
+        ("object", [1, 2], "object 1 is not a JSON object"),
+        ("shape", None, "object 1 is missing field 'shape'"),
+        ("color", None, "object 1 is missing field 'color'"),
+        ("v", None, "object 1 is missing field 'v'"),
+        ("l", None, "object 1 is missing field 'l'"),
+        ("v", [1, 2], "non-numeric 'v' value"),
+        ("record", 5, "record is not a JSON object")])
     def test_out_of_range_ids_rejected_at_load(self, tmp_path, field, bad, message):
         save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)), tmp_path)
         path = tmp_path / "train.jsonl"
         lines = path.read_text().splitlines()
         record = json.loads(lines[2])
         objects = record["objects"]
-        if field == "tokens":
+        if field == "record":
+            record = bad
+        elif field.endswith("="):  # the whole value replaced
+            name = field[:-1]
+            (record if name in record else objects[1])[name] = bad
+        elif field == "tokens":
             record["tokens"][-1] = bad
         elif field == "question":
             record["tokens"] = []
@@ -232,9 +248,13 @@ class TestSerialization:
             record[field] = bad
         elif field == "objects":
             record["objects"] = (objects + objects)[:bad]
+        elif field == "object":
+            objects[1] = bad
+        elif bad is None:
+            del objects[1][field]
         elif field in ("v", "l") and isinstance(bad, int):  # a vector of the wrong length
             objects[1][field] = (objects[1][field] * 2)[:bad]
-        elif field in ("v", "l"):  # one non-finite or non-numeric value
+        elif field in ("v", "l"):  # one non-finite, non-numeric or nested value
             objects[1][field][3] = bad
         else:
             objects[1][field] = bad

@@ -197,6 +197,43 @@ def test_full_model_gradients(variant):
     assert worst < 1e-4, f"worst gradient error {worst} at {worst_name}"
 
 
+def assert_in_arena(params):
+    """Every trainable array is a view of `flat`, at its named_parameters() slot."""
+    offset = 0
+    for name, t in params.named_parameters():
+        assert np.shares_memory(t.data, params.flat), name
+        assert np.array_equal(t.data.reshape(-1), params.flat[offset:offset + t.size]), name
+        offset += t.size
+    assert offset == params.flat.size
+    assert not np.shares_memory(params.embedding.vectors.data, params.flat)
+
+
+class TestArena:
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    def test_parameters_are_views_of_flat(self, variant):
+        params = init_model(tiny_config(variant))
+        assert_in_arena(params)
+        assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+        assert params.flat.size == count_parameters(params)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_flat_has_the_default_dtype(self, dtype):
+        with T.using_dtype(dtype):
+            params = init_model(tiny_config("vgqe"))
+        assert params.flat.dtype == dtype
+        assert {t.data.dtype for _, t in params.named_arrays()} == {np.dtype(dtype)}
+
+    def test_writes_to_flat_reach_the_forward_pass(self):
+        params = init_model(tiny_config())
+        rng = np.random.default_rng(1)
+        visual, labels = make_scenes(rng)
+        tokens = np.array([[1, 2], [3, 4]])
+        before = forward_batch(params, visual, labels, tokens).data
+        params.flat *= 2.0
+        after = forward_batch(params, visual, labels, tokens).data
+        assert not np.allclose(before, after)
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
     def test_round_trip(self, tmp_path, variant):
@@ -208,6 +245,62 @@ class TestCheckpoint:
             assert name_a == name_b
             assert np.array_equal(a.data, b.data)
         assert loaded.config == params.config
+        assert_in_arena(loaded)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_data_file_is_embedding_then_flat(self, tmp_path, dtype):
+        with T.using_dtype(dtype):
+            params = init_model(tiny_config("vgqe", seed=4))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        assert (tmp_path / "ckpt.json.bin").read_bytes() == \
+            params.embedding.vectors.data.tobytes() + params.flat.tobytes()
+
+    def edited_manifest(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(tiny_config("vgqe", seed=5)), path)
+        manifest = json.loads(path.read_text())
+        edit(manifest["arrays"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        return str(err.value)
+
+    def test_reordered_arrays_refused(self, tmp_path):
+        def swap(entries):
+            entries[1], entries[2] = entries[2], entries[1]
+        assert self.edited_manifest(tmp_path, swap) == (
+            "checkpoint array 1 is 'vgw.attn_matrix', this config expects "
+            "'vgw.attn_vector'")
+
+    def test_gap_in_byte_offsets_refused(self, tmp_path):
+        seen = []
+
+        def gap(entries):
+            seen.append(entries[3])
+            for entry in entries[3:]:
+                entry["byte_offset"] += 8
+        message = self.edited_manifest(tmp_path, gap)
+        shape, start = tuple(seen[0]["shape"]), seen[0]["byte_offset"] - 8
+        assert message == (f"checkpoint array 'vgw.refine_hidden.weight' is float64 {shape} "
+                           f"at byte {start + 8}, this config expects float64 {shape} "
+                           f"at byte {start}")
+
+    def test_mixed_dtypes_refused(self, tmp_path):
+        def mixed(entries):
+            entries[-1]["dtype"] = "float32"
+        message = self.edited_manifest(tmp_path, mixed)
+        assert message.startswith("checkpoint array 'cls_out.bias' is float32 (")
+        assert ", this config expects float64 (" in message
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda entries: entries.pop(), "None, this config expects 'cls_out.bias'"),
+        (lambda entries: entries.append(dict(entries[-1])),
+         "'cls_out.bias', this config expects None"),
+        (lambda entries: entries[0].update(name="bogus"),
+         "'bogus', this config expects 'embedding.vectors'")])
+    def test_missing_extra_or_unknown_array_refused(self, tmp_path, edit, named):
+        assert self.edited_manifest(tmp_path, edit).endswith(named)
 
     def test_save_is_deterministic(self, tmp_path):
         params = init_model(tiny_config(seed=3))

@@ -7,7 +7,7 @@ from vqalab import tensor as T
 from vqalab.data import DataConfig, generate_dataset
 from vqalab.model import FusionConfig, ModelConfig, init_model
 from vqalab.tensor import Tensor
-from vqalab.train import (AdamWState, ScheduleConfig, TrainConfig,
+from vqalab.train import (ScheduleConfig, TrainConfig,
                           TrainingDiverged, adamw_init, adamw_step,
                           clip_grad_norm, constant_schedule,
                           cross_entropy_rows, lr_at_epoch, train)
@@ -62,75 +62,98 @@ class TestCrossEntropy:
 
 class TestAdamW:
     def test_pure_decay_with_zero_gradient(self):
-        p = Tensor(np.ones(1), requires_grad=True)
-        named = [("p", p)]
-        state = adamw_init(named, weight_decay=0.01)
+        p = np.ones(1)
+        state = adamw_init(p, weight_decay=0.01)
         state.lr = 0.1
-        adamw_step(named, {"p": np.zeros(1)}, state)
-        assert np.allclose(p.data, [0.999])
+        adamw_step(p, np.zeros(1), state)
+        assert np.allclose(p, [0.999])
 
     def test_first_step_is_signed_lr(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        named = [("p", p)]
-        state = adamw_init(named, weight_decay=0.0)
+        p = np.array([1.0, -2.0])
+        state = adamw_init(p, weight_decay=0.0)
         state.lr = 0.05
         g = np.array([0.7, -0.3])
-        adamw_step(named, {"p": g}, state)
-        assert np.allclose(p.data, [1.0 - 0.05, -2.0 + 0.05], atol=1e-6)
+        adamw_step(p, g, state)
+        assert np.allclose(p, [1.0 - 0.05, -2.0 + 0.05], atol=1e-6)
 
     def test_three_steps_match_reference_on_quadratic(self):
         start = np.array([1.5, -0.5, 2.0])
-        p = Tensor(start.copy(), requires_grad=True)
-        named = [("p", p)]
-        state = adamw_init(named, weight_decay=0.01)
+        p = start.copy()
+        state = adamw_init(p, weight_decay=0.01)
         state.lr = 0.1
         grads = []
-        ref_param = start.copy()
         for _ in range(3):
-            g = 2.0 * p.data  # gradient of sum(x^2) at the current iterate
+            g = 2.0 * p  # gradient of sum(x^2) at the current iterate
             grads.append(g)
-            adamw_step(named, {"p": g}, state)
+            adamw_step(p, g, state)
         # replay reference against the recorded gradient sequence
         want = reference_adamw(start, grads, lr=0.1, wd=0.01)
-        assert np.max(np.abs(p.data - want)) < 1e-10
+        assert np.max(np.abs(p - want)) < 1e-10
+
+    def test_buffer_matches_per_array_reference(self):
+        # one update of a two-array buffer is each array's own update, bit for bit
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=7)
+        p = start.copy()
+        state = adamw_init(p, weight_decay=0.01)
+        state.lr = 0.1
+        grads = [rng.normal(size=7) for _ in range(3)]
+        for g in grads:
+            adamw_step(p, g, state)
+        for part in (slice(0, 3), slice(3, 7)):
+            want = reference_adamw(start[part], [g[part] for g in grads], lr=0.1, wd=0.01)
+            assert np.array_equal(p[part], want)
 
     def test_identity_when_wd_zero_and_no_gradient(self):
-        p = Tensor(np.array([3.0]), requires_grad=True)
-        named = [("p", p)]
-        state = adamw_init(named, weight_decay=0.0)
+        p = np.array([3.0])
+        state = adamw_init(p, weight_decay=0.0)
         for _ in range(4):
-            adamw_step(named, {"p": np.zeros(1)}, state)
-        assert np.array_equal(p.data, [3.0])
+            adamw_step(p, np.zeros(1), state)
+        assert np.array_equal(p, [3.0])
 
     def test_shape_mismatch(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        state = adamw_init([("p", p)])
+        p = np.zeros(2)
+        state = adamw_init(p)
         with pytest.raises(T.ShapeError):
-            adamw_step([("p", p)], {"p": np.zeros(3)}, state)
+            adamw_step(p, np.zeros(3), state)
+        assert state.step_count == 0
+
+
+def split_views(grad, sizes):
+    return np.split(grad, np.cumsum(sizes)[:-1])
 
 
 class TestClip:
     def test_scales_down_to_threshold(self):
-        grads = {"a": np.array([0.6]), "b": np.array([0.8])}  # norm 1.0
-        clipped, norm = clip_grad_norm(grads, 0.25)
+        grad = np.array([0.6, 0.8])  # norm 1.0
+        clipped, norm = clip_grad_norm(grad, split_views(grad, [1, 1]), 0.25)
         assert norm == pytest.approx(1.0)
-        total = math.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
-        assert total == pytest.approx(0.25)
-        assert np.allclose(clipped["a"] / clipped["b"], 0.75)
+        assert clipped is grad
+        assert math.sqrt(float((grad * grad).sum())) == pytest.approx(0.25)
+        assert np.allclose(grad[0] / grad[1], 0.75)
 
     def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([0.06, 0.08])}
-        clipped, norm = clip_grad_norm(grads, 0.25)
+        grad = np.array([0.06, 0.08])
+        _, norm = clip_grad_norm(grad, [grad], 0.25)
         assert norm == pytest.approx(0.1)
-        assert np.array_equal(clipped["a"], [0.06, 0.08])
+        assert np.array_equal(grad, [0.06, 0.08])
 
     def test_random_sets_never_exceed_threshold(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            grads = {f"g{i}": rng.normal(size=rng.integers(1, 5)) for i in range(3)}
-            clipped, _ = clip_grad_norm(grads, 0.25)
-            total = math.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
-            assert total <= 0.25 + 1e-9
+            sizes = rng.integers(1, 5, size=3)
+            grad = rng.normal(size=sizes.sum())
+            clip_grad_norm(grad, split_views(grad, sizes), 0.25)
+            assert math.sqrt(float((grad * grad).sum())) <= 0.25 + 1e-9
+
+    def test_norm_sums_per_array_in_order(self):
+        # the buffer's norm rounds as the per-array sums it replaced
+        rng = np.random.default_rng(5)
+        arrays = [rng.normal(size=shape) * scale for shape, scale in
+                  (((13, 7), 1e-3), ((29,), 10.0), ((3, 5, 2), 1.0))]
+        grad = np.concatenate(arrays, axis=None)
+        _, norm = clip_grad_norm(grad, split_views(grad, [a.size for a in arrays]), 1e9)
+        assert norm == math.sqrt(sum(float((a * a).sum()) for a in arrays))
 
 
 class TestSchedule:
@@ -186,6 +209,15 @@ class TestTrainLoop:
         for name, t in params.named_parameters():
             assert np.max(np.abs(t.data - before[name])) < 1e-25
 
+    def test_parameters_stay_views_of_flat(self):
+        ds, params = tiny_setup("vgqe", n=16)
+        flat = params.flat
+        train(params, ds.train, TrainConfig(epochs=2, batch_size=8,
+                                            schedule=constant_schedule(1e-2)))
+        assert params.flat is flat
+        for name, t in params.named_parameters():
+            assert np.shares_memory(t.data, params.flat), name
+
     def test_identical_seeds_identical_logs(self):
         logs = []
         for _ in range(2):
@@ -204,12 +236,37 @@ class TestTrainLoop:
         assert log[-1].mean_loss < log[0].mean_loss * 0.7
 
     def test_divergence_aborts_with_diagnostics(self):
+        # overflowing gradients of a still-finite loss stop the run before the update
         ds, params = tiny_setup(n=16, seed=3)
         cfg = TrainConfig(epochs=50, batch_size=16, seed=0, clip_norm=1e6,
                           schedule=constant_schedule(1e12))
         with pytest.raises(TrainingDiverged) as err:
             train(params, ds.train, cfg)
         assert err.value.epoch >= 1 and err.value.batch >= 0
+        assert not math.isfinite(err.value.grad_norm) and math.isfinite(err.value.loss)
+        assert "non-finite gradient norm" in str(err.value)
+        assert len(T.active_tape()) == 0
+        assert np.isfinite(params.flat).all()
+        assert all(t.grad is None for _, t in params.named_parameters())
+
+    def test_non_finite_loss_leaves_no_tape(self):
+        ds, params = tiny_setup(n=16, seed=3)
+        params.cls_out.bias.data[0] = np.nan
+        with pytest.raises(TrainingDiverged) as err:
+            train(params, ds.train, TrainConfig(epochs=1, batch_size=16))
+        assert (err.value.epoch, err.value.batch, err.value.grad_norm) == (1, 0, None)
+        assert str(err.value).startswith("non-finite loss nan at epoch 1, batch 0")
+        assert len(T.active_tape()) == 0
+
+    @pytest.mark.parametrize("clip_norm,clipped", [(1e6, 0.0), (1e-9, 1.0)])
+    def test_gradient_norm_telemetry(self, clip_norm, clipped):
+        ds, params = tiny_setup(n=32)
+        cfg = TrainConfig(epochs=2, batch_size=8, clip_norm=clip_norm,
+                          schedule=constant_schedule(1e-3))
+        _, log = train(params, ds.train, cfg)
+        for row in log:
+            assert row.clipped_frac == clipped
+            assert 0 < row.grad_norm_mean <= row.grad_norm_max < math.inf
 
     def test_empty_split_rejected(self, split_rows):
         ds, params = tiny_setup(n=16)
@@ -224,5 +281,11 @@ class TestTrainLoop:
         path = tmp_path / "log.csv"
         write_training_log(log, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:3] == ["epoch", "lr", "mean_loss"]
+        assert lines[0].split(",") == ["epoch", "lr", "mean_loss", "train_accuracy",
+                                       "grad_norm_mean", "grad_norm_max", "clipped_frac",
+                                       "wall_time_s"]
         assert len(lines) == 3
+        for row, line in zip(log, lines[1:]):
+            values = line.split(",")
+            assert values[4:7] == [repr(row.grad_norm_mean), repr(row.grad_norm_max),
+                                   repr(row.clipped_frac)]
