@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataConfig, generate_dataset, load_dataset, save_dataset)
+from .data import SPLITS, DataConfig, generate_dataset, load_dataset, save_dataset
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, run_all
@@ -27,8 +27,6 @@ from .model import (ModelConfig, count_parameters, init_model, load_checkpoint,
                     save_checkpoint)
 from .tensor import using_dtype
 from .train import TrainConfig, train, write_training_log
-
-SPLITS = ("train", "test", "test_iid")
 
 
 class CliError(Exception):
@@ -110,7 +108,7 @@ def model_config_for(ds, variant: str, seed: int, section: dict) -> ModelConfig:
 def cmd_train(args) -> int:
     file_cfg = load_config_file(args.config)
     data_dir = Path(args.data)
-    ds = load_dataset(data_dir)
+    ds = load_dataset(data_dir, splits=("train",))
     model_cfg = model_config_for(ds, args.variant, args.seed,
                                  file_cfg.get("model", {}))
     overrides = {"epochs": args.epochs, "batch_size": args.batch_size,
@@ -154,16 +152,16 @@ def cmd_eval(args) -> int:
         raise CliError(f"checkpoint not found: {ckpt_path}")
     if args.split not in SPLITS:
         raise CliError(f"unknown split {args.split!r}; choose from {SPLITS}")
-    ds = load_dataset(Path(args.data))
+    ds = load_dataset(Path(args.data), splits=(args.split,))
     params = load_checkpoint(ckpt_path)
-    split = ds.splits()[args.split]
-    report = evaluate_split(params, split, ds)
+    with using_dtype(params.flat.dtype.type):
+        report = evaluate_split(params, ds.split(args.split), ds)
     report.checkpoint = args.checkpoint
     report.data_dir = args.data
     report_to_json(report, Path(args.report))
     print(f"{params.config.variant} on {args.split}: overall accuracy "
           f"{report.overall:.4f} over {report.count} examples "
-          f"-> {args.report}")
+          f"in {report.precision} -> {args.report}")
     return 0
 
 
@@ -213,17 +211,17 @@ def cmd_report(args) -> int:
             raise CliError(f"checkpoint referenced by the report not found: {ckpt_path}")
         params = load_checkpoint(ckpt_path)
         if params.config.variant == "vgqe":
-            ds = load_dataset(data_dir)
-            split = ds.splits()[vgqe.split]
+            split = load_dataset(data_dir, splits=(vgqe.split,)).split(vgqe.split)
             rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
             chosen = rng.choice(len(split), size=min(args.traces, len(split)),
                                 replace=False)
-            for idx in sorted(int(i) for i in chosen):
-                _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
-                                                split.tokens[idx, :split.lengths[idx]],
-                                                params.embedding, params.vgw,
-                                                params.gru_fwd, params.gru_bwd)
-                traces.extend(trace_records(split.ids[idx], trace))
+            with using_dtype(params.flat.dtype.type):
+                for idx in sorted(int(i) for i in chosen):
+                    _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
+                                                    split.tokens[idx, :split.lengths[idx]],
+                                                    params.embedding, params.vgw,
+                                                    params.gru_fwd, params.gru_bwd)
+                    traces.extend(trace_records(split.ids[idx], trace))
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)
         fh.write("\n")

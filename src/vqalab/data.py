@@ -34,6 +34,7 @@ COLOR_NAMES = ("red", "green", "blue", "yellow", "purple", "orange", "teal",
                "pink")
 TEMPLATES = ("color", "exists", "count")
 _SPLIT_CODES = {"train": 0, "test": 1, "test_iid": 2}
+SPLITS = tuple(_SPLIT_CODES)
 
 
 class GenerationError(ValueError):
@@ -122,16 +123,28 @@ class DatasetSplit:
 
 @dataclass
 class SyntheticDataset:
+    """The shared vocabularies and priors plus the splits at hand: all three
+    when generated, the requested ones when loaded. `train`, `test` (out-of-
+    distribution priors) and `test_iid` (matched split drawn from the train
+    priors) raise KeyError naming a split that is not at hand."""
     config: DataConfig
     vocab: Vocabularies
     bias: dict[int, TypeBias]
-    train: DatasetSplit
-    test: DatasetSplit           # out-of-distribution priors
-    test_iid: DatasetSplit       # matched split drawn from the train priors
     feature_map: np.ndarray      # (d_v, shapes*colors)
+    loaded: dict[str, DatasetSplit]
+
+    def split(self, name: str) -> DatasetSplit:
+        if name not in self.loaded:
+            raise KeyError(f"split {name!r} was not loaded; loaded splits: "
+                           f"{', '.join(self.loaded) or 'none'}")
+        return self.loaded[name]
+
+    train = property(lambda self: self.split("train"))
+    test = property(lambda self: self.split("test"))
+    test_iid = property(lambda self: self.split("test_iid"))
 
     def splits(self) -> dict[str, DatasetSplit]:
-        return {"train": self.train, "test": self.test, "test_iid": self.test_iid}
+        return dict(self.loaded)
 
     def type_names(self) -> dict[int, str]:
         return {qt: question_type_name(qt, self.config, self.vocab)
@@ -274,13 +287,11 @@ def generate_dataset(config: DataConfig) -> SyntheticDataset:
     vocab = build_vocabularies(config, table_rng)
     feature_map = map_rng.normal(size=(config.d_v, config.shapes * config.colors))
     bias = build_bias_spec(config, vocab, bias_rng)
+    sizes = {"train": config.n_train, "test": config.n_test, "test_iid": config.n_test}
     return SyntheticDataset(
-        config=config, vocab=vocab, bias=bias,
-        train=_generate_split("train", config.n_train, config, vocab, bias, feature_map),
-        test=_generate_split("test", config.n_test, config, vocab, bias, feature_map),
-        test_iid=_generate_split("test_iid", config.n_test, config, vocab, bias,
-                                 feature_map),
-        feature_map=feature_map,
+        config=config, vocab=vocab, bias=bias, feature_map=feature_map,
+        loaded={name: _generate_split(name, sizes[name], config, vocab, bias, feature_map)
+                for name in SPLITS},
     )
 
 
@@ -346,12 +357,13 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
 def load_split(path, config: DataConfig, vocab: Vocabularies,
                name: str | None = None) -> DatasetSplit:
     """Read one JSONL split into columns. Every record is a JSON object with
-    the required fields and lists of tokens and objects. Every question needs
-    a token, every question type, token, answer, object shape and object color
-    id must be an integer indexing into its vocabulary, and every scene must
-    hold `objects_per_scene` objects, each a JSON object with a shape, a color
-    and lists of `d_v` visual and `d_w` label numbers, all finite. A record
-    that breaks a rule raises ValueError naming its path and line."""
+    the required fields, a string id and lists of tokens and objects. Every
+    question needs a token, every question type, token, answer, object shape
+    and object color id must be an integer indexing into its vocabulary, and
+    every scene must hold `objects_per_scene` objects, each a JSON object with
+    a shape, a color and lists of `d_v` visual and `d_w` label numbers, all
+    finite. A record that breaks a rule raises ValueError naming its path and
+    line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
@@ -371,6 +383,8 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
             for fieldname in REQUIRED_FIELDS:
                 if fieldname not in record:
                     raise ValueError(f"{where}: missing field {fieldname!r}")
+            if type(record["id"]) is not str:
+                raise ValueError(f"{where}: example id {record['id']!r} is not a string")
             for fieldname in ("tokens", "objects"):
                 if type(record[fieldname]) is not list:
                     raise ValueError(f"{where}: {fieldname!r} is not a list")
@@ -458,8 +472,12 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict:
     return manifest
 
 
-def load_dataset(data_dir) -> SyntheticDataset:
+def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:
+    """Read the manifest and the named splits (all three by default)."""
     data_dir = Path(data_dir)
+    for name in splits:
+        if name not in _SPLIT_CODES:
+            raise ValueError(f"unknown split {name!r}; choose from {SPLITS}")
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
@@ -473,8 +491,7 @@ def load_dataset(data_dir) -> SyntheticDataset:
     bias = {int(qt): TypeBias(**b) for qt, b in manifest["bias_spec"].items()}
     return SyntheticDataset(
         config=config, vocab=vocab, bias=bias,
-        train=load_split(data_dir / "train.jsonl", config, vocab, "train"),
-        test=load_split(data_dir / "test.jsonl", config, vocab, "test"),
-        test_iid=load_split(data_dir / "test_iid.jsonl", config, vocab, "test_iid"),
         feature_map=np.asarray(manifest["feature_map"]),
+        loaded={name: load_split(data_dir / f"{name}.jsonl", config, vocab, name)
+                for name in splits},
     )

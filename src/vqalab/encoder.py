@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import matrix_init, seeded_rng
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -70,10 +70,6 @@ class GruParams:
     b_cand: Tensor
 
     @property
-    def input_dim(self) -> int:
-        return self.w_update.shape[0]
-
-    @property
     def hidden_dim(self) -> int:
         return self.w_update.shape[1]
 
@@ -95,17 +91,10 @@ def gru_params_init(input_dim: int, hidden_dim: int, seed: int) -> GruParams:
 
 
 def gru_cell(x, h_prev, p: GruParams) -> Tensor:
-    """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H)."""
-    x, h_prev = T.as_tensor(x), T.as_tensor(h_prev)
-    if x.data.ndim != 2 or h_prev.data.ndim != 2 \
-            or x.shape[1] != p.input_dim or h_prev.shape[1] != p.hidden_dim:
-        raise ShapeError(f"gru_cell: input {x.shape} / state {h_prev.shape} are not "
-                         f"row-batches of the parameter dims ({p.input_dim}, {p.hidden_dim})")
-    z = T.sigmoid(T.add(T.add(T.matmul(x, p.w_update), T.matmul(h_prev, p.u_update)), p.b_update))
-    r = T.sigmoid(T.add(T.add(T.matmul(x, p.w_reset), T.matmul(h_prev, p.u_reset)), p.b_reset))
-    cand = T.tanh(T.add(T.add(T.matmul(x, p.w_cand),
-                              T.matmul(T.mul(r, h_prev), p.u_cand)), p.b_cand))
-    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, cand))
+    """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H),
+    recorded as one `tensor.gru_step` op."""
+    return T.gru_step(x, h_prev, p.w_update, p.u_update, p.b_update, p.w_reset,
+                      p.u_reset, p.b_reset, p.w_cand, p.u_cand, p.b_cand)
 
 
 def run_gru(steps: list[Tensor], p: GruParams, reverse: bool = False) -> Tensor:

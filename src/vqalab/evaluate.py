@@ -66,6 +66,7 @@ class EvalReport:
     answers: list[str] = field(default_factory=list)
     checkpoint: str = ""
     data_dir: str = ""
+    precision: str = ""           # dtype of the parameters the predictions came from
 
     def type_weighted_mean(self) -> float:
         total = sum(tr.count for tr in self.per_type.values())
@@ -129,6 +130,7 @@ def evaluate_split(params: ModelParams, split: DatasetSplit,
                                    ds.type_names(), split=split.name,
                                    variant=params.config.variant)
     report.answers = list(ds.vocab.answers)
+    report.precision = params.flat.dtype.name
     return report
 
 
@@ -163,6 +165,7 @@ def report_to_json(report: EvalReport, path) -> None:
         "answers": report.answers,
         "checkpoint": report.checkpoint,
         "data_dir": report.data_dir,
+        "precision": report.precision,
         "per_type": {str(qt): asdict(tr) for qt, tr in report.per_type.items()},
         "predictions": [asdict(r) for r in report.predictions],
     }
@@ -184,7 +187,8 @@ def report_from_json(path) -> EvalReport:
                       per_type=per_type, predictions=predictions,
                       answers=payload.get("answers", []),
                       checkpoint=payload.get("checkpoint", ""),
-                      data_dir=payload.get("data_dir", ""))
+                      data_dir=payload.get("data_dir", ""),
+                      precision=payload.get("precision", ""))
 
 
 def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:

@@ -81,6 +81,7 @@ def check_tensor_ops() -> list[CheckResult]:
     _check("tensor_core", "matmul_weight",
            lambda: T.matmul(left, w).sum(), [("w", w)], results)
     _check_block_bilinear(rng, results)
+    _check_gru_step(rng, results)
     return results
 
 
@@ -100,14 +101,30 @@ def _check_block_bilinear(rng, results) -> None:
                  for os_, oe in out_chunks])
 
     (wx, bx), (wy, by) = side(), side()
-    for name, bias_x, bias_y in (("block_bilinear", bx, by),
-                                 ("block_bilinear_nobias", None, None)):
-        def loss(bias_x=bias_x, bias_y=bias_y):
-            z = T.block_bilinear(px, py, wx, bias_x, wy, bias_y, x_chunks, out_chunks, rank)
-            return T.mul(z, probe).sum()
-        inputs = [px, py, *wx, *wy] + ([*bx, *by] if bias_x is not None else [])
+    # grouped: each of the 2 py rows pairs with 3 consecutive px rows
+    px_grouped = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+    probe_grouped = Tensor(rng.normal(size=(6, 5)))
+    for name, x, bias_x, bias_y, out_probe in (
+            ("block_bilinear", px, bx, by, probe),
+            ("block_bilinear_nobias", px, None, None, probe),
+            ("block_bilinear_grouped", px_grouped, bx, by, probe_grouped),
+            ("block_bilinear_grouped_nobias", px_grouped, None, None, probe_grouped)):
+        def loss(x=x, bias_x=bias_x, bias_y=bias_y, out_probe=out_probe):
+            z = T.block_bilinear(x, py, wx, bias_x, wy, bias_y, x_chunks, out_chunks, rank)
+            return T.mul(z, out_probe).sum()
+        inputs = [x, py, *wx, *wy] + ([*bx, *by] if bias_x is not None else [])
         _check("tensor_core", name, loss, [(str(i), t) for i, t in enumerate(inputs)],
                results)
+
+
+def _check_gru_step(rng, results) -> None:
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    p = gru_params_init(4, 3, seed=8)
+    probe = Tensor(rng.normal(size=(2, 3)))
+    weights = [t for _, t in p.named_arrays()]
+    _check("tensor_core", "gru_step", lambda: T.mul(T.gru_step(x, h, *weights), probe).sum(),
+           [("x", x), ("h", h), *p.named_arrays()], results)
 
 
 def check_fusion() -> list[CheckResult]:

@@ -190,8 +190,7 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
 
     q_enc = encode_questions(params, visual, labels, tokens)
     v_flat = Tensor(visual.reshape(batch * k, d_v))
-    q_rep = T.repeat_rows(q_enc, k)
-    fused = block_fuse(v_flat, q_rep, params.obj_fusion)          # (B*k, pooled)
+    fused = block_fuse(v_flat, q_enc, params.obj_fusion)          # (B*k, pooled)
     pooled = T.reduce_max(T.reshape(fused, (batch, k, cfg.pooled_dim)), axis=1)
     if training and cfg.dropout > 0:
         pooled = _dropout(pooled, cfg.dropout, drop_rng)
@@ -261,7 +260,8 @@ def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild a model from a manifest laying out the config's arrays as saved."""
+    """Rebuild a model, in the dtype it was saved in, from a manifest laying out
+    the config's arrays as saved."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
@@ -270,14 +270,19 @@ def load_checkpoint(path) -> ModelParams:
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")
-    params = init_model(_config_from_manifest(path, manifest["config"]))
-    arrays = list(params.named_arrays())
     entries = manifest["arrays"]
+    first = entries[0]["dtype"] if entries else "no arrays"
+    if first not in ("float64", "float32"):
+        raise ValueError(f"checkpoint {path} holds {first}, expected float64 or "
+                         "float32 arrays")
+    dtype = np.dtype(first)
+    with T.using_dtype(dtype.type):
+        params = init_model(_config_from_manifest(path, manifest["config"]))
+    arrays = list(params.named_arrays())
     for i, (got, want) in enumerate(zip_longest([entry["name"] for entry in entries],
                                                 (name for name, _ in arrays))):
         if got != want:
             raise ValueError(f"checkpoint array {i} is {got!r}, this config expects {want!r}")
-    dtype = np.dtype(entries[0]["dtype"])
     offset = 0
     for (name, target), entry in zip(arrays, entries):
         stored = (np.dtype(entry["dtype"]), tuple(entry["shape"]), entry["byte_offset"])

@@ -434,26 +434,78 @@ def attend(weights, values) -> Tensor:
     return _record("attend", (weights, values), np.einsum("bk,bkd->bd", w_data, v_data), bw)
 
 
+def gru_step(x, h, w_update, u_update, b_update, w_reset, u_reset, b_reset,
+             w_cand, u_cand, b_cand) -> Tensor:
+    """One GRU step over row-batches as one tape op: x (B, d_in), h (B, H) -> (B, H).
+
+    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
+    c = tanh(x Wc + (r * h) Uc + bc), and the new state (1 - z) * h + z * c,
+    each term added in that order.
+    """
+    x, h = as_tensor(x), as_tensor(h)
+    weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
+                                           u_reset, b_reset, w_cand, u_cand, b_cand))
+    d_in, hidden = weights[0].shape
+    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0] \
+            or x.shape[1] != d_in or h.shape[1] != hidden:
+        raise ShapeError(f"gru_step: input {x.shape} / state {h.shape} are not "
+                         f"row-batches of the parameter dims ({d_in}, {hidden})")
+    for t, shape in zip(weights, ((d_in, hidden), (hidden, hidden), (hidden,)) * 3):
+        if t.shape != shape:
+            raise ShapeError(f"gru_step: weights of shapes {[w.shape for w in weights]} "
+                             f"do not form a GRU of dims ({d_in}, {hidden})")
+    wz, uz, bz, wr, ur, br, wc, uc, bc = (t.data for t in weights)
+    x_data, h_data = x.data, h.data
+    z = 1.0 / (1.0 + np.exp(-(x_data @ wz + h_data @ uz + bz)))
+    r = 1.0 / (1.0 + np.exp(-(x_data @ wr + h_data @ ur + br)))
+    rh = r * h_data
+    c = np.tanh(x_data @ wc + rh @ uc + bc)
+    out = (1.0 - z) * h_data + z * c
+
+    def bw(g):
+        g_ac = g * z * (1.0 - c * c)
+        g_az = g * (c - h_data) * z * (1.0 - z)
+        g_rh = g_ac @ uc.T
+        g_ar = g_rh * h_data * r * (1.0 - r)
+        g_x = (g_az @ wz.T + g_ar @ wr.T + g_ac @ wc.T) if x.requires_grad else None
+        g_h = (g * (1.0 - z) + g_rh * r + g_az @ uz.T + g_ar @ ur.T) \
+            if h.requires_grad else None
+        return (g_x, g_h,
+                x_data.T @ g_az, h_data.T @ g_az, g_az.sum(axis=0),
+                x_data.T @ g_ar, h_data.T @ g_ar, g_ar.sum(axis=0),
+                x_data.T @ g_ac, rh.T @ g_ac, g_ac.sum(axis=0))
+
+    return _record("gru_step", (x, h, *weights), out, bw)
+
+
 def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
                    wy_chunks: Sequence, by_chunks: Sequence | None,
                    x_chunks: Sequence[tuple[int, int]],
                    out_chunks: Sequence[tuple[int, int]], rank: int) -> Tensor:
-    """Block-term bilinear core: (N, P) x (N, P) -> (N, P_out), chunk by chunk.
+    """Block-term bilinear core: (N*k, P) x (N, P) -> (N*k, P_out), chunk by chunk.
 
-    Chunk c reads columns x_chunks[c] of px and py and writes columns
-    out_chunks[c]. Its factor weights are rank-stacked, (P_c, R*O_c) with
-    column r*O_c + o for rank r, and biases (R*O_c,), or None without bias:
-    u = px_c @ Wx_c + bx_c, v = py_c @ Wy_c + by_c, and the output chunk is
-    the sum over ranks of the (u * v) column blocks, added in rank order.
+    Row i of px pairs with row i // k of py, with k = rows of px // rows of
+    py, so a y row shared by k consecutive x rows is projected once. Chunk c
+    reads columns x_chunks[c] of px and py and writes columns out_chunks[c].
+    Its factor weights are rank-stacked, (P_c, R*O_c) with column r*O_c + o
+    for rank r, and biases (R*O_c,), or None without bias: u = px_c @ Wx_c +
+    bx_c, v = py_c @ Wy_c + by_c, and the output chunk is the sum over ranks
+    of the (u * v) column blocks, added in rank order.
     """
     px, py = as_tensor(px), as_tensor(py)
     wx = [as_tensor(w) for w in wx_chunks]
     wy = [as_tensor(w) for w in wy_chunks]
     bx = None if bx_chunks is None else [as_tensor(b) for b in bx_chunks]
     by = None if by_chunks is None else [as_tensor(b) for b in by_chunks]
-    if px.data.ndim != 2 or px.shape != py.shape or px.shape[1] != x_chunks[-1][1]:
+    if px.data.ndim != 2 or py.data.ndim != 2 or px.shape[1] != py.shape[1] \
+            or px.shape[1] != x_chunks[-1][1]:
         raise ShapeError(f"block_bilinear: inputs {px.shape}, {py.shape} do not match "
                          f"{x_chunks[-1][1]} chunked columns")
+    n = py.shape[0]
+    if n == 0 or px.shape[0] % n:
+        raise ShapeError(f"block_bilinear: {px.shape[0]} x rows are not a multiple of "
+                         f"{n} y rows")
+    k = px.shape[0] // n
     if (bx is None) != (by is None):
         raise ShapeError("block_bilinear: give biases for both sides or for neither")
     if not len(wx) == len(wy) == len(x_chunks) == len(out_chunks) \
@@ -478,7 +530,7 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
         if bx is not None:
             u += bx[c].data
             v += by[c].data
-        uv = u * v
+        uv = (u.reshape(n, k, -1) * v[:, None]).reshape(u.shape)
         width = oe - os_
         acc = uv[:, :width]
         for r in range(1, rank):
@@ -491,8 +543,9 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
         g_wx, g_wy, g_bx, g_by = [], [], [], []
         for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
             u, v = saved[c]
-            g_uv = np.tile(g[:, os_:oe], (1, rank))
-            g_u, g_v = g_uv * v, g_uv * u
+            g_uv = np.tile(g[:, os_:oe], (1, rank)).reshape(n, k, -1)
+            g_u = (g_uv * v[:, None]).reshape(u.shape)
+            g_v = (g_uv * u.reshape(n, k, -1)).sum(axis=1)
             g_px[:, xs:xe] = g_u @ wx_data[c].T
             g_py[:, xs:xe] = g_v @ wy_data[c].T
             g_wx.append(px_data[:, xs:xe].T @ g_u)

@@ -228,7 +228,11 @@ class TestSerialization:
         ("v", None, "object 1 is missing field 'v'"),
         ("l", None, "object 1 is missing field 'l'"),
         ("v", [1, 2], "non-numeric 'v' value"),
-        ("record", 5, "record is not a JSON object")])
+        ("record", 5, "record is not a JSON object"),
+        ("id=", [1], "example id [1] is not a string"),
+        ("id=", {"a": 1}, "example id {'a': 1} is not a string"),
+        ("id=", 5, "example id 5 is not a string"),
+        ("id=", None, "example id None is not a string")])
     def test_out_of_range_ids_rejected_at_load(self, tmp_path, field, bad, message):
         save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)), tmp_path)
         path = tmp_path / "train.jsonl"
@@ -300,6 +304,24 @@ class TestSerialization:
         assert np.array_equal(loaded.vocab.embedding, ds.vocab.embedding)
         assert len(loaded.train) == 40 and len(loaded.test) == 15
         assert loaded.bias[0] == ds.bias[0]
+
+    def test_load_reads_only_the_named_splits(self, tmp_path):
+        ds = generate_dataset(DataConfig(n_train=40, n_test=15, seed=6))
+        save_dataset(ds, tmp_path)
+        (tmp_path / "train.jsonl").unlink()
+        (tmp_path / "test_iid.jsonl").write_text("not json\n")
+        loaded = load_dataset(tmp_path, splits=("test",))
+        assert list(loaded.splits()) == ["test"]
+        assert loaded.test.ids == ds.test.ids
+        assert np.array_equal(loaded.test.visual, ds.test.visual)
+        for name in ("train", "test_iid"):
+            with pytest.raises(KeyError, match=f"split '{name}' was not loaded; "
+                                               "loaded splits: test"):
+                getattr(loaded, name)
+        with pytest.raises(ValueError, match="unknown split 'dev'"):
+            load_dataset(tmp_path, splits=("dev",))
+        with pytest.raises(FileNotFoundError, match="train.jsonl"):
+            load_dataset(tmp_path)
 
     def test_label_features_encode_shape_only(self, small_ds):
         # objects of one shape share a label centroid regardless of color

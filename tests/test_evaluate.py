@@ -176,6 +176,7 @@ class TestReportFiles:
         assert loaded.per_type.keys() == report.per_type.keys()
         assert loaded.predictions[0] == report.predictions[0]
         assert loaded.checkpoint == "ckpt.json"
+        assert loaded.precision == report.precision == "float64"
 
     def test_comparison_csv_layout(self, ds, params, tmp_path):
         report = evaluate_split(params, ds.test, ds)

@@ -1,0 +1,172 @@
+"""The fused tape ops against the compositions of primitive tape ops they
+replace: the forward value and every gradient agree to 1e-12.
+
+`gru_step` is compared with the gate-by-gate GRU step, over sequences of T
+steps. Grouped `block_bilinear` (x at N*k rows, y at N rows) is compared with
+repeating each y row k times and composing the chunk-and-rank core from
+matmuls, adds and products; column slices are taken by multiplying with 0/1
+selection matrices, which is exact.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from vqalab import tensor as T
+from vqalab.encoder import gru_params_init
+from vqalab.tensor import ShapeError, Tensor
+
+TOL = 1e-12
+
+
+def gradients(loss_fn, leaves):
+    """Forward value and the gradient of every leaf that requires one."""
+    for t in leaves:
+        t.zero_grad()
+    out, loss = loss_fn()
+    T.backward(loss)
+    grads = [None if t.grad is None else t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return out.data.copy(), grads
+
+
+def assert_same(fused, composed):
+    (out_f, grads_f), (out_c, grads_c) = fused, composed
+    assert np.max(np.abs(out_f - out_c)) < TOL
+    for g_f, g_c in zip(grads_f, grads_c):
+        assert (g_f is None) == (g_c is None)
+        if g_f is not None:
+            assert g_f.shape == g_c.shape
+            assert np.max(np.abs(g_f - g_c)) < TOL
+
+
+# ---------------------------------------------------------------------------
+# gru_step
+
+
+def gru_step_composed(x, h, wz, uz, bz, wr, ur, br, wc, uc, bc):
+    z = T.sigmoid(T.add(T.add(T.matmul(x, wz), T.matmul(h, uz)), bz))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, wr), T.matmul(h, ur)), br))
+    cand = T.tanh(T.add(T.add(T.matmul(x, wc), T.matmul(T.mul(r, h), uc)), bc))
+    return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
+
+
+@pytest.mark.parametrize("rows,steps,x_grad,h_grad",
+                         list(itertools.product((1, 4), (1, 3), (True, False), (True, False))))
+def test_gru_step_matches_composition(rows, steps, x_grad, h_grad):
+    rng = np.random.default_rng(10 * rows + steps)
+    weights = [t for _, t in gru_params_init(5, 3, seed=rows + steps).named_arrays()]
+    for t in weights[2::3]:                      # nonzero biases
+        t.data[...] = rng.normal(size=t.shape)
+    xs = [Tensor(rng.normal(size=(rows, 5)), requires_grad=x_grad) for _ in range(steps)]
+    h0 = Tensor(rng.normal(size=(rows, 3)), requires_grad=h_grad)
+    probe = Tensor(rng.normal(size=(rows, 3)))
+
+    def run(step):
+        def loss_fn():
+            h = h0
+            for x in xs:
+                h = step(x, h, *weights)
+            return h, T.mul(h, probe).sum()
+        return gradients(loss_fn, [*xs, h0, *weights])
+
+    assert_same(run(T.gru_step), run(gru_step_composed))
+
+
+def test_gru_step_records_once_per_step():
+    p = gru_params_init(4, 3, seed=0)
+    before = len(T.active_tape())
+    h = T.gru_step(Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 3))),
+                   *(t for _, t in p.named_arrays()))
+    assert [r.op for r in T.active_tape().records[before:]] == ["gru_step"]
+    T.backward(h.sum())
+
+
+def test_gru_step_rejects_mismatched_shapes():
+    weights = [t for _, t in gru_params_init(4, 3, seed=0).named_arrays()]
+    with pytest.raises(ShapeError, match="row-batches"):
+        T.gru_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), *weights)
+    with pytest.raises(ShapeError, match="row-batches"):
+        T.gru_step(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))), *weights)
+    with pytest.raises(ShapeError, match="do not form a GRU"):
+        T.gru_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
+                   *weights[:4], Tensor(np.zeros((4, 3))), *weights[5:])
+
+
+# ---------------------------------------------------------------------------
+# grouped block_bilinear
+
+X_CHUNKS = [(0, 3), (3, 5), (5, 7)]        # P=7 splits 3/2/2
+OUT_CHUNKS = [(0, 2), (2, 4), (4, 5)]      # P_out=5 splits 2/2/1
+RANK = 2
+
+
+def select(n, start, end):
+    """(n, end - start) 0/1 matrix: m @ select(...) is m[:, start:end]."""
+    s = np.zeros((n, end - start))
+    s[np.arange(start, end), np.arange(end - start)] = 1.0
+    return Tensor(s)
+
+
+def block_bilinear_composed(px, py, wx, bx, wy, by, k):
+    """Chunk by chunk and rank by rank from primitive tape ops, y repeated k times."""
+    py = T.repeat_rows(py, k)
+    parts = []
+    for c, ((xs, xe), (os_, oe)) in enumerate(zip(X_CHUNKS, OUT_CHUNKS)):
+        width = oe - os_
+        cols = select(px.shape[1], xs, xe)
+        acc = None
+        for r in range(RANK):
+            rank_cols = select(RANK * width, r * width, (r + 1) * width)
+
+            def factor(p, w, b):
+                out = T.matmul(T.matmul(p, cols), T.matmul(w[c], rank_cols))
+                if b is None:
+                    return out
+                return T.add(out, T.reshape(T.matmul(T.reshape(b[c], (1, RANK * width)),
+                                                     rank_cols), (width,)))
+
+            uv = T.mul(factor(px, wx, bx), factor(py, wy, by))
+            acc = uv if acc is None else T.add(acc, uv)
+        parts.append(acc)
+    return T.concat(parts, axis=1)
+
+
+@pytest.mark.parametrize("rows,k,bias,x_grad",
+                         list(itertools.product((1, 3), (1, 4), (True, False), (True, False))))
+def test_grouped_block_bilinear_matches_composition(rows, k, bias, x_grad):
+    rng = np.random.default_rng(100 * rows + 10 * k + bias)
+    px = Tensor(rng.normal(size=(rows * k, 7)), requires_grad=x_grad)
+    py = Tensor(rng.normal(size=(rows, 7)), requires_grad=True)
+
+    def side():
+        w = [Tensor(rng.normal(size=(xe - xs, RANK * (oe - os_))), requires_grad=True)
+             for (xs, xe), (os_, oe) in zip(X_CHUNKS, OUT_CHUNKS)]
+        b = [Tensor(rng.normal(size=RANK * (oe - os_)), requires_grad=True)
+             for os_, oe in OUT_CHUNKS]
+        return w, (b if bias else None)
+
+    (wx, bx), (wy, by) = side(), side()
+    probe = Tensor(rng.normal(size=(rows * k, 5)))
+    leaves = [px, py, *wx, *wy, *(bx + by if bias else [])]
+
+    def run(core):
+        def loss_fn():
+            z = core()
+            return z, T.mul(z, probe).sum()
+        return gradients(loss_fn, leaves)
+
+    fused = run(lambda: T.block_bilinear(px, py, wx, bx, wy, by, X_CHUNKS, OUT_CHUNKS, RANK))
+    composed = run(lambda: block_bilinear_composed(px, py, wx, bx, wy, by, k))
+    assert_same(fused, composed)
+
+
+@pytest.mark.parametrize("x_rows,y_rows", [(7, 2), (3, 4), (4, 0)])
+def test_block_bilinear_rejects_rows_not_a_multiple(x_rows, y_rows):
+    w = [Tensor(np.ones((xe - xs, RANK * (oe - os_))))
+         for (xs, xe), (os_, oe) in zip(X_CHUNKS, OUT_CHUNKS)]
+    with pytest.raises(ShapeError, match=f"{x_rows} x rows are not a multiple of {y_rows}"):
+        T.block_bilinear(Tensor(np.ones((x_rows, 7))), Tensor(np.ones((y_rows, 7))),
+                         w, None, w, None, X_CHUNKS, OUT_CHUNKS, RANK)

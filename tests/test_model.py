@@ -256,6 +256,27 @@ class TestCheckpoint:
         assert (tmp_path / "ckpt.json.bin").read_bytes() == \
             params.embedding.vectors.data.tobytes() + params.flat.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("default", [np.float64, np.float32])
+    def test_loads_in_the_stored_dtype(self, tmp_path, dtype, default):
+        with T.using_dtype(dtype):
+            params = init_model(tiny_config("vgqe", seed=4))
+        save_checkpoint(params, tmp_path / "ckpt.json")
+        with T.using_dtype(default):
+            loaded = load_checkpoint(tmp_path / "ckpt.json")
+            assert T.get_default_dtype() is default
+        assert loaded.flat.dtype == dtype
+        assert {t.data.dtype for _, t in loaded.named_arrays()} == {np.dtype(dtype)}
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_non_float_dtype_refused(self, tmp_path):
+        def as_int(entries):
+            for entry in entries:
+                entry["dtype"] = "int64"
+        assert self.edited_manifest(tmp_path, as_int) == (
+            f"checkpoint {tmp_path / 'ckpt.json'} holds int64, expected float64 or "
+            "float32 arrays")
+
     def edited_manifest(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
         save_checkpoint(init_model(tiny_config("vgqe", seed=5)), path)

@@ -17,7 +17,7 @@ SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
         "_record", "_reduce_to", "active_tape", "add", "as_tensor", "attend", "backward",
-        "block_bilinear", "concat", "dot", "get_default_dtype", "grad_check",
+        "block_bilinear", "concat", "dot", "get_default_dtype", "grad_check", "gru_step",
         "logsumexp_rows", "matmul", "mul", "no_grad", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
         "scale", "set_default_dtype", "sigmoid", "softmax", "sub", "tanh",

@@ -2,8 +2,8 @@
 
 Step time is dominated by per-op Python overhead, so the number of records a
 forward pass puts on the tape is the cost model. A change that falls back to
-composing block fusion chunk by chunk and rank by rank, or that leaves
-records behind, changes these counts.
+composing block fusion chunk by chunk and rank by rank, or a GRU step gate by
+gate, or that leaves records behind, changes these counts.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ def test_block_fuse_records(use_bias, count):
     T.backward(out.sum())
 
 
-@pytest.mark.parametrize("variant,count", [("baseline", 146), ("vgqe", 197)])
+@pytest.mark.parametrize("variant,count", [("baseline", 25), ("vgqe", 76)])
 def test_training_step_records(variant, count):
     params = init_model(ModelConfig(variant=variant, seed=3, **TINY))
     rng = np.random.default_rng(1)
@@ -51,6 +51,22 @@ def test_training_step_records(variant, count):
     assert added == count
     T.backward(loss)
     assert len(T.active_tape()) == 0
+
+
+@pytest.mark.parametrize("variant,budget", [("baseline", 80), ("vgqe", 120)])
+def test_default_size_step_stays_within_budget(variant, budget):
+    # default ModelConfig, B=128, T=4: one record per GRU step and one fusion
+    # core per block_fuse keep a training step under these budgets
+    params = init_model(ModelConfig(variant=variant, seed=0))
+    rng = np.random.default_rng(3)
+    visual, labels = rng.normal(size=(128, 8, 32)), rng.normal(size=(128, 8, 16))
+    tokens = rng.integers(0, 16, size=(128, 4))
+    loss, added = records_added(lambda: T.reduce_mean(cross_entropy_rows(
+        forward_batch(params, visual, labels, tokens, training=True,
+                      drop_rng=np.random.default_rng(4)),
+        rng.integers(0, 11, size=128))))
+    assert added <= budget
+    T.backward(loss)
 
 
 def test_trace_helper_leaves_no_records():
