@@ -8,17 +8,20 @@ import numpy as np
 from vqalab import tensor as T
 from vqalab.tensor import Tensor
 
-# Tensors wrap numpy arrays. Marking one with requires_grad puts every
-# operation touching it onto the tape.
+# Tensors wrap numpy arrays. Inside a recording, every operation touching a
+# tensor marked requires_grad goes onto the recording's tape; outside one,
+# nothing is recorded.
 x = Tensor([0.5, -1.2, 2.0], requires_grad=True)
 w = Tensor([[0.1, 0.3], [-0.2, 0.4], [0.7, -0.5]], requires_grad=True)
 
-hidden = T.tanh(T.matmul(T.reshape(x, (1, 3)), w))   # (1, 2)
-score = T.dot(T.softmax(T.reshape(hidden, (2,))), Tensor([1.0, -1.0]))
-print("forward value:", score.item())
+with T.recording():
+    hidden = T.tanh(T.matmul(T.reshape(x, (1, 3)), w))   # (1, 2)
+    score = T.dot(T.softmax(T.reshape(hidden, (2,))), Tensor([1.0, -1.0]))
+    print("forward value:", score.item())
 
-# backward replays the tape once in reverse and fills leaf gradients
-T.backward(score)
+    # backward replays the tape once in reverse, fills leaf gradients and
+    # consumes the tape
+    T.backward(score)
 print("dscore/dx:", x.grad)
 print("dscore/dw:\n", w.grad)
 
@@ -41,5 +44,6 @@ print("softmax of huge logits:", big.data, "sum:", big.data.sum())
 
 # max-pooling routes gradient to the (first) maximizer only
 pool_in = Tensor([3.0, 3.0, 1.0], requires_grad=True)
-T.backward(T.reduce_max(pool_in))
+with T.recording():
+    T.backward(T.reduce_max(pool_in))
 print("max-pool gradient with a tie:", pool_in.grad)

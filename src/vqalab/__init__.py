@@ -18,7 +18,7 @@ from .grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,
                         grounded_words, vgw_attention, vgw_params_init)
 from .model import (ModelConfig, ModelParams, count_parameters, forward_batch,
                     init_model, load_checkpoint, save_checkpoint)
-from .tensor import Tensor, backward, grad_check, no_grad
+from .tensor import Tensor, backward, grad_check, recording
 from .train import (AdamWState, ScheduleConfig, TrainConfig, adamw_step,
                     clip_grad_norm, cross_entropy_rows, lr_at_epoch, train)
 

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .data import DatasetSplit, SyntheticDataset
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
@@ -77,11 +76,10 @@ def predict_split(params: ModelParams, split: DatasetSplit,
                   batch_size: int = 256) -> list[int]:
     """Deterministic predictions for every example, original order."""
     preds = np.zeros(len(split), dtype=int)
-    with T.no_grad():
-        for batch in length_bucketed_batches(split, batch_size, rng=None):
-            visual, labels, tokens, _ = stack_batch(split, batch)
-            logits = forward_batch(params, visual, labels, tokens, training=False)
-            preds[batch] = logits.data.argmax(axis=1)
+    for batch in length_bucketed_batches(split, batch_size, rng=None):
+        visual, labels, tokens, _ = stack_batch(split, batch)
+        logits = forward_batch(params, visual, labels, tokens, training=False)
+        preds[batch] = logits.data.argmax(axis=1)
     return [int(p) for p in preds]
 
 

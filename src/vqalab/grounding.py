@@ -145,14 +145,10 @@ def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable, vgw: Vgw
 
     visual (k, d_v), labels (k, d_w) and a token list -> the (2H,) encoding
     and per-direction attention weights, each the same (T, k) array since both
-    directions read one grounding. Runs without recording, since it returns
-    plain arrays.
+    directions read one grounding.
     """
-    with T.no_grad():
-        enc, attention = encode_questions_vgqe(np.asarray(visual)[None],
-                                               np.asarray(labels)[None],
-                                               np.asarray([tokens]), table, vgw,
-                                               forward, backward)
+    enc, attention = encode_questions_vgqe(np.asarray(visual)[None], np.asarray(labels)[None],
+                                           np.asarray([tokens]), table, vgw, forward, backward)
     return enc.data[0], {"forward": attention[:, 0], "backward": attention[:, 0]}
 
 

@@ -1,9 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array plus an optional gradient. Operations on
-tensors that require gradients are recorded on a tape; ``backward`` replays
-the tape in reverse and accumulates gradients into the leaves. The tape
-belongs to one logical execution context and is discarded after backward.
+A Tensor wraps a numpy array plus an optional gradient. Operations are
+recorded only inside a ``with recording() as tape:`` block, and only when an
+input requires gradients; nothing records outside one. ``backward`` replays
+the tape in reverse, accumulates gradients into the leaves and consumes the
+tape. Leaving the block releases whatever the tape still holds, so a forward
+pass without a backward, or one cut short by an exception, leaves nothing
+behind. The current tape and the default dtype are context variables: each
+thread has its own.
 
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
@@ -14,37 +18,33 @@ raises ShapeError.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_default_dtype = np.float64
+_default_dtype = contextvars.ContextVar("default_dtype", default=np.float64)
+_current_tape = contextvars.ContextVar("current_tape", default=None)
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with an operation."""
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float64 or float32)."""
-    global _default_dtype
-    if dtype not in (np.float64, np.float32):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float64 or float32")
-    _default_dtype = dtype
-
-
 def get_default_dtype():
-    return _default_dtype
+    return _default_dtype.get()
 
 
 @contextlib.contextmanager
 def using_dtype(dtype):
-    prev = _default_dtype
-    set_default_dtype(dtype)
+    """Create tensors of this dtype (float64 or float32) inside the block."""
+    if dtype not in (np.float64, np.float32):
+        raise ValueError(f"unsupported dtype {dtype!r}; use float64 or float32")
+    token = _default_dtype.set(dtype)
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _default_dtype.reset(token)
 
 
 class TapeRecord:
@@ -61,62 +61,59 @@ class TapeRecord:
 
 
 class Tape:
-    """Ordered record of operations for one forward pass.
+    """Ordered record of the operations of one recording.
 
-    Clearing bumps the generation; tensors produced under an older
-    generation cannot feed new records or a backward pass.
+    A backward pass over it, or the end of its recording, consumes it: its
+    records are released and it takes no more.
     """
 
-    __slots__ = ("records", "generation")
+    __slots__ = ("records", "consumed")
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self.generation = 0
+        self.consumed = False
 
     def append(self, record: TapeRecord) -> int:
         self.records.append(record)
         return len(self.records) - 1
 
-    def clear(self) -> None:
+    def release(self) -> None:
         self.records.clear()
-        self.generation += 1
+        self.consumed = True
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-_tape = Tape()
-_grad_enabled = True
-
-
-def active_tape() -> Tape:
-    return _tape
-
-
 @contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block (evaluation, finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def recording():
+    """Record operations on a fresh tape, yielded, until the block ends.
+
+    On exit, normal or by exception, the tape's records are released.
+    Recordings do not nest.
+    """
+    if _current_tape.get() is not None:
+        raise RuntimeError("recording: a recording is already open")
+    tape = Tape()
+    token = _current_tape.set(tape)
     try:
-        yield
+        yield tape
     finally:
-        _grad_enabled = prev
+        _current_tape.reset(token)
+        tape.release()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "_index", "_generation")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=_default_dtype.get())
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._tape: Tape | None = None
         self._index: int = -1
-        self._generation: int = -1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -177,9 +174,6 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -188,17 +182,16 @@ def as_tensor(x) -> Tensor:
 def _record(op: str, inputs: tuple, out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
-        for t in inputs:
-            if isinstance(t, Tensor) and t._tape is not None \
-                    and t._generation != t._tape.generation:
-                raise RuntimeError(
-                    f"{op}: input comes from a tape that was already consumed "
-                    "by backward; rebuild the forward pass from leaves")
+    tape = _current_tape.get()
+    if tape is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+        if tape.consumed or any(isinstance(t, Tensor) and t._tape is not None
+                                and t._tape is not tape for t in inputs):
+            raise RuntimeError(
+                f"{op}: recording onto a consumed tape, or an input comes from "
+                "one; rebuild the forward pass from leaves in a new recording")
         out.requires_grad = True
-        out._tape = _tape
-        out._index = _tape.append(TapeRecord(op, inputs, out, backward_fn))
-        out._generation = _tape.generation
+        out._tape = tape
+        out._index = tape.append(TapeRecord(op, inputs, out, backward_fn))
     return out
 
 
@@ -599,25 +592,25 @@ def logsumexp_rows(x) -> Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every requires_grad leaf.
 
-    The root must be scalar. The active tape is consumed: records up to the
-    root are replayed once in reverse order, then the tape is discarded.
-    Repeated backward calls (over fresh forward passes) accumulate into
-    leaf gradients until zero_grad.
+    The root must be scalar and recorded on the current tape. Records up to
+    the root are replayed once in reverse order, then the tape is consumed.
+    Backward passes over new recordings accumulate into leaf gradients until
+    zero_grad.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-    if root._tape is None:
+    tape = root._tape
+    if tape is None:
         if root.requires_grad:
             if root.grad is None:
                 root.grad = np.zeros_like(root.data)
             root.grad = root.grad + np.ones_like(root.data)
             return
-        raise RuntimeError("backward: tape does not reach root (no recorded operations)")
-
-    tape = root._tape
-    if root._generation != tape.generation:
+        raise RuntimeError("backward: no recorded operation reaches root; run the "
+                           "forward pass inside T.recording()")
+    if tape.consumed or tape is not _current_tape.get():
         raise RuntimeError("backward: the tape behind this tensor was already "
-                           "consumed; rebuild the forward pass")
+                           "consumed; rebuild the forward pass in a new recording")
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for record in reversed(tape.records[: root._index + 1]):
         g_out = grads.pop(id(record.output), None)
@@ -637,7 +630,7 @@ def backward(root: Tensor) -> None:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-    tape.clear()
+    tape.release()
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
@@ -652,25 +645,25 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
         raise ValueError("grad_check target must require gradients")
     saved_grad = x.grad
     x.grad = None
-    out = f(x)
-    if out.size != 1:
-        raise ShapeError(f"grad_check function must return a scalar, got shape {out.shape}")
-    backward(out)
+    with recording():
+        out = f(x)
+        if out.size != 1:
+            raise ShapeError(f"grad_check function must return a scalar, got shape {out.shape}")
+        backward(out)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     x.grad = saved_grad
 
     numeric = np.empty_like(x.data)
     flat = x.data.reshape(-1)
     num_flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(x).data.reshape(-1)[0])
-            flat[i] = orig - eps
-            f_minus = float(f(x).data.reshape(-1)[0])
-            flat[i] = orig
-            num_flat[i] = (f_plus - f_minus) / (2.0 * eps)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = float(f(x).data.reshape(-1)[0])
+        flat[i] = orig - eps
+        f_minus = float(f(x).data.reshape(-1)[0])
+        flat[i] = orig
+        num_flat[i] = (f_plus - f_minus) / (2.0 * eps)
 
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -212,14 +212,14 @@ def train(params: ModelParams, split: DatasetSplit,
         for batch_index, batch in enumerate(
                 length_bucketed_batches(split, config.batch_size, shuffle_rng)):
             visual, labels, tokens, answers = stack_batch(split, batch)
-            logits = forward_batch(params, visual, labels, tokens,
-                                   training=True, drop_rng=drop_rng)
-            loss = T.reduce_mean(cross_entropy_rows(logits, answers))
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                T.active_tape().clear()
-                raise TrainingDiverged(epoch, batch_index, loss_value)
-            T.backward(loss)
+            with T.recording():
+                logits = forward_batch(params, visual, labels, tokens,
+                                       training=True, drop_rng=drop_rng)
+                loss = T.reduce_mean(cross_entropy_rows(logits, answers))
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise TrainingDiverged(epoch, batch_index, loss_value)
+                T.backward(loss)
             np.concatenate([np.zeros_like(t.data) if t.grad is None else t.grad
                             for t in leaves], axis=None, out=grad)
             norm = clip_grad_norm(grad, parts, config.clip_norm)[1]

@@ -16,11 +16,11 @@ import vqalab
 SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
-        "_record", "_reduce_to", "active_tape", "add", "as_tensor", "attend", "backward",
+        "_record", "_reduce_to", "add", "as_tensor", "attend", "backward",
         "block_bilinear", "concat", "dot", "get_default_dtype", "grad_check", "gru_step",
-        "logsumexp_rows", "matmul", "mul", "no_grad", "reduce_max",
+        "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
-        "scale", "set_default_dtype", "sigmoid", "softmax", "sub", "tanh",
+        "scale", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
     "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_check_ids", "_generate_split",
@@ -70,6 +70,7 @@ def test_module_defines_only_its_listed_surface(module_name):
 
 
 def test_removed_knobs_stay_removed():
+    from vqalab import tensor
     from vqalab.encoder import EmbeddingTable
     from vqalab.fusion import BlockFusionParams
     from vqalab.grounding import encode_questions_vgqe
@@ -85,3 +86,8 @@ def test_removed_knobs_stay_removed():
     assert not hasattr(ModelParams, "vgqe_params")
     assert "return_trace" not in inspect.signature(encode_questions_vgqe).parameters
     assert not hasattr(Tensor, "detach")
+    # recording is scoped to `with tensor.recording()`: no global tape or grad
+    # switch, no global default dtype, one way to run backward
+    assert not {"active_tape", "no_grad", "set_default_dtype"} & set(vars(tensor))
+    assert not hasattr(Tensor, "backward")
+    assert "_generation" not in Tensor.__slots__

@@ -3,7 +3,9 @@
 Step time is dominated by per-op Python overhead, so the number of records a
 forward pass puts on the tape is the cost model. A change that falls back to
 composing block fusion chunk by chunk and rank by rank, or a GRU step gate by
-gate, or that leaves records behind, changes these counts.
+gate, changes these counts. Each test counts on the tape of its own
+recording, which must hold no records once the recording ends, whether by a
+backward pass, without one, or by an exception.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from vqalab import tensor as T
 from vqalab.fusion import block_fuse, block_params_init
 from vqalab.grounding import encode_question_vgqe
 from vqalab.model import FusionConfig, ModelConfig, forward_batch, init_model
-from vqalab.tensor import Tensor
+from vqalab.tensor import ShapeError, Tensor
 from vqalab.train import cross_entropy_rows
 
 TINY = dict(d_v=6, d_w=5, hidden=4, refined_dim=4, grounded_dim=6, pooled_dim=6,
@@ -21,10 +23,11 @@ TINY = dict(d_v=6, d_w=5, hidden=4, refined_dim=4, grounded_dim=6, pooled_dim=6,
             vgw_fusion=FusionConfig(6, 6, 2, 2), obj_fusion=FusionConfig(6, 6, 2, 2))
 
 
-def records_added(fn):
-    before = len(T.active_tape())
-    out = fn()
-    return out, len(T.active_tape()) - before
+def default_size_batch(seed):
+    """Default ModelConfig inputs at B=128, T=4."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(128, 8, 32)), rng.normal(size=(128, 8, 16)), \
+        rng.integers(0, 16, size=(128, 4)), rng
 
 
 @pytest.mark.parametrize("use_bias,count", [(True, 7), (False, 4)])
@@ -34,10 +37,11 @@ def test_block_fuse_records(use_bias, count):
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 32)), requires_grad=True)
     y = Tensor(rng.normal(size=(5, 64)))
-    out, added = records_added(lambda: block_fuse(x, y, p))
-    assert added == count
-    assert [r.op for r in T.active_tape().records[-added:]].count("block_bilinear") == 1
-    T.backward(out.sum())
+    with T.recording() as tape:
+        out = block_fuse(x, y, p)
+        assert len(tape) == count
+        assert [r.op for r in tape.records].count("block_bilinear") == 1
+        T.backward(out.sum())
 
 
 @pytest.mark.parametrize("variant,count", [("baseline", 25), ("vgqe", 76)])
@@ -46,11 +50,12 @@ def test_training_step_records(variant, count):
     rng = np.random.default_rng(1)
     visual, labels = rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 3, 5))
     tokens = np.array([[1, 4, 2], [0, 8, 8], [3, 3, 5], [7, 6, 2]])
-    loss, added = records_added(lambda: T.reduce_mean(cross_entropy_rows(
-        forward_batch(params, visual, labels, tokens), np.array([0, 3, 5, 7]))))
-    assert added == count
-    T.backward(loss)
-    assert len(T.active_tape()) == 0
+    with T.recording() as tape:
+        loss = T.reduce_mean(cross_entropy_rows(
+            forward_batch(params, visual, labels, tokens), np.array([0, 3, 5, 7])))
+        assert len(tape) == count
+        T.backward(loss)
+        assert len(tape) == 0
 
 
 @pytest.mark.parametrize("variant,budget", [("baseline", 80), ("vgqe", 120)])
@@ -58,23 +63,42 @@ def test_default_size_step_stays_within_budget(variant, budget):
     # default ModelConfig, B=128, T=4: one record per GRU step and one fusion
     # core per block_fuse keep a training step under these budgets
     params = init_model(ModelConfig(variant=variant, seed=0))
-    rng = np.random.default_rng(3)
-    visual, labels = rng.normal(size=(128, 8, 32)), rng.normal(size=(128, 8, 16))
-    tokens = rng.integers(0, 16, size=(128, 4))
-    loss, added = records_added(lambda: T.reduce_mean(cross_entropy_rows(
-        forward_batch(params, visual, labels, tokens, training=True,
-                      drop_rng=np.random.default_rng(4)),
-        rng.integers(0, 11, size=128))))
-    assert added <= budget
-    T.backward(loss)
+    visual, labels, tokens, rng = default_size_batch(3)
+    with T.recording() as tape:
+        loss = T.reduce_mean(cross_entropy_rows(
+            forward_batch(params, visual, labels, tokens, training=True,
+                          drop_rng=np.random.default_rng(4)),
+            rng.integers(0, 11, size=128)))
+        assert len(tape) <= budget
+        T.backward(loss)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+def test_forward_passes_without_backward_leave_no_records(variant):
+    params = init_model(ModelConfig(variant=variant, seed=0))
+    visual, labels, tokens, _ = default_size_batch(5)
+    with T.recording() as tape:
+        for _ in range(3):
+            forward_batch(params, visual, labels, tokens)
+        assert len(tape) > 0
+    assert len(tape) == 0
+
+
+def test_error_mid_forward_leaves_no_records():
+    p = block_params_init(5, 4, 6, 6, 3, chunks=2, rank=2, seed=0)
+    rng = np.random.default_rng(6)
+    with pytest.raises(ShapeError, match="7 x rows are not a multiple of 2 y rows"):
+        with T.recording() as tape:
+            block_fuse(Tensor(rng.normal(size=(7, 5))), Tensor(rng.normal(size=(2, 4))), p)
+    assert len(tape) == 0
 
 
 def test_trace_helper_leaves_no_records():
     params = init_model(ModelConfig(variant="vgqe"))
     rng = np.random.default_rng(2)
-    before = len(T.active_tape())
-    for _ in range(3):
-        encode_question_vgqe(rng.normal(size=(8, 32)), rng.normal(size=(8, 16)),
-                             [0, 5, 3, 9], params.embedding, params.vgw, params.gru_fwd,
-                             params.gru_bwd)
-    assert len(T.active_tape()) == before
+    with T.recording() as tape:
+        for _ in range(3):
+            encode_question_vgqe(rng.normal(size=(8, 32)), rng.normal(size=(8, 16)),
+                                 [0, 5, 3, 9], params.embedding, params.vgw, params.gru_fwd,
+                                 params.gru_bwd)
+    assert len(tape) == 0

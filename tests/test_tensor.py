@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ class TestElementwise:
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        T.backward(T.mul(a, b).sum())
+        with T.recording():
+            T.backward(T.mul(a, b).sum())
         assert np.allclose(b.grad, a.data.sum(axis=0))
         assert np.allclose(a.grad, np.broadcast_to(b.data, (4, 3)))
 
@@ -142,7 +144,8 @@ class TestReduce:
 
     def test_mean_backward_linearity(self):
         x = Tensor([2.0, 4.0], requires_grad=True)
-        T.backward(T.reduce_mean(x))
+        with T.recording():
+            T.backward(T.reduce_mean(x))
         assert np.allclose(x.grad, [0.5, 0.5])
 
     def test_invalid_axis(self):
@@ -151,19 +154,22 @@ class TestReduce:
 
     def test_max_tie_goes_to_first(self):
         x = Tensor([3.0, 3.0, 1.0], requires_grad=True)
-        T.backward(T.reduce_max(x))
+        with T.recording():
+            T.backward(T.reduce_max(x))
         assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.backward(x.sum())
+        with T.recording():
+            T.backward(x.sum())
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_square(self):
         x = Tensor([3.0], requires_grad=True)
-        T.backward(T.mul(x, x).sum())
+        with T.recording():
+            T.backward(T.mul(x, x).sum())
         assert np.allclose(x.grad, [6.0])
 
     def test_composite_matches_finite_differences(self):
@@ -179,7 +185,7 @@ class TestBackward:
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(ShapeError):
+        with T.recording(), pytest.raises(ShapeError):
             T.backward(T.mul(x, x))
 
     def test_reused_leaf_accumulates_both_paths(self):
@@ -194,21 +200,48 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        T.backward(x.sum())
-        T.backward(x.sum())
+        for _ in range(2):
+            with T.recording():
+                T.backward(x.sum())
         assert np.array_equal(x.grad, [2.0, 2.0])
         x.zero_grad()
         assert x.grad is None
 
     def test_stale_intermediates_rejected_after_tape_consumed(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        kept = T.mul(x, x)
-        stale_root = kept.sum()
-        T.backward(x.sum())  # consumes the tape backing `kept` and `stale_root`
+        with T.recording():
+            kept = T.mul(x, x)
+            stale_root = kept.sum()
+            T.backward(x.sum())  # consumes the tape backing `kept` and `stale_root`
+            with pytest.raises(RuntimeError, match="consumed"):
+                T.backward(stale_root)
+            with pytest.raises(RuntimeError, match="consumed"):
+                kept.sum()
+            with pytest.raises(RuntimeError, match="consumed"):
+                x.sum()
+        with T.recording():
+            with pytest.raises(RuntimeError, match="consumed"):
+                kept.sum()
+            with pytest.raises(RuntimeError, match="consumed"):
+                T.backward(stale_root)
+
+    def test_backward_needs_the_root_recorded_in_an_open_recording(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="no recorded operation"):
+            T.backward(T.mul(x, x).sum())
+        with T.recording():
+            root = T.mul(x, x).sum()
         with pytest.raises(RuntimeError, match="consumed"):
-            T.backward(stale_root)
-        with pytest.raises(RuntimeError, match="consumed"):
-            kept.sum()
+            T.backward(root)
+        assert x.grad is None
+
+    def test_recordings_do_not_nest(self):
+        with T.recording() as tape:
+            with pytest.raises(RuntimeError, match="already open"):
+                with T.recording():
+                    pass
+            T.mul(Tensor([1.0], requires_grad=True), 2.0)
+            assert len(tape) == 1
 
 
 class TestGradCheck:
@@ -271,9 +304,10 @@ def test_attend_gradients():
 
 def test_rows_pick_gradient_and_bounds():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = T.rows_pick(x, [2, 0])
+    with T.recording():
+        out = T.rows_pick(x, [2, 0])
+        T.backward(out.sum())
     assert out.data.tolist() == [2.0, 3.0]
-    T.backward(out.sum())
     assert np.array_equal(x.grad, [[0, 0, 1], [1, 0, 0]])
     with pytest.raises(IndexError):
         T.rows_pick(x, [0, 3])
@@ -282,16 +316,16 @@ def test_rows_pick_gradient_and_bounds():
 def test_finite_values_after_forward_backward():
     rng = np.random.default_rng(42)
     x = Tensor(rng.normal(size=8) * 50, requires_grad=True)
-    out = T.dot(T.softmax(x), T.tanh(x))
-    T.backward(out)
+    with T.recording():
+        out = T.dot(T.softmax(x), T.tanh(x))
+        T.backward(out)
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
 
 
-def test_no_grad_suppresses_recording():
+def test_op_outside_recording_records_nothing():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with T.no_grad():
-        out = T.mul(x, x)
+    out = T.mul(x, x)
     assert not out.requires_grad
     assert out._tape is None
 
@@ -301,6 +335,34 @@ def test_dtype_switch():
         t = Tensor([1.0, 2.0])
         assert t.data.dtype == np.float32
     assert Tensor([1.0]).data.dtype == np.float64
+
+
+def test_dtype_and_recording_are_per_thread():
+    # the float32 thread holds its dtype and its recording open until the
+    # float64 thread has made its tensors
+    opened, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def inside():
+        with T.using_dtype(np.float32), T.recording() as tape:
+            opened.set()
+            done.wait(timeout=10)
+            out = T.mul(Tensor([1.0, 2.0], requires_grad=True), 2.0)
+            seen["inside"] = (out.data.dtype, out.requires_grad, len(tape))
+
+    def outside():
+        opened.wait(timeout=10)
+        out = T.mul(Tensor([1.0, 2.0], requires_grad=True), 2.0)
+        seen["outside"] = (out.data.dtype, out.requires_grad, out._tape)
+        done.set()
+
+    threads = [threading.Thread(target=inside), threading.Thread(target=outside)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {"inside": (np.float32, True, 1), "outside": (np.float64, False, None)}
 
 
 def test_block_bilinear_rejects_mismatched_factors():

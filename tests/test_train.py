@@ -40,7 +40,8 @@ class TestCrossEntropy:
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         targets = np.array([3, 0, 3])
-        T.backward(cross_entropy_rows(logits, targets).sum())
+        with T.recording():
+            T.backward(cross_entropy_rows(logits, targets).sum())
         soft = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
         onehot = np.eye(5)[targets]
         assert np.max(np.abs(logits.grad - (soft - onehot))) < 1e-12
@@ -245,7 +246,8 @@ class TestTrainLoop:
         assert err.value.epoch >= 1 and err.value.batch >= 0
         assert not math.isfinite(err.value.grad_norm) and math.isfinite(err.value.loss)
         assert "non-finite gradient norm" in str(err.value)
-        assert len(T.active_tape()) == 0
+        with T.recording():      # the step's recording was closed on the way out
+            pass
         assert np.isfinite(params.flat).all()
         assert all(t.grad is None for _, t in params.named_parameters())
 
@@ -256,7 +258,8 @@ class TestTrainLoop:
             train(params, ds.train, TrainConfig(epochs=1, batch_size=16))
         assert (err.value.epoch, err.value.batch, err.value.grad_norm) == (1, 0, None)
         assert str(err.value).startswith("non-finite loss nan at epoch 1, batch 0")
-        assert len(T.active_tape()) == 0
+        with T.recording():      # the step's recording was closed on the way out
+            pass
 
     @pytest.mark.parametrize("clip_norm,clipped", [(1e6, 0.0), (1e-9, 1.0)])
     def test_gradient_norm_telemetry(self, clip_norm, clipped):
