@@ -187,8 +187,16 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     baseline = report_from_json(Path(args.baseline))
     vgqe = report_from_json(Path(args.vgqe))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    pair = f"reports {args.baseline} (--baseline) and {args.vgqe} (--vgqe)"
+    if (baseline.variant, vgqe.variant) != ("baseline", "vgqe"):
+        raise CliError(f"{pair} hold variants {baseline.variant!r} and {vgqe.variant!r}, "
+                       "expected 'baseline' and 'vgqe'")
+    if baseline.split != vgqe.split:
+        raise CliError(f"{pair} evaluate different splits, {baseline.split!r} and "
+                       f"{vgqe.split!r}")
+    if [r.example_id for r in baseline.predictions] != \
+            [r.example_id for r in vgqe.predictions]:
+        raise CliError(f"{pair} predict different example ids")
 
     data_dir = Path(vgqe.data_dir or baseline.data_dir)
     if not (data_dir / "manifest.json").exists():
@@ -200,28 +208,31 @@ def cmd_report(args) -> int:
                    for k, v in manifest["histograms"]["train"].items()}
     answers = manifest["vocabularies"]["answers"]
 
-    comparison_csv(baseline, vgqe, out_dir / "comparison.csv")
-    histograms_csv({"baseline": baseline, "vgqe": vgqe}, train_hists, answers,
-                   type_names, out_dir / "histograms.csv")
-
     traces = []
     if vgqe.checkpoint:
         ckpt_path = Path(vgqe.checkpoint)
         if not ckpt_path.exists():
             raise CliError(f"checkpoint referenced by the report not found: {ckpt_path}")
         params = load_checkpoint(ckpt_path)
-        if params.config.variant == "vgqe":
-            split = load_dataset(data_dir, splits=(vgqe.split,)).split(vgqe.split)
-            rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
-            chosen = rng.choice(len(split), size=min(args.traces, len(split)),
-                                replace=False)
-            with using_dtype(params.flat.dtype.type):
-                for idx in sorted(int(i) for i in chosen):
-                    _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
-                                                    split.tokens[idx, :split.lengths[idx]],
-                                                    params.embedding, params.vgw,
-                                                    params.gru_fwd, params.gru_bwd)
-                    traces.extend(trace_records(split.ids[idx], trace))
+        if params.config.variant != "vgqe":
+            raise CliError(f"checkpoint {ckpt_path} behind vgqe report {args.vgqe} holds "
+                           f"a {params.config.variant} model")
+        split = load_dataset(data_dir, splits=(vgqe.split,)).split(vgqe.split)
+        rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
+        chosen = rng.choice(len(split), size=min(args.traces, len(split)), replace=False)
+        with using_dtype(params.flat.dtype.type):
+            for idx in sorted(int(i) for i in chosen):
+                _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
+                                                split.tokens[idx, :split.lengths[idx]],
+                                                params.embedding, params.vgw,
+                                                params.gru_fwd, params.gru_bwd)
+                traces.extend(trace_records(split.ids[idx], trace))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    comparison_csv(baseline, vgqe, out_dir / "comparison.csv")
+    histograms_csv({"baseline": baseline, "vgqe": vgqe}, train_hists, answers,
+                   type_names, out_dir / "histograms.csv")
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -325,6 +325,22 @@ REQUIRED_FIELDS = ("id", "type", "tokens", "answer", "objects")
 OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
 
 
+def read_json_object(path: Path, what: str, required) -> dict:
+    """The JSON object in a file that must hold one with the required keys;
+    ValueError naming the file otherwise."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{what} {path}: malformed JSON ({err})") from err
+    if type(payload) is not dict:
+        raise ValueError(f"{what} {path}: top level is not a JSON object")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{what} {path}: missing field {key!r}")
+    return payload
+
+
 def save_split(split: DatasetSplit, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, SyntheticDataset
+from .data import DatasetSplit, SyntheticDataset, read_json_object
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -176,8 +176,9 @@ def report_from_json(path) -> EvalReport:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"evaluation report not found: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json_object(path, "evaluation report", ("split", "variant", "count",
+                                                            "overall", "per_type",
+                                                            "predictions"))
     per_type = {int(qt): TypeReport(**tr) for qt, tr in payload["per_type"].items()}
     predictions = [PredictionRecord(**r) for r in payload["predictions"]]
     return EvalReport(split=payload["split"], variant=payload["variant"],

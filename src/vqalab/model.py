@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import read_json_object
 from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
@@ -84,15 +85,18 @@ class ModelParams:
     cls_out: Linear
     vgw: VgwParams | None = None   # read by both directions of the grounded encoder
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Pack the trainable arrays into `flat`, in named_parameters() order;
-        each one's data becomes a view of its slice, to be written in place."""
+        """Pack the trainable arrays into `flat` in named_parameters() order, beside a
+        zero `grad` of the same layout; each one's data and grad view their slices."""
         leaves = [t for _, t in self.named_parameters()]
         self.flat = np.concatenate([t.data for t in leaves], axis=None,
                                    dtype=T.get_default_dtype())
-        for t, view in zip(leaves, np.split(self.flat, np.cumsum([t.size for t in leaves])[:-1])):
-            t.data = view.reshape(t.shape)
+        self.grad = np.zeros_like(self.flat)
+        bounds = np.cumsum([t.size for t in leaves])[:-1]
+        for t, data, grad in zip(leaves, np.split(self.flat, bounds), np.split(self.grad, bounds)):
+            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
 
     @property
     def variant(self) -> str:
@@ -245,6 +249,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
     """The manifest's config, which must name every ModelConfig field (and
     every FusionConfig field of each fusion section) and nothing else."""
+    if type(values) is not dict:
+        raise ValueError(f"checkpoint {path}: 'config' is not a JSON object")
     sections = [("", ModelConfig, values)] + [
         (f"{name}.", FusionConfig, values[name]) for name in ("vgw_fusion", "obj_fusion")
         if isinstance(values.get(name), dict)]
@@ -265,12 +271,17 @@ def load_checkpoint(path) -> ModelParams:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(path, "checkpoint", ("config", "data_file", "arrays"))
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")
     entries = manifest["arrays"]
+    if type(entries) is not list:
+        raise ValueError(f"checkpoint {path}: 'arrays' is not a list")
+    for i, entry in enumerate(entries):
+        for key in ("name", "shape", "dtype", "byte_offset"):
+            if type(entry) is not dict or key not in entry:
+                raise ValueError(f"checkpoint {path}: array entry {i} has no {key!r}")
     first = entries[0]["dtype"] if entries else "no arrays"
     if first not in ("float64", "float32"):
         raise ValueError(f"checkpoint {path} holds {first}, expected float64 or "

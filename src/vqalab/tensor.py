@@ -3,11 +3,12 @@
 A Tensor wraps a numpy array plus an optional gradient. Operations are
 recorded only inside a ``with recording() as tape:`` block, and only when an
 input requires gradients; nothing records outside one. ``backward`` replays
-the tape in reverse, accumulates gradients into the leaves and consumes the
-tape. Leaving the block releases whatever the tape still holds, so a forward
-pass without a backward, or one cut short by an exception, leaves nothing
-behind. The current tape and the default dtype are context variables: each
-thread has its own.
+the tape in reverse, adds into the leaves' ``grad`` arrays in place (which
+``zero_grad`` zeroes in place) and consumes the tape. Leaving the block
+releases whatever the tape still holds, so a forward pass without a
+backward, or one cut short by an exception, leaves nothing behind. The
+current tape and the default dtype are context variables: each thread has
+its own.
 
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
@@ -123,16 +124,13 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._tape is None
-
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})\n{self.data}"
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self.grad is not None:
+            self.grad[...] = 0
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -183,9 +181,9 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(out_data)
     tape = _current_tape.get()
-    if tape is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
-        if tape.consumed or any(isinstance(t, Tensor) and t._tape is not None
-                                and t._tape is not tape for t in inputs):
+    if tape is not None and any(t.requires_grad for t in inputs):
+        if tape.consumed or any(t._tape is not None and t._tape is not tape
+                                for t in inputs):
             raise RuntimeError(
                 f"{op}: recording onto a consumed tape, or an input comes from "
                 "one; rebuild the forward pass from leaves in a new recording")
@@ -594,8 +592,8 @@ def backward(root: Tensor) -> None:
 
     The root must be scalar and recorded on the current tape. Records up to
     the root are replayed once in reverse order, then the tape is consumed.
-    Backward passes over new recordings accumulate into leaf gradients until
-    zero_grad.
+    Leaf gradients are added into their grad arrays in place (zeros first
+    if None), so later backward passes accumulate until zero_grad.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -604,32 +602,31 @@ def backward(root: Tensor) -> None:
         if root.requires_grad:
             if root.grad is None:
                 root.grad = np.zeros_like(root.data)
-            root.grad = root.grad + np.ones_like(root.data)
+            root.grad += np.ones_like(root.data)
             return
         raise RuntimeError("backward: no recorded operation reaches root; run the "
                            "forward pass inside T.recording()")
     if tape.consumed or tape is not _current_tape.get():
         raise RuntimeError("backward: the tape behind this tensor was already "
                            "consumed; rebuild the forward pass in a new recording")
-    grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for record in reversed(tape.records[: root._index + 1]):
-        g_out = grads.pop(id(record.output), None)
+    # by record index, added out of place: a rule may return one array twice
+    grads: list[np.ndarray | None] = [None] * (root._index + 1)
+    grads[root._index] = np.ones_like(root.data)
+    for index in range(root._index, -1, -1):
+        g_out, grads[index] = grads[index], None
         if g_out is None:
             continue
-        in_grads = record.backward_fn(g_out)
-        for tensor, g in zip(record.inputs, in_grads):
-            if not isinstance(tensor, Tensor) or not tensor.requires_grad or g is None:
+        record = tape.records[index]
+        for tensor, g in zip(record.inputs, record.backward_fn(g_out)):
+            if not tensor.requires_grad or g is None:
                 continue
-            if tensor.is_leaf:
+            if tensor._tape is None:
                 if tensor.grad is None:
                     tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad = tensor.grad + g
+                tensor.grad += g
             else:
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
+                i = tensor._index
+                grads[i] = g if grads[i] is None else grads[i] + g
     tape.release()
 
 
@@ -643,15 +640,16 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
         raise ValueError("eps must be positive")
     if not x.requires_grad:
         raise ValueError("grad_check target must require gradients")
-    saved_grad = x.grad
-    x.grad = None
-    with recording():
-        out = f(x)
-        if out.size != 1:
-            raise ShapeError(f"grad_check function must return a scalar, got shape {out.shape}")
-        backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    x.grad = saved_grad
+    saved_grad, x.grad = x.grad, None
+    try:
+        with recording():
+            out = f(x)
+            if out.size != 1:
+                raise ShapeError(f"grad_check function must return a scalar, got shape {out.shape}")
+            backward(out)
+        analytic = np.zeros_like(x.data) if x.grad is None else x.grad
+    finally:
+        x.grad = saved_grad
 
     numeric = np.empty_like(x.data)
     flat = x.data.reshape(-1)

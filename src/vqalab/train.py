@@ -196,8 +196,7 @@ def train(params: ModelParams, split: DatasetSplit,
     if not len(split):
         raise ValueError("cannot train on an empty split")
     leaves = [t for _, t in params.named_parameters()]
-    grad = np.empty_like(params.flat)
-    parts = np.split(grad, np.cumsum([t.size for t in leaves])[:-1])
+    parts = [t.grad for t in leaves]          # views of params.grad
     state = adamw_init(params.flat, weight_decay=config.weight_decay)
     log: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
@@ -220,13 +219,11 @@ def train(params: ModelParams, split: DatasetSplit,
                 if not math.isfinite(loss_value):
                     raise TrainingDiverged(epoch, batch_index, loss_value)
                 T.backward(loss)
-            np.concatenate([np.zeros_like(t.data) if t.grad is None else t.grad
-                            for t in leaves], axis=None, out=grad)
-            norm = clip_grad_norm(grad, parts, config.clip_norm)[1]
+            norm = clip_grad_norm(params.grad, parts, config.clip_norm)[1]
             if not math.isfinite(norm):
                 T.zero_grads(leaves)
                 raise TrainingDiverged(epoch, batch_index, loss_value, grad_norm=norm)
-            adamw_step(params.flat, grad, state)
+            adamw_step(params.flat, params.grad, state)
             T.zero_grads(leaves)
             norms.append(norm)
             total_loss += loss_value * len(batch)

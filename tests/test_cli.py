@@ -249,6 +249,32 @@ class TestEval:
         assert err == (f"error: checkpoint {path} config does not match ModelConfig: "
                        "unknown field bogus\n")
 
+    def eval_with_manifest_text(self, workspace, tmp_path, capsys, edit):
+        ckpt_dir = tmp_path / "ckpt"
+        shutil.copytree(workspace / "vgqe", ckpt_dir)
+        path = ckpt_dir / "checkpoint.json"
+        path.write_text(edit(path.read_text()))
+        code = run(["eval", "--checkpoint", str(path), "--data", str(workspace / "data"),
+                    "--split", "test", "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: checkpoint {path}: ") and err.count("\n") == 1
+        return err
+
+    def test_truncated_checkpoint_manifest_names_it(self, workspace, tmp_path, capsys):
+        err = self.eval_with_manifest_text(workspace, tmp_path, capsys,
+                                           lambda text: text[:98])
+        assert ": malformed JSON (" in err
+
+    def test_manifest_without_arrays_names_it(self, workspace, tmp_path, capsys):
+        def drop_arrays(text):
+            manifest = json.loads(text)
+            del manifest["arrays"]
+            return json.dumps(manifest)
+
+        err = self.eval_with_manifest_text(workspace, tmp_path, capsys, drop_arrays)
+        assert err.endswith(": missing field 'arrays'\n")
+
     def test_eval_deterministic(self, workspace, tmp_path):
         outs = []
         target = tmp_path / "re_report.json"
@@ -300,6 +326,71 @@ class TestReport:
         assert run(["report", "--baseline", str(inputs[0]), "--vgqe", str(inputs[1]),
                     "--out", str(tmp_path / "cmp2"), "--traces", "2"]) == 0
         assert [sha(p) for p in inputs] == before
+
+
+class TestReportRefusals:
+    """`vqalab report` refuses inputs that do not make one comparison, with one
+    error line naming the files, and writes nothing."""
+
+    def refusal(self, tmp_path, capsys, baseline, vgqe):
+        out_dir = tmp_path / "cmp"
+        code = run(["report", "--baseline", str(baseline), "--vgqe", str(vgqe),
+                    "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+        return err
+
+    def edited_report(self, workspace, tmp_path, edit):
+        payload = json.loads((workspace / "vgqe_report.json").read_text())
+        edit(payload)
+        path = tmp_path / "edited_report.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_mixed_splits(self, workspace, tmp_path, capsys):
+        iid = tmp_path / "vgqe_iid.json"
+        assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(workspace / "data"), "--split", "test_iid",
+                    "--report", str(iid)]) == 0
+        baseline = workspace / "baseline_report.json"
+        err = self.refusal(tmp_path, capsys, baseline, iid)
+        assert str(baseline) in err and str(iid) in err
+        assert "different splits, 'test' and 'test_iid'" in err
+
+    def test_swapped_variants(self, workspace, tmp_path, capsys):
+        baseline, vgqe = workspace / "baseline_report.json", workspace / "vgqe_report.json"
+        err = self.refusal(tmp_path, capsys, vgqe, baseline)
+        assert str(baseline) in err and str(vgqe) in err
+        assert "variants 'vgqe' and 'baseline', expected 'baseline' and 'vgqe'" in err
+
+    def test_different_example_ids(self, workspace, tmp_path, capsys):
+        def rename_first(payload):
+            payload["predictions"][0]["example_id"] = "elsewhere-0"
+
+        edited = self.edited_report(workspace, tmp_path, rename_first)
+        baseline = workspace / "baseline_report.json"
+        err = self.refusal(tmp_path, capsys, baseline, edited)
+        assert str(baseline) in err and str(edited) in err
+        assert "predict different example ids" in err
+
+    def test_baseline_checkpoint_behind_vgqe_report(self, workspace, tmp_path, capsys):
+        checkpoint = workspace / "baseline" / "checkpoint.json"
+
+        def point_at_baseline(payload):
+            payload["checkpoint"] = str(checkpoint)
+
+        edited = self.edited_report(workspace, tmp_path, point_at_baseline)
+        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        assert err == (f"error: checkpoint {checkpoint} behind vgqe report {edited} "
+                       "holds a baseline model\n")
+
+    def test_truncated_report(self, workspace, tmp_path, capsys):
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text((workspace / "vgqe_report.json").read_text()[:200])
+        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", truncated)
+        assert err.startswith(f"error: evaluation report {truncated}: malformed JSON (")
 
 
 def test_unknown_flag_nonzero():

@@ -190,3 +190,15 @@ class TestReportFiles:
     def test_missing_report_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="gone"):
             report_from_json(tmp_path / "gone.json")
+
+    @pytest.mark.parametrize("text,problem", [
+        ('{"split": "te', "malformed JSON ("),
+        ("[1, 2]", "top level is not a JSON object"),
+        ('{"split": "test", "variant": "vgqe", "count": 0, "overall": 0.0, '
+         '"per_type": {}}', "missing field 'predictions'")])
+    def test_malformed_report_named(self, tmp_path, text, problem):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            report_from_json(path)
+        assert str(err.value).startswith(f"evaluation report {path}: {problem}")

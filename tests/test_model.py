@@ -198,14 +198,19 @@ def test_full_model_gradients(variant):
 
 
 def assert_in_arena(params):
-    """Every trainable array is a view of `flat`, at its named_parameters() slot."""
+    """Every trainable array is a view of `flat`, and its gradient a view of
+    `grad`, at its named_parameters() slot."""
     offset = 0
     for name, t in params.named_parameters():
         assert np.shares_memory(t.data, params.flat), name
         assert np.array_equal(t.data.reshape(-1), params.flat[offset:offset + t.size]), name
+        assert t.grad.shape == t.shape, name
+        assert np.shares_memory(t.grad, params.grad[offset:offset + t.size]), name
         offset += t.size
     assert offset == params.flat.size
+    assert params.grad.shape == params.flat.shape and params.grad.dtype == params.flat.dtype
     assert not np.shares_memory(params.embedding.vectors.data, params.flat)
+    assert params.embedding.vectors.grad is None
 
 
 class TestArena:
@@ -222,6 +227,39 @@ class TestArena:
             params = init_model(tiny_config("vgqe"))
         assert params.flat.dtype == dtype
         assert {t.data.dtype for _, t in params.named_arrays()} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    def test_backward_accumulates_into_grad(self, variant):
+        params = init_model(tiny_config(variant))
+        assert not params.grad.any()
+        visual, labels = make_scenes(np.random.default_rng(2))
+        tokens = np.array([[1, 2, 3], [4, 5, 6]])
+        leaves = [t for _, t in params.named_parameters()]
+        sums = []
+        for _ in range(2):
+            with T.recording():
+                T.backward(forward_batch(params, visual, labels, tokens).sum())
+            sums.append(params.grad.copy())
+        assert sums[0].any()
+        assert np.max(np.abs(sums[1] - 2 * sums[0])) < 1e-12   # accumulated in place
+        assert_in_arena(params)
+        grad = params.grad
+        T.zero_grads(leaves)
+        assert params.grad is grad and not grad.any()
+        assert_in_arena(params)
+
+    def test_raising_grad_check_keeps_the_views(self):
+        params = init_model(tiny_config())
+        target = params.cls_out.weight
+        params.grad[...] = 1.0
+
+        def failing_loss(_t):
+            raise RuntimeError("loss failed")
+
+        with pytest.raises(RuntimeError, match="loss failed"):
+            T.grad_check(failing_loss, target)
+        assert_in_arena(params)
+        assert (params.grad == 1.0).all()
 
     def test_writes_to_flat_reach_the_forward_pass(self):
         params = init_model(tiny_config())
@@ -322,6 +360,44 @@ class TestCheckpoint:
          "'bogus', this config expects 'embedding.vectors'")])
     def test_missing_extra_or_unknown_array_refused(self, tmp_path, edit, named):
         assert self.edited_manifest(tmp_path, edit).endswith(named)
+
+    def manifest_error(self, tmp_path, rewrite):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(tiny_config(seed=5)), path)
+        path.write_text(rewrite(path.read_text()))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert message.startswith(f"checkpoint {path}: ")
+        return message[len(f"checkpoint {path}: "):]
+
+    def test_malformed_manifest_named(self, tmp_path):
+        assert self.manifest_error(tmp_path, lambda text: text[:60]).startswith(
+            "malformed JSON (")
+        assert self.manifest_error(tmp_path, lambda text: "[]") == \
+            "top level is not a JSON object"
+
+        def config_list(text):
+            manifest = json.loads(text)
+            manifest["config"] = [1]
+            return json.dumps(manifest)
+        assert self.manifest_error(tmp_path, config_list) == "'config' is not a JSON object"
+
+    @pytest.mark.parametrize("key", ["config", "data_file", "arrays"])
+    def test_manifest_missing_field_named(self, tmp_path, key):
+        def drop(text):
+            manifest = json.loads(text)
+            del manifest[key]
+            return json.dumps(manifest)
+        assert self.manifest_error(tmp_path, drop) == f"missing field {key!r}"
+
+    @pytest.mark.parametrize("key", ["name", "shape", "dtype", "byte_offset"])
+    def test_manifest_entry_missing_field_named(self, tmp_path, key):
+        def drop(text):
+            manifest = json.loads(text)
+            del manifest["arrays"][2][key]
+            return json.dumps(manifest)
+        assert self.manifest_error(tmp_path, drop) == f"array entry 2 has no {key!r}"
 
     def test_save_is_deterministic(self, tmp_path):
         params = init_model(tiny_config(seed=3))

@@ -26,7 +26,8 @@ SURFACE = {
              "TypeBias", "Vocabularies", "_answer_probs", "_check_ids", "_generate_split",
              "_padded", "_scene_shapes_for", "answer_distribution",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
-             "load_split", "num_question_types", "question_type_name", "save_dataset",
+             "load_split", "num_question_types", "question_type_name",
+             "read_json_object", "save_dataset",
              "save_split", "template_tokens", "total_variation", "type_answer_domain"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
                "block_params_init", "near_equal_partition"},

@@ -203,9 +203,10 @@ class TestBackward:
         for _ in range(2):
             with T.recording():
                 T.backward(x.sum())
-        assert np.array_equal(x.grad, [2.0, 2.0])
-        x.zero_grad()
-        assert x.grad is None
+        grad = x.grad
+        assert np.array_equal(grad, [2.0, 2.0])
+        x.zero_grad()            # in place: the same array, all zero
+        assert x.grad is grad and np.array_equal(grad, [0.0, 0.0])
 
     def test_stale_intermediates_rejected_after_tape_consumed(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -292,6 +293,52 @@ def test_op_gradients_match_finite_differences(name, build):
         err = T.grad_check(lambda t: build(t, np.random.default_rng(1000 + seed)), x)
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+BROADCAST_OPS = {"add": (T.add, np.add), "sub": (T.sub, np.subtract),
+                 "mul": (T.mul, np.multiply)}
+
+
+def broadcast_cases(rng, draws=6):
+    """Seeded (rule, a shape, b shape) triples under the allowed rules."""
+    for _ in range(draws):
+        shape = tuple(int(s) for s in rng.integers(1, 4, size=rng.integers(1, 4)))
+        yield "equal", shape, shape
+        yield "scalar right", shape, ()
+        yield "scalar left", (), shape
+        if len(shape) >= 2:
+            yield "row", shape, shape[1:]
+
+
+@pytest.mark.parametrize("op", sorted(BROADCAST_OPS))
+def test_broadcast_rules_gradients(op):
+    fn, oracle = BROADCAST_OPS[op]
+    rng = np.random.default_rng(9)
+    for rule, a_shape, b_shape in broadcast_cases(rng):
+        case = (rule, a_shape, b_shape)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+        probe = Tensor(rng.normal(size=np.broadcast_shapes(a_shape, b_shape)))
+        assert np.array_equal(fn(a, b).data, oracle(a.data, b.data)), case
+        assert T.grad_check(lambda t: T.mul(fn(t, b), probe).sum(), a) < 1e-6, case
+        assert T.grad_check(lambda t: T.mul(fn(a, t), probe).sum(), b) < 1e-6, case
+        # one leaf as both operands: two contributions add into one gradient
+        probe = Tensor(rng.normal(size=a_shape))
+        assert T.grad_check(lambda t: T.mul(fn(t, t), probe).sum(), a) < 1e-6, case
+
+
+@pytest.mark.parametrize("op", sorted(BROADCAST_OPS))
+def test_broadcast_rules_reject_other_shapes(op):
+    fn = BROADCAST_OPS[op][0]
+    rng = np.random.default_rng(10)
+    for _ in range(6):
+        m, n = (int(s) for s in rng.integers(2, 5, size=2))
+        for a_shape, b_shape in [((m, n), (m, 1)),        # column
+                                 ((m, n), (n + 1,)),      # row of the wrong width
+                                 ((m, n), (m + 1, n)),    # matrix of other rows
+                                 ((n,), (m, n))]:         # row on the left
+            with pytest.raises(ShapeError):
+                fn(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 def test_attend_gradients():

@@ -187,6 +187,13 @@ TINY_MODEL = dict(d_v=8, d_w=6, hidden=6, refined_dim=4, grounded_dim=8,
                   obj_fusion=FusionConfig(8, 8, 2, 2))
 
 
+def assert_grad_zero_and_shared(params):
+    """params.grad is all zero and every trainable array's grad is a view of it."""
+    assert not params.grad.any()
+    for name, t in params.named_parameters():
+        assert np.shares_memory(t.grad, params.grad), name
+
+
 def tiny_setup(variant="baseline", n=48, seed=0):
     data_cfg = DataConfig(shapes=3, colors=3, objects_per_scene=3, d_v=8, d_w=6,
                           n_train=n, n_test=8, count_max=2, seed=seed)
@@ -249,7 +256,16 @@ class TestTrainLoop:
         with T.recording():      # the step's recording was closed on the way out
             pass
         assert np.isfinite(params.flat).all()
-        assert all(t.grad is None for _, t in params.named_parameters())
+        assert_grad_zero_and_shared(params)
+
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    def test_gradients_stay_in_the_arena(self, variant):
+        ds, params = tiny_setup(variant, n=16)
+        grad = params.grad
+        train(params, ds.train, TrainConfig(epochs=2, batch_size=8,
+                                            schedule=constant_schedule(1e-3)))
+        assert params.grad is grad
+        assert_grad_zero_and_shared(params)
 
     def test_non_finite_loss_leaves_no_tape(self):
         ds, params = tiny_setup(n=16, seed=3)
@@ -260,6 +276,7 @@ class TestTrainLoop:
         assert str(err.value).startswith("non-finite loss nan at epoch 1, batch 0")
         with T.recording():      # the step's recording was closed on the way out
             pass
+        assert_grad_zero_and_shared(params)   # raised before backward
 
     @pytest.mark.parametrize("clip_norm,clipped", [(1e6, 0.0), (1e-9, 1.0)])
     def test_gradient_norm_telemetry(self, clip_norm, clipped):
