@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SPLITS, DataConfig, generate_dataset, load_dataset, save_dataset
+from .data import (SPLITS, DataConfig, generate_dataset, load_dataset, read_json_object,
+                   save_dataset)
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, run_all
@@ -45,8 +46,7 @@ def load_config_file(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise CliError(f"config file not found: {p}")
-    with open(p) as fh:
-        return json.load(fh)
+    return read_json_object(p, "config file", ())
 
 
 def merge_section(cls, section: dict, overrides: dict):
@@ -201,8 +201,8 @@ def cmd_report(args) -> int:
     data_dir = Path(vgqe.data_dir or baseline.data_dir)
     if not (data_dir / "manifest.json").exists():
         raise CliError(f"dataset behind the reports not found: {data_dir}")
-    with open(data_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(data_dir / "manifest.json", "dataset manifest",
+                                ("type_names", "histograms", "vocabularies"))
     type_names = {int(k): v for k, v in manifest["type_names"].items()}
     train_hists = {int(k): np.asarray(v)
                    for k, v in manifest["histograms"]["train"].items()}

@@ -497,8 +497,8 @@ def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(manifest_path, "dataset manifest",
+                                ("config", "vocabularies", "bias_spec", "feature_map"))
     config = DataConfig(**manifest["config"])
     voc = manifest["vocabularies"]
     vocab = Vocabularies(tokens=voc["tokens"], answers=voc["answers"],

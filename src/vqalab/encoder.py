@@ -69,14 +69,14 @@ class GruParams:
     u_cand: Tensor
     b_cand: Tensor
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_update.shape[1]
-
     def named_arrays(self, prefix: str = "gru"):
         for name in ("w_update", "u_update", "b_update", "w_reset", "u_reset",
                      "b_reset", "w_cand", "u_cand", "b_cand"):
             yield f"{prefix}.{name}", getattr(self, name)
+
+    def arrays(self) -> tuple[Tensor, ...]:
+        """The nine arrays in the order `tensor.gru_step` and `gru_sequence` take."""
+        return tuple(t for _, t in self.named_arrays())
 
 
 def gru_params_init(input_dim: int, hidden_dim: int, seed: int) -> GruParams:
@@ -93,28 +93,17 @@ def gru_params_init(input_dim: int, hidden_dim: int, seed: int) -> GruParams:
 def gru_cell(x, h_prev, p: GruParams) -> Tensor:
     """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H),
     recorded as one `tensor.gru_step` op."""
-    return T.gru_step(x, h_prev, p.w_update, p.u_update, p.b_update, p.w_reset,
-                      p.u_reset, p.b_reset, p.w_cand, p.u_cand, p.b_cand)
-
-
-def run_gru(steps: list[Tensor], p: GruParams, reverse: bool = False) -> Tensor:
-    """Fold a GRU over a list of (B, d_in) inputs from a zero state."""
-    batch = steps[0].shape[0]
-    h = Tensor(np.zeros((batch, p.hidden_dim)))
-    order = reversed(steps) if reverse else steps
-    for x_t in order:
-        h = gru_cell(x_t, h, p)
-    return h
+    return T.gru_step(x, h_prev, *p.arrays())
 
 
 def encode_questions_baseline(token_matrix: np.ndarray, table: EmbeddingTable,
                               forward: GruParams, backward: GruParams) -> Tensor:
     """Bidirectional recurrence over embeddings: (B, T) token ids -> (B, 2H),
-    the concatenated final states. All rows share one length."""
+    the concatenated final states. All rows share one length; each direction
+    is one `tensor.gru_sequence` op over the (T, B, d_w) embeddings."""
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
-    steps = [embed(token_matrix[:, t], table) for t in range(token_matrix.shape[1])]
-    h_fwd = run_gru(steps, forward)
-    h_bwd = run_gru(steps, backward, reverse=True)
-    return T.concat([h_fwd, h_bwd], axis=1)
+    steps = embed(token_matrix.T, table)
+    return T.concat([T.gru_sequence(steps, *forward.arrays()),
+                     T.gru_sequence(steps, *backward.arrays(), reverse=True)], axis=1)

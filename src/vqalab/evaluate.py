@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +172,19 @@ def report_to_json(report: EvalReport, path) -> None:
         fh.write("\n")
 
 
+def _entry(path: Path, what: str, cls, values):
+    """cls(**values) for a JSON object holding exactly cls's fields; a
+    ValueError naming the file and the entry otherwise."""
+    if type(values) is not dict:
+        raise ValueError(f"evaluation report {path}: {what} is not a JSON object")
+    known = {f.name for f in fields(cls)}
+    problems = [f"missing field {k}" for k in sorted(known - set(values))]
+    problems += [f"unknown field {k}" for k in sorted(set(values) - known)]
+    if problems:
+        raise ValueError(f"evaluation report {path}: {what} has " + ", ".join(problems))
+    return cls(**values)
+
+
 def report_from_json(path) -> EvalReport:
     path = Path(path)
     if not path.exists():
@@ -179,8 +192,17 @@ def report_from_json(path) -> EvalReport:
     payload = read_json_object(path, "evaluation report", ("split", "variant", "count",
                                                             "overall", "per_type",
                                                             "predictions"))
-    per_type = {int(qt): TypeReport(**tr) for qt, tr in payload["per_type"].items()}
-    predictions = [PredictionRecord(**r) for r in payload["predictions"]]
+    if type(payload["per_type"]) is not dict or type(payload["predictions"]) is not list:
+        raise ValueError(f"evaluation report {path}: 'per_type' is not a JSON object or "
+                         "'predictions' is not a list")
+    for qt in payload["per_type"]:
+        if not qt.isdigit():
+            raise ValueError(f"evaluation report {path}: per_type key {qt!r} is not a "
+                             "question type id")
+    per_type = {int(qt): _entry(path, f"per_type entry {qt!r}", TypeReport, tr)
+                for qt, tr in payload["per_type"].items()}
+    predictions = [_entry(path, f"prediction {i}", PredictionRecord, r)
+                   for i, r in enumerate(payload["predictions"])]
     return EvalReport(split=payload["split"], variant=payload["variant"],
                       count=payload["count"], overall=payload["overall"],
                       per_type=per_type, predictions=predictions,

@@ -82,6 +82,7 @@ def check_tensor_ops() -> list[CheckResult]:
            lambda: T.matmul(left, w).sum(), [("w", w)], results)
     _check_block_bilinear(rng, results)
     _check_gru_step(rng, results)
+    _check_gru_sequence(rng, results)
     return results
 
 
@@ -125,6 +126,18 @@ def _check_gru_step(rng, results) -> None:
     weights = [t for _, t in p.named_arrays()]
     _check("tensor_core", "gru_step", lambda: T.mul(T.gru_step(x, h, *weights), probe).sum(),
            [("x", x), ("h", h), *p.named_arrays()], results)
+
+
+def _check_gru_sequence(rng, results) -> None:
+    p = gru_params_init(4, 3, seed=9)
+    for steps in (1, 3):
+        xs = Tensor(rng.normal(size=(steps, 2, 4)), requires_grad=True)
+        probe = Tensor(rng.normal(size=(2, 3)))
+        for reverse in (False, True):
+            def loss(xs=xs, probe=probe, reverse=reverse):
+                return T.mul(T.gru_sequence(xs, *p.arrays(), reverse=reverse), probe).sum()
+            name = f"gru_sequence_{'reverse' if reverse else 'forward'}_T{steps}"
+            _check("tensor_core", name, loss, [("xs", xs), *p.named_arrays()], results)
 
 
 def check_fusion() -> list[CheckResult]:
@@ -175,17 +188,18 @@ def check_grounding() -> list[CheckResult]:
         return T.mul(f, probe_v).sum()
 
     _check("vgqe", "vgw_attention", attn_loss,
-           [("word", word), ("attn_vector", vgw.attn_vector),
+           [("word", word), ("visual", visual), ("attn_vector", vgw.attn_vector),
             ("attn_matrix", vgw.attn_matrix)], results)
 
     probe_g = Tensor(rng.normal(size=(2, 4)))
 
     def grounded_loss():
-        (g,), _ = grounded_words(visual, labels, [word], vgw)
+        g, _ = grounded_words(visual.data, labels.data, word, vgw)
         return T.mul(g, probe_g).sum()
 
+    # scenes are data to grounded_words; the visual gradient is checked above
     _check("vgqe", "grounded_words", grounded_loss,
-           [("visual", visual), ("word", word)] + list(vgw.named_arrays()), results)
+           [("word", word)] + list(vgw.named_arrays()), results)
 
     table = embedding_table_init(8, 4, seed=6)
     tokens = np.array([[1, 5, 2], [7, 0, 5]])

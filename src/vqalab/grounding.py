@@ -10,7 +10,8 @@ Attention scores come from the label embeddings only; attended values come
 from the visual features only. Scoring for object i is
 ``score_i = a . (M (l_i * q))`` with a learned vector ``a`` and matrix ``M``
 (no bias terms), softmax-normalized over the scene's objects. Every function
-but the single-question trace helper takes row-batches of scenes and words.
+but the single-question trace helper takes row-batches of scenes and words;
+all the words of a batch are grounded in one pass, each against its scene.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as T
 # gru_cell is not called here; the name stays bound because perfbench/tracer.py
 # wraps it at vqalab.grounding:gru_cell.
-from .encoder import EmbeddingTable, GruParams, embed, gru_cell, run_gru  # noqa: F401
+from .encoder import EmbeddingTable, GruParams, embed, gru_cell  # noqa: F401
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .layers import Linear, linear_init, matrix_init, seeded_rng, vector_init
 from .tensor import ShapeError, Tensor
@@ -93,22 +94,27 @@ def vgw_attention(labels, word, score_column: Tensor, visual) -> tuple[Tensor, T
     return alpha, T.attend(alpha, visual)
 
 
-def grounded_words(v3: Tensor, l3: Tensor, words: list[Tensor],
-                   vgw: VgwParams) -> tuple[list[Tensor], list[Tensor]]:
-    """Ground each (B, d_w) word in its scene: attention over the objects, then
-    fusion of the attended visual feature with the refined word.
+def grounded_words(visual: np.ndarray, labels: np.ndarray, words: Tensor,
+                   vgw: VgwParams) -> tuple[Tensor, Tensor]:
+    """Ground the words of a batch in their scenes in one pass: attention over
+    the objects, then fusion of the attended visual feature with the refined
+    word.
 
-    Returns the grounded words (B, grounded_dim) and the attention weights
-    (B, k), one of each per word.
+    visual (B, k, d_v) and labels (B, k, d_w) are scene data, with no
+    gradient; words (T*B, d_w) are step-major, row t*B + b a word of scene b.
+    Returns the grounded words (T*B, grounded_dim) and the attention weights
+    (T*B, k), rows in the same order.
     """
-    grounded, alphas = [], []
-    column = vgw.score_column()
-    for word in words:
-        alpha, attended = vgw_attention(l3, word, column, v3)
-        refined = vgw.refine_out(T.relu(vgw.refine_hidden(word)))
-        grounded.append(block_fuse(attended, refined, vgw.fusion))
-        alphas.append(alpha)
-    return grounded, alphas
+    visual, labels = np.asarray(visual), np.asarray(labels)
+    words = T.as_tensor(words)
+    batch = visual.shape[0]
+    if words.data.ndim != 2 or batch == 0 or words.shape[0] % batch:
+        raise ShapeError(f"words {words.shape} are not step-major rows of {batch} scenes")
+    steps = words.shape[0] // batch
+    alpha, attended = vgw_attention(np.tile(labels, (steps, 1, 1)), words,
+                                    vgw.score_column(), np.tile(visual, (steps, 1, 1)))
+    refined = vgw.refine_out(T.relu(vgw.refine_hidden(words)))
+    return block_fuse(attended, refined, vgw.fusion), alpha
 
 
 def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
@@ -116,8 +122,9 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
                           forward: GruParams, backward: GruParams) -> tuple[Tensor, np.ndarray]:
     """Grounded encoding: scenes (B, k, *) and tokens (B, T) -> ((B, 2H), attention).
 
-    Each word is grounded once and both reading directions consume it; the
-    attention weights come back as a (T, B, k) array indexed by timestep.
+    All T*B words are grounded in one pass and both reading directions, one
+    `tensor.gru_sequence` op each, consume them; the attention weights come
+    back as a (T, B, k) array indexed by timestep.
     """
     visual, labels = np.asarray(visual), np.asarray(labels)
     if visual.ndim != 3 or labels.ndim != 3 or visual.shape[:2] != labels.shape[:2]:
@@ -131,11 +138,13 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
 
-    words = [embed(token_matrix[:, t], table) for t in range(token_matrix.shape[1])]
-    inputs, alphas = grounded_words(Tensor(visual), Tensor(labels), words, vgw)
-    h_f = run_gru(inputs, forward)
-    h_b = run_gru(inputs, backward, reverse=True)
-    return T.concat([h_f, h_b], axis=1), np.stack([a.data for a in alphas])
+    batch, steps = token_matrix.shape
+    grounded, alpha = grounded_words(visual, labels, embed(token_matrix.T.reshape(-1), table),
+                                     vgw)
+    inputs = T.reshape(grounded, (steps, batch, grounded.shape[1]))
+    h_f = T.gru_sequence(inputs, *forward.arrays())
+    h_b = T.gru_sequence(inputs, *backward.arrays(), reverse=True)
+    return T.concat([h_f, h_b], axis=1), alpha.data.reshape(steps, batch, -1)
 
 
 def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable, vgw: VgwParams,

@@ -10,6 +10,10 @@ backward, or one cut short by an exception, leaves nothing behind. The
 current tape and the default dtype are context variables: each thread has
 its own.
 
+The backward rules of matmul, mul, attend and the GRU ops return None,
+computing nothing, for an input that did not require gradients when the op
+was recorded.
+
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
 first's with the leading axis dropped (row-wise broadcast). Anything else
@@ -243,8 +247,10 @@ def mul(a, b) -> Tensor:
         a, b = b, a
     mode = _broadcast_mode(a, b, "mul")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
     def bw(g):
-        return g * b_data, _reduce_to(g * a_data, mode)
+        return (g * b_data if need_a else None,
+                _reduce_to(g * a_data, mode) if need_b else None)
     return _record("mul", (a, b), a_data * b_data, bw)
 
 
@@ -291,8 +297,9 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
     def bw(g):
-        return g @ b_data.T, a_data.T @ g
+        return g @ b_data.T if need_a else None, a_data.T @ g if need_b else None
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
@@ -419,10 +426,48 @@ def attend(weights, values) -> Tensor:
             or weights.shape != values.shape[:2]:
         raise ShapeError(f"attend: weights {weights.shape} do not match values {values.shape}")
     w_data, v_data = weights.data, values.data
+    need_w, need_v = weights.requires_grad, values.requires_grad
     def bw(g):
-        return (np.einsum("bd,bkd->bk", g, v_data),
-                np.einsum("bk,bd->bkd", w_data, g))
+        return (np.einsum("bd,bkd->bk", g, v_data) if need_w else None,
+                np.einsum("bk,bd->bkd", w_data, g) if need_v else None)
     return _record("attend", (weights, values), np.einsum("bk,bkd->bd", w_data, v_data), bw)
+
+
+def _gru_shapes(op: str, x_shape: tuple, h_shape: tuple, weights: tuple) -> None:
+    d_in, hidden = weights[0].shape
+    if len(x_shape) != 2 or len(h_shape) != 2 or x_shape[0] != h_shape[0] \
+            or x_shape[1] != d_in or h_shape[1] != hidden:
+        raise ShapeError(f"{op}: input {x_shape} / state {h_shape} are not "
+                         f"row-batches of the parameter dims ({d_in}, {hidden})")
+    for t, shape in zip(weights, ((d_in, hidden), (hidden, hidden), (hidden,)) * 3):
+        if t.shape != shape:
+            raise ShapeError(f"{op}: weights of shapes {[w.shape for w in weights]} "
+                             f"do not form a GRU of dims ({d_in}, {hidden})")
+
+
+def _gru_forward(x, h, wz, uz, bz, wr, ur, br, wc, uc, bc):
+    """One GRU step on arrays: the new state and what its backward reads."""
+    z = 1.0 / (1.0 + np.exp(-(x @ wz + h @ uz + bz)))
+    r = 1.0 / (1.0 + np.exp(-(x @ wr + h @ ur + br)))
+    rh = r * h
+    c = np.tanh(x @ wc + rh @ uc + bc)
+    return (1.0 - z) * h + z * c, (x, h, z, r, rh, c)
+
+
+def _gru_backward(g, saved, weights, need_x: bool, need_h: bool):
+    """Gradients of one GRU step: (g_x or None, g_h or None, the nine weight
+    gradients in GruParams order)."""
+    x, h, z, r, rh, c = saved
+    wz, uz, _, wr, ur, _, wc, uc, _ = weights
+    g_ac = g * z * (1.0 - c * c)
+    g_az = g * (c - h) * z * (1.0 - z)
+    g_rh = g_ac @ uc.T
+    g_ar = g_rh * h * r * (1.0 - r)
+    g_x = (g_az @ wz.T + g_ar @ wr.T + g_ac @ wc.T) if need_x else None
+    g_h = (g * (1.0 - z) + g_rh * r + g_az @ uz.T + g_ar @ ur.T) if need_h else None
+    return g_x, g_h, (x.T @ g_az, h.T @ g_az, g_az.sum(axis=0),
+                      x.T @ g_ar, h.T @ g_ar, g_ar.sum(axis=0),
+                      x.T @ g_ac, rh.T @ g_ac, g_ac.sum(axis=0))
 
 
 def gru_step(x, h, w_update, u_update, b_update, w_reset, u_reset, b_reset,
@@ -436,37 +481,55 @@ def gru_step(x, h, w_update, u_update, b_update, w_reset, u_reset, b_reset,
     x, h = as_tensor(x), as_tensor(h)
     weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
                                            u_reset, b_reset, w_cand, u_cand, b_cand))
-    d_in, hidden = weights[0].shape
-    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0] \
-            or x.shape[1] != d_in or h.shape[1] != hidden:
-        raise ShapeError(f"gru_step: input {x.shape} / state {h.shape} are not "
-                         f"row-batches of the parameter dims ({d_in}, {hidden})")
-    for t, shape in zip(weights, ((d_in, hidden), (hidden, hidden), (hidden,)) * 3):
-        if t.shape != shape:
-            raise ShapeError(f"gru_step: weights of shapes {[w.shape for w in weights]} "
-                             f"do not form a GRU of dims ({d_in}, {hidden})")
-    wz, uz, bz, wr, ur, br, wc, uc, bc = (t.data for t in weights)
-    x_data, h_data = x.data, h.data
-    z = 1.0 / (1.0 + np.exp(-(x_data @ wz + h_data @ uz + bz)))
-    r = 1.0 / (1.0 + np.exp(-(x_data @ wr + h_data @ ur + br)))
-    rh = r * h_data
-    c = np.tanh(x_data @ wc + rh @ uc + bc)
-    out = (1.0 - z) * h_data + z * c
+    _gru_shapes("gru_step", x.shape, h.shape, weights)
+    data = tuple(t.data for t in weights)
+    out, saved = _gru_forward(x.data, h.data, *data)
+    need_x, need_h = x.requires_grad, h.requires_grad
 
     def bw(g):
-        g_ac = g * z * (1.0 - c * c)
-        g_az = g * (c - h_data) * z * (1.0 - z)
-        g_rh = g_ac @ uc.T
-        g_ar = g_rh * h_data * r * (1.0 - r)
-        g_x = (g_az @ wz.T + g_ar @ wr.T + g_ac @ wc.T) if x.requires_grad else None
-        g_h = (g * (1.0 - z) + g_rh * r + g_az @ uz.T + g_ar @ ur.T) \
-            if h.requires_grad else None
-        return (g_x, g_h,
-                x_data.T @ g_az, h_data.T @ g_az, g_az.sum(axis=0),
-                x_data.T @ g_ar, h_data.T @ g_ar, g_ar.sum(axis=0),
-                x_data.T @ g_ac, rh.T @ g_ac, g_ac.sum(axis=0))
+        g_x, g_h, g_w = _gru_backward(g, saved, data, need_x, need_h)
+        return (g_x, g_h, *g_w)
 
     return _record("gru_step", (x, h, *weights), out, bw)
+
+
+def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
+                 w_cand, u_cand, b_cand, reverse: bool = False) -> Tensor:
+    """A GRU read over a sequence as one tape op: xs (T, B, d_in) -> the final
+    (B, H) state, from a zero state, over steps T-1 .. 0 when reverse.
+
+    Each step rounds exactly as `gru_step`. The backward runs the steps from
+    the last read to the first and sums each weight's gradient across steps
+    in that order, as a fold of `gru_step` records would on a zero gradient.
+    """
+    xs = as_tensor(xs)
+    weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
+                                           u_reset, b_reset, w_cand, u_cand, b_cand))
+    if xs.data.ndim != 3 or xs.shape[0] < 1:
+        raise ShapeError(f"gru_sequence: inputs {xs.shape} are not (T, B, d_in) with T >= 1")
+    steps, batch = xs.shape[:2]
+    hidden = weights[0].shape[-1]
+    _gru_shapes("gru_sequence", xs.shape[1:], (batch, hidden), weights)
+    data = tuple(t.data for t in weights)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = np.zeros((batch, hidden), dtype=xs.data.dtype)
+    saved = []
+    for t in order:
+        h, step = _gru_forward(xs.data[t], h, *data)
+        saved.append(step)
+    need_x = xs.requires_grad
+
+    def bw(g):
+        g_xs = np.empty_like(xs.data) if need_x else None
+        g_w = None
+        for i in range(steps - 1, -1, -1):
+            g_x, g, g_step = _gru_backward(g, saved[i], data, need_x, i > 0)
+            if need_x:
+                g_xs[order[i]] = g_x
+            g_w = g_step if g_w is None else tuple(a + b for a, b in zip(g_w, g_step))
+        return (g_xs, *g_w)
+
+    return _record("gru_sequence", (xs, *weights), h, bw)
 
 
 def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,

@@ -2,10 +2,13 @@
 replace: the forward value and every gradient agree to 1e-12.
 
 `gru_step` is compared with the gate-by-gate GRU step, over sequences of T
-steps. Grouped `block_bilinear` (x at N*k rows, y at N rows) is compared with
-repeating each y row k times and composing the chunk-and-rank core from
-matmuls, adds and products; column slices are taken by multiplying with 0/1
-selection matrices, which is exact.
+steps, and `gru_sequence` with a fold of `gru_step` over the same steps in
+either direction. Grouped `block_bilinear` (x at N*k rows, y at N rows) is
+compared with repeating each y row k times and composing the chunk-and-rank
+core from matmuls, adds and products; column slices are taken by multiplying
+with 0/1 selection matrices, which is exact. Last, each fused op runs over
+shapes drawn from a seeded generator: `grad_check` on every input and weight,
+and ShapeError on mismatched shapes.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 
 from vqalab import tensor as T
 from vqalab.encoder import gru_params_init
+from vqalab.fusion import near_equal_partition
 from vqalab.tensor import ShapeError, Tensor
 
 TOL = 1e-12
@@ -97,6 +101,57 @@ def test_gru_step_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
+# gru_sequence
+
+
+@pytest.mark.parametrize("rows,steps,reverse,x_grad",
+                         list(itertools.product((1, 4), (1, 3), (False, True), (True, False))))
+def test_gru_sequence_matches_folded_gru_step(rows, steps, reverse, x_grad):
+    rng = np.random.default_rng(100 * rows + 10 * steps + reverse)
+    weights = [t for _, t in gru_params_init(5, 3, seed=rows + steps).named_arrays()]
+    for t in weights[2::3]:                      # nonzero biases
+        t.data[...] = rng.normal(size=t.shape)
+    xs = Tensor(rng.normal(size=(steps, rows, 5)), requires_grad=x_grad)
+    step_xs = [Tensor(x.copy(), requires_grad=x_grad) for x in xs.data]
+    probe = Tensor(rng.normal(size=(rows, 3)))
+
+    def sequence():
+        h = T.gru_sequence(xs, *weights, reverse=reverse)
+        return h, T.mul(h, probe).sum()
+
+    def folded():
+        h = Tensor(np.zeros((rows, 3)))
+        for x in (step_xs[::-1] if reverse else step_xs):
+            h = T.gru_step(x, h, *weights)
+        return h, T.mul(h, probe).sum()
+
+    out_f, grads_f = gradients(folded, [*step_xs, *weights])
+    g_xs_f = np.stack(grads_f[:steps]) if x_grad else None
+    assert_same(gradients(sequence, [xs, *weights]), (out_f, [g_xs_f, *grads_f[steps:]]))
+
+
+def test_gru_sequence_records_once():
+    weights = [t for _, t in gru_params_init(4, 3, seed=0).named_arrays()]
+    with T.recording() as tape:
+        h = T.gru_sequence(Tensor(np.ones((3, 2, 4))), *weights, reverse=True)
+        assert [r.op for r in tape.records] == ["gru_sequence"]
+        T.backward(h.sum())
+
+
+def test_gru_sequence_rejects_mismatched_shapes():
+    weights = [t for _, t in gru_params_init(4, 3, seed=0).named_arrays()]
+    with pytest.raises(ShapeError, match=r"not \(T, B, d_in\)"):
+        T.gru_sequence(Tensor(np.zeros((2, 4))), *weights)
+    with pytest.raises(ShapeError, match=r"not \(T, B, d_in\)"):
+        T.gru_sequence(Tensor(np.zeros((0, 2, 4))), *weights)
+    with pytest.raises(ShapeError, match="row-batches"):
+        T.gru_sequence(Tensor(np.zeros((3, 2, 5))), *weights)
+    with pytest.raises(ShapeError, match="do not form a GRU"):
+        T.gru_sequence(Tensor(np.zeros((3, 2, 4))), *weights[:4], Tensor(np.zeros((4, 3))),
+                       *weights[5:])
+
+
+# ---------------------------------------------------------------------------
 # grouped block_bilinear
 
 X_CHUNKS = [(0, 3), (3, 5), (5, 7)]        # P=7 splits 3/2/2
@@ -171,3 +226,100 @@ def test_block_bilinear_rejects_rows_not_a_multiple(x_rows, y_rows):
     with pytest.raises(ShapeError, match=f"{x_rows} x rows are not a multiple of {y_rows}"):
         T.block_bilinear(Tensor(np.ones((x_rows, 7))), Tensor(np.ones((y_rows, 7))),
                          w, None, w, None, X_CHUNKS, OUT_CHUNKS, RANK)
+
+
+# ---------------------------------------------------------------------------
+# drawn shapes: every input and weight against central differences, and
+# mismatched shapes refused
+
+
+def drawn_gru(rng):
+    """(d_in, hidden, rows, the nine weights with nonzero biases), dims in 1..4."""
+    d_in, hidden, rows = (int(v) for v in rng.integers(1, 5, size=3))
+    weights = [t for _, t in gru_params_init(d_in, hidden, seed=int(rng.integers(1000)))
+               .named_arrays()]
+    for t in weights[2::3]:
+        t.data[...] = rng.normal(size=t.shape)
+    return d_in, hidden, rows, weights
+
+
+def assert_gradients_checked(loss, tensors):
+    for t in tensors:
+        assert T.grad_check(lambda _t: loss(), t) < 1e-6, t.shape
+
+
+@pytest.mark.parametrize("draw", range(4))
+def test_gru_step_drawn_shapes(draw):
+    rng = np.random.default_rng(300 + draw)
+    d_in, hidden, rows, weights = drawn_gru(rng)
+    x = Tensor(rng.normal(size=(rows, d_in)), requires_grad=True)
+    h = Tensor(rng.normal(size=(rows, hidden)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(rows, hidden)))
+    assert_gradients_checked(lambda: T.mul(T.gru_step(x, h, *weights), probe).sum(),
+                             [x, h, *weights])
+    bad_u = Tensor(np.zeros((hidden, hidden + 1)))
+    for args in ((Tensor(np.zeros((rows, d_in + 1))), h, *weights),
+                 (x, Tensor(np.zeros((rows + 1, hidden))), *weights),
+                 (x, h, weights[0], bad_u, *weights[2:]),
+                 (x, h, *weights[:8], Tensor(np.zeros(hidden + 1)))):
+        with pytest.raises(ShapeError):
+            T.gru_step(*args)
+
+
+@pytest.mark.parametrize("draw,long,reverse",
+                         list(itertools.product(range(2), (False, True), (False, True))))
+def test_gru_sequence_drawn_shapes(draw, long, reverse):
+    rng = np.random.default_rng(400 + 10 * draw + 2 * long + reverse)
+    d_in, hidden, rows, weights = drawn_gru(rng)
+    steps = int(rng.integers(3, 6)) if long else 1
+    xs = Tensor(rng.normal(size=(steps, rows, d_in)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(rows, hidden)))
+    assert_gradients_checked(
+        lambda: T.mul(T.gru_sequence(xs, *weights, reverse=reverse), probe).sum(),
+        [xs, *weights])
+    for bad in (Tensor(np.zeros((steps, rows, d_in + 1))), Tensor(np.zeros((rows, d_in))),
+                Tensor(np.zeros((0, rows, d_in)))):
+        with pytest.raises(ShapeError):
+            T.gru_sequence(bad, *weights, reverse=reverse)
+    with pytest.raises(ShapeError):
+        T.gru_sequence(xs, *weights[:7], Tensor(np.zeros((hidden + 1, hidden))), weights[8],
+                       reverse=reverse)
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_grouped_block_bilinear_drawn_shapes(draw):
+    rng = np.random.default_rng(500 + draw)
+    proj, out = (int(v) for v in rng.integers(2, 7, size=2))
+    chunks = int(rng.integers(1, min(proj, out, 3) + 1))
+    rank, n, k = (int(v) for v in rng.integers(1, 4, size=3))
+    bias = bool(draw % 2)
+    x_bounds = np.cumsum([0] + near_equal_partition(proj, chunks))
+    out_bounds = np.cumsum([0] + near_equal_partition(out, chunks))
+    x_chunks = [(int(a), int(b)) for a, b in zip(x_bounds[:-1], x_bounds[1:])]
+    out_chunks = [(int(a), int(b)) for a, b in zip(out_bounds[:-1], out_bounds[1:])]
+
+    def factors():
+        w = [Tensor(rng.normal(size=(xe - xs, rank * (oe - os_))), requires_grad=True)
+             for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)]
+        b = [Tensor(rng.normal(size=rank * (oe - os_)), requires_grad=True)
+             for os_, oe in out_chunks]
+        return w, (b if bias else None)
+
+    (wx, bx), (wy, by) = factors(), factors()
+    px = Tensor(rng.normal(size=(n * k, proj)), requires_grad=True)
+    py = Tensor(rng.normal(size=(n, proj)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(n * k, out)))
+
+    def core(px=px, py=py, wx=wx, bx=bx, wy=wy, by=by):
+        return T.block_bilinear(px, py, wx, bx, wy, by, x_chunks, out_chunks, rank)
+
+    assert_gradients_checked(lambda: T.mul(core(), probe).sum(),
+                             [px, py, *wx, *wy, *(bx + by if bias else [])])
+    wrong_w = [Tensor(np.zeros((w.shape[0], w.shape[1] + 1))) for w in wy]
+    for bad in (dict(py=Tensor(np.zeros((n, proj + 1)))),
+                dict(py=Tensor(np.zeros((n * k + 1, proj)))),
+                dict(wy=wrong_w),
+                dict(by=None if bias else [Tensor(np.zeros(rank * (oe - os_)))
+                                           for os_, oe in out_chunks])):
+        with pytest.raises(ShapeError):
+            core(**bad)

@@ -3,7 +3,7 @@ import pytest
 
 from vqalab import tensor as T
 from vqalab.encoder import embedding_table_init, gru_cell, gru_params_init
-from vqalab.fusion import block_params_init
+from vqalab.fusion import block_fuse, block_params_init
 from vqalab.grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,
                               grounded_words, trace_records, vgw_attention,
                               vgw_params_init)
@@ -35,7 +35,7 @@ def attend_rows(visual, labels, words, p: VgwParams):
 
 def ground(visual, labels, words, p: VgwParams):
     """Grounded words (B, D_G) for one (B, d_w) word per row."""
-    (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [Tensor(words)], p)
+    g, _ = grounded_words(visual, labels, Tensor(words), p)
     return g.data
 
 
@@ -215,6 +215,69 @@ class TestVgwFuse:
         assert np.max(np.abs(got - fuse_oracle(visual[:, 0], words, p))) < 1e-12
 
 
+class TestOnePassGrounding:
+    """`grounded_words` grounds all T*B step-major word rows in one pass; it
+    matches grounding each timestep's (B, d_w) words on their own, forward
+    and backward."""
+
+    @staticmethod
+    def gradients(ground_fn, vgw, probe):
+        """Grounded rows, attention rows and loss gradients of a grounding that
+        returns (grounded, attention, word leaves) lists, one entry per pass."""
+        leaves = [t for _, t in vgw.named_arrays()]
+        for t in leaves:
+            t.grad = None
+        with T.recording():
+            grounded, alphas, words = ground_fn()
+            rows = np.cumsum([0] + [g.shape[0] for g in grounded])
+            loss = None
+            for g, lo, hi in zip(grounded, rows[:-1], rows[1:]):
+                term = T.mul(g, Tensor(probe[lo:hi])).sum()
+                loss = term if loss is None else T.add(loss, term)
+            T.backward(loss)
+        return (np.concatenate([g.data for g in grounded]),
+                np.concatenate([a.data for a in alphas]),
+                [np.concatenate([w.grad for w in words])] + [t.grad for t in leaves])
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_matches_per_word_grounding(self, steps):
+        rng = np.random.default_rng(20 + steps)
+        vgw = make_vgw(seed=steps)
+        visual, labels = make_scenes(rng, batch=2, k=3)
+        words = rng.normal(size=(steps * 2, D_W))
+        probe = rng.normal(size=(steps * 2, D_G))
+
+        def one_pass():
+            leaf = Tensor(words, requires_grad=True)
+            g, alpha = grounded_words(visual, labels, leaf, vgw)
+            return [g], [alpha], [leaf]
+
+        def per_word():
+            column = vgw.score_column()
+            leaves = [Tensor(words[t * 2:(t + 1) * 2], requires_grad=True)
+                      for t in range(steps)]
+            grounded, alphas = [], []
+            for word in leaves:
+                alpha, attended = vgw_attention(labels, word, column, visual)
+                refined = vgw.refine_out(T.relu(vgw.refine_hidden(word)))
+                grounded.append(block_fuse(attended, refined, vgw.fusion))
+                alphas.append(alpha)
+            return grounded, alphas, leaves
+
+        out_1, alpha_1, grads_1 = self.gradients(one_pass, vgw, probe)
+        out_n, alpha_n, grads_n = self.gradients(per_word, vgw, probe)
+        assert np.max(np.abs(out_1 - out_n)) < 1e-12
+        assert np.max(np.abs(alpha_1 - alpha_n)) < 1e-12
+        for g_1, g_n in zip(grads_1, grads_n, strict=True):
+            assert np.max(np.abs(g_1 - g_n)) < 1e-12
+
+    def test_rows_not_step_major_rejected(self):
+        rng = np.random.default_rng(23)
+        visual, labels = make_scenes(rng, batch=2)
+        with pytest.raises(T.ShapeError, match="step-major"):
+            grounded_words(visual, labels, Tensor(rng.normal(size=(3, D_W))), make_vgw())
+
+
 class TestCellStep:
     """One grounded recurrence step: a one-token question."""
 
@@ -297,7 +360,7 @@ class TestEncoder:
         enc = self.encode(visual, labels, [[4], [4]])[0].data
         vgw, forward, backward = self.params
         word = Tensor(self.table.vectors.data[[4, 4]])
-        (g,), _ = grounded_words(Tensor(visual), Tensor(labels), [word], vgw)
+        g, _ = grounded_words(visual, labels, word, vgw)
         zero = Tensor(np.zeros((2, HIDDEN)))
         f = gru_cell(g, zero, forward).data
         b = gru_cell(g, zero, backward).data

@@ -17,7 +17,8 @@ SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
         "_record", "_reduce_to", "add", "as_tensor", "attend", "backward",
-        "block_bilinear", "concat", "dot", "get_default_dtype", "grad_check", "gru_step",
+        "_gru_backward", "_gru_forward", "_gru_shapes", "block_bilinear", "concat", "dot",
+        "get_default_dtype", "grad_check", "gru_sequence", "gru_step",
         "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
         "scale", "sigmoid", "softmax", "sub", "tanh",
@@ -32,7 +33,7 @@ SURFACE = {
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
-                "encode_questions_baseline", "gru_cell", "gru_params_init", "run_gru"},
+                "encode_questions_baseline", "gru_cell", "gru_params_init"},
     "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},

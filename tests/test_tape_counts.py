@@ -2,8 +2,8 @@
 
 Step time is dominated by per-op Python overhead, so the number of records a
 forward pass puts on the tape is the cost model. A change that falls back to
-composing block fusion chunk by chunk and rank by rank, or a GRU step gate by
-gate, changes these counts. Each test counts on the tape of its own
+composing block fusion chunk by chunk and rank by rank, a GRU direction step
+by step, or grounding word by word, changes these counts. Each test counts on the tape of its own
 recording, which must hold no records once the recording ends, whether by a
 backward pass, without one, or by an exception.
 """
@@ -44,7 +44,7 @@ def test_block_fuse_records(use_bias, count):
         T.backward(out.sum())
 
 
-@pytest.mark.parametrize("variant,count", [("baseline", 25), ("vgqe", 76)])
+@pytest.mark.parametrize("variant,count", [("baseline", 21), ("vgqe", 41)])
 def test_training_step_records(variant, count):
     params = init_model(ModelConfig(variant=variant, seed=3, **TINY))
     rng = np.random.default_rng(1)
@@ -60,8 +60,9 @@ def test_training_step_records(variant, count):
 
 @pytest.mark.parametrize("variant,budget", [("baseline", 80), ("vgqe", 120)])
 def test_default_size_step_stays_within_budget(variant, budget):
-    # default ModelConfig, B=128, T=4: one record per GRU step and one fusion
-    # core per block_fuse keep a training step under these budgets
+    # default ModelConfig, B=128, T=4: one record per GRU direction, one
+    # grounding pass over all words and one fusion core per block_fuse keep a
+    # training step at 23 (baseline) and 43 (vgqe) records, under these budgets
     params = init_model(ModelConfig(variant=variant, seed=0))
     visual, labels, tokens, rng = default_size_batch(3)
     with T.recording() as tape:

@@ -347,6 +347,35 @@ def test_attend_gradients():
         values = Tensor(rng.normal(size=(2, 3, 4)))
         w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         assert T.grad_check(lambda t: T.attend(T.softmax(t, axis=1), values).sum(), w) < 1e-4
+        # values that require a gradient still get theirs
+        grad_values = Tensor(values.data, requires_grad=True)
+        probe = Tensor(rng.normal(size=(2, 4)))
+        assert T.grad_check(lambda t: T.mul(T.attend(T.softmax(w, axis=1), t), probe).sum(),
+                            grad_values) < 1e-6
+
+
+# (name, left shape, right shape, op): ops whose backward skips a constant operand
+SKIPPING_OPS = [
+    ("matmul", (2, 3), (3, 4), T.matmul),
+    ("mul", (2, 3), (2, 3), T.mul),
+    ("mul row", (2, 3), (3,), T.mul),
+    ("attend", (2, 3), (2, 3, 4), T.attend),
+]
+
+
+@pytest.mark.parametrize("name,left,right,op", SKIPPING_OPS,
+                         ids=[c[0] for c in SKIPPING_OPS])
+def test_backward_leaves_a_constant_operand_slot_empty(name, left, right, op):
+    rng = np.random.default_rng(11)
+    for grad_left in (True, False):
+        a = Tensor(rng.normal(size=left), requires_grad=grad_left)
+        b = Tensor(rng.normal(size=right), requires_grad=not grad_left)
+        with T.recording() as tape:
+            out = op(a, b)
+            g_a, g_b = tape.records[-1].backward_fn(np.ones(out.shape))
+        assert (g_a is None) == (not grad_left) and (g_b is None) == grad_left
+        kept = g_a if grad_left else g_b
+        assert kept.shape == (left if grad_left else right)
 
 
 def test_rows_pick_gradient_and_bounds():
