@@ -60,6 +60,28 @@ def merge_section(cls, section: dict, overrides: dict):
     return cls(**values)
 
 
+def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
+    """The value at a dotted field of a dataset manifest: a JSON object (kind
+    dict, keyed by question type ids) or a JSON array (kind list). CliError
+    naming the file and the field otherwise."""
+    parts = dotted.split(".")
+    value = manifest
+    for depth, part in enumerate(parts, start=1):
+        if part not in value:
+            raise CliError(f"dataset manifest {path}: missing field {dotted!r}")
+        value = value[part]
+        want = kind if depth == len(parts) else dict
+        if type(value) is not want:
+            raise CliError(f"dataset manifest {path}: field {'.'.join(parts[:depth])!r} "
+                           f"is not a JSON {'object' if want is dict else 'array'}")
+    if kind is dict:
+        for key in value:
+            if not key.isdecimal():
+                raise CliError(f"dataset manifest {path}: field {dotted!r} key {key!r} "
+                               "is not a question type id")
+    return value
+
+
 def write_manifest(out_dir: Path, payload: dict) -> None:
     with open(out_dir / "run_manifest.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -199,14 +221,21 @@ def cmd_report(args) -> int:
         raise CliError(f"{pair} predict different example ids")
 
     data_dir = Path(vgqe.data_dir or baseline.data_dir)
-    if not (data_dir / "manifest.json").exists():
+    manifest_path = data_dir / "manifest.json"
+    if not manifest_path.exists():
         raise CliError(f"dataset behind the reports not found: {data_dir}")
-    manifest = read_json_object(data_dir / "manifest.json", "dataset manifest",
-                                ("type_names", "histograms", "vocabularies"))
-    type_names = {int(k): v for k, v in manifest["type_names"].items()}
-    train_hists = {int(k): np.asarray(v)
-                   for k, v in manifest["histograms"]["train"].items()}
-    answers = manifest["vocabularies"]["answers"]
+    manifest = read_json_object(manifest_path, "dataset manifest", ())
+    answers = manifest_field(manifest, manifest_path, "vocabularies.answers", list)
+    type_names = {int(k): v for k, v in
+                  manifest_field(manifest, manifest_path, "type_names", dict).items()}
+    train_hists = {}
+    for qt, hist in manifest_field(manifest, manifest_path, "histograms.train", dict).items():
+        if type(hist) is not list or len(hist) != len(answers) or \
+                not all(type(x) in (int, float) for x in hist):
+            raise CliError(f"dataset manifest {manifest_path}: field "
+                           f"'histograms.train.{qt}' is not a list of {len(answers)} "
+                           "numbers, one per answer")
+        train_hists[int(qt)] = np.asarray(hist)
 
     traces = []
     if vgqe.checkpoint:

@@ -21,7 +21,11 @@ matters.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -370,6 +374,67 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
                              f"of size {size}")
 
 
+# Bump the tag whenever the parse, its checks or the stored columns change, so
+# that no cache written by older code is ever read.
+_CACHE_TAG = b"vqalab split columns v1\n"
+_CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
+                  "labels")
+
+
+def _cache_key(config: DataConfig, vocab: Vocabularies):
+    """A sha256 primed with everything but the split's bytes that decides what
+    `load_split` returns: the cache format and every value its checks read."""
+    sizes = [len(vocab.tokens), vocab.answer_count, len(vocab.shapes), len(vocab.colors)]
+    key = hashlib.sha256(_CACHE_TAG)
+    key.update(json.dumps([asdict(config), sizes], sort_keys=True).encode())
+    return key
+
+
+def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
+    """The columns stored under `key`, or None for a missing, unreadable,
+    corrupt or mismatched cache."""
+    k, d_v, d_w = config.objects_per_scene, config.d_v, config.d_w
+    try:
+        with np.lib.npyio.NpzFile(cache, allow_pickle=False) as stored:
+            if str(stored["key"]) != key:
+                return None
+            columns = {name: stored[name] for name in ("ids",) + _CACHE_COLUMNS}
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    ids, tokens = columns["ids"], columns["tokens"]
+    if ids.dtype.kind != "U" or ids.ndim != 1 or tokens.ndim != 2:
+        return None
+    n = len(ids)
+    shapes = {"qtypes": (n,), "tokens": (n, tokens.shape[1]), "lengths": (n,),
+              "answers": (n,), "shapes": (n, k), "colors": (n, k), "visual": (n, k, d_v),
+              "labels": (n, k, d_w)}
+    for name, shape in shapes.items():
+        dtype = np.float64 if name in ("visual", "labels") else np.int64
+        if columns[name].dtype != dtype or columns[name].shape != shape:
+            return None
+    columns["ids"] = ids.tolist()
+    return columns
+
+
+def _write_cache(cache: Path, key: str, columns: dict) -> None:
+    """Store parsed columns under `key` through a temporary file, so a reader
+    never sees a half-written cache. A split whose ids a fixed-width array
+    cannot hold (a trailing NUL) and a directory that cannot be written are
+    left uncached."""
+    ids = np.array(columns["ids"], dtype=str)
+    if ids.tolist() != columns["ids"]:
+        return
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, key=np.array(key), ids=ids,
+                     **{name: columns[name] for name in _CACHE_COLUMNS})
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
 def load_split(path, config: DataConfig, vocab: Vocabularies,
                name: str | None = None) -> DatasetSplit:
     """Read one JSONL split into columns. Every record is a JSON object with
@@ -379,14 +444,39 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     every scene must hold `objects_per_scene` objects, each a JSON object with
     a shape, a color and lists of `d_v` visual and `d_w` label numbers, all
     finite. A record that breaks a rule raises ValueError naming its path and
-    line."""
+    line.
+
+    A parsed split's columns are stored beside it in `<split>.jsonl.npz`,
+    keyed by a sha256 of the cache format, the file's bytes, the config and
+    the vocabulary sizes; a later call whose key matches returns them without
+    parsing. Deleting the file is always safe."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
+    cache = path.with_name(path.name + ".npz")
+    key = _cache_key(config, vocab)
+    if cache.exists():
+        file_key = key.copy()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                file_key.update(chunk)
+        columns = _cached_columns(cache, file_key.hexdigest(), config)
+        if columns is not None:
+            return DatasetSplit(name or path.stem, **columns)
+    columns = _parse_split(path, config, vocab, key)  # key takes in the bytes parsed
+    _write_cache(cache, key.hexdigest(), columns)
+    return DatasetSplit(name or path.stem, **columns)
+
+
+def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) -> dict:
+    """The checked columns of a JSONL split, streamed line by line; `digest`
+    takes in every byte read."""
     k, n_types = config.objects_per_scene, num_question_types(config)
     ids, qtypes, token_rows, answers, shapes, colors, visual, labels = ([] for _ in range(8))
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            digest.update(raw)
+            line = raw.decode()
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -448,12 +538,12 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
             token_rows.append(record["tokens"])
             answers.append(record["answer"])
     tokens, lengths = _padded(token_rows)
-    return DatasetSplit(name or path.stem, ids, np.array(qtypes, dtype=np.int64), tokens,
-                        lengths, np.array(answers, dtype=np.int64),
-                        np.array(shapes, dtype=np.int64).reshape(-1, k),
-                        np.array(colors, dtype=np.int64).reshape(-1, k),
-                        np.array(visual).reshape(-1, k, config.d_v),
-                        np.array(labels).reshape(-1, k, config.d_w))
+    return {"ids": ids, "qtypes": np.array(qtypes, dtype=np.int64), "tokens": tokens,
+            "lengths": lengths, "answers": np.array(answers, dtype=np.int64),
+            "shapes": np.array(shapes, dtype=np.int64).reshape(-1, k),
+            "colors": np.array(colors, dtype=np.int64).reshape(-1, k),
+            "visual": np.array(visual).reshape(-1, k, config.d_v),
+            "labels": np.array(labels).reshape(-1, k, config.d_w)}
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +164,12 @@ def report_to_json(report: EvalReport, path) -> None:
         "checkpoint": report.checkpoint,
         "data_dir": report.data_dir,
         "precision": report.precision,
-        "per_type": {str(qt): asdict(tr) for qt, tr in report.per_type.items()},
-        "predictions": [asdict(r) for r in report.predictions],
+        # vars(): a record's fields as they are, without asdict's deep copy
+        "per_type": {str(qt): vars(tr) for qt, tr in report.per_type.items()},
+        "predictions": [vars(r) for r in report.predictions],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _entry(path: Path, what: str, cls, values):

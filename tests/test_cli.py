@@ -312,6 +312,24 @@ class TestEval:
         assert outs[0] == outs[1]
 
 
+    def test_report_bytes_do_not_depend_on_the_split_cache(self, workspace, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        cache = data_dir / "test.jsonl.npz"
+        cache.unlink()
+        outs = []
+        for _ in range(2):  # the first call parses and writes the cache, the second reads it
+            target = tmp_path / "report.json"
+            assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                        "--data", str(data_dir), "--split", "test",
+                        "--report", str(target)]) == 0
+            assert cache.exists()
+            outs.append(target.read_bytes().replace(str(data_dir).encode(), b"DATA"))
+        assert outs[0] == outs[1]
+        assert outs[0] == (workspace / "vgqe_report.json").read_bytes().replace(
+            str(workspace / "data").encode(), b"DATA")
+
+
 class TestGradcheckCommand:
     def test_single_module_passes(self, capsys):
         assert run(["gradcheck", "--module", "fusion"]) == 0
@@ -423,6 +441,35 @@ class TestReportRefusals:
         edited = self.edited_report(workspace, tmp_path, point_at_copy)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
         assert err == f"error: dataset manifest {manifest}: top level is not a JSON object\n"
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda m: m["histograms"].pop("train"), "missing field 'histograms.train'"),
+        (lambda m: m.pop("type_names"), "missing field 'type_names'"),
+        (lambda m: m["vocabularies"].pop("answers"), "missing field 'vocabularies.answers'"),
+        (lambda m: m.update(histograms=[]), "field 'histograms' is not a JSON object"),
+        (lambda m: m["vocabularies"].update(answers={}),
+         "field 'vocabularies.answers' is not a JSON array"),
+        (lambda m: m["type_names"].update(x="what"),
+         "field 'type_names' key 'x' is not a question type id"),
+        (lambda m: m["histograms"]["train"]["0"].pop(),
+         "field 'histograms.train.0' is not a list of 8 numbers, one per answer"),
+        (lambda m: m["histograms"]["train"].update({"1": "flat"}),
+         "field 'histograms.train.1' is not a list of 8 numbers, one per answer")])
+    def test_malformed_manifest_field_behind_reports(self, workspace, tmp_path, capsys,
+                                                     edit, problem):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        manifest = data_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        edit(payload)
+        manifest.write_text(json.dumps(payload))
+
+        def point_at_copy(report):
+            report["data_dir"] = str(data_dir)
+
+        edited = self.edited_report(workspace, tmp_path, point_at_copy)
+        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        assert err == f"error: dataset manifest {manifest}: {problem}\n"
 
     @pytest.mark.parametrize("edit,problem", [
         (lambda p: p["predictions"][2].pop("answer"), "prediction 2 has missing field answer"),

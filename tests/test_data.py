@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -335,3 +337,94 @@ class TestSerialization:
             centroid = small_ds.vocab.embedding[token]
             spread = np.stack(vecs) - centroid
             assert np.abs(spread).max() < 6 * small_ds.config.noise_l
+
+
+class TestSplitCache:
+    """`load_split` stores a parsed split's columns in `<split>.jsonl.npz` and
+    returns them only for the same bytes under the same checks."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=12, seed=2))
+        save_dataset(ds, tmp_path)
+        return ds, tmp_path / "test.jsonl"
+
+    @staticmethod
+    def no_parse(monkeypatch):
+        """Make any further parse fail, so that a load that returns is a hit."""
+        def refuse(*args):
+            raise AssertionError("parsed although the cache should have been hit")
+        monkeypatch.setattr(D, "_parse_split", refuse)
+
+    def test_warm_load_equals_cold_load(self, saved, monkeypatch):
+        ds, path = saved
+        cold = load_split(path, ds.config, ds.vocab, "test")
+        assert path.with_name("test.jsonl.npz").exists()
+        self.no_parse(monkeypatch)
+        warm = load_split(path, ds.config, ds.vocab, "renamed")
+        assert (cold.name, warm.name) == ("test", "renamed")
+        assert warm.ids == cold.ids == ds.test.ids
+        assert all(type(i) is str for i in warm.ids)
+        for column in ("qtypes", "tokens", "lengths", "answers", "shapes", "colors",
+                       "visual", "labels"):
+            a, b = getattr(cold, column), getattr(warm, column)
+            assert a.dtype == b.dtype and a.shape == b.shape, column
+            assert np.array_equal(a, b), column
+
+    def test_edit_after_a_warm_load_is_parsed(self, saved):
+        ds, path = saved
+        load_split(path, ds.config, ds.vocab)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["tokens"][0] = 99
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_split(path, ds.config, ds.vocab)
+        assert str(err.value) == (f"{path}:4: token id 99 out of range for vocabulary "
+                                  f"of size {len(ds.vocab.tokens)}")
+
+    @pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2],
+                                        lambda b: b"PK\x03\x04" + bytes(range(256)) * 4,
+                                        lambda b: b""])
+    def test_damaged_cache_is_parsed_around_and_rewritten(self, saved, monkeypatch,
+                                                          damage):
+        ds, path = saved
+        cache = path.with_name("test.jsonl.npz")
+        load_split(path, ds.config, ds.vocab)
+        cache.write_bytes(damage(cache.read_bytes()))
+        assert load_split(path, ds.config, ds.vocab).ids == ds.test.ids
+        self.no_parse(monkeypatch)
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+
+    def test_smaller_vocabulary_misses_and_runs_the_range_checks(self, saved):
+        ds, path = saved
+        load_split(path, ds.config, ds.vocab)
+        top = int(ds.test.tokens.max())
+        smaller = dataclasses.replace(ds.vocab, tokens=ds.vocab.tokens[:top])
+        with pytest.raises(ValueError, match=f"token id {top} out of range for "
+                                             f"vocabulary of size {top}"):
+            load_split(path, ds.config, smaller)
+
+    def test_failed_write_returns_the_split_and_leaves_no_temp_file(self, saved,
+                                                                    monkeypatch):
+        ds, path = saved
+
+        def unwritable(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", unwritable)
+        before = sorted(p.name for p in path.parent.iterdir())
+        split = load_split(path, ds.config, ds.vocab)
+        assert split.ids == ds.test.ids
+        assert sorted(p.name for p in path.parent.iterdir()) == before
+
+    def test_ids_a_fixed_width_array_would_change_are_not_cached(self, tmp_path, small_ds):
+        path = tmp_path / "nul.jsonl"
+        record = {"id": "x\0", "type": 0, "tokens": [0], "answer": 0,
+                  "objects": [{"shape": 0, "color": 0, "v": [0.0] * 32, "l": [0.0] * 16}
+                              for _ in range(8)]}
+        path.write_text(json.dumps(record) + "\n")
+        for _ in range(2):
+            assert load_split(path, small_ds.config, small_ds.vocab).ids == ["x\0"]
+        assert not path.with_name("nul.jsonl.npz").exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,18 @@ class TestReportFiles:
         assert loaded.predictions[0] == report.predictions[0]
         assert loaded.checkpoint == "ckpt.json"
         assert loaded.precision == report.precision == "float64"
+
+    def test_bytes_match_the_asdict_payload(self, ds, params, tmp_path):
+        report = evaluate_split(params, ds.test, ds)
+        report.checkpoint, report.data_dir = "ckpt.json", "data"
+        assert all(getattr(report, f.name) for f in dataclasses.fields(report))
+        path = tmp_path / "report.json"
+        report_to_json(report, path)
+        oracle = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        oracle["per_type"] = {str(qt): dataclasses.asdict(tr)
+                              for qt, tr in report.per_type.items()}
+        oracle["predictions"] = [dataclasses.asdict(r) for r in report.predictions]
+        assert path.read_text() == json.dumps(oracle, sort_keys=True, indent=1) + "\n"
 
     def test_comparison_csv_layout(self, ds, params, tmp_path):
         report = evaluate_split(params, ds.test, ds)

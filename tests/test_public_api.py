@@ -24,8 +24,9 @@ SURFACE = {
         "scale", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
     "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
-             "TypeBias", "Vocabularies", "_answer_probs", "_check_ids", "_generate_split",
-             "_padded", "_scene_shapes_for", "answer_distribution",
+             "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
+             "_check_ids", "_generate_split", "_padded", "_parse_split",
+             "_scene_shapes_for", "_write_cache", "answer_distribution",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
              "load_split", "num_question_types", "question_type_name",
              "read_json_object", "save_dataset",
