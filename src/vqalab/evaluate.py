@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -87,30 +88,44 @@ def summarize_predictions(records: list[PredictionRecord], answer_count: int,
                           type_names: dict[int, str], split: str = "",
                           variant: str = "") -> EvalReport:
     """Aggregate stored predictions into overall/per-type accuracy tables and
-    normalized answer histograms."""
+    normalized answer histograms.
+
+    Every number is counted over the (qtype, answer, prediction) columns:
+    with one ground truth per example, `vqa_accuracy` is 1 for a match and 0
+    otherwise, so each accuracy and histogram entry is a count divided by a
+    count."""
     if not records:
         raise ValueError("cannot summarize an empty prediction list")
-    by_type: dict[int, list[PredictionRecord]] = {}
-    for rec in records:
-        by_type.setdefault(rec.qtype, []).append(rec)
+    columns = np.array([(r.qtype, r.answer, r.prediction) for r in records])
+    if columns.dtype.kind != "i":  # a cast would truncate 1.5 and read "1" as 1
+        raise ValueError(f"prediction records hold {columns.dtype} ids, not integers")
+    for col, what in ((1, "answer"), (2, "prediction")):
+        bad = (columns[:, col] < 0) | (columns[:, col] >= answer_count)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"example {records[i].example_id!r}: {what} id "
+                             f"{columns[i, col]} out of range for {answer_count} answers")
+    qtypes, rows = np.unique(columns[:, 0], return_inverse=True)
+    answers, predictions = columns[:, 1], columns[:, 2]
+    correct = answers == predictions
+    counts = np.bincount(rows, minlength=len(qtypes))
+    hits = np.bincount(rows[correct], minlength=len(qtypes))
+    # row t*A + a counts type t with answer a
+    gt_hists = np.bincount(rows * answer_count + answers,
+                           minlength=len(qtypes) * answer_count).reshape(-1, answer_count)
+    pred_hists = np.bincount(rows * answer_count + predictions,
+                             minlength=len(qtypes) * answer_count).reshape(-1, answer_count)
     per_type = {}
-    for qtype in sorted(by_type):
-        rows = by_type[qtype]
-        gt_hist = np.zeros(answer_count)
-        pred_hist = np.zeros(answer_count)
-        acc = 0.0
-        for rec in rows:
-            gt_hist[rec.answer] += 1
-            pred_hist[rec.prediction] += 1
-            acc += vqa_accuracy(rec.prediction, [rec.answer])
+    for t, qtype in enumerate(qtypes.tolist()):
+        n = int(counts[t])
         per_type[qtype] = TypeReport(
             name=type_names.get(qtype, str(qtype)),
-            count=len(rows),
-            accuracy=acc / len(rows),
-            gt_histogram=(gt_hist / len(rows)).tolist(),
-            pred_histogram=(pred_hist / len(rows)).tolist(),
+            count=n,
+            accuracy=int(hits[t]) / n,
+            gt_histogram=(gt_hists[t] / n).tolist(),
+            pred_histogram=(pred_hists[t] / n).tolist(),
         )
-    overall = sum(vqa_accuracy(r.prediction, [r.answer]) for r in records) / len(records)
+    overall = int(np.count_nonzero(correct)) / len(records)
     return EvalReport(split=split, variant=variant, count=len(records),
                       overall=overall, per_type=per_type, predictions=records)
 
@@ -152,9 +167,24 @@ def constant_majority_floor(train_split: DatasetSplit, eval_split: DatasetSplit)
 # report files
 
 
+# one prediction as json.dumps(..., sort_keys=True, indent=1) writes it as an
+# item of the report's top-level "predictions" array
+_PREDICTION = ('  {{\n   "answer": {},\n   "example_id": {},\n   "prediction": {},\n'
+               '   "qtype": {}\n  }}')
+
+
 def report_to_json(report: EvalReport, path) -> None:
+    """Write `json.dumps(payload, sort_keys=True, indent=1)` plus a newline.
+
+    Predictions are most of a report, so when every field has its declared
+    type (str id, int ids) they are rendered from `_PREDICTION`, the id by
+    the encoder `json.dumps` itself uses; the bytes are the same."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    records = report.predictions
+    templated = all(type(r.example_id) is str
+                    and type(r.qtype) is type(r.answer) is type(r.prediction) is int
+                    for r in records)
     payload = {
         "split": report.split,
         "variant": report.variant,
@@ -166,23 +196,29 @@ def report_to_json(report: EvalReport, path) -> None:
         "precision": report.precision,
         # vars(): a record's fields as they are, without asdict's deep copy
         "per_type": {str(qt): vars(tr) for qt, tr in report.per_type.items()},
-        "predictions": [vars(r) for r in report.predictions],
+        "predictions": [] if templated else [vars(r) for r in records],
     }
+    text = json.dumps(payload, sort_keys=True, indent=1)
+    if templated and records:
+        # a raw newline never occurs inside a JSON string, and only top-level
+        # keys follow it with a single space, so this matches exactly once
+        body = ",\n".join([_PREDICTION.format(r.answer, encode_basestring_ascii(r.example_id),
+                                               r.prediction, r.qtype) for r in records])
+        text = text.replace('\n "predictions": []', '\n "predictions": [\n' + body + "\n ]", 1)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        fh.write(text + "\n")
 
 
-def _entry(path: Path, what: str, cls, values):
-    """cls(**values) for a JSON object holding exactly cls's fields; a
-    ValueError naming the file and the entry otherwise."""
+def _entry(path: Path, what: str, cls, known: set, values):
+    """cls(**values) for a JSON object holding exactly the fields in known,
+    cls's field names; a ValueError naming the file and the entry otherwise."""
+    if type(values) is dict and values.keys() == known:
+        return cls(**values)
     if type(values) is not dict:
         raise ValueError(f"evaluation report {path}: {what} is not a JSON object")
-    known = {f.name for f in fields(cls)}
     problems = [f"missing field {k}" for k in sorted(known - set(values))]
     problems += [f"unknown field {k}" for k in sorted(set(values) - known)]
-    if problems:
-        raise ValueError(f"evaluation report {path}: {what} has " + ", ".join(problems))
-    return cls(**values)
+    raise ValueError(f"evaluation report {path}: {what} has " + ", ".join(problems))
 
 
 def report_from_json(path) -> EvalReport:
@@ -199,9 +235,11 @@ def report_from_json(path) -> EvalReport:
         if not qt.isdigit():
             raise ValueError(f"evaluation report {path}: per_type key {qt!r} is not a "
                              "question type id")
-    per_type = {int(qt): _entry(path, f"per_type entry {qt!r}", TypeReport, tr)
+    type_fields, record_fields = ({f.name for f in fields(cls)}
+                                  for cls in (TypeReport, PredictionRecord))
+    per_type = {int(qt): _entry(path, f"per_type entry {qt!r}", TypeReport, type_fields, tr)
                 for qt, tr in payload["per_type"].items()}
-    predictions = [_entry(path, f"prediction {i}", PredictionRecord, r)
+    predictions = [_entry(path, f"prediction {i}", PredictionRecord, record_fields, r)
                    for i, r in enumerate(payload["predictions"])]
     return EvalReport(split=payload["split"], variant=payload["variant"],
                       count=payload["count"], overall=payload["overall"],

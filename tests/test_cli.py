@@ -44,6 +44,19 @@ GOLDEN_BIN_SHA256 = {
 }
 
 
+# sha256 of the eval report on the test split for each float64 checkpoint
+# above, as `vqalab eval --checkpoint <variant>/checkpoint.json --data data`
+# writes it from the workspace directory (the report records both strings).
+# Taken from the per-record summary and `json.dumps` writer, before counting
+# and the prediction template replaced them; a writer or summary change that
+# moves one byte fails here. They follow the checkpoint pins: a new checkpoint
+# digest needs new report digests.
+GOLDEN_REPORT_SHA256 = {
+    "baseline": "cdb0b237b401efe3a32066370ff3833d09f6f5d8b80ffe974733ecdcd1c21113",
+    "vgqe": "ae65cd5241a8bd7836f44756a4e4eaab02f59b16804788c056408f3f7dd98040",
+}
+
+
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -328,6 +341,32 @@ class TestEval:
         assert outs[0] == outs[1]
         assert outs[0] == (workspace / "vgqe_report.json").read_bytes().replace(
             str(workspace / "data").encode(), b"DATA")
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_REPORT_SHA256))
+    def test_report_bytes_match_golden_digests(self, workspace, tmp_path, monkeypatch,
+                                               variant):
+        monkeypatch.chdir(workspace)
+        target = tmp_path / "report.json"
+        assert run(["eval", "--checkpoint", f"{variant}/checkpoint.json", "--data", "data",
+                    "--split", "test", "--report", str(target)]) == 0
+        assert sha(target) == GOLDEN_REPORT_SHA256[variant]
+
+    def test_refused_call_leaves_the_next_call_unchanged(self, workspace, tmp_path, capsys):
+        checkpoint = str(workspace / "vgqe" / "checkpoint.json")
+        data = str(workspace / "data")
+        target = tmp_path / "report.json"
+        # argparse refuses these after reading --split or --checkpoint
+        for argv in (["eval", "--checkpoint", checkpoint, "--data", data,
+                      "--split", "test_iid", "--report", str(target), "--bogus"],
+                     ["eval", "--checkpoint", checkpoint, "--data", data,
+                      "--split", "nowhere", "--report", str(target)]):
+            assert run(argv) == 2
+            assert not target.exists()
+        capsys.readouterr()
+        # the default split is still "test"
+        assert run(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--report", str(target)]) == 0
+        assert target.read_bytes() == (workspace / "vgqe_report.json").read_bytes()
 
 
 class TestGradcheckCommand:

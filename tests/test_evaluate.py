@@ -130,6 +130,93 @@ class TestSummaries:
             assert a.per_type[qt].accuracy == b.per_type[qt].accuracy
 
 
+def loop_summary(records, answer_count, type_names):
+    """The per-record summary that counting replaced, kept as the oracle:
+    (overall, {qtype: (name, count, accuracy, gt_histogram, pred_histogram)})."""
+    by_type = {}
+    for rec in records:
+        by_type.setdefault(rec.qtype, []).append(rec)
+    per_type = {}
+    for qtype in sorted(by_type):
+        group = by_type[qtype]
+        gt_hist = np.zeros(answer_count)
+        pred_hist = np.zeros(answer_count)
+        acc = 0.0
+        for rec in group:
+            gt_hist[rec.answer] += 1
+            pred_hist[rec.prediction] += 1
+            acc += vqa_accuracy(rec.prediction, [rec.answer])
+        per_type[qtype] = (type_names.get(qtype, str(qtype)), len(group), acc / len(group),
+                           (gt_hist / len(group)).tolist(), (pred_hist / len(group)).tolist())
+    overall = sum(vqa_accuracy(r.prediction, [r.answer]) for r in records) / len(records)
+    return overall, per_type
+
+
+def drawn_records(rng, n, qtypes, answer_count, hit_rate):
+    """n records over the given question types; about hit_rate of them correct."""
+    records = []
+    for i in range(n):
+        answer = int(rng.integers(answer_count))
+        hit = rng.random() < hit_rate
+        records.append(PredictionRecord(f"ex-{i}", int(rng.choice(qtypes)), answer,
+                                        answer if hit else int(rng.integers(answer_count))))
+    return records
+
+
+class TestCountedSummary:
+    """summarize_predictions counts over columns; every float must equal the
+    per-record loop's, bit for bit."""
+
+    @staticmethod
+    def assert_matches_loop(records, answer_count, type_names):
+        report = summarize_predictions(records, answer_count, type_names)
+        overall, per_type = loop_summary(records, answer_count, type_names)
+        assert report.overall == overall and type(report.overall) is float
+        assert list(report.per_type) == list(per_type)
+        for qt, tr in report.per_type.items():
+            assert type(qt) is int and type(tr.count) is int
+            assert (tr.name, tr.count, tr.accuracy, tr.gt_histogram,
+                    tr.pred_histogram) == per_type[qt]
+            assert type(tr.accuracy) is float
+            assert all(type(x) is float for x in tr.gt_histogram + tr.pred_histogram)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drawn_records_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        answer_count = int(rng.integers(1, 12))
+        qtypes = sorted(rng.choice(20, size=int(rng.integers(1, 7)), replace=False).tolist())
+        # some types have names and some do not
+        type_names = {qt: f"type {qt}" for qt in qtypes if rng.random() < 0.5}
+        records = drawn_records(rng, int(rng.integers(1, 300)), qtypes, answer_count,
+                                hit_rate=rng.random())
+        self.assert_matches_loop(records, answer_count, type_names)
+        rng.shuffle(records)
+        self.assert_matches_loop(records, answer_count, type_names)
+
+    @pytest.mark.parametrize("hit_rate", [0.0, 0.4, 1.0])
+    def test_single_type_matches_the_loop(self, hit_rate):
+        records = drawn_records(np.random.default_rng(3), 97, [4], 7, hit_rate)
+        self.assert_matches_loop(records, 7, {4: "only"})
+        self.assert_matches_loop(records, 7, {})
+
+    @pytest.mark.parametrize("field,value", [("answer", -1), ("answer", 3),
+                                             ("prediction", -1), ("prediction", 3)])
+    def test_out_of_range_id_names_the_example_and_field(self, field, value):
+        records = [PredictionRecord(f"ex-{i}", 0, i, i) for i in range(3)]
+        setattr(records[1], field, value)
+        with pytest.raises(ValueError) as err:
+            summarize_predictions(records, 3, {})
+        assert str(err.value) == (f"example 'ex-1': {field} id {value} out of range "
+                                  "for 3 answers")
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", None])
+    def test_non_integer_id_refused(self, value):
+        records = [PredictionRecord(f"ex-{i}", 0, i, i) for i in range(3)]
+        records[1].answer = value
+        with pytest.raises(ValueError, match="ids, not integers"):
+            summarize_predictions(records, 3, {})
+
+
 class TestEvaluateSplit:
     def test_deterministic_and_consistent(self, ds, params):
         a = evaluate_split(params, ds.test, ds)
@@ -167,6 +254,13 @@ class TestBiasGap:
         assert bias_gap(r_iid, r_ood) > 0.3
 
 
+def dumps_text(report):
+    """The report file as `json.dumps` writes the report's `asdict`."""
+    payload = dataclasses.asdict(report)
+    payload["per_type"] = {str(qt): tr for qt, tr in payload["per_type"].items()}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 class TestReportFiles:
     def test_json_round_trip(self, ds, params, tmp_path):
         report = evaluate_split(params, ds.test, ds)
@@ -192,6 +286,30 @@ class TestReportFiles:
                               for qt, tr in report.per_type.items()}
         oracle["predictions"] = [dataclasses.asdict(r) for r in report.predictions]
         assert path.read_text() == json.dumps(oracle, sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("example_id", [
+        'say "hi"', "back\\slash", "caf\u00e9 \u2603 \U0001f600 \ud800",
+        "tab\tnew\nline\x00\x1f\x7f", ""])
+    def test_bytes_match_json_dumps_for_any_id(self, ds, params, tmp_path, example_id):
+        report = evaluate_split(params, ds.test, ds)
+        report.predictions[3].example_id = example_id
+        report.predictions[-1].example_id = example_id * 2
+        path = tmp_path / "report.json"
+        report_to_json(report, path)
+        assert path.read_text() == dumps_text(report)
+        assert report_from_json(path).predictions == report.predictions
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.predictions.clear(),
+        lambda r: setattr(r.predictions[0], "example_id", 5),
+        lambda r: setattr(r.predictions[1], "prediction", True),
+        lambda r: setattr(r.predictions[2], "answer", 2.0)])
+    def test_bytes_match_json_dumps_for_other_field_types(self, ds, params, tmp_path, edit):
+        report = evaluate_split(params, ds.test, ds)
+        edit(report)
+        path = tmp_path / "report.json"
+        report_to_json(report, path)
+        assert path.read_text() == dumps_text(report)
 
     def test_comparison_csv_layout(self, ds, params, tmp_path):
         report = evaluate_split(params, ds.test, ds)
