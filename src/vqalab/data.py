@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass
@@ -68,11 +69,21 @@ class DataConfig:
             raise GenerationError("not enough names for the requested shapes/colors")
         if self.n_train < 1 or self.n_test < 1:
             raise GenerationError("splits must be non-empty")
+        if self.objects_per_scene < 1:
+            raise GenerationError("scenes need at least one object")
         if not (1 <= self.count_max <= self.objects_per_scene):
             raise GenerationError("question type 'count': count_max must lie "
                                   "in [1, objects_per_scene]")
-        if self.objects_per_scene < 1:
-            raise GenerationError("scenes need at least one object")
+        for name in ("d_v", "d_w"):
+            if (value := getattr(self, name)) < 1:
+                raise GenerationError(f"{name} must be at least 1, got {value}")
+        # NaN fails every comparison, so the checks below refuse it too
+        for name in ("noise_v", "noise_l"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise GenerationError(f"{name} must be finite and non-negative, got {value!r}")
+        for name in ("rho_train", "rho_test"):
+            if not 0 <= (value := getattr(self, name)) <= 1:
+                raise GenerationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -228,38 +239,55 @@ def _scene_shapes_for(template: str, target_shape: int, answer: int,
                       config: DataConfig, vocab: Vocabularies,
                       rng: np.random.Generator) -> np.ndarray:
     """Choose a scene consistent with the ground-truth answer: its object shape
-    ids and color ids, a (2, k) array."""
-    k = config.objects_per_scene
-    other_shapes = [s for s in range(config.shapes) if s != target_shape]
+    ids and color ids, a (2, k) array.
 
-    def distractor():
-        return (int(rng.choice(other_shapes)), int(rng.integers(config.colors)))
-
+    The ids come from one `integers(0, bounds)` call: a color per target
+    object whose color is not the answer, then a (shape, color) pair per
+    distractor, the shape as an index into the other shapes. It draws what
+    one scalar `integers` call per id would, in the same order."""
+    k, n_colors = config.objects_per_scene, config.colors
     if template == "color":
-        # exactly one target object; its color is the answer
-        pairs = [(target_shape, answer)] + [distractor() for _ in range(k - 1)]
-    else:
-        if template == "exists":
-            present = vocab.answers[answer] == "yes"
-            n_target = int(rng.integers(1, min(config.count_max, k) + 1)) if present else 0
-        else:  # count
-            n_target = int(vocab.answers[answer])
-        pairs = [(target_shape, int(rng.integers(config.colors)))
-                 for _ in range(n_target)]
-        pairs += [distractor() for _ in range(k - n_target)]
-    rng.shuffle(pairs)
-    return np.array(pairs, dtype=np.int64).T
+        n_target, n_drawn = 1, 0   # exactly one target object; its color is the answer
+    elif template == "exists":
+        present = vocab.answers[answer] == "yes"
+        n_target = int(rng.integers(1, min(config.count_max, k) + 1)) if present else 0
+        n_drawn = n_target
+    else:  # count
+        n_target = n_drawn = int(vocab.answers[answer])
+    draws = rng.integers(0, [n_colors] * n_drawn
+                         + [config.shapes - 1, n_colors] * (k - n_target))
+    ids = np.empty((2, k), dtype=np.int64)
+    ids[0, :n_target] = target_shape
+    ids[1, :n_target] = draws[:n_drawn] if n_drawn else answer
+    others = draws[n_drawn::2]
+    ids[0, n_target:] = others + (others >= target_shape)
+    ids[1, n_target:] = draws[n_drawn + 1::2]
+    return ids[:, rng.permutation(k)]
 
 
 def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
                     bias: dict[int, TypeBias], feature_map: np.ndarray) -> DatasetSplit:
     """Fill the rows of one split; row i draws only from the (seed, split, i)
-    stream. One normal draw per scene holds each object's visual noise then
-    its label noise, in object order."""
+    stream, in this order:
+
+    1. the question type, one `integers(num_question_types)`;
+    2. the answer, one `random()` looked up in the type's answer CDF;
+    3. the scene ids (see `_scene_shapes_for`), after the number of target
+       objects for an `exists` question answered yes;
+    4. the object order, one `permutation(k)`;
+    5. one normal block holding each object's visual noise then its label
+       noise, in object order.
+
+    The golden digests in the tests pin this order."""
     k, d_v, d_w = config.objects_per_scene, config.d_v, config.d_w
     token_ids = vocab.token_ids
     questions = [[token_ids[w] for w in question_type_name(qt, config, vocab).split()]
                  for qt in range(num_question_types(config))]
+    cdfs = {}   # each type's answer CDF as `Generator.choice(answers, p=probs)` builds it
+    for qtype, type_bias in bias.items():
+        cdfs[qtype] = _answer_probs(type_bias, name).cumsum()
+        cdfs[qtype] /= cdfs[qtype][-1]
+    centroids = feature_map.T   # row s * colors + c: the clean (shape s, color c) vector
     label_centroids = vocab.embedding[[token_ids[s] for s in vocab.shapes]]
     qtypes, answers = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     shapes, colors = np.zeros((n, k), dtype=np.int64), np.zeros((n, k), dtype=np.int64)
@@ -267,16 +295,15 @@ def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SPLIT_CODES[name], i]))
         qtype = int(rng.integers(len(questions)))
-        type_bias = bias[qtype]
-        answer = int(rng.choice(type_bias.answers, p=_answer_probs(type_bias, name)))
+        answer = bias[qtype].answers[cdfs[qtype].searchsorted(rng.random(), side="right")]
         template, target_shape = TEMPLATES[qtype // config.shapes], qtype % config.shapes
         qtypes[i], answers[i] = qtype, answer
         shapes[i], colors[i] = _scene_shapes_for(template, target_shape, answer, config,
                                                  vocab, rng)
         noise = rng.normal(size=(k, d_v + d_w))
-        visual[i] = (feature_map[:, shapes[i] * config.colors + colors[i]].T
-                     + config.noise_v * noise[:, :d_v])
-        labels[i] = label_centroids[shapes[i]] + config.noise_l * noise[:, d_v:]
+        np.add(centroids[shapes[i] * config.colors + colors[i]],
+               config.noise_v * noise[:, :d_v], out=visual[i])
+        np.add(label_centroids[shapes[i]], config.noise_l * noise[:, d_v:], out=labels[i])
     tokens, lengths = _padded([questions[q] for q in qtypes])
     return DatasetSplit(name, [f"{name}-{i:06d}" for i in range(n)], qtypes, tokens,
                         lengths, answers, shapes, colors, visual, labels)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -209,16 +211,42 @@ def report_to_json(report: EvalReport, path) -> None:
         fh.write(text + "\n")
 
 
-def _entry(path: Path, what: str, cls, known: set, values):
-    """cls(**values) for a JSON object holding exactly the fields in known,
-    cls's field names; a ValueError naming the file and the entry otherwise."""
-    if type(values) is dict and values.keys() == known:
-        return cls(**values)
-    if type(values) is not dict:
-        raise ValueError(f"evaluation report {path}: {what} is not a JSON object")
-    problems = [f"missing field {k}" for k in sorted(known - set(values))]
-    problems += [f"unknown field {k}" for k in sorted(set(values) - known)]
-    raise ValueError(f"evaluation report {path}: {what} has " + ", ".join(problems))
+# what a report entry field of each declared type accepts from JSON: a value
+# of one of the exact types (so `true` is no integer), passing the test if any
+_JSON_TYPES = {
+    "str": ({str}, None, "a string"),
+    "int": ({int}, None, "an integer"),
+    "float": ({int, float}, math.isfinite, "a finite number"),
+    "list[float]": ({list}, lambda v: all(type(x) in (int, float) and math.isfinite(x)
+                                          for x in v), "a list of finite numbers"),
+}
+_ENTRY_FIELDS = {cls: {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+                 for cls in (TypeReport, PredictionRecord)}
+
+
+def _entries(path: Path, cls, entries: list, label) -> list:
+    """cls(**values) for each entry that is a JSON object holding exactly
+    cls's fields, each of its declared type; a ValueError naming the file,
+    the entry (`label(i)` for entry i) and the field otherwise. Each field is
+    checked over all entries at once."""
+    spec = _ENTRY_FIELDS[cls]
+    for i, values in enumerate(entries):
+        if type(values) is dict and values.keys() == spec.keys():
+            continue
+        if type(values) is not dict:
+            raise ValueError(f"evaluation report {path}: {label(i)} is not a JSON object")
+        problems = [f"missing field {k}" for k in sorted(spec.keys() - values.keys())]
+        problems += [f"unknown field {k}" for k in sorted(values.keys() - spec.keys())]
+        raise ValueError(f"evaluation report {path}: {label(i)} has " + ", ".join(problems))
+    for name, (kinds, test, description) in spec.items():
+        column = list(map(itemgetter(name), entries))
+        if set(map(type, column)) <= kinds and (test is None or all(map(test, column))):
+            continue
+        for i, value in enumerate(column):
+            if type(value) not in kinds or not (test is None or test(value)):
+                raise ValueError(f"evaluation report {path}: {label(i)} field {name} "
+                                 f"holds {value!r}, not {description}")
+    return [cls(**values) for values in entries]
 
 
 def report_from_json(path) -> EvalReport:
@@ -235,15 +263,15 @@ def report_from_json(path) -> EvalReport:
         if not qt.isdigit():
             raise ValueError(f"evaluation report {path}: per_type key {qt!r} is not a "
                              "question type id")
-    type_fields, record_fields = ({f.name for f in fields(cls)}
-                                  for cls in (TypeReport, PredictionRecord))
-    per_type = {int(qt): _entry(path, f"per_type entry {qt!r}", TypeReport, type_fields, tr)
-                for qt, tr in payload["per_type"].items()}
-    predictions = [_entry(path, f"prediction {i}", PredictionRecord, record_fields, r)
-                   for i, r in enumerate(payload["predictions"])]
+    qts = list(payload["per_type"])
+    type_reports = _entries(path, TypeReport, list(payload["per_type"].values()),
+                            lambda i: f"per_type entry {qts[i]!r}")
+    predictions = _entries(path, PredictionRecord, payload["predictions"],
+                           "prediction {}".format)
     return EvalReport(split=payload["split"], variant=payload["variant"],
                       count=payload["count"], overall=payload["overall"],
-                      per_type=per_type, predictions=predictions,
+                      per_type=dict(zip(map(int, qts), type_reports)),
+                      predictions=predictions,
                       answers=payload.get("answers", []),
                       checkpoint=payload.get("checkpoint", ""),
                       data_dir=payload.get("data_dir", ""),

@@ -107,6 +107,14 @@ class TestGenData:
         assert err.startswith(f"error: config file {cfg_path}: malformed JSON (")
         assert err.count("\n") == 1
 
+    def test_refused_data_config_names_the_field(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"data": {**TINY_CONFIG["data"], "rho_train": 1.5}}))
+        out = tmp_path / "d"
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: rho_train must lie in [0, 1], got 1.5\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_directory_contents(self, workspace):
@@ -517,7 +525,28 @@ class TestReportRefusals:
          "per_type entry '0' has unknown field extra"),
         (lambda p: p["per_type"].update({"0": 3}), "per_type entry '0' is not a JSON object"),
         (lambda p: p["per_type"].update({"x": p["per_type"].pop("1")}),
-         "per_type key 'x' is not a question type id")])
+         "per_type key 'x' is not a question type id"),
+        (lambda p: p["per_type"]["0"].update(accuracy="high"),
+         "per_type entry '0' field accuracy holds 'high', not a finite number"),
+        (lambda p: p["per_type"]["1"].update(accuracy=float("nan")),
+         "per_type entry '1' field accuracy holds nan, not a finite number"),
+        (lambda p: p["per_type"]["2"].update(count=2.5),
+         "per_type entry '2' field count holds 2.5, not an integer"),
+        (lambda p: p["per_type"]["0"].update(name=7),
+         "per_type entry '0' field name holds 7, not a string"),
+        (lambda p: p["per_type"]["0"].update(gt_histogram="flat"),
+         "per_type entry '0' field gt_histogram holds 'flat', not a list of finite numbers"),
+        (lambda p: p["per_type"]["1"].update(pred_histogram=[0.5, None]),
+         "per_type entry '1' field pred_histogram holds [0.5, None], not a list of finite "
+         "numbers"),
+        (lambda p: p["predictions"][0].update(answer="x"),
+         "prediction 0 field answer holds 'x', not an integer"),
+        (lambda p: p["predictions"][3].update(prediction=True),
+         "prediction 3 field prediction holds True, not an integer"),
+        (lambda p: p["predictions"][4].update(qtype=1.0),
+         "prediction 4 field qtype holds 1.0, not an integer"),
+        (lambda p: p["predictions"][5].update(example_id=5),
+         "prediction 5 field example_id holds 5, not a string")])
     def test_malformed_report_entry(self, workspace, tmp_path, capsys, edit, problem):
         edited = self.edited_report(workspace, tmp_path, edit)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)

@@ -21,6 +21,54 @@ def small_ds():
     return generate_dataset(SMALL)
 
 
+@pytest.fixture(scope="module")
+def default_ds():
+    return generate_dataset(DataConfig(seed=0, n_train=20000, n_test=4000))
+
+
+def choice_split(name, n, config, vocab, bias, feature_map):
+    """The columns of one split as the generator drew them with
+    `Generator.choice`: the answer by `choice(answers, p=probs)`, each id by
+    its own call (a distractor's shape by `choice(other_shapes)`), then a
+    shuffle of the (shape, color) pairs and one normal block per scene."""
+    k, n_types = config.objects_per_scene, D.num_question_types(config)
+    columns = {c: [] for c in ("qtypes", "answers", "shapes", "colors", "visual", "labels")}
+    label_centroids = vocab.embedding[[vocab.token_ids[s] for s in vocab.shapes]]
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed,
+                                                            D._SPLIT_CODES[name], i]))
+        qtype = int(rng.integers(n_types))
+        answer = int(rng.choice(bias[qtype].answers, p=D._answer_probs(bias[qtype], name)))
+        template, target = D.TEMPLATES[qtype // config.shapes], qtype % config.shapes
+        other_shapes = [s for s in range(config.shapes) if s != target]
+
+        def distractor():
+            return (int(rng.choice(other_shapes)), int(rng.integers(config.colors)))
+
+        if template == "color":
+            pairs = [(target, answer)] + [distractor() for _ in range(k - 1)]
+        else:
+            if template == "exists":
+                present = vocab.answers[answer] == "yes"
+                n_target = int(rng.integers(1, min(config.count_max, k) + 1)) if present else 0
+            else:
+                n_target = int(vocab.answers[answer])
+            pairs = [(target, int(rng.integers(config.colors))) for _ in range(n_target)]
+            pairs += [distractor() for _ in range(k - n_target)]
+        rng.shuffle(pairs)
+        shapes, colors = np.array(pairs, dtype=np.int64).T
+        noise = rng.normal(size=(k, config.d_v + config.d_w))
+        columns["qtypes"].append(qtype)
+        columns["answers"].append(answer)
+        columns["shapes"].append(shapes)
+        columns["colors"].append(colors)
+        columns["visual"].append(feature_map[:, shapes * config.colors + colors].T
+                                 + config.noise_v * noise[:, :config.d_v])
+        columns["labels"].append(label_centroids[shapes]
+                                 + config.noise_l * noise[:, config.d_v:])
+    return {c: np.array(values) for c, values in columns.items()}
+
+
 class TestGeneration:
     def test_deterministic_per_seed(self, tmp_path):
         a = generate_dataset(DataConfig(n_train=50, n_test=20, seed=3))
@@ -41,6 +89,48 @@ class TestGeneration:
         }
         for name, digest in golden.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_wide_config_bytes_match_golden_digests(self, tmp_path):
+        # 8 shapes, 8 colors and count_max 5 reach every template branch:
+        # color, exists answered yes (1-5 targets) and no, and counts 0-5
+        cfg = DataConfig(shapes=8, colors=8, count_max=5, n_train=60, n_test=20, seed=9)
+        ds = generate_dataset(cfg)
+        templates = ds.train.qtypes // cfg.shapes
+        exists = {ds.vocab.answers[a] for a in ds.train.answers[templates == 1]}
+        counts = {ds.vocab.answers[a] for a in ds.train.answers[templates == 2]}
+        assert set(templates.tolist()) == {0, 1, 2} and exists == {"yes", "no"}
+        assert {"0", "5"} <= counts
+        save_dataset(ds, tmp_path)
+        golden = {
+            "train.jsonl": "4f49979248c98c6fe9bc61a0eacd90df27592596851728e95231209e73c43ad2",
+            "test.jsonl": "c069dcebdf9c334c37159e47f0af92eed178ee9781d2a732a084dfb3024012af",
+            "test_iid.jsonl": "60a011dc106416482f11a0d4a323dc568f274ae452f1dcc5d617d3c7b505a18f",
+            "manifest.json": "22ae26ac9536bb01e84c4e79a6850e0b3c292c5abca2f02eb4e4357ffae37ce2",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"shapes": 2},                                  # one distractor shape
+        {"colors": 2},
+        {"shapes": 2, "colors": 2, "objects_per_scene": 3, "count_max": 3},
+        {"objects_per_scene": 4, "count_max": 4},       # count_max == objects_per_scene
+        {"rho_train": 0.0, "rho_test": 1.0},
+        {"rho_train": 1.0, "rho_test": 0.0},
+        {"rho_train": 1 / 5, "rho_test": 1 / 2},        # 1/m for color, exists types
+        {"objects_per_scene": 1, "count_max": 1},       # k=1: no distractors
+        {"shapes": 8, "colors": 8, "count_max": 5}])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_match_choice_based_generator(self, overrides, seed):
+        cfg = DataConfig(n_train=40, n_test=25, seed=seed, **overrides)
+        ds = generate_dataset(cfg)
+        for name, split in ds.splits().items():
+            oracle = choice_split(name, len(split), cfg, ds.vocab, ds.bias, ds.feature_map)
+            for column, expected in oracle.items():
+                got = getattr(split, column)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, column
+                assert got.tobytes() == expected.tobytes(), (name, column)
 
     def test_uniform_bias_limit(self):
         cfg = DataConfig(n_train=3000, n_test=3000, rho_train=1 / 5, rho_test=1 / 5, seed=1)
@@ -92,8 +182,8 @@ class TestGeneration:
         share_at_zero = positions.count(0) / len(positions)
         assert 0.02 < share_at_zero < 0.4
 
-    def test_all_test_answers_occur_in_train(self):
-        ds = generate_dataset(DataConfig(seed=0, n_train=20000, n_test=4000))
+    def test_all_test_answers_occur_in_train(self, default_ds):
+        ds = default_ds
         train_answers = set(ds.train.answers.tolist())
         assert set(ds.test.answers.tolist()) <= train_answers
         assert set(ds.test_iid.answers.tolist()) <= train_answers
@@ -106,10 +196,26 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             DataConfig(n_train=0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("objects_per_scene", 0, "scenes need at least one object"),
+        ("d_v", 0, "d_v must be at least 1, got 0"),
+        ("d_w", -2, "d_w must be at least 1, got -2"),
+        ("noise_v", -1.0, "noise_v must be finite and non-negative, got -1.0"),
+        ("noise_v", float("nan"), "noise_v must be finite and non-negative, got nan"),
+        ("noise_l", float("inf"), "noise_l must be finite and non-negative, got inf"),
+        ("rho_train", 1.5, "rho_train must lie in [0, 1], got 1.5"),
+        ("rho_train", -0.1, "rho_train must lie in [0, 1], got -0.1"),
+        ("rho_train", float("nan"), "rho_train must lie in [0, 1], got nan"),
+        ("rho_test", float("inf"), "rho_test must lie in [0, 1], got inf")])
+    def test_config_refusal_names_the_field(self, field, value, message):
+        with pytest.raises(GenerationError) as err:
+            DataConfig(**{field: value})
+        assert str(err.value) == message
+
 
 class TestChangingPriors:
-    def test_default_config_separates_priors(self):
-        ds = generate_dataset(DataConfig(seed=0, n_train=20000, n_test=4000))
+    def test_default_config_separates_priors(self, default_ds):
+        ds = default_ds
         a = ds.vocab.answer_count
         for qtype in range(num_question_types(ds.config)):
             p = answer_distribution(ds.train, qtype, a)
