@@ -37,7 +37,9 @@ class CliError(Exception):
 
 def sha256_of(path: Path) -> str:
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -99,15 +101,11 @@ def cmd_gen_data(args) -> int:
     config = merge_section(DataConfig, section, overrides)
     out_dir = Path(args.out)
     ds = generate_dataset(config)
-    save_dataset(ds, out_dir)
-    artifacts = {name: sha256_of(out_dir / name)
-                 for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl",
-                              "manifest.json")}
     write_manifest(out_dir, {
         "command": "gen-data",
         "config": {"data": dataclasses.asdict(config)},
         "seed": config.seed,
-        "artifacts": artifacts,
+        "artifacts": save_dataset(ds, out_dir),
     })
     print(f"wrote {len(ds.train)} train / {len(ds.test)} test / "
           f"{len(ds.test_iid)} iid examples to {out_dir}")

@@ -63,6 +63,8 @@ class DataConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise GenerationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.shapes < 2 or self.colors < 2:
             raise GenerationError("need at least two shapes and two colors")
         if self.shapes > len(SHAPE_NAMES) or self.colors > len(COLOR_NAMES):
@@ -265,6 +267,70 @@ def _scene_shapes_for(template: str, target_shape: int, answer: int,
     return ids[:, rng.permutation(k)]
 
 
+_BLOCK = 256   # examples whose streams are seeded, and features composed, at once
+
+# numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier (pcg64.h)
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash on uint32 arrays: each call xors with the running
+    constant, steps it, multiplies by the new one and folds the high half in.
+    uint32 array arithmetic wraps as the C code's does."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _stream_states(seed: int, split_code: int, start: int,
+                   stop: int) -> list[tuple[int, int]]:
+    """The PCG64 `(state, inc)` of
+    `np.random.default_rng(np.random.SeedSequence([seed, split_code, i]))`
+    for each i in [start, stop), stop <= 2**32.
+
+    SeedSequence's `mix_entropy` and `generate_state(4, np.uint64)` run on
+    uint32 arrays, one lane per i. The entropy is `seed` as little-endian
+    uint32 words (0 is one word), then `split_code`, then i; the words past
+    the 4-word pool are mixed in after it. PCG64's `srandom` step then runs
+    on Python ints."""
+    lanes = np.arange(start, stop, dtype=np.uint32)
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = [np.full_like(lanes, w) for w in words + [split_code]] + [lanes]
+    hashmix = _hasher(*_HASH_A)
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(lanes))
+            for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state_word = _hasher(*_HASH_B)
+    out = [state_word(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = ((out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist()
+                                        for j in range(4))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
 def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
                     bias: dict[int, TypeBias], feature_map: np.ndarray) -> DatasetSplit:
     """Fill the rows of one split; row i draws only from the (seed, split, i)
@@ -278,7 +344,12 @@ def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
     5. one normal block holding each object's visual noise then its label
        noise, in object order.
 
-    The golden digests in the tests pin this order."""
+    The rows are made `_BLOCK` at a time. `_stream_states` seeds the block's
+    streams at once, and one generator is set to each in turn; after the
+    block, its feature rows are composed from the noise in one pass. The
+    numbers are those of `default_rng(SeedSequence([seed, split, i]))` with
+    `normal(size=(k, d_v + d_w))`. The golden digests in the tests pin this
+    order."""
     k, d_v, d_w = config.objects_per_scene, config.d_v, config.d_w
     token_ids = vocab.token_ids
     questions = [[token_ids[w] for w in question_type_name(qt, config, vocab).split()]
@@ -292,18 +363,29 @@ def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
     qtypes, answers = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     shapes, colors = np.zeros((n, k), dtype=np.int64), np.zeros((n, k), dtype=np.int64)
     visual, labels = np.empty((n, k, d_v)), np.empty((n, k, d_w))
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SPLIT_CODES[name], i]))
-        qtype = int(rng.integers(len(questions)))
-        answer = bias[qtype].answers[cdfs[qtype].searchsorted(rng.random(), side="right")]
-        template, target_shape = TEMPLATES[qtype // config.shapes], qtype % config.shapes
-        qtypes[i], answers[i] = qtype, answer
-        shapes[i], colors[i] = _scene_shapes_for(template, target_shape, answer, config,
-                                                 vocab, rng)
-        noise = rng.normal(size=(k, d_v + d_w))
-        np.add(centroids[shapes[i] * config.colors + colors[i]],
-               config.noise_v * noise[:, :d_v], out=visual[i])
-        np.add(label_centroids[shapes[i]], config.noise_l * noise[:, d_v:], out=labels[i])
+    noise = np.empty((_BLOCK, k, d_v + d_w))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
+        streams = _stream_states(config.seed, _SPLIT_CODES[name], start, block.stop)
+        for j, (state, inc) in enumerate(streams):
+            i = start + j
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            qtype = int(rng.integers(len(questions)))
+            answer = bias[qtype].answers[cdfs[qtype].searchsorted(rng.random(), side="right")]
+            template, target_shape = TEMPLATES[qtype // config.shapes], qtype % config.shapes
+            qtypes[i], answers[i] = qtype, answer
+            shapes[i], colors[i] = _scene_shapes_for(template, target_shape, answer, config,
+                                                     vocab, rng)
+            rng.standard_normal(out=noise[j])
+        drawn = noise[:block.stop - start]
+        drawn += 0.0   # `normal` returns 0.0 + 1.0 * z, so its -0.0 draws read +0.0
+        np.multiply(drawn[..., :d_v], config.noise_v, out=visual[block])
+        visual[block] += centroids[shapes[block] * config.colors + colors[block]]
+        np.multiply(drawn[..., d_v:], config.noise_l, out=labels[block])
+        labels[block] += label_centroids[shapes[block]]
     tokens, lengths = _padded([questions[q] for q in qtypes])
     return DatasetSplit(name, [f"{name}-{i:06d}" for i in range(n)], qtypes, tokens,
                         lengths, answers, shapes, colors, visual, labels)
@@ -372,10 +454,12 @@ def read_json_object(path: Path, what: str, required) -> dict:
     return payload
 
 
-def save_split(split: DatasetSplit, path) -> None:
+def save_split(split: DatasetSplit, path, digests=()) -> None:
+    """Write a split as JSON Lines; every byte written also goes into each
+    hashlib object in `digests`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for i, example_id in enumerate(split.ids):
             record = {
                 "id": example_id,
@@ -388,8 +472,10 @@ def save_split(split: DatasetSplit, path) -> None:
                                                   split.visual[i].tolist(),
                                                   split.labels[i].tolist())],
             }
-            fh.write(json.dumps(record))
-            fh.write("\n")
+            line = (json.dumps(record) + "\n").encode()
+            for digest in digests:
+                digest.update(line)
+            fh.write(line)
 
 
 def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
@@ -420,7 +506,6 @@ def _cache_key(config: DataConfig, vocab: Vocabularies):
 def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
     """The columns stored under `key`, or None for a missing, unreadable,
     corrupt or mismatched cache."""
-    k, d_v, d_w = config.objects_per_scene, config.d_v, config.d_w
     try:
         with np.lib.npyio.NpzFile(cache, allow_pickle=False) as stored:
             if str(stored["key"]) != key:
@@ -428,19 +513,51 @@ def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
             columns = {name: stored[name] for name in ("ids",) + _CACHE_COLUMNS}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    ids, tokens = columns["ids"], columns["tokens"]
-    if ids.dtype.kind != "U" or ids.ndim != 1 or tokens.ndim != 2:
+    ids = columns["ids"]
+    if ids.dtype.kind != "U" or ids.ndim != 1 or not _columns_fit(columns, len(ids), config):
         return None
-    n = len(ids)
-    shapes = {"qtypes": (n,), "tokens": (n, tokens.shape[1]), "lengths": (n,),
-              "answers": (n,), "shapes": (n, k), "colors": (n, k), "visual": (n, k, d_v),
-              "labels": (n, k, d_w)}
-    for name, shape in shapes.items():
-        dtype = np.float64 if name in ("visual", "labels") else np.int64
-        if columns[name].dtype != dtype or columns[name].shape != shape:
-            return None
     columns["ids"] = ids.tolist()
     return columns
+
+
+def _columns_fit(columns: dict, n: int, config: DataConfig) -> bool:
+    """Whether `columns` hold n rows of int64 ids and float64 features in the
+    shapes a parse of a split under `config` returns."""
+    k, tokens = config.objects_per_scene, columns["tokens"]
+    shapes = {"qtypes": (n,), "tokens": (n, tokens.shape[1]) if tokens.ndim == 2 else None,
+              "lengths": (n,), "answers": (n,), "shapes": (n, k), "colors": (n, k),
+              "visual": (n, k, config.d_v), "labels": (n, k, config.d_w)}
+    return all(columns[name].dtype == (np.float64 if name in ("visual", "labels")
+                                       else np.int64) and columns[name].shape == shape
+               for name, shape in shapes.items())
+
+
+def _columns_as_parsed(split: DatasetSplit, config: DataConfig,
+                       vocab: Vocabularies) -> dict | None:
+    """The columns `_parse_split` returns for the file `save_split` writes
+    from `split`, or None where that parse could refuse the file or return
+    other arrays: a column of another dtype or shape, a non-string id, an
+    empty question, an id out of its range or a non-finite feature."""
+    columns = {name: getattr(split, name) for name in _CACHE_COLUMNS}
+    if not (_columns_fit(columns, len(split.ids), config)
+            and all(type(i) is str for i in split.ids)):
+        return None
+    lengths, tokens = columns["lengths"], columns["tokens"]
+    width = int(lengths.max(initial=0))
+    if lengths.min(initial=1) < 1 or width > tokens.shape[1]:
+        return None
+    written = np.arange(width) < lengths[:, None]
+    tokens = tokens[:, :width]
+    for ids, size in ((columns["qtypes"], num_question_types(config)),
+                      (tokens[written], len(vocab.tokens)),
+                      (columns["answers"], vocab.answer_count),
+                      (columns["shapes"], len(vocab.shapes)),
+                      (columns["colors"], len(vocab.colors))):
+        if ids.size and not 0 <= ids.min() <= ids.max() < size:
+            return None
+    if not (np.isfinite(columns["visual"]).all() and np.isfinite(columns["labels"]).all()):
+        return None
+    return {**columns, "ids": list(split.ids), "tokens": np.where(written, tokens, -1)}
 
 
 def _write_cache(cache: Path, key: str, columns: dict) -> None:
@@ -573,12 +690,23 @@ def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) ->
             "labels": np.array(labels).reshape(-1, k, config.d_w)}
 
 
-def save_dataset(ds: SyntheticDataset, out_dir) -> dict:
-    """Write all splits and the manifest into a directory; returns the manifest."""
+def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
+    """Write all splits and the manifest into a directory; returns the sha256
+    of each file written, by file name.
+
+    Each split is also stored in the `.jsonl.npz` cache that `load_split`
+    would write after parsing it, under the key it computes, so the first
+    load does not parse. A split that a parse could refuse is left uncached."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = {}
     for name, split in ds.splits().items():
-        save_split(split, out_dir / f"{name}.jsonl")
+        path = out_dir / f"{name}.jsonl"
+        digest, key = hashlib.sha256(), _cache_key(ds.config, ds.vocab)
+        save_split(split, path, (digest, key))
+        written[path.name] = digest.hexdigest()
+        if (columns := _columns_as_parsed(split, ds.config, ds.vocab)) is not None:
+            _write_cache(path.with_name(path.name + ".npz"), key.hexdigest(), columns)
     a = ds.vocab.answer_count
     histograms = {
         name: {str(qt): answer_distribution(split, qt, a).tolist()
@@ -599,10 +727,10 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict:
         "type_names": {str(qt): name for qt, name in ds.type_names().items()},
         "histograms": histograms,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return manifest
+    text = (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode()
+    (out_dir / "manifest.json").write_bytes(text)
+    written["manifest.json"] = hashlib.sha256(text).hexdigest()
+    return written
 
 
 def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:

@@ -219,9 +219,18 @@ _JSON_TYPES = {
     "float": ({int, float}, math.isfinite, "a finite number"),
     "list[float]": ({list}, lambda v: all(type(x) in (int, float) and math.isfinite(x)
                                           for x in v), "a list of finite numbers"),
+    "list[str]": ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
 }
 _ENTRY_FIELDS = {cls: {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
                  for cls in (TypeReport, PredictionRecord)}
+# the report's own scalar and string-list fields; per_type and predictions are
+# checked entry by entry
+_REPORT_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(EvalReport)
+                  if f.type in _JSON_TYPES}
+
+
+def _fits(value, kinds: set, test) -> bool:
+    return type(value) in kinds and (test is None or test(value))
 
 
 def _entries(path: Path, cls, entries: list, label) -> list:
@@ -243,7 +252,7 @@ def _entries(path: Path, cls, entries: list, label) -> list:
         if set(map(type, column)) <= kinds and (test is None or all(map(test, column))):
             continue
         for i, value in enumerate(column):
-            if type(value) not in kinds or not (test is None or test(value)):
+            if not _fits(value, kinds, test):
                 raise ValueError(f"evaluation report {path}: {label(i)} field {name} "
                                  f"holds {value!r}, not {description}")
     return [cls(**values) for values in entries]
@@ -256,6 +265,10 @@ def report_from_json(path) -> EvalReport:
     payload = read_json_object(path, "evaluation report", ("split", "variant", "count",
                                                             "overall", "per_type",
                                                             "predictions"))
+    for name, (kinds, test, description) in _REPORT_FIELDS.items():
+        if name in payload and not _fits(payload[name], kinds, test):
+            raise ValueError(f"evaluation report {path}: field {name} holds "
+                             f"{payload[name]!r}, not {description}")
     if type(payload["per_type"]) is not dict or type(payload["predictions"]) is not list:
         raise ValueError(f"evaluation report {path}: 'per_type' is not a JSON object or "
                          "'predictions' is not a list")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqalab.cli import run
+from vqalab.cli import run, sha256_of
 from vqalab.data import load_dataset
 from vqalab.evaluate import evaluate_split
 from vqalab.model import load_checkpoint
@@ -114,6 +114,31 @@ class TestGenData:
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: rho_train must lie in [0, 1], got 1.5\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("value,flags", [(1.5, []), ("3", []), (True, []),
+                                             (0, ["--seed", "-1"])])
+    def test_refused_seed_names_the_field(self, tmp_path, capsys, value, flags):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"data": {**TINY_CONFIG["data"], "seed": value}}))
+        out = tmp_path / "d"
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+        shown = -1 if flags else value
+        assert capsys.readouterr().err == ("error: seed must be a non-negative integer, "
+                                           f"got {shown!r}\n")
+        assert not out.exists()
+
+    def test_large_seed_round_trips(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["gen-data", "--out", str(out), "--seed", str(2**70),
+                    "--n-train", "5", "--n-test", "3"]) == 0
+        assert load_dataset(out).config.seed == 2**70
+
+
+def test_sha256_of_streams_past_one_chunk(tmp_path):
+    data = np.random.default_rng(0).bytes((1 << 20) * 2 + 12345)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_of(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestTrain:
@@ -546,7 +571,18 @@ class TestReportRefusals:
         (lambda p: p["predictions"][4].update(qtype=1.0),
          "prediction 4 field qtype holds 1.0, not an integer"),
         (lambda p: p["predictions"][5].update(example_id=5),
-         "prediction 5 field example_id holds 5, not a string")])
+         "prediction 5 field example_id holds 5, not a string"),
+        (lambda p: p.update(overall="high"), "field overall holds 'high', not a finite number"),
+        (lambda p: p.update(overall=float("inf")), "field overall holds inf, not a finite number"),
+        (lambda p: p.update(count=60.0), "field count holds 60.0, not an integer"),
+        (lambda p: p.update(split=None), "field split holds None, not a string"),
+        (lambda p: p.update(variant=["vgqe"]), "field variant holds ['vgqe'], not a string"),
+        (lambda p: p.update(answers="red"), "field answers holds 'red', not a list of strings"),
+        (lambda p: p["answers"].append(3), "field answers holds ['red', 'green', 'blue', "
+         "'yes', 'no', '0', '1', '2', 3], not a list of strings"),
+        (lambda p: p.update(checkpoint=1), "field checkpoint holds 1, not a string"),
+        (lambda p: p.update(data_dir=False), "field data_dir holds False, not a string"),
+        (lambda p: p.update(precision={}), "field precision holds {}, not a string")])
     def test_malformed_report_entry(self, workspace, tmp_path, capsys, edit, problem):
         edited = self.edited_report(workspace, tmp_path, edit)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)

@@ -132,6 +132,16 @@ class TestGeneration:
                 assert got.dtype == expected.dtype and got.shape == expected.shape, column
                 assert got.tobytes() == expected.tobytes(), (name, column)
 
+    @pytest.mark.parametrize("seed", [0, 2**70])
+    def test_blocks_match_choice_based_generator(self, seed):
+        # 600 rows end in a partial block, 256 fill exactly one
+        cfg = DataConfig(n_train=600, n_test=D._BLOCK, seed=seed)
+        ds = generate_dataset(cfg)
+        for name, split in ds.splits().items():
+            oracle = choice_split(name, len(split), cfg, ds.vocab, ds.bias, ds.feature_map)
+            for column, expected in oracle.items():
+                assert getattr(split, column).tobytes() == expected.tobytes(), (name, column)
+
     def test_uniform_bias_limit(self):
         cfg = DataConfig(n_train=3000, n_test=3000, rho_train=1 / 5, rho_test=1 / 5, seed=1)
         ds = generate_dataset(cfg)
@@ -206,11 +216,51 @@ class TestGeneration:
         ("rho_train", 1.5, "rho_train must lie in [0, 1], got 1.5"),
         ("rho_train", -0.1, "rho_train must lie in [0, 1], got -0.1"),
         ("rho_train", float("nan"), "rho_train must lie in [0, 1], got nan"),
-        ("rho_test", float("inf"), "rho_test must lie in [0, 1], got inf")])
+        ("rho_test", float("inf"), "rho_test must lie in [0, 1], got inf"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", "3", "seed must be a non-negative integer, got '3'"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("seed", np.int64(3), "seed must be a non-negative integer, got np.int64(3)")])
     def test_config_refusal_names_the_field(self, field, value, message):
         with pytest.raises(GenerationError) as err:
             DataConfig(**{field: value})
         assert str(err.value) == message
+
+
+class TestStreamStates:
+    """`_stream_states` gives, block by block, the streams that
+    `default_rng(SeedSequence([seed, split, i]))` starts."""
+
+    @staticmethod
+    def states(seed, split_code, n):
+        return [state for start in range(0, n, D._BLOCK)
+                for state in D._stream_states(seed, split_code,
+                                              start, min(start + D._BLOCK, n))]
+
+    @staticmethod
+    def draws(rng):
+        """One of each kind of draw `_generate_split` makes."""
+        return [rng.integers(18), rng.random(), rng.integers(0, [5, 4, 5, 4, 5]),
+                rng.permutation(8), rng.normal(size=(8, 48))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70])
+    @pytest.mark.parametrize("split_code", sorted(D._SPLIT_CODES.values()))
+    @pytest.mark.parametrize("n", [D._BLOCK - 56, D._BLOCK, 2 * D._BLOCK + 88])
+    def test_states_and_draws_match_seed_sequence(self, seed, split_code, n):
+        states = self.states(seed, split_code, n)
+        assert len(states) == n
+        for i, (state, inc) in enumerate(states):
+            expected = np.random.default_rng(np.random.SeedSequence([seed, split_code, i]))
+            assert expected.bit_generator.state["state"] == {"state": state, "inc": inc}, i
+        bits = np.random.PCG64()
+        for i in sorted({0, D._BLOCK - 1, D._BLOCK, n - 1} & set(range(n))):
+            state, inc = states[i]
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            expected = np.random.default_rng(np.random.SeedSequence([seed, split_code, i]))
+            for got, want in zip(self.draws(np.random.Generator(bits)), self.draws(expected)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), i
 
 
 class TestChangingPriors:
@@ -476,6 +526,56 @@ class TestSplitCache:
             a, b = getattr(cold, column), getattr(warm, column)
             assert a.dtype == b.dtype and a.shape == b.shape, column
             assert np.array_equal(a, b), column
+
+    def test_first_load_after_saving_is_a_hit(self, saved, monkeypatch):
+        ds, path = saved
+        self.no_parse(monkeypatch)
+        hit = load_split(path, ds.config, ds.vocab, "test")
+        monkeypatch.undo()
+        path.with_name("test.jsonl.npz").unlink()
+        parsed = load_split(path, ds.config, ds.vocab, "test")
+        assert hit.ids == parsed.ids == ds.test.ids
+        for column in D._CACHE_COLUMNS:
+            a, b = getattr(hit, column), getattr(parsed, column)
+            assert a.dtype == b.dtype and a.shape == b.shape, column
+            assert a.tobytes() == b.tobytes(), column
+
+    def test_saved_digests_are_the_files(self, tmp_path):
+        digests = save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)),
+                               tmp_path)
+        assert sorted(digests) == ["manifest.json", "test.jsonl", "test_iid.jsonl",
+                                   "train.jsonl"]
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: s.visual.__setitem__((1, 2, 3), np.nan), "non-finite object feature"),
+        (lambda s: s.qtypes.__setitem__(1, 99),
+         "question type id 99 out of range for question types of size 18"),
+        (lambda s: s.tokens.__setitem__((1, 0), 14),
+         "token id 14 out of range for vocabulary of size 14"),
+        (lambda s: s.lengths.__setitem__(1, 0), "empty token list"),
+        (lambda s: s.ids.__setitem__(1, 5), "example id 5 is not a string")])
+    def test_split_a_parse_refuses_is_not_cached(self, tmp_path, edit, message):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
+        edit(ds.train)
+        save_dataset(ds, tmp_path)
+        assert not (tmp_path / "train.jsonl.npz").exists()
+        assert (tmp_path / "test.jsonl.npz").exists()
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'train.jsonl'}:2: {message}"
+
+    def test_cached_tokens_are_trimmed_as_a_parse_trims_them(self, tmp_path, monkeypatch,
+                                                            split_rows):
+        ds = generate_dataset(DataConfig(n_train=40, n_test=3, seed=2))
+        short = int(np.argmin(ds.train.lengths))
+        ds.loaded["train"] = split_rows(ds.train, [short])
+        ds.train.tokens[0, ds.train.lengths[0]:] = 7   # past the length: never written
+        save_dataset(ds, tmp_path)
+        self.no_parse(monkeypatch)
+        tokens = load_split(tmp_path / "train.jsonl", ds.config, ds.vocab).tokens
+        assert tokens.tolist() == [ds.train.tokens[0, :ds.train.lengths[0]].tolist()]
 
     def test_edit_after_a_warm_load_is_parsed(self, saved):
         ds, path = saved
