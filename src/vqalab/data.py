@@ -488,7 +488,10 @@ def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
 
 
 # Bump the tag whenever the parse, its checks or the stored columns change, so
-# that no cache written by older code is ever read.
+# that no cache written by older code is ever read. Bumping it does not reach
+# `save_dataset`'s cache: every check added to `_parse_split` needs a matching
+# check in `_columns_as_parsed`, and a case in
+# test_split_a_parse_refuses_is_not_cached.
 _CACHE_TAG = b"vqalab split columns v1\n"
 _CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
                   "labels")
@@ -614,7 +617,8 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
 
 def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) -> dict:
     """The checked columns of a JSONL split, streamed line by line; `digest`
-    takes in every byte read."""
+    takes in every byte read. `save_dataset` caches a split without this
+    parse, so a check added here needs its match in `_columns_as_parsed`."""
     k, n_types = config.objects_per_scene, num_question_types(config)
     ids, qtypes, token_rows, answers, shapes, colors, visual, labels = ([] for _ in range(8))
     with open(path, "rb") as fh:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,8 +502,11 @@ class TestSplitCache:
 
     @pytest.fixture
     def saved(self, tmp_path):
+        """A saved dataset whose caches are deleted, so its first load parses."""
         ds = generate_dataset(DataConfig(n_train=4, n_test=12, seed=2))
         save_dataset(ds, tmp_path)
+        for cache in tmp_path.glob("*.jsonl.npz"):
+            cache.unlink()
         return ds, tmp_path / "test.jsonl"
 
     @staticmethod
@@ -514,6 +518,7 @@ class TestSplitCache:
 
     def test_warm_load_equals_cold_load(self, saved, monkeypatch):
         ds, path = saved
+        assert not path.with_name("test.jsonl.npz").exists()
         cold = load_split(path, ds.config, ds.vocab, "test")
         assert path.with_name("test.jsonl.npz").exists()
         self.no_parse(monkeypatch)
@@ -527,8 +532,10 @@ class TestSplitCache:
             assert a.dtype == b.dtype and a.shape == b.shape, column
             assert np.array_equal(a, b), column
 
-    def test_first_load_after_saving_is_a_hit(self, saved, monkeypatch):
-        ds, path = saved
+    def test_first_load_after_saving_is_a_hit(self, tmp_path, monkeypatch):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=12, seed=2))
+        save_dataset(ds, tmp_path)
+        path = tmp_path / "test.jsonl"
         self.no_parse(monkeypatch)
         hit = load_split(path, ds.config, ds.vocab, "test")
         monkeypatch.undo()
@@ -621,9 +628,32 @@ class TestSplitCache:
 
         monkeypatch.setattr(os, "replace", unwritable)
         before = sorted(p.name for p in path.parent.iterdir())
+        assert "test.jsonl.npz" not in before   # so the load parses and tries to write
         split = load_split(path, ds.config, ds.vocab)
         assert split.ids == ds.test.ids
         assert sorted(p.name for p in path.parent.iterdir()) == before
+
+    def test_failed_cache_write_still_saves_the_dataset(self, tmp_path, monkeypatch):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
+        replaced = []
+
+        def unwritable(src, dst):
+            replaced.append(Path(dst).name)
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", unwritable)
+        digests = save_dataset(ds, tmp_path)
+        monkeypatch.undo()
+        assert sorted(replaced) == ["test.jsonl.npz", "test_iid.jsonl.npz",
+                                    "train.jsonl.npz"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests) == [
+            "manifest.json", "test.jsonl", "test_iid.jsonl", "train.jsonl"]
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+        loaded = load_dataset(tmp_path)
+        for name, split in ds.splits().items():
+            assert loaded.splits()[name].ids == split.ids
+            assert np.array_equal(loaded.splits()[name].visual, split.visual)
 
     def test_ids_a_fixed_width_array_would_change_are_not_cached(self, tmp_path, small_ds):
         path = tmp_path / "nul.jsonl"
