@@ -29,6 +29,7 @@ import os
 import zipfile
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,13 @@ class DataConfig:
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
             raise GenerationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("shapes", "colors", "objects_per_scene", "d_v", "d_w", "n_train",
+                     "n_test", "count_max"):
+            if type(value := getattr(self, name)) is not int:
+                raise GenerationError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise_v", "noise_l", "rho_train", "rho_test"):
+            if type(value := getattr(self, name)) not in (int, float):
+                raise GenerationError(f"{name} must be a number, got {value!r}")
         if self.shapes < 2 or self.colors < 2:
             raise GenerationError("need at least two shapes and two colors")
         if self.shapes > len(SHAPE_NAMES) or self.colors > len(COLOR_NAMES):
@@ -454,28 +462,226 @@ def read_json_object(path: Path, what: str, required) -> dict:
     return payload
 
 
+# Floats as `json.dumps` writes them, rendered in numpy. A finite x is
+# `float.__repr__(x)`: the shortest digits that read back as x, the nearest
+# to x of that length (ties to even), in fixed notation when
+# 1e-4 <= |x| < 1e16. Here |x| in that range is scaled to
+# y = |x| * 10**(16-E), 10**16 <= y < 10**17, held exactly as hi + lo
+# (Dekker's product). The rounded 17-, 16- and 15-digit integers of y follow
+# from int64 divmod and exact comparisons of lo, and a candidate N of p
+# digits is kept when float(N) times or divided by an exact power of ten
+# (Clinger's fast path, N <= 2**53) gives x back. 17 digits always read
+# back, and a length that reads back implies every longer one does, so only
+# values that pass at 15 digits try fewer. A value this cannot certify gets
+# the text `json.dumps` gives it alone (`float.__repr__`, or NaN and
+# Infinity): zero, |x| < 1e-4 or >= 1e16, non-finite values, power-of-two
+# significands (whose rounding interval is lopsided), odd 16-digit
+# candidates above 2**53 when 15 digits do not read back, and candidates
+# that round up to 10**p.
+_EXACT_POW10 = np.array([float(10 ** i) for i in range(23)])   # 10**i is a double for i <= 22
+_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_SIGNIFICAND = (1 << 52) - 1
+
+
+def _veltkamp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v as hi + lo exactly, each half with at most 26 significant bits."""
+    t = v * 134217729.0   # 2**27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_EXACT_POW10)
+
+
+def _divmod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """`np.divmod` for non-negative ints, in half its time."""
+    q = a // b
+    return q, a - q * b
+
+
+def _rounded(n17: np.ndarray, lo: np.ndarray, m) -> np.ndarray:
+    """Round-half-even of (n17 + lo) / 10**m for |lo| <= 1/2 and m >= 1."""
+    q, r = _divmod(n17, _INT_POW10[m])
+    half = _INT_POW10[m] // 2
+    return q + ((r > half) | (r == half) & ((lo > 0) | (lo == 0) & (q & 1 == 1)))
+
+
+def _reads_back(n: np.ndarray, exponent: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Whether the decimal n * 10**exponent parses to a, for n <= 2**53 and
+    |exponent| <= 22: one correctly rounded product or quotient of doubles
+    (the other factor is 1)."""
+    return (n.astype(np.float64) * _EXACT_POW10[np.maximum(exponent, 0)]
+            / _EXACT_POW10[np.maximum(-exponent, 0)] == a)
+
+
+def _shortest_digits(x: np.ndarray):
+    """For each float64 in x: the digits `float.__repr__` writes as an int64
+    N, their count p and the decimal point position, x = ±0.N * 10**point,
+    plus a mask of the values that must fall back (see above)."""
+    a = np.abs(x)
+    slow = ~((a >= 1e-4) & (a < 1e16)) | (x.view(np.int64) & _SIGNIFICAND == 0)
+    a[slow] = 1.0   # keeps the arithmetic below in range; these are not read
+    e = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a * _EXACT_POW10[16 - e]   # log10 can miss a power of ten by one
+    e += (scaled >= 1e17).astype(np.int64) - (scaled < 1e16)
+    hi = a * _EXACT_POW10[16 - e]
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = _POW10_HI[16 - e], _POW10_LO[16 - e]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    step = np.rint(lo)
+    n17 = hi.astype(np.int64) + step.astype(np.int64)   # hi >= 2**53 is an even integer
+    lo -= step   # exact: y = n17 + lo, |lo| <= 1/2
+    slow |= (hi == 1e16) & (lo < 0) | (n17 >= 10 ** 17)   # y below 10**16 or rounding up
+    n16, n15 = _rounded(n17, lo, 1), _rounded(n17, lo, 2)
+    fits15 = _reads_back(n15, e - 14, a)
+    fits16 = _reads_back(n16, e - 15, a)
+    slow |= ~fits15 & (n16 > 2 ** 53) & (n16 & 1 == 1)
+    digits, count = np.where(fits16, n16, n17), np.where(fits16, 16, 17)
+    rows = np.flatnonzero(fits15)
+    digits[rows], count[rows] = n15[rows], 15
+    for p in range(14, 0, -1):   # fewer digits, while any still read back
+        shorter = _rounded(n17[rows], lo[rows], 17 - p)
+        fits = _reads_back(shorter, e[rows] + 1 - p, a[rows])
+        if not fits.any():
+            break
+        rows = rows[fits]
+        digits[rows], count[rows] = shorter[fits], p
+    slow |= digits == _INT_POW10[count]
+    return digits, count, e + 1, slow
+
+
+# Each value is rendered into 4-byte quads from one table: its sign, the
+# integer digits (four per quad, as many quads as the block's widest integer
+# part needs, at most four), the point with up to three zeros after it
+# (".000"), 17 more fraction digits and 3 zeros, and its separator. Digits
+# come as "0000".."9999"; the quad holding an integer's leading digit has
+# its leading zeros as NUL, quads above it are all NUL, and likewise for the
+# fraction's trailing zeros, so deleting the NUL bytes leaves the text.
+def _quad_table() -> np.ndarray:
+    """"0000".."9999"; the same with leading zeros as NUL (0 all NUL); the
+    same with trailing zeros as NUL; then "0", "0", NUL, "-", ", " and the
+    point followed by 0-3 zeros, NUL-padded."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    padded = (digits + ord("0")).astype(np.uint8)
+    leading = np.where(digits.cumsum(axis=1) > 0, padded, 0)
+    trailing = np.where(digits[:, ::-1].cumsum(axis=1)[:, ::-1] > 0, padded, 0)
+    specials = np.frombuffer(b"\0\0\0" b"0" b"0\0\0\0" b"\0\0\0\0" b"\0\0\0-" b", \0\0"
+                             b"\0\0\0." b"\0\0.0" b"\0.00" b".000", dtype=np.uint8)
+    return np.concatenate([padded.ravel(), leading.ravel(), trailing.ravel(),
+                           specials]).view(np.uint32)
+
+
+_QUADS = _quad_table()
+_LEADING, _TRAILING = 10000, 20000   # where those variants of "0000".."9999" start
+_ZERO_WHOLE, _ZERO_FRACTION, _NUL, _MINUS, _SEPARATOR, _POINT = range(30000, 30006)
+
+
+# `float.__repr__` and `json.dumps` differ only on these
+_NON_FINITE = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"-inf", b"-Infinity"))
+
+
+def _float_texts(values: np.ndarray, last: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The text `json.dumps` writes for each float64 in `values` (1-D), each
+    followed by ", " unless `last` marks it as the end of its list, as one
+    bytes object, and the offset at which each value's text ends."""
+    n = values.size
+    digits, count, point, slow = _shortest_digits(values)
+    whole, frac = _divmod(digits, _INT_POW10[np.clip(count - point, 0, 18)])
+    whole *= _INT_POW10[np.clip(point - count, 0, 18)]
+    # the fraction's digits after its leading zeros, left-aligned to 17 (frac
+    # is 0 where the exponent is clipped)
+    frac_head, frac_tail = _divmod(
+        frac * _INT_POW10[np.minimum(17 - count + np.maximum(point, 0), 18)], 10 ** 13)
+    frac_tail *= 1000
+    negative, separated, int_digits = np.signbit(values), ~last, np.maximum(point, 1)
+    wide = -(-int(int_digits[~slow].max(initial=1)) // 4)   # integer quads needed
+    quads = np.empty((wide + 8, n), dtype=np.int64)   # quad j of value i at [j, i]
+    frac_row = wide + 2
+    quads[0] = np.where(negative, _MINUS, _NUL)
+    quads[wide + 1] = _POINT + np.maximum(-point, 0)
+    quads[-1] = np.where(separated, _SEPARATOR, _NUL)
+    for row in range(wide, 1, -1):
+        whole, quads[row] = _divmod(whole, 10000)
+    quads[1] = whole
+    for row in range(frac_row + 4, frac_row + 1, -1):
+        frac_tail, quads[row] = _divmod(frac_tail, 10000)
+    quads[frac_row + 1], quads[frac_row] = frac_tail, frac_head
+    above = np.ones(n, dtype=bool)   # whether the quads above this one are all zero
+    for row in range(1, wide):
+        quads[row] += _LEADING * above
+        above &= quads[row] == _LEADING
+    quads[wide] = np.where(above & (quads[wide] == 0), _ZERO_WHOLE,
+                           quads[wide] + _LEADING * above)
+    below = np.ones(n, dtype=bool)   # whether the quads below this one are all zero
+    for row in range(frac_row + 4, frac_row, -1):
+        quads[row] += _TRAILING * below
+        below &= quads[row] == _TRAILING
+    quads[frac_row] = np.where(below & (quads[frac_row] == 0), _ZERO_FRACTION,
+                               quads[frac_row] + _TRAILING * below)
+    rows = _QUADS[quads].T   # one value's quads per row
+    length = negative + int_digits + 1 + np.maximum(count - point, 1) + 2 * separated
+    if (fallback := np.flatnonzero(slow)).size:   # its text, NULs, and its separator quad
+        texts = np.array(list(map(float.__repr__, values[fallback].tolist())), dtype="S24")
+        for text, json_text in _NON_FINITE:
+            texts[texts == text] = json_text
+        rows[fallback, :6] = texts.view(np.uint32).reshape(-1, 6)
+        rows[fallback, 6:-1] = 0
+        length[fallback] = np.char.str_len(texts) + 2 * separated[fallback]
+    return rows.tobytes().translate(None, b"\0"), np.cumsum(length)
+
+
+_FLOATS_PER_BLOCK = 1 << 13   # floats rendered at once by `save_split`
+
+
 def save_split(split: DatasetSplit, path, digests=()) -> None:
-    """Write a split as JSON Lines; every byte written also goes into each
-    hashlib object in `digests`."""
+    """Write a split as JSON Lines: line i is `json.dumps` of example i's
+    record, `{"id", "type", "tokens", "answer", "objects": [{"shape",
+    "color", "v", "l"}, ...]}`, with ids as strings and the other columns
+    as ints and floats. Every byte written also goes into each hashlib
+    object in `digests`. An id that is not a string raises ValueError
+    naming it, before anything is written.
+
+    Records are written a block at a time: the block's features are
+    rendered into one bytes object (`_float_texts`) and cut into its `v`
+    and `l` lists, which fill a bytes template with the ids and ints."""
+    for example_id in split.ids:
+        if not isinstance(example_id, str):
+            raise ValueError(f"example id {example_id!r} is not a string")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    _, k, d_v = split.visual.shape
+    width = d_v + split.labels.shape[2]   # one object's floats: its v list, then its l list
+    record = (b'{"id": %b, "type": %d, "tokens": [%b], "answer": %d, "objects": ['
+              + b", ".join([b'{"shape": %d, "color": %d, "v": [%b], "l": [%b]}'] * k)
+              + b"]}\n")
+    step = max(1, _FLOATS_PER_BLOCK // (k * width))
     with open(path, "wb") as fh:
-        for i, example_id in enumerate(split.ids):
-            record = {
-                "id": example_id,
-                "type": int(split.qtypes[i]),
-                "tokens": split.tokens[i, :split.lengths[i]].tolist(),
-                "answer": int(split.answers[i]),
-                "objects": [{"shape": s, "color": c, "v": v, "l": l}
-                            for s, c, v, l in zip(split.shapes[i].tolist(),
-                                                  split.colors[i].tolist(),
-                                                  split.visual[i].tolist(),
-                                                  split.labels[i].tolist())],
-            }
-            line = (json.dumps(record) + "\n").encode()
+        for start in range(0, len(split.ids), step):
+            block = slice(start, min(start + step, len(split.ids)))
+            features = np.concatenate([split.visual[block], split.labels[block]],
+                                      axis=2, dtype=np.float64).ravel()
+            objects = (block.stop - start) * k
+            last = np.zeros((objects, width), dtype=bool)
+            last[:, [d_v - 1, -1]] = True   # the end of each v and each l list
+            text, ends = _float_texts(features, last.ravel())
+            # object o's v list starts at float o * width and its l list d_v later
+            starts = np.append((np.arange(objects)[:, None] * width + [0, d_v]).ravel(),
+                               features.size)
+            cuts = np.append(0, ends)[starts].tolist()
+            fields = np.empty((block.stop - start, 1 + k, 4), dtype=object)
+            fields[:, 0, 0] = [encode_basestring_ascii(i).encode() for i in split.ids[block]]
+            fields[:, 0, 1] = split.qtypes[block]
+            fields[:, 0, 2] = [", ".join(map(str, row[:m])).encode() for row, m in
+                               zip(split.tokens[block].tolist(), split.lengths[block].tolist())]
+            fields[:, 0, 3] = split.answers[block]
+            fields[:, 1:, 0] = split.shapes[block]
+            fields[:, 1:, 1] = split.colors[block]
+            fields[:, 1:, 2:] = np.array([text[i:j] for i, j in zip(cuts, cuts[1:])],
+                                         dtype=object).reshape(-1, k, 2)
+            lines = (record * len(fields)) % tuple(fields.ravel().tolist())
             for digest in digests:
-                digest.update(line)
-            fh.write(line)
+                digest.update(lines)
+            fh.write(lines)
 
 
 def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
@@ -539,11 +745,11 @@ def _columns_as_parsed(split: DatasetSplit, config: DataConfig,
                        vocab: Vocabularies) -> dict | None:
     """The columns `_parse_split` returns for the file `save_split` writes
     from `split`, or None where that parse could refuse the file or return
-    other arrays: a column of another dtype or shape, a non-string id, an
-    empty question, an id out of its range or a non-finite feature."""
+    other arrays: a column of another dtype or shape, an empty question, an
+    id out of its range or a non-finite feature. (`save_split` itself
+    refuses a non-string example id.)"""
     columns = {name: getattr(split, name) for name in _CACHE_COLUMNS}
-    if not (_columns_fit(columns, len(split.ids), config)
-            and all(type(i) is str for i in split.ids)):
+    if not _columns_fit(columns, len(split.ids), config):
         return None
     lengths, tokens = columns["lengths"], columns["tokens"]
     width = int(lengths.max(initial=0))

@@ -115,6 +115,18 @@ class TestGenData:
         assert capsys.readouterr().err == "error: rho_train must lie in [0, 1], got 1.5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_train", "30", "n_train must be an integer, got '30'"),
+        ("d_v", 2.5, "d_v must be an integer, got 2.5")])
+    def test_mistyped_data_config_names_the_field(self, tmp_path, capsys, field, value,
+                                                  message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"data": {field: value}}))
+        out = tmp_path / "d"
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value,flags", [(1.5, []), ("3", []), (True, []),
                                              (0, ["--seed", "-1"])])
     def test_refused_seed_names_the_field(self, tmp_path, capsys, value, flags):

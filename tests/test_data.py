@@ -70,6 +70,26 @@ def choice_split(name, n, config, vocab, bias, feature_map):
     return {c: np.array(values) for c, values in columns.items()}
 
 
+def json_dumps_lines(split):
+    """The bytes of a split as `save_split` wrote them one `json.dumps` per
+    record."""
+    lines = []
+    for i, example_id in enumerate(split.ids):
+        record = {
+            "id": example_id,
+            "type": int(split.qtypes[i]),
+            "tokens": split.tokens[i, :split.lengths[i]].tolist(),
+            "answer": int(split.answers[i]),
+            "objects": [{"shape": s, "color": c, "v": v, "l": l}
+                        for s, c, v, l in zip(split.shapes[i].tolist(),
+                                              split.colors[i].tolist(),
+                                              split.visual[i].tolist(),
+                                              split.labels[i].tolist())],
+        }
+        lines.append((json.dumps(record) + "\n").encode())
+    return b"".join(lines)
+
+
 class TestGeneration:
     def test_deterministic_per_seed(self, tmp_path):
         a = generate_dataset(DataConfig(n_train=50, n_test=20, seed=3))
@@ -222,7 +242,15 @@ class TestGeneration:
         ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
         ("seed", "3", "seed must be a non-negative integer, got '3'"),
         ("seed", True, "seed must be a non-negative integer, got True"),
-        ("seed", np.int64(3), "seed must be a non-negative integer, got np.int64(3)")])
+        ("seed", np.int64(3), "seed must be a non-negative integer, got np.int64(3)"),
+        ("n_train", "30", "n_train must be an integer, got '30'"),
+        ("d_v", 2.5, "d_v must be an integer, got 2.5"),
+        ("shapes", True, "shapes must be an integer, got True"),
+        ("count_max", None, "count_max must be an integer, got None"),
+        ("n_test", np.int64(3), "n_test must be an integer, got np.int64(3)"),
+        ("noise_v", "0.1", "noise_v must be a number, got '0.1'"),
+        ("rho_train", True, "rho_train must be a number, got True"),
+        ("rho_test", [0.5], "rho_test must be a number, got [0.5]")])
     def test_config_refusal_names_the_field(self, field, value, message):
         with pytest.raises(GenerationError) as err:
             DataConfig(**{field: value})
@@ -496,6 +524,131 @@ class TestSerialization:
             assert np.abs(spread).max() < 6 * small_ds.config.noise_l
 
 
+FAMILY_SIZE = 10 ** 6
+
+
+def float_family(name, rng):
+    """At least FAMILY_SIZE doubles aimed at one part of the float renderer."""
+    n = FAMILY_SIZE
+    if name == "normal":
+        return rng.standard_normal(n)
+    if name == "scaled":   # both notations and the bounds between them
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n)
+    if name == "significands":   # random 53-bit significands times 2**-60 .. 2**0
+        return (np.ldexp(rng.integers(2 ** 52, 2 ** 53, n).astype(float),
+                         rng.integers(-112, -51, n)) * rng.choice([-1.0, 1.0], n))
+    if name == "powers_of_ten":   # 10**k, k = -8 .. 20, and its next 17242 doubles each way
+        bases = np.array([float(f"1e{k}") for k in range(-8, 21)]).view(np.int64)
+        steps = np.arange(-(n // 58 + 1), n // 58 + 2)
+        return (bases[:, None] + steps).ravel().view(np.float64)
+    if name == "short":   # short reprs such as 0.1, 0.3 and 2.0
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 6, n)
+        decimals = rng.integers(0, 17, n)
+        for d in range(17):
+            values[decimals == d] = np.round(values[decimals == d], d)
+        return values
+    if name == "powers_of_two":   # ±2**k for every k, and 2500 doubles each way for |k| <= 50
+        bases = np.ldexp(1.0, np.arange(-50, 51)).view(np.int64)
+        near = (bases[:, None] + np.arange(-2500, 2501)).ravel().view(np.float64)
+        values = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), near])
+        return np.concatenate([values, -values])
+    raise ValueError(name)
+
+
+def assert_renders_as_json_dumps(values):
+    """`_float_texts` gives, chunk by chunk, `json.dumps`'s text of the values
+    joined by ", " and the end of each value's text."""
+    for start in range(0, values.size, 1 << 16):
+        chunk = values[start:start + (1 << 16)]
+        last = np.zeros(chunk.size, dtype=bool)
+        last[-1] = True
+        text, ends = D._float_texts(chunk, last)
+        expected = json.dumps(chunk.tolist())[1:-1].encode()
+        if text != expected:
+            pairs = zip(chunk, text.split(b", "), expected.split(b", "))
+            value, got, want = next(p for p in pairs if p[1] != p[2])
+            pytest.fail(f"{float(value).hex()}: rendered {got!r}, json.dumps {want!r}")
+        # no float's text holds ", ", so each end but the last follows one
+        chars = np.frombuffer(text, dtype=np.uint8)
+        assert text.count(b", ") == chunk.size - 1 and ends[-1] == len(text)
+        assert (np.diff(ends) > 0).all()
+        assert (chars[ends[:-1] - 2] == ord(",")).all()
+        assert (chars[ends[:-1] - 1] == ord(" ")).all()
+
+
+class TestFloatText:
+    """Every float is rendered as the text `json.dumps` writes for it, on the
+    fast path or through the per-value fallback."""
+
+    @pytest.mark.parametrize("family", ["normal", "scaled", "significands", "powers_of_ten",
+                                        "short", "powers_of_two"])
+    def test_families_match_json_dumps(self, family):
+        values = float_family(family, np.random.default_rng(15))
+        assert values.size >= FAMILY_SIZE
+        assert_renders_as_json_dumps(values)
+
+    def test_edge_values_match_json_dumps(self):
+        edges = np.array([0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0), 1e16,
+                          np.nextafter(1e16, 0), np.inf, np.nan, 0.1, 0.3, 2.0, 1.0])
+        assert_renders_as_json_dumps(np.concatenate([edges, -edges]))
+
+    def test_most_default_features_take_the_fast_path(self, default_ds):
+        features = np.concatenate([default_ds.train.visual[:2000].ravel(),
+                                   default_ds.train.labels[:2000].ravel()])
+        slow = D._shortest_digits(features)[3]
+        assert slow.mean() < 0.05
+
+
+class TestSplitWriter:
+    """`save_split` writes the bytes one `json.dumps` per record gives."""
+
+    IDS = ['say "hi"', "back\\slash", "ünïcødé", "tab\tand\nnewline", "\U0001f600", "",
+           "x\0"]
+
+    def random_split(self, rng, n, k, d_v, d_w):
+        features = rng.standard_normal((n, k, d_v + d_w)) * 10.0 ** rng.integers(-6, 18,
+                                                                                  (n, k, 1))
+        specials = [-0.0, np.nan, np.inf, 3e-5, 1e16, -2.5e17, 0.0, -np.inf, 5e-324, 0.5]
+        count = min(len(specials), features.size)
+        features.ravel()[rng.choice(features.size, count, replace=False)] = specials[:count]
+        tokens = rng.integers(0, 14, (n, 6))
+        return D.DatasetSplit(
+            "random", [self.IDS[i % len(self.IDS)] + f"-{i}" for i in range(n)],
+            rng.integers(0, 18, n), tokens, rng.integers(0, 7, n), rng.integers(0, 11, n),
+            rng.integers(0, 6, (n, k)), rng.integers(0, 5, (n, k)),
+            features[..., :d_v], features[..., d_v:])
+
+    @pytest.mark.parametrize("k,d_v,d_w", [(8, 32, 16), (2, 3, 1)])
+    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "2blocks+3"])
+    def test_bytes_match_json_dumps(self, tmp_path, k, d_v, d_w, size):
+        block = D._FLOATS_PER_BLOCK // (k * (d_v + d_w))
+        n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+             "2blocks+3": 2 * block + 3}[size]
+        split = self.random_split(np.random.default_rng(n), n, k, d_v, d_w)
+        path, digest = tmp_path / "random.jsonl", hashlib.sha256()
+        save_split(split, path, (digest,))
+        expected = json_dumps_lines(split)
+        assert path.read_bytes() == expected
+        assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+
+    def test_generated_splits_match_json_dumps(self, tmp_path, small_ds, split_rows):
+        for name, split in small_ds.splits().items():
+            split = split_rows(split, slice(0, 500))
+            save_split(split, tmp_path / f"{name}.jsonl")
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == json_dumps_lines(split), name
+
+    @pytest.mark.parametrize("bad_id", [5, None, b"bytes", 1.5])
+    def test_non_string_id_is_refused_before_writing(self, tmp_path, small_ds, split_rows,
+                                                     bad_id):
+        split = split_rows(small_ds.train, slice(0, 3))
+        split.ids[1] = bad_id
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(ValueError) as err:
+            save_split(split, path)
+        assert str(err.value) == f"example id {bad_id!r} is not a string"
+        assert not path.exists()
+
+
 class TestSplitCache:
     """`load_split` stores a parsed split's columns in `<split>.jsonl.npz` and
     returns them only for the same bytes under the same checks."""
@@ -561,8 +714,7 @@ class TestSplitCache:
          "question type id 99 out of range for question types of size 18"),
         (lambda s: s.tokens.__setitem__((1, 0), 14),
          "token id 14 out of range for vocabulary of size 14"),
-        (lambda s: s.lengths.__setitem__(1, 0), "empty token list"),
-        (lambda s: s.ids.__setitem__(1, 5), "example id 5 is not a string")])
+        (lambda s: s.lengths.__setitem__(1, 0), "empty token list")])
     def test_split_a_parse_refuses_is_not_cached(self, tmp_path, edit, message):
         ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
         edit(ds.train)
