@@ -10,8 +10,7 @@ the two encoders under distribution shift.
 from .data import DataConfig, DatasetSplit, SyntheticDataset, generate_dataset
 from .encoder import (EmbeddingTable, GruParams, embed, embedding_table_init,
                       encode_questions_baseline, gru_cell, gru_params_init)
-from .evaluate import (EvalReport, bias_gap, evaluate_split,
-                       summarize_predictions, vqa_accuracy)
+from .evaluate import EvalReport, evaluate_split, summarize_predictions
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,
                         grounded_words, vgw_attention, vgw_params_init)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SPLITS, DataConfig, generate_dataset, load_dataset, read_json_object,
-                   save_dataset)
+from .data import (SPLITS, DataConfig, generate_dataset, load_dataset, manifest_field,
+                   read_json_object, save_dataset)
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, run_all
@@ -61,28 +61,6 @@ def merge_section(cls, section: dict, overrides: dict):
     if unknown:
         raise CliError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     return cls(**values)
-
-
-def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
-    """The value at a dotted field of a dataset manifest: a JSON object (kind
-    dict, keyed by question type ids) or a JSON array (kind list). CliError
-    naming the file and the field otherwise."""
-    parts = dotted.split(".")
-    value = manifest
-    for depth, part in enumerate(parts, start=1):
-        if part not in value:
-            raise CliError(f"dataset manifest {path}: missing field {dotted!r}")
-        value = value[part]
-        want = kind if depth == len(parts) else dict
-        if type(value) is not want:
-            raise CliError(f"dataset manifest {path}: field {'.'.join(parts[:depth])!r} "
-                           f"is not a JSON {'object' if want is dict else 'array'}")
-    if kind is dict:
-        for key in value:
-            if not key.isdecimal():
-                raise CliError(f"dataset manifest {path}: field {dotted!r} key {key!r} "
-                               "is not a question type id")
-    return value
 
 
 def write_manifest(out_dir: Path, payload: dict) -> None:
@@ -171,8 +149,6 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise CliError(f"checkpoint not found: {ckpt_path}")
-    if args.split not in SPLITS:
-        raise CliError(f"unknown split {args.split!r}; choose from {SPLITS}")
     ds = load_dataset(Path(args.data), splits=(args.split,))
     params = load_checkpoint(ckpt_path)
     with using_dtype(params.flat.dtype.type):
@@ -225,8 +201,7 @@ def cmd_report(args) -> int:
         raise CliError(f"dataset behind the reports not found: {data_dir}")
     manifest = read_json_object(manifest_path, "dataset manifest", ())
     answers = manifest_field(manifest, manifest_path, "vocabularies.answers", list)
-    type_names = {int(k): v for k, v in
-                  manifest_field(manifest, manifest_path, "type_names", dict).items()}
+    type_names = manifest_field(manifest, manifest_path, "type_names", dict)
     train_hists = {}
     for qt, hist in manifest_field(manifest, manifest_path, "histograms.train", dict).items():
         if type(hist) is not list or len(hist) != len(answers) or \
@@ -234,7 +209,7 @@ def cmd_report(args) -> int:
             raise CliError(f"dataset manifest {manifest_path}: field "
                            f"'histograms.train.{qt}' is not a list of {len(answers)} "
                            "numbers, one per answer")
-        train_hists[int(qt)] = np.asarray(hist)
+        train_hists[qt] = np.asarray(hist)
 
     traces = []
     if vgqe.checkpoint:

@@ -434,10 +434,6 @@ def answer_distribution(split: DatasetSplit, qtype: int,
     return np.bincount(answers, minlength=answer_count) / answers.size
 
 
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 # ---------------------------------------------------------------------------
 # serialization: JSON Lines splits plus one dataset manifest
 
@@ -449,10 +445,10 @@ OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
 def read_json_object(path: Path, what: str, required) -> dict:
     """The JSON object in a file that must hold one with the required keys;
     ValueError naming the file otherwise."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"{what} {path}: malformed JSON ({err})") from err
     if type(payload) is not dict:
         raise ValueError(f"{what} {path}: top level is not a JSON object")
@@ -460,6 +456,36 @@ def read_json_object(path: Path, what: str, required) -> dict:
         if key not in payload:
             raise ValueError(f"{what} {path}: missing field {key!r}")
     return payload
+
+
+def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
+    """The value at a dotted field of a dataset manifest: a JSON array (kind
+    list); a JSON object keyed by question type ids (kind dict), returned with
+    int keys; or a JSON object of a dataclass's fields (kind the class),
+    returned as an instance. ValueError naming the file and the field
+    otherwise."""
+    parts = dotted.split(".")
+    value = manifest
+    for depth, part in enumerate(parts, start=1):
+        if part not in value:
+            raise ValueError(f"dataset manifest {path}: missing field {dotted!r}")
+        value = value[part]
+        want = list if depth == len(parts) and kind is list else dict
+        if type(value) is not want:
+            raise ValueError(f"dataset manifest {path}: field {'.'.join(parts[:depth])!r} "
+                             f"is not a JSON {'object' if want is dict else 'array'}")
+    if kind is list:
+        return value
+    if kind is not dict:
+        try:
+            return kind(**value)
+        except (TypeError, GenerationError) as err:
+            raise ValueError(f"dataset manifest {path}: field {dotted!r}: {err}") from err
+    for key in value:
+        if not key.isdecimal() or key != str(int(key)):   # as `save_dataset` writes them
+            raise ValueError(f"dataset manifest {path}: field {dotted!r} key {key!r} "
+                             "is not a question type id")
+    return {int(key): item for key, item in value.items()}
 
 
 # Floats as `json.dumps` writes them, rendered in numpy. A finite x is
@@ -684,20 +710,8 @@ def save_split(split: DatasetSplit, path, digests=()) -> None:
             fh.write(lines)
 
 
-def _check_ids(where: str, what: str, ids, vocabulary: str, size: int) -> None:
-    for i in ids:
-        if type(i) is not int:
-            raise ValueError(f"{where}: {what} id {i!r} is not an integer")
-        if not 0 <= i < size:
-            raise ValueError(f"{where}: {what} id {i} out of range for {vocabulary} "
-                             f"of size {size}")
-
-
 # Bump the tag whenever the parse, its checks or the stored columns change, so
-# that no cache written by older code is ever read. Bumping it does not reach
-# `save_dataset`'s cache: every check added to `_parse_split` needs a matching
-# check in `_columns_as_parsed`, and a case in
-# test_split_a_parse_refuses_is_not_cached.
+# that no cache written by older code is ever read.
 _CACHE_TAG = b"vqalab split columns v1\n"
 _CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
                   "labels")
@@ -731,42 +745,47 @@ def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
 
 def _columns_fit(columns: dict, n: int, config: DataConfig) -> bool:
     """Whether `columns` hold n rows of int64 ids and float64 features in the
-    shapes a parse of a split under `config` returns."""
+    shapes a parse of a split under `config` returns, each question in its row."""
     k, tokens = config.objects_per_scene, columns["tokens"]
     shapes = {"qtypes": (n,), "tokens": (n, tokens.shape[1]) if tokens.ndim == 2 else None,
               "lengths": (n,), "answers": (n,), "shapes": (n, k), "colors": (n, k),
               "visual": (n, k, config.d_v), "labels": (n, k, config.d_w)}
     return all(columns[name].dtype == (np.float64 if name in ("visual", "labels")
                                        else np.int64) and columns[name].shape == shape
-               for name, shape in shapes.items())
+               for name, shape in shapes.items()) and \
+        columns["lengths"].max(initial=0) <= tokens.shape[1]
 
 
-def _columns_as_parsed(split: DatasetSplit, config: DataConfig,
-                       vocab: Vocabularies) -> dict | None:
-    """The columns `_parse_split` returns for the file `save_split` writes
-    from `split`, or None where that parse could refuse the file or return
-    other arrays: a column of another dtype or shape, an empty question, an
-    id out of its range or a non-finite feature. (`save_split` itself
-    refuses a non-string example id.)"""
-    columns = {name: getattr(split, name) for name in _CACHE_COLUMNS}
-    if not _columns_fit(columns, len(split.ids), config):
+def _refused_row(columns: dict, config: DataConfig,
+                 vocab: Vocabularies) -> tuple[int, str] | None:
+    """The first row of a split's columns that a load refuses, with the
+    reason, or None. Within a row the checks run in this order: an empty
+    question; an id out of its vocabulary's range, for the question type,
+    the tokens up to the row's length, the answer, the object shapes and the
+    object colors; a non-finite visual, then label, feature."""
+    lengths = columns["lengths"]
+    if not lengths.size:
         return None
-    lengths, tokens = columns["lengths"], columns["tokens"]
-    width = int(lengths.max(initial=0))
-    if lengths.min(initial=1) < 1 or width > tokens.shape[1]:
+    checks = [(lengths[:, None], lengths[:, None] >= 1, "empty token list")]
+    for name, what, vocabulary, size in (
+            ("qtypes", "question type", "question types", num_question_types(config)),
+            ("tokens", "token", "vocabulary", len(vocab.tokens)),
+            ("answers", "answer", "answer vocabulary", vocab.answer_count),
+            ("shapes", "object shape", "shape vocabulary", len(vocab.shapes)),
+            ("colors", "object color", "color vocabulary", len(vocab.colors))):
+        ids = columns[name].reshape(lengths.size, -1)
+        inside = (ids >= 0) & (ids < size)
+        if name == "tokens":
+            inside |= np.arange(ids.shape[1]) >= lengths[:, None]
+        checks.append((ids, inside, f"{what} id {{}} out of range for {vocabulary} of size {size}"))
+    for name in ("visual", "labels"):
+        features = columns[name].reshape(lengths.size, -1)
+        checks.append((features, np.isfinite(features), "non-finite object feature"))
+    if all(ok.all() for _, ok, _ in checks):
         return None
-    written = np.arange(width) < lengths[:, None]
-    tokens = tokens[:, :width]
-    for ids, size in ((columns["qtypes"], num_question_types(config)),
-                      (tokens[written], len(vocab.tokens)),
-                      (columns["answers"], vocab.answer_count),
-                      (columns["shapes"], len(vocab.shapes)),
-                      (columns["colors"], len(vocab.colors))):
-        if ids.size and not 0 <= ids.min() <= ids.max() < size:
-            return None
-    if not (np.isfinite(columns["visual"]).all() and np.isfinite(columns["labels"]).all()):
-        return None
-    return {**columns, "ids": list(split.ids), "tokens": np.where(written, tokens, -1)}
+    row = int(np.logical_and.reduce([ok.all(axis=1) for _, ok, _ in checks]).argmin())
+    values, ok, message = next(check for check in checks if not check[1][row].all())
+    return row, message.format(values[row][~ok[row]][0])   # a message without {} drops it
 
 
 def _write_cache(cache: Path, key: str, columns: dict) -> None:
@@ -796,8 +815,11 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     and object color id must be an integer indexing into its vocabulary, and
     every scene must hold `objects_per_scene` objects, each a JSON object with
     a shape, a color and lists of `d_v` visual and `d_w` label numbers, all
-    finite. A record that breaks a rule raises ValueError naming its path and
-    line.
+    finite. The first line that is not UTF-8 or breaks a rule raises
+    ValueError naming its path and line. Within a record, a fault of its JSON
+    structure (an id that is not an int among them) comes first, then an
+    empty question, an id out of range and a non-finite feature, as
+    `_refused_row` orders them; `save_dataset` caches by the same checks.
 
     A parsed split's columns are stored beside it in `<split>.jsonl.npz`,
     keyed by a sha256 of the cache format, the file's bytes, the config and
@@ -823,81 +845,98 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
 
 def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) -> dict:
     """The checked columns of a JSONL split, streamed line by line; `digest`
-    takes in every byte read. `save_dataset` caches a split without this
-    parse, so a check added here needs its match in `_columns_as_parsed`."""
-    k, n_types = config.objects_per_scene, num_question_types(config)
-    ids, qtypes, token_rows, answers, shapes, colors, visual, labels = ([] for _ in range(8))
+    takes in every byte read. Reading stops at the first line `_split_row`
+    refuses, which is named unless `_refused_row` refuses a row before it."""
+    k, rows, fault = config.objects_per_scene, [], None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             digest.update(raw)
-            line = raw.decode()
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{where}: malformed JSON line ({err})") from err
-            if type(record) is not dict:
-                raise ValueError(f"{where}: record is not a JSON object")
-            for fieldname in REQUIRED_FIELDS:
-                if fieldname not in record:
-                    raise ValueError(f"{where}: missing field {fieldname!r}")
-            if type(record["id"]) is not str:
-                raise ValueError(f"{where}: example id {record['id']!r} is not a string")
-            for fieldname in ("tokens", "objects"):
-                if type(record[fieldname]) is not list:
-                    raise ValueError(f"{where}: {fieldname!r} is not a list")
-            objects = record["objects"]
-            if not record["tokens"]:
-                raise ValueError(f"{where}: empty token list")
-            if len(objects) != k:
-                raise ValueError(f"{where}: {len(objects)} objects, expected "
-                                 f"objects_per_scene {k}")
-            for j, o in enumerate(objects):
-                if type(o) is not dict:
-                    raise ValueError(f"{where}: object {j} is not a JSON object")
-                if not o.keys() >= OBJECT_FIELDS:
-                    raise ValueError(f"{where}: object {j} is missing field "
-                                     f"{min(OBJECT_FIELDS - o.keys())!r}")
-            shapes.append([o["shape"] for o in objects])
-            colors.append([o["color"] for o in objects])
-            _check_ids(where, "question type", [record["type"]], "question types", n_types)
-            _check_ids(where, "token", record["tokens"], "vocabulary", len(vocab.tokens))
-            _check_ids(where, "answer", [record["answer"]], "answer vocabulary",
-                       vocab.answer_count)
-            _check_ids(where, "object shape", shapes[-1], "shape vocabulary",
-                       len(vocab.shapes))
-            _check_ids(where, "object color", colors[-1], "color vocabulary",
-                       len(vocab.colors))
-            for key, dim, size, column in (("v", "d_v", config.d_v, visual),
-                                           ("l", "d_w", config.d_w, labels)):
-                for j, o in enumerate(objects):
-                    if type(o[key]) is not list:
-                        raise ValueError(f"{where}: object {j} {key!r} is not a list")
-                    if len(o[key]) != size:
-                        raise ValueError(f"{where}: object {j} has {len(o[key])} {key!r} "
-                                         f"values, expected {dim} {size}")
-                try:
-                    values = np.array([o[key] for o in objects])
-                except ValueError:  # ragged: a list where a number belongs
-                    values = None
-                if values is None or values.dtype.kind not in "iuf" or values.ndim != 2:
-                    raise ValueError(f"{where}: non-numeric {key!r} value")
-                column.append(values.astype(float, copy=False))
-                if not np.isfinite(column[-1]).all():
-                    raise ValueError(f"{where}: non-finite object feature")
-            ids.append(record["id"])
-            qtypes.append(record["type"])
-            token_rows.append(record["tokens"])
-            answers.append(record["answer"])
-    tokens, lengths = _padded(token_rows)
-    return {"ids": ids, "qtypes": np.array(qtypes, dtype=np.int64), "tokens": tokens,
-            "lengths": lengths, "answers": np.array(answers, dtype=np.int64),
-            "shapes": np.array(shapes, dtype=np.int64).reshape(-1, k),
-            "colors": np.array(colors, dtype=np.int64).reshape(-1, k),
-            "visual": np.array(visual).reshape(-1, k, config.d_v),
-            "labels": np.array(labels).reshape(-1, k, config.d_w)}
+                row = _split_row(raw, config)
+            except ValueError as err:
+                fault = lineno, err
+                break
+            if row is not None:   # blank lines are skipped, so each row keeps its line number
+                rows.append((lineno, *row))
+    linenos, ids, qtypes, token_rows, answers, shapes, colors, visual, labels = (
+        list(zip(*rows)) or [()] * 9)
+    lengths = np.array([len(row) for row in token_rows], dtype=np.int64)
+    width = int(lengths.max(initial=0))   # rows padded with -1, as `_padded` pads them
+    padded = [row + [-1] * (width - len(row)) for row in token_rows]
+    columns = {"ids": list(ids), "qtypes": _id_array(qtypes), "lengths": lengths,
+               "tokens": _id_array(padded).reshape(len(padded), width),
+               "answers": _id_array(answers), "shapes": _id_array(shapes).reshape(-1, k),
+               "colors": _id_array(colors).reshape(-1, k),
+               "visual": np.array(visual).reshape(-1, k, config.d_v),
+               "labels": np.array(labels).reshape(-1, k, config.d_w)}
+    if (refused := _refused_row(columns, config, vocab)) is not None:
+        raise ValueError(f"{path}:{linenos[refused[0]]}: {refused[1]}")
+    if fault is not None:
+        raise ValueError(f"{path}:{fault[0]}: {fault[1]}") from fault[1]
+    return columns
+
+
+def _id_array(ids) -> np.ndarray:
+    """Integer ids as int64, or as Python ints if one overflows it (and so every range)."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
+    """One JSONL line's fields, (id, type, tokens, answer, object shapes,
+    object colors, visual, labels), after the checks that need its JSON
+    objects; None for a blank line. ValueError names the first fault."""
+    line = raw.decode()   # a UnicodeDecodeError is a ValueError too
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed JSON line ({err})") from err
+    if type(record) is not dict:
+        raise ValueError("record is not a JSON object")
+    for fieldname in REQUIRED_FIELDS:
+        if fieldname not in record:
+            raise ValueError(f"missing field {fieldname!r}")
+    if type(record["id"]) is not str:
+        raise ValueError(f"example id {record['id']!r} is not a string")
+    for fieldname in ("tokens", "objects"):
+        if type(record[fieldname]) is not list:
+            raise ValueError(f"{fieldname!r} is not a list")
+    objects, k = record["objects"], config.objects_per_scene
+    if len(objects) != k:
+        raise ValueError(f"{len(objects)} objects, expected objects_per_scene {k}")
+    for j, o in enumerate(objects):
+        if type(o) is not dict:
+            raise ValueError(f"object {j} is not a JSON object")
+        if not o.keys() >= OBJECT_FIELDS:
+            raise ValueError(f"object {j} is missing field {min(OBJECT_FIELDS - o.keys())!r}")
+    shapes, colors = [o["shape"] for o in objects], [o["color"] for o in objects]
+    for what, ids in (("question type", [record["type"]]), ("token", record["tokens"]),
+                      ("answer", [record["answer"]]), ("object shape", shapes),
+                      ("object color", colors)):
+        for i in ids:
+            if type(i) is not int:   # a dtype check would pass `true` and 1.0
+                raise ValueError(f"{what} id {i!r} is not an integer")
+    features = []
+    for key, dim, size in (("v", "d_v", config.d_v), ("l", "d_w", config.d_w)):
+        for j, o in enumerate(objects):
+            if type(o[key]) is not list:
+                raise ValueError(f"object {j} {key!r} is not a list")
+            if len(o[key]) != size:
+                raise ValueError(f"object {j} has {len(o[key])} {key!r} values, "
+                                 f"expected {dim} {size}")
+        try:
+            values = np.array([o[key] for o in objects])
+        except ValueError:  # ragged: a list where a number belongs
+            values = None
+        if values is None or values.dtype.kind not in "iuf" or values.ndim != 2:
+            raise ValueError(f"non-numeric {key!r} value")
+        features.append(values.astype(float, copy=False))
+    return (record["id"], record["type"], record["tokens"], record["answer"], shapes, colors,
+            *features)
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
@@ -915,7 +954,12 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
         digest, key = hashlib.sha256(), _cache_key(ds.config, ds.vocab)
         save_split(split, path, (digest, key))
         written[path.name] = digest.hexdigest()
-        if (columns := _columns_as_parsed(split, ds.config, ds.vocab)) is not None:
+        columns = {column: getattr(split, column) for column in ("ids",) + _CACHE_COLUMNS}
+        if _columns_fit(columns, len(split), ds.config) and \
+                _refused_row(columns, ds.config, ds.vocab) is None:
+            width = int(split.lengths.max(initial=0))   # a parse's tokens end at the longest
+            inside = np.arange(width) < split.lengths[:, None]
+            columns["tokens"] = np.where(inside, split.tokens[:, :width], -1)
             _write_cache(path.with_name(path.name + ".npz"), key.hexdigest(), columns)
     a = ds.vocab.answer_count
     histograms = {
@@ -944,25 +988,25 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
 
 
 def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:
-    """Read the manifest and the named splits (all three by default)."""
+    """Read the manifest and the named splits (all three by default); a bad
+    manifest field raises ValueError naming the file and the field."""
     data_dir = Path(data_dir)
     for name in splits:
         if name not in _SPLIT_CODES:
             raise ValueError(f"unknown split {name!r}; choose from {SPLITS}")
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    manifest = read_json_object(manifest_path, "dataset manifest",
-                                ("config", "vocabularies", "bias_spec", "feature_map"))
-    config = DataConfig(**manifest["config"])
-    voc = manifest["vocabularies"]
-    vocab = Vocabularies(tokens=voc["tokens"], answers=voc["answers"],
-                         shapes=voc["shapes"], colors=voc["colors"],
-                         embedding=np.asarray(voc["embedding"]))
-    bias = {int(qt): TypeBias(**b) for qt, b in manifest["bias_spec"].items()}
+    path = data_dir / "manifest.json"
+    if not path.exists():
+        raise FileNotFoundError(f"dataset manifest not found: {path}")
+    manifest = read_json_object(path, "dataset manifest", ())
+    config = manifest_field(manifest, path, "config", DataConfig)
+    vocab = Vocabularies(*(manifest_field(manifest, path, f"vocabularies.{name}", list)
+                           for name in ("tokens", "answers", "shapes", "colors", "embedding")))
+    vocab.embedding = np.asarray(vocab.embedding)
+    bias = {qt: manifest_field(manifest, path, f"bias_spec.{qt}", TypeBias)
+            for qt in manifest_field(manifest, path, "bias_spec", dict)}
     return SyntheticDataset(
         config=config, vocab=vocab, bias=bias,
-        feature_map=np.asarray(manifest["feature_map"]),
+        feature_map=np.asarray(manifest_field(manifest, path, "feature_map", list)),
         loaded={name: load_split(data_dir / f"{name}.jsonl", config, vocab, name)
                 for name in splits},
     )

@@ -1,9 +1,7 @@
-"""Accuracy metric, per-question-type reporting, and bias-gap summaries.
+"""Accuracy, per-question-type reporting, and report files.
 
-The accuracy of a prediction against a ground-truth answer list follows the
-multi-annotator convention min(matching annotators / 3, 1). Synthetic examples
-carry a single ground truth, which counts as three matching annotators when it
-equals the prediction, so scores stay in {0, 1}.
+Every example carries a single ground-truth answer, and a prediction scores 1
+when it equals it and 0 otherwise.
 
 Reports are built purely from stored (example, ground truth, prediction)
 records, so they can be regenerated without re-running a model. Histograms in
@@ -26,18 +24,6 @@ import numpy as np
 from .data import DatasetSplit, SyntheticDataset, read_json_object
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
-
-
-def vqa_accuracy(prediction: int, ground_truth) -> float:
-    """min(#annotators matching the prediction / 3, 1); single-annotator
-    examples count as three matches when equal."""
-    gts = list(ground_truth)
-    if not gts:
-        raise ValueError("ground truth answer list must be non-empty")
-    matches = sum(1 for g in gts if g == prediction)
-    if len(gts) == 1:
-        matches *= 3
-    return min(matches / 3.0, 1.0)
 
 
 @dataclass
@@ -92,10 +78,9 @@ def summarize_predictions(records: list[PredictionRecord], answer_count: int,
     """Aggregate stored predictions into overall/per-type accuracy tables and
     normalized answer histograms.
 
-    Every number is counted over the (qtype, answer, prediction) columns:
-    with one ground truth per example, `vqa_accuracy` is 1 for a match and 0
-    otherwise, so each accuracy and histogram entry is a count divided by a
-    count."""
+    Every number is counted over the (qtype, answer, prediction) columns: a
+    prediction scores 1 when it equals the answer and 0 otherwise, so each
+    accuracy and histogram entry is a count divided by a count."""
     if not records:
         raise ValueError("cannot summarize an empty prediction list")
     columns = np.array([(r.qtype, r.answer, r.prediction) for r in records])
@@ -147,11 +132,6 @@ def evaluate_split(params: ModelParams, split: DatasetSplit,
     report.answers = list(ds.vocab.answers)
     report.precision = params.flat.dtype.name
     return report
-
-
-def bias_gap(report_iid: EvalReport, report_ood: EvalReport) -> float:
-    """In-distribution minus out-of-distribution overall accuracy."""
-    return report_iid.overall - report_ood.overall
 
 
 def constant_majority_floor(train_split: DatasetSplit, eval_split: DatasetSplit) -> float:

@@ -358,6 +358,71 @@ class TestEval:
         assert err.startswith(f"error: dataset manifest {manifest}: malformed JSON (")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda m: m["config"].update(bogus=1),
+         "field 'config': DataConfig.__init__() got an unexpected keyword argument 'bogus'"),
+        (lambda m: m["config"].update(seed=-1),
+         "field 'config': seed must be a non-negative integer, got -1"),
+        (lambda m: m.update(config=[]), "field 'config' is not a JSON object"),
+        (lambda m: m.update(bias_spec=[]), "field 'bias_spec' is not a JSON object"),
+        (lambda m: m["bias_spec"]["1"].update(extra=0),
+         "field 'bias_spec.1': TypeBias.__init__() got an unexpected keyword argument 'extra'"),
+        (lambda m: m["bias_spec"].update(x={}),
+         "field 'bias_spec' key 'x' is not a question type id"),
+        (lambda m: m["bias_spec"].update({"01": m["bias_spec"]["1"]}),
+         "field 'bias_spec' key '01' is not a question type id"),
+        (lambda m: m["vocabularies"].pop("tokens"), "missing field 'vocabularies.tokens'"),
+        (lambda m: m.update(feature_map={}), "field 'feature_map' is not a JSON array")])
+    def test_malformed_dataset_manifest_field_names_it(self, workspace, tmp_path, capsys,
+                                                       command, edit, problem):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        manifest = data_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        edit(payload)
+        manifest.write_text(json.dumps(payload))
+        if command == "train":
+            argv = ["train", "--data", str(data_dir), "--variant", "baseline",
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(data_dir), "--report", str(tmp_path / "r.json")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: dataset manifest {manifest}: {problem}\n"
+
+    @pytest.mark.parametrize("reader", ["split", "dataset manifest", "checkpoint",
+                                        "config file", "evaluation report"])
+    def test_invalid_utf8_names_the_file(self, workspace, tmp_path, capsys, reader):
+        data_dir, ckpt_dir = tmp_path / "data", tmp_path / "vgqe"
+        shutil.copytree(workspace / "data", data_dir)
+        shutil.copytree(workspace / "vgqe", ckpt_dir)
+        config, report = tmp_path / "config.json", tmp_path / "vgqe_report.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        shutil.copy(workspace / "vgqe_report.json", report)
+        target = {"split": data_dir / "test.jsonl", "dataset manifest": data_dir / "manifest.json",
+                  "checkpoint": ckpt_dir / "checkpoint.json", "config file": config,
+                  "evaluation report": report}[reader]
+        raw = target.read_bytes()   # a byte 0xff after the first quote, in a split's third line
+        start = raw.index(b"\n", raw.index(b"\n") + 1) + 1 if reader == "split" else 0
+        target.write_bytes(raw[:start] + raw[start:].replace(b'"', b'"\xff', 1))
+        argv = {"config file": ["gen-data", "--config", str(config), "--out",
+                                str(tmp_path / "gen")],
+                "evaluation report": ["report", "--baseline", str(workspace / "baseline_report.json"),
+                                      "--vgqe", str(report), "--out", str(tmp_path / "cmp")]}.get(
+            reader, ["eval", "--checkpoint", str(ckpt_dir / "checkpoint.json"), "--data",
+                     str(data_dir), "--report", str(tmp_path / "r.json")])
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        decode = "'utf-8' codec can't decode byte 0xff in position"
+        if reader == "split":
+            assert err.startswith(f"error: {target}:3: {decode} ")
+        else:
+            assert err.startswith(f"error: {reader} {target}: malformed JSON ({decode} ")
+
     def test_eval_deterministic(self, workspace, tmp_path):
         outs = []
         target = tmp_path / "re_report.json"

@@ -10,8 +10,7 @@ import pytest
 from vqalab import data as D
 from vqalab.data import (DataConfig, GenerationError, answer_distribution,
                          generate_dataset, load_dataset, load_split,
-                         num_question_types, save_dataset, save_split,
-                         total_variation)
+                         num_question_types, save_dataset, save_split)
 from vqalab.train import length_bucketed_batches, stack_batch
 
 SMALL = DataConfig(n_train=1500, n_test=900, seed=0)
@@ -171,7 +170,7 @@ class TestGeneration:
         uniform[ds.bias[qtype].answers] = 1 / 5
         for split in (ds.train, ds.test):
             hist = answer_distribution(split, qtype, ds.vocab.answer_count)
-            assert total_variation(hist, uniform) < 0.12
+            assert 0.5 * np.abs(hist - uniform).sum() < 0.12
 
     def test_majority_frequency_concentrates(self):
         cfg = DataConfig(n_train=5000, n_test=100, rho_train=0.8, seed=2)
@@ -299,7 +298,7 @@ class TestChangingPriors:
         for qtype in range(num_question_types(ds.config)):
             p = answer_distribution(ds.train, qtype, a)
             q = answer_distribution(ds.test, qtype, a)
-            assert total_variation(p, q) >= 0.3, f"type {qtype} insufficiently shifted"
+            assert 0.5 * np.abs(p - q).sum() >= 0.3, f"type {qtype} insufficiently shifted"
 
     def test_iid_split_matches_train_priors(self, small_ds):
         # both train and the iid test split should sit near the same
@@ -311,7 +310,7 @@ class TestChangingPriors:
             theory[bias.answers] = D._answer_probs(bias, "train")
             for split in (small_ds.train, small_ds.test_iid):
                 hist = answer_distribution(split, qtype, a)
-                assert total_variation(hist, theory) < 0.12
+                assert 0.5 * np.abs(hist - theory).sum() < 0.12
 
 
 class TestSolvability:
@@ -419,7 +418,11 @@ class TestSerialization:
         ("id=", [1], "example id [1] is not a string"),
         ("id=", {"a": 1}, "example id {'a': 1} is not a string"),
         ("id=", 5, "example id 5 is not a string"),
-        ("id=", None, "example id None is not a string")])
+        ("id=", None, "example id None is not a string"),
+        ("answer", True, "answer id True is not an integer"),
+        ("tokens", 1.0, "token id 1.0 is not an integer"),
+        ("shape", True, "object shape id True is not an integer"),
+        ("type", 2**70, f"question type id {2**70} out of range for question types of size 18")])
     def test_out_of_range_ids_rejected_at_load(self, tmp_path, field, bad, message):
         save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)), tmp_path)
         path = tmp_path / "train.jsonl"
@@ -454,6 +457,44 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_dataset(tmp_path)
         assert str(err.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("edits,where,message", [
+        ({1: {("tokens", 0): 99}, 3: {("objects", 0, "v"): 5}},
+         2, "token id 99 out of range for vocabulary of size 14"),
+        ({1: {("objects", 0, "v"): 5}, 3: {("tokens", 0): 99}},
+         2, "object 0 'v' is not a list"),
+        ({1: {("objects", 2, "l", 0): float("nan")}, 2: None},
+         2, "non-finite object feature"),
+        ({2: {("tokens",): [], ("answer",): 99, ("objects", 0, "v", 1): float("inf")}},
+         3, "empty token list"),
+        ({2: {("answer",): 99, ("objects", 0, "v", 1): float("inf")}},
+         3, "answer id 99 out of range for answer vocabulary of size 11"),
+        ({2: {("tokens",): [], ("objects", 1, "l"): 5}},
+         3, "object 1 'l' is not a list")])
+    def test_first_fault_in_file_order_is_named(self, tmp_path, edits, where, message):
+        """The first refused line is named whichever check refuses it; within a
+        line a JSON-structure fault comes before an empty question, an empty
+        question before an id out of range, and that before a non-finite
+        feature. Each edit sets values by their path in a record, or (None)
+        cuts the line short."""
+        save_dataset(generate_dataset(DataConfig(n_train=5, n_test=3, seed=2)), tmp_path)
+        path = tmp_path / "train.jsonl"
+        lines = path.read_text().splitlines()
+        for i, changes in edits.items():
+            if changes is None:
+                lines[i] = lines[i][: len(lines[i]) // 2]
+                continue
+            record = json.loads(lines[i])
+            for (*parents, last), value in changes.items():
+                target = record
+                for key in parents:
+                    target = target[key]
+                target[last] = value
+            lines[i] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path, splits=("train",))
+        assert str(err.value) == f"{path}:{where}: {message}"
 
     def test_stack_batch_matches_json_records(self, tmp_path):
         save_dataset(generate_dataset(DataConfig(n_train=60, n_test=5, seed=8)), tmp_path)
@@ -714,7 +755,15 @@ class TestSplitCache:
          "question type id 99 out of range for question types of size 18"),
         (lambda s: s.tokens.__setitem__((1, 0), 14),
          "token id 14 out of range for vocabulary of size 14"),
-        (lambda s: s.lengths.__setitem__(1, 0), "empty token list")])
+        (lambda s: s.lengths.__setitem__(1, 0), "empty token list"),
+        (lambda s: s.answers.__setitem__(1, 11),
+         "answer id 11 out of range for answer vocabulary of size 11"),
+        (lambda s: s.shapes.__setitem__((1, 2), 6),
+         "object shape id 6 out of range for shape vocabulary of size 6"),
+        (lambda s: s.colors.__setitem__((1, 0), -1),
+         "object color id -1 out of range for color vocabulary of size 5"),
+        pytest.param(lambda s: s.labels.__setitem__((1, 4, 0), np.inf),
+                     "non-finite object feature", id="labels-inf")])
     def test_split_a_parse_refuses_is_not_cached(self, tmp_path, edit, message):
         ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
         edit(ds.train)

@@ -25,15 +25,15 @@ SURFACE = {
         "using_dtype", "zero_grads"},
     "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
-             "_check_ids", "_columns_as_parsed", "_columns_fit", "_divmod", "_float_texts",
-             "_generate_split", "_hasher", "_padded", "_parse_split",
-             "_quad_table", "_reads_back", "_rounded", "_scene_shapes_for",
-             "_shortest_digits", "_stream_states", "_veltkamp", "_write_cache",
+             "_columns_fit", "_divmod", "_float_texts",
+             "_generate_split", "_hasher", "_id_array", "_padded", "_parse_split",
+             "_quad_table", "_reads_back", "_refused_row", "_rounded", "_scene_shapes_for",
+             "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_write_cache",
              "answer_distribution",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
-             "load_split", "num_question_types", "question_type_name",
+             "load_split", "manifest_field", "num_question_types", "question_type_name",
              "read_json_object", "save_dataset",
-             "save_split", "template_tokens", "total_variation", "type_answer_domain"},
+             "save_split", "template_tokens", "type_answer_domain"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
