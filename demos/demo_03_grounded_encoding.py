@@ -36,7 +36,8 @@ print("question:", " ".join(words))
 print("scene shapes:", [ds.vocab.shapes[s] for s in train.shapes[i]])
 
 # encode_question_vgqe runs one question over one scene, (objects, dims)
-# arrays, through the batched encoder and keeps its attention weights.
+# arrays, through the batched encoder and keeps its (words, objects)
+# attention weights; both reading directions share this one grounding.
 encoding, trace = encode_question_vgqe(train.visual[i], train.labels[i], tokens,
                                        table, *parts)
 print("encoding dim:", encoding.shape)
@@ -46,7 +47,7 @@ print("encoding dim:", encoding.shape)
 # label-matching objects because words and labels share one embedding space
 # (the traces.json written by the report command shows trained traces).
 np.set_printoptions(precision=2, suppress=True)
-for word, weights in zip(words, trace["forward"]):
+for word, weights in zip(words, trace):
     print(f"  {word:>8s} attends {weights}")
 
 # The same question over a different scene yields a different encoding;
@@ -59,5 +60,6 @@ other_encoding, _ = encode_question_vgqe(train.visual[j], train.labels[j], token
 gap = np.max(np.abs(encoding - other_encoding))
 print(f"L-infinity gap between encodings of the same question: {gap:.4f}")
 
-# Traces serialize to JSON records, the format the report command emits.
-print("trace record keys:", sorted(trace_records(train.ids[i], trace)[0]))
+# A trace serializes to one JSON record per question, the format the report
+# command emits.
+print("trace record keys:", sorted(trace_records(train.ids[i], trace)))

@@ -225,11 +225,11 @@ def cmd_report(args) -> int:
         chosen = rng.choice(len(split), size=min(args.traces, len(split)), replace=False)
         with using_dtype(params.flat.dtype.type):
             for idx in sorted(int(i) for i in chosen):
-                _, trace = encode_question_vgqe(split.visual[idx], split.labels[idx],
-                                                split.tokens[idx, :split.lengths[idx]],
-                                                params.embedding, params.vgw,
-                                                params.gru_fwd, params.gru_bwd)
-                traces.extend(trace_records(split.ids[idx], trace))
+                _, weights = encode_question_vgqe(split.visual[idx], split.labels[idx],
+                                                  split.tokens[idx, :split.lengths[idx]],
+                                                  params.embedding, params.vgw,
+                                                  params.gru_fwd, params.gru_bwd)
+                traces.append(trace_records(split.ids[idx], weights))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -253,7 +253,7 @@ def report_from_json(path) -> EvalReport:
         raise ValueError(f"evaluation report {path}: 'per_type' is not a JSON object or "
                          "'predictions' is not a list")
     for qt in payload["per_type"]:
-        if not qt.isdigit():
+        if not qt.isdecimal() or qt != str(int(qt)):
             raise ValueError(f"evaluation report {path}: per_type key {qt!r} is not a "
                              "question type id")
     qts = list(payload["per_type"])

@@ -2,8 +2,9 @@
 
 Trains both variants over several seeds on one dataset whose out-of-
 distribution test split inverts the train answer priors, and summarizes
-median accuracies, the out-of-distribution gap between the variants, and the
-constant-majority floor (the score of pure prior exploitation).
+median accuracies, the out-of-distribution gap between the variants with its
+range over seeds, and the constant-majority floor (the score of pure prior
+exploitation).
 """
 
 from __future__ import annotations
@@ -50,13 +51,22 @@ class ExperimentResult:
     def iid_delta(self) -> float:
         return self.outcomes["vgqe"].median_iid - self.outcomes["baseline"].median_iid
 
+    @property
+    def ood_gaps(self) -> list[float]:
+        """vgqe minus baseline out-of-distribution accuracy, seed by seed."""
+        return [v - b for b, v in zip(self.outcomes["baseline"].ood,
+                                      self.outcomes["vgqe"].ood, strict=True)]
+
     def summary_lines(self) -> list[str]:
         base, vgqe = self.outcomes["baseline"], self.outcomes["vgqe"]
+        gaps = self.ood_gaps
         return [
             f"constant-majority floor: iid {self.floor_iid:.3f}, ood {self.floor_ood:.3f}",
             f"baseline median: iid {base.median_iid:.3f}, ood {base.median_ood:.3f}",
             f"vgqe     median: iid {vgqe.median_iid:.3f}, ood {vgqe.median_ood:.3f}",
             f"out-of-distribution gap: {100 * self.ood_gap:+.1f} points",
+            f"per-seed ood gap:        min {100 * min(gaps):+.1f}, "
+            f"max {100 * max(gaps):+.1f} points",
             f"in-distribution delta:   {100 * self.iid_delta:+.1f} points",
             f"wall time: {self.seconds:.0f}s",
         ]

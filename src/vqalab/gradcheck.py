@@ -83,6 +83,7 @@ def check_tensor_ops() -> list[CheckResult]:
     _check_block_bilinear(rng, results)
     _check_gru_step(rng, results)
     _check_gru_sequence(rng, results)
+    _check_scene_attention(rng, results)
     return results
 
 
@@ -138,6 +139,18 @@ def _check_gru_sequence(rng, results) -> None:
                 return T.mul(T.gru_sequence(xs, *p.arrays(), reverse=reverse), probe).sum()
             name = f"gru_sequence_{'reverse' if reverse else 'forward'}_T{steps}"
             _check("tensor_core", name, loss, [("xs", xs), *p.named_arrays()], results)
+
+
+def _check_scene_attention(rng, results) -> None:
+    # three step-major words per scene over two scenes of three objects
+    words = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    column = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    labels = Tensor(rng.normal(size=(2, 3, 4)))
+    visual = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(6, 5)))
+    _check("tensor_core", "scene_attention",
+           lambda: T.mul(T.scene_attention(words, column, labels, visual)[0], probe).sum(),
+           [("words", words), ("column", column), ("visual", visual)], results)
 
 
 def check_fusion() -> list[CheckResult]:

@@ -70,28 +70,17 @@ def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
     )
 
 
-def vgw_attention(labels, word, score_column: Tensor, visual) -> tuple[Tensor, Tensor]:
+def vgw_attention(labels, words, score_column: Tensor, visual) -> tuple[Tensor, Tensor]:
     """Score objects by label-word agreement; return (weights, attended visual).
 
-    labels (B, k, d_w), word (B, d_w), visual (B, k, d_v) -> ((B, k), (B, d_v)).
-    score_column is the (d_w, 1) column (a^T M)^T of VgwParams.score_column().
+    labels (B, k, d_w), words (T*B, d_w) step-major (row t*B + b a word of
+    scene b; T=1 is one word per scene), visual (B, k, d_v) -> weights
+    (T*B, k), a Tensor without gradient, and attended (T*B, d_v). score_column
+    is the (d_w, 1) column (a^T M)^T of VgwParams.score_column(). One
+    `tensor.scene_attention` op; labels take no gradient.
     """
-    labels, word, visual = T.as_tensor(labels), T.as_tensor(word), T.as_tensor(visual)
-    if labels.data.ndim != 3 or visual.data.ndim != 3 or labels.shape[:2] != visual.shape[:2]:
-        raise ShapeError(f"scene tensors disagree: visual {visual.shape}, labels {labels.shape}")
-    batch, k, d_w = labels.shape
-    if word.shape != (batch, d_w):
-        raise ShapeError(f"word batch {word.shape} does not match labels {labels.shape}")
-    if score_column.shape != (d_w, 1):
-        raise ShapeError(f"attention score column sized {score_column.shape} does not "
-                         f"match word dim {d_w}")
-
-    labels_flat = T.reshape(labels, (batch * k, d_w))
-    word_rep = T.repeat_rows(word, k)
-    gated = T.mul(labels_flat, word_rep)
-    scores = T.matmul(gated, score_column)
-    alpha = T.softmax(T.reshape(scores, (batch, k)), axis=1)
-    return alpha, T.attend(alpha, visual)
+    attended, weights = T.scene_attention(words, score_column, labels, visual)
+    return Tensor(weights), attended
 
 
 def grounded_words(visual: np.ndarray, labels: np.ndarray, words: Tensor,
@@ -105,14 +94,8 @@ def grounded_words(visual: np.ndarray, labels: np.ndarray, words: Tensor,
     Returns the grounded words (T*B, grounded_dim) and the attention weights
     (T*B, k), rows in the same order.
     """
-    visual, labels = np.asarray(visual), np.asarray(labels)
     words = T.as_tensor(words)
-    batch = visual.shape[0]
-    if words.data.ndim != 2 or batch == 0 or words.shape[0] % batch:
-        raise ShapeError(f"words {words.shape} are not step-major rows of {batch} scenes")
-    steps = words.shape[0] // batch
-    alpha, attended = vgw_attention(np.tile(labels, (steps, 1, 1)), words,
-                                    vgw.score_column(), np.tile(visual, (steps, 1, 1)))
+    alpha, attended = vgw_attention(labels, words, vgw.score_column(), visual)
     refined = vgw.refine_out(T.relu(vgw.refine_hidden(words)))
     return block_fuse(attended, refined, vgw.fusion), alpha
 
@@ -149,27 +132,20 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
 
 def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable, vgw: VgwParams,
                          forward: GruParams, backward: GruParams
-                         ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Encode one question against one scene, for attention traces.
 
     visual (k, d_v), labels (k, d_w) and a token list -> the (2H,) encoding
-    and per-direction attention weights, each the same (T, k) array since both
-    directions read one grounding.
+    and the (T, k) attention weights, one row per word; both directions read
+    this one grounding.
     """
     enc, attention = encode_questions_vgqe(np.asarray(visual)[None], np.asarray(labels)[None],
                                            np.asarray([tokens]), table, vgw, forward, backward)
-    return enc.data[0], {"forward": attention[:, 0], "backward": attention[:, 0]}
+    return enc.data[0], attention[:, 0]
 
 
-def trace_records(question_id: str, trace: dict[str, np.ndarray]) -> list[dict]:
-    """Attention traces as JSON-ready records: one object per direction with
-    per-step weight arrays."""
-    out = []
-    for direction in ("forward", "backward"):
-        mat = np.asarray(trace[direction])
-        out.append({
-            "question_id": question_id,
-            "direction": direction,
-            "weights": [[float(x) for x in row] for row in mat],
-        })
-    return out
+def trace_records(question_id: str, weights: np.ndarray) -> dict:
+    """One question's attention trace as a JSON-ready record: its id and the
+    per-word weight rows."""
+    return {"question_id": question_id,
+            "weights": [[float(x) for x in row] for row in np.asarray(weights)]}

@@ -10,9 +10,9 @@ backward, or one cut short by an exception, leaves nothing behind. The
 current tape and the default dtype are context variables: each thread has
 its own.
 
-The backward rules of matmul, mul, attend and the GRU ops return None,
-computing nothing, for an input that did not require gradients when the op
-was recorded.
+The backward rules of matmul, mul, attend, scene_attention and the GRU ops
+return None, computing nothing, for an input that did not require gradients
+when the op was recorded.
 
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
@@ -395,19 +395,20 @@ def reduce_max(x, axis=None) -> Tensor:
     x = as_tensor(x)
     _check_axis(x, axis, "max")
     in_shape = x.shape
+    x_data = x.data
+    # the argmax is taken in the backward only: a forward without one never reads it
     if axis is None:
-        arg = int(x.data.argmax())
         def bw(g):
             out = np.zeros(in_shape, dtype=g.dtype)
-            out.reshape(-1)[arg] = g
+            out.reshape(-1)[x_data.argmax()] = g
             return (out,)
-        return _record("max", (x,), x.data.max(), bw)
-    arg = x.data.argmax(axis=axis)
+        return _record("max", (x,), x_data.max(), bw)
     def bw(g):
         out = np.zeros(in_shape, dtype=g.dtype)
-        np.put_along_axis(out, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(out, np.expand_dims(x_data.argmax(axis=axis), axis),
+                          np.expand_dims(g, axis), axis=axis)
         return (out,)
-    return _record("max", (x,), x.data.max(axis=axis), bw)
+    return _record("max", (x,), x_data.max(axis=axis), bw)
 
 
 def _check_axis(x: Tensor, axis, op: str) -> None:
@@ -431,6 +432,59 @@ def attend(weights, values) -> Tensor:
         return (np.einsum("bd,bkd->bk", g, v_data) if need_w else None,
                 np.einsum("bk,bd->bkd", w_data, g) if need_v else None)
     return _record("attend", (weights, values), np.einsum("bk,bkd->bd", w_data, v_data), bw)
+
+
+def scene_attention(words, score_column, labels, visual) -> tuple[Tensor, np.ndarray]:
+    """Attention of step-major words over their scenes as one tape op.
+
+    words (T*B, d_w), row t*B + b a word of scene b; score_column (d_w, 1);
+    labels (B, k, d_w), scene data without gradient; visual (B, k, d_v).
+    Row t*B + b scores object i as (words[t*B + b] * labels[b, i]) @
+    score_column, softmaxed over the k objects with max-subtraction. Returns
+    the attended visual features (T*B, d_v) as a Tensor and the weights
+    (T*B, k) as an array. Each scene is scored and pooled by batched matmuls
+    over its own T words; the scene is never repeated per word.
+    """
+    words, score_column = as_tensor(words), as_tensor(score_column)
+    labels, visual = as_tensor(labels), as_tensor(visual)
+    if labels.requires_grad:
+        raise ShapeError("scene_attention: labels are scene data and take no gradient")
+    if labels.data.ndim != 3 or visual.data.ndim != 3 or labels.shape[:2] != visual.shape[:2]:
+        raise ShapeError(f"scene_attention: scene tensors disagree: visual {visual.shape}, "
+                         f"labels {labels.shape}")
+    batch, k, d_w = labels.shape
+    if k < 1:
+        raise ShapeError("scene_attention: a scene needs at least one object")
+    if words.data.ndim != 2 or words.shape[1] != d_w or batch == 0 \
+            or words.shape[0] % batch:
+        raise ShapeError(f"scene_attention: words {words.shape} are not step-major rows "
+                         f"of {batch} scenes with labels {labels.shape}")
+    if score_column.shape != (d_w, 1):
+        raise ShapeError(f"scene_attention: score column {score_column.shape} does not "
+                         f"match word dim {d_w}")
+    steps = words.shape[0] // batch
+    w_data, s_row = words.data, score_column.data[:, 0]
+    l_data, v_data = labels.data, visual.data
+    # (B, T, *) views of the step-major rows: scene b's T words in one matmul
+    scaled = (w_data * s_row).reshape(steps, batch, d_w).transpose(1, 0, 2)
+    scores = scaled @ l_data.transpose(0, 2, 1)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    alpha = e / e.sum(axis=2, keepdims=True)
+    out = (alpha @ v_data).transpose(1, 0, 2).reshape(steps * batch, -1)
+    need_w, need_s = words.requires_grad, score_column.requires_grad
+    need_v = visual.requires_grad
+
+    def bw(g):
+        g = g.reshape(steps, batch, -1).transpose(1, 0, 2)
+        g_alpha = g @ v_data.transpose(0, 2, 1)
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=2, keepdims=True))
+        g_scaled = (g_scores @ l_data).transpose(1, 0, 2).reshape(steps * batch, d_w)
+        return (g_scaled * s_row if need_w else None,
+                (g_scaled * w_data).sum(axis=0)[:, None] if need_s else None,
+                alpha.transpose(0, 2, 1) @ g if need_v else None)
+
+    weights = alpha.transpose(1, 0, 2).reshape(steps * batch, k)
+    return _record("scene_attention", (words, score_column, visual), out, bw), weights
 
 
 def _gru_shapes(op: str, x_shape: tuple, h_shape: tuple, weights: tuple) -> None:

@@ -6,7 +6,10 @@ steps, and `gru_sequence` with a fold of `gru_step` over the same steps in
 either direction. Grouped `block_bilinear` (x at N*k rows, y at N rows) is
 compared with repeating each y row k times and composing the chunk-and-rank
 core from matmuls, adds and products; column slices are taken by multiplying
-with 0/1 selection matrices, which is exact. Last, each fused op runs over
+with 0/1 selection matrices, which is exact. `scene_attention` over T
+step-major words per scene is compared with tiling each scene T times and
+composing `repeat_rows`, `mul`, `matmul`, `softmax` and `attend`; it sums in
+another order, so it agrees to 1e-12 relative. Last, each fused op runs over
 shapes drawn from a seeded generator: `grad_check` on every input and weight,
 and ShapeError on mismatched shapes.
 """
@@ -229,6 +232,104 @@ def test_block_bilinear_rejects_rows_not_a_multiple(x_rows, y_rows):
 
 
 # ---------------------------------------------------------------------------
+# scene_attention
+
+# (B, k, d_w, d_v): the default model and data sizes, and the TINY test sizes
+SCENE_DIMS = {"default": (128, 8, 16, 32), "tiny": (4, 3, 5, 6)}
+
+
+def scene_attention_composed(words, column, labels, visual):
+    """The grounding attention as composed before the fused op: each scene
+    tiled once per step, every word repeated once per object."""
+    batch, k, d_w = labels.shape
+    rows = words.shape[0]
+    steps = rows // batch
+    tiled_labels = Tensor(np.tile(labels.data, (steps, 1, 1)).reshape(rows * k, d_w))
+    tiled_visual = T.concat([visual] * steps, axis=0)
+    scores = T.matmul(T.mul(tiled_labels, T.repeat_rows(words, k)), column)
+    alpha = T.softmax(T.reshape(scores, (rows, k)), axis=1)
+    return T.attend(alpha, tiled_visual), alpha.data
+
+
+def assert_relatively_same(fused, composed):
+    for f, c in zip(fused, composed, strict=True):
+        assert (f is None) == (c is None)
+        if f is not None:
+            assert f.shape == c.shape
+            assert np.max(np.abs(f - c)) <= TOL * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("dims,steps,visual_grad",
+                         list(itertools.product(SCENE_DIMS, (1, 4), (True, False))))
+def test_scene_attention_matches_composition(dims, steps, visual_grad):
+    batch, k, d_w, d_v = SCENE_DIMS[dims]
+    rng = np.random.default_rng(600 + 10 * steps + visual_grad)
+    words = Tensor(rng.normal(size=(steps * batch, d_w)), requires_grad=True)
+    column = Tensor(rng.normal(size=(d_w, 1)), requires_grad=True)
+    labels = Tensor(rng.normal(size=(batch, k, d_w)))
+    visual = Tensor(rng.normal(size=(batch, k, d_v)), requires_grad=visual_grad)
+    probe = Tensor(rng.normal(size=(steps * batch, d_v)))
+    leaves = [words, column, visual]
+
+    def run(attention):
+        weights = []
+
+        def loss_fn():
+            attended, alpha = attention(words, column, labels, visual)
+            weights.append(alpha)
+            return attended, T.mul(attended, probe).sum()
+        out, grads = gradients(loss_fn, leaves)
+        return [out, weights[0], *grads]
+
+    fused = run(T.scene_attention)
+    composed = run(scene_attention_composed)
+    assert (fused[-1] is not None) == visual_grad
+    assert_relatively_same(fused, composed)
+
+
+def test_scene_attention_records_once():
+    rng = np.random.default_rng(610)
+    words = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    with T.recording() as tape:
+        attended, weights = T.scene_attention(words, Tensor(rng.normal(size=(4, 1))),
+                                              rng.normal(size=(2, 3, 4)),
+                                              rng.normal(size=(2, 3, 5)))
+        assert [r.op for r in tape.records] == ["scene_attention"]
+        assert attended.shape == (6, 5) and weights.shape == (6, 3)
+        assert isinstance(weights, np.ndarray)
+
+
+def test_scene_attention_refuses_labels_with_gradient():
+    rng = np.random.default_rng(611)
+    labels = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    with pytest.raises(ShapeError, match="labels are scene data and take no gradient"):
+        T.scene_attention(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(4, 1))),
+                          labels, rng.normal(size=(2, 3, 5)))
+
+
+@pytest.mark.parametrize("rows,batch", [(5, 2), (3, 4), (2, 0)])
+def test_scene_attention_refuses_rows_not_a_multiple(rows, batch):
+    rng = np.random.default_rng(612)
+    with pytest.raises(ShapeError, match="not step-major rows of") as err:
+        T.scene_attention(Tensor(rng.normal(size=(rows, 4))), Tensor(rng.normal(size=(4, 1))),
+                          rng.normal(size=(batch, 3, 4)), rng.normal(size=(batch, 3, 5)))
+    assert "\n" not in str(err.value)
+
+
+def test_scene_attention_leaves_no_records_after_a_refusal():
+    rng = np.random.default_rng(613)
+    words = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    column = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    labels, visual = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5))
+    with pytest.raises(ShapeError, match="score column"):
+        with T.recording() as tape:
+            T.scene_attention(words, column, labels, visual)
+            assert len(tape) == 1
+            T.scene_attention(words, Tensor(np.ones((5, 1))), labels, visual)
+    assert len(tape) == 0
+
+
+# ---------------------------------------------------------------------------
 # drawn shapes: every input and weight against central differences, and
 # mismatched shapes refused
 
@@ -323,3 +424,28 @@ def test_grouped_block_bilinear_drawn_shapes(draw):
                                            for os_, oe in out_chunks])):
         with pytest.raises(ShapeError):
             core(**bad)
+
+
+@pytest.mark.parametrize("draw", range(4))
+def test_scene_attention_drawn_shapes(draw):
+    rng = np.random.default_rng(700 + draw)
+    # two scenes or more, so that one extra word row is not a multiple of them
+    batch, steps, k, d_w, d_v = (int(v) for v in rng.integers((2, 1, 1, 1, 1), 5))
+    words = Tensor(rng.normal(size=(steps * batch, d_w)), requires_grad=True)
+    column = Tensor(rng.normal(size=(d_w, 1)), requires_grad=True)
+    labels = rng.normal(size=(batch, k, d_w))
+    visual = Tensor(rng.normal(size=(batch, k, d_v)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(steps * batch, d_v)))
+
+    def attend(words=words, column=column, labels=labels, visual=visual):
+        return T.scene_attention(words, column, labels, visual)[0]
+
+    assert_gradients_checked(lambda: T.mul(attend(), probe).sum(), [words, column, visual])
+    for bad in (dict(words=Tensor(np.zeros((steps * batch, d_w + 1)))),
+                dict(words=Tensor(np.zeros((steps * batch + 1, d_w)))),
+                dict(column=Tensor(np.zeros((d_w, 2)))),
+                dict(labels=np.zeros((batch, k + 1, d_w))),
+                dict(labels=np.zeros((batch, 0, d_w)), visual=np.zeros((batch, 0, d_v))),
+                dict(visual=np.zeros((batch, d_v)))):
+        with pytest.raises(ShapeError):
+            attend(**bad)

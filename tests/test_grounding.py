@@ -171,6 +171,44 @@ class TestAttention:
             vgw_attention(labels, rng.normal(size=(2, D_W)), Tensor(np.ones((D_W + 1, 1))),
                           visual)
 
+    def test_step_major_rows_match_one_call_per_step(self):
+        rng = np.random.default_rng(24)
+        visual, labels = make_scenes(rng, batch=3, k=4)
+        words = rng.normal(size=(5 * 3, D_W))
+        p = make_vgw(9)
+        alpha, attended = attend_rows(visual, labels, words, p)
+        assert alpha.shape == (15, 4) and not alpha.requires_grad
+        for t in range(5):
+            a_t, f_t = attend_rows(visual, labels, words[3 * t:3 * (t + 1)], p)
+            assert np.max(np.abs(alpha.data[3 * t:3 * (t + 1)] - a_t.data)) < 1e-12
+            assert np.max(np.abs(attended.data[3 * t:3 * (t + 1)] - f_t.data)) < 1e-12
+
+    def test_one_word_over_one_scene(self):
+        # the trace helper's shape: a (1, k, *) scene and one word row
+        rng = np.random.default_rng(25)
+        visual, labels = make_scenes(rng, batch=1, k=5)
+        word = rng.normal(size=(1, D_W))
+        p = make_vgw(10)
+        alpha, attended = attend_rows(visual, labels, word, p)
+        want_a, want_f = attention_oracle(labels[0], visual[0], word[0],
+                                          p.attn_vector.data, p.attn_matrix.data)
+        assert alpha.shape == (1, 5) and attended.shape == (1, D_V)
+        assert np.max(np.abs(alpha.data[0] - want_a)) < 1e-12
+        assert np.max(np.abs(attended.data[0] - want_f)) < 1e-12
+
+    def test_labels_with_gradient_rejected(self):
+        rng = np.random.default_rng(26)
+        visual, labels = make_scenes(rng)
+        with pytest.raises(T.ShapeError, match="labels are scene data"):
+            attend_rows(visual, Tensor(labels, requires_grad=True),
+                        rng.normal(size=(2, D_W)), make_vgw())
+
+    def test_rows_not_a_multiple_of_scenes_rejected(self):
+        rng = np.random.default_rng(27)
+        visual, labels = make_scenes(rng, batch=2)
+        with pytest.raises(T.ShapeError, match="not step-major rows of 2 scenes"):
+            attend_rows(visual, labels, rng.normal(size=(3, D_W)), make_vgw())
+
 
 class TestVgwFuse:
     """The fusion half of the grounded-word module, seen through singleton
@@ -371,11 +409,11 @@ class TestEncoder:
         visual, labels = make_scenes(rng, batch=1, k=5)
         _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
                                         self.table, *self.params)
-        for mat in trace.values():
-            assert mat.shape == (3, 5)
-            assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-6
+        assert trace.shape == (3, 5)
+        assert np.max(np.abs(trace.sum(axis=1) - 1.0)) < 1e-6
 
     def test_trace_helper_matches_batched_row(self):
+        # one grounding per word, read by both directions: one (T, k) trace
         rng = np.random.default_rng(18)
         visual, labels = make_scenes(rng, k=4)
         tokens = [[3, 1, 4], [1, 5, 9]]
@@ -383,19 +421,8 @@ class TestEncoder:
         one, trace = encode_question_vgqe(visual[1], labels[1], tokens[1],
                                           self.table, *self.params)
         assert np.max(np.abs(one - enc.data[1])) < 1e-12
-        for direction in ("forward", "backward"):
-            assert np.max(np.abs(trace[direction] - attention[:, 1])) < 1e-12
-
-    def test_shared_vgw_directions_share_traces(self):
-        # one grounding per word, read by both directions: the trace helper
-        # reports the same (T, k) weights under both keys
-        rng = np.random.default_rng(13)
-        visual, labels = make_scenes(rng, batch=1)
-        _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1], self.table,
-                                        *self.params)
-        assert sorted(trace) == ["backward", "forward"]
-        assert trace["forward"].shape == (2, 3)
-        assert np.array_equal(trace["forward"], trace["backward"])
+        assert trace.shape == (3, 4)
+        assert np.max(np.abs(trace - attention[:, 1])) < 1e-12
 
     def test_empty_question_rejected(self):
         rng = np.random.default_rng(14)
@@ -421,10 +448,11 @@ class TestEncoder:
         visual, labels = make_scenes(rng, batch=1)
         _, trace = encode_question_vgqe(visual[0], labels[0], [0, 1, 2],
                                         self.table, *self.params)
-        recs = trace_records("q-7", trace)
-        assert [r["direction"] for r in recs] == ["forward", "backward"]
-        assert all(r["question_id"] == "q-7" for r in recs)
-        assert len(recs[0]["weights"]) == 3 and len(recs[0]["weights"][0]) == 3
+        rec = trace_records("q-7", trace)
+        assert sorted(rec) == ["question_id", "weights"]
+        assert rec["question_id"] == "q-7"
+        assert rec["weights"] == trace.tolist()
+        assert len(rec["weights"]) == 3 and len(rec["weights"][0]) == 3
 
 
 class TestGradients:

@@ -21,7 +21,7 @@ SURFACE = {
         "get_default_dtype", "grad_check", "gru_sequence", "gru_step",
         "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
-        "scale", "sigmoid", "softmax", "sub", "tanh",
+        "scale", "scene_attention", "sigmoid", "softmax", "sub", "tanh",
         "using_dtype", "zero_grads"},
     "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
