@@ -19,12 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SPLITS, DataConfig, generate_dataset, load_dataset, manifest_field,
-                   read_json_object, save_dataset)
+from . import grounding
+from .data import (SPLITS, DataConfig, digest_file, generate_dataset, load_dataset,
+                   manifest_field, read_json_object, save_dataset)
+from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, run_all
-from .grounding import encode_question_vgqe, trace_records
+# encode_question_vgqe is not called here; the name stays bound because
+# perfbench/tracer.py wraps it at vqalab.cli:encode_question_vgqe.
+from .grounding import encode_question_vgqe, trace_records  # noqa: F401
 from .model import (ModelConfig, count_parameters, init_model, load_checkpoint,
                     save_checkpoint)
 from .tensor import using_dtype
@@ -36,11 +40,7 @@ class CliError(Exception):
 
 
 def sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return digest_file(hashlib.sha256(), path).hexdigest()
 
 
 def load_config_file(path: str | None) -> dict:
@@ -223,13 +223,15 @@ def cmd_report(args) -> int:
         split = load_dataset(data_dir, splits=(vgqe.split,)).split(vgqe.split)
         rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
         chosen = rng.choice(len(split), size=min(args.traces, len(split)), replace=False)
+        # the grounding attention alone: the encoder's recurrence and fusion
+        # never touch the weights a trace records
         with using_dtype(params.flat.dtype.type):
+            column = params.vgw.score_column()
             for idx in sorted(int(i) for i in chosen):
-                _, weights = encode_question_vgqe(split.visual[idx], split.labels[idx],
-                                                  split.tokens[idx, :split.lengths[idx]],
-                                                  params.embedding, params.vgw,
-                                                  params.gru_fwd, params.gru_bwd)
-                traces.append(trace_records(split.ids[idx], weights))
+                words = embed(split.tokens[idx, :split.lengths[idx]], params.embedding)
+                weights, _ = grounding.vgw_attention(split.labels[idx, None], words, column,
+                                                     split.visual[idx, None])
+                traces.append(trace_records(split.ids[idx], weights.data))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,6 +254,14 @@ def cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def count(text: str) -> int:
+    """A count flag's value: an integer, zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; give a count of 0 or more")
+    return value
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every run()
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True, help="baseline eval report JSON")
     p.add_argument("--vgqe", required=True, help="vgqe eval report JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--traces", type=int, default=8,
+    p.add_argument("--traces", type=count, default=8,
                    help="number of questions to trace")
     p.add_argument("--trace-seed", dest="trace_seed", type=int, default=0)
     p.set_defaults(func=cmd_report)

@@ -726,6 +726,17 @@ def _cache_key(config: DataConfig, vocab: Vocabularies):
     return key
 
 
+def digest_file(digest, path):
+    """`digest` updated with every byte of the file at `path`, read in 1 MiB
+    chunks through one reused buffer; returned."""
+    buffer = bytearray(1 << 20)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest
+
+
 def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
     """The columns stored under `key`, or None for a missing, unreadable,
     corrupt or mismatched cache."""
@@ -831,11 +842,7 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     cache = path.with_name(path.name + ".npz")
     key = _cache_key(config, vocab)
     if cache.exists():
-        file_key = key.copy()
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                file_key.update(chunk)
-        columns = _cached_columns(cache, file_key.hexdigest(), config)
+        columns = _cached_columns(cache, digest_file(key.copy(), path).hexdigest(), config)
         if columns is not None:
             return DatasetSplit(name or path.stem, **columns)
     columns = _parse_split(path, config, vocab, key)  # key takes in the bytes parsed

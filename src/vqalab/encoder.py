@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import matrix_init, seeded_rng
+from .layers import init_rng, matrix_init
 from .tensor import Tensor
 
 
@@ -37,9 +37,10 @@ class EmbeddingTable:
         yield f"{prefix}.vectors", self.vectors
 
 
-def embedding_table_init(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
-    """Unit-variance Gaussian rows standing in for pre-trained word vectors."""
-    rng = seeded_rng(seed, 0xE4BED)
+def embedding_table_init(vocab_size: int, dim: int, seed: int | None) -> EmbeddingTable:
+    """Unit-variance Gaussian rows standing in for pre-trained word vectors;
+    zeros for a seed of None."""
+    rng = init_rng(seed, 0xE4BED)
     return EmbeddingTable(Tensor(rng.normal(size=(vocab_size, dim))))
 
 
@@ -79,8 +80,8 @@ class GruParams:
         return tuple(t for _, t in self.named_arrays())
 
 
-def gru_params_init(input_dim: int, hidden_dim: int, seed: int) -> GruParams:
-    rng = seeded_rng(seed, 0x62D0)
+def gru_params_init(input_dim: int, hidden_dim: int, seed: int | None) -> GruParams:
+    rng = init_rng(seed, 0x62D0)
     def w():
         return matrix_init(rng, input_dim, hidden_dim)
     def u():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, linear_init, seeded_rng
+from .layers import Linear, init_rng, linear_init
 from .tensor import ShapeError, Tensor
 
 
@@ -91,15 +91,16 @@ def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int, rank: in
 
 
 def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
-                      out_dim: int, chunks: int, rank: int, seed: int,
+                      out_dim: int, chunks: int, rank: int, seed: int | None,
                       use_bias: bool = True) -> BlockFusionParams:
-    """Build fusion parameters with near-equal chunk partitions, seeded."""
+    """Build fusion parameters with near-equal chunk partitions, seeded (a
+    seed of None leaves them zero)."""
     if chunks < 1 or rank < 1:
         raise ValueError("chunks and rank must be >= 1")
     if chunks > proj_dim or chunks > out_proj_dim:
         raise ValueError(f"chunks={chunks} exceeds projection dim "
                          f"({proj_dim}) or output projection dim ({out_proj_dim})")
-    rng = seeded_rng(seed, 0xB10C)
+    rng = init_rng(seed, 0xB10C)
     x_sizes = near_equal_partition(proj_dim, chunks)
     out_sizes = near_equal_partition(out_proj_dim, chunks)
     factors_x, factors_y = [], []

@@ -25,7 +25,7 @@ from . import tensor as T
 # wraps it at vqalab.grounding:gru_cell.
 from .encoder import EmbeddingTable, GruParams, embed, gru_cell  # noqa: F401
 from .fusion import BlockFusionParams, block_fuse, block_params_init
-from .layers import Linear, linear_init, matrix_init, seeded_rng, vector_init
+from .layers import Linear, child_seed, init_rng, linear_init, matrix_init, vector_init
 from .tensor import ShapeError, Tensor
 
 
@@ -57,8 +57,8 @@ class VgwParams:
 
 def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
                     fusion_proj: int, fusion_out_proj: int, chunks: int,
-                    rank: int, seed: int) -> VgwParams:
-    rng = seeded_rng(seed, 0x76B3)
+                    rank: int, seed: int | None) -> VgwParams:
+    rng = init_rng(seed, 0x76B3)
     return VgwParams(
         attn_vector=vector_init(rng, d_w),
         attn_matrix=matrix_init(rng, d_w, d_w),
@@ -66,7 +66,7 @@ def vgw_params_init(d_v: int, d_w: int, refined_dim: int, grounded_dim: int,
         refine_out=linear_init(rng, refined_dim, refined_dim),
         fusion=block_params_init(d_v, refined_dim, fusion_proj, fusion_out_proj,
                                  grounded_dim, chunks, rank,
-                                 seed=int(rng.integers(0, 2**31))),
+                                 seed=child_seed(rng)),
     )
 
 
@@ -120,6 +120,8 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
+    if len(token_matrix) != len(visual):
+        raise ShapeError(f"{len(token_matrix)} token rows for {len(visual)} scenes")
 
     batch, steps = token_matrix.shape
     grounded, alpha = grounded_words(visual, labels, embed(token_matrix.T.reshape(-1), table),

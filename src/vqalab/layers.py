@@ -1,4 +1,11 @@
-"""Small shared building blocks: affine layers and seeded initializers."""
+"""Small shared building blocks: affine layers and seeded initializers.
+
+Every initializer draws from a generator that `init_rng` hands out. Given no
+seed, it hands out `LAYOUT` instead, which draws nothing: each "draw" is a
+zero array of the asked size. So the one set of initializers also builds a
+model's layout, arrays of the right shapes waiting to be filled, as loading a
+checkpoint does.
+"""
 
 from __future__ import annotations
 
@@ -59,3 +66,28 @@ def matrix_init(rng: np.random.Generator, d_in: int, d_out: int) -> Tensor:
 def seeded_rng(*entropy) -> np.random.Generator:
     """Deterministic generator from a tuple of integers."""
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+
+class _Layout:
+    """A stand-in generator for building layouts: every draw is a zero array
+    of the asked size, in the default dtype, and no seed is drawn."""
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.zeros(size, T.get_default_dtype())
+
+    normal = uniform
+
+
+LAYOUT = _Layout()
+
+
+def init_rng(seed: int | None, tag: int):
+    """The generator an initializer draws from: seeded from (seed, tag), or
+    LAYOUT, for a seed of None."""
+    return LAYOUT if seed is None else seeded_rng(seed, tag)
+
+
+def child_seed(rng) -> int | None:
+    """The seed of a sub-module's initializer, drawn from `rng`; None, drawing
+    nothing, from LAYOUT."""
+    return None if rng is LAYOUT else int(rng.integers(2**31))

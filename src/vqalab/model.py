@@ -11,6 +11,7 @@ takes row-batches of scenes and token rows, a batch of one included.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
@@ -24,7 +25,7 @@ from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .grounding import VgwParams, encode_questions_vgqe, vgw_params_init
-from .layers import Linear, linear_init, seeded_rng
+from .layers import Linear, child_seed, init_rng, linear_init
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("baseline", "vgqe")
@@ -94,9 +95,11 @@ class ModelParams:
         self.flat = np.concatenate([t.data for t in leaves], axis=None,
                                    dtype=T.get_default_dtype())
         self.grad = np.zeros_like(self.flat)
-        bounds = np.cumsum([t.size for t in leaves])[:-1]
-        for t, data, grad in zip(leaves, np.split(self.flat, bounds), np.split(self.grad, bounds)):
-            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
+        end = 0
+        for t in leaves:
+            start, end = end, end + t.size
+            t.data, t.grad = self.flat[start:end].reshape(t.shape), \
+                self.grad[start:end].reshape(t.shape)
 
     @property
     def variant(self) -> str:
@@ -127,14 +130,21 @@ def init_model(config: ModelConfig,
     embedding_vectors, when given, become the frozen word-embedding table
     (the dataset supplies them so words and object labels share a space).
     """
-    rng = seeded_rng(config.seed, 0xD0DE)
+    return _build_model(config, config.seed, embedding_vectors)
+
+
+def _build_model(config: ModelConfig, seed: int | None,
+                 embedding_vectors: np.ndarray | None = None) -> ModelParams:
+    """init_model's body, seeded from `seed`; a seed of None builds the
+    layout alone, every array zero and nothing drawn."""
+    rng = init_rng(seed, 0xD0DE)
     if embedding_vectors is not None:
         embedding = EmbeddingTable(Tensor(np.asarray(embedding_vectors)))
         if embedding.dim != config.d_w or embedding.vocab_size != config.vocab_size:
             raise ShapeError(f"embedding table {embedding.vectors.shape} does not match "
                              f"config (vocab={config.vocab_size}, d_w={config.d_w})")
     else:
-        embedding = embedding_table_init(config.vocab_size, config.d_w, seed=config.seed)
+        embedding = embedding_table_init(config.vocab_size, config.d_w, seed=seed)
 
     vgw = None
     if config.variant == "vgqe":
@@ -142,18 +152,18 @@ def init_model(config: ModelConfig,
         vgw = vgw_params_init(config.d_v, config.d_w, config.refined_dim,
                               config.grounded_dim, config.vgw_fusion.proj_dim,
                               config.vgw_fusion.out_proj_dim, config.vgw_fusion.chunks,
-                              config.vgw_fusion.rank, seed=int(rng.integers(2**31)))
+                              config.vgw_fusion.rank, seed=child_seed(rng))
     else:
         gru_input = config.d_w
 
-    gru_fwd = gru_params_init(gru_input, config.hidden, seed=int(rng.integers(2**31)))
-    gru_bwd = gru_params_init(gru_input, config.hidden, seed=int(rng.integers(2**31)))
+    gru_fwd = gru_params_init(gru_input, config.hidden, seed=child_seed(rng))
+    gru_bwd = gru_params_init(gru_input, config.hidden, seed=child_seed(rng))
     obj_fusion = block_params_init(
         config.d_v, config.question_dim, config.obj_fusion.proj_dim,
         config.obj_fusion.out_proj_dim, config.pooled_dim,
         config.obj_fusion.chunks, config.obj_fusion.rank,
-        seed=int(rng.integers(2**31)))
-    cls_rng = seeded_rng(config.seed, 0xC1A55)
+        seed=child_seed(rng))
+    cls_rng = init_rng(seed, 0xC1A55)
     cls_hidden = linear_init(cls_rng, config.pooled_dim, config.classifier_hidden)
     cls_out = linear_init(cls_rng, config.classifier_hidden, config.answer_count)
     return ModelParams(config=config, embedding=embedding, gru_fwd=gru_fwd,
@@ -189,6 +199,8 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
     if d_v != cfg.d_v or labels.shape != (batch, k, cfg.d_w):
         raise ShapeError(f"scene tensors {visual.shape}/{labels.shape} do not match "
                          f"config dims d_v={cfg.d_v}, d_w={cfg.d_w}")
+    if tokens.ndim == 2 and len(tokens) != batch:
+        raise ShapeError(f"{len(tokens)} token rows for {batch} scenes")
     if training and cfg.dropout > 0 and drop_rng is None:
         raise ValueError("training-mode forward with dropout needs a generator")
 
@@ -210,10 +222,11 @@ def count_parameters(params: ModelParams) -> int:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: the embedding bytes, then `flat`, plus a JSON manifest
+# checkpoints: the embedding bytes, then `flat`, plus a JSON manifest that
+# records their sha256
 
 
-CHECKPOINT_FORMAT = "vqalab-flat-arrays-v3"
+CHECKPOINT_FORMAT = "vqalab-flat-arrays-v4"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -231,16 +244,16 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "trainable": t is not params.embedding.vectors,
         })
         offset += t.data.nbytes
+    raw = params.embedding.vectors.data.tobytes() + params.flat.tobytes()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "data_file": bin_path.name,
+        "data_sha256": hashlib.sha256(raw).hexdigest(),
         "arrays": entries,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(bin_path, "wb") as fh:
-        fh.write(params.embedding.vectors.data.tobytes())
-        fh.write(params.flat.tobytes())
+    bin_path.write_bytes(raw)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -267,14 +280,20 @@ def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
 
 def load_checkpoint(path) -> ModelParams:
     """Rebuild a model, in the dtype it was saved in, from a manifest laying out
-    the config's arrays as saved."""
+    the config's arrays as saved and a data file of the recorded sha256.
+
+    The config's layout is built without drawing a value; the embedding and
+    `flat` are then filled from the data file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
-    manifest = read_json_object(path, "checkpoint", ("config", "data_file", "arrays"))
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    manifest = read_json_object(path, "checkpoint", ())
+    if manifest.get("format") != CHECKPOINT_FORMAT:   # an older format is named as such
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")
+    for key in ("config", "data_file", "data_sha256", "arrays"):
+        if key not in manifest:
+            raise ValueError(f"checkpoint {path}: missing field {key!r}")
     entries = manifest["arrays"]
     if type(entries) is not list:
         raise ValueError(f"checkpoint {path}: 'arrays' is not a list")
@@ -288,7 +307,7 @@ def load_checkpoint(path) -> ModelParams:
                          "float32 arrays")
     dtype = np.dtype(first)
     with T.using_dtype(dtype.type):
-        params = init_model(_config_from_manifest(path, manifest["config"]))
+        params = _build_model(_config_from_manifest(path, manifest["config"]), None)
     arrays = list(params.named_arrays())
     for i, (got, want) in enumerate(zip_longest([entry["name"] for entry in entries],
                                                 (name for name, _ in arrays))):
@@ -309,6 +328,10 @@ def load_checkpoint(path) -> ModelParams:
     if len(raw) != offset:
         raise ValueError(f"checkpoint data file {bin_path} holds {len(raw)} bytes, "
                          f"its manifest expects {offset}")
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != manifest["data_sha256"]:
+        raise ValueError(f"checkpoint data file {bin_path} has sha256 {digest}, its "
+                         f"manifest records {manifest['data_sha256']!r}")
     embedding = params.embedding.vectors.data
     embedding[...] = np.frombuffer(raw, dtype, count=embedding.size).reshape(embedding.shape)
     params.flat[...] = np.frombuffer(raw, dtype, offset=embedding.size * dtype.itemsize)

@@ -9,6 +9,7 @@ import pytest
 from vqalab.cli import run, sha256_of
 from vqalab.data import load_dataset
 from vqalab.evaluate import evaluate_split
+from vqalab.grounding import encode_question_vgqe
 from vqalab.model import load_checkpoint
 from vqalab.tensor import using_dtype
 
@@ -60,6 +61,13 @@ GOLDEN_REPORT_SHA256 = {
     "baseline": "cdb0b237b401efe3a32066370ff3833d09f6f5d8b80ffe974733ecdcd1c21113",
     "vgqe": "ae65cd5241a8bd7836f44756a4e4eaab02f59b16804788c056408f3f7dd98040",
 }
+
+
+# sha256 of traces.json as `vqalab report` writes it from the TINY workspace's
+# test-split reports with the default --traces 8 and --trace-seed 0. Taken
+# while each trace still came from a full grounded encoding of its question;
+# traces now come from the grounding attention alone, with the same bytes.
+GOLDEN_TRACES_SHA256 = "8e8acdb7b47a542c8229797654ec1151e3fe8f514bab5e905e49365d444d3b83"
 
 
 def sha(path):
@@ -514,6 +522,50 @@ class TestReport:
             for step in rec["weights"]:
                 assert len(step) == k
                 assert abs(sum(step) - 1.0) < 1e-6
+
+    def test_traces_match_golden_digest(self, workspace, tmp_path):
+        assert run(["report", "--baseline", str(workspace / "baseline_report.json"),
+                    "--vgqe", str(workspace / "vgqe_report.json"),
+                    "--out", str(tmp_path)]) == 0
+        assert sha(tmp_path / "traces.json") == GOLDEN_TRACES_SHA256
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_traces_are_the_grounded_encoders_attention(self, workspace, tmp_path, precision):
+        report = workspace / "vgqe_report.json"
+        if precision == "float32":
+            assert run(["train", "--data", str(workspace / "data"), "--variant", "vgqe",
+                        "--seed", "1", "--out", str(tmp_path / "vgqe"), "--precision",
+                        "float32", "--config", str(workspace / "config.json")]) == 0
+            report = tmp_path / "vgqe_report.json"
+            assert run(["eval", "--checkpoint", str(tmp_path / "vgqe" / "checkpoint.json"),
+                        "--data", str(workspace / "data"), "--split", "test",
+                        "--report", str(report)]) == 0
+        n_test = TINY_CONFIG["data"]["n_test"]
+        assert run(["report", "--baseline", str(workspace / "baseline_report.json"),
+                    "--vgqe", str(report), "--out", str(tmp_path / "cmp"),
+                    "--traces", str(n_test)]) == 0
+        traces = json.loads((tmp_path / "cmp" / "traces.json").read_text())
+        params = load_checkpoint(json.loads(report.read_text())["checkpoint"])
+        assert params.flat.dtype == np.dtype(precision)
+        split = load_dataset(workspace / "data", splits=("test",)).split("test")
+        assert [rec["question_id"] for rec in traces] == split.ids
+        with using_dtype(params.flat.dtype.type):
+            for i, rec in enumerate(traces):
+                _, weights = encode_question_vgqe(
+                    split.visual[i], split.labels[i], split.tokens[i, :split.lengths[i]],
+                    params.embedding, params.vgw, params.gru_fwd, params.gru_bwd)
+                assert rec["weights"] == weights.tolist(), rec["question_id"]
+
+    def test_negative_trace_count_refused(self, workspace, tmp_path, capsys):
+        argv = ["report", "--baseline", str(workspace / "baseline_report.json"),
+                "--vgqe", str(workspace / "vgqe_report.json"), "--out", str(tmp_path / "cmp")]
+        assert run(argv + ["--traces", "-3"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "vqalab report: error: argument --traces: -3 is negative; give a count of "
+            "0 or more")
+        assert not (tmp_path / "cmp").exists()
+        assert run(argv + ["--traces", "0"]) == 0
+        assert (tmp_path / "cmp" / "traces.json").read_text() == "[]\n"
 
     def test_does_not_mutate_inputs(self, workspace, tmp_path):
         inputs = [workspace / "baseline_report.json", workspace / "vgqe_report.json",

@@ -741,6 +741,18 @@ class TestSplitCache:
             assert a.dtype == b.dtype and a.shape == b.shape, column
             assert a.tobytes() == b.tobytes(), column
 
+    @pytest.mark.parametrize("size", [0, 1000, 1 << 20, (1 << 20) * 2 + 12345],
+                             ids=["empty", "shorter", "one-buffer", "longer"])
+    def test_file_digest_is_the_key_prefix_then_every_byte(self, tmp_path, size):
+        # the reads go through one 1 MiB buffer
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "split.jsonl"
+        path.write_bytes(data)
+        key = hashlib.sha256(D._CACHE_TAG)
+        assert D.digest_file(key.copy(), path).hexdigest() == \
+            hashlib.sha256(D._CACHE_TAG + data).hexdigest()
+        assert key.hexdigest() == hashlib.sha256(D._CACHE_TAG).hexdigest()
+
     def test_saved_digests_are_the_files(self, tmp_path):
         digests = save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)),
                                tmp_path)

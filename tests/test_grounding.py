@@ -443,6 +443,13 @@ class TestEncoder:
         with pytest.raises(ValueError, match="finite"):
             self.encode(visual, labels, [[1], [2]])
 
+    @pytest.mark.parametrize("scenes,rows", [(1, 2), (2, 1)])
+    def test_token_rows_must_match_scenes(self, scenes, rows):
+        visual, labels = make_scenes(np.random.default_rng(20), batch=scenes)
+        with pytest.raises(T.ShapeError) as err:
+            self.encode(visual, labels, np.ones((rows, 2), dtype=np.int64))
+        assert str(err.value) == f"{rows} token rows for {scenes} scenes"
+
     def test_trace_records_schema(self):
         rng = np.random.default_rng(15)
         visual, labels = make_scenes(rng, batch=1)

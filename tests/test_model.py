@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqalab import model as M, tensor as T
+from vqalab import layers, model as M, tensor as T
 from vqalab.data import DataConfig, generate_dataset
 from vqalab.evaluate import predict_split
 from vqalab.model import (FusionConfig, ModelConfig, count_parameters,
@@ -79,6 +80,15 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             forward_batch(params, np.zeros((1, 3, 4)), np.zeros((1, 3, 5)),
                           np.array([[0]]))
+
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    @pytest.mark.parametrize("scenes,rows", [(1, 2), (2, 1)])
+    def test_token_rows_must_match_scenes(self, variant, scenes, rows):
+        params = init_model(tiny_config(variant))
+        visual, labels = make_scenes(np.random.default_rng(3), batch=scenes)
+        with pytest.raises(T.ShapeError) as err:
+            forward_batch(params, visual, labels, np.ones((rows, 2), dtype=np.int64))
+        assert str(err.value) == f"{rows} token rows for {scenes} scenes"
 
 
 class TestEncoderContrast:
@@ -291,8 +301,28 @@ class TestCheckpoint:
             params = init_model(tiny_config("vgqe", seed=4))
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
-        assert (tmp_path / "ckpt.json.bin").read_bytes() == \
-            params.embedding.vectors.data.tobytes() + params.flat.tobytes()
+        raw = (tmp_path / "ckpt.json.bin").read_bytes()
+        assert raw == params.embedding.vectors.data.tobytes() + params.flat.tobytes()
+        assert json.loads(path.read_text())["data_sha256"] == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, variant, dtype):
+        with T.using_dtype(dtype):
+            params = init_model(tiny_config(variant, seed=6))
+        params.flat[...] = np.random.default_rng(0).normal(size=params.flat.size)
+        save_checkpoint(params, tmp_path / "ckpt.json")
+
+        def refuse(*entropy):
+            raise AssertionError("load_checkpoint seeded a generator")
+        monkeypatch.setattr(layers, "seeded_rng", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(tmp_path / "ckpt.json")
+        for (name, want), (got_name, got) in zip(params.named_arrays(), loaded.named_arrays(),
+                                                 strict=True):
+            assert got_name == name and got.data.dtype == dtype
+            assert got.data.tobytes() == want.data.tobytes()
+        assert_in_arena(loaded)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("default", [np.float64, np.float32])
@@ -383,7 +413,7 @@ class TestCheckpoint:
             return json.dumps(manifest)
         assert self.manifest_error(tmp_path, config_list) == "'config' is not a JSON object"
 
-    @pytest.mark.parametrize("key", ["config", "data_file", "arrays"])
+    @pytest.mark.parametrize("key", ["config", "data_file", "data_sha256", "arrays"])
     def test_manifest_missing_field_named(self, tmp_path, key):
         def drop(text):
             manifest = json.loads(text)
@@ -433,12 +463,27 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value) == f"checkpoint data file {message}"
 
+    def test_flipped_byte_in_data_file_refused(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(tiny_config("vgqe", seed=2)), path)
+        bin_path = tmp_path / "ckpt.json.bin"
+        raw = bytearray(bin_path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        bin_path.write_bytes(raw)
+        recorded = json.loads(path.read_text())["data_sha256"]
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint data file {bin_path} has sha256 "
+                                  f"{hashlib.sha256(raw).hexdigest()}, its manifest records "
+                                  f"{recorded!r}")
+
     def test_golden_checkpoint_reproduces_logits(self):
         # A vgqe model (one grounded-word module) with perturbed weights, plus
         # its logits on one fixed batch, both written by the v2 code; the v3
-        # manifest only drops the two config keys v2 had for switches since
-        # removed. It pins array names, orientation and the file format until
-        # a deliberate format change replaces it.
+        # manifest only dropped the two config keys v2 had for switches since
+        # removed, and the v4 manifest only adds the data file's sha256. It
+        # pins array names, orientation and the file format until a
+        # deliberate format change replaces it.
         params = load_checkpoint(GOLDEN / "vgqe_tiny.json")
         batch = json.loads((GOLDEN / "vgqe_tiny_logits.json").read_text())
         logits = forward_batch(params, np.array(batch["visual"]), np.array(batch["labels"]),
@@ -454,7 +499,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v1', "
-                                  "expected 'vqalab-flat-arrays-v3'")
+                                  "expected 'vqalab-flat-arrays-v4'")
 
     def test_v2_manifest_refused(self, tmp_path):
         # a v2 manifest still carries the removed switches; the format check
@@ -466,8 +511,22 @@ class TestCheckpoint:
         manifest["config"].update(shared_vgw=True, prepool_nonlinearity=False)
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="has format 'vqalab-flat-arrays-v2', "
-                                             "expected 'vqalab-flat-arrays-v3'"):
+                                             "expected 'vqalab-flat-arrays-v4'"):
             load_checkpoint(path)
+
+    def test_v3_manifest_refused(self, tmp_path):
+        # a v3 manifest records no data digest; the format check names it
+        # before any field is looked for
+        path = tmp_path / "v3.json"
+        save_checkpoint(init_model(tiny_config("vgqe")), path)
+        manifest = json.loads(path.read_text())
+        manifest["format"] = "vqalab-flat-arrays-v3"
+        del manifest["data_sha256"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v3', "
+                                  "expected 'vqalab-flat-arrays-v4'")
 
     @pytest.mark.parametrize("changes,problems", [
         ({"bogus": 1}, "unknown field bogus"),

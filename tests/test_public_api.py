@@ -29,7 +29,7 @@ SURFACE = {
              "_generate_split", "_hasher", "_id_array", "_padded", "_parse_split",
              "_quad_table", "_reads_back", "_refused_row", "_rounded", "_scene_shapes_for",
              "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_write_cache",
-             "answer_distribution",
+             "answer_distribution", "digest_file",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
              "load_split", "manifest_field", "num_question_types", "question_type_name",
              "read_json_object", "save_dataset",
@@ -41,7 +41,8 @@ SURFACE = {
     "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},
-    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_config_from_manifest", "_dropout",
+    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_build_model",
+              "_config_from_manifest", "_dropout",
               "count_parameters", "encode_questions", "forward_batch", "init_model",
               "load_checkpoint", "save_checkpoint"},
     "train": {"AdamWState", "EpochStats", "ScheduleConfig", "TrainConfig",
