@@ -120,9 +120,10 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
 
 
 def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
-    """Fuse row-batches x (N*k, d_x) and y (N, d_y) into (N*k, p.out_dim): x row
-    i pairs with y row i // k, so y is projected once per group of k x rows;
-    `tensor.block_bilinear` raises ShapeError when N does not divide the x rows."""
+    """Fuse row-batches x (k*N, d_x) and y (N, d_y) into (k*N, p.out_dim): x row
+    i pairs with y row i mod N, so x is k blocks of N rows that each pair row for
+    row with y, and y is projected once; `tensor.block_bilinear` raises
+    ShapeError when N does not divide the x rows."""
     x, y = T.as_tensor(x), T.as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != p.d_x or y.shape[1] != p.d_y:
         raise ShapeError(f"block_fuse: inputs {x.shape}, {y.shape} are not row-batches "

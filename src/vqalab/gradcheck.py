@@ -103,7 +103,8 @@ def _check_block_bilinear(rng, results) -> None:
                  for os_, oe in out_chunks])
 
     (wx, bx), (wy, by) = side(), side()
-    # grouped: each of the 2 py rows pairs with 3 consecutive px rows
+    # grouped: px row i pairs with py row i mod 2, so each of the 2 py rows
+    # pairs with 3 px rows, one in each block of 2
     px_grouped = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
     probe_grouped = Tensor(rng.normal(size=(6, 5)))
     for name, x, bias_x, bias_y, out_probe in (

@@ -205,9 +205,11 @@ def forward_batch(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
         raise ValueError("training-mode forward with dropout needs a generator")
 
     q_enc = encode_questions(params, visual, labels, tokens)
-    v_flat = Tensor(visual.reshape(batch * k, d_v))
-    fused = block_fuse(v_flat, q_enc, params.obj_fusion)          # (B*k, pooled)
-    pooled = T.reduce_max(T.reshape(fused, (batch, k, cfg.pooled_dim)), axis=1)
+    # object-major: row o*B + b is object o of scene b, so it pairs with question
+    # row b, and each object position is one contiguous block of B rows
+    v_flat = Tensor(visual.transpose(1, 0, 2).reshape(k * batch, d_v))
+    fused = block_fuse(v_flat, q_enc, params.obj_fusion)          # (k*B, pooled)
+    pooled = T.reduce_max(T.reshape(fused, (k, batch, cfg.pooled_dim)), axis=0)
     if training and cfg.dropout > 0:
         pooled = _dropout(pooled, cfg.dropout, drop_rng)
     hidden = T.relu(params.cls_hidden(pooled))

@@ -396,19 +396,28 @@ def reduce_max(x, axis=None) -> Tensor:
     _check_axis(x, axis, "max")
     in_shape = x.shape
     x_data = x.data
-    # the argmax is taken in the backward only: a forward without one never reads it
+    # the maximizers are found in the backward only: a forward without one never
+    # looks for them
     if axis is None:
         def bw(g):
             out = np.zeros(in_shape, dtype=g.dtype)
-            out.reshape(-1)[x_data.argmax()] = g
+            out.reshape(-1)[np.argmax(x_data)] = g
             return (out,)
         return _record("max", (x,), x_data.max(), bw)
+    top = x_data.max(axis=axis)
     def bw(g):
+        # one masked pass per position along the axis; `free` marks the outputs
+        # whose gradient no earlier position has taken
         out = np.zeros(in_shape, dtype=g.dtype)
-        np.put_along_axis(out, np.expand_dims(x_data.argmax(axis=axis), axis),
-                          np.expand_dims(g, axis), axis=axis)
+        slabs, out_slabs = np.moveaxis(x_data, axis, 0), np.moveaxis(out, axis, 0)
+        free = np.ones(top.shape, dtype=bool)
+        for slab, out_slab in zip(slabs, out_slabs):
+            hit = slab == top
+            hit &= free
+            np.copyto(out_slab, g, where=hit)
+            free ^= hit
         return (out,)
-    return _record("max", (x,), x_data.max(axis=axis), bw)
+    return _record("max", (x,), top, bw)
 
 
 def _check_axis(x: Tensor, axis, op: str) -> None:
@@ -590,21 +599,28 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
                    wy_chunks: Sequence, by_chunks: Sequence | None,
                    x_chunks: Sequence[tuple[int, int]],
                    out_chunks: Sequence[tuple[int, int]], rank: int) -> Tensor:
-    """Block-term bilinear core: (N*k, P) x (N, P) -> (N*k, P_out), chunk by chunk.
+    """Block-term bilinear core: (k*N, P) x (N, P) -> (k*N, P_out), chunk by chunk.
 
-    Row i of px pairs with row i // k of py, with k = rows of px // rows of
-    py, so a y row shared by k consecutive x rows is projected once. Chunk c
-    reads columns x_chunks[c] of px and py and writes columns out_chunks[c].
-    Its factor weights are rank-stacked, (P_c, R*O_c) with column r*O_c + o
-    for rank r, and biases (R*O_c,), or None without bias: u = px_c @ Wx_c +
-    bx_c, v = py_c @ Wy_c + by_c, and the output chunk is the sum over ranks
-    of the (u * v) column blocks, added in rank order.
+    Row i of px pairs with row i mod N of py: px is k blocks of N rows, each
+    paired row for row with py, so py is projected once and every product
+    runs over k*N contiguous rows. Chunk c reads columns x_chunks[c] of px
+    and py and writes columns out_chunks[c]; the chunks of each side run
+    contiguously, in order, from column 0. Its factor weights are
+    rank-stacked, (P_c, R*O_c) with column r*O_c + o for rank r, and biases
+    (R*O_c,), or None without bias: u = px_c @ Wx_c + bx_c, v = py_c @ Wy_c
+    + by_c, and the output chunk is (u * v) @ S_c, where S_c stacks R (O_c,
+    O_c) identities: the sum over ranks of the (u * v) column blocks.
     """
     px, py = as_tensor(px), as_tensor(py)
     wx = [as_tensor(w) for w in wx_chunks]
     wy = [as_tensor(w) for w in wy_chunks]
     bx = None if bx_chunks is None else [as_tensor(b) for b in bx_chunks]
     by = None if by_chunks is None else [as_tensor(b) for b in by_chunks]
+    for name, chunks in (("x_chunks", x_chunks), ("out_chunks", out_chunks)):
+        starts = [0] + [end for _, end in chunks[:-1]]
+        if not chunks or any(s != want or e <= s for (s, e), want in zip(chunks, starts)):
+            raise ShapeError(f"block_bilinear: {name} {list(chunks)} do not run "
+                             "contiguously, in order, from column 0")
     if px.data.ndim != 2 or py.data.ndim != 2 or px.shape[1] != py.shape[1] \
             or px.shape[1] != x_chunks[-1][1]:
         raise ShapeError(f"block_bilinear: inputs {px.shape}, {py.shape} do not match "
@@ -630,7 +646,15 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
 
     px_data, py_data = px.data, py.data
     wx_data, wy_data = [w.data for w in wx], [w.data for w in wy]
-    out = np.empty((px.shape[0], out_chunks[-1][1]), dtype=px_data.dtype)
+    rows, dtype = px.shape[0], px_data.dtype
+    # S_c for each output width: R stacked identities
+    rank_sums = {w: np.tile(np.eye(w, dtype=dtype), (rank, 1))
+                 for w in {oe - os_ for os_, oe in out_chunks}}
+    # u * v, and in the backward g_uv and g_u, live one chunk at a time in
+    # buffers sized for the widest chunk
+    largest = rows * rank * max(rank_sums)
+    out = np.empty((rows, out_chunks[-1][1]), dtype=dtype)
+    uv_buf = np.empty(largest, dtype=dtype)
     saved = []
     for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
         u = px_data[:, xs:xe] @ wx_data[c]
@@ -638,28 +662,30 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
         if bx is not None:
             u += bx[c].data
             v += by[c].data
-        uv = (u.reshape(n, k, -1) * v[:, None]).reshape(u.shape)
-        width = oe - os_
-        acc = uv[:, :width]
-        for r in range(1, rank):
-            acc = acc + uv[:, r * width:(r + 1) * width]
-        out[:, os_:oe] = acc
+        uv = uv_buf[:u.size].reshape(k, n, -1)
+        np.multiply(u.reshape(k, n, -1), v, out=uv)
+        np.matmul(uv.reshape(u.shape), rank_sums[oe - os_], out=out[:, os_:oe])
         saved.append((u, v))
 
     def bw(g):
-        g_px, g_py = np.zeros_like(px_data), np.zeros_like(py_data)
+        g_px, g_py = np.empty_like(px_data), np.empty_like(py_data)
+        g_uv_buf, g_u_buf = np.empty(largest, dtype=g.dtype), np.empty(largest, dtype=g.dtype)
+        # bias gradients as gemv column sums: an axis-0 sum runs one short loop per row
+        ones = np.ones(rows, dtype=g.dtype)
         g_wx, g_wy, g_bx, g_by = [], [], [], []
         for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
             u, v = saved[c]
-            g_uv = np.tile(g[:, os_:oe], (1, rank)).reshape(n, k, -1)
-            g_u = (g_uv * v[:, None]).reshape(u.shape)
-            g_v = (g_uv * u.reshape(n, k, -1)).sum(axis=1)
-            g_px[:, xs:xe] = g_u @ wx_data[c].T
-            g_py[:, xs:xe] = g_v @ wy_data[c].T
+            g_uv = g_uv_buf[:u.size].reshape(k, n, -1)
+            np.matmul(g[:, os_:oe], rank_sums[oe - os_].T, out=g_uv.reshape(u.shape))
+            g_u = np.multiply(g_uv, v, out=g_u_buf[:u.size].reshape(k, n, -1)).reshape(u.shape)
+            g_uv *= u.reshape(k, n, -1)
+            g_v = g_uv.sum(axis=0)
+            np.matmul(g_u, wx_data[c].T, out=g_px[:, xs:xe])
+            np.matmul(g_v, wy_data[c].T, out=g_py[:, xs:xe])
             g_wx.append(px_data[:, xs:xe].T @ g_u)
             g_wy.append(py_data[:, xs:xe].T @ g_v)
-            g_bx.append(g_u.sum(axis=0))
-            g_by.append(g_v.sum(axis=0))
+            g_bx.append(ones @ g_u)
+            g_by.append(ones[:n] @ g_v)
         if bx is None:
             return (g_px, g_py, *g_wx, *g_wy)
         return (g_px, g_py, *g_wx, *g_bx, *g_wy, *g_by)

@@ -3,10 +3,10 @@ replace: the forward value and every gradient agree to 1e-12.
 
 `gru_step` is compared with the gate-by-gate GRU step, over sequences of T
 steps, and `gru_sequence` with a fold of `gru_step` over the same steps in
-either direction. Grouped `block_bilinear` (x at N*k rows, y at N rows) is
-compared with repeating each y row k times and composing the chunk-and-rank
-core from matmuls, adds and products; column slices are taken by multiplying
-with 0/1 selection matrices, which is exact. `scene_attention` over T
+either direction. Grouped `block_bilinear` (x at k*N rows, y at N rows) is
+compared with tiling y k times, so x row i meets y row i mod N, and composing
+the chunk-and-rank core from matmuls, adds and products; column slices are
+taken by multiplying with 0/1 selection matrices, which is exact. `scene_attention` over T
 step-major words per scene is compared with tiling each scene T times and
 composing `repeat_rows`, `mul`, `matmul`, `softmax` and `attend`; it sums in
 another order, so it agrees to 1e-12 relative. Last, each fused op runs over
@@ -170,8 +170,8 @@ def select(n, start, end):
 
 
 def block_bilinear_composed(px, py, wx, bx, wy, by, k):
-    """Chunk by chunk and rank by rank from primitive tape ops, y repeated k times."""
-    py = T.repeat_rows(py, k)
+    """Chunk by chunk and rank by rank from primitive tape ops, y tiled k times."""
+    py = T.concat([py] * k)
     parts = []
     for c, ((xs, xe), (os_, oe)) in enumerate(zip(X_CHUNKS, OUT_CHUNKS)):
         width = oe - os_

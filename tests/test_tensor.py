@@ -158,6 +158,36 @@ class TestReduce:
             T.backward(T.reduce_max(x))
         assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_backward_is_the_first_maximizer_rule(self, axis, seed):
+        # small integers plant ties along every axis; the gradient must land
+        # where argmax (the first maximizer) and put_along_axis put it
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.integers(0, 3, size=(4, 5, 6)).astype(float), requires_grad=True)
+        g = rng.normal(size=np.delete(x.shape, axis))
+        with T.recording():
+            T.backward(T.mul(T.reduce_max(x, axis=axis), Tensor(g)).sum())
+        want = np.zeros(x.shape)
+        np.put_along_axis(want, np.expand_dims(x.data.argmax(axis=axis), axis),
+                          np.expand_dims(g, axis), axis=axis)
+        assert np.array_equal(x.grad, want)
+        assert np.array_equal(np.count_nonzero(x.grad, axis=axis), np.ones(g.shape))
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_max_forward_alone_takes_no_argmax(self, axis, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argmax taken without a backward")
+        monkeypatch.setattr(np, "argmax", refuse)
+        monkeypatch.setattr(np, "put_along_axis", refuse)
+        data = np.arange(6.0).reshape(2, 3)
+        with T.recording() as tape:
+            T.reduce_max(Tensor(data), axis=axis)
+            assert len(tape) == 0
+            out = T.reduce_max(Tensor(data, requires_grad=True), axis=axis)
+            assert [r.op for r in tape.records] == ["max"]
+        assert np.array_equal(out.data, data.max(axis=axis))
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -459,3 +489,27 @@ def test_block_bilinear_rejects_mismatched_factors():
     with pytest.raises(ShapeError, match="chunked columns"):
         T.block_bilinear(Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))), w, b, w, b,
                          x_chunks, out_chunks, 2)
+
+
+@pytest.mark.parametrize("side,chunks", [
+    ("x_chunks", [(0, 3), (4, 7)]),      # a gap
+    ("x_chunks", [(0, 5), (3, 7)]),      # an overlap
+    ("x_chunks", [(3, 7), (0, 3)]),      # the wrong order
+    ("x_chunks", [(0, 0), (0, 7)]),      # an empty chunk
+    ("out_chunks", [(0, 2), (3, 5)]),
+    ("out_chunks", [(0, 3), (2, 5)]),
+    ("out_chunks", [(2, 5), (0, 2)]),
+    ("out_chunks", [(1, 3), (3, 5)]),    # not from column 0
+])
+def test_block_bilinear_refuses_chunks_that_do_not_tile(side, chunks):
+    # the factors fit the chunks, so only the tiling can refuse them; an
+    # out_chunks gap would leave an output column unwritten
+    given = {"x_chunks": [(0, 3), (3, 7)], "out_chunks": [(0, 2), (2, 5)], side: chunks}
+    x_chunks, out_chunks = given["x_chunks"], given["out_chunks"]
+    w = [Tensor(np.ones((xe - xs, 2 * (oe - os_))))
+         for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)]
+    px = py = Tensor(np.ones((4, 7)))
+    with pytest.raises(ShapeError) as err:
+        T.block_bilinear(px, py, w, None, w, None, x_chunks, out_chunks, 2)
+    assert str(err.value) == (f"block_bilinear: {side} {chunks} do not run contiguously, "
+                              "in order, from column 0")
