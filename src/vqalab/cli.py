@@ -106,13 +106,14 @@ def model_config_for(ds, variant: str, seed: int, section: dict) -> ModelConfig:
 
 def cmd_train(args) -> int:
     file_cfg = load_config_file(args.config)
+    # a refused train section fails before a dataset load can write a split cache
+    overrides = {"epochs": args.epochs, "batch_size": args.batch_size,
+                 "seed": args.seed}
+    train_cfg = merge_section(TrainConfig, file_cfg.get("train", {}), overrides)
     data_dir = Path(args.data)
     ds = load_dataset(data_dir, splits=("train",))
     model_cfg = model_config_for(ds, args.variant, args.seed,
                                  file_cfg.get("model", {}))
-    overrides = {"epochs": args.epochs, "batch_size": args.batch_size,
-                 "seed": args.seed}
-    train_cfg = merge_section(TrainConfig, file_cfg.get("train", {}), overrides)
     if args.base_lr is not None:
         train_cfg.schedule.base_lr = args.base_lr
 

@@ -100,11 +100,30 @@ def gru_cell(x, h_prev, p: GruParams) -> Tensor:
 def encode_questions_baseline(token_matrix: np.ndarray, table: EmbeddingTable,
                               forward: GruParams, backward: GruParams) -> Tensor:
     """Bidirectional recurrence over embeddings: (B, T) token ids -> (B, 2H),
-    the concatenated final states. All rows share one length; each direction
-    is one `tensor.gru_sequence` op over the (T, B, d_w) embeddings."""
+    the concatenated final states. All rows share one length.
+
+    A row's encoding depends on its tokens alone, so each of the U distinct
+    rows is encoded once: each direction is one `tensor.gru_sequence` op over
+    their (T, U, d_w) embeddings, and one `tensor.take_rows` op gathers the
+    (U, 2H) encodings back to the batch's rows. The distinct rows keep the
+    order in which they first occur, so an out-of-range id is named as a read
+    of every row, step by step, would name it."""
     token_matrix = np.asarray(token_matrix)
     if token_matrix.ndim != 2 or token_matrix.shape[1] < 1:
         raise ValueError("token matrix must be (batch, T) with T >= 1")
-    steps = embed(token_matrix.T, table)
-    return T.concat([T.gru_sequence(steps, *forward.arrays()),
-                     T.gru_sequence(steps, *backward.arrays(), reverse=True)], axis=1)
+    # lexsort is stable: each run of equal rows starts at the row's first occurrence
+    order = np.lexsort(token_matrix.T)
+    ordered = token_matrix[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    firsts = order[starts]
+    # number the runs in the order their rows first occur
+    by_first = np.argsort(firsts)
+    position = np.empty_like(by_first)
+    position[by_first] = np.arange(len(by_first))
+    index = np.empty_like(order)
+    index[order] = position[np.cumsum(starts) - 1]
+    steps = embed(token_matrix[firsts[by_first]].T, table)
+    encoded = T.concat([T.gru_sequence(steps, *forward.arrays()),
+                        T.gru_sequence(steps, *backward.arrays(), reverse=True)], axis=1)
+    return T.take_rows(encoded, index)

@@ -80,14 +80,18 @@ class BlockFusionParams:
 
 def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int, rank: int,
                        bias: bool) -> Linear:
-    """R affine maps d_in -> d_out, drawn one after another, stacked rank-major
-    into one d_in -> R*d_out map."""
-    maps = [linear_init(rng, d_in, d_out, bias=bias) for _ in range(rank)]
-    weight = Tensor(np.concatenate([m.weight.data for m in maps], axis=1),
-                    requires_grad=True)
-    b = Tensor(np.concatenate([m.bias.data for m in maps]), requires_grad=True) \
-        if bias else None
-    return Linear(weight, b)
+    """R affine maps d_in -> d_out, drawn one after another as `linear_init`
+    draws them (weight, then bias), straight into one rank-major stacked
+    d_in -> R*d_out map."""
+    bound = 1.0 / np.sqrt(d_in)
+    weight = np.empty((d_in, rank, d_out), T.get_default_dtype())
+    b = np.empty((rank, d_out), weight.dtype)
+    for r in range(rank):
+        weight[:, r] = rng.uniform(-bound, bound, size=(d_in, d_out))
+        if bias:
+            b[r] = rng.uniform(-bound, bound, size=d_out)
+    return Linear(Tensor(weight.reshape(d_in, rank * d_out), requires_grad=True),
+                  Tensor(b.reshape(-1), requires_grad=True) if bias else None)
 
 
 def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,

@@ -59,8 +59,9 @@ def check_tensor_ops() -> list[CheckResult]:
     left = Tensor(rng.normal(size=(2, 3)))
     probe = Tensor(rng.normal(size=6))
     values = Tensor(rng.normal(size=(4, 3, 2)))
-    # (2, 6) weights from values already drawn; a new draw would shift later inputs
+    # probes from values already drawn; a new draw would shift later inputs
     cat_probe = Tensor(values.data.reshape(4, 6)[:2])
+    take_probe = Tensor(values.data.reshape(12, 2)[:5])
 
     cases = {
         "elementwise": lambda: T.mul(T.sigmoid(x), T.tanh(T.scale(x, 0.5))).sum(),
@@ -72,8 +73,10 @@ def check_tensor_ops() -> list[CheckResult]:
         "logsumexp_rows": lambda: T.logsumexp_rows(T.reshape(x, (2, 3))).sum(),
         "concat": lambda: T.mul(T.concat([T.reshape(x, (2, 3)), T.reshape(T.tanh(x), (2, 3))],
                                          axis=1), cat_probe).sum(),
-        "repeat_attend": lambda: T.attend(
-            T.softmax(T.reshape(T.repeat_rows(T.reshape(x, (2, 3)), 2), (4, 3)), axis=1),
+        "take_rows": lambda: T.mul(T.take_rows(T.reshape(x, (3, 2)), [2, 0, 2, 1, 0]),
+                                   take_probe).sum(),
+        "take_attend": lambda: T.attend(
+            T.softmax(T.take_rows(T.reshape(x, (2, 3)), [0, 0, 1, 1]), axis=1),
             values).sum(),
     }
     for name, fn in cases.items():

@@ -338,15 +338,21 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _record("concat", tuple(parts), np.concatenate([p.data for p in parts], axis=axis), bw)
 
 
-def repeat_rows(a, r: int) -> Tensor:
-    """Repeat each row of a matrix r consecutive times: (m, n) -> (m*r, n)."""
+def take_rows(a, index) -> Tensor:
+    """Gather rows of a matrix: (m, n), index (B,) of ids in [0, m) -> (B, n),
+    row i being a[index[i]]. A row may be taken any number of times, or not
+    at all; the backward adds each row's gradients by a one-hot (m, B) matmul."""
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"repeat_rows expects a matrix, got shape {a.shape}")
-    m, n = a.shape
+    index = np.asarray(index, dtype=np.intp)
+    if a.data.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"take_rows: expects a matrix and a 1-D index, got shapes "
+                         f"{a.shape} and {index.shape}")
+    m = a.shape[0]
+    if index.size and (index.min() < 0 or index.max() >= m):
+        raise IndexError(f"take_rows: index out of range for {m} rows")
     def bw(g):
-        return (g.reshape(m, r, n).sum(axis=1),)
-    return _record("repeat_rows", (a,), np.repeat(a.data, r, axis=0), bw)
+        return ((np.arange(m)[:, None] == index).astype(g.dtype) @ g,)
+    return _record("take_rows", (a,), a.data[index], bw)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,11 @@ class TrainConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
 
     def __post_init__(self):
+        # no epoch leaves no log to report; a batch of a size below one, or not
+        # whole, never fills
+        for name in ("epochs", "batch_size"):
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if isinstance(self.schedule, dict):
             self.schedule = ScheduleConfig(**self.schedule)
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from vqalab import tensor as T
+from vqalab import model as M, tensor as T
+from vqalab.data import DataConfig, generate_dataset
 from vqalab.encoder import (EmbeddingTable, embed, embedding_table_init,
                             encode_questions_baseline, gru_cell,
                             gru_params_init)
+from vqalab.layers import seeded_rng
+from vqalab.model import FusionConfig, ModelConfig, forward_batch, init_model
 from vqalab.tensor import Tensor
+from vqalab.train import cross_entropy_rows, length_bucketed_batches, stack_batch
 
 
 def sigmoid(x):
@@ -157,3 +161,118 @@ class TestBaselineEncoder:
         for i in range(2):
             single = self.encode(ids[i:i + 1]).data
             assert np.max(np.abs(batched[i] - single[0])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# each distinct question encoded once, against the encoder that reads every row
+
+
+def per_row_encoder(token_matrix, table, forward, backward):
+    """The baseline encoder with both GRUs over all B rows, repeats included."""
+    steps = embed(np.asarray(token_matrix).T, table)
+    return T.concat([T.gru_sequence(steps, *forward.arrays()),
+                     T.gru_sequence(steps, *backward.arrays(), reverse=True)], axis=1)
+
+
+# gradients add the repeated rows in another order, so they agree to rounding;
+# float32's unit roundoff is 6e-8, and its sums over 128 rows drift further
+GRAD_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+STEP_SIZES = {
+    # (ModelConfig fields, batch, steps, distinct rows, objects)
+    "default": ({}, 128, 4, 6, 8),
+    "tiny": (dict(d_v=6, d_w=5, hidden=4, refined_dim=4, grounded_dim=6, pooled_dim=6,
+                  answer_count=8, vocab_size=9, vgw_fusion=FusionConfig(6, 6, 2, 2),
+                  obj_fusion=FusionConfig(6, 6, 2, 2)), 12, 3, 4, 3),
+}
+
+
+def training_step(size, dtype):
+    """Logits, loss and every parameter gradient of one dropout training step
+    on a batch whose token rows repeat a few distinct questions."""
+    fields, batch, steps, distinct, k = STEP_SIZES[size]
+    with T.using_dtype(dtype):
+        cfg = ModelConfig(seed=2, dropout=0.2, **fields)
+        params = init_model(cfg)
+        rng = np.random.default_rng(11)
+        visual = rng.normal(size=(batch, k, cfg.d_v))
+        labels = rng.normal(size=(batch, k, cfg.d_w))
+        questions = rng.integers(0, cfg.vocab_size, size=(distinct, steps))
+        tokens = questions[rng.integers(0, distinct, size=batch)]
+        answers = rng.integers(0, cfg.answer_count, size=batch)
+        with T.recording():
+            logits = forward_batch(params, visual, labels, tokens, training=True,
+                                   drop_rng=np.random.default_rng(12))
+            loss = T.reduce_mean(cross_entropy_rows(logits, answers))
+            T.backward(loss)
+    return logits.data, loss.data, {name: t.grad.copy() for name, t in params.named_parameters()}
+
+
+@pytest.mark.parametrize("size", sorted(STEP_SIZES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_training_step_matches_per_row_encoder(monkeypatch, size, dtype):
+    logits, loss, grads = training_step(size, dtype)
+    monkeypatch.setattr(M, "encode_questions_baseline", per_row_encoder)
+    want_logits, want_loss, want_grads = training_step(size, dtype)
+    assert logits.dtype == dtype
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(loss, want_loss)
+    for name, want in want_grads.items():
+        assert np.max(np.abs(grads[name] - want)) <= GRAD_TOL[dtype] * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("tokens", [
+    [[1, 2, 3], [4, 0, 9], [3, 2, 1], [1, 2, 4]],      # all distinct
+    [[7, 7]],                                           # a batch of one
+    [[5, 1], [2, 8], [5, 1], [5, 1], [2, 8], [0, 0]],   # repeats, unordered
+], ids=["all_distinct", "one_row", "repeats"])
+def test_encoder_matches_per_row_encoder(tokens):
+    table = embedding_table_init(10, 4, seed=3)
+    fwd, bwd = gru_params_init(4, 3, seed=4), gru_params_init(4, 3, seed=5)
+    leaves = [t for _, t in (*fwd.named_arrays(), *bwd.named_arrays())]
+    probe = Tensor(np.random.default_rng(13).normal(size=(len(tokens), 6)))
+
+    def run(encoder):
+        with T.recording():
+            out = encoder(np.array(tokens), table, fwd, bwd)
+            T.backward(T.mul(out, probe).sum())
+        grads = [t.grad.copy() for t in leaves]
+        T.zero_grads(leaves)
+        return out.data, grads
+
+    got, got_grads = run(encode_questions_baseline)
+    want, want_grads = run(per_row_encoder)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_out_of_range_token_named_as_the_per_row_encoder_names_it():
+    # step by step over every row, 20 (row 0) is the first bad id; in sorted
+    # row order [10, 0] would come first
+    table = embedding_table_init(9, 4, seed=3)
+    fwd, bwd = gru_params_init(4, 3, seed=4), gru_params_init(4, 3, seed=5)
+    tokens = np.array([[20, 0], [10, 0], [20, 0], [3, 11]])
+    for encoder in (encode_questions_baseline, per_row_encoder):
+        with pytest.raises(IndexError, match=r"^token id 20 out of range for vocabulary "
+                                             r"of size 9$"):
+            encoder(tokens, table, fwd, bwd)
+
+
+def test_gru_sees_only_the_distinct_questions_of_a_batch(monkeypatch):
+    ds = generate_dataset(DataConfig(n_train=400, n_test=10, seed=0))
+    batch = length_bucketed_batches(ds.train, 128, seeded_rng(0, 0x5EED, 1))[0]
+    tokens = stack_batch(ds.train, batch)[2]
+    params = init_model(ModelConfig(seed=0))
+    seen = []
+    gru_sequence = T.gru_sequence
+
+    def spy(xs, *weights, **kw):
+        seen.append(xs.shape)
+        return gru_sequence(xs, *weights, **kw)
+
+    monkeypatch.setattr(T, "gru_sequence", spy)
+    out = encode_questions_baseline(tokens, params.embedding, params.gru_fwd, params.gru_bwd)
+    assert tokens.shape == (128, 4) and len(np.unique(tokens, axis=0)) == 6
+    assert seen == [(4, 6, 16)] * 2
+    assert out.shape == (128, 64)

@@ -8,8 +8,9 @@ compared with tiling y k times, so x row i meets y row i mod N, and composing
 the chunk-and-rank core from matmuls, adds and products; column slices are
 taken by multiplying with 0/1 selection matrices, which is exact. `scene_attention` over T
 step-major words per scene is compared with tiling each scene T times and
-composing `repeat_rows`, `mul`, `matmul`, `softmax` and `attend`; it sums in
-another order, so it agrees to 1e-12 relative. Last, each fused op runs over
+composing `take_rows` (each word taken k times), `mul`, `matmul`, `softmax`
+and `attend`; it sums in another order, so it agrees to 1e-12 relative.
+Last, each fused op runs over
 shapes drawn from a seeded generator: `grad_check` on every input and weight,
 and ShapeError on mismatched shapes.
 """
@@ -246,7 +247,8 @@ def scene_attention_composed(words, column, labels, visual):
     steps = rows // batch
     tiled_labels = Tensor(np.tile(labels.data, (steps, 1, 1)).reshape(rows * k, d_w))
     tiled_visual = T.concat([visual] * steps, axis=0)
-    scores = T.matmul(T.mul(tiled_labels, T.repeat_rows(words, k)), column)
+    scores = T.matmul(T.mul(tiled_labels, T.take_rows(words, np.repeat(np.arange(rows), k))),
+                      column)
     alpha = T.softmax(T.reshape(scores, (rows, k)), axis=1)
     return T.attend(alpha, tiled_visual), alpha.data
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vqalab import fusion, tensor as T
-from vqalab.layers import linear_init, seeded_rng
+from vqalab.layers import Linear, linear_init, seeded_rng
+from vqalab.model import ModelConfig, init_model
 from vqalab.tensor import Tensor
 
 
@@ -74,6 +75,32 @@ class TestInitDeterminism:
             drawn = linear_init(rng, d_in, d_out)
             assert np.array_equal(layer.weight.data, drawn.weight.data)
             assert np.array_equal(layer.bias.data, drawn.bias.data)
+
+    @staticmethod
+    def concatenating_init(rng, d_in, d_out, rank, bias):
+        """The rank-stacked init as R `linear_init` maps, concatenated."""
+        maps = [linear_init(rng, d_in, d_out, bias=bias) for _ in range(rank)]
+        weight = Tensor(np.concatenate([m.weight.data for m in maps], axis=1),
+                        requires_grad=True)
+        b = Tensor(np.concatenate([m.bias.data for m in maps]), requires_grad=True) \
+            if bias else None
+        return Linear(weight, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_concatenating_init(self, monkeypatch, dtype):
+        def build():
+            with T.using_dtype(dtype):
+                models = [init_model(ModelConfig(variant=variant, seed=seed)).flat.tobytes()
+                          for variant in ("baseline", "vgqe") for seed in (0, 1, 7)]
+                return models, dump(make_params(P=7, P_out=5, C=3, R=3, seed=2,
+                                                use_bias=False))
+        models, no_bias = build()
+        monkeypatch.setattr(fusion, "_rank_stacked_init", self.concatenating_init)
+        want_models, want_no_bias = build()
+        assert models == want_models
+        assert no_bias.keys() == want_no_bias.keys()
+        for name, value in no_bias.items():
+            assert value.dtype == dtype and value.tobytes() == want_no_bias[name].tobytes()
 
     def test_bias_flag_controls_bias_arrays(self):
         with_bias = dump(make_params(use_bias=True))

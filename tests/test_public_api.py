@@ -20,8 +20,8 @@ SURFACE = {
         "_gru_backward", "_gru_forward", "_gru_shapes", "block_bilinear", "concat", "dot",
         "get_default_dtype", "grad_check", "gru_sequence", "gru_step",
         "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
-        "reduce_mean", "reduce_sum", "relu", "repeat_rows", "reshape", "rows_pick",
-        "scale", "scene_attention", "sigmoid", "softmax", "sub", "tanh",
+        "reduce_mean", "reduce_sum", "relu", "reshape", "rows_pick",
+        "scale", "scene_attention", "sigmoid", "softmax", "sub", "take_rows", "tanh",
         "using_dtype", "zero_grads"},
     "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",

@@ -306,8 +306,8 @@ OPS_UNDER_TEST = [
     ("max", lambda x, rng: x.max()),
     ("mean", lambda x, rng: x.mean()),
     ("concat", lambda x, rng: T.concat([x, T.mul(x, x)], axis=0).sum()),
-    ("repeat_rows", lambda x, rng: T.mul(T.repeat_rows(x.reshape((2, 3)), 2),
-                                         Tensor(rng.normal(size=(4, 3)))).sum()),
+    ("take_rows", lambda x, rng: T.mul(T.take_rows(x.reshape((2, 3)), [1, 0, 1, 1]),
+                                       Tensor(rng.normal(size=(4, 3)))).sum()),
     ("logsumexp_rows", lambda x, rng: T.logsumexp_rows(x.reshape((2, 3))).sum()),
     ("dot", lambda x, rng: T.dot(x, Tensor(rng.normal(size=6)))),
 ]
@@ -417,6 +417,24 @@ def test_rows_pick_gradient_and_bounds():
     assert np.array_equal(x.grad, [[0, 0, 1], [1, 0, 0]])
     with pytest.raises(IndexError):
         T.rows_pick(x, [0, 3])
+
+
+def test_take_rows_gradient_and_bounds():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    probe = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    with T.recording():
+        out = T.take_rows(x, [2, 0, 2, 2])
+        T.backward(T.mul(out, probe).sum())
+    assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0], [4.0, 5.0]]
+    # row 2 gathers three probe rows; row 1 is never taken
+    assert np.array_equal(x.grad, [[3.0, 4.0], [0.0, 0.0], [13.0, 16.0]])
+    for bad in ([0, 3], [-1]):
+        with pytest.raises(IndexError, match="take_rows: index out of range for 3 rows"):
+            T.take_rows(x, bad)
+    with pytest.raises(ShapeError):
+        T.take_rows(x, [[0, 1]])
+    with pytest.raises(ShapeError):
+        T.take_rows(Tensor(np.zeros(3)), [0])
 
 
 def test_finite_values_after_forward_backward():

@@ -182,6 +182,15 @@ class TestSchedule:
             lr_at_epoch(0, ScheduleConfig())
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "3", True])
+    def test_count_below_one_or_not_whole_names_the_field(self, field, value):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(**{field: value})
+        assert str(err.value) == f"{field} must be an integer of at least 1, got {value!r}"
+
+
 TINY_MODEL = dict(d_v=8, d_w=6, hidden=6, refined_dim=4, grounded_dim=8,
                   pooled_dim=8, vgw_fusion=FusionConfig(8, 8, 2, 2),
                   obj_fusion=FusionConfig(8, 8, 2, 2))
