@@ -2,9 +2,9 @@
 gradient checking, and reporting into reproducible runs.
 
 Configuration files are JSON with optional "data", "model", and "train"
-sections; command-line flags override file values, and every run writes the
-effective merged configuration back to disk so each artifact can be
-regenerated from its manifest.
+sections; a command-line flag that is given overrides the file's value, and
+every run writes the effective merged configuration back to disk so each
+artifact can be regenerated from its manifest.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import grounding
-from .data import (SPLITS, DataConfig, digest_file, generate_dataset, load_dataset,
-                   manifest_field, read_json_object, save_dataset)
+from .data import (_JSON_TYPES, SPLITS, DataConfig, _fits, build_config, config_section,
+                   digest_file, generate_dataset, load_dataset, manifest_field,
+                   read_json_object, save_dataset)
 from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
@@ -44,23 +45,9 @@ def sha256_of(path: Path) -> str:
 
 
 def load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {p}")
-    return read_json_object(p, "config file", ())
-
-
-def merge_section(cls, section: dict, overrides: dict):
-    """Dataclass defaults <- config file section <- explicit flags."""
-    values = dict(section)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - known
-    if unknown:
-        raise CliError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return cls(**values)
+    if path is not None and not Path(path).exists():
+        raise CliError(f"config file not found: {path}")
+    return {} if path is None else read_json_object(Path(path), "config file", ())
 
 
 def write_manifest(out_dir: Path, payload: dict) -> None:
@@ -74,9 +61,8 @@ def write_manifest(out_dir: Path, payload: dict) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    section = load_config_file(args.config).get("data", {})
-    overrides = {"seed": args.seed, "n_train": args.n_train, "n_test": args.n_test}
-    config = merge_section(DataConfig, section, overrides)
+    config = build_config(DataConfig, load_config_file(args.config).get("data", {}), "data",
+                          overrides={k: getattr(args, k) for k in ("seed", "n_train", "n_test")})
     out_dir = Path(args.out)
     ds = generate_dataset(config)
     write_manifest(out_dir, {
@@ -90,37 +76,30 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def model_config_for(ds, variant: str, seed: int, section: dict) -> ModelConfig:
-    base = {
-        "variant": variant,
-        "seed": seed,
-        "d_v": ds.config.d_v,
-        "d_w": ds.config.d_w,
-        "answer_count": ds.vocab.answer_count,
-        "vocab_size": len(ds.vocab.tokens),
-    }
-    merged = dict(section)
-    merged.update(base)
-    return merge_section(ModelConfig, merged, {})
-
-
 def cmd_train(args) -> int:
     file_cfg = load_config_file(args.config)
     # a refused train section fails before a dataset load can write a split cache
-    overrides = {"epochs": args.epochs, "batch_size": args.batch_size,
-                 "seed": args.seed}
-    train_cfg = merge_section(TrainConfig, file_cfg.get("train", {}), overrides)
+    train_cfg = build_config(TrainConfig, file_cfg.get("train", {}), "train", overrides={
+        "epochs": args.epochs, "batch_size": args.batch_size, "seed": args.seed,
+        "schedule": {"base_lr": args.base_lr}})
     data_dir = Path(args.data)
     ds = load_dataset(data_dir, splits=("train",))
-    model_cfg = model_config_for(ds, args.variant, args.seed,
-                                 file_cfg.get("model", {}))
-    if args.base_lr is not None:
-        train_cfg.schedule.base_lr = args.base_lr
+    # the dataset and --variant decide these; a config file may only repeat them
+    decided = {"variant": args.variant, "d_v": ds.config.d_v, "d_w": ds.config.d_w,
+               "answer_count": ds.vocab.answer_count, "vocab_size": len(ds.vocab.tokens)}
+    section = file_cfg.get("model", {})
+    model_cfg = build_config(ModelConfig, section, "model",
+                             overrides={**decided, "seed": args.seed})
+    for name, value in decided.items():
+        if name in section and (type(section[name]), section[name]) != (type(value), value):
+            raise CliError(f"model.{name} is {section[name]!r} in the config file, but "
+                           f"{'--variant' if name == 'variant' else 'the dataset'} gives {value!r}")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with using_dtype(np.float32 if args.precision == "float32" else np.float64):
-        params = init_model(model_cfg, embedding_vectors=ds.vocab.embedding)
+        with config_section("model"):
+            params = init_model(model_cfg, embedding_vectors=ds.vocab.embedding)
+        out_dir.mkdir(parents=True, exist_ok=True)
         params, log = train(params, ds.train, train_cfg)
         ckpt_path = out_dir / "checkpoint.json"
         save_checkpoint(params, ckpt_path)
@@ -131,7 +110,7 @@ def cmd_train(args) -> int:
             "model": dataclasses.asdict(model_cfg),
             "train": dataclasses.asdict(train_cfg),
         },
-        "seed": args.seed,
+        "seed": train_cfg.seed,
         "precision": args.precision,
         "data_dir": str(data_dir),
         "trainable_parameters": count_parameters(params),
@@ -203,10 +182,10 @@ def cmd_report(args) -> int:
     manifest = read_json_object(manifest_path, "dataset manifest", ())
     answers = manifest_field(manifest, manifest_path, "vocabularies.answers", list)
     type_names = manifest_field(manifest, manifest_path, "type_names", dict)
+    kinds, test, _ = _JSON_TYPES["list[float]"]
     train_hists = {}
     for qt, hist in manifest_field(manifest, manifest_path, "histograms.train", dict).items():
-        if type(hist) is not list or len(hist) != len(answers) or \
-                not all(type(x) in (int, float) for x in hist):
+        if not _fits(hist, kinds, test) or len(hist) != len(answers):
             raise CliError(f"dataset manifest {manifest_path}: field "
                            f"'histograms.train.{qt}' is not a list of {len(answers)} "
                            "numbers, one per answer")
@@ -284,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model variant")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--variant", required=True, choices=("baseline", "vgqe"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="model and train seed (default: each section's own, else 0)")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--config", help="JSON config file ('model'/'train' sections)")
     p.add_argument("--epochs", type=int)

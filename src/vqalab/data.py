@@ -24,11 +24,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
+import sys
 import zipfile
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -43,57 +43,125 @@ _SPLIT_CODES = {"train": 0, "test": 1, "test_iid": 2}
 SPLITS = tuple(_SPLIT_CODES)
 
 
-class GenerationError(ValueError):
-    """Raised when a dataset configuration cannot produce consistent scenes."""
+# ---------------------------------------------------------------------------
+# config fields: a field's kind comes from its annotation and its bound from
+# `bounded` beside it; `check_fields` checks both, `build_config` builds from JSON
+
+
+def _finite(x) -> bool:   # not `true`, nan, inf, nor an int too large for a float
+    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
+
+
+# what a field of each declared type accepts from JSON: a value of one of the
+# exact types (so `true` is no integer), passing the test if any
+_JSON_TYPES = {
+    "str": ({str}, None, "a string"),
+    "int": ({int}, None, "an integer"),
+    "float": ({int, float}, _finite, "a finite number"),
+    "list[int]": ({list}, lambda v: all(type(x) is int for x in v), "a list of integers"),
+    "list[float]": ({list}, lambda v: all(map(_finite, v)), "a list of finite numbers"),
+    "list[str]": ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
+}
+
+
+def _fits(value, kinds: set, test) -> bool:
+    return type(value) in kinds and (test is None or test(value))
+
+
+class ConfigError(ValueError):
+    """A refused config value; `field` is its dotted path."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
+def bounded(default, bound):
+    """A field's default and bound: an interval like "(0, 1]", or the allowed values."""
+    return field(default=default, metadata={"bound": bound})
+
+
+def _within(value, bound) -> bool:
+    if type(bound) is tuple:
+        return value in bound
+    low, high = (float(end) for end in bound[1:-1].split(","))
+    return (low < value if bound[0] == "(" else low <= value) and \
+        (value < high if bound[-1] == ")" else value <= high)
+
+
+@cache
+def _field_specs(cls) -> dict[str, tuple]:
+    """(kinds, test, description, bound, nested config class or None) per field;
+    an annotation outside `_JSON_TYPES` names a config class of cls's module."""
+    specs = {}
+    for f in fields(cls):
+        nested = None if f.type in _JSON_TYPES else vars(sys.modules[cls.__module__])[f.type]
+        kinds, test, description = _JSON_TYPES.get(f.type) or ({nested}, None, f"a {f.type}")
+        specs[f.name] = (kinds, test, description, f.metadata.get("bound"), nested)
+    return specs
+
+
+def check_fields(config) -> None:
+    """ConfigError naming the first field whose value misfits its annotation or bound."""
+    for name, (kinds, test, description, bound, _) in _field_specs(type(config)).items():
+        value = getattr(config, name)
+        if not _fits(value, kinds, test) or bound is not None and not _within(value, bound):
+            inside = "" if bound is None else f" in {bound}"
+            raise ConfigError(name, f"must be {description}{inside}, got {value!r}")
+
+
+@contextlib.contextmanager
+def config_section(where: str):
+    """Name a ConfigError raised inside by its dotted path under `where`."""
+    try:
+        yield
+    except ConfigError as err:
+        raise ConfigError(f"{where}.{err.field}", err.problem) from None
+
+
+def build_config(cls, values, where: str, complete: bool = False, overrides=None):
+    """cls from the JSON object `values`, each nested config from its own object;
+    `overrides` (same shape, from code, None meaning not given) win over `values`.
+    With `complete`, as for files the program wrote, every field must be named.
+    A ConfigError names a refused field by its dotted path under `where`."""
+    if type(values) is not dict:
+        raise ConfigError(where, "is not a JSON object")
+    specs = _field_specs(cls)
+    refused = [(k, f"is not a {cls.__name__} field") for k in sorted(values.keys() - specs.keys())]
+    refused += [(k, "is missing") for k in specs if complete and k not in values]
+    if refused:
+        raise ConfigError(f"{where}.{refused[0][0]}", refused[0][1])
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    kwargs = {**values, **overrides}
+    for name, (*_, nested) in specs.items():
+        if nested is not None and name in kwargs:
+            kwargs[name] = build_config(nested, values.get(name, {}), f"{where}.{name}",
+                                        complete, overrides.get(name))
+    with config_section(where):
+        return cls(**kwargs)
 
 
 @dataclass
 class DataConfig:
-    shapes: int = 6
-    colors: int = 5
-    objects_per_scene: int = 8
-    d_v: int = 32
-    d_w: int = 16
-    noise_v: float = 0.05
-    noise_l: float = 0.05
-    n_train: int = 20000
-    n_test: int = 4000
-    rho_train: float = 0.8
-    rho_test: float = 0.8
-    count_max: int = 3
-    seed: int = 0
+    shapes: int = bounded(6, f"[2, {len(SHAPE_NAMES)}]")
+    colors: int = bounded(5, f"[2, {len(COLOR_NAMES)}]")
+    objects_per_scene: int = bounded(8, "[1, inf)")
+    d_v: int = bounded(32, "[1, inf)")
+    d_w: int = bounded(16, "[1, inf)")
+    noise_v: float = bounded(0.05, "[0, inf)")
+    noise_l: float = bounded(0.05, "[0, inf)")
+    n_train: int = bounded(20000, "[1, inf)")
+    n_test: int = bounded(4000, "[1, inf)")
+    rho_train: float = bounded(0.8, "[0, 1]")
+    rho_test: float = bounded(0.8, "[0, 1]")
+    count_max: int = bounded(3, "[1, inf)")
+    seed: int = bounded(0, "[0, inf)")
 
     def __post_init__(self):
-        if type(self.seed) is not int or self.seed < 0:
-            raise GenerationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("shapes", "colors", "objects_per_scene", "d_v", "d_w", "n_train",
-                     "n_test", "count_max"):
-            if type(value := getattr(self, name)) is not int:
-                raise GenerationError(f"{name} must be an integer, got {value!r}")
-        for name in ("noise_v", "noise_l", "rho_train", "rho_test"):
-            if type(value := getattr(self, name)) not in (int, float):
-                raise GenerationError(f"{name} must be a number, got {value!r}")
-        if self.shapes < 2 or self.colors < 2:
-            raise GenerationError("need at least two shapes and two colors")
-        if self.shapes > len(SHAPE_NAMES) or self.colors > len(COLOR_NAMES):
-            raise GenerationError("not enough names for the requested shapes/colors")
-        if self.n_train < 1 or self.n_test < 1:
-            raise GenerationError("splits must be non-empty")
-        if self.objects_per_scene < 1:
-            raise GenerationError("scenes need at least one object")
-        if not (1 <= self.count_max <= self.objects_per_scene):
-            raise GenerationError("question type 'count': count_max must lie "
-                                  "in [1, objects_per_scene]")
-        for name in ("d_v", "d_w"):
-            if (value := getattr(self, name)) < 1:
-                raise GenerationError(f"{name} must be at least 1, got {value}")
-        # NaN fails every comparison, so the checks below refuse it too
-        for name in ("noise_v", "noise_l"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:
-                raise GenerationError(f"{name} must be finite and non-negative, got {value!r}")
-        for name in ("rho_train", "rho_test"):
-            if not 0 <= (value := getattr(self, name)) <= 1:
-                raise GenerationError(f"{name} must lie in [0, 1], got {value!r}")
+        check_fields(self)
+        if self.count_max > self.objects_per_scene:
+            raise ConfigError("count_max", "must be at most objects_per_scene "
+                              f"({self.objects_per_scene}), got {self.count_max}")
 
 
 @dataclass
@@ -124,6 +192,9 @@ class TypeBias:
     test_majority: int
     rho_train: float
     rho_test: float
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -193,7 +264,7 @@ def template_tokens(template: str, shape_name: str) -> list[str]:
         return ["is", "there", "a", shape_name]
     if template == "count":
         return ["how", "many", shape_name]
-    raise GenerationError(f"unknown template {template!r}")
+    raise ValueError(f"unknown template {template!r}")
 
 
 def build_vocabularies(config: DataConfig, rng: np.random.Generator) -> Vocabularies:
@@ -461,8 +532,8 @@ def read_json_object(path: Path, what: str, required) -> dict:
 def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
     """The value at a dotted field of a dataset manifest: a JSON array (kind
     list); a JSON object keyed by question type ids (kind dict), returned with
-    int keys; or a JSON object of a dataclass's fields (kind the class),
-    returned as an instance. ValueError naming the file and the field
+    int keys; or a JSON object naming every field of a dataclass (kind the
+    class), built by `build_config`. ValueError naming the file and the field
     otherwise."""
     parts = dotted.split(".")
     value = manifest
@@ -477,10 +548,7 @@ def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
     if kind is list:
         return value
     if kind is not dict:
-        try:
-            return kind(**value)
-        except (TypeError, GenerationError) as err:
-            raise ValueError(f"dataset manifest {path}: field {dotted!r}: {err}") from err
+        return build_config(kind, value, f"dataset manifest {path}: {dotted}", complete=True)
     for key in value:
         if not key.isdecimal() or key != str(int(key)):   # as `save_dataset` writes them
             raise ValueError(f"dataset manifest {path}: field {dotted!r} key {key!r} "

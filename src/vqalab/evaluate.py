@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -21,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, SyntheticDataset, read_json_object
+from .data import (_JSON_TYPES, DatasetSplit, SyntheticDataset, _field_specs, _fits,
+                   read_json_object)
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -191,26 +191,10 @@ def report_to_json(report: EvalReport, path) -> None:
         fh.write(text + "\n")
 
 
-# what a report entry field of each declared type accepts from JSON: a value
-# of one of the exact types (so `true` is no integer), passing the test if any
-_JSON_TYPES = {
-    "str": ({str}, None, "a string"),
-    "int": ({int}, None, "an integer"),
-    "float": ({int, float}, math.isfinite, "a finite number"),
-    "list[float]": ({list}, lambda v: all(type(x) in (int, float) and math.isfinite(x)
-                                          for x in v), "a list of finite numbers"),
-    "list[str]": ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
-}
-_ENTRY_FIELDS = {cls: {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
-                 for cls in (TypeReport, PredictionRecord)}
 # the report's own scalar and string-list fields; per_type and predictions are
 # checked entry by entry
 _REPORT_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(EvalReport)
                   if f.type in _JSON_TYPES}
-
-
-def _fits(value, kinds: set, test) -> bool:
-    return type(value) in kinds and (test is None or test(value))
 
 
 def _entries(path: Path, cls, entries: list, label) -> list:
@@ -218,7 +202,7 @@ def _entries(path: Path, cls, entries: list, label) -> list:
     cls's fields, each of its declared type; a ValueError naming the file,
     the entry (`label(i)` for entry i) and the field otherwise. Each field is
     checked over all entries at once."""
-    spec = _ENTRY_FIELDS[cls]
+    spec = _field_specs(cls)   # each field's JSON check, from its annotation
     for i, values in enumerate(entries):
         if type(values) is dict and values.keys() == spec.keys():
             continue
@@ -227,7 +211,7 @@ def _entries(path: Path, cls, entries: list, label) -> list:
         problems = [f"missing field {k}" for k in sorted(spec.keys() - values.keys())]
         problems += [f"unknown field {k}" for k in sorted(values.keys() - spec.keys())]
         raise ValueError(f"evaluation report {path}: {label(i)} has " + ", ".join(problems))
-    for name, (kinds, test, description) in spec.items():
+    for name, (kinds, test, description, *_) in spec.items():
         column = list(map(itemgetter(name), entries))
         if set(map(type, column)) <= kinds and (test is None or all(map(test, column))):
             continue

@@ -18,16 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import ConfigError
 from .layers import Linear, init_rng, linear_init
 from .tensor import ShapeError, Tensor
 
 
 def near_equal_partition(total: int, chunks: int) -> list[int]:
-    """Split total into `chunks` sizes differing by at most one, largest first."""
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
-    if chunks > total:
-        raise ValueError(f"cannot partition {total} into {chunks} nonempty chunks")
+    """Split total into `chunks` sizes differing by at most one, largest first
+    (1 <= chunks <= total)."""
     base, rem = divmod(total, chunks)
     return [base + 1] * rem + [base] * (chunks - rem)
 
@@ -99,11 +97,9 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
                       use_bias: bool = True) -> BlockFusionParams:
     """Build fusion parameters with near-equal chunk partitions, seeded (a
     seed of None leaves them zero)."""
-    if chunks < 1 or rank < 1:
-        raise ValueError("chunks and rank must be >= 1")
-    if chunks > proj_dim or chunks > out_proj_dim:
-        raise ValueError(f"chunks={chunks} exceeds projection dim "
-                         f"({proj_dim}) or output projection dim ({out_proj_dim})")
+    if not 1 <= chunks <= min(proj_dim, out_proj_dim):
+        raise ConfigError("chunks", f"must be from 1 to the projection dims ({proj_dim} and "
+                          f"{out_proj_dim}), got {chunks}")
     rng = init_rng(seed, 0xB10C)
     x_sizes = near_equal_partition(proj_dim, chunks)
     out_sizes = near_equal_partition(out_proj_dim, chunks)

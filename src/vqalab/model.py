@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .data import read_json_object
+from .data import bounded, build_config, check_fields, config_section, read_json_object
 from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
@@ -33,42 +33,35 @@ VARIANTS = ("baseline", "vgqe")
 
 @dataclass
 class FusionConfig:
-    proj_dim: int = 32
-    out_proj_dim: int = 32
-    chunks: int = 4
-    rank: int = 3
+    proj_dim: int = bounded(32, "[1, inf)")
+    out_proj_dim: int = bounded(32, "[1, inf)")
+    chunks: int = bounded(4, "[1, inf)")       # at most both projection dims
+    rank: int = bounded(3, "[1, inf)")
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class ModelConfig:
-    variant: str = "baseline"
-    d_v: int = 32
-    d_w: int = 16
-    hidden: int = 32              # per-direction recurrent state
-    refined_dim: int = 16         # width of the refined word embedding
-    grounded_dim: int = 32        # grounded-word vector fed to the recurrence
-    pooled_dim: int = 32          # object-question fusion output width
-    answer_count: int = 11
-    vocab_size: int = 16
-    dropout: float = 0.2
-    seed: int = 0
+    variant: str = bounded("baseline", VARIANTS)
+    d_v: int = bounded(32, "[1, inf)")
+    d_w: int = bounded(16, "[1, inf)")
+    hidden: int = bounded(32, "[1, inf)")            # per-direction recurrent state
+    refined_dim: int = bounded(16, "[1, inf)")       # width of the refined word embedding
+    grounded_dim: int = bounded(32, "[1, inf)")      # grounded-word vector fed to the recurrence
+    pooled_dim: int = bounded(32, "[1, inf)")        # object-question fusion output width
+    answer_count: int = bounded(11, "[2, inf)")
+    vocab_size: int = bounded(16, "[1, inf)")
+    dropout: float = bounded(0.2, "[0, 1)")
+    seed: int = bounded(0, "[0, inf)")
     vgw_fusion: FusionConfig = field(default_factory=FusionConfig)
     obj_fusion: FusionConfig = field(default_factory=FusionConfig)
-    classifier_hidden: int = 0    # 0: defaults to 2 * pooled_dim
+    classifier_hidden: int = bounded(0, "[0, inf)")  # 0: defaults to 2 * pooled_dim
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.answer_count < 2:
-            raise ValueError("need at least two answers")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must lie in [0, 1)")
-        if isinstance(self.vgw_fusion, dict):
-            self.vgw_fusion = FusionConfig(**self.vgw_fusion)
-        if isinstance(self.obj_fusion, dict):
-            self.obj_fusion = FusionConfig(**self.obj_fusion)
-        if self.classifier_hidden == 0:
-            self.classifier_hidden = 2 * self.pooled_dim
+        check_fields(self)
+        self.classifier_hidden = self.classifier_hidden or 2 * self.pooled_dim
 
     @property
     def question_dim(self) -> int:
@@ -149,20 +142,22 @@ def _build_model(config: ModelConfig, seed: int | None,
     vgw = None
     if config.variant == "vgqe":
         gru_input = config.grounded_dim
-        vgw = vgw_params_init(config.d_v, config.d_w, config.refined_dim,
-                              config.grounded_dim, config.vgw_fusion.proj_dim,
-                              config.vgw_fusion.out_proj_dim, config.vgw_fusion.chunks,
-                              config.vgw_fusion.rank, seed=child_seed(rng))
+        with config_section("vgw_fusion"):
+            vgw = vgw_params_init(config.d_v, config.d_w, config.refined_dim,
+                                  config.grounded_dim, config.vgw_fusion.proj_dim,
+                                  config.vgw_fusion.out_proj_dim, config.vgw_fusion.chunks,
+                                  config.vgw_fusion.rank, seed=child_seed(rng))
     else:
         gru_input = config.d_w
 
     gru_fwd = gru_params_init(gru_input, config.hidden, seed=child_seed(rng))
     gru_bwd = gru_params_init(gru_input, config.hidden, seed=child_seed(rng))
-    obj_fusion = block_params_init(
-        config.d_v, config.question_dim, config.obj_fusion.proj_dim,
-        config.obj_fusion.out_proj_dim, config.pooled_dim,
-        config.obj_fusion.chunks, config.obj_fusion.rank,
-        seed=child_seed(rng))
+    with config_section("obj_fusion"):
+        obj_fusion = block_params_init(
+            config.d_v, config.question_dim, config.obj_fusion.proj_dim,
+            config.obj_fusion.out_proj_dim, config.pooled_dim,
+            config.obj_fusion.chunks, config.obj_fusion.rank,
+            seed=child_seed(rng))
     cls_rng = init_rng(seed, 0xC1A55)
     cls_hidden = linear_init(cls_rng, config.pooled_dim, config.classifier_hidden)
     cls_out = linear_init(cls_rng, config.classifier_hidden, config.answer_count)
@@ -261,25 +256,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write("\n")
 
 
-def _config_from_manifest(path: Path, values: dict) -> ModelConfig:
-    """The manifest's config, which must name every ModelConfig field (and
-    every FusionConfig field of each fusion section) and nothing else."""
-    if type(values) is not dict:
-        raise ValueError(f"checkpoint {path}: 'config' is not a JSON object")
-    sections = [("", ModelConfig, values)] + [
-        (f"{name}.", FusionConfig, values[name]) for name in ("vgw_fusion", "obj_fusion")
-        if isinstance(values.get(name), dict)]
-    problems = []
-    for prefix, cls, given in sections:
-        known = {f.name for f in fields(cls)}
-        problems += [f"unknown field {prefix}{k}" for k in sorted(set(given) - known)]
-        problems += [f"missing field {prefix}{k}" for k in sorted(known - set(given))]
-    if problems:
-        raise ValueError(f"checkpoint {path} config does not match ModelConfig: "
-                         + ", ".join(problems))
-    return ModelConfig(**values)
-
-
 def load_checkpoint(path) -> ModelParams:
     """Rebuild a model, in the dtype it was saved in, from a manifest laying out
     the config's arrays as saved and a data file of the recorded sha256.
@@ -309,7 +285,8 @@ def load_checkpoint(path) -> ModelParams:
                          "float32 arrays")
     dtype = np.dtype(first)
     with T.using_dtype(dtype.type):
-        params = _build_model(_config_from_manifest(path, manifest["config"]), None)
+        params = _build_model(build_config(ModelConfig, manifest["config"],
+                                           f"checkpoint {path}: config", complete=True), None)
     arrays = list(params.named_arrays())
     for i, (got, want) in enumerate(zip_longest([entry["name"] for entry in entries],
                                                 (name for name, _ in arrays))):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import DatasetSplit
+from .data import DatasetSplit, bounded, check_fields
 from .layers import seeded_rng
 from .model import ModelParams, forward_batch
 from .tensor import Tensor
@@ -42,15 +42,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class ScheduleConfig:
-    base_lr: float = 3.5e-4
-    warm_factor: float = 0.25
-    warm_end_epoch: int = 11
-    decay_factor: float = 0.25
-    decay_step: int = 2
+    base_lr: float = bounded(3.5e-4, "(0, inf)")
+    warm_factor: float = bounded(0.25, "[0, inf)")
+    warm_end_epoch: int = bounded(11, "[1, inf)")
+    decay_factor: float = bounded(0.25, "(0, inf)")
+    decay_step: int = bounded(2, "[1, inf)")
 
     def __post_init__(self):
-        if self.base_lr <= 0 or self.decay_factor <= 0 or self.decay_step < 1:
-            raise ValueError("schedule factors must be positive")
+        check_fields(self)
 
 
 def constant_schedule(lr: float) -> ScheduleConfig:
@@ -70,21 +69,15 @@ def lr_at_epoch(epoch: int, s: ScheduleConfig) -> float:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 25
-    batch_size: int = 128
-    weight_decay: float = 2e-5
-    clip_norm: float = 0.25
-    seed: int = 0
+    epochs: int = bounded(25, "[1, inf)")          # no epoch leaves no log to report
+    batch_size: int = bounded(128, "[1, inf)")
+    weight_decay: float = bounded(2e-5, "[0, inf)")
+    clip_norm: float = bounded(0.25, "(0, inf)")
+    seed: int = bounded(0, "[0, inf)")
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
 
     def __post_init__(self):
-        # no epoch leaves no log to report; a batch of a size below one, or not
-        # whole, never fills
-        for name in ("epochs", "batch_size"):
-            if type(value := getattr(self, name)) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        if isinstance(self.schedule, dict):
-            self.schedule = ScheduleConfig(**self.schedule)
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from vqalab.cli import run, sha256_of
-from vqalab.data import load_dataset
+from vqalab.data import DataConfig, load_dataset
 from vqalab.evaluate import evaluate_split
 from vqalab.grounding import encode_question_vgqe
-from vqalab.model import load_checkpoint
+from vqalab.model import FusionConfig, ModelConfig, load_checkpoint
 from vqalab.tensor import using_dtype
+from vqalab.train import ScheduleConfig, TrainConfig
 
 TINY_CONFIG = {
     "data": {"shapes": 3, "colors": 3, "objects_per_scene": 3, "d_v": 8,
@@ -138,12 +140,15 @@ class TestGenData:
         cfg_path.write_text(json.dumps({"data": {**TINY_CONFIG["data"], "rho_train": 1.5}}))
         out = tmp_path / "d"
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: rho_train must lie in [0, 1], got 1.5\n"
+        assert capsys.readouterr().err == \
+            "error: data.rho_train must be a finite number in [0, 1], got 1.5\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("n_train", "30", "n_train must be an integer, got '30'"),
-        ("d_v", 2.5, "d_v must be an integer, got 2.5")])
+    @pytest.mark.parametrize("field,value,message", [   # ids as first collected
+        pytest.param("n_train", "30", "data.n_train must be an integer in [1, inf), got '30'",
+                     id="n_train-30-n_train must be an integer, got '30'"),
+        pytest.param("d_v", 2.5, "data.d_v must be an integer in [1, inf), got 2.5",
+                     id="d_v-2.5-d_v must be an integer, got 2.5")])
     def test_mistyped_data_config_names_the_field(self, tmp_path, capsys, field, value,
                                                   message):
         cfg_path = tmp_path / "config.json"
@@ -161,7 +166,7 @@ class TestGenData:
         out = tmp_path / "d"
         assert run(["gen-data", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
         shown = -1 if flags else value
-        assert capsys.readouterr().err == ("error: seed must be a non-negative integer, "
+        assert capsys.readouterr().err == ("error: data.seed must be an integer in [0, inf), "
                                            f"got {shown!r}\n")
         assert not out.exists()
 
@@ -218,7 +223,7 @@ class TestTrain:
                     flag, value]) == 2
         field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == \
-            f"error: {field} must be an integer of at least 1, got {value}\n"
+            f"error: train.{field} must be an integer in [1, inf), got {value}\n"
         assert not out.exists()
         assert sorted((p.name, p.stat().st_mtime_ns) for p in data.iterdir()) == before
 
@@ -243,6 +248,160 @@ class TestTrain:
         manifest = json.loads((out / "checkpoint.json").read_text())
         dtypes = {entry["dtype"] for entry in manifest["arrays"]}
         assert dtypes == {"float32"}
+
+
+# a value of the wrong JSON type and one outside the field's bound, for every
+# field of the five config classes, by dotted path; a nested section has no
+# bound of its own. The model fields that the dataset or --variant decide are
+# refused when a config file gives a different value.
+REFUSED_VALUES = {
+    "data": {"shapes": ("3", 1), "colors": (3.0, 9), "objects_per_scene": (True, 0),
+             "d_v": ("8", 0), "d_w": (None, -1), "noise_v": ("0", -0.1),
+             "noise_l": ([0.1], float("inf")), "n_train": (1.5, 0), "n_test": ("60", 0),
+             "rho_train": (True, 1.5), "rho_test": ("x", float("nan")),
+             "count_max": (2.0, 0), "seed": (False, -1)},
+    "model": {"variant": (3, "vgqe"), "d_v": ("8", 0), "d_w": (6.0, 7),
+              "hidden": ("32", 0), "refined_dim": (4.5, 0), "grounded_dim": ([8], -8),
+              "pooled_dim": (None, 0), "answer_count": ("8", 1), "vocab_size": (True, 0),
+              "dropout": ("0.1", 1.0), "seed": (1.5, -1), "vgw_fusion": (3, None),
+              "obj_fusion": ([], None), "classifier_hidden": ("64", -1)},
+    "model.vgw_fusion": {"proj_dim": ("8", 0), "out_proj_dim": (8.0, -2),
+                         "chunks": (None, 0), "rank": (2.5, 0)},
+    "model.obj_fusion": {"proj_dim": (True, -1), "out_proj_dim": ([8], 0),
+                         "chunks": ("2", 99), "rank": ({}, 0)},
+    "train": {"epochs": ("2", 0), "batch_size": (32.0, 0), "weight_decay": ("0", -1),
+              "clip_norm": ("x", 0), "seed": ("0", -3), "schedule": ("fast", None)},
+    "train.schedule": {"base_lr": ("0.1", 0), "warm_factor": (None, -0.5),
+                       "warm_end_epoch": ("a", 0), "decay_factor": (True, -1.0),
+                       "decay_step": (1.5, 0)},
+}
+CONFIG_CLASSES = {"data": DataConfig, "model": ModelConfig, "model.vgw_fusion": FusionConfig,
+                  "model.obj_fusion": FusionConfig, "train": TrainConfig,
+                  "train.schedule": ScheduleConfig}
+
+
+def refused_cases():
+    for section, values in REFUSED_VALUES.items():
+        for name, (mistyped, out_of_range) in values.items():
+            for label, value in (("type", mistyped), ("bound", out_of_range)):
+                if value is not None or label == "type":
+                    yield pytest.param(f"{section}.{name}", value, id=f"{section}.{name}-{label}")
+
+
+class TestConfigRefusals:
+    """Every config value is checked against its field's annotation and bound
+    before anything is written: a refusal exits 2 with one error line that
+    names the dotted field, and leaves no output directory."""
+
+    def refusal(self, workspace, tmp_path, capsys, dotted=None, value=None, flags=()):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        if dotted is not None:
+            *sections, name = dotted.split(".")
+            section = config
+            for part in sections:
+                section = section[part]
+            section[name] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        if dotted is not None and dotted.startswith("data."):
+            argv = ["gen-data", "--config", str(cfg_path), "--out", str(out)]
+        else:
+            argv = ["train", "--data", str(workspace / "data"), "--variant", "baseline",
+                    "--out", str(out), "--config", str(cfg_path)]
+        code = run([*argv, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+        return err[len("error: "):-1]
+
+    def test_every_field_is_in_the_table(self):
+        for section, cls in CONFIG_CLASSES.items():
+            assert list(REFUSED_VALUES[section]) == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("dotted,value", list(refused_cases()))
+    def test_refused_value_names_the_field(self, workspace, tmp_path, capsys, dotted, value):
+        assert self.refusal(workspace, tmp_path, capsys, dotted, value).startswith(f"{dotted} ")
+
+    @pytest.mark.parametrize("dotted,value,flags,message", [
+        ("model.hidden", 0, [], "model.hidden must be an integer in [1, inf), got 0"),
+        ("model.hidden", "32", [], "model.hidden must be an integer in [1, inf), got '32'"),
+        ("model.vgw_fusion.rank", 2.5, [],
+         "model.vgw_fusion.rank must be an integer in [1, inf), got 2.5"),
+        ("model.dropout", "0.1", [], "model.dropout must be a finite number in [0, 1), got '0.1'"),
+        ("train.clip_norm", "x", [],
+         "train.clip_norm must be a finite number in (0, inf), got 'x'"),
+        ("train.clip_norm", 0, [], "train.clip_norm must be a finite number in (0, inf), got 0"),
+        ("model.obj_fusion.bogus", 1, [], "model.obj_fusion.bogus is not a FusionConfig field"),
+        ("train.schedule.bogus", 1, [], "train.schedule.bogus is not a ScheduleConfig field"),
+        ("train.schedule.base_lr", "0.1", [],
+         "train.schedule.base_lr must be a finite number in (0, inf), got '0.1'"),
+        ("train.schedule.warm_end_epoch", "a", [],
+         "train.schedule.warm_end_epoch must be an integer in [1, inf), got 'a'"),
+        ("train.weight_decay", -1, [],
+         "train.weight_decay must be a finite number in [0, inf), got -1"),
+        ("model.obj_fusion.chunks", 99, [],
+         "model.obj_fusion.chunks must be from 1 to the projection dims (8 and 8), got 99"),
+        (None, None, ["--base-lr", "0"],
+         "train.schedule.base_lr must be a finite number in (0, inf), got 0.0"),
+        (None, None, ["--base-lr", "-0.5"],
+         "train.schedule.base_lr must be a finite number in (0, inf), got -0.5"),
+        (None, None, ["--base-lr", "nan"],
+         "train.schedule.base_lr must be a finite number in (0, inf), got nan"),
+        ("model.variant", "vgqe", [],
+         "model.variant is 'vgqe' in the config file, but --variant gives 'baseline'"),
+        ("model.d_v", 8.0, [], "model.d_v is 8.0 in the config file, but the dataset gives 8"),
+        ("model.answer_count", 9, [],
+         "model.answer_count is 9 in the config file, but the dataset gives 8"),
+        ("model", [], [], "model is not a JSON object"),
+        ("train.seed", 1, ["--seed", "-1"], "train.seed must be an integer in [0, inf), got -1")])
+    def test_refusal_message(self, workspace, tmp_path, capsys, dotted, value, flags,
+                             message):
+        assert self.refusal(workspace, tmp_path, capsys, dotted, value, flags) == message
+
+    def test_dataset_manifest_config_must_name_every_field(self, workspace, tmp_path,
+                                                           capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        manifest = data_dir / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["config"]["count_max"]
+        manifest.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data_dir), "--variant", "baseline",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: dataset manifest {manifest}: config.count_max is missing\n"
+        assert not out.exists()
+
+    def test_fusion_config_builds_positionally(self):
+        assert FusionConfig(6, 6, 2, 2) == FusionConfig(proj_dim=6, out_proj_dim=6, chunks=2,
+                                                        rank=2)
+
+    def run_manifest(self, workspace, tmp_path, config, flags=()):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(workspace / "data"), "--variant", "baseline",
+                    "--out", str(out), "--config", str(cfg_path), *flags]) == 0
+        return json.loads((out / "run_manifest.json").read_text())
+
+    @pytest.mark.parametrize("flags,seeds", [([], (5, 7, 5)), (["--seed", "3"], (3, 3, 3))])
+    def test_seed_flag_overrides_the_sections_only_when_given(self, workspace, tmp_path,
+                                                              flags, seeds):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["train"]["seed"], config["model"]["seed"] = 5, 7
+        manifest = self.run_manifest(workspace, tmp_path, config, flags)
+        assert (manifest["config"]["train"]["seed"], manifest["config"]["model"]["seed"],
+                manifest["seed"]) == seeds
+
+    def test_flags_override_nested_file_values(self, workspace, tmp_path):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["model"].update(d_v=8, variant="baseline")   # repeats what the dataset decides
+        manifest = self.run_manifest(workspace, tmp_path, config, ["--base-lr", "0.002"])
+        assert manifest["config"]["train"]["schedule"] == {
+            **TINY_CONFIG["train"]["schedule"], "base_lr": 0.002}
 
 
 class TestEval:
@@ -358,8 +517,7 @@ class TestEval:
                     "--split", "test", "--report", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == (f"error: checkpoint {path} config does not match ModelConfig: "
-                       "unknown field bogus\n")
+        assert err == f"error: checkpoint {path}: config.bogus is not a ModelConfig field\n"
 
     def eval_with_manifest_text(self, workspace, tmp_path, capsys, edit):
         ckpt_dir = tmp_path / "ckpt"
@@ -401,15 +559,22 @@ class TestEval:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("edit,problem", [
-        (lambda m: m["config"].update(bogus=1),
-         "field 'config': DataConfig.__init__() got an unexpected keyword argument 'bogus'"),
-        (lambda m: m["config"].update(seed=-1),
-         "field 'config': seed must be a non-negative integer, got -1"),
+    @pytest.mark.parametrize("edit,problem", [   # ids as first collected
+        pytest.param(lambda m: m["config"].update(bogus=1),
+                     "config.bogus is not a DataConfig field",
+                     id="<lambda>-field 'config': DataConfig.__init__() got an unexpected "
+                        "keyword argument 'bogus'"),
+        pytest.param(lambda m: m["config"].update(seed=-1),
+                     "config.seed must be an integer in [0, inf), got -1",
+                     id="<lambda>-field 'config': seed must be a non-negative integer, got -1"),
         (lambda m: m.update(config=[]), "field 'config' is not a JSON object"),
         (lambda m: m.update(bias_spec=[]), "field 'bias_spec' is not a JSON object"),
-        (lambda m: m["bias_spec"]["1"].update(extra=0),
-         "field 'bias_spec.1': TypeBias.__init__() got an unexpected keyword argument 'extra'"),
+        pytest.param(lambda m: m["bias_spec"]["1"].update(extra=0),
+                     "bias_spec.1.extra is not a TypeBias field",
+                     id="<lambda>-field 'bias_spec.1': TypeBias.__init__() got an unexpected "
+                        "keyword argument 'extra'"),
+        (lambda m: m["bias_spec"]["1"].update(answers=[0, "1"]),
+         "bias_spec.1.answers must be a list of integers, got [0, '1']"),
         (lambda m: m["bias_spec"].update(x={}),
          "field 'bias_spec' key 'x' is not a question type id"),
         (lambda m: m["bias_spec"].update({"01": m["bias_spec"]["1"]}),
@@ -689,7 +854,11 @@ class TestReportRefusals:
         (lambda m: m["histograms"]["train"]["0"].pop(),
          "field 'histograms.train.0' is not a list of 8 numbers, one per answer"),
         (lambda m: m["histograms"]["train"].update({"1": "flat"}),
-         "field 'histograms.train.1' is not a list of 8 numbers, one per answer")])
+         "field 'histograms.train.1' is not a list of 8 numbers, one per answer"),
+        (lambda m: m["histograms"]["train"]["2"].__setitem__(0, float("nan")),
+         "field 'histograms.train.2' is not a list of 8 numbers, one per answer"),
+        (lambda m: m["histograms"]["train"]["0"].__setitem__(3, float("-inf")),
+         "field 'histograms.train.0' is not a list of 8 numbers, one per answer")])
     def test_malformed_manifest_field_behind_reports(self, workspace, tmp_path, capsys,
                                                      edit, problem):
         data_dir = tmp_path / "data"

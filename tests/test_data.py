@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vqalab import data as D
-from vqalab.data import (DataConfig, GenerationError, answer_distribution,
+from vqalab.data import (ConfigError, DataConfig, answer_distribution,
                          generate_dataset, load_dataset, load_split,
                          num_question_types, save_dataset, save_split)
 from vqalab.train import length_bucketed_batches, stack_batch
@@ -219,39 +219,73 @@ class TestGeneration:
         assert set(ds.test_iid.answers.tolist()) <= train_answers
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(GenerationError):
-            DataConfig(shapes=1)
-        with pytest.raises(GenerationError, match="count"):
-            DataConfig(objects_per_scene=2, count_max=3)
-        with pytest.raises(GenerationError):
-            DataConfig(n_train=0)
+        for values, message in [
+                (dict(shapes=1), "shapes must be an integer in [2, 8], got 1"),
+                (dict(colors=9), "colors must be an integer in [2, 8], got 9"),
+                (dict(objects_per_scene=2, count_max=3),
+                 "count_max must be at most objects_per_scene (2), got 3"),
+                (dict(n_train=0), "n_train must be an integer in [1, inf), got 0")]:
+            with pytest.raises(ConfigError) as err:
+                DataConfig(**values)
+            assert str(err.value) == message
 
+    # each case keeps the id it was first collected under: the rule it checks,
+    # in the words of the per-field checks that `check_fields` replaced
     @pytest.mark.parametrize("field,value,message", [
-        ("objects_per_scene", 0, "scenes need at least one object"),
-        ("d_v", 0, "d_v must be at least 1, got 0"),
-        ("d_w", -2, "d_w must be at least 1, got -2"),
-        ("noise_v", -1.0, "noise_v must be finite and non-negative, got -1.0"),
-        ("noise_v", float("nan"), "noise_v must be finite and non-negative, got nan"),
-        ("noise_l", float("inf"), "noise_l must be finite and non-negative, got inf"),
-        ("rho_train", 1.5, "rho_train must lie in [0, 1], got 1.5"),
-        ("rho_train", -0.1, "rho_train must lie in [0, 1], got -0.1"),
-        ("rho_train", float("nan"), "rho_train must lie in [0, 1], got nan"),
-        ("rho_test", float("inf"), "rho_test must lie in [0, 1], got inf"),
-        ("seed", -1, "seed must be a non-negative integer, got -1"),
-        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
-        ("seed", "3", "seed must be a non-negative integer, got '3'"),
-        ("seed", True, "seed must be a non-negative integer, got True"),
-        ("seed", np.int64(3), "seed must be a non-negative integer, got np.int64(3)"),
-        ("n_train", "30", "n_train must be an integer, got '30'"),
-        ("d_v", 2.5, "d_v must be an integer, got 2.5"),
-        ("shapes", True, "shapes must be an integer, got True"),
-        ("count_max", None, "count_max must be an integer, got None"),
-        ("n_test", np.int64(3), "n_test must be an integer, got np.int64(3)"),
-        ("noise_v", "0.1", "noise_v must be a number, got '0.1'"),
-        ("rho_train", True, "rho_train must be a number, got True"),
-        ("rho_test", [0.5], "rho_test must be a number, got [0.5]")])
+        pytest.param("objects_per_scene", 0,
+                     "objects_per_scene must be an integer in [1, inf), got 0",
+                     id="objects_per_scene-0-scenes need at least one object"),
+        pytest.param("d_v", 0, "d_v must be an integer in [1, inf), got 0",
+                     id="d_v-0-d_v must be at least 1, got 0"),
+        pytest.param("d_w", -2, "d_w must be an integer in [1, inf), got -2",
+                     id="d_w--2-d_w must be at least 1, got -2"),
+        pytest.param("noise_v", -1.0, "noise_v must be a finite number in [0, inf), got -1.0",
+                     id="noise_v--1.0-noise_v must be finite and non-negative, got -1.0"),
+        pytest.param("noise_v", float("nan"),
+                     "noise_v must be a finite number in [0, inf), got nan",
+                     id="noise_v-nan-noise_v must be finite and non-negative, got nan"),
+        pytest.param("noise_l", float("inf"),
+                     "noise_l must be a finite number in [0, inf), got inf",
+                     id="noise_l-inf-noise_l must be finite and non-negative, got inf"),
+        pytest.param("rho_train", 1.5, "rho_train must be a finite number in [0, 1], got 1.5",
+                     id="rho_train-1.5-rho_train must lie in [0, 1], got 1.5"),
+        pytest.param("rho_train", -0.1, "rho_train must be a finite number in [0, 1], got -0.1",
+                     id="rho_train--0.1-rho_train must lie in [0, 1], got -0.1"),
+        pytest.param("rho_train", float("nan"),
+                     "rho_train must be a finite number in [0, 1], got nan",
+                     id="rho_train-nan-rho_train must lie in [0, 1], got nan"),
+        pytest.param("rho_test", float("inf"),
+                     "rho_test must be a finite number in [0, 1], got inf",
+                     id="rho_test-inf-rho_test must lie in [0, 1], got inf"),
+        pytest.param("seed", -1, "seed must be an integer in [0, inf), got -1",
+                     id="seed--1-seed must be a non-negative integer, got -1"),
+        pytest.param("seed", 1.5, "seed must be an integer in [0, inf), got 1.5",
+                     id="seed-1.5-seed must be a non-negative integer, got 1.5"),
+        pytest.param("seed", "3", "seed must be an integer in [0, inf), got '3'",
+                     id="seed-3-seed must be a non-negative integer, got '3'"),
+        pytest.param("seed", True, "seed must be an integer in [0, inf), got True",
+                     id="seed-True-seed must be a non-negative integer, got True"),
+        pytest.param("seed", np.int64(3), "seed must be an integer in [0, inf), got np.int64(3)",
+                     id="seed-value14-seed must be a non-negative integer, got np.int64(3)"),
+        pytest.param("n_train", "30", "n_train must be an integer in [1, inf), got '30'",
+                     id="n_train-30-n_train must be an integer, got '30'"),
+        pytest.param("d_v", 2.5, "d_v must be an integer in [1, inf), got 2.5",
+                     id="d_v-2.5-d_v must be an integer, got 2.5"),
+        pytest.param("shapes", True, "shapes must be an integer in [2, 8], got True",
+                     id="shapes-True-shapes must be an integer, got True"),
+        pytest.param("count_max", None, "count_max must be an integer in [1, inf), got None",
+                     id="count_max-None-count_max must be an integer, got None"),
+        pytest.param("n_test", np.int64(3),
+                     "n_test must be an integer in [1, inf), got np.int64(3)",
+                     id="n_test-value19-n_test must be an integer, got np.int64(3)"),
+        pytest.param("noise_v", "0.1", "noise_v must be a finite number in [0, inf), got '0.1'",
+                     id="noise_v-0.1-noise_v must be a number, got '0.1'"),
+        pytest.param("rho_train", True, "rho_train must be a finite number in [0, 1], got True",
+                     id="rho_train-True-rho_train must be a number, got True"),
+        pytest.param("rho_test", [0.5], "rho_test must be a finite number in [0, 1], got [0.5]",
+                     id="rho_test-value22-rho_test must be a number, got [0.5]")])
     def test_config_refusal_names_the_field(self, field, value, message):
-        with pytest.raises(GenerationError) as err:
+        with pytest.raises(ConfigError) as err:
             DataConfig(**{field: value})
         assert str(err.value) == message
 

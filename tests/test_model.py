@@ -411,7 +411,7 @@ class TestCheckpoint:
             manifest = json.loads(text)
             manifest["config"] = [1]
             return json.dumps(manifest)
-        assert self.manifest_error(tmp_path, config_list) == "'config' is not a JSON object"
+        assert self.manifest_error(tmp_path, config_list) == "config is not a JSON object"
 
     @pytest.mark.parametrize("key", ["config", "data_file", "data_sha256", "arrays"])
     def test_manifest_missing_field_named(self, tmp_path, key):
@@ -528,12 +528,18 @@ class TestCheckpoint:
         assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v3', "
                                   "expected 'vqalab-flat-arrays-v4'")
 
-    @pytest.mark.parametrize("changes,problems", [
-        ({"bogus": 1}, "unknown field bogus"),
-        ({"hidden": None}, "missing field hidden"),
-        ({"obj_fusion.rank2": 1, "vgw_fusion.chunks": None},
-         "missing field vgw_fusion.chunks, unknown field obj_fusion.rank2")])
-    def test_config_fields_checked(self, tmp_path, changes, problems):
+    @pytest.mark.parametrize("changes,problem", [   # ids as first collected
+        pytest.param({"bogus": 1}, "config.bogus is not a ModelConfig field",
+                     id="changes0-unknown field bogus"),
+        pytest.param({"hidden": None}, "config.hidden is missing",
+                     id="changes1-missing field hidden"),
+        # one problem is named: the first in field order
+        pytest.param({"obj_fusion.rank2": 1, "vgw_fusion.chunks": None},
+                     "config.vgw_fusion.chunks is missing",
+                     id="changes2-missing field vgw_fusion.chunks, unknown field obj_fusion.rank2"),
+        ({"obj_fusion.rank2": 1}, "config.obj_fusion.rank2 is not a FusionConfig field"),
+        ({"dropout": 1.0}, "config.dropout must be a finite number in [0, 1), got 1.0")])
+    def test_config_fields_checked(self, tmp_path, changes, problem):
         # a value of None deletes the field
         path = tmp_path / "ckpt.json"
         save_checkpoint(init_model(tiny_config("vgqe")), path)
@@ -548,5 +554,4 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value) == (f"checkpoint {path} config does not match ModelConfig: "
-                                  f"{problems}")
+        assert str(err.value) == f"checkpoint {path}: {problem}"

@@ -23,12 +23,13 @@ SURFACE = {
         "reduce_mean", "reduce_sum", "relu", "reshape", "rows_pick",
         "scale", "scene_attention", "sigmoid", "softmax", "sub", "take_rows", "tanh",
         "using_dtype", "zero_grads"},
-    "data": {"DataConfig", "DatasetSplit", "GenerationError", "SyntheticDataset",
+    "data": {"ConfigError", "DataConfig", "DatasetSplit", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
-             "_columns_fit", "_divmod", "_float_texts",
+             "_columns_fit", "_divmod", "_finite", "_fits", "_float_texts",
              "_generate_split", "_hasher", "_id_array", "_padded", "_parse_split",
              "_quad_table", "_reads_back", "_refused_row", "_rounded", "_scene_shapes_for",
-             "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_write_cache",
+             "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_within",
+             "_write_cache", "bounded", "build_config", "check_fields", "config_section",
              "answer_distribution", "digest_file",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
              "load_split", "manifest_field", "num_question_types", "question_type_name",
@@ -41,8 +42,7 @@ SURFACE = {
     "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},
-    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_build_model",
-              "_config_from_manifest", "_dropout",
+    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_build_model", "_dropout",
               "count_parameters", "encode_questions", "forward_batch", "init_model",
               "load_checkpoint", "save_checkpoint"},
     "train": {"AdamWState", "EpochStats", "ScheduleConfig", "TrainConfig",

@@ -188,7 +188,7 @@ class TestTrainConfig:
     def test_count_below_one_or_not_whole_names_the_field(self, field, value):
         with pytest.raises(ValueError) as err:
             TrainConfig(**{field: value})
-        assert str(err.value) == f"{field} must be an integer of at least 1, got {value!r}"
+        assert str(err.value) == f"{field} must be an integer in [1, inf), got {value!r}"
 
 
 TINY_MODEL = dict(d_v=8, d_w=6, hidden=6, refined_dim=4, grounded_dim=8,
