@@ -2,9 +2,9 @@
 gradient checking, and reporting into reproducible runs.
 
 Configuration files are JSON with optional "data", "model", and "train"
-sections; a command-line flag that is given overrides the file's value, and
-every run writes the effective merged configuration back to disk so each
-artifact can be regenerated from its manifest.
+sections and no others; a command-line flag that is given overrides the
+file's value, and every run writes the effective merged configuration back
+to disk so each artifact can be regenerated from its manifest.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .grounding import encode_question_vgqe, trace_records  # noqa: F401
 from .model import (ModelConfig, count_parameters, init_model, load_checkpoint,
                     save_checkpoint)
 from .tensor import using_dtype
-from .train import TrainConfig, train, write_training_log
+from .train import TrainConfig, TrainingDiverged, train, write_training_log
 
 
 class CliError(Exception):
@@ -45,9 +45,16 @@ def sha256_of(path: Path) -> str:
 
 
 def load_config_file(path: str | None) -> dict:
-    if path is not None and not Path(path).exists():
+    if path is None:
+        return {}
+    if not Path(path).exists():
         raise CliError(f"config file not found: {path}")
-    return {} if path is None else read_json_object(Path(path), "config file", ())
+    config = read_json_object(Path(path), "config file", ())
+    for key in config:
+        if key not in ("data", "model", "train"):
+            raise CliError(f"config file {path}: unknown section {key!r}; the sections are "
+                           "'data', 'model' and 'train'")
+    return config
 
 
 def write_manifest(out_dir: Path, payload: dict) -> None:
@@ -96,11 +103,14 @@ def cmd_train(args) -> int:
                            f"{'--variant' if name == 'variant' else 'the dataset'} gives {value!r}")
 
     out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise CliError(f"run directory {out_dir} exists and is not a directory")
     with using_dtype(np.float32 if args.precision == "float32" else np.float64):
         with config_section("model"):
             params = init_model(model_cfg, embedding_vectors=ds.vocab.embedding)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # a diverged run writes nothing
         params, log = train(params, ds.train, train_cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = out_dir / "checkpoint.json"
         save_checkpoint(params, ckpt_path)
     write_training_log(log, out_dir / "training_log.csv")
@@ -303,7 +313,8 @@ def run(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, ValueError, KeyError, IndexError) as err:
+    except (CliError, FileNotFoundError, ValueError, KeyError, IndexError,
+            TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -62,6 +62,8 @@ def check_tensor_ops() -> list[CheckResult]:
     # probes from values already drawn; a new draw would shift later inputs
     cat_probe = Tensor(values.data.reshape(4, 6)[:2])
     take_probe = Tensor(values.data.reshape(12, 2)[:5])
+    affine_probe = Tensor(values.data.reshape(6, 4)[:2])
+    bias = Tensor(values.data.reshape(-1)[-4:].copy(), requires_grad=True)
 
     cases = {
         "elementwise": lambda: T.mul(T.sigmoid(x), T.tanh(T.scale(x, 0.5))).sum(),
@@ -75,6 +77,9 @@ def check_tensor_ops() -> list[CheckResult]:
                                          axis=1), cat_probe).sum(),
         "take_rows": lambda: T.mul(T.take_rows(T.reshape(x, (3, 2)), [2, 0, 2, 1, 0]),
                                    take_probe).sum(),
+        "rows_pick": lambda: T.dot(T.rows_pick(T.reshape(x, (2, 3)), [2, 0]), probe.data[:2]),
+        "sub": lambda: T.dot(T.reshape(T.sub(T.reshape(x, (2, 3)),
+                                             T.reshape(x, (2, 3)).mean(axis=0)), (6,)), probe),
         "take_attend": lambda: T.attend(
             T.softmax(T.take_rows(T.reshape(x, (2, 3)), [0, 0, 1, 1]), axis=1),
             values).sum(),
@@ -83,6 +88,9 @@ def check_tensor_ops() -> list[CheckResult]:
         _check("tensor_core", name, fn, [("x", x)], results)
     _check("tensor_core", "matmul_weight",
            lambda: T.matmul(left, w).sum(), [("w", w)], results)
+    _check("tensor_core", "affine",
+           lambda: T.mul(T.affine(T.reshape(x, (2, 3)), w, bias), affine_probe).sum(),
+           [("x", x), ("w", w), ("b", bias)], results)
     _check_block_bilinear(rng, results)
     _check_gru_step(rng, results)
     _check_gru_sequence(rng, results)

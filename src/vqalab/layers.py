@@ -19,7 +19,8 @@ from .tensor import Tensor
 
 @dataclass
 class Linear:
-    """Affine map stored as (d_in, d_out) weight so batches multiply as x @ w."""
+    """Affine map stored as (d_in, d_out) weight so batches multiply as x @ w;
+    a call is one `tensor.affine` op."""
 
     weight: Tensor
     bias: Tensor | None = None
@@ -33,10 +34,7 @@ class Linear:
         return self.weight.shape[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        return out
+        return T.affine(x, self.weight, self.bias)
 
     def named_arrays(self, prefix: str):
         yield f"{prefix}.weight", self.weight

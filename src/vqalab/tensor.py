@@ -10,9 +10,9 @@ backward, or one cut short by an exception, leaves nothing behind. The
 current tape and the default dtype are context variables: each thread has
 its own.
 
-The backward rules of matmul, mul, attend, scene_attention and the GRU ops
-return None, computing nothing, for an input that did not require gradients
-when the op was recorded.
+The backward rules of matmul, affine, mul, attend, scene_attention and the
+GRU ops return None, computing nothing, for an input that did not require
+gradients when the op was recorded.
 
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
@@ -303,6 +303,34 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
+def affine(x, w, b=None) -> Tensor:
+    """x @ w + b as one tape op: x (B, d_in), w (d_in, d_out), b (d_out,) or
+    None. The bias is added in place into the product, so the values are
+    those of `add(matmul(x, w), b)`, and so are the gradients."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine expects 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine inner dimensions disagree: {x.shape} @ {w.shape}")
+    x_data, w_data = x.data, w.data
+    out = x_data @ w_data
+    inputs = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != w.shape[1:]:
+            raise ShapeError(f"affine: bias {b.shape} does not match output width "
+                             f"{w.shape[1]}")
+        out += b.data
+        inputs = (x, w, b)
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
+
+    def bw(g):
+        return (g @ w_data.T if need_x else None, x_data.T @ g if need_w else None,
+                g.sum(axis=0) if need_b else None)
+    return _record("affine", inputs, out, bw)
+
+
 def dot(x, y) -> Tensor:
     x, y = as_tensor(x), as_tensor(y)
     if x.data.ndim != 1 or x.shape != y.shape:
@@ -514,26 +542,93 @@ def _gru_shapes(op: str, x_shape: tuple, h_shape: tuple, weights: tuple) -> None
                              f"do not form a GRU of dims ({d_in}, {hidden})")
 
 
+def _sigmoid_in_place(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)), written over a, one operation at a time as the
+    expression rounds."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
 def _gru_forward(x, h, wz, uz, bz, wr, ur, br, wc, uc, bc):
-    """One GRU step on arrays: the new state and what its backward reads."""
-    z = 1.0 / (1.0 + np.exp(-(x @ wz + h @ uz + bz)))
-    r = 1.0 / (1.0 + np.exp(-(x @ wr + h @ ur + br)))
+    """One GRU step on arrays: the new state and what its backward reads.
+
+    Each gate is built in place in its fresh input product, term by term in
+    the order of the `gru_step` docstring, so it rounds as that expression.
+    A state of None is the zero state: its products, the reset gate and
+    (1 - z) * h are zero, so they are skipped and the new state is z * c.
+    """
+    z = x @ wz
+    if h is not None:
+        z += h @ uz
+    z += bz
+    _sigmoid_in_place(z)
+    c = x @ wc
+    if h is None:
+        c += bc
+        return z * np.tanh(c, out=c), (x, None, z, None, None, c)
+    r = x @ wr
+    r += h @ ur
+    r += br
+    _sigmoid_in_place(r)
     rh = r * h
-    c = np.tanh(x @ wc + rh @ uc + bc)
-    return (1.0 - z) * h + z * c, (x, h, z, r, rh, c)
+    c += rh @ uc
+    c += bc
+    np.tanh(c, out=c)
+    out = np.subtract(1.0, z)
+    out *= h
+    out += z * c
+    return out, (x, h, z, r, rh, c)
 
 
 def _gru_backward(g, saved, weights, need_x: bool, need_h: bool):
     """Gradients of one GRU step: (g_x or None, g_h or None, the nine weight
-    gradients in GruParams order)."""
+    gradients in GruParams order).
+
+    Each product is built in place in a fresh array, factor by factor in the
+    order of the expression beside it; g and the saved arrays are only read.
+    From the zero state (saved h None) the reset gate takes no gradient, and
+    the five weight gradients that multiply by the state are None.
+    """
     x, h, z, r, rh, c = saved
     wz, uz, _, wr, ur, _, wc, uc, _ = weights
-    g_ac = g * z * (1.0 - c * c)
-    g_az = g * (c - h) * z * (1.0 - z)
+    # g_ac = g * z * (1 - c * c)
+    g_ac = g * z
+    scratch = np.multiply(c, c)
+    g_ac *= np.subtract(1.0, scratch, out=scratch)
+    # g_az = g * (c - h) * z * (1 - z), c - h being c at the zero state
+    if h is None:
+        g_az = g * c
+    else:
+        g_az = np.subtract(c, h)
+        g_az *= g
+    g_az *= z
+    one_minus_z = np.subtract(1.0, z, out=scratch)
+    g_az *= one_minus_z
+    # g_x = g_az @ wz.T + g_ar @ wr.T + g_ac @ wc.T
+    g_x = g_az @ wz.T if need_x else None
+    if h is None:
+        if need_x:
+            g_x += g_ac @ wc.T
+        return g_x, None, (x.T @ g_az, None, g_az.sum(axis=0), None, None, None,
+                           x.T @ g_ac, None, g_ac.sum(axis=0))
     g_rh = g_ac @ uc.T
-    g_ar = g_rh * h * r * (1.0 - r)
-    g_x = (g_az @ wz.T + g_ar @ wr.T + g_ac @ wc.T) if need_x else None
-    g_h = (g * (1.0 - z) + g_rh * r + g_az @ uz.T + g_ar @ ur.T) if need_h else None
+    # g_ar = g_rh * h * r * (1 - r)
+    g_ar = g_rh * h
+    g_ar *= r
+    g_ar *= np.subtract(1.0, r)
+    if need_x:
+        g_x += g_ar @ wr.T
+        g_x += g_ac @ wc.T
+    g_h = None
+    if need_h:
+        # g_h = g * (1 - z) + g_rh * r + g_az @ uz.T + g_ar @ ur.T
+        g_h = np.multiply(g, one_minus_z, out=one_minus_z)
+        g_rh *= r
+        g_h += g_rh
+        g_h += g_az @ uz.T
+        g_h += g_ar @ ur.T
     return g_x, g_h, (x.T @ g_az, h.T @ g_az, g_az.sum(axis=0),
                       x.T @ g_ar, h.T @ g_ar, g_ar.sum(axis=0),
                       x.T @ g_ac, rh.T @ g_ac, g_ac.sum(axis=0))
@@ -567,9 +662,13 @@ def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
     """A GRU read over a sequence as one tape op: xs (T, B, d_in) -> the final
     (B, H) state, from a zero state, over steps T-1 .. 0 when reverse.
 
-    Each step rounds exactly as `gru_step`. The backward runs the steps from
-    the last read to the first and sums each weight's gradient across steps
-    in that order, as a fold of `gru_step` records would on a zero gradient.
+    Each step rounds exactly as `gru_step`, but the first read starts from
+    the zero state, so it skips every product with the state and the reset
+    gate (see `_gru_forward`): the values are the same. The backward runs
+    the steps from the last read to the first and sums each weight's
+    gradient across steps in that order, in place, as a fold of `gru_step`
+    records would on a zero gradient; the first read adds nothing to the
+    five gradients that multiply by the state.
     """
     xs = as_tensor(xs)
     weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
@@ -581,7 +680,7 @@ def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
     _gru_shapes("gru_sequence", xs.shape[1:], (batch, hidden), weights)
     data = tuple(t.data for t in weights)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h = np.zeros((batch, hidden), dtype=xs.data.dtype)
+    h = None
     saved = []
     for t in order:
         h, step = _gru_forward(xs.data[t], h, *data)
@@ -590,13 +689,18 @@ def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
 
     def bw(g):
         g_xs = np.empty_like(xs.data) if need_x else None
-        g_w = None
+        g_w = [None] * len(data)
         for i in range(steps - 1, -1, -1):
             g_x, g, g_step = _gru_backward(g, saved[i], data, need_x, i > 0)
             if need_x:
                 g_xs[order[i]] = g_x
-            g_w = g_step if g_w is None else tuple(a + b for a, b in zip(g_w, g_step))
-        return (g_xs, *g_w)
+            for j, part in enumerate(g_step):
+                if g_w[j] is None:
+                    g_w[j] = part
+                elif part is not None:
+                    g_w[j] += part
+        # a one-step read has only the zero state: its five state gradients are 0
+        return (g_xs, *(np.zeros_like(w) if gw is None else gw for w, gw in zip(data, g_w)))
 
     return _record("gru_sequence", (xs, *weights), h, bw)
 

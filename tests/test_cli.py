@@ -211,6 +211,24 @@ class TestTrain:
         assert run(["train", "--data", str(tmp_path / "nope"), "--variant",
                     "baseline", "--out", str(tmp_path / "out")]) == 2
 
+    def test_diverged_run_fails_in_one_line_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", str(data), "--n-train", "40", "--n-test", "10"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data), "--variant", "baseline", "--out", str(out),
+                    "--base-lr", "1e300"]) == 2
+        assert capsys.readouterr().err == "error: non-finite loss nan at epoch 1, batch 1\n"
+        assert not out.exists()
+
+    def test_run_directory_that_is_a_file_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run(["train", "--data", str(workspace / "data"), "--variant", "baseline",
+                    "--out", str(out), "--config", str(workspace / "config.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: run directory {out} exists and is not a directory\n"
+
     @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--epochs", "-1"),
                                             ("--batch-size", "0"), ("--batch-size", "-5")])
     def test_nonpositive_count_refused_before_writing(self, workspace, tmp_path, capsys,
@@ -359,6 +377,19 @@ class TestConfigRefusals:
     def test_refusal_message(self, workspace, tmp_path, capsys, dotted, value, flags,
                              message):
         assert self.refusal(workspace, tmp_path, capsys, dotted, value, flags) == message
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_unknown_section_is_refused(self, workspace, tmp_path, capsys, command):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"modle": {"hidden": 0}, "train": {"epochs": 1}}))
+        out = tmp_path / "out"
+        argv = ["gen-data"] if command == "gen-data" else \
+            ["train", "--data", str(workspace / "data"), "--variant", "baseline"]
+        assert run([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg_path}: unknown section 'modle'; the sections are "
+            "'data', 'model' and 'train'\n")
+        assert not out.exists()
 
     def test_dataset_manifest_config_must_name_every_field(self, workspace, tmp_path,
                                                            capsys):

@@ -16,7 +16,7 @@ import vqalab
 SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
-        "_record", "_reduce_to", "add", "as_tensor", "attend", "backward",
+        "_record", "_reduce_to", "_sigmoid_in_place", "add", "affine", "as_tensor", "attend", "backward",
         "_gru_backward", "_gru_forward", "_gru_shapes", "block_bilinear", "concat", "dot",
         "get_default_dtype", "grad_check", "gru_sequence", "gru_step",
         "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
