@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import grounding
-from .data import (_JSON_TYPES, SPLITS, DataConfig, _fits, build_config, config_section,
-                   digest_file, generate_dataset, load_dataset, manifest_field,
-                   read_json_object, save_dataset)
+from .data import (SPLITS, DataConfig, build_config, config_section, digest_file,
+                   generate_dataset, load_dataset, manifest_field, read_json_object,
+                   save_dataset)
 from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
@@ -49,12 +49,24 @@ def load_config_file(path: str | None) -> dict:
         return {}
     if not Path(path).exists():
         raise CliError(f"config file not found: {path}")
-    config = read_json_object(Path(path), "config file", ())
+    config = read_json_object(Path(path), "config file")
     for key in config:
         if key not in ("data", "model", "train"):
             raise CliError(f"config file {path}: unknown section {key!r}; the sections are "
                            "'data', 'model' and 'train'")
     return config
+
+
+def output_path(path: str, what: str, directory: bool) -> Path:
+    """`path` as a Path; CliError if it exists and is not a `directory` (or is one, for a
+    file), or if the nearest of its parents that exists is not a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path and path.is_dir() != directory:
+        raise CliError(f"{what} {path} exists and is {'not ' if directory else ''}a directory")
+    if existing != path and not existing.is_dir():
+        raise CliError(f"{what} {path} is under {existing}, which is not a directory")
+    return path
 
 
 def write_manifest(out_dir: Path, payload: dict) -> None:
@@ -70,7 +82,7 @@ def write_manifest(out_dir: Path, payload: dict) -> None:
 def cmd_gen_data(args) -> int:
     config = build_config(DataConfig, load_config_file(args.config).get("data", {}), "data",
                           overrides={k: getattr(args, k) for k in ("seed", "n_train", "n_test")})
-    out_dir = Path(args.out)
+    out_dir = output_path(args.out, "output directory", directory=True)
     ds = generate_dataset(config)
     write_manifest(out_dir, {
         "command": "gen-data",
@@ -102,9 +114,7 @@ def cmd_train(args) -> int:
             raise CliError(f"model.{name} is {section[name]!r} in the config file, but "
                            f"{'--variant' if name == 'variant' else 'the dataset'} gives {value!r}")
 
-    out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise CliError(f"run directory {out_dir} exists and is not a directory")
+    out_dir = output_path(args.out, "run directory", directory=True)
     with using_dtype(np.float32 if args.precision == "float32" else np.float64):
         with config_section("model"):
             params = init_model(model_cfg, embedding_vectors=ds.vocab.embedding)
@@ -139,13 +149,14 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise CliError(f"checkpoint not found: {ckpt_path}")
+    report_path = output_path(args.report, "report", directory=False)
     ds = load_dataset(Path(args.data), splits=(args.split,))
     params = load_checkpoint(ckpt_path)
     with using_dtype(params.flat.dtype.type):
         report = evaluate_split(params, ds.split(args.split), ds)
     report.checkpoint = args.checkpoint
     report.data_dir = args.data
-    report_to_json(report, Path(args.report))
+    report_to_json(report, report_path)
     print(f"{params.config.variant} on {args.split}: overall accuracy "
           f"{report.overall:.4f} over {report.count} examples "
           f"in {report.precision} -> {args.report}")
@@ -172,6 +183,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out_dir = output_path(args.out, "output directory", directory=True)
     baseline = report_from_json(Path(args.baseline))
     vgqe = report_from_json(Path(args.vgqe))
     pair = f"reports {args.baseline} (--baseline) and {args.vgqe} (--vgqe)"
@@ -189,17 +201,15 @@ def cmd_report(args) -> int:
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise CliError(f"dataset behind the reports not found: {data_dir}")
-    manifest = read_json_object(manifest_path, "dataset manifest", ())
+    manifest = read_json_object(manifest_path, "dataset manifest")
     answers = manifest_field(manifest, manifest_path, "vocabularies.answers", list)
-    type_names = manifest_field(manifest, manifest_path, "type_names", dict)
-    kinds, test, _ = _JSON_TYPES["list[float]"]
-    train_hists = {}
-    for qt, hist in manifest_field(manifest, manifest_path, "histograms.train", dict).items():
-        if not _fits(hist, kinds, test) or len(hist) != len(answers):
-            raise CliError(f"dataset manifest {manifest_path}: field "
-                           f"'histograms.train.{qt}' is not a list of {len(answers)} "
-                           "numbers, one per answer")
-        train_hists[qt] = np.asarray(hist)
+    type_names = manifest_field(manifest, manifest_path, "type_names", dict[int, str])
+    train_hists = manifest_field(manifest, manifest_path, "histograms.train",
+                                 dict[int, list[float]])
+    for qt, hist in train_hists.items():
+        if len(hist) != len(answers):
+            raise CliError(f"dataset manifest {manifest_path}: histograms.train.{qt} must hold "
+                           f"{len(answers)} numbers, one per answer, got {len(hist)}")
 
     traces = []
     if vgqe.checkpoint:
@@ -223,7 +233,6 @@ def cmd_report(args) -> int:
                                                      split.visual[idx, None])
                 traces.append(trace_records(split.ids[idx], weights.data))
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison_csv(baseline, vgqe, out_dir / "comparison.csv")
     histograms_csv({"baseline": baseline, "vgqe": vgqe}, train_hists, answers,

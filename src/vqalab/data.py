@@ -26,10 +26,12 @@ import hashlib
 import json
 import os
 import sys
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,8 @@ SPLITS = tuple(_SPLIT_CODES)
 
 # ---------------------------------------------------------------------------
 # config fields: a field's kind comes from its annotation and its bound from
-# `bounded` beside it; `check_fields` checks both, `build_config` builds from JSON
+# `bounded` beside it; `check_fields` checks both, `build_config` builds from
+# JSON (config files, the dataset manifest and report files alike)
 
 
 def _finite(x) -> bool:   # not `true`, nan, inf, nor an int too large for a float
@@ -55,21 +58,18 @@ def _finite(x) -> bool:   # not `true`, nan, inf, nor an int too large for a flo
 # what a field of each declared type accepts from JSON: a value of one of the
 # exact types (so `true` is no integer), passing the test if any
 _JSON_TYPES = {
-    "str": ({str}, None, "a string"),
-    "int": ({int}, None, "an integer"),
-    "float": ({int, float}, _finite, "a finite number"),
-    "list[int]": ({list}, lambda v: all(type(x) is int for x in v), "a list of integers"),
-    "list[float]": ({list}, lambda v: all(map(_finite, v)), "a list of finite numbers"),
-    "list[str]": ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
+    str: ({str}, None, "a string"),
+    int: ({int}, None, "an integer"),
+    float: ({int, float}, _finite, "a finite number"),
+    list: ({list}, None, "a JSON array"),
+    list[int]: ({list}, lambda v: all(type(x) is int for x in v), "a list of integers"),
+    list[float]: ({list}, lambda v: all(map(_finite, v)), "a list of finite numbers"),
+    list[str]: ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
 }
 
 
-def _fits(value, kinds: set, test) -> bool:
-    return type(value) in kinds and (test is None or test(value))
-
-
 class ConfigError(ValueError):
-    """A refused config value; `field` is its dotted path."""
+    """A refused config, manifest or report value; `field` is its dotted path."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
@@ -89,25 +89,36 @@ def _within(value, bound) -> bool:
         (value < high if bound[-1] == ")" else value <= high)
 
 
+def _dotted(where: str, name) -> str:
+    """The path of field `name` under `where`: a dotted path, or a file ("<what> <path>:")."""
+    return f"{where} {name}" if where.endswith(":") else f"{where}.{name}"
+
+
 @cache
 def _field_specs(cls) -> dict[str, tuple]:
-    """(kinds, test, description, bound, nested config class or None) per field;
-    an annotation outside `_JSON_TYPES` names a config class of cls's module."""
-    specs = {}
-    for f in fields(cls):
-        nested = None if f.type in _JSON_TYPES else vars(sys.modules[cls.__module__])[f.type]
-        kinds, test, description = _JSON_TYPES.get(f.type) or ({nested}, None, f"a {f.type}")
-        specs[f.name] = (kinds, test, description, f.metadata.get("bound"), nested)
-    return specs
+    """(annotation, bound, required) per field; a field without a default is required."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.metadata.get("bound"),
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _problem(value, kind, bound=None) -> str | None:
+    """What is wrong with `value` for a field of annotation `kind` (a JSON
+    type or a config class) and `bound`, or None."""
+    kinds, test, description = _JSON_TYPES.get(kind) or ({kind}, None, f"a {kind.__name__}")
+    if type(value) in kinds and (test is None or test(value)) and \
+            (bound is None or _within(value, bound)):
+        return None
+    inside = "" if bound is None else f" in {bound}"
+    return f"must be {description}{inside}, got {value!r}"
 
 
 def check_fields(config) -> None:
     """ConfigError naming the first field whose value misfits its annotation or bound."""
-    for name, (kinds, test, description, bound, _) in _field_specs(type(config)).items():
-        value = getattr(config, name)
-        if not _fits(value, kinds, test) or bound is not None and not _within(value, bound):
-            inside = "" if bound is None else f" in {bound}"
-            raise ConfigError(name, f"must be {description}{inside}, got {value!r}")
+    for name, (kind, bound, _) in _field_specs(type(config)).items():
+        if (problem := _problem(getattr(config, name), kind, bound)) is not None:
+            raise ConfigError(name, problem)
 
 
 @contextlib.contextmanager
@@ -116,29 +127,79 @@ def config_section(where: str):
     try:
         yield
     except ConfigError as err:
-        raise ConfigError(f"{where}.{err.field}", err.problem) from None
+        raise ConfigError(_dotted(where, err.field), err.problem) from None
 
 
 def build_config(cls, values, where: str, complete: bool = False, overrides=None):
-    """cls from the JSON object `values`, each nested config from its own object;
-    `overrides` (same shape, from code, None meaning not given) win over `values`.
-    With `complete`, as for files the program wrote, every field must be named.
-    A ConfigError names a refused field by its dotted path under `where`."""
+    """cls from the JSON object `values`, each field read as `_read` reads its
+    annotation; `overrides` (same shape, from code, None meaning not given) win
+    over `values`. A field without a default must be named, and with `complete`,
+    as for files the program wrote, every field. A ConfigError names a refused
+    field by its dotted path under `where`, or under a file if `where` ends in ":"."""
     if type(values) is not dict:
         raise ConfigError(where, "is not a JSON object")
     specs = _field_specs(cls)
     refused = [(k, f"is not a {cls.__name__} field") for k in sorted(values.keys() - specs.keys())]
-    refused += [(k, "is missing") for k in specs if complete and k not in values]
+    refused += [(k, "is missing") for k, (*_, required) in specs.items()
+                if k not in values and (complete or required)]
     if refused:
-        raise ConfigError(f"{where}.{refused[0][0]}", refused[0][1])
+        raise ConfigError(_dotted(where, refused[0][0]), refused[0][1])
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     kwargs = {**values, **overrides}
-    for name, (*_, nested) in specs.items():
-        if nested is not None and name in kwargs:
-            kwargs[name] = build_config(nested, values.get(name, {}), f"{where}.{name}",
+    for name, (kind, bound, _) in specs.items():
+        if name in kwargs and is_dataclass(kind):   # a nested config, with its own overrides
+            kwargs[name] = build_config(kind, values.get(name, {}), _dotted(where, name),
                                         complete, overrides.get(name))
+        elif name in kwargs:
+            kwargs[name] = _read(kind, kwargs[name], _dotted(where, name), complete, bound)
     with config_section(where):
         return cls(**kwargs)
+
+
+def _read(kind, value, where: str, complete: bool = True, bound=None):
+    """`value` from JSON as a field annotated `kind` takes it: a type of
+    `_JSON_TYPES` within `bound`; a config class, by `build_config`; or
+    `list[X]`, or `dict[int, X]` keyed by question type ids as `str(int)`
+    writes them, of X a type of `_JSON_TYPES` or a record class (objects
+    holding exactly its fields, each of such a type without a bound), checked
+    a column at a time. ConfigError names the first misfit by its dotted path
+    under `where`."""
+    if kind in _JSON_TYPES:
+        if (problem := _problem(value, kind, bound)) is not None:
+            raise ConfigError(where, problem)
+        return value
+    if is_dataclass(kind):
+        return build_config(kind, value, where, complete)
+    container, item = typing.get_origin(kind), typing.get_args(kind)[-1]
+    if type(value) is not container:
+        raise ConfigError(where, f"is not a JSON {'array' if container is list else 'object'}")
+    labels, items = range(len(value)), value
+    if container is dict:
+        labels, items = list(value), list(value.values())
+        for k in labels:
+            if not k.isdecimal() or k != str(int(k)):
+                raise ConfigError(where, f"key {k!r} is not a question type id")
+    if is_dataclass(item):
+        specs = _field_specs(item)
+        for label, entry in zip(labels, items):
+            if type(entry) is not dict or entry.keys() != specs.keys():
+                build_config(item, entry, _dotted(where, label), complete=True)   # refuses it
+        for name, (field_kind, *_) in specs.items():
+            _column(field_kind, list(map(itemgetter(name), items)),
+                    (_dotted(where, f"{label}.{name}") for label in labels))
+        items = [item(**entry) for entry in items]
+    else:
+        _column(item, items, (_dotted(where, label) for label in labels))
+    return items if container is list else dict(zip(map(int, labels), items))
+
+
+def _column(kind, column: list, paths) -> None:
+    """ConfigError at the path (`paths` runs in step with `column`) of the
+    first value that misfits JSON type `kind`, once a test of all of them fails."""
+    kinds, test, _ = _JSON_TYPES[kind]
+    if not set(map(type, column)) <= kinds or test is not None and not all(map(test, column)):
+        for path, value in zip(paths, column):
+            _read(kind, value, path)
 
 
 @dataclass
@@ -192,9 +253,6 @@ class TypeBias:
     test_majority: int
     rho_train: float
     rho_test: float
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -513,9 +571,9 @@ REQUIRED_FIELDS = ("id", "type", "tokens", "answer", "objects")
 OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
 
 
-def read_json_object(path: Path, what: str, required) -> dict:
-    """The JSON object in a file that must hold one with the required keys;
-    ValueError naming the file otherwise."""
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in a file that must hold one; ValueError naming the file
+    otherwise."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -523,37 +581,22 @@ def read_json_object(path: Path, what: str, required) -> dict:
             raise ValueError(f"{what} {path}: malformed JSON ({err})") from err
     if type(payload) is not dict:
         raise ValueError(f"{what} {path}: top level is not a JSON object")
-    for key in required:
-        if key not in payload:
-            raise ValueError(f"{what} {path}: missing field {key!r}")
     return payload
 
 
-def manifest_field(manifest: dict, path: Path, dotted: str, kind: type):
-    """The value at a dotted field of a dataset manifest: a JSON array (kind
-    list); a JSON object keyed by question type ids (kind dict), returned with
-    int keys; or a JSON object naming every field of a dataclass (kind the
-    class), built by `build_config`. ValueError naming the file and the field
-    otherwise."""
-    parts = dotted.split(".")
-    value = manifest
+def manifest_field(manifest: dict, path: Path, dotted: str, kind):
+    """The value at a dotted field of a dataset manifest, read as `_read` reads
+    annotation `kind` (`list` is any JSON array), every field of a config class
+    named. A ConfigError names the file and the first field refused."""
+    value, parts = manifest, dotted.split(".")
     for depth, part in enumerate(parts, start=1):
+        where = f"dataset manifest {path}: {'.'.join(parts[:depth])}"
         if part not in value:
-            raise ValueError(f"dataset manifest {path}: missing field {dotted!r}")
+            raise ConfigError(where, "is missing")
         value = value[part]
-        want = list if depth == len(parts) and kind is list else dict
-        if type(value) is not want:
-            raise ValueError(f"dataset manifest {path}: field {'.'.join(parts[:depth])!r} "
-                             f"is not a JSON {'object' if want is dict else 'array'}")
-    if kind is list:
-        return value
-    if kind is not dict:
-        return build_config(kind, value, f"dataset manifest {path}: {dotted}", complete=True)
-    for key in value:
-        if not key.isdecimal() or key != str(int(key)):   # as `save_dataset` writes them
-            raise ValueError(f"dataset manifest {path}: field {dotted!r} key {key!r} "
-                             "is not a question type id")
-    return {int(key): item for key, item in value.items()}
+        if depth < len(parts) and type(value) is not dict:
+            raise ConfigError(where, "is not a JSON object")
+    return _read(kind, value, where)
 
 
 # Floats as `json.dumps` writes them, rendered in numpy. A finite x is
@@ -1072,15 +1115,14 @@ def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:
     path = data_dir / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {path}")
-    manifest = read_json_object(path, "dataset manifest", ())
+    manifest = read_json_object(path, "dataset manifest")
     config = manifest_field(manifest, path, "config", DataConfig)
     vocab = Vocabularies(*(manifest_field(manifest, path, f"vocabularies.{name}", list)
                            for name in ("tokens", "answers", "shapes", "colors", "embedding")))
     vocab.embedding = np.asarray(vocab.embedding)
-    bias = {qt: manifest_field(manifest, path, f"bias_spec.{qt}", TypeBias)
-            for qt in manifest_field(manifest, path, "bias_spec", dict)}
     return SyntheticDataset(
-        config=config, vocab=vocab, bias=bias,
+        config=config, vocab=vocab,
+        bias=manifest_field(manifest, path, "bias_spec", dict[int, TypeBias]),
         feature_map=np.asarray(manifest_field(manifest, path, "feature_map", list)),
         loaded={name: load_split(data_dir / f"{name}.jsonl", config, vocab, name)
                 for name in splits},

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .data import (_JSON_TYPES, DatasetSplit, SyntheticDataset, _field_specs, _fits,
-                   read_json_object)
+from .data import DatasetSplit, SyntheticDataset, build_config, read_json_object
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -158,15 +156,19 @@ _PREDICTION = ('  {{\n   "answer": {},\n   "example_id": {},\n   "prediction": {
 def report_to_json(report: EvalReport, path) -> None:
     """Write `json.dumps(payload, sort_keys=True, indent=1)` plus a newline.
 
-    Predictions are most of a report, so when every field has its declared
-    type (str id, int ids) they are rendered from `_PREDICTION`, the id by
-    the encoder `json.dumps` itself uses; the bytes are the same."""
+    Predictions are most of a report, so they are rendered from `_PREDICTION`,
+    the id by the encoder `json.dumps` itself uses; the bytes are the same. A
+    record `report_from_json` would refuse (an id that is not a str, a qtype,
+    answer or prediction that is not an int) raises ValueError first."""
+    records = report.predictions
+    typed = [type(r.example_id) is str and type(r.qtype) is type(r.answer) is type(r.prediction)
+             is int for r in records]
+    if not all(typed):
+        i = typed.index(False)
+        raise ValueError(f"prediction {i} must have a string example_id and integer qtype, "
+                         f"answer and prediction, got {records[i]!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = report.predictions
-    templated = all(type(r.example_id) is str
-                    and type(r.qtype) is type(r.answer) is type(r.prediction) is int
-                    for r in records)
     payload = {
         "split": report.split,
         "variant": report.variant,
@@ -178,10 +180,10 @@ def report_to_json(report: EvalReport, path) -> None:
         "precision": report.precision,
         # vars(): a record's fields as they are, without asdict's deep copy
         "per_type": {str(qt): vars(tr) for qt, tr in report.per_type.items()},
-        "predictions": [] if templated else [vars(r) for r in records],
+        "predictions": [],
     }
     text = json.dumps(payload, sort_keys=True, indent=1)
-    if templated and records:
+    if records:
         # a raw newline never occurs inside a JSON string, and only top-level
         # keys follow it with a single space, so this matches exactly once
         body = ",\n".join([_PREDICTION.format(r.answer, encode_basestring_ascii(r.example_id),
@@ -191,68 +193,14 @@ def report_to_json(report: EvalReport, path) -> None:
         fh.write(text + "\n")
 
 
-# the report's own scalar and string-list fields; per_type and predictions are
-# checked entry by entry
-_REPORT_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(EvalReport)
-                  if f.type in _JSON_TYPES}
-
-
-def _entries(path: Path, cls, entries: list, label) -> list:
-    """cls(**values) for each entry that is a JSON object holding exactly
-    cls's fields, each of its declared type; a ValueError naming the file,
-    the entry (`label(i)` for entry i) and the field otherwise. Each field is
-    checked over all entries at once."""
-    spec = _field_specs(cls)   # each field's JSON check, from its annotation
-    for i, values in enumerate(entries):
-        if type(values) is dict and values.keys() == spec.keys():
-            continue
-        if type(values) is not dict:
-            raise ValueError(f"evaluation report {path}: {label(i)} is not a JSON object")
-        problems = [f"missing field {k}" for k in sorted(spec.keys() - values.keys())]
-        problems += [f"unknown field {k}" for k in sorted(values.keys() - spec.keys())]
-        raise ValueError(f"evaluation report {path}: {label(i)} has " + ", ".join(problems))
-    for name, (kinds, test, description, *_) in spec.items():
-        column = list(map(itemgetter(name), entries))
-        if set(map(type, column)) <= kinds and (test is None or all(map(test, column))):
-            continue
-        for i, value in enumerate(column):
-            if not _fits(value, kinds, test):
-                raise ValueError(f"evaluation report {path}: {label(i)} field {name} "
-                                 f"holds {value!r}, not {description}")
-    return [cls(**values) for values in entries]
-
-
 def report_from_json(path) -> EvalReport:
+    """The report in a file `report_to_json` wrote; a ConfigError names the
+    file and the dotted path of the first field refused."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"evaluation report not found: {path}")
-    payload = read_json_object(path, "evaluation report", ("split", "variant", "count",
-                                                            "overall", "per_type",
-                                                            "predictions"))
-    for name, (kinds, test, description) in _REPORT_FIELDS.items():
-        if name in payload and not _fits(payload[name], kinds, test):
-            raise ValueError(f"evaluation report {path}: field {name} holds "
-                             f"{payload[name]!r}, not {description}")
-    if type(payload["per_type"]) is not dict or type(payload["predictions"]) is not list:
-        raise ValueError(f"evaluation report {path}: 'per_type' is not a JSON object or "
-                         "'predictions' is not a list")
-    for qt in payload["per_type"]:
-        if not qt.isdecimal() or qt != str(int(qt)):
-            raise ValueError(f"evaluation report {path}: per_type key {qt!r} is not a "
-                             "question type id")
-    qts = list(payload["per_type"])
-    type_reports = _entries(path, TypeReport, list(payload["per_type"].values()),
-                            lambda i: f"per_type entry {qts[i]!r}")
-    predictions = _entries(path, PredictionRecord, payload["predictions"],
-                           "prediction {}".format)
-    return EvalReport(split=payload["split"], variant=payload["variant"],
-                      count=payload["count"], overall=payload["overall"],
-                      per_type=dict(zip(map(int, qts), type_reports)),
-                      predictions=predictions,
-                      answers=payload.get("answers", []),
-                      checkpoint=payload.get("checkpoint", ""),
-                      data_dir=payload.get("data_dir", ""),
-                      precision=payload.get("precision", ""))
+    return build_config(EvalReport, read_json_object(path, "evaluation report"),
+                        f"evaluation report {path}:")
 
 
 def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:
@@ -275,7 +223,7 @@ def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:
                          repr(baseline.overall), repr(vgqe.overall)])
 
 
-def histograms_csv(reports: dict[str, EvalReport], train_hists: dict[int, np.ndarray],
+def histograms_csv(reports: dict[str, EvalReport], train_hists: dict[int, list[float]],
                    answers: list[str], type_names: dict[int, str], path,
                    top: int = 8) -> None:
     """Long-format answer-distribution table: one row per (type, answer) with

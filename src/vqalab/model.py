@@ -265,7 +265,7 @@ def load_checkpoint(path) -> ModelParams:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
-    manifest = read_json_object(path, "checkpoint", ())
+    manifest = read_json_object(path, "checkpoint")
     if manifest.get("format") != CHECKPOINT_FORMAT:   # an older format is named as such
         raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
                          f"expected {CHECKPOINT_FORMAT!r}")

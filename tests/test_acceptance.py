@@ -63,6 +63,8 @@ def test_criterion_algebraic_invariants(criterion_output):
         softmax_worst = max(softmax_worst, abs(out.sum() - 1.0))
     assert softmax_worst < 1e-6
 
+    # the model's own softmax, inside `scene_attention`, which training records
+    attention_worst = 0.0
     perm_worst = 0.0
     convex_ok = True
     for seed in range(20):
@@ -75,6 +77,9 @@ def test_criterion_algebraic_invariants(criterion_output):
         labels = rng.normal(size=(2, k, 4))
         word = Tensor(rng.normal(size=(2, 4)))
         alpha, attended = vgw_attention(labels, word, vgw.score_column(), visual)
+        assert np.all(alpha.data > 0) and np.all(alpha.data < 1)
+        attention_worst = max(attention_worst,
+                              float(np.max(np.abs(alpha.data.sum(axis=1) - 1.0))))
         perm = rng.permutation(k)
         alpha_p, attended_p = vgw_attention(labels[:, perm], word, vgw.score_column(),
                                             visual[:, perm])
@@ -83,6 +88,7 @@ def test_criterion_algebraic_invariants(criterion_output):
                          float(np.max(np.abs(attended.data - attended_p.data))))
         convex_ok &= bool(np.all(attended.data >= visual.min(axis=1) - 1e-12)
                           and np.all(attended.data <= visual.max(axis=1) + 1e-12))
+    assert attention_worst < 1e-6
     assert perm_worst <= 1e-9
     assert convex_ok
 
@@ -121,7 +127,8 @@ def test_criterion_algebraic_invariants(criterion_output):
     assert pool_worst <= 1e-9
 
     criterion_output.announce(True, "criterion 2, algebraic invariants",
-             f"softmax {softmax_worst:.1e}, permutation {perm_worst:.1e}, "
+             f"softmax {softmax_worst:.1e}, attention softmax {attention_worst:.1e}, "
+             f"permutation {perm_worst:.1e}, "
              f"bilinearity {fusion_worst:.1e}, pool invariance {pool_worst:.1e}")
 
 

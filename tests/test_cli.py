@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vqalab import cli
 from vqalab.cli import run, sha256_of
 from vqalab.data import DataConfig, load_dataset
 from vqalab.evaluate import evaluate_split
@@ -89,6 +90,15 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def work_that_must_not_run(*args, **kwargs):
+    raise AssertionError("a refused output path must be refused before any work")
+
+
+def renamed(edit, problem, first_problem):
+    """A refusal case whose message changed, under the id pytest first gave it."""
+    return pytest.param(edit, problem, id=f"<lambda>-{first_problem}")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("runs")
@@ -169,6 +179,19 @@ class TestGenData:
         assert capsys.readouterr().err == ("error: data.seed must be an integer in [0, inf), "
                                            f"got {shown!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under a file"])
+    def test_out_that_cannot_be_a_directory_is_refused_first(self, tmp_path, capsys,
+                                                             monkeypatch, under):
+        monkeypatch.setattr(cli, "generate_dataset", work_that_must_not_run)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "data" if under else blocker
+        assert run(["gen-data", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: output directory " + (
+            f"{out} is under {blocker}, which is not a directory\n" if under
+            else f"{out} exists and is not a directory\n")
+        assert blocker.read_text() == "kept"
 
     def test_large_seed_round_trips(self, tmp_path):
         out = tmp_path / "d"
@@ -476,6 +499,23 @@ class TestEval:
                     "--report", str(target)]) == 0
         assert json.loads(target.read_text())["count"] == 60
 
+    @pytest.mark.parametrize("under", [False, True], ids=["directory", "under a file"])
+    def test_report_path_that_cannot_be_written_is_refused_first(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch, under):
+        monkeypatch.setattr(cli, "load_dataset", work_that_must_not_run)
+        blocker = tmp_path / "blocker"
+        if under:
+            blocker.write_text("kept")
+        else:
+            blocker.mkdir()
+        target = blocker / "r.json" if under else blocker
+        assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(workspace / "data"), "--report", str(target)]) == 2
+        assert capsys.readouterr().err == "error: report " + (
+            f"{target} is under {blocker}, which is not a directory\n" if under
+            else f"{target} exists and is a directory\n")
+        assert (blocker.read_text() == "kept") if under else not any(blocker.iterdir())
+
     def test_missing_checkpoint_names_path(self, workspace, tmp_path, capsys):
         code = run(["eval", "--checkpoint", str(tmp_path / "absent.json"),
                     "--data", str(workspace / "data"), "--split", "test",
@@ -598,20 +638,26 @@ class TestEval:
         pytest.param(lambda m: m["config"].update(seed=-1),
                      "config.seed must be an integer in [0, inf), got -1",
                      id="<lambda>-field 'config': seed must be a non-negative integer, got -1"),
-        (lambda m: m.update(config=[]), "field 'config' is not a JSON object"),
-        (lambda m: m.update(bias_spec=[]), "field 'bias_spec' is not a JSON object"),
+        renamed(lambda m: m.update(config=[]), "config is not a JSON object",
+                "field 'config' is not a JSON object"),
+        renamed(lambda m: m.update(bias_spec=[]), "bias_spec is not a JSON object",
+                "field 'bias_spec' is not a JSON object"),
         pytest.param(lambda m: m["bias_spec"]["1"].update(extra=0),
                      "bias_spec.1.extra is not a TypeBias field",
                      id="<lambda>-field 'bias_spec.1': TypeBias.__init__() got an unexpected "
                         "keyword argument 'extra'"),
         (lambda m: m["bias_spec"]["1"].update(answers=[0, "1"]),
          "bias_spec.1.answers must be a list of integers, got [0, '1']"),
-        (lambda m: m["bias_spec"].update(x={}),
-         "field 'bias_spec' key 'x' is not a question type id"),
-        (lambda m: m["bias_spec"].update({"01": m["bias_spec"]["1"]}),
-         "field 'bias_spec' key '01' is not a question type id"),
-        (lambda m: m["vocabularies"].pop("tokens"), "missing field 'vocabularies.tokens'"),
-        (lambda m: m.update(feature_map={}), "field 'feature_map' is not a JSON array")])
+        renamed(lambda m: m["bias_spec"].update(x={}),
+                "bias_spec key 'x' is not a question type id",
+                "field 'bias_spec' key 'x' is not a question type id"),
+        renamed(lambda m: m["bias_spec"].update({"01": m["bias_spec"]["1"]}),
+                "bias_spec key '01' is not a question type id",
+                "field 'bias_spec' key '01' is not a question type id"),
+        renamed(lambda m: m["vocabularies"].pop("tokens"), "vocabularies.tokens is missing",
+                "missing field 'vocabularies.tokens'"),
+        renamed(lambda m: m.update(feature_map={}), "feature_map must be a JSON array, got {}",
+                "field 'feature_map' is not a JSON array")])
     def test_malformed_dataset_manifest_field_names_it(self, workspace, tmp_path, capsys,
                                                        command, edit, problem):
         data_dir = tmp_path / "data"
@@ -873,23 +919,37 @@ class TestReportRefusals:
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
         assert err == f"error: dataset manifest {manifest}: top level is not a JSON object\n"
 
-    @pytest.mark.parametrize("edit,problem", [
-        (lambda m: m["histograms"].pop("train"), "missing field 'histograms.train'"),
-        (lambda m: m.pop("type_names"), "missing field 'type_names'"),
-        (lambda m: m["vocabularies"].pop("answers"), "missing field 'vocabularies.answers'"),
-        (lambda m: m.update(histograms=[]), "field 'histograms' is not a JSON object"),
-        (lambda m: m["vocabularies"].update(answers={}),
-         "field 'vocabularies.answers' is not a JSON array"),
-        (lambda m: m["type_names"].update(x="what"),
-         "field 'type_names' key 'x' is not a question type id"),
-        (lambda m: m["histograms"]["train"]["0"].pop(),
-         "field 'histograms.train.0' is not a list of 8 numbers, one per answer"),
-        (lambda m: m["histograms"]["train"].update({"1": "flat"}),
-         "field 'histograms.train.1' is not a list of 8 numbers, one per answer"),
-        (lambda m: m["histograms"]["train"]["2"].__setitem__(0, float("nan")),
-         "field 'histograms.train.2' is not a list of 8 numbers, one per answer"),
-        (lambda m: m["histograms"]["train"]["0"].__setitem__(3, float("-inf")),
-         "field 'histograms.train.0' is not a list of 8 numbers, one per answer")])
+    @pytest.mark.parametrize("edit,problem", [   # ids as first collected
+        renamed(lambda m: m["histograms"].pop("train"), "histograms.train is missing",
+                "missing field 'histograms.train'"),
+        renamed(lambda m: m.pop("type_names"), "type_names is missing",
+                "missing field 'type_names'"),
+        renamed(lambda m: m["vocabularies"].pop("answers"), "vocabularies.answers is missing",
+                "missing field 'vocabularies.answers'"),
+        renamed(lambda m: m.update(histograms=[]), "histograms is not a JSON object",
+                "field 'histograms' is not a JSON object"),
+        renamed(lambda m: m["vocabularies"].update(answers={}),
+                "vocabularies.answers must be a JSON array, got {}",
+                "field 'vocabularies.answers' is not a JSON array"),
+        renamed(lambda m: m["type_names"].update(x="what"),
+                "type_names key 'x' is not a question type id",
+                "field 'type_names' key 'x' is not a question type id"),
+        renamed(lambda m: m["histograms"]["train"]["0"].pop(),
+                "histograms.train.0 must hold 8 numbers, one per answer, got 7",
+                "field 'histograms.train.0' is not a list of 8 numbers, one per answer0"),
+        renamed(lambda m: m["histograms"]["train"].update({"1": "flat"}),
+                "histograms.train.1 must be a list of finite numbers, got 'flat'",
+                "field 'histograms.train.1' is not a list of 8 numbers, one per answer"),
+        renamed(lambda m: m["histograms"]["train"]["2"].__setitem__(0, float("nan")),
+                lambda m: "histograms.train.2 must be a list of finite numbers, "
+                          f"got {m['histograms']['train']['2']!r}",
+                "field 'histograms.train.2' is not a list of 8 numbers, one per answer"),
+        renamed(lambda m: m["histograms"]["train"]["0"].__setitem__(3, float("-inf")),
+                lambda m: "histograms.train.0 must be a list of finite numbers, "
+                          f"got {m['histograms']['train']['0']!r}",
+                "field 'histograms.train.0' is not a list of 8 numbers, one per answer1"),
+        pytest.param(lambda m: m["type_names"].update({"0": 5}),
+                     "type_names.0 must be a string, got 5", id="type_names value")])
     def test_malformed_manifest_field_behind_reports(self, workspace, tmp_path, capsys,
                                                      edit, problem):
         data_dir = tmp_path / "data"
@@ -904,56 +964,100 @@ class TestReportRefusals:
 
         edited = self.edited_report(workspace, tmp_path, point_at_copy)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        problem = problem(payload) if callable(problem) else problem
         assert err == f"error: dataset manifest {manifest}: {problem}\n"
 
-    @pytest.mark.parametrize("edit,problem", [
-        (lambda p: p["predictions"][2].pop("answer"), "prediction 2 has missing field answer"),
-        (lambda p: p["predictions"][0].update(score=1.0), "prediction 0 has unknown field score"),
-        (lambda p: p["per_type"]["0"].update(extra=[]),
-         "per_type entry '0' has unknown field extra"),
-        (lambda p: p["per_type"].update({"0": 3}), "per_type entry '0' is not a JSON object"),
+    @pytest.mark.parametrize("edit,problem", [   # ids as first collected
+        renamed(lambda p: p["predictions"][2].pop("answer"), "predictions.2.answer is missing",
+                "prediction 2 has missing field answer"),
+        renamed(lambda p: p["predictions"][0].update(score=1.0),
+                "predictions.0.score is not a PredictionRecord field",
+                "prediction 0 has unknown field score"),
+        renamed(lambda p: p["per_type"]["0"].update(extra=[]),
+                "per_type.0.extra is not a TypeReport field",
+                "per_type entry '0' has unknown field extra"),
+        renamed(lambda p: p["per_type"].update({"0": 3}), "per_type.0 is not a JSON object",
+                "per_type entry '0' is not a JSON object"),
         (lambda p: p["per_type"].update({"x": p["per_type"].pop("1")}),
          "per_type key 'x' is not a question type id"),
         (lambda p: p["per_type"].update({"\u00b2": p["per_type"].pop("1")}),
          "per_type key '\u00b2' is not a question type id"),
         (lambda p: p["per_type"].update({"01": p["per_type"].pop("1")}),
          "per_type key '01' is not a question type id"),
-        (lambda p: p["per_type"]["0"].update(accuracy="high"),
-         "per_type entry '0' field accuracy holds 'high', not a finite number"),
-        (lambda p: p["per_type"]["1"].update(accuracy=float("nan")),
-         "per_type entry '1' field accuracy holds nan, not a finite number"),
-        (lambda p: p["per_type"]["2"].update(count=2.5),
-         "per_type entry '2' field count holds 2.5, not an integer"),
-        (lambda p: p["per_type"]["0"].update(name=7),
-         "per_type entry '0' field name holds 7, not a string"),
-        (lambda p: p["per_type"]["0"].update(gt_histogram="flat"),
-         "per_type entry '0' field gt_histogram holds 'flat', not a list of finite numbers"),
-        (lambda p: p["per_type"]["1"].update(pred_histogram=[0.5, None]),
-         "per_type entry '1' field pred_histogram holds [0.5, None], not a list of finite "
-         "numbers"),
-        (lambda p: p["predictions"][0].update(answer="x"),
-         "prediction 0 field answer holds 'x', not an integer"),
-        (lambda p: p["predictions"][3].update(prediction=True),
-         "prediction 3 field prediction holds True, not an integer"),
-        (lambda p: p["predictions"][4].update(qtype=1.0),
-         "prediction 4 field qtype holds 1.0, not an integer"),
-        (lambda p: p["predictions"][5].update(example_id=5),
-         "prediction 5 field example_id holds 5, not a string"),
-        (lambda p: p.update(overall="high"), "field overall holds 'high', not a finite number"),
-        (lambda p: p.update(overall=float("inf")), "field overall holds inf, not a finite number"),
-        (lambda p: p.update(count=60.0), "field count holds 60.0, not an integer"),
-        (lambda p: p.update(split=None), "field split holds None, not a string"),
-        (lambda p: p.update(variant=["vgqe"]), "field variant holds ['vgqe'], not a string"),
-        (lambda p: p.update(answers="red"), "field answers holds 'red', not a list of strings"),
-        (lambda p: p["answers"].append(3), "field answers holds ['red', 'green', 'blue', "
-         "'yes', 'no', '0', '1', '2', 3], not a list of strings"),
-        (lambda p: p.update(checkpoint=1), "field checkpoint holds 1, not a string"),
-        (lambda p: p.update(data_dir=False), "field data_dir holds False, not a string"),
-        (lambda p: p.update(precision={}), "field precision holds {}, not a string")])
+        renamed(lambda p: p["per_type"]["0"].update(accuracy="high"),
+                "per_type.0.accuracy must be a finite number, got 'high'",
+                "per_type entry '0' field accuracy holds 'high', not a finite number"),
+        renamed(lambda p: p["per_type"]["1"].update(accuracy=float("nan")),
+                "per_type.1.accuracy must be a finite number, got nan",
+                "per_type entry '1' field accuracy holds nan, not a finite number"),
+        renamed(lambda p: p["per_type"]["2"].update(count=2.5),
+                "per_type.2.count must be an integer, got 2.5",
+                "per_type entry '2' field count holds 2.5, not an integer"),
+        renamed(lambda p: p["per_type"]["0"].update(name=7),
+                "per_type.0.name must be a string, got 7",
+                "per_type entry '0' field name holds 7, not a string"),
+        renamed(lambda p: p["per_type"]["0"].update(gt_histogram="flat"),
+                "per_type.0.gt_histogram must be a list of finite numbers, got 'flat'",
+                "per_type entry '0' field gt_histogram holds 'flat', not a list of finite "
+                "numbers"),
+        renamed(lambda p: p["per_type"]["1"].update(pred_histogram=[0.5, None]),
+                "per_type.1.pred_histogram must be a list of finite numbers, got [0.5, None]",
+                "per_type entry '1' field pred_histogram holds [0.5, None], not a list of "
+                "finite numbers"),
+        renamed(lambda p: p["predictions"][0].update(answer="x"),
+                "predictions.0.answer must be an integer, got 'x'",
+                "prediction 0 field answer holds 'x', not an integer"),
+        renamed(lambda p: p["predictions"][3].update(prediction=True),
+                "predictions.3.prediction must be an integer, got True",
+                "prediction 3 field prediction holds True, not an integer"),
+        renamed(lambda p: p["predictions"][4].update(qtype=1.0),
+                "predictions.4.qtype must be an integer, got 1.0",
+                "prediction 4 field qtype holds 1.0, not an integer"),
+        renamed(lambda p: p["predictions"][5].update(example_id=5),
+                "predictions.5.example_id must be a string, got 5",
+                "prediction 5 field example_id holds 5, not a string"),
+        renamed(lambda p: p.update(overall="high"), "overall must be a finite number, got 'high'",
+                "field overall holds 'high', not a finite number"),
+        renamed(lambda p: p.update(overall=float("inf")),
+                "overall must be a finite number, got inf",
+                "field overall holds inf, not a finite number"),
+        renamed(lambda p: p.update(count=60.0), "count must be an integer, got 60.0",
+                "field count holds 60.0, not an integer"),
+        renamed(lambda p: p.update(split=None), "split must be a string, got None",
+                "field split holds None, not a string"),
+        renamed(lambda p: p.update(variant=["vgqe"]), "variant must be a string, got ['vgqe']",
+                "field variant holds ['vgqe'], not a string"),
+        renamed(lambda p: p.update(answers="red"),
+                "answers must be a list of strings, got 'red'",
+                "field answers holds 'red', not a list of strings"),
+        renamed(lambda p: p["answers"].append(3), "answers must be a list of strings, got "
+                "['red', 'green', 'blue', 'yes', 'no', '0', '1', '2', 3]",
+                "field answers holds ['red', 'green', 'blue', 'yes', 'no', '0', '1', '2', 3], "
+                "not a list of strings"),
+        renamed(lambda p: p.update(checkpoint=1), "checkpoint must be a string, got 1",
+                "field checkpoint holds 1, not a string"),
+        renamed(lambda p: p.update(data_dir=False), "data_dir must be a string, got False",
+                "field data_dir holds False, not a string"),
+        renamed(lambda p: p.update(precision={}), "precision must be a string, got {}",
+                "field precision holds {}, not a string"),
+        (lambda p: p.update(per_type=[]), "per_type is not a JSON object"),
+        (lambda p: p.update(predictions={}), "predictions is not a JSON array"),
+        (lambda p: p.update(bogus=1), "bogus is not a EvalReport field")])
     def test_malformed_report_entry(self, workspace, tmp_path, capsys, edit, problem):
         edited = self.edited_report(workspace, tmp_path, edit)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
         assert err == f"error: evaluation report {edited}: {problem}\n"
+
+    def test_out_that_is_a_file_is_refused_first(self, workspace, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "report_from_json", work_that_must_not_run)
+        out = tmp_path / "cmp"
+        out.write_text("kept")
+        assert run(["report", "--baseline", str(workspace / "baseline_report.json"),
+                    "--vgqe", str(workspace / "vgqe_report.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: output directory {out} exists and is not a directory\n"
+        assert out.read_text() == "kept"
 
     def test_truncated_report(self, workspace, tmp_path, capsys):
         truncated = tmp_path / "truncated.json"

@@ -270,17 +270,28 @@ class TestReportFiles:
         assert path.read_text() == dumps_text(report)
         assert report_from_json(path).predictions == report.predictions
 
-    @pytest.mark.parametrize("edit", [
-        lambda r: r.predictions.clear(),
-        lambda r: setattr(r.predictions[0], "example_id", 5),
-        lambda r: setattr(r.predictions[1], "prediction", True),
-        lambda r: setattr(r.predictions[2], "answer", 2.0)])
+    @pytest.mark.parametrize("edit", [pytest.param(lambda r: r.predictions.clear(),
+                                                   id="<lambda>0")])   # the id first collected
     def test_bytes_match_json_dumps_for_other_field_types(self, ds, params, tmp_path, edit):
         report = evaluate_split(params, ds.test, ds)
         edit(report)
         path = tmp_path / "report.json"
         report_to_json(report, path)
         assert path.read_text() == dumps_text(report)
+
+    @pytest.mark.parametrize("index,name,value", [
+        (0, "example_id", 5), (1, "prediction", True), (2, "answer", 2.0), (3, "qtype", None)])
+    def test_writer_refuses_a_record_the_reader_would(self, ds, params, tmp_path, index, name,
+                                                       value):
+        report = evaluate_split(params, ds.test, ds)
+        setattr(report.predictions[index], name, value)
+        path = tmp_path / "out" / "report.json"
+        with pytest.raises(ValueError) as err:
+            report_to_json(report, path)
+        assert str(err.value) == (
+            f"prediction {index} must have a string example_id and integer qtype, answer and "
+            f"prediction, got {report.predictions[index]!r}")
+        assert not path.parent.exists()
 
     def test_comparison_csv_layout(self, ds, params, tmp_path):
         report = evaluate_split(params, ds.test, ds)
@@ -298,8 +309,10 @@ class TestReportFiles:
     @pytest.mark.parametrize("text,problem", [
         ('{"split": "te', "malformed JSON ("),
         ("[1, 2]", "top level is not a JSON object"),
-        ('{"split": "test", "variant": "vgqe", "count": 0, "overall": 0.0, '
-         '"per_type": {}}', "missing field 'predictions'")])
+        pytest.param('{"split": "test", "variant": "vgqe", "count": 0, "overall": 0.0, '
+                     '"per_type": {}}', "predictions is missing",   # the id first collected
+                     id='{"split": "test", "variant": "vgqe", "count": 0, "overall": 0.0, '
+                        '"per_type": {}}-missing field \'predictions\'')])
     def test_malformed_report_named(self, tmp_path, text, problem):
         path = tmp_path / "report.json"
         path.write_text(text)

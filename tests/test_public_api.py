@@ -25,9 +25,10 @@ SURFACE = {
         "using_dtype", "zero_grads"},
     "data": {"ConfigError", "DataConfig", "DatasetSplit", "SyntheticDataset",
              "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
-             "_columns_fit", "_divmod", "_finite", "_fits", "_float_texts",
+             "_columns_fit", "_divmod", "_dotted", "_finite", "_float_texts",
              "_generate_split", "_hasher", "_id_array", "_padded", "_parse_split",
-             "_quad_table", "_reads_back", "_refused_row", "_rounded", "_scene_shapes_for",
+             "_column", "_problem", "_quad_table", "_read", "_reads_back", "_refused_row",
+             "_rounded", "_scene_shapes_for",
              "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_within",
              "_write_cache", "bounded", "build_config", "check_fields", "config_section",
              "answer_distribution", "digest_file",
@@ -35,6 +36,10 @@ SURFACE = {
              "load_split", "manifest_field", "num_question_types", "question_type_name",
              "read_json_object", "save_dataset",
              "save_split", "template_tokens", "type_answer_domain"},
+    "evaluate": {"EvalReport", "PredictionRecord", "TypeReport", "comparison_csv",
+                 "constant_majority_floor", "evaluate_split", "histograms_csv",
+                 "predict_split", "report_from_json", "report_to_json",
+                 "summarize_predictions"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
@@ -74,6 +79,19 @@ def test_module_defines_only_its_listed_surface(module_name):
                if (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == module.__name__}
     assert defined == SURFACE[module_name]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name with a leading underscore stays inside its module: a second
+    module that needs it needs a public function instead."""
+    package = Path(vqalab.__file__).parent
+    private = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "vqalab")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_removed_knobs_stay_removed():
