@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import typing
-import zipfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -823,7 +822,7 @@ def save_split(split: DatasetSplit, path, digests=()) -> None:
 
 # Bump the tag whenever the parse, its checks or the stored columns change, so
 # that no cache written by older code is ever read.
-_CACHE_TAG = b"vqalab split columns v1\n"
+_CACHE_TAG = b"vqalab split columns v2\n"
 _CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
                   "labels")
 
@@ -850,13 +849,16 @@ def digest_file(digest, path):
 
 def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
     """The columns stored under `key`, or None for a missing, unreadable,
-    corrupt or mismatched cache."""
+    corrupt or mismatched cache, or one with bytes after its last array."""
+    read = np.lib.format.read_array   # one `.npy` array; never a pickle or an archive
     try:
-        with np.lib.npyio.NpzFile(cache, allow_pickle=False) as stored:
-            if str(stored["key"]) != key:
+        with open(cache, "rb") as fh:
+            if read(fh, allow_pickle=False).tolist() != key:
                 return None
-            columns = {name: stored[name] for name in ("ids",) + _CACHE_COLUMNS}
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+            columns = {name: read(fh, allow_pickle=False) for name in ("ids",) + _CACHE_COLUMNS}
+            if fh.read(1):
+                return None
+    except (OSError, ValueError, EOFError, MemoryError):   # a header can claim any size
         return None
     ids = columns["ids"]
     if ids.dtype.kind != "U" or ids.ndim != 1 or not _columns_fit(columns, len(ids), config):
@@ -911,7 +913,8 @@ def _refused_row(columns: dict, config: DataConfig,
 
 
 def _write_cache(cache: Path, key: str, columns: dict) -> None:
-    """Store parsed columns under `key` through a temporary file, so a reader
+    """Store parsed columns under `key`, as consecutive `.npy` arrays in the
+    order `_cached_columns` reads them, through a temporary file, so a reader
     never sees a half-written cache. A split whose ids a fixed-width array
     cannot hold (a trailing NUL) and a directory that cannot be written are
     left uncached."""
@@ -921,8 +924,8 @@ def _write_cache(cache: Path, key: str, columns: dict) -> None:
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, key=np.array(key), ids=ids,
-                     **{name: columns[name] for name in _CACHE_COLUMNS})
+            for array in (np.array(key), ids, *(columns[name] for name in _CACHE_COLUMNS)):
+                np.save(fh, array, allow_pickle=False)
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):
@@ -943,14 +946,15 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     empty question, an id out of range and a non-finite feature, as
     `_refused_row` orders them; `save_dataset` caches by the same checks.
 
-    A parsed split's columns are stored beside it in `<split>.jsonl.npz`,
-    keyed by a sha256 of the cache format, the file's bytes, the config and
-    the vocabulary sizes; a later call whose key matches returns them without
-    parsing. Deleting the file is always safe."""
+    A parsed split's columns are stored beside it in `<split>.jsonl.columns`,
+    one plain file of consecutive `.npy` arrays: the key, a sha256 of the
+    cache format, the file's bytes, the config and the vocabulary sizes, then
+    `ids` and `_CACHE_COLUMNS` in order. A later call whose key matches
+    returns them without parsing. Deleting the file is always safe."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split file not found: {path}")
-    cache = path.with_name(path.name + ".npz")
+    cache = path.with_name(path.name + ".columns")
     key = _cache_key(config, vocab)
     if cache.exists():
         columns = _cached_columns(cache, digest_file(key.copy(), path).hexdigest(), config)
@@ -1061,7 +1065,7 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     """Write all splits and the manifest into a directory; returns the sha256
     of each file written, by file name.
 
-    Each split is also stored in the `.jsonl.npz` cache that `load_split`
+    Each split is also stored in the `.jsonl.columns` cache that `load_split`
     would write after parsing it, under the key it computes, so the first
     load does not parse. A split that a parse could refuse is left uncached."""
     out_dir = Path(out_dir)
@@ -1078,7 +1082,7 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
             width = int(split.lengths.max(initial=0))   # a parse's tokens end at the longest
             inside = np.arange(width) < split.lengths[:, None]
             columns["tokens"] = np.where(inside, split.tokens[:, :width], -1)
-            _write_cache(path.with_name(path.name + ".npz"), key.hexdigest(), columns)
+            _write_cache(path.with_name(path.name + ".columns"), key.hexdigest(), columns)
     a = ds.vocab.answer_count
     histograms = {
         name: {str(qt): answer_distribution(split, qt, a).tolist()

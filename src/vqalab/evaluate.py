@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetSplit, SyntheticDataset, build_config, read_json_object
+from .data import ConfigError, DatasetSplit, SyntheticDataset, build_config, read_json_object
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -195,12 +195,33 @@ def report_to_json(report: EvalReport, path) -> None:
 
 def report_from_json(path) -> EvalReport:
     """The report in a file `report_to_json` wrote; a ConfigError names the
-    file and the dotted path of the first field refused."""
+    file and the dotted path of the first field refused. The stored `count`,
+    `overall` and `per_type` tables must be what `summarize_predictions`
+    counts from the stored predictions over `len(answers)` answers."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"evaluation report not found: {path}")
-    return build_config(EvalReport, read_json_object(path, "evaluation report"),
-                        f"evaluation report {path}:")
+    where = f"evaluation report {path}:"
+    report = build_config(EvalReport, read_json_object(path, "evaluation report"), where)
+    try:
+        counted = summarize_predictions(report.predictions, len(report.answers),
+                                        {qt: tr.name for qt, tr in report.per_type.items()})
+    except ValueError as err:
+        raise ConfigError(f"{where} predictions", f"cannot be counted: {err}") from err
+    types = sorted(counted.per_type)
+    if sorted(report.per_type) != types:
+        raise ConfigError(f"{where} per_type", f"holds question types {sorted(report.per_type)}, "
+                          f"but the predictions give {types}")
+    tables = [("count", report.count, counted.count),
+              ("overall", report.overall, counted.overall)]
+    tables += [(f"per_type.{qt}.{name}", getattr(report.per_type[qt], name),
+                getattr(counted.per_type[qt], name))
+               for qt in types for name in ("count", "accuracy", "gt_histogram", "pred_histogram")]
+    for name, stored, recounted in tables:
+        if stored != recounted:
+            raise ConfigError(f"{where} {name}",
+                              f"is {stored!r}, but the predictions give {recounted!r}")
+    return report
 
 
 def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:

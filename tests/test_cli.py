@@ -722,7 +722,7 @@ class TestEval:
     def test_report_bytes_do_not_depend_on_the_split_cache(self, workspace, tmp_path):
         data_dir = tmp_path / "data"
         shutil.copytree(workspace / "data", data_dir)
-        cache = data_dir / "test.jsonl.npz"
+        cache = data_dir / "test.jsonl.columns"
         cache.unlink()
         outs = []
         for _ in range(2):  # the first call parses and writes the cache, the second reads it
@@ -1047,6 +1047,44 @@ class TestReportRefusals:
         edited = self.edited_report(workspace, tmp_path, edit)
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
         assert err == f"error: evaluation report {edited}: {problem}\n"
+
+    @pytest.mark.parametrize("edit,problem", [
+        pytest.param(lambda p: (p.update(overall=0.99), p["per_type"]["0"].update(accuracy=0.99)),
+                     lambda p: f"overall is 0.99, but the predictions give {p['overall']!r}",
+                     id="overall-and-type-accuracy"),
+        pytest.param(lambda p: p["per_type"]["0"].update(accuracy=0.99),
+                     lambda p: f"per_type.0.accuracy is 0.99, but the predictions give "
+                               f"{p['per_type']['0']['accuracy']!r}", id="type-accuracy"),
+        pytest.param(lambda p: p.update(count=p["count"] + 1),
+                     lambda p: f"count is {p['count'] + 1}, but the predictions give "
+                               f"{p['count']}", id="count"),
+        pytest.param(lambda p: p["per_type"]["1"].update(count=p["per_type"]["1"]["count"] - 1),
+                     lambda p: f"per_type.1.count is {p['per_type']['1']['count'] - 1}, but the "
+                               f"predictions give {p['per_type']['1']['count']}",
+                     id="type-count"),
+        pytest.param(lambda p: p["per_type"]["2"]["gt_histogram"].reverse(),
+                     lambda p: f"per_type.2.gt_histogram is "
+                               f"{p['per_type']['2']['gt_histogram'][::-1]!r}, but the "
+                               f"predictions give {p['per_type']['2']['gt_histogram']!r}",
+                     id="type-histogram"),
+        pytest.param(lambda p: p["per_type"].update({"99": p["per_type"]["0"]}),
+                     lambda p: f"per_type holds question types "
+                               f"{sorted(map(int, p['per_type'])) + [99]}, but the "
+                               f"predictions give {sorted(map(int, p['per_type']))}",
+                     id="extra-type"),
+        pytest.param(lambda p: p["predictions"][0].update(answer=99),
+                     lambda p: f"predictions cannot be counted: example "
+                               f"{p['predictions'][0]['example_id']!r}: answer id 99 out of "
+                               f"range for {len(p['answers'])} answers", id="answer-range"),
+        pytest.param(lambda p: p.update(predictions=[]),
+                     lambda p: "predictions cannot be counted: cannot summarize an empty "
+                               "prediction list", id="no-predictions")])
+    def test_tables_the_predictions_do_not_give(self, workspace, tmp_path, capsys, edit,
+                                                problem):
+        edited = self.edited_report(workspace, tmp_path, edit)
+        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        original = json.loads((workspace / "vgqe_report.json").read_text())
+        assert err == f"error: evaluation report {edited}: {problem(original)}\n"
 
     def test_out_that_is_a_file_is_refused_first(self, workspace, tmp_path, capsys,
                                                  monkeypatch):

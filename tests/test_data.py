@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -725,15 +726,15 @@ class TestSplitWriter:
 
 
 class TestSplitCache:
-    """`load_split` stores a parsed split's columns in `<split>.jsonl.npz` and
-    returns them only for the same bytes under the same checks."""
+    """`load_split` stores a parsed split's columns in `<split>.jsonl.columns`
+    and returns them only for the same bytes under the same checks."""
 
     @pytest.fixture
     def saved(self, tmp_path):
         """A saved dataset whose caches are deleted, so its first load parses."""
         ds = generate_dataset(DataConfig(n_train=4, n_test=12, seed=2))
         save_dataset(ds, tmp_path)
-        for cache in tmp_path.glob("*.jsonl.npz"):
+        for cache in tmp_path.glob("*.jsonl.columns"):
             cache.unlink()
         return ds, tmp_path / "test.jsonl"
 
@@ -746,9 +747,9 @@ class TestSplitCache:
 
     def test_warm_load_equals_cold_load(self, saved, monkeypatch):
         ds, path = saved
-        assert not path.with_name("test.jsonl.npz").exists()
+        assert not path.with_name("test.jsonl.columns").exists()
         cold = load_split(path, ds.config, ds.vocab, "test")
-        assert path.with_name("test.jsonl.npz").exists()
+        assert path.with_name("test.jsonl.columns").exists()
         self.no_parse(monkeypatch)
         warm = load_split(path, ds.config, ds.vocab, "renamed")
         assert (cold.name, warm.name) == ("test", "renamed")
@@ -767,7 +768,7 @@ class TestSplitCache:
         self.no_parse(monkeypatch)
         hit = load_split(path, ds.config, ds.vocab, "test")
         monkeypatch.undo()
-        path.with_name("test.jsonl.npz").unlink()
+        path.with_name("test.jsonl.columns").unlink()
         parsed = load_split(path, ds.config, ds.vocab, "test")
         assert hit.ids == parsed.ids == ds.test.ids
         for column in D._CACHE_COLUMNS:
@@ -814,8 +815,8 @@ class TestSplitCache:
         ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
         edit(ds.train)
         save_dataset(ds, tmp_path)
-        assert not (tmp_path / "train.jsonl.npz").exists()
-        assert (tmp_path / "test.jsonl.npz").exists()
+        assert not (tmp_path / "train.jsonl.columns").exists()
+        assert (tmp_path / "test.jsonl.columns").exists()
         with pytest.raises(ValueError) as err:
             load_dataset(tmp_path)
         assert str(err.value) == f"{tmp_path / 'train.jsonl'}:2: {message}"
@@ -844,18 +845,78 @@ class TestSplitCache:
         assert str(err.value) == (f"{path}:4: token id 99 out of range for vocabulary "
                                   f"of size {len(ds.vocab.tokens)}")
 
+    @staticmethod
+    def stored_arrays(data: bytes) -> list:
+        """Every `.npy` array of a cache file's bytes, in order."""
+        fh, arrays = io.BytesIO(data), []
+        while fh.tell() < len(data):
+            arrays.append(np.lib.format.read_array(fh, allow_pickle=False))
+        return arrays
+
+    @staticmethod
+    def trailing_bytes(data: bytes) -> bytes:
+        return data + b"\0"
+
+    @staticmethod
+    def zip_archive(data: bytes) -> bytes:
+        """The same key and columns as a `.npz` archive, the format of v1 caches."""
+        out = io.BytesIO()
+        np.savez(out, **dict(zip(("key", "ids") + D._CACHE_COLUMNS,
+                                 TestSplitCache.stored_arrays(data))))
+        return out.getvalue()
+
+    @staticmethod
+    def huge_header(data: bytes) -> bytes:
+        """A first array whose header claims 8 TiB, which a read cannot allocate or fill."""
+        out = io.BytesIO()
+        np.lib.format.write_array_header_2_0(
+            out, {"descr": "<f8", "fortran_order": False, "shape": (1 << 40,)})
+        return out.getvalue() + data
+
     @pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2],
                                         lambda b: b"PK\x03\x04" + bytes(range(256)) * 4,
-                                        lambda b: b""])
+                                        lambda b: b"", trailing_bytes, zip_archive,
+                                        huge_header])
     def test_damaged_cache_is_parsed_around_and_rewritten(self, saved, monkeypatch,
                                                           damage):
         ds, path = saved
-        cache = path.with_name("test.jsonl.npz")
+        cache = path.with_name("test.jsonl.columns")
         load_split(path, ds.config, ds.vocab)
-        cache.write_bytes(damage(cache.read_bytes()))
+        written = cache.read_bytes()
+        cache.write_bytes(damage(written))
         assert load_split(path, ds.config, ds.vocab).ids == ds.test.ids
+        assert cache.read_bytes() == written
         self.no_parse(monkeypatch)
         assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+
+    def test_cache_file_is_the_key_ids_then_the_columns_as_npy_arrays(self, saved):
+        ds, path = saved
+        split = load_split(path, ds.config, ds.vocab)
+        arrays = self.stored_arrays(path.with_name("test.jsonl.columns").read_bytes())
+        key = D.digest_file(D._cache_key(ds.config, ds.vocab), path).hexdigest()
+        assert len(arrays) == 2 + len(D._CACHE_COLUMNS)
+        assert arrays[0].shape == () and arrays[0].tolist() == key
+        assert arrays[1].tolist() == split.ids == ds.test.ids
+        for name, stored in zip(D._CACHE_COLUMNS, arrays[2:]):
+            column = getattr(split, name)
+            assert stored.dtype == column.dtype and stored.shape == column.shape, name
+            assert np.array_equal(stored, column), name
+
+    def test_leftover_npz_cache_is_neither_read_nor_deleted(self, saved, monkeypatch):
+        ds, path = saved
+        load_split(path, ds.config, ds.vocab)
+        cache = path.with_name("test.jsonl.columns")
+        arrays = dict(zip(("key", "ids") + D._CACHE_COLUMNS,
+                          self.stored_arrays(cache.read_bytes())))
+        arrays["visual"] = arrays["visual"] + 1.0   # what a read of the archive would return
+        leftover = path.with_name("test.jsonl.npz")
+        np.savez(leftover, **arrays)
+        before = leftover.read_bytes()
+        cache.unlink()
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+        self.no_parse(monkeypatch)
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+        assert leftover.read_bytes() == before
 
     def test_smaller_vocabulary_misses_and_runs_the_range_checks(self, saved):
         ds, path = saved
@@ -875,7 +936,7 @@ class TestSplitCache:
 
         monkeypatch.setattr(os, "replace", unwritable)
         before = sorted(p.name for p in path.parent.iterdir())
-        assert "test.jsonl.npz" not in before   # so the load parses and tries to write
+        assert "test.jsonl.columns" not in before   # so the load parses and writes
         split = load_split(path, ds.config, ds.vocab)
         assert split.ids == ds.test.ids
         assert sorted(p.name for p in path.parent.iterdir()) == before
@@ -891,8 +952,8 @@ class TestSplitCache:
         monkeypatch.setattr(os, "replace", unwritable)
         digests = save_dataset(ds, tmp_path)
         monkeypatch.undo()
-        assert sorted(replaced) == ["test.jsonl.npz", "test_iid.jsonl.npz",
-                                    "train.jsonl.npz"]
+        assert sorted(replaced) == ["test.jsonl.columns", "test_iid.jsonl.columns",
+                                    "train.jsonl.columns"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests) == [
             "manifest.json", "test.jsonl", "test_iid.jsonl", "train.jsonl"]
         for name, digest in digests.items():
@@ -910,4 +971,4 @@ class TestSplitCache:
         path.write_text(json.dumps(record) + "\n")
         for _ in range(2):
             assert load_split(path, small_ds.config, small_ds.vocab).ids == ["x\0"]
-        assert not path.with_name("nul.jsonl.npz").exists()
+        assert not path.with_name("nul.jsonl.columns").exists()
