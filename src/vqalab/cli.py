@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import grounding
-from .data import (SPLITS, DataConfig, build_config, config_section, digest_file,
-                   generate_dataset, load_dataset, manifest_field, read_json_object,
+from .data import (SPLITS, ConfigError, DataConfig, build_config, config_section, digest_file,
+                   generate_dataset, load_dataset, load_manifest, read_json_object,
                    save_dataset)
 from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
@@ -47,8 +47,6 @@ def sha256_of(path: Path) -> str:
 def load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    if not Path(path).exists():
-        raise CliError(f"config file not found: {path}")
     config = read_json_object(Path(path), "config file")
     for key in config:
         if key not in ("data", "model", "train"):
@@ -146,12 +144,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        raise CliError(f"checkpoint not found: {ckpt_path}")
     report_path = output_path(args.report, "report", directory=False)
+    params = load_checkpoint(Path(args.checkpoint))
     ds = load_dataset(Path(args.data), splits=(args.split,))
-    params = load_checkpoint(ckpt_path)
     with using_dtype(params.flat.dtype.type):
         report = evaluate_split(params, ds.split(args.split), ds)
     report.checkpoint = args.checkpoint
@@ -198,29 +193,26 @@ def cmd_report(args) -> int:
         raise CliError(f"{pair} predict different example ids")
 
     data_dir = Path(vgqe.data_dir or baseline.data_dir)
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise CliError(f"dataset behind the reports not found: {data_dir}")
-    manifest = read_json_object(manifest_path, "dataset manifest")
-    answers = manifest_field(manifest, manifest_path, "vocabularies.answers", list)
-    type_names = manifest_field(manifest, manifest_path, "type_names", dict[int, str])
-    train_hists = manifest_field(manifest, manifest_path, "histograms.train",
-                                 dict[int, list[float]])
-    for qt, hist in train_hists.items():
-        if len(hist) != len(answers):
-            raise CliError(f"dataset manifest {manifest_path}: histograms.train.{qt} must hold "
-                           f"{len(answers)} numbers, one per answer, got {len(hist)}")
+    manifest = load_manifest(data_dir)
+    answers, type_names = manifest.vocabularies.answers, manifest.type_names
+    for flag, report in (("baseline", baseline), ("vgqe", vgqe)):
+        where = f"evaluation report {getattr(args, flag)}:"
+        if report.answers != answers:
+            raise ConfigError(f"{where} answers", f"are {report.answers}, but the dataset's "
+                              f"in {data_dir} are {answers}")
+        for qt, tr in report.per_type.items():
+            if tr.name != type_names.get(qt):
+                raise ConfigError(f"{where} per_type.{qt}.name", f"is {tr.name!r}, but the "
+                                  f"dataset in {data_dir} names it {type_names.get(qt)!r}")
 
     traces = []
     if vgqe.checkpoint:
         ckpt_path = Path(vgqe.checkpoint)
-        if not ckpt_path.exists():
-            raise CliError(f"checkpoint referenced by the report not found: {ckpt_path}")
         params = load_checkpoint(ckpt_path)
         if params.config.variant != "vgqe":
             raise CliError(f"checkpoint {ckpt_path} behind vgqe report {args.vgqe} holds "
                            f"a {params.config.variant} model")
-        split = load_dataset(data_dir, splits=(vgqe.split,)).split(vgqe.split)
+        split = load_dataset(data_dir, (vgqe.split,), manifest).split(vgqe.split)
         rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
         chosen = rng.choice(len(split), size=min(args.traces, len(split)), replace=False)
         # the grounding attention alone: the encoder's recurrence and fusion
@@ -235,7 +227,7 @@ def cmd_report(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     comparison_csv(baseline, vgqe, out_dir / "comparison.csv")
-    histograms_csv({"baseline": baseline, "vgqe": vgqe}, train_hists, answers,
+    histograms_csv({"baseline": baseline, "vgqe": vgqe}, manifest.histograms.train, answers,
                    type_names, out_dir / "histograms.csv")
     with open(out_dir / "traces.json", "w") as fh:
         json.dump(traces, fh, sort_keys=True, indent=1)

@@ -25,10 +25,11 @@ import contextlib
 import hashlib
 import json
 import os
-import sys
 import typing
+import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -47,23 +48,38 @@ SPLITS = tuple(_SPLIT_CODES)
 # ---------------------------------------------------------------------------
 # config fields: a field's kind comes from its annotation and its bound from
 # `bounded` beside it; `check_fields` checks both, `build_config` builds from
-# JSON (config files, the dataset manifest and report files alike)
+# JSON (config files, the dataset and checkpoint manifests and report files alike)
 
 
-def _finite(x) -> bool:   # not `true`, nan, inf, nor an int too large for a float
-    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
+def _finite(values) -> bool:
+    """Whether every value is a finite number: not `true`, nan, inf, nor an int
+    too large for a float."""
+    values = list(values)
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return bool(np.isfinite(np.fromiter(values, np.float64, len(values))).all())
+    except OverflowError:
+        return False
+
+
+def _items(kinds: set):
+    """The test that every item of every list is of one of the exact `kinds`."""
+    return lambda lists: set(map(type, chain.from_iterable(lists))) <= kinds
 
 
 # what a field of each declared type accepts from JSON: a value of one of the
-# exact types (so `true` is no integer), passing the test if any
+# exact types (so `true` is no integer), passing the test if any; a test takes
+# a list of such values and passes them all at once
 _JSON_TYPES = {
     str: ({str}, None, "a string"),
+    bool: ({bool}, None, "a boolean"),
     int: ({int}, None, "an integer"),
     float: ({int, float}, _finite, "a finite number"),
-    list: ({list}, None, "a JSON array"),
-    list[int]: ({list}, lambda v: all(type(x) is int for x in v), "a list of integers"),
-    list[float]: ({list}, lambda v: all(map(_finite, v)), "a list of finite numbers"),
-    list[str]: ({list}, lambda v: all(type(x) is str for x in v), "a list of strings"),
+    list[int]: ({list}, _items({int}), "a list of integers"),
+    list[float]: ({list}, lambda lists: _finite(chain.from_iterable(lists)),
+                  "a list of finite numbers"),
+    list[str]: ({list}, _items({str}), "a list of strings"),
 }
 
 
@@ -106,7 +122,7 @@ def _problem(value, kind, bound=None) -> str | None:
     """What is wrong with `value` for a field of annotation `kind` (a JSON
     type or a config class) and `bound`, or None."""
     kinds, test, description = _JSON_TYPES.get(kind) or ({kind}, None, f"a {kind.__name__}")
-    if type(value) in kinds and (test is None or test(value)) and \
+    if type(value) in kinds and (test is None or test([value])) and \
             (bound is None or _within(value, bound)):
         return None
     inside = "" if bound is None else f" in {bound}"
@@ -196,7 +212,7 @@ def _column(kind, column: list, paths) -> None:
     """ConfigError at the path (`paths` runs in step with `column`) of the
     first value that misfits JSON type `kind`, once a test of all of them fails."""
     kinds, test, _ = _JSON_TYPES[kind]
-    if not set(map(type, column)) <= kinds or test is not None and not all(map(test, column)):
+    if not set(map(type, column)) <= kinds or test is not None and not test(column):
         for path, value in zip(paths, column):
             _read(kind, value, path)
 
@@ -230,7 +246,7 @@ class Vocabularies:
     answers: list[str]
     shapes: list[str]
     colors: list[str]
-    embedding: np.ndarray          # (len(tokens), d_w), the shared frozen table
+    embedding: list[list[float]]   # the shared frozen table, a (len(tokens), d_w) array
 
     @cached_property
     def token_ids(self) -> dict[str, int]:
@@ -324,14 +340,18 @@ def template_tokens(template: str, shape_name: str) -> list[str]:
     raise ValueError(f"unknown template {template!r}")
 
 
-def build_vocabularies(config: DataConfig, rng: np.random.Generator) -> Vocabularies:
+def _vocabulary_lists(config: DataConfig) -> dict[str, list[str]]:
+    """The tokens, answers, shapes and colors of every dataset of `config`."""
     shapes = list(SHAPE_NAMES[: config.shapes])
     colors = list(COLOR_NAMES[: config.colors])
-    tokens = ["what", "color", "is", "the", "there", "a", "how", "many"] + shapes
-    answers = colors + ["yes", "no"] + [str(i) for i in range(config.count_max + 1)]
-    embedding = rng.normal(size=(len(tokens), config.d_w))
-    return Vocabularies(tokens=tokens, answers=answers, shapes=shapes,
-                        colors=colors, embedding=embedding)
+    return {"tokens": ["what", "color", "is", "the", "there", "a", "how", "many"] + shapes,
+            "answers": colors + ["yes", "no"] + [str(i) for i in range(config.count_max + 1)],
+            "shapes": shapes, "colors": colors}
+
+
+def build_vocabularies(config: DataConfig, rng: np.random.Generator) -> Vocabularies:
+    words = _vocabulary_lists(config)
+    return Vocabularies(**words, embedding=rng.normal(size=(len(words["tokens"]), config.d_w)))
 
 
 def type_answer_domain(qtype: int, config: DataConfig,
@@ -570,10 +590,20 @@ REQUIRED_FIELDS = ("id", "type", "tokens", "answer", "objects")
 OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
 
 
+def existing_file(path: Path, what: str) -> Path:
+    """`path`, if it names a file; FileNotFoundError or ValueError naming `what`
+    and the path otherwise."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise ValueError(f"{what} {path} is not a file")
+    return path
+
+
 def read_json_object(path: Path, what: str) -> dict:
-    """The JSON object in a file that must hold one; ValueError naming the file
-    otherwise."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON object in a file that must hold one; FileNotFoundError or
+    ValueError naming the file otherwise."""
+    with open(existing_file(path, what), encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
@@ -583,19 +613,82 @@ def read_json_object(path: Path, what: str) -> dict:
     return payload
 
 
-def manifest_field(manifest: dict, path: Path, dotted: str, kind):
-    """The value at a dotted field of a dataset manifest, read as `_read` reads
-    annotation `kind` (`list` is any JSON array), every field of a config class
-    named. A ConfigError names the file and the first field refused."""
-    value, parts = manifest, dotted.split(".")
-    for depth, part in enumerate(parts, start=1):
-        where = f"dataset manifest {path}: {'.'.join(parts[:depth])}"
-        if part not in value:
-            raise ConfigError(where, "is missing")
-        value = value[part]
-        if depth < len(parts) and type(value) is not dict:
-            raise ConfigError(where, "is not a JSON object")
-    return _read(kind, value, where)
+def read_record(cls, path, what: str, complete: bool = True, file_format: str | None = None):
+    """cls built by `build_config` from the JSON object in the file at `path`,
+    every field named if `complete`. An error names `what`, the file and, for a
+    refused field, its dotted path. With `file_format`, a file whose "format"
+    is another is refused as such before any other field is read."""
+    path = Path(path)
+    values = read_json_object(path, what)
+    if file_format is not None and values.get("format") != file_format:
+        raise ValueError(f"{what} {path} has format {values.get('format')!r}, "
+                         f"expected {file_format!r}")
+    return build_config(cls, values, f"{what} {path}:", complete)
+
+
+def _check_rows(rows: list, shape: tuple[int, int], where: str) -> None:
+    """ConfigError at `where` unless `rows` are shape[0] lists of shape[1] numbers."""
+    lengths = sorted(set(map(len, rows)))
+    if len(rows) != shape[0] or lengths != [shape[1]]:
+        raise ConfigError(where, f"must hold {shape[0]} rows of {shape[1]} numbers, got "
+                                 f"{len(rows)} rows of lengths {lengths}")
+
+
+@dataclass
+class Histograms:
+    """Each split's normalized answer histogram per question type present in it."""
+    train: dict[int, list[float]]
+    test: dict[int, list[float]]
+    test_iid: dict[int, list[float]]
+
+
+@dataclass
+class DatasetManifest:
+    """The `manifest.json` that `save_dataset` writes, as `load_manifest` reads
+    it. Beyond each field's JSON type it holds what the config gives: the
+    vocabularies' words, the embedding and feature map shapes, and the question
+    types of `bias_spec`, `type_names` and the histograms. Once read, the
+    embedding and feature map are float arrays."""
+    config: DataConfig
+    vocabularies: Vocabularies
+    bias_spec: dict[int, TypeBias]
+    feature_map: list[list[float]]   # (d_v, shapes * colors)
+    type_names: dict[int, str]
+    histograms: Histograms
+
+    def __post_init__(self):
+        config, vocab = self.config, self.vocabularies
+        for name, words in _vocabulary_lists(config).items():
+            if getattr(vocab, name) != words:
+                raise ConfigError(f"vocabularies.{name}", f"must be {words} for this config, "
+                                                          f"got {getattr(vocab, name)}")
+        _check_rows(vocab.embedding, (len(vocab.tokens), config.d_w), "vocabularies.embedding")
+        _check_rows(self.feature_map, (config.d_v, config.shapes * config.colors), "feature_map")
+        types = list(range(num_question_types(config)))
+        if sorted(self.bias_spec) != types:
+            raise ConfigError("bias_spec", f"must hold question types {types}, "
+                                           f"got {sorted(self.bias_spec)}")
+        names = {qt: question_type_name(qt, config, vocab) for qt in types}
+        if self.type_names != names:
+            raise ConfigError("type_names", f"must be {names} for this config, "
+                                            f"got {self.type_names}")
+        for split in SPLITS:
+            histograms = getattr(self.histograms, split)
+            if not histograms or not histograms.keys() <= names.keys():
+                raise ConfigError(f"histograms.{split}", "must hold some of the question "
+                                  f"types {types}, got {sorted(histograms)}")
+            for qt, hist in histograms.items():
+                if len(hist) != len(vocab.answers):
+                    raise ConfigError(f"histograms.{split}.{qt}", f"must hold {len(vocab.answers)} "
+                                      f"numbers, one per answer, got {len(hist)}")
+        vocab.embedding = np.asarray(vocab.embedding, dtype=np.float64)
+        self.feature_map = np.asarray(self.feature_map, dtype=np.float64)
+
+
+def load_manifest(data_dir) -> DatasetManifest:
+    """The manifest of the dataset in `data_dir`; an error names the file and
+    the first field refused."""
+    return read_record(DatasetManifest, Path(data_dir) / "manifest.json", "dataset manifest")
 
 
 # Floats as `json.dumps` writes them, rendered in numpy. A finite x is
@@ -822,7 +915,7 @@ def save_split(split: DatasetSplit, path, digests=()) -> None:
 
 # Bump the tag whenever the parse, its checks or the stored columns change, so
 # that no cache written by older code is ever read.
-_CACHE_TAG = b"vqalab split columns v2\n"
+_CACHE_TAG = b"vqalab split columns v3\n"
 _CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
                   "labels")
 
@@ -847,21 +940,32 @@ def digest_file(digest, path):
     return digest
 
 
+def _crc32(arrays) -> int:
+    """The crc32 of the bytes of `arrays`, one after another."""
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(np.ascontiguousarray(array), crc)
+    return crc
+
+
 def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
     """The columns stored under `key`, or None for a missing, unreadable,
-    corrupt or mismatched cache, or one with bytes after its last array."""
+    corrupt or mismatched cache, one whose columns' bytes are not those of
+    its crc32, or one with bytes after its last array."""
     read = np.lib.format.read_array   # one `.npy` array; never a pickle or an archive
     try:
         with open(cache, "rb") as fh:
             if read(fh, allow_pickle=False).tolist() != key:
                 return None
             columns = {name: read(fh, allow_pickle=False) for name in ("ids",) + _CACHE_COLUMNS}
+            crc = read(fh, allow_pickle=False)
             if fh.read(1):
                 return None
     except (OSError, ValueError, EOFError, MemoryError):   # a header can claim any size
         return None
     ids = columns["ids"]
-    if ids.dtype.kind != "U" or ids.ndim != 1 or not _columns_fit(columns, len(ids), config):
+    if ids.dtype.kind != "U" or ids.ndim != 1 or not _columns_fit(columns, len(ids), config) \
+            or crc.shape != () or crc.tolist() != _crc32(columns.values()):
         return None
     columns["ids"] = ids.tolist()
     return columns
@@ -914,17 +1018,18 @@ def _refused_row(columns: dict, config: DataConfig,
 
 def _write_cache(cache: Path, key: str, columns: dict) -> None:
     """Store parsed columns under `key`, as consecutive `.npy` arrays in the
-    order `_cached_columns` reads them, through a temporary file, so a reader
-    never sees a half-written cache. A split whose ids a fixed-width array
-    cannot hold (a trailing NUL) and a directory that cannot be written are
-    left uncached."""
+    order `_cached_columns` reads them and then their crc32, through a
+    temporary file, so a reader never sees a half-written cache. A split whose
+    ids a fixed-width array cannot hold (a trailing NUL) and a directory that
+    cannot be written are left uncached."""
     ids = np.array(columns["ids"], dtype=str)
     if ids.tolist() != columns["ids"]:
         return
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for array in (np.array(key), ids, *(columns[name] for name in _CACHE_COLUMNS)):
+            stored = [ids, *(columns[name] for name in _CACHE_COLUMNS)]
+            for array in (np.array(key), *stored, np.array(_crc32(stored))):
                 np.save(fh, array, allow_pickle=False)
         os.replace(tmp, cache)
     except OSError:
@@ -949,11 +1054,10 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     A parsed split's columns are stored beside it in `<split>.jsonl.columns`,
     one plain file of consecutive `.npy` arrays: the key, a sha256 of the
     cache format, the file's bytes, the config and the vocabulary sizes, then
-    `ids` and `_CACHE_COLUMNS` in order. A later call whose key matches
-    returns them without parsing. Deleting the file is always safe."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"split file not found: {path}")
+    `ids` and `_CACHE_COLUMNS` in order, then the crc32 of their bytes. A
+    later call whose key and crc32 match returns them without parsing.
+    Deleting the file is always safe."""
+    path = existing_file(Path(path), "split file")
     cache = path.with_name(path.name + ".columns")
     key = _cache_key(config, vocab)
     if cache.exists():
@@ -1109,25 +1213,19 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     return written
 
 
-def load_dataset(data_dir, splits=SPLITS) -> SyntheticDataset:
-    """Read the manifest and the named splits (all three by default); a bad
-    manifest field raises ValueError naming the file and the field."""
+def load_dataset(data_dir, splits=SPLITS, manifest: DatasetManifest | None = None
+                 ) -> SyntheticDataset:
+    """Read the manifest, unless given as read by `load_manifest`, and the named
+    splits (all three by default); a bad manifest field raises ValueError
+    naming the file and the field."""
     data_dir = Path(data_dir)
     for name in splits:
         if name not in _SPLIT_CODES:
             raise ValueError(f"unknown split {name!r}; choose from {SPLITS}")
-    path = data_dir / "manifest.json"
-    if not path.exists():
-        raise FileNotFoundError(f"dataset manifest not found: {path}")
-    manifest = read_json_object(path, "dataset manifest")
-    config = manifest_field(manifest, path, "config", DataConfig)
-    vocab = Vocabularies(*(manifest_field(manifest, path, f"vocabularies.{name}", list)
-                           for name in ("tokens", "answers", "shapes", "colors", "embedding")))
-    vocab.embedding = np.asarray(vocab.embedding)
+    manifest = manifest or load_manifest(data_dir)
+    config, vocab = manifest.config, manifest.vocabularies
     return SyntheticDataset(
-        config=config, vocab=vocab,
-        bias=manifest_field(manifest, path, "bias_spec", dict[int, TypeBias]),
-        feature_map=np.asarray(manifest_field(manifest, path, "feature_map", list)),
+        config=config, vocab=vocab, bias=manifest.bias_spec, feature_map=manifest.feature_map,
         loaded={name: load_split(data_dir / f"{name}.jsonl", config, vocab, name)
                 for name in splits},
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, DatasetSplit, SyntheticDataset, build_config, read_json_object
+from .data import ConfigError, DatasetSplit, SyntheticDataset, read_record
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -198,11 +198,8 @@ def report_from_json(path) -> EvalReport:
     file and the dotted path of the first field refused. The stored `count`,
     `overall` and `per_type` tables must be what `summarize_predictions`
     counts from the stored predictions over `len(answers)` answers."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"evaluation report not found: {path}")
     where = f"evaluation report {path}:"
-    report = build_config(EvalReport, read_json_object(path, "evaluation report"), where)
+    report = read_record(EvalReport, path, "evaluation report", complete=False)
     try:
         counted = summarize_predictions(report.predictions, len(report.answers),
                                         {qt: tr.name for qt, tr in report.per_type.items()})

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import bounded, build_config, check_fields, config_section, read_json_object
+from .data import (ConfigError, bounded, check_fields, config_section, existing_file,
+                   read_record)
 from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
                       encode_questions_baseline, gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
@@ -256,6 +257,33 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write("\n")
 
 
+@dataclass
+class ArrayEntry:
+    name: str
+    shape: list[int]
+    dtype: str
+    byte_offset: int
+    trainable: bool
+
+
+@dataclass
+class CheckpointManifest:
+    """The JSON manifest `save_checkpoint` writes beside its `.bin`."""
+    format: str
+    config: ModelConfig
+    data_file: str   # a bare file name, in the manifest's directory
+    data_sha256: str
+    arrays: list[ArrayEntry]
+
+    def __post_init__(self):
+        if self.data_file in ("", ".", "..") or Path(self.data_file).name != self.data_file:
+            raise ConfigError("data_file", f"must be a bare file name, got {self.data_file!r}")
+        for i, entry in enumerate(self.arrays):
+            if entry.dtype not in ("float64", "float32"):
+                raise ConfigError(f"arrays.{i}.dtype", "must be 'float64' or 'float32', "
+                                                       f"got {entry.dtype!r}")
+
+
 def load_checkpoint(path) -> ModelParams:
     """Rebuild a model, in the dtype it was saved in, from a manifest laying out
     the config's arrays as saved and a data file of the recorded sha256.
@@ -263,54 +291,35 @@ def load_checkpoint(path) -> ModelParams:
     The config's layout is built without drawing a value; the embedding and
     `flat` are then filled from the data file."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint manifest not found: {path}")
-    manifest = read_json_object(path, "checkpoint")
-    if manifest.get("format") != CHECKPOINT_FORMAT:   # an older format is named as such
-        raise ValueError(f"checkpoint {path} has format {manifest.get('format')!r}, "
-                         f"expected {CHECKPOINT_FORMAT!r}")
-    for key in ("config", "data_file", "data_sha256", "arrays"):
-        if key not in manifest:
-            raise ValueError(f"checkpoint {path}: missing field {key!r}")
-    entries = manifest["arrays"]
-    if type(entries) is not list:
-        raise ValueError(f"checkpoint {path}: 'arrays' is not a list")
-    for i, entry in enumerate(entries):
-        for key in ("name", "shape", "dtype", "byte_offset"):
-            if type(entry) is not dict or key not in entry:
-                raise ValueError(f"checkpoint {path}: array entry {i} has no {key!r}")
-    first = entries[0]["dtype"] if entries else "no arrays"
-    if first not in ("float64", "float32"):
-        raise ValueError(f"checkpoint {path} holds {first}, expected float64 or "
-                         "float32 arrays")
+    manifest = read_record(CheckpointManifest, path, "checkpoint", file_format=CHECKPOINT_FORMAT)
+    first = manifest.arrays[0].dtype if manifest.arrays else "float64"   # none: names refuse
     dtype = np.dtype(first)
     with T.using_dtype(dtype.type):
-        params = _build_model(build_config(ModelConfig, manifest["config"],
-                                           f"checkpoint {path}: config", complete=True), None)
+        params = _build_model(manifest.config, None)
     arrays = list(params.named_arrays())
-    for i, (got, want) in enumerate(zip_longest([entry["name"] for entry in entries],
+    for i, (got, want) in enumerate(zip_longest([stored.name for stored in manifest.arrays],
                                                 (name for name, _ in arrays))):
         if got != want:
             raise ValueError(f"checkpoint array {i} is {got!r}, this config expects {want!r}")
     offset = 0
-    for (name, target), entry in zip(arrays, entries):
-        stored = (np.dtype(entry["dtype"]), tuple(entry["shape"]), entry["byte_offset"])
-        if stored != (dtype, target.shape, offset):
-            raise ValueError(f"checkpoint array {name!r} is {stored[0]} {stored[1]} at byte "
-                             f"{stored[2]}, this config expects {dtype} {target.shape} "
-                             f"at byte {offset}")
+    for (name, target), stored in zip(arrays, manifest.arrays):
+        if (stored.dtype, stored.shape, stored.byte_offset) != (first, list(target.shape), offset):
+            raise ValueError(f"checkpoint array {name!r} is {stored.dtype} {tuple(stored.shape)} "
+                             f"at byte {stored.byte_offset}, this config expects {dtype} "
+                             f"{target.shape} at byte {offset}")
+        if stored.trainable != (target is not params.embedding.vectors):
+            raise ValueError(f"checkpoint array {name!r} has trainable {stored.trainable}, "
+                             f"this config expects {not stored.trainable}")
         offset += target.size * dtype.itemsize
-    bin_path = path.parent / manifest["data_file"]
-    if not bin_path.exists():
-        raise FileNotFoundError(f"checkpoint data file not found: {bin_path}")
+    bin_path = existing_file(path.parent / manifest.data_file, "checkpoint data file")
     raw = bin_path.read_bytes()
     if len(raw) != offset:
         raise ValueError(f"checkpoint data file {bin_path} holds {len(raw)} bytes, "
                          f"its manifest expects {offset}")
     digest = hashlib.sha256(raw).hexdigest()
-    if digest != manifest["data_sha256"]:
+    if digest != manifest.data_sha256:
         raise ValueError(f"checkpoint data file {bin_path} has sha256 {digest}, its "
-                         f"manifest records {manifest['data_sha256']!r}")
+                         f"manifest records {manifest.data_sha256!r}")
     embedding = params.embedding.vectors.data
     embedding[...] = np.frombuffer(raw, dtype, count=embedding.size).reshape(embedding.shape)
     params.flat[...] = np.frombuffer(raw, dtype, offset=embedding.size * dtype.itemsize)

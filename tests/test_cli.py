@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from vqalab import cli
 from vqalab.cli import run, sha256_of
 from vqalab.data import DataConfig, load_dataset
-from vqalab.evaluate import evaluate_split
+from vqalab.evaluate import EvalReport, evaluate_split
 from vqalab.grounding import encode_question_vgqe
 from vqalab.model import FusionConfig, ModelConfig, load_checkpoint
 from vqalab.tensor import using_dtype
@@ -607,14 +610,29 @@ class TestEval:
                                            lambda text: text[:98])
         assert ": malformed JSON (" in err
 
-    def test_manifest_without_arrays_names_it(self, workspace, tmp_path, capsys):
-        def drop_arrays(text):
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda m: m.pop("arrays"), "arrays is missing"),
+        (lambda m: m["arrays"][1].update(shape=-1), "arrays.1.shape must be a list of integers, "
+                                                    "got -1"),
+        (lambda m: m["arrays"][1].update(shape=True), "arrays.1.shape must be a list of "
+                                                      "integers, got True"),
+        (lambda m: m["arrays"][1].update(dtype="x"), "arrays.1.dtype must be 'float64' or "
+                                                     "'float32', got 'x'"),
+        (lambda m: m["arrays"][2].update(trainable=1), "arrays.2.trainable must be a boolean, "
+                                                       "got 1"),
+        (lambda m: m.update(data_file=0), "data_file must be a string, got 0"),
+        (lambda m: m.update(data_file=[]), "data_file must be a string, got []"),
+        (lambda m: m.update(data_file="../vgqe/checkpoint.json.bin"),
+         "data_file must be a bare file name, got '../vgqe/checkpoint.json.bin'")])
+    def test_malformed_checkpoint_manifest_names_the_field(self, workspace, tmp_path, capsys,
+                                                           edit, problem):
+        def rewrite(text):
             manifest = json.loads(text)
-            del manifest["arrays"]
+            edit(manifest)
             return json.dumps(manifest)
 
-        err = self.eval_with_manifest_text(workspace, tmp_path, capsys, drop_arrays)
-        assert err.endswith(": missing field 'arrays'\n")
+        err = self.eval_with_manifest_text(workspace, tmp_path, capsys, rewrite)
+        assert err.endswith(f": {problem}\n")
 
     def test_malformed_dataset_manifest_names_it(self, workspace, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -656,8 +674,17 @@ class TestEval:
                 "field 'bias_spec' key '01' is not a question type id"),
         renamed(lambda m: m["vocabularies"].pop("tokens"), "vocabularies.tokens is missing",
                 "missing field 'vocabularies.tokens'"),
-        renamed(lambda m: m.update(feature_map={}), "feature_map must be a JSON array, got {}",
-                "field 'feature_map' is not a JSON array")])
+        renamed(lambda m: m.update(feature_map={}), "feature_map is not a JSON array",
+                "field 'feature_map' is not a JSON array"),
+        pytest.param(lambda m: m["vocabularies"]["embedding"][2].__setitem__(0, 1e400),
+                     lambda m: "vocabularies.embedding.2 must be a list of finite numbers, "
+                               f"got {m['vocabularies']['embedding'][2]!r}", id="embedding-1e400"),
+        pytest.param(lambda m: m["vocabularies"]["embedding"][1].pop(),
+                     "vocabularies.embedding must hold 11 rows of 6 numbers, got 11 rows of "
+                     "lengths [5, 6]", id="embedding-ragged"),
+        pytest.param(lambda m: m["feature_map"].pop(),
+                     "feature_map must hold 8 rows of 9 numbers, got 7 rows of lengths [9]",
+                     id="feature_map-shape")])
     def test_malformed_dataset_manifest_field_names_it(self, workspace, tmp_path, capsys,
                                                        command, edit, problem):
         data_dir = tmp_path / "data"
@@ -675,6 +702,7 @@ class TestEval:
         code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
+        problem = problem(payload) if callable(problem) else problem
         assert err == f"error: dataset manifest {manifest}: {problem}\n"
 
     @pytest.mark.parametrize("reader", ["split", "dataset manifest", "checkpoint",
@@ -929,8 +957,14 @@ class TestReportRefusals:
         renamed(lambda m: m.update(histograms=[]), "histograms is not a JSON object",
                 "field 'histograms' is not a JSON object"),
         renamed(lambda m: m["vocabularies"].update(answers={}),
-                "vocabularies.answers must be a JSON array, got {}",
+                "vocabularies.answers must be a list of strings, got {}",
                 "field 'vocabularies.answers' is not a JSON array"),
+        pytest.param(lambda m: m["vocabularies"].update(answers=[1] * 8),
+                     "vocabularies.answers must be a list of strings, got [1, 1, 1, 1, 1, 1, 1, 1]",
+                     id="answers-not-strings"),
+        pytest.param(lambda m: m["histograms"].update(train={}),
+                     "histograms.train must hold some of the question types "
+                     "[0, 1, 2, 3, 4, 5, 6, 7, 8], got []", id="histograms-train-empty"),
         renamed(lambda m: m["type_names"].update(x="what"),
                 "type_names key 'x' is not a question type id",
                 "field 'type_names' key 'x' is not a question type id"),
@@ -1102,6 +1136,187 @@ class TestReportRefusals:
         truncated.write_text((workspace / "vgqe_report.json").read_text()[:200])
         err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", truncated)
         assert err.startswith(f"error: evaluation report {truncated}: malformed JSON (")
+
+
+# what a swapped JSON node becomes
+MUTATION_VALUES = (None, True, False, 0, -1, 2, 0.5, float("inf"), "", "x", [], {}, [1])
+MUTATIONS_PER_FILE = 30
+OPTIONAL_REPORT_FIELDS = {f.name for f in dataclasses.fields(EvalReport)
+                          if f.default is not dataclasses.MISSING
+                          or f.default_factory is not dataclasses.MISSING}
+
+
+def mutated_json(value, rng: random.Random) -> tuple:
+    """A copy of a JSON value with one node, reached by random steps from the
+    root, deleted (a key) or swapped for one of MUTATION_VALUES; and what was done."""
+    value = json.loads(json.dumps(value))
+    path, node = (), value
+    while isinstance(node, (dict, list)) and node and (not path or rng.random() < 0.7):
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        path, node = path + (key,), node[key]
+    if not path:
+        return rng.choice(MUTATION_VALUES), "swapped the whole value"
+    parent = reduce(getitem, path[:-1], value)
+    if isinstance(parent, dict) and rng.random() < 0.25:
+        del parent[path[-1]]
+        return value, f"deleted {'.'.join(map(str, path))}"
+    parent[path[-1]] = json.loads(json.dumps(rng.choice(MUTATION_VALUES)))
+    return value, f"set {'.'.join(map(str, path))} to {parent[path[-1]]!r}"
+
+
+def mutated_file(raw: bytes, form: str, rng: random.Random) -> tuple[bytes, str]:
+    """`raw` with one mutation: for a JSON file ("json") or a JSON Lines file
+    ("jsonl", one line), a node swapped or a key deleted; for any file, one
+    bit flipped or the file cut short; for a binary file, a byte appended."""
+    kind = rng.choice(("node", "flip", "truncate") if form != "bytes" else
+                      ("append", "flip", "truncate"))
+    if kind == "flip":
+        at, bit = rng.randrange(len(raw)), 1 << rng.randrange(8)
+        return raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:], f"flipped bit {bit} of byte {at}"
+    if kind == "truncate":
+        at = rng.randrange(len(raw))
+        return raw[:at], f"cut to {at} bytes"
+    if kind == "append":
+        return raw + b"\0", "appended a byte"
+    if form == "json":
+        value, what = mutated_json(json.loads(raw), rng)
+        return json.dumps(value).encode(), what
+    lines = raw.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    value, what = mutated_json(json.loads(lines[i]), rng)
+    lines[i] = json.dumps(value).encode() + b"\n"
+    return b"".join(lines), f"line {i + 1}: {what}"
+
+
+def edits_only(a, b, free, deletable, path=()) -> bool:
+    """Whether JSON value b is a with only the leaves at `free` paths changed,
+    each to another value of its JSON type, and only keys at `deletable` paths
+    removed."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return b.keys() <= a.keys() and all(k in b or deletable(path + (k,)) for k in a) and \
+            all(edits_only(a[k], b[k], free, deletable, path + (k,)) for k in b)
+    if type(a) is list:
+        return len(a) == len(b) and all(edits_only(x, y, free, deletable, path + (i,))
+                                        for i, (x, y) in enumerate(zip(a, b)))
+    return a == b or free(path)
+
+
+def valid_edit(original: bytes, raw: bytes, form: str, free, deletable) -> bool:
+    """Whether mutated file `raw` is `original` changed only as `edits_only` allows."""
+    if form == "bytes":
+        return False
+    try:
+        pairs = [(json.loads(original), json.loads(raw))] if form == "json" else \
+            list(zip(map(json.loads, original.splitlines()), map(json.loads, raw.splitlines()),
+                     strict=True))
+    except ValueError:   # not JSON, not UTF-8, or another number of lines
+        return False
+    return all(edits_only(a, b, free, deletable) for a, b in pairs)
+
+
+class TestMutations:
+    """Seeded mutations of every file the CLI reads. A mutated file is refused
+    with exit 2, one `error:` line and nothing written, or read as the file
+    the program wrote: exit 0 with the unmutated output bytes. An exception
+    escaping `cli.run` fails the test, naming the file and the mutation.
+
+    Some files hold values that may be changed: a config file (any value, and
+    a deleted key takes its default), a split (its ids, question types,
+    tokens, answers and features are data) and an eval report's fields that
+    reports written before them lack. A mutation that changes only those,
+    each value within its JSON type, is another valid input: it may also exit
+    0 with other output bytes."""
+
+    def cases(self, workspace, tmp_path):
+        shutil.copytree(workspace / "data", tmp_path / "data")
+        shutil.copytree(workspace / "vgqe", tmp_path / "vgqe")
+        for name in ("baseline_report.json", "vgqe_report.json"):
+            shutil.copy(workspace / name, tmp_path / name)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": TINY_CONFIG["data"]}))
+        out = tmp_path / "out"
+        evaluate = ["eval", "--checkpoint", tmp_path / "vgqe" / "checkpoint.json", "--data",
+                    tmp_path / "data", "--split", "test", "--report", out / "report.json"]
+        compare = ["report", "--baseline", tmp_path / "baseline_report.json",
+                   "--vgqe", tmp_path / "vgqe_report.json", "--out", out]
+        anything, nothing = (lambda path: True), (lambda path: False)
+        optional = lambda path: path[0] in OPTIONAL_REPORT_FIELDS   # noqa: E731
+        # file: (argv, form, free, deletable); gen-data keeps TINY sizes whatever the file says
+        files = {
+            config: (["gen-data", "--config", config, "--out", out, "--n-train",
+                      TINY_CONFIG["data"]["n_train"], "--n-test", TINY_CONFIG["data"]["n_test"]],
+                     "json", anything, anything),
+            tmp_path / "data" / "manifest.json": (evaluate, "json", nothing, nothing),
+            tmp_path / "data" / "test.jsonl": (evaluate, "jsonl", anything, nothing),
+            tmp_path / "data" / "test.jsonl.columns": (evaluate, "bytes", nothing, nothing),
+            tmp_path / "vgqe" / "checkpoint.json": (evaluate, "json", nothing, nothing),
+            tmp_path / "vgqe" / "checkpoint.json.bin": (evaluate, "bytes", nothing, nothing),
+            tmp_path / "vgqe_report.json": (compare, "json", optional, optional),
+        }
+        return {path.name: (path, *case) for path, case in files.items()}, out
+
+    @pytest.mark.parametrize("name", ["config.json", "manifest.json", "test.jsonl",
+                                      "test.jsonl.columns", "checkpoint.json",
+                                      "checkpoint.json.bin", "vgqe_report.json"])
+    def test_mutated_file_is_refused_or_read_as_written(self, workspace, tmp_path, capsys, name):
+        cases, out = self.cases(workspace, tmp_path)
+        path, argv, form, free, deletable = cases[name]
+        cache = tmp_path / "data" / "test.jsonl.columns"
+        kept = {p: p.read_bytes() for p in (path, cache)}
+
+        def outcome(what):
+            try:
+                code = run([str(a) for a in argv])
+            except Exception as err:   # noqa: BLE001 - the escape is the failure reported
+                pytest.fail(f"{name}: {what}: {err!r} escaped cli.run")
+            written = None if not out.exists() else {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            shutil.rmtree(out, ignore_errors=True)
+            for p, raw in kept.items():   # the split cache too, which a parse may rewrite
+                p.write_bytes(raw)
+            return code, capsys.readouterr().err, written
+
+        code, _, expected = outcome("unmutated")
+        assert code == 0 and expected
+        rng = random.Random(f"mutations of {name}")
+        for _ in range(MUTATIONS_PER_FILE):
+            raw, what = mutated_file(kept[path], form, rng)
+            path.write_bytes(raw)
+            code, err, written = outcome(what)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (what, err)
+                assert written is None, what
+            else:
+                assert code == 0, (what, code, err)
+                assert written == expected or valid_edit(kept[path], raw, form, free,
+                                                         deletable), what
+
+
+@pytest.mark.parametrize("case", ["config file", "checkpoint", "evaluation report",
+                                  "data_file"])
+def test_path_that_is_not_a_file_is_refused(workspace, tmp_path, capsys, case):
+    """A file argument that names a directory, and a checkpoint data file that
+    is not a bare file name, are refused in one line, writing nothing."""
+    folder, out = tmp_path / "folder", tmp_path / "out"
+    folder.mkdir()
+    checkpoint, problem = folder, f"{case} {folder} is not a file"
+    if case == "data_file":
+        shutil.copytree(workspace / "vgqe", tmp_path / "vgqe")
+        checkpoint = tmp_path / "vgqe" / "checkpoint.json"
+        manifest = json.loads(checkpoint.read_text())
+        manifest["data_file"] = "."
+        checkpoint.write_text(json.dumps(manifest))
+        problem = f"checkpoint {checkpoint}: data_file must be a bare file name, got '.'"
+    argv = {"config file": ["gen-data", "--config", str(folder), "--out", str(out)],
+            "evaluation report": ["report", "--baseline", str(folder), "--vgqe",
+                                  str(workspace / "vgqe_report.json"), "--out", str(out)]}.get(
+        case, ["eval", "--checkpoint", str(checkpoint), "--data", str(workspace / "data"),
+               "--report", str(out)])
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
 
 
 def test_unknown_flag_nonzero():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -817,8 +818,10 @@ class TestSplitCache:
         save_dataset(ds, tmp_path)
         assert not (tmp_path / "train.jsonl.columns").exists()
         assert (tmp_path / "test.jsonl.columns").exists()
+        # the split is read alone: the manifest's histograms, counted from
+        # the same bad ids, may be refused first
         with pytest.raises(ValueError) as err:
-            load_dataset(tmp_path)
+            load_split(tmp_path / "train.jsonl", ds.config, ds.vocab)
         assert str(err.value) == f"{tmp_path / 'train.jsonl'}:2: {message}"
 
     def test_cached_tokens_are_trimmed_as_a_parse_trims_them(self, tmp_path, monkeypatch,
@@ -873,10 +876,17 @@ class TestSplitCache:
             out, {"descr": "<f8", "fortran_order": False, "shape": (1 << 40,)})
         return out.getvalue() + data
 
+    @staticmethod
+    def flipped_feature(data: bytes) -> bytes:
+        """One bit of a label feature flipped, under the right key and headers."""
+        arrays = TestSplitCache.stored_arrays(data)
+        at = len(data) - len(arrays[-1].tobytes()) - 200   # inside `labels`, before the crc32
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
     @pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2],
                                         lambda b: b"PK\x03\x04" + bytes(range(256)) * 4,
                                         lambda b: b"", trailing_bytes, zip_archive,
-                                        huge_header])
+                                        huge_header, flipped_feature])
     def test_damaged_cache_is_parsed_around_and_rewritten(self, saved, monkeypatch,
                                                           damage):
         ds, path = saved
@@ -894,13 +904,18 @@ class TestSplitCache:
         split = load_split(path, ds.config, ds.vocab)
         arrays = self.stored_arrays(path.with_name("test.jsonl.columns").read_bytes())
         key = D.digest_file(D._cache_key(ds.config, ds.vocab), path).hexdigest()
-        assert len(arrays) == 2 + len(D._CACHE_COLUMNS)
+        assert len(arrays) == 3 + len(D._CACHE_COLUMNS)
         assert arrays[0].shape == () and arrays[0].tolist() == key
         assert arrays[1].tolist() == split.ids == ds.test.ids
-        for name, stored in zip(D._CACHE_COLUMNS, arrays[2:]):
+        for name, stored in zip(D._CACHE_COLUMNS, arrays[2:-1]):
             column = getattr(split, name)
             assert stored.dtype == column.dtype and stored.shape == column.shape, name
             assert np.array_equal(stored, column), name
+        # last, the crc32 of the bytes of every array after the key
+        crc = 0
+        for stored in arrays[1:-1]:
+            crc = zlib.crc32(stored.tobytes(), crc)
+        assert arrays[-1].shape == () and arrays[-1].tolist() == crc
 
     def test_leftover_npz_cache_is_neither_read_nor_deleted(self, saved, monkeypatch):
         ds, path = saved

@@ -342,8 +342,8 @@ class TestCheckpoint:
             for entry in entries:
                 entry["dtype"] = "int64"
         assert self.edited_manifest(tmp_path, as_int) == (
-            f"checkpoint {tmp_path / 'ckpt.json'} holds int64, expected float64 or "
-            "float32 arrays")
+            f"checkpoint {tmp_path / 'ckpt.json'}: arrays.0.dtype must be 'float64' or "
+            "'float32', got 'int64'")
 
     def edited_manifest(self, tmp_path, edit):
         path = tmp_path / "ckpt.json"
@@ -419,15 +419,15 @@ class TestCheckpoint:
             manifest = json.loads(text)
             del manifest[key]
             return json.dumps(manifest)
-        assert self.manifest_error(tmp_path, drop) == f"missing field {key!r}"
+        assert self.manifest_error(tmp_path, drop) == f"{key} is missing"
 
-    @pytest.mark.parametrize("key", ["name", "shape", "dtype", "byte_offset"])
+    @pytest.mark.parametrize("key", ["name", "shape", "dtype", "byte_offset", "trainable"])
     def test_manifest_entry_missing_field_named(self, tmp_path, key):
         def drop(text):
             manifest = json.loads(text)
             del manifest["arrays"][2][key]
             return json.dumps(manifest)
-        assert self.manifest_error(tmp_path, drop) == f"array entry 2 has no {key!r}"
+        assert self.manifest_error(tmp_path, drop) == f"arrays.2.{key} is missing"
 
     def test_save_is_deterministic(self, tmp_path):
         params = init_model(tiny_config(seed=3))

@@ -33,8 +33,10 @@ SURFACE = {
              "_write_cache", "bounded", "build_config", "check_fields", "config_section",
              "answer_distribution", "digest_file",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
-             "load_split", "manifest_field", "num_question_types", "question_type_name",
-             "read_json_object", "save_dataset",
+             "load_split", "num_question_types", "question_type_name",
+             "DatasetManifest", "Histograms", "_check_rows", "_crc32", "_items",
+             "_vocabulary_lists",
+             "existing_file", "load_manifest", "read_json_object", "read_record", "save_dataset",
              "save_split", "template_tokens", "type_answer_domain"},
     "evaluate": {"EvalReport", "PredictionRecord", "TypeReport", "comparison_csv",
                  "constant_majority_floor", "evaluate_split", "histograms_csv",
@@ -47,7 +49,8 @@ SURFACE = {
     "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},
-    "model": {"FusionConfig", "ModelConfig", "ModelParams", "_build_model", "_dropout",
+    "model": {"ArrayEntry", "CheckpointManifest", "FusionConfig", "ModelConfig", "ModelParams",
+              "_build_model", "_dropout",
               "count_parameters", "encode_questions", "forward_batch", "init_model",
               "load_checkpoint", "save_checkpoint"},
     "train": {"AdamWState", "EpochStats", "ScheduleConfig", "TrainConfig",
