@@ -92,9 +92,20 @@ def gru_params_init(input_dim: int, hidden_dim: int, seed: int | None) -> GruPar
 
 
 def gru_cell(x, h_prev, p: GruParams) -> Tensor:
-    """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H),
-    recorded as one `tensor.gru_step` op."""
-    return T.gru_step(x, h_prev, *p.arrays())
+    """One recurrence step over row-batches: x (B, d_in), h_prev (B, H) -> (B, H).
+
+    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
+    c = tanh(x Wc + (r * h) Uc + bc), and the new state (1 - z) * h + z * c,
+    each term added in that order, composed from primitive tape ops. It is
+    the reference `tensor.gru_sequence` is held to: that op rounds as a fold
+    of this step from the zero state."""
+    z = T.sigmoid(T.add(T.add(T.matmul(x, p.w_update), T.matmul(h_prev, p.u_update)),
+                        p.b_update))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, p.w_reset), T.matmul(h_prev, p.u_reset)),
+                        p.b_reset))
+    c = T.tanh(T.add(T.add(T.matmul(x, p.w_cand), T.matmul(T.mul(r, h_prev), p.u_cand)),
+                     p.b_cand))
+    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, c))
 
 
 def encode_questions_baseline(token_matrix: np.ndarray, table: EmbeddingTable,
