@@ -16,7 +16,7 @@ w = Tensor([[0.1, 0.3], [-0.2, 0.4], [0.7, -0.5]], requires_grad=True)
 
 with T.recording():
     hidden = T.tanh(T.matmul(T.reshape(x, (1, 3)), w))   # (1, 2)
-    score = T.dot(T.softmax(T.reshape(hidden, (2,))), Tensor([1.0, -1.0]))
+    score = T.mul(T.softmax(T.reshape(hidden, (2,))), Tensor([1.0, -1.0])).sum()
     print("forward value:", score.item())
 
     # backward replays the tape once in reverse, fills leaf gradients and
@@ -32,7 +32,7 @@ w.zero_grad()
 
 def loss(t):
     h = T.tanh(T.matmul(T.reshape(t, (1, 3)), w))
-    return T.dot(T.softmax(T.reshape(h, (2,))), Tensor([1.0, -1.0]))
+    return T.mul(T.softmax(T.reshape(h, (2,))), Tensor([1.0, -1.0])).sum()
 
 
 err = T.grad_check(loss, x, eps=1e-5)

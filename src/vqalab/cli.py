@@ -105,12 +105,13 @@ def cmd_train(args) -> int:
     decided = {"variant": args.variant, "d_v": ds.config.d_v, "d_w": ds.config.d_w,
                "answer_count": ds.vocab.answer_count, "vocab_size": len(ds.vocab.tokens)}
     section = file_cfg.get("model", {})
-    model_cfg = build_config(ModelConfig, section, "model",
-                             overrides={**decided, "seed": args.seed})
-    for name, value in decided.items():
-        if name in section and (type(section[name]), section[name]) != (type(value), value):
+    for name, value in decided.items():   # a conflict, named before the build's type errors
+        if type(section) is dict and name in section \
+                and (type(section[name]), section[name]) != (type(value), value):
             raise CliError(f"model.{name} is {section[name]!r} in the config file, but "
                            f"{'--variant' if name == 'variant' else 'the dataset'} gives {value!r}")
+    model_cfg = build_config(ModelConfig, section, "model",
+                             overrides={**decided, "seed": args.seed})
 
     out_dir = output_path(args.out, "run directory", directory=True)
     with using_dtype(np.float32 if args.precision == "float32" else np.float64):

@@ -148,9 +148,10 @@ def config_section(where: str):
 def build_config(cls, values, where: str, complete: bool = False, overrides=None):
     """cls from the JSON object `values`, each field read as `_read` reads its
     annotation; `overrides` (same shape, from code, None meaning not given) win
-    over `values`. A field without a default must be named, and with `complete`,
-    as for files the program wrote, every field. A ConfigError names a refused
-    field by its dotted path under `where`, or under a file if `where` ends in ":"."""
+    over `values`, whose fields are read all the same. A field without a
+    default must be named, and with `complete`, as for files the program wrote,
+    every field. A ConfigError names a refused field by its dotted path under
+    `where`, or under a file if `where` ends in ":"."""
     if type(values) is not dict:
         raise ConfigError(where, "is not a JSON object")
     specs = _field_specs(cls)
@@ -160,13 +161,16 @@ def build_config(cls, values, where: str, complete: bool = False, overrides=None
     if refused:
         raise ConfigError(_dotted(where, refused[0][0]), refused[0][1])
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    kwargs = {**values, **overrides}
+    kwargs = dict(values)
     for name, (kind, bound, _) in specs.items():
-        if name in kwargs and is_dataclass(kind):   # a nested config, with its own overrides
+        if is_dataclass(kind) and (name in values or name in overrides):   # a nested config
             kwargs[name] = build_config(kind, values.get(name, {}), _dotted(where, name),
-                                        complete, overrides.get(name))
-        elif name in kwargs:
-            kwargs[name] = _read(kind, kwargs[name], _dotted(where, name), complete, bound)
+                                        complete, overrides.pop(name, None))
+        elif name in values:
+            kwargs[name] = _read(kind, values[name], _dotted(where, name), complete, bound)
+    for name, value in overrides.items():
+        kind, bound, _ = specs[name]
+        kwargs[name] = _read(kind, value, _dotted(where, name), complete, bound)
     with config_section(where):
         return cls(**kwargs)
 
@@ -1217,15 +1221,20 @@ def load_dataset(data_dir, splits=SPLITS, manifest: DatasetManifest | None = Non
                  ) -> SyntheticDataset:
     """Read the manifest, unless given as read by `load_manifest`, and the named
     splits (all three by default); a bad manifest field raises ValueError
-    naming the file and the field."""
+    naming the file and the field, and so does a split whose record count is
+    not the manifest's `n_train` (train) or `n_test` (test, test_iid)."""
     data_dir = Path(data_dir)
     for name in splits:
         if name not in _SPLIT_CODES:
             raise ValueError(f"unknown split {name!r}; choose from {SPLITS}")
     manifest = manifest or load_manifest(data_dir)
     config, vocab = manifest.config, manifest.vocabularies
-    return SyntheticDataset(
-        config=config, vocab=vocab, bias=manifest.bias_spec, feature_map=manifest.feature_map,
-        loaded={name: load_split(data_dir / f"{name}.jsonl", config, vocab, name)
-                for name in splits},
-    )
+    loaded = {}
+    for name in splits:
+        path, field = data_dir / f"{name}.jsonl", "n_train" if name == "train" else "n_test"
+        split = loaded[name] = load_split(path, config, vocab, name)
+        if len(split) != getattr(config, field):
+            raise ValueError(f"split file {path} holds {len(split)} records, but the "
+                             f"manifest's {field} is {getattr(config, field)}")
+    return SyntheticDataset(config=config, vocab=vocab, bias=manifest.bias_spec,
+                            feature_map=manifest.feature_map, loaded=loaded)

@@ -76,7 +76,7 @@ class GruParams:
             yield f"{prefix}.{name}", getattr(self, name)
 
     def arrays(self) -> tuple[Tensor, ...]:
-        """The nine arrays in the order `tensor.gru_step` and `gru_sequence` take."""
+        """The nine arrays in the order `tensor.gru_sequence` takes."""
         return tuple(t for _, t in self.named_arrays())
 
 
@@ -97,8 +97,8 @@ def gru_cell(x, h_prev, p: GruParams) -> Tensor:
     z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
     c = tanh(x Wc + (r * h) Uc + bc), and the new state (1 - z) * h + z * c,
     each term added in that order, composed from primitive tape ops. It is
-    the reference `tensor.gru_sequence` is held to: that op rounds as a fold
-    of this step from the zero state."""
+    the reference `tensor.gru_sequence` is held to: a fold of this step from
+    the zero state gives that op's values to the bit."""
     z = T.sigmoid(T.add(T.add(T.matmul(x, p.w_update), T.matmul(h_prev, p.u_update)),
                         p.b_update))
     r = T.sigmoid(T.add(T.add(T.matmul(x, p.w_reset), T.matmul(h_prev, p.u_reset)),

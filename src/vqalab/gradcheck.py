@@ -62,14 +62,15 @@ def check_tensor_ops() -> list[CheckResult]:
     # probes from values already drawn; a new draw would shift later inputs
     cat_probe = Tensor(values.data.reshape(4, 6)[:2])
     take_probe = Tensor(values.data.reshape(12, 2)[:5])
+    softmax_probe = Tensor(values.data.reshape(8, 3)[4:])
     affine_probe = Tensor(values.data.reshape(6, 4)[:2])
     bias = Tensor(values.data.reshape(-1)[-4:].copy(), requires_grad=True)
 
     cases = {
         "elementwise": lambda: T.mul(T.sigmoid(x), T.tanh(T.scale(x, 0.5))).sum(),
-        "relu": lambda: T.dot(T.relu(x), probe),
+        "relu": lambda: T.mul(T.relu(x), probe).sum(),
         "matmul": lambda: T.matmul(T.reshape(x, (2, 3)), right).sum(),
-        "softmax": lambda: T.dot(T.softmax(x), probe),
+        "softmax": lambda: T.mul(T.softmax(x), probe).sum(),
         "reductions": lambda: T.add(T.add(x.max(), x.mean()),
                                     T.reshape(x, (2, 3)).max(axis=1).sum()),
         "logsumexp_rows": lambda: T.logsumexp_rows(T.reshape(x, (2, 3))).sum(),
@@ -77,12 +78,14 @@ def check_tensor_ops() -> list[CheckResult]:
                                          axis=1), cat_probe).sum(),
         "take_rows": lambda: T.mul(T.take_rows(T.reshape(x, (3, 2)), [2, 0, 2, 1, 0]),
                                    take_probe).sum(),
-        "rows_pick": lambda: T.dot(T.rows_pick(T.reshape(x, (2, 3)), [2, 0]), probe.data[:2]),
-        "sub": lambda: T.dot(T.reshape(T.sub(T.reshape(x, (2, 3)),
-                                             T.reshape(x, (2, 3)).mean(axis=0)), (6,)), probe),
-        "take_attend": lambda: T.attend(
+        "rows_pick": lambda: T.mul(T.rows_pick(T.reshape(x, (2, 3)), [2, 0]),
+                                   probe.data[:2]).sum(),
+        "sub": lambda: T.mul(T.reshape(T.sub(T.reshape(x, (2, 3)),
+                                             T.reshape(x, (2, 3)).mean(axis=0)), (6,)),
+                             probe).sum(),
+        "take_softmax": lambda: T.mul(
             T.softmax(T.take_rows(T.reshape(x, (2, 3)), [0, 0, 1, 1]), axis=1),
-            values).sum(),
+            softmax_probe).sum(),
     }
     for name, fn in cases.items():
         _check("tensor_core", name, fn, [("x", x)], results)
@@ -92,7 +95,6 @@ def check_tensor_ops() -> list[CheckResult]:
            lambda: T.mul(T.affine(T.reshape(x, (2, 3)), w, bias), affine_probe).sum(),
            [("x", x), ("w", w), ("b", bias)], results)
     _check_block_bilinear(rng, results)
-    _check_gru_step(rng, results)
     _check_gru_sequence(rng, results)
     _check_scene_attention(rng, results)
     return results
@@ -129,16 +131,6 @@ def _check_block_bilinear(rng, results) -> None:
         inputs = [x, py, *wx, *wy] + ([*bx, *by] if bias_x is not None else [])
         _check("tensor_core", name, loss, [(str(i), t) for i, t in enumerate(inputs)],
                results)
-
-
-def _check_gru_step(rng, results) -> None:
-    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    h = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    p = gru_params_init(4, 3, seed=8)
-    probe = Tensor(rng.normal(size=(2, 3)))
-    weights = [t for _, t in p.named_arrays()]
-    _check("tensor_core", "gru_step", lambda: T.mul(T.gru_step(x, h, *weights), probe).sum(),
-           [("x", x), ("h", h), *p.named_arrays()], results)
 
 
 def _check_gru_sequence(rng, results) -> None:

@@ -10,9 +10,9 @@ backward, or one cut short by an exception, leaves nothing behind. The
 current tape and the default dtype are context variables: each thread has
 its own.
 
-The backward rules of matmul, affine, mul, attend, scene_attention and the
-GRU ops return None, computing nothing, for an input that did not require
-gradients when the op was recorded.
+The backward rules of matmul, affine, mul, scene_attention and gru_sequence
+return None, computing nothing, for an input that did not require gradients
+when the op was recorded.
 
 Broadcasting is deliberately restricted: two operands must have equal
 shapes, or one is a scalar, or the second operand's shape equals the
@@ -331,16 +331,6 @@ def affine(x, w, b=None) -> Tensor:
     return _record("affine", inputs, out, bw)
 
 
-def dot(x, y) -> Tensor:
-    x, y = as_tensor(x), as_tensor(y)
-    if x.data.ndim != 1 or x.shape != y.shape:
-        raise ShapeError(f"dot expects equal-length vectors, got {x.shape} and {y.shape}")
-    x_data, y_data = x.data, y.data
-    def bw(g):
-        return g * y_data, g * x_data
-    return _record("dot", (x, y), x_data @ y_data, bw)
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -463,20 +453,6 @@ def _check_axis(x: Tensor, axis, op: str) -> None:
 # batched helpers used by attention and classification heads
 
 
-def attend(weights, values) -> Tensor:
-    """Per-row weighted sum: (B, k) weights over (B, k, d) values -> (B, d)."""
-    weights, values = as_tensor(weights), as_tensor(values)
-    if weights.data.ndim != 2 or values.data.ndim != 3 \
-            or weights.shape != values.shape[:2]:
-        raise ShapeError(f"attend: weights {weights.shape} do not match values {values.shape}")
-    w_data, v_data = weights.data, values.data
-    need_w, need_v = weights.requires_grad, values.requires_grad
-    def bw(g):
-        return (np.einsum("bd,bkd->bk", g, v_data) if need_w else None,
-                np.einsum("bk,bd->bkd", w_data, g) if need_v else None)
-    return _record("attend", (weights, values), np.einsum("bk,bkd->bd", w_data, v_data), bw)
-
-
 def scene_attention(words, score_column, labels, visual) -> tuple[Tensor, np.ndarray]:
     """Attention of step-major words over their scenes as one tape op.
 
@@ -530,18 +506,6 @@ def scene_attention(words, score_column, labels, visual) -> tuple[Tensor, np.nda
     return _record("scene_attention", (words, score_column, visual), out, bw), weights
 
 
-def _gru_shapes(op: str, x_shape: tuple, h_shape: tuple, weights: tuple) -> None:
-    d_in, hidden = weights[0].shape
-    if len(x_shape) != 2 or len(h_shape) != 2 or x_shape[0] != h_shape[0] \
-            or x_shape[1] != d_in or h_shape[1] != hidden:
-        raise ShapeError(f"{op}: input {x_shape} / state {h_shape} are not "
-                         f"row-batches of the parameter dims ({d_in}, {hidden})")
-    for t, shape in zip(weights, ((d_in, hidden), (hidden, hidden), (hidden,)) * 3):
-        if t.shape != shape:
-            raise ShapeError(f"{op}: weights of shapes {[w.shape for w in weights]} "
-                             f"do not form a GRU of dims ({d_in}, {hidden})")
-
-
 def _sigmoid_in_place(a: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-a)), written over a, one operation at a time as the
     expression rounds."""
@@ -555,7 +519,7 @@ def _gru_forward(x, h, wz, uz, bz, wr, ur, br, wc, uc, bc):
     """One GRU step on arrays: the new state and what its backward reads.
 
     Each gate is built in place in its fresh input product, term by term in
-    the order of the `gru_step` docstring, so it rounds as that expression.
+    the order of the `gru_sequence` docstring, so it rounds as that expression.
     A state of None is the zero state: its products, the reset gate and
     (1 - z) * h are zero, so they are skipped and the new state is z * c.
     """
@@ -634,50 +598,37 @@ def _gru_backward(g, saved, weights, need_x: bool, need_h: bool):
                       x.T @ g_ac, rh.T @ g_ac, g_ac.sum(axis=0))
 
 
-def gru_step(x, h, w_update, u_update, b_update, w_reset, u_reset, b_reset,
-             w_cand, u_cand, b_cand) -> Tensor:
-    """One GRU step over row-batches as one tape op: x (B, d_in), h (B, H) -> (B, H).
-
-    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
-    c = tanh(x Wc + (r * h) Uc + bc), and the new state (1 - z) * h + z * c,
-    each term added in that order.
-    """
-    x, h = as_tensor(x), as_tensor(h)
-    weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
-                                           u_reset, b_reset, w_cand, u_cand, b_cand))
-    _gru_shapes("gru_step", x.shape, h.shape, weights)
-    data = tuple(t.data for t in weights)
-    out, saved = _gru_forward(x.data, h.data, *data)
-    need_x, need_h = x.requires_grad, h.requires_grad
-
-    def bw(g):
-        g_x, g_h, g_w = _gru_backward(g, saved, data, need_x, need_h)
-        return (g_x, g_h, *g_w)
-
-    return _record("gru_step", (x, h, *weights), out, bw)
-
-
 def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
                  w_cand, u_cand, b_cand, reverse: bool = False) -> Tensor:
     """A GRU read over a sequence as one tape op: xs (T, B, d_in) -> the final
     (B, H) state, from a zero state, over steps T-1 .. 0 when reverse.
 
-    Each step rounds exactly as `gru_step`, but the first read starts from
-    the zero state, so it skips every product with the state and the reset
-    gate (see `_gru_forward`): the values are the same. The backward runs
-    the steps from the last read to the first and sums each weight's
-    gradient across steps in that order, in place, as a fold of `gru_step`
-    records would on a zero gradient; the first read adds nothing to the
-    five gradients that multiply by the state.
+    Each step is z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br),
+    c = tanh(x Wc + (r * h) Uc + bc) and the new state (1 - z) * h + z * c,
+    each term added in that order, so its value rounds as `encoder.gru_cell`,
+    the same step composed from primitive tape ops. The first read starts
+    from the zero state, so it skips every product with the state and the
+    reset gate (see `_gru_forward`): the values are the same. The backward
+    runs the steps from the last read to the first and sums each weight's
+    gradient across steps in that order, in place; the first read adds
+    nothing to the five gradients that multiply by the state. The gradients
+    add their terms in another order than a fold of `gru_cell` records, so
+    they agree with it to rounding.
     """
     xs = as_tensor(xs)
     weights = tuple(as_tensor(t) for t in (w_update, u_update, b_update, w_reset,
                                            u_reset, b_reset, w_cand, u_cand, b_cand))
     if xs.data.ndim != 3 or xs.shape[0] < 1:
         raise ShapeError(f"gru_sequence: inputs {xs.shape} are not (T, B, d_in) with T >= 1")
-    steps, batch = xs.shape[:2]
-    hidden = weights[0].shape[-1]
-    _gru_shapes("gru_sequence", xs.shape[1:], (batch, hidden), weights)
+    steps, _, width = xs.shape
+    d_in, hidden = weights[0].shape
+    if width != d_in:
+        raise ShapeError(f"gru_sequence: steps of {xs.shape[1:]} are not row-batches of "
+                         f"the parameter dims ({d_in}, {hidden})")
+    for t, shape in zip(weights, ((d_in, hidden), (hidden, hidden), (hidden,)) * 3):
+        if t.shape != shape:
+            raise ShapeError(f"gru_sequence: weights of shapes {[w.shape for w in weights]} "
+                             f"do not form a GRU of dims ({d_in}, {hidden})")
     data = tuple(t.data for t in weights)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = None

@@ -171,6 +171,16 @@ class TestGenData:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_file_value_under_a_flag_is_still_read(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"data": {"n_train": "x"}}))
+        out = tmp_path / "d"
+        assert run(["gen-data", "--config", str(cfg_path), "--out", str(out),
+                    "--n-train", "5"]) == 2
+        assert capsys.readouterr().err == \
+            "error: data.n_train must be an integer in [1, inf), got 'x'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value,flags", [(1.5, []), ("3", []), (True, []),
                                              (0, ["--seed", "-1"])])
     def test_refused_seed_names_the_field(self, tmp_path, capsys, value, flags):
@@ -254,6 +264,31 @@ class TestTrain:
                     "--out", str(out), "--config", str(workspace / "config.json")]) == 2
         assert capsys.readouterr().err == \
             f"error: run directory {out} exists and is not a directory\n"
+
+    def test_nested_file_value_under_a_flag_is_still_read(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        before = sorted((p.name, p.stat().st_mtime_ns) for p in data.iterdir())
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"train": {"schedule": {"base_lr": "x"}}}))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data), "--variant", "baseline", "--out", str(out),
+                    "--config", str(cfg_path), "--base-lr", "0.01"]) == 2
+        assert capsys.readouterr().err == \
+            "error: train.schedule.base_lr must be a finite number in (0, inf), got 'x'\n"
+        assert not out.exists()
+        assert sorted((p.name, p.stat().st_mtime_ns) for p in data.iterdir()) == before
+
+    def test_cut_train_split_is_refused(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        cut = data / "train.jsonl"
+        cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:12]))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data), "--variant", "baseline", "--out", str(out),
+                    "--config", str(workspace / "config.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: split file {cut} holds 12 records, but the manifest's n_train is 120\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--epochs", "-1"),
                                             ("--batch-size", "0"), ("--batch-size", "-5")])
@@ -490,6 +525,18 @@ class TestEval:
             in_process = evaluate_split(params, ds.test, ds)
         assert report["precision"] == in_process.precision == "float32"
         assert report["overall"] == in_process.overall
+
+    def test_cut_test_split_is_refused(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        cut = data / "test.jsonl"
+        cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:12]))
+        report = tmp_path / "report.json"
+        assert run(["eval", "--checkpoint", str(workspace / "baseline" / "checkpoint.json"),
+                    "--data", str(data), "--split", "test", "--report", str(report)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: split file {cut} holds 12 records, but the manifest's n_test is 60\n"
+        assert not report.exists()
 
     def test_reads_only_the_evaluated_split(self, workspace, tmp_path):
         data_dir = tmp_path / "data"

@@ -1,18 +1,19 @@
 """The fused tape ops against the compositions of primitive tape ops they
 replace: the forward value and every gradient agree to 1e-12.
 
-`gru_step` is compared with the gate-by-gate GRU step, over sequences of T
-steps, and `gru_sequence` with a fold of `gru_step` over the same steps in
-either direction. Grouped `block_bilinear` (x at k*N rows, y at N rows) is
-compared with tiling y k times, so x row i meets y row i mod N, and composing
-the chunk-and-rank core from matmuls, adds and products; column slices are
-taken by multiplying with 0/1 selection matrices, which is exact. `scene_attention` over T
-step-major words per scene is compared with tiling each scene T times and
-composing `take_rows` (each word taken k times), `mul`, `matmul`, `softmax`
-and `attend`; it sums in another order, so it agrees to 1e-12 relative.
-Last, each fused op runs over
-shapes drawn from a seeded generator: `grad_check` on every input and weight,
-and ShapeError on mismatched shapes.
+`gru_sequence` is compared with a fold of `encoder.gru_cell`, the GRU step
+composed from primitive tape ops, from the zero state over the same steps in
+either direction; `gru_cell` shares no code with the fused kernels. Grouped
+`block_bilinear` (x at k*N rows, y at N rows) is compared with tiling y k
+times, so x row i meets y row i mod N, and composing the chunk-and-rank core
+from matmuls, adds and products; column slices are taken by multiplying with
+0/1 selection matrices, which is exact. `scene_attention` over T step-major
+words per scene is compared with tiling each scene T times and composing
+`take_rows` (each word taken k times), `mul`, `matmul`, `softmax` and
+`reshape`, pooled by 0/1 matrices; it sums in another order, so it agrees to
+1e-12 relative. Last, `gru_cell` and each fused op run over shapes drawn from
+a seeded generator: `grad_check` on every input and weight, and ShapeError on
+mismatched shapes.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from vqalab import tensor as T
-from vqalab.encoder import gru_cell, gru_params_init
+from vqalab.encoder import GruParams, gru_cell, gru_params_init
 from vqalab.fusion import near_equal_partition
 from vqalab.tensor import ShapeError, Tensor
 
@@ -52,65 +53,45 @@ def assert_same(fused, composed):
 
 
 # ---------------------------------------------------------------------------
-# gru_step
+# gru_cell, the reference, and gru_sequence against a fold of it
+
+PRIMITIVE_OPS = {"matmul", "add", "sigmoid", "tanh", "mul", "sub", "scale"}
 
 
-@pytest.mark.parametrize("rows,steps,x_grad,h_grad",
-                         list(itertools.product((1, 4), (1, 3), (True, False), (True, False))))
-def test_gru_step_matches_gru_cell(rows, steps, x_grad, h_grad):
-    rng = np.random.default_rng(10 * rows + steps)
-    p = gru_params_init(5, 3, seed=rows + steps)
-    weights = list(p.arrays())
-    for t in weights[2::3]:                      # nonzero biases
-        t.data[...] = rng.normal(size=t.shape)
-    xs = [Tensor(rng.normal(size=(rows, 5)), requires_grad=x_grad) for _ in range(steps)]
-    h0 = Tensor(rng.normal(size=(rows, 3)), requires_grad=h_grad)
-    probe = Tensor(rng.normal(size=(rows, 3)))
-
-    def run(step):
-        def loss_fn():
-            h = h0
-            for x in xs:
-                h = step(x, h)
-            return h, T.mul(h, probe).sum()
-        return gradients(loss_fn, [*xs, h0, *weights])
-
-    fused = run(lambda x, h: T.gru_step(x, h, *weights))
-    composed = run(lambda x, h: gru_cell(x, h, p))
-    # the values to the bit; the gradients add their terms in another order
-    assert np.array_equal(fused[0], composed[0])
-    assert_same(fused, composed)
-
-
-def test_gru_step_records_once_per_step():
+def test_gru_cell_records_only_primitive_ops(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gru_cell reached a fused GRU kernel")
+    monkeypatch.setattr(T, "_gru_forward", refuse)
+    monkeypatch.setattr(T, "_gru_backward", refuse)
     p = gru_params_init(4, 3, seed=0)
+    x = Tensor(np.ones((2, 4)), requires_grad=True)
+    h = Tensor(np.full((2, 3), 0.5), requires_grad=True)
     with T.recording() as tape:
-        h = T.gru_step(Tensor(np.ones((2, 4))), Tensor(np.zeros((2, 3))),
-                       *(t for _, t in p.named_arrays()))
-        assert [r.op for r in tape.records] == ["gru_step"]
-        T.backward(h.sum())
+        out = gru_cell(x, h, p)
+        ops = [r.op for r in tape.records]
+        T.backward(out.sum())
+    assert len(ops) == 21 and set(ops) <= PRIMITIVE_OPS
+    assert all(t.grad is not None for t in (x, h, *p.arrays()))
 
 
-def test_gru_step_rejects_mismatched_shapes():
-    weights = [t for _, t in gru_params_init(4, 3, seed=0).named_arrays()]
-    with pytest.raises(ShapeError, match="row-batches"):
-        T.gru_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), *weights)
-    with pytest.raises(ShapeError, match="row-batches"):
-        T.gru_step(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))), *weights)
-    with pytest.raises(ShapeError, match="do not form a GRU"):
-        T.gru_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
-                   *weights[:4], Tensor(np.zeros((4, 3))), *weights[5:])
-
-
-# ---------------------------------------------------------------------------
-# gru_sequence
+def test_gru_cell_rejects_mismatched_shapes():
+    p = gru_params_init(4, 3, seed=0)
+    w = p.arrays()
+    with pytest.raises(ShapeError, match="add: shapes"):
+        gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), p)
+    with pytest.raises(ShapeError, match="matmul inner dimensions"):
+        gru_cell(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 3))), p)
+    with pytest.raises(ShapeError, match="matmul inner dimensions"):
+        gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))),
+                 GruParams(*w[:4], Tensor(np.zeros((4, 3))), *w[5:]))
 
 
 @pytest.mark.parametrize("rows,steps,reverse,x_grad",
                          list(itertools.product((1, 4), (1, 3), (False, True), (True, False))))
-def test_gru_sequence_matches_folded_gru_step(rows, steps, reverse, x_grad):
+def test_gru_sequence_matches_folded_gru_cell(rows, steps, reverse, x_grad):
     rng = np.random.default_rng(100 * rows + 10 * steps + reverse)
-    weights = [t for _, t in gru_params_init(5, 3, seed=rows + steps).named_arrays()]
+    p = gru_params_init(5, 3, seed=rows + steps)
+    weights = list(p.arrays())
     for t in weights[2::3]:                      # nonzero biases
         t.data[...] = rng.normal(size=t.shape)
     xs = Tensor(rng.normal(size=(steps, rows, 5)), requires_grad=x_grad)
@@ -124,12 +105,15 @@ def test_gru_sequence_matches_folded_gru_step(rows, steps, reverse, x_grad):
     def folded():
         h = Tensor(np.zeros((rows, 3)))
         for x in (step_xs[::-1] if reverse else step_xs):
-            h = T.gru_step(x, h, *weights)
+            h = gru_cell(x, h, p)
         return h, T.mul(h, probe).sum()
 
     out_f, grads_f = gradients(folded, [*step_xs, *weights])
     g_xs_f = np.stack(grads_f[:steps]) if x_grad else None
-    assert_same(gradients(sequence, [xs, *weights]), (out_f, [g_xs_f, *grads_f[steps:]]))
+    fused = gradients(sequence, [xs, *weights])
+    # the values to the bit; the gradients add their terms in another order
+    assert np.array_equal(fused[0], out_f)
+    assert_same(fused, (out_f, [g_xs_f, *grads_f[steps:]]))
 
 
 def test_gru_sequence_records_once():
@@ -248,7 +232,13 @@ def scene_attention_composed(words, column, labels, visual):
     scores = T.matmul(T.mul(tiled_labels, T.take_rows(words, np.repeat(np.arange(rows), k))),
                       column)
     alpha = T.softmax(T.reshape(scores, (rows, k)), axis=1)
-    return T.attend(alpha, tiled_visual), alpha.data
+    d_v = visual.shape[2]
+    # 0/1 matrices: one spreads weight i over object i's d_v columns, the
+    # other, k stacked identities, sums the k weighted objects
+    spread = Tensor(np.repeat(np.eye(k), d_v, axis=1))
+    stacked = Tensor(np.tile(np.eye(d_v), (k, 1)))
+    weighted = T.mul(T.matmul(alpha, spread), T.reshape(tiled_visual, (rows, k * d_v)))
+    return T.matmul(weighted, stacked), alpha.data
 
 
 def assert_relatively_same(fused, composed):
@@ -350,21 +340,22 @@ def assert_gradients_checked(loss, tensors):
 
 
 @pytest.mark.parametrize("draw", range(4))
-def test_gru_step_drawn_shapes(draw):
+def test_gru_cell_drawn_shapes(draw):
     rng = np.random.default_rng(300 + draw)
     d_in, hidden, rows, weights = drawn_gru(rng)
     x = Tensor(rng.normal(size=(rows, d_in)), requires_grad=True)
     h = Tensor(rng.normal(size=(rows, hidden)), requires_grad=True)
     probe = Tensor(rng.normal(size=(rows, hidden)))
-    assert_gradients_checked(lambda: T.mul(T.gru_step(x, h, *weights), probe).sum(),
+    p = GruParams(*weights)
+    assert_gradients_checked(lambda: T.mul(gru_cell(x, h, p), probe).sum(),
                              [x, h, *weights])
     bad_u = Tensor(np.zeros((hidden, hidden + 1)))
-    for args in ((Tensor(np.zeros((rows, d_in + 1))), h, *weights),
-                 (x, Tensor(np.zeros((rows + 1, hidden))), *weights),
-                 (x, h, weights[0], bad_u, *weights[2:]),
-                 (x, h, *weights[:8], Tensor(np.zeros(hidden + 1)))):
+    for args in ((Tensor(np.zeros((rows, d_in + 1))), h, p),
+                 (x, Tensor(np.zeros((rows + 1, hidden))), p),
+                 (x, h, GruParams(weights[0], bad_u, *weights[2:])),
+                 (x, h, GruParams(*weights[:8], Tensor(np.zeros(hidden + 1))))):
         with pytest.raises(ShapeError):
-            T.gru_step(*args)
+            gru_cell(*args)
 
 
 @pytest.mark.parametrize("draw,long,reverse",

@@ -16,9 +16,9 @@ import vqalab
 SURFACE = {
     "tensor": {
         "ShapeError", "Tape", "TapeRecord", "Tensor", "_broadcast_mode", "_check_axis",
-        "_record", "_reduce_to", "_sigmoid_in_place", "add", "affine", "as_tensor", "attend", "backward",
-        "_gru_backward", "_gru_forward", "_gru_shapes", "block_bilinear", "concat", "dot",
-        "get_default_dtype", "grad_check", "gru_sequence", "gru_step",
+        "_record", "_reduce_to", "_sigmoid_in_place", "add", "affine", "as_tensor", "backward",
+        "_gru_backward", "_gru_forward", "block_bilinear", "concat",
+        "get_default_dtype", "grad_check", "gru_sequence",
         "logsumexp_rows", "matmul", "mul", "recording", "reduce_max",
         "reduce_mean", "reduce_sum", "relu", "reshape", "rows_pick",
         "scale", "scene_attention", "sigmoid", "softmax", "sub", "take_rows", "tanh",

@@ -104,7 +104,7 @@ def test_every_op_of_a_training_step_has_a_gradcheck_entry(monkeypatch):
             entry_ops[f"{module}.{name}"] = {r.op for r in tape.records}
     monkeypatch.setattr(gradcheck, "_check", record)
     gradcheck.run_all()
-    assert len(entry_ops) == 32
+    assert len(entry_ops) == 31
     uncovered = {op for op in step_ops
                  if op not in entry_ops.get(ENTRY_FOR_OP.get(op), ())}
     assert not uncovered, f"ops without a gradcheck entry that records them: {uncovered}"
