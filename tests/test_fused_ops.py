@@ -3,7 +3,9 @@ replace: the forward value and every gradient agree to 1e-12.
 
 `gru_sequence` is compared with a fold of `encoder.gru_cell`, the GRU step
 composed from primitive tape ops, from the zero state over the same steps in
-either direction; `gru_cell` shares no code with the fused kernels. Grouped
+either direction; `gru_cell` shares no code with the fused kernels, and is
+itself held to the GRU equations and their backpropagation through time
+written out in plain numpy. Grouped
 `block_bilinear` (x at k*N rows, y at N rows) is compared with tiling y k
 times, so x row i meets y row i mod N, and composing the chunk-and-rank core
 from matmuls, adds and products; column slices are taken by multiplying with
@@ -114,6 +116,75 @@ def test_gru_sequence_matches_folded_gru_cell(rows, steps, reverse, x_grad):
     # the values to the bit; the gradients add their terms in another order
     assert np.array_equal(fused[0], out_f)
     assert_same(fused, (out_f, [g_xs_f, *grads_f[steps:]]))
+
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def gru_equations(xs, w, probe):
+    """h after folding z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur
+    + br), c = tanh(x Wc + (r * h) Uc + bc), h' = (1 - z) * h + z * c over
+    the steps of xs (T, B, d_in) from the zero state, the gradients of
+    sum(h * probe) with respect to every step's x and the nine weights, by
+    backpropagation through time in plain numpy."""
+    wz, uz, bz, wr, ur, br, wc, uc, bc = w
+    h = np.zeros((xs.shape[1], uz.shape[0]))
+    saved = []
+    for x in xs:
+        z = _sigmoid(x @ wz + h @ uz + bz)
+        r = _sigmoid(x @ wr + h @ ur + br)
+        c = np.tanh(x @ wc + (r * h) @ uc + bc)
+        saved.append((x, h, z, r, c))
+        h = (1.0 - z) * h + z * c
+    g_w = [np.zeros_like(a) for a in w]
+    g_xs = np.zeros_like(xs)
+    g_h = probe.copy()
+    for step in reversed(range(len(saved))):
+        x, h_prev, z, r, c = saved[step]
+        a_c = g_h * z * (1.0 - c * c)
+        a_z = g_h * (c - h_prev) * z * (1.0 - z)
+        g_rh = a_c @ uc.T
+        a_r = g_rh * h_prev * r * (1.0 - r)
+        g_h_prev = g_h * (1.0 - z) + g_rh * r
+        for i, (a, u) in enumerate(((a_z, uz), (a_r, ur), (a_c, uc))):
+            into = (r * h_prev) if i == 2 else h_prev
+            g_w[3 * i] += x.T @ a
+            g_w[3 * i + 1] += into.T @ a
+            g_w[3 * i + 2] += a.sum(axis=0)
+            g_xs[step] += a @ w[3 * i].T
+            if i < 2:
+                g_h_prev += a @ u.T
+        g_h = g_h_prev
+    return h, g_xs, g_w
+
+
+@pytest.mark.parametrize("rows,steps,reverse,x_grad",
+                         list(itertools.product((1, 4), (1, 3), (False, True), (True, False))))
+def test_gru_cell_matches_gru_equations(rows, steps, reverse, x_grad):
+    """The reference against the GRU equations written out in numpy, which
+    share no code with the tape: a fold of `gru_cell` gives their state and
+    their gradients through time."""
+    rng = np.random.default_rng(200 + 100 * rows + 10 * steps + reverse)
+    p = gru_params_init(5, 3, seed=7 + rows + steps)
+    weights = list(p.arrays())
+    for t in weights[2::3]:                      # nonzero biases
+        t.data[...] = rng.normal(size=t.shape)
+    xs = rng.normal(size=(steps, rows, 5))
+    step_xs = [Tensor(x.copy(), requires_grad=x_grad) for x in xs]
+    probe = rng.normal(size=(rows, 3))
+
+    def folded():
+        h = Tensor(np.zeros((rows, 3)))
+        for x in (step_xs[::-1] if reverse else step_xs):
+            h = gru_cell(x, h, p)
+        return h, T.mul(h, Tensor(probe)).sum()
+
+    out, grads = gradients(folded, [*step_xs, *weights])
+    h, g_xs, g_w = gru_equations(xs[::-1] if reverse else xs,
+                                 [t.data for t in weights], probe)
+    g_xs = g_xs[::-1] if reverse else g_xs
+    assert_same((out, grads), (h, [*(g_xs if x_grad else [None] * steps), *g_w]))
 
 
 def test_gru_sequence_records_once():

@@ -309,6 +309,15 @@ OPS_UNDER_TEST = [
     ("take_rows", lambda x, rng: T.mul(T.take_rows(x.reshape((2, 3)), [1, 0, 1, 1]),
                                        Tensor(rng.normal(size=(4, 3)))).sum()),
     ("logsumexp_rows", lambda x, rng: T.logsumexp_rows(x.reshape((2, 3))).sum()),
+    ("sum", lambda x, rng: T.mul(T.reduce_sum(x.reshape((2, 3)), axis=0),
+                                 Tensor(rng.normal(size=3))).sum()),
+    ("reshape", lambda x, rng: T.mul(T.reshape(x, (3, 2)),
+                                     Tensor(rng.normal(size=(3, 2)))).sum()),
+    ("affine", lambda x, rng: T.mul(T.affine(x.reshape((2, 3)), Tensor(rng.normal(size=(3, 4))),
+                                             Tensor(rng.normal(size=4))),
+                                    Tensor(rng.normal(size=(2, 4)))).sum()),
+    ("rows_pick", lambda x, rng: T.mul(T.rows_pick(x.reshape((3, 2)), [1, 0, 1]),
+                                       Tensor(rng.normal(size=3))).sum()),
 ]
 
 
