@@ -18,17 +18,20 @@ print("chunk sizes for 1000 / 15:", near_equal_partition(1000, 15))
 
 # Desk-scale parameters: fuse 12-dim "visual" rows with 8-dim "text" rows
 # into 10 outputs through a 16-wide projection, 4 chunks of rank 3. Every
-# model function takes row-batches; here a batch of two.
+# model function takes row-batches; here a batch of two. Every map has a
+# bias; here they are zeroed.
 params = block_params_init(d_x=12, d_y=8, proj_dim=16, out_proj_dim=16,
-                           out_dim=10, chunks=4, rank=3, seed=0,
-                           use_bias=False)
+                           out_dim=10, chunks=4, rank=3, seed=0)
+for name, array in params.named_arrays():
+    if name.endswith(".bias"):
+        array.data[...] = 0.0
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(2, 12)))
 y = Tensor(rng.normal(size=(2, 8)))
 z = block_fuse(x, y, params)
 print("fused rows:\n", np.round(z.data, 3))
 
-# With biases off the map is exactly bilinear: scaling one input scales the
+# With zero biases the map is exactly bilinear: scaling one input scales the
 # output, and either argument distributes over addition.
 z2 = block_fuse(T.scale(x, 2.0), y, params)
 print("homogeneity drift:", np.max(np.abs(z2.data - 2 * z.data)))

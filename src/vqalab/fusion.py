@@ -3,17 +3,19 @@
 Both inputs are projected into a shared space, split into chunks, and each
 chunk pair is combined by a sum of R rank-one-style bilinear maps (a low-rank
 factorization per chunk). The per-chunk results are concatenated and projected
-to the output dimension. With biases disabled the whole map is exactly
-bilinear in its two inputs.
+to the output dimension. Every map has a bias; with its bias arrays zeroed the
+whole map is exactly bilinear in its two inputs.
 
 Each chunk keeps its R factor maps per side in one rank-stacked affine map,
 weight (P_c, R*O_c) with column r*O_c + o for rank r, so the whole chunk-and-
-rank core is one tape op, ``tensor.block_bilinear``.
+rank core is one tape op, ``tensor.block_bilinear``. The factor weights are
+the chunk layout: chunk c covers the next P_c projected columns and the next
+O_c output columns, and the chunk count and rank follow from the weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +32,6 @@ def near_equal_partition(total: int, chunks: int) -> list[int]:
     return [base + 1] * rem + [base] * (chunks - rem)
 
 
-def _ranges(sizes: list[int]) -> list[tuple[int, int]]:
-    starts = np.cumsum([0] + sizes)
-    return [(int(starts[i]), int(starts[i + 1])) for i in range(len(sizes))]
-
-
 @dataclass
 class BlockFusionParams:
     proj_x: Linear                      # d_x -> P
@@ -42,18 +39,14 @@ class BlockFusionParams:
     factors_x: list[Linear]             # [chunk]: x-chunk -> R stacked out-chunks
     factors_y: list[Linear]
     proj_out: Linear                    # P_out -> o
-    x_chunks: list[tuple[int, int]] = field(default_factory=list)
-    out_chunks: list[tuple[int, int]] = field(default_factory=list)
-    use_bias: bool = True
 
     @property
     def chunks(self) -> int:
-        return len(self.x_chunks)
+        return len(self.factors_x)
 
     @property
     def rank(self) -> int:
-        start, end = self.out_chunks[0]
-        return self.factors_x[0].d_out // (end - start)
+        return sum(f.d_out for f in self.factors_x) // self.proj_out.d_in
 
     @property
     def d_x(self) -> int:
@@ -76,8 +69,8 @@ class BlockFusionParams:
         yield from self.proj_out.named_arrays(f"{prefix}.proj_out")
 
 
-def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int, rank: int,
-                       bias: bool) -> Linear:
+def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int,
+                       rank: int) -> Linear:
     """R affine maps d_in -> d_out, drawn one after another as `linear_init`
     draws them (weight, then bias), straight into one rank-major stacked
     d_in -> R*d_out map."""
@@ -86,15 +79,14 @@ def _rank_stacked_init(rng: np.random.Generator, d_in: int, d_out: int, rank: in
     b = np.empty((rank, d_out), weight.dtype)
     for r in range(rank):
         weight[:, r] = rng.uniform(-bound, bound, size=(d_in, d_out))
-        if bias:
-            b[r] = rng.uniform(-bound, bound, size=d_out)
+        b[r] = rng.uniform(-bound, bound, size=d_out)
     return Linear(Tensor(weight.reshape(d_in, rank * d_out), requires_grad=True),
-                  Tensor(b.reshape(-1), requires_grad=True) if bias else None)
+                  Tensor(b.reshape(-1), requires_grad=True))
 
 
 def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
-                      out_dim: int, chunks: int, rank: int, seed: int | None,
-                      use_bias: bool = True) -> BlockFusionParams:
+                      out_dim: int, chunks: int, rank: int,
+                      seed: int | None) -> BlockFusionParams:
     """Build fusion parameters with near-equal chunk partitions, seeded (a
     seed of None leaves them zero)."""
     if not 1 <= chunks <= min(proj_dim, out_proj_dim):
@@ -105,17 +97,14 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
     out_sizes = near_equal_partition(out_proj_dim, chunks)
     factors_x, factors_y = [], []
     for c in range(chunks):
-        factors_x.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank, use_bias))
-        factors_y.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank, use_bias))
+        factors_x.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank))
+        factors_y.append(_rank_stacked_init(rng, x_sizes[c], out_sizes[c], rank))
     return BlockFusionParams(
-        proj_x=linear_init(rng, d_x, proj_dim, bias=use_bias),
-        proj_y=linear_init(rng, d_y, proj_dim, bias=use_bias),
+        proj_x=linear_init(rng, d_x, proj_dim),
+        proj_y=linear_init(rng, d_y, proj_dim),
         factors_x=factors_x,
         factors_y=factors_y,
-        proj_out=linear_init(rng, out_proj_dim, out_dim, bias=use_bias),
-        x_chunks=_ranges(x_sizes),
-        out_chunks=_ranges(out_sizes),
-        use_bias=use_bias,
+        proj_out=linear_init(rng, out_proj_dim, out_dim),
     )
 
 
@@ -130,9 +119,7 @@ def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
                          f"of the parameter dims ({p.d_x}, {p.d_y})")
 
     z = T.block_bilinear(p.proj_x(x), p.proj_y(y),
-                         [f.weight for f in p.factors_x],
-                         [f.bias for f in p.factors_x] if p.use_bias else None,
-                         [f.weight for f in p.factors_y],
-                         [f.bias for f in p.factors_y] if p.use_bias else None,
-                         p.x_chunks, p.out_chunks, p.rank)
+                         [f.weight for f in p.factors_x], [f.bias for f in p.factors_x],
+                         [f.weight for f in p.factors_y], [f.bias for f in p.factors_y],
+                         p.rank)
     return p.proj_out(z)

@@ -102,33 +102,26 @@ def check_tensor_ops() -> list[CheckResult]:
 
 def _check_block_bilinear(rng, results) -> None:
     # unequal chunks: P=7 splits 3/2/2, P_out=5 splits 2/2/1; C=3, R=2
-    x_chunks = [(0, 3), (3, 5), (5, 7)]
-    out_chunks = [(0, 2), (2, 4), (4, 5)]
-    rank = 2
+    x_sizes, out_sizes, rank = (3, 2, 2), (2, 2, 1), 2
     px = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
     py = Tensor(rng.normal(size=(2, 7)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 5)))
 
     def side():
-        return ([Tensor(rng.normal(size=(xe - xs, rank * (oe - os_))), requires_grad=True)
-                 for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)],
-                [Tensor(rng.normal(size=rank * (oe - os_)), requires_grad=True)
-                 for os_, oe in out_chunks])
+        return ([Tensor(rng.normal(size=(p, rank * o)), requires_grad=True)
+                 for p, o in zip(x_sizes, out_sizes)],
+                [Tensor(rng.normal(size=rank * o), requires_grad=True) for o in out_sizes])
 
     (wx, bx), (wy, by) = side(), side()
     # grouped: px row i pairs with py row i mod 2, so each of the 2 py rows
     # pairs with 3 px rows, one in each block of 2
     px_grouped = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
     probe_grouped = Tensor(rng.normal(size=(6, 5)))
-    for name, x, bias_x, bias_y, out_probe in (
-            ("block_bilinear", px, bx, by, probe),
-            ("block_bilinear_nobias", px, None, None, probe),
-            ("block_bilinear_grouped", px_grouped, bx, by, probe_grouped),
-            ("block_bilinear_grouped_nobias", px_grouped, None, None, probe_grouped)):
-        def loss(x=x, bias_x=bias_x, bias_y=bias_y, out_probe=out_probe):
-            z = T.block_bilinear(x, py, wx, bias_x, wy, bias_y, x_chunks, out_chunks, rank)
-            return T.mul(z, out_probe).sum()
-        inputs = [x, py, *wx, *wy] + ([*bx, *by] if bias_x is not None else [])
+    for name, x, out_probe in (("block_bilinear", px, probe),
+                               ("block_bilinear_grouped", px_grouped, probe_grouped)):
+        def loss(x=x, out_probe=out_probe):
+            return T.mul(T.block_bilinear(x, py, wx, bx, wy, by, rank), out_probe).sum()
+        inputs = [x, py, *wx, *wy, *bx, *by]
         _check("tensor_core", name, loss, [(str(i), t) for i, t in enumerate(inputs)],
                results)
 

@@ -19,11 +19,11 @@ from .tensor import Tensor
 
 @dataclass
 class Linear:
-    """Affine map stored as (d_in, d_out) weight so batches multiply as x @ w;
-    a call is one `tensor.affine` op."""
+    """Affine map x @ weight + bias, the weight stored as (d_in, d_out) so
+    batches multiply as x @ w; a call is one `tensor.affine` op."""
 
     weight: Tensor
-    bias: Tensor | None = None
+    bias: Tensor
 
     @property
     def d_in(self) -> int:
@@ -38,21 +38,18 @@ class Linear:
 
     def named_arrays(self, prefix: str):
         yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
+        yield f"{prefix}.bias", self.bias
 
 
-def linear_init(rng: np.random.Generator, d_in: int, d_out: int,
-                bias: bool = True) -> Linear:
+def linear_init(rng: np.random.Generator, d_in: int, d_out: int) -> Linear:
     """Uniform init scaled by 1/sqrt(fan_in), the usual dense-layer default."""
     bound = 1.0 / np.sqrt(d_in)
     weight = Tensor(rng.uniform(-bound, bound, size=(d_in, d_out)), requires_grad=True)
-    b = Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True) if bias else None
-    return Linear(weight, b)
+    return Linear(weight, Tensor(rng.uniform(-bound, bound, size=d_out), requires_grad=True))
 
 
-def vector_init(rng: np.random.Generator, dim: int, fan_in: int | None = None) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in if fan_in is not None else dim)
+def vector_init(rng: np.random.Generator, dim: int) -> Tensor:
+    bound = 1.0 / np.sqrt(dim)
     return Tensor(rng.uniform(-bound, bound, size=dim), requires_grad=True)
 
 

@@ -303,32 +303,26 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), a_data @ b_data, bw)
 
 
-def affine(x, w, b=None) -> Tensor:
-    """x @ w + b as one tape op: x (B, d_in), w (d_in, d_out), b (d_out,) or
-    None. The bias is added in place into the product, so the values are
-    those of `add(matmul(x, w), b)`, and so are the gradients."""
-    x, w = as_tensor(x), as_tensor(w)
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one tape op: x (B, d_in), w (d_in, d_out), b (d_out,). The
+    bias is added in place into the product, so the values are those of
+    `add(matmul(x, w), b)`, and so are the gradients."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"affine expects 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: bias {b.shape} does not match output width {w.shape[1]}")
     x_data, w_data = x.data, w.data
     out = x_data @ w_data
-    inputs = (x, w)
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != w.shape[1:]:
-            raise ShapeError(f"affine: bias {b.shape} does not match output width "
-                             f"{w.shape[1]}")
-        out += b.data
-        inputs = (x, w, b)
-    need_x, need_w = x.requires_grad, w.requires_grad
-    need_b = b is not None and b.requires_grad
+    out += b.data
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def bw(g):
         return (g @ w_data.T if need_x else None, x_data.T @ g if need_w else None,
                 g.sum(axis=0) if need_b else None)
-    return _record("affine", inputs, out, bw)
+    return _record("affine", (x, w, b), out, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +615,8 @@ def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
     if xs.data.ndim != 3 or xs.shape[0] < 1:
         raise ShapeError(f"gru_sequence: inputs {xs.shape} are not (T, B, d_in) with T >= 1")
     steps, _, width = xs.shape
+    if weights[0].data.ndim != 2:
+        raise ShapeError(f"gru_sequence: w_update {weights[0].shape} is not (d_in, hidden)")
     d_in, hidden = weights[0].shape
     if width != d_in:
         raise ShapeError(f"gru_sequence: steps of {xs.shape[1:]} are not row-batches of "
@@ -656,73 +652,68 @@ def gru_sequence(xs, w_update, u_update, b_update, w_reset, u_reset, b_reset,
     return _record("gru_sequence", (xs, *weights), h, bw)
 
 
-def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
-                   wy_chunks: Sequence, by_chunks: Sequence | None,
-                   x_chunks: Sequence[tuple[int, int]],
-                   out_chunks: Sequence[tuple[int, int]], rank: int) -> Tensor:
+def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence,
+                   wy_chunks: Sequence, by_chunks: Sequence, rank: int) -> Tensor:
     """Block-term bilinear core: (k*N, P) x (N, P) -> (k*N, P_out), chunk by chunk.
 
     Row i of px pairs with row i mod N of py: px is k blocks of N rows, each
     paired row for row with py, so py is projected once and every product
-    runs over k*N contiguous rows. Chunk c reads columns x_chunks[c] of px
-    and py and writes columns out_chunks[c]; the chunks of each side run
-    contiguously, in order, from column 0. Its factor weights are
-    rank-stacked, (P_c, R*O_c) with column r*O_c + o for rank r, and biases
-    (R*O_c,), or None without bias: u = px_c @ Wx_c + bx_c, v = py_c @ Wy_c
-    + by_c, and the output chunk is (u * v) @ S_c, where S_c stacks R (O_c,
-    O_c) identities: the sum over ranks of the (u * v) column blocks.
+    runs over k*N contiguous rows. The factor weights set the chunk layout:
+    chunk c has rank-stacked weights (P_c, R*O_c), column r*O_c + o for rank
+    r, and biases (R*O_c,), the same on both sides. It reads the next P_c
+    columns of px and py and writes the next O_c output columns, both from
+    column 0, so P is the sum of the P_c and P_out that of the O_c. With
+    u = px_c @ Wx_c + bx_c and v = py_c @ Wy_c + by_c, the output chunk is
+    (u * v) @ S_c, where S_c stacks R (O_c, O_c) identities: the sum over
+    ranks of the (u * v) column blocks. Factors that do not stack so raise
+    ShapeError.
     """
     px, py = as_tensor(px), as_tensor(py)
-    wx = [as_tensor(w) for w in wx_chunks]
-    wy = [as_tensor(w) for w in wy_chunks]
-    bx = None if bx_chunks is None else [as_tensor(b) for b in bx_chunks]
-    by = None if by_chunks is None else [as_tensor(b) for b in by_chunks]
-    for name, chunks in (("x_chunks", x_chunks), ("out_chunks", out_chunks)):
-        starts = [0] + [end for _, end in chunks[:-1]]
-        if not chunks or any(s != want or e <= s for (s, e), want in zip(chunks, starts)):
-            raise ShapeError(f"block_bilinear: {name} {list(chunks)} do not run "
-                             "contiguously, in order, from column 0")
+    wx, bx = [as_tensor(w) for w in wx_chunks], [as_tensor(b) for b in bx_chunks]
+    wy, by = [as_tensor(w) for w in wy_chunks], [as_tensor(b) for b in by_chunks]
+    if not isinstance(rank, (int, np.integer)) or rank < 1:
+        raise ShapeError(f"block_bilinear: rank {rank!r} is not an int of at least 1")
+    if not wx or not len(wx) == len(bx) == len(wy) == len(by):
+        raise ShapeError(f"block_bilinear: {len(wx)}/{len(wy)} factor weights and "
+                         f"{len(bx)}/{len(by)} biases do not give both sides the same chunks")
+    x_bounds, out_bounds = [0], [0]
+    for c, w in enumerate(wx):
+        if w.data.ndim != 2 or wy[c].shape != w.shape or w.shape[1] % rank \
+                or bx[c].shape != w.shape[1:] or by[c].shape != w.shape[1:]:
+            raise ShapeError(f"block_bilinear: chunk {c} factor weights {w.shape}, "
+                             f"{wy[c].shape} and biases {bx[c].shape}, {by[c].shape} do "
+                             f"not stack {rank} ranks")
+        x_bounds.append(x_bounds[-1] + w.shape[0])
+        out_bounds.append(out_bounds[-1] + w.shape[1] // rank)
     if px.data.ndim != 2 or py.data.ndim != 2 or px.shape[1] != py.shape[1] \
-            or px.shape[1] != x_chunks[-1][1]:
+            or px.shape[1] != x_bounds[-1]:
         raise ShapeError(f"block_bilinear: inputs {px.shape}, {py.shape} do not match "
-                         f"{x_chunks[-1][1]} chunked columns")
+                         f"{x_bounds[-1]} chunked columns")
     n = py.shape[0]
     if n == 0 or px.shape[0] % n:
         raise ShapeError(f"block_bilinear: {px.shape[0]} x rows are not a multiple of "
                          f"{n} y rows")
     k = px.shape[0] // n
-    if (bx is None) != (by is None):
-        raise ShapeError("block_bilinear: give biases for both sides or for neither")
-    if not len(wx) == len(wy) == len(x_chunks) == len(out_chunks) \
-            or (bx is not None and not len(bx) == len(by) == len(x_chunks)):
-        raise ShapeError(f"block_bilinear: {len(x_chunks)} input chunks, "
-                         f"{len(out_chunks)} output chunks and {len(wx)}/{len(wy)} "
-                         "factor weights do not agree")
-    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
-        w_shape, b_shape = (xe - xs, rank * (oe - os_)), (rank * (oe - os_),)
-        if wx[c].shape != w_shape or wy[c].shape != w_shape or \
-                (bx is not None and (bx[c].shape != b_shape or by[c].shape != b_shape)):
-            raise ShapeError(f"block_bilinear: chunk {c} factors do not have weight "
-                             f"shape {w_shape} and bias shape {b_shape}")
+    # chunk c reads columns xs:xe of px and py and writes columns os_:oe
+    chunks = list(zip(zip(x_bounds, x_bounds[1:]), zip(out_bounds, out_bounds[1:])))
 
     px_data, py_data = px.data, py.data
     wx_data, wy_data = [w.data for w in wx], [w.data for w in wy]
     rows, dtype = px.shape[0], px_data.dtype
     # S_c for each output width: R stacked identities
     rank_sums = {w: np.tile(np.eye(w, dtype=dtype), (rank, 1))
-                 for w in {oe - os_ for os_, oe in out_chunks}}
+                 for w in {oe - os_ for _, (os_, oe) in chunks}}
     # u * v, and in the backward g_uv and g_u, live one chunk at a time in
     # buffers sized for the widest chunk
     largest = rows * rank * max(rank_sums)
-    out = np.empty((rows, out_chunks[-1][1]), dtype=dtype)
+    out = np.empty((rows, out_bounds[-1]), dtype=dtype)
     uv_buf = np.empty(largest, dtype=dtype)
     saved = []
-    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+    for c, ((xs, xe), (os_, oe)) in enumerate(chunks):
         u = px_data[:, xs:xe] @ wx_data[c]
         v = py_data[:, xs:xe] @ wy_data[c]
-        if bx is not None:
-            u += bx[c].data
-            v += by[c].data
+        u += bx[c].data
+        v += by[c].data
         uv = uv_buf[:u.size].reshape(k, n, -1)
         np.multiply(u.reshape(k, n, -1), v, out=uv)
         np.matmul(uv.reshape(u.shape), rank_sums[oe - os_], out=out[:, os_:oe])
@@ -734,7 +725,7 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
         # bias gradients as gemv column sums: an axis-0 sum runs one short loop per row
         ones = np.ones(rows, dtype=g.dtype)
         g_wx, g_wy, g_bx, g_by = [], [], [], []
-        for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+        for c, ((xs, xe), (os_, oe)) in enumerate(chunks):
             u, v = saved[c]
             g_uv = g_uv_buf[:u.size].reshape(k, n, -1)
             np.matmul(g[:, os_:oe], rank_sums[oe - os_].T, out=g_uv.reshape(u.shape))
@@ -747,12 +738,9 @@ def block_bilinear(px, py, wx_chunks: Sequence, bx_chunks: Sequence | None,
             g_wy.append(py_data[:, xs:xe].T @ g_v)
             g_bx.append(ones @ g_u)
             g_by.append(ones[:n] @ g_v)
-        if bx is None:
-            return (g_px, g_py, *g_wx, *g_wy)
         return (g_px, g_py, *g_wx, *g_bx, *g_wy, *g_by)
 
-    inputs = (px, py, *wx, *wy) if bx is None else (px, py, *wx, *bx, *wy, *by)
-    return _record("block_bilinear", inputs, out, bw)
+    return _record("block_bilinear", (px, py, *wx, *bx, *wy, *by), out, bw)
 
 
 def rows_pick(x, ids) -> Tensor:

@@ -206,6 +206,8 @@ def test_gru_sequence_rejects_mismatched_shapes():
     with pytest.raises(ShapeError, match="do not form a GRU"):
         T.gru_sequence(Tensor(np.zeros((3, 2, 4))), *weights[:4], Tensor(np.zeros((4, 3))),
                        *weights[5:])
+    with pytest.raises(ShapeError, match=r"^gru_sequence: w_update \(4,\) is not"):
+        T.gru_sequence(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros(4)), *weights[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +237,9 @@ def block_bilinear_composed(px, py, wx, bx, wy, by, k):
             rank_cols = select(RANK * width, r * width, (r + 1) * width)
 
             def factor(p, w, b):
-                out = T.matmul(T.matmul(p, cols), T.matmul(w[c], rank_cols))
-                if b is None:
-                    return out
-                return T.add(out, T.reshape(T.matmul(T.reshape(b[c], (1, RANK * width)),
-                                                     rank_cols), (width,)))
+                return T.add(T.matmul(T.matmul(p, cols), T.matmul(w[c], rank_cols)),
+                             T.reshape(T.matmul(T.reshape(b[c], (1, RANK * width)),
+                                                rank_cols), (width,)))
 
             uv = T.mul(factor(px, wx, bx), factor(py, wy, by))
             acc = uv if acc is None else T.add(acc, uv)
@@ -247,10 +247,10 @@ def block_bilinear_composed(px, py, wx, bx, wy, by, k):
     return T.concat(parts, axis=1)
 
 
-@pytest.mark.parametrize("rows,k,bias,x_grad",
-                         list(itertools.product((1, 3), (1, 4), (True, False), (True, False))))
-def test_grouped_block_bilinear_matches_composition(rows, k, bias, x_grad):
-    rng = np.random.default_rng(100 * rows + 10 * k + bias)
+@pytest.mark.parametrize("rows,k,x_grad",
+                         list(itertools.product((1, 3), (1, 4), (True, False))))
+def test_grouped_block_bilinear_matches_composition(rows, k, x_grad):
+    rng = np.random.default_rng(100 * rows + 10 * k + 1)
     px = Tensor(rng.normal(size=(rows * k, 7)), requires_grad=x_grad)
     py = Tensor(rng.normal(size=(rows, 7)), requires_grad=True)
 
@@ -259,11 +259,11 @@ def test_grouped_block_bilinear_matches_composition(rows, k, bias, x_grad):
              for (xs, xe), (os_, oe) in zip(X_CHUNKS, OUT_CHUNKS)]
         b = [Tensor(rng.normal(size=RANK * (oe - os_)), requires_grad=True)
              for os_, oe in OUT_CHUNKS]
-        return w, (b if bias else None)
+        return w, b
 
     (wx, bx), (wy, by) = side(), side()
     probe = Tensor(rng.normal(size=(rows * k, 5)))
-    leaves = [px, py, *wx, *wy, *(bx + by if bias else [])]
+    leaves = [px, py, *wx, *wy, *bx, *by]
 
     def run(core):
         def loss_fn():
@@ -271,7 +271,7 @@ def test_grouped_block_bilinear_matches_composition(rows, k, bias, x_grad):
             return z, T.mul(z, probe).sum()
         return gradients(loss_fn, leaves)
 
-    fused = run(lambda: T.block_bilinear(px, py, wx, bx, wy, by, X_CHUNKS, OUT_CHUNKS, RANK))
+    fused = run(lambda: T.block_bilinear(px, py, wx, bx, wy, by, RANK))
     composed = run(lambda: block_bilinear_composed(px, py, wx, bx, wy, by, k))
     assert_same(fused, composed)
 
@@ -280,9 +280,10 @@ def test_grouped_block_bilinear_matches_composition(rows, k, bias, x_grad):
 def test_block_bilinear_rejects_rows_not_a_multiple(x_rows, y_rows):
     w = [Tensor(np.ones((xe - xs, RANK * (oe - os_))))
          for (xs, xe), (os_, oe) in zip(X_CHUNKS, OUT_CHUNKS)]
+    b = [Tensor(np.ones(RANK * (oe - os_))) for os_, oe in OUT_CHUNKS]
     with pytest.raises(ShapeError, match=f"{x_rows} x rows are not a multiple of {y_rows}"):
         T.block_bilinear(Tensor(np.ones((x_rows, 7))), Tensor(np.ones((y_rows, 7))),
-                         w, None, w, None, X_CHUNKS, OUT_CHUNKS, RANK)
+                         w, b, w, b, RANK)
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +456,13 @@ def test_grouped_block_bilinear_drawn_shapes(draw):
     proj, out = (int(v) for v in rng.integers(2, 7, size=2))
     chunks = int(rng.integers(1, min(proj, out, 3) + 1))
     rank, n, k = (int(v) for v in rng.integers(1, 4, size=3))
-    bias = bool(draw % 2)
-    x_bounds = np.cumsum([0] + near_equal_partition(proj, chunks))
-    out_bounds = np.cumsum([0] + near_equal_partition(out, chunks))
-    x_chunks = [(int(a), int(b)) for a, b in zip(x_bounds[:-1], x_bounds[1:])]
-    out_chunks = [(int(a), int(b)) for a, b in zip(out_bounds[:-1], out_bounds[1:])]
+    # the chunk layout is in the factor shapes alone
+    sizes = list(zip(near_equal_partition(proj, chunks), near_equal_partition(out, chunks)))
 
     def factors():
-        w = [Tensor(rng.normal(size=(xe - xs, rank * (oe - os_))), requires_grad=True)
-             for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)]
-        b = [Tensor(rng.normal(size=rank * (oe - os_)), requires_grad=True)
-             for os_, oe in out_chunks]
-        return w, (b if bias else None)
+        w = [Tensor(rng.normal(size=(p, rank * o)), requires_grad=True) for p, o in sizes]
+        b = [Tensor(rng.normal(size=rank * o), requires_grad=True) for _, o in sizes]
+        return w, b
 
     (wx, bx), (wy, by) = factors(), factors()
     px = Tensor(rng.normal(size=(n * k, proj)), requires_grad=True)
@@ -474,16 +470,15 @@ def test_grouped_block_bilinear_drawn_shapes(draw):
     probe = Tensor(rng.normal(size=(n * k, out)))
 
     def core(px=px, py=py, wx=wx, bx=bx, wy=wy, by=by):
-        return T.block_bilinear(px, py, wx, bx, wy, by, x_chunks, out_chunks, rank)
+        return T.block_bilinear(px, py, wx, bx, wy, by, rank)
 
     assert_gradients_checked(lambda: T.mul(core(), probe).sum(),
-                             [px, py, *wx, *wy, *(bx + by if bias else [])])
+                             [px, py, *wx, *wy, *bx, *by])
     wrong_w = [Tensor(np.zeros((w.shape[0], w.shape[1] + 1))) for w in wy]
     for bad in (dict(py=Tensor(np.zeros((n, proj + 1)))),
                 dict(py=Tensor(np.zeros((n * k + 1, proj)))),
                 dict(wy=wrong_w),
-                dict(by=None if bias else [Tensor(np.zeros(rank * (oe - os_)))
-                                           for os_, oe in out_chunks])):
+                dict(by=[Tensor(np.zeros(b.size + 1)) for b in by])):
         with pytest.raises(ShapeError):
             core(**bad)
 

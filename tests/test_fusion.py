@@ -7,8 +7,26 @@ from vqalab.model import ModelConfig, init_model
 from vqalab.tensor import Tensor
 
 
-def make_params(d_x=5, d_y=4, P=6, P_out=6, o=3, C=2, R=2, seed=0, **kw):
-    return fusion.block_params_init(d_x, d_y, P, P_out, o, C, R, seed, **kw)
+def make_params(d_x=5, d_y=4, P=6, P_out=6, o=3, C=2, R=2, seed=0):
+    return fusion.block_params_init(d_x, d_y, P, P_out, o, C, R, seed)
+
+
+def bilinear_params(**kw):
+    """make_params with every bias array zeroed: an exactly bilinear map."""
+    p = make_params(**kw)
+    for name, t in p.named_arrays():
+        if name.endswith(".bias"):
+            t.data[...] = 0.0
+    return p
+
+
+def chunk_columns(p):
+    """Per chunk, the projected and the output columns its factor weights cover."""
+    x_end = out_end = 0
+    for f in p.factors_x:
+        width = f.d_out // p.rank
+        yield (x_end, x_end + f.d_in), (out_end, out_end + width)
+        x_end, out_end = x_end + f.d_in, out_end + width
 
 
 def dump(p):
@@ -29,11 +47,10 @@ class TestPartition:
             make_params(P=3, C=4)
 
     def test_chunk_ranges_cover_exactly(self):
-        p = make_params(P=7, P_out=5, C=3)
-        assert p.x_chunks[0][0] == 0 and p.x_chunks[-1][1] == 7
-        assert p.out_chunks[-1][1] == 5
-        for (a, b), (c, d) in zip(p.x_chunks, p.x_chunks[1:]):
-            assert b == c and a < b
+        p = make_params(P=7, P_out=5, C=3, R=2)
+        assert (p.chunks, p.rank) == (3, 2)
+        assert list(chunk_columns(p)) == [((0, 3), (0, 2)), ((3, 5), (2, 4)), ((5, 7), (4, 5))]
+        assert p.proj_x.d_out == 7 and p.proj_out.d_in == 5
 
 
 class TestInitDeterminism:
@@ -50,7 +67,7 @@ class TestInitDeterminism:
     def test_rank_stacked_layout(self):
         p = make_params(P=7, P_out=5, C=3, R=2)
         shapes = {name: t.shape for name, t in p.named_arrays()}
-        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(chunk_columns(p)):
             for side in ("x", "y"):
                 assert shapes[f"fusion.factor_{side}.{c}.weight"] == (hi - lo, 2 * (o_hi - o_lo))
                 assert shapes[f"fusion.factor_{side}.{c}.bias"] == (2 * (o_hi - o_lo),)
@@ -62,7 +79,7 @@ class TestInitDeterminism:
         # then proj_x, proj_y, proj_out
         p = make_params(P=7, P_out=5, C=3, R=2, seed=4)
         rng = seeded_rng(4, 0xB10C)
-        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(chunk_columns(p)):
             for stacked in (p.factors_x[c], p.factors_y[c]):
                 width = o_hi - o_lo
                 for r in range(2):
@@ -77,13 +94,12 @@ class TestInitDeterminism:
             assert np.array_equal(layer.bias.data, drawn.bias.data)
 
     @staticmethod
-    def concatenating_init(rng, d_in, d_out, rank, bias):
+    def concatenating_init(rng, d_in, d_out, rank):
         """The rank-stacked init as R `linear_init` maps, concatenated."""
-        maps = [linear_init(rng, d_in, d_out, bias=bias) for _ in range(rank)]
+        maps = [linear_init(rng, d_in, d_out) for _ in range(rank)]
         weight = Tensor(np.concatenate([m.weight.data for m in maps], axis=1),
                         requires_grad=True)
-        b = Tensor(np.concatenate([m.bias.data for m in maps]), requires_grad=True) \
-            if bias else None
+        b = Tensor(np.concatenate([m.bias.data for m in maps]), requires_grad=True)
         return Linear(weight, b)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -92,33 +108,26 @@ class TestInitDeterminism:
             with T.using_dtype(dtype):
                 models = [init_model(ModelConfig(variant=variant, seed=seed)).flat.tobytes()
                           for variant in ("baseline", "vgqe") for seed in (0, 1, 7)]
-                return models, dump(make_params(P=7, P_out=5, C=3, R=3, seed=2,
-                                                use_bias=False))
-        models, no_bias = build()
+                return models, dump(make_params(P=7, P_out=5, C=3, R=3, seed=2))
+        models, fused = build()
         monkeypatch.setattr(fusion, "_rank_stacked_init", self.concatenating_init)
-        want_models, want_no_bias = build()
+        want_models, want_fused = build()
         assert models == want_models
-        assert no_bias.keys() == want_no_bias.keys()
-        for name, value in no_bias.items():
-            assert value.dtype == dtype and value.tobytes() == want_no_bias[name].tobytes()
-
-    def test_bias_flag_controls_bias_arrays(self):
-        with_bias = dump(make_params(use_bias=True))
-        without = dump(make_params(use_bias=False))
-        assert any(n.endswith(".bias") for n in with_bias)
-        assert not any(n.endswith(".bias") for n in without)
+        assert fused.keys() == want_fused.keys()
+        for name, value in fused.items():
+            assert value.dtype == dtype and value.tobytes() == want_fused[name].tobytes()
 
 
 class TestBilinearity:
     def test_zero_input_gives_zero(self):
-        p = make_params(use_bias=False)
+        p = bilinear_params()
         rng = np.random.default_rng(0)
         y = Tensor(rng.normal(size=(3, 4)))
         out = fusion.block_fuse(Tensor(np.zeros((3, 5))), y, p)
         assert np.allclose(out.data, 0.0)
 
     def test_homogeneity(self):
-        p = make_params(use_bias=False)
+        p = bilinear_params()
         rng = np.random.default_rng(1)
         x, y = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(3, 4)))
         once = fusion.block_fuse(x, y, p).data
@@ -126,7 +135,7 @@ class TestBilinearity:
         assert np.max(np.abs(doubled - 2.0 * once)) < 1e-9
 
     def test_additivity_both_arguments(self):
-        p = make_params(use_bias=False)
+        p = bilinear_params()
         for seed in range(20):
             rng = np.random.default_rng(seed)
             x1, x2 = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 5)))
@@ -142,8 +151,7 @@ class TestBilinearity:
 class TestAgainstDenseOracle:
     def test_single_chunk_rank_one_matches_hand_computation(self):
         # C=1, R=1, identity-sized projections: z = proj_out((A x) * (B y))
-        p = make_params(d_x=3, d_y=3, P=3, P_out=3, o=3, C=1, R=1, seed=5,
-                        use_bias=False)
+        p = bilinear_params(d_x=3, d_y=3, P=3, P_out=3, o=3, C=1, R=1, seed=5)
         p.proj_x.weight = Tensor(np.eye(3))
         p.proj_y.weight = Tensor(np.eye(3))
         rng = np.random.default_rng(9)
@@ -156,27 +164,22 @@ class TestAgainstDenseOracle:
         expected = ((x @ a) * (y @ b)) @ w_out
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_matches_per_chunk_per_rank_composition(self, use_bias):
+    def test_matches_per_chunk_per_rank_composition(self):
         # the composition block_bilinear replaces: per chunk, R separate affine
         # factor maps per side, multiplied and summed rank by rank
-        p = make_params(d_x=5, d_y=4, P=7, P_out=5, o=3, C=3, R=3, seed=8,
-                        use_bias=use_bias)
+        p = make_params(d_x=5, d_y=4, P=7, P_out=5, o=3, C=3, R=3, seed=8)
         rng = np.random.default_rng(10)
         x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
-        affine = lambda v, layer: v @ layer.weight.data + (
-            layer.bias.data if use_bias else 0.0)
+        affine = lambda v, layer: v @ layer.weight.data + layer.bias.data
         px, py = affine(x, p.proj_x), affine(y, p.proj_y)
         parts = []
-        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(p.x_chunks, p.out_chunks)):
+        for c, ((lo, hi), (o_lo, o_hi)) in enumerate(chunk_columns(p)):
             wx, wy = p.factors_x[c], p.factors_y[c]
             acc = None
             for r in range(p.rank):
                 cols = slice(r * (o_hi - o_lo), (r + 1) * (o_hi - o_lo))
-                u = px[:, lo:hi] @ wx.weight.data[:, cols]
-                v = py[:, lo:hi] @ wy.weight.data[:, cols]
-                if use_bias:
-                    u, v = u + wx.bias.data[cols], v + wy.bias.data[cols]
+                u = px[:, lo:hi] @ wx.weight.data[:, cols] + wx.bias.data[cols]
+                v = py[:, lo:hi] @ wy.weight.data[:, cols] + wy.bias.data[cols]
                 acc = u * v if acc is None else acc + u * v
             parts.append(acc)
         expected = affine(np.concatenate(parts, axis=1), p.proj_out)
@@ -194,7 +197,7 @@ class TestAgainstDenseOracle:
 
 
 def test_zeroing_chunk_factors_touches_only_that_slice():
-    p = make_params(d_x=5, d_y=4, P=6, P_out=6, o=6, C=3, R=2, seed=7, use_bias=False)
+    p = bilinear_params(d_x=5, d_y=4, P=6, P_out=6, o=6, C=3, R=2, seed=7)
     p.proj_out.weight = Tensor(np.eye(6))
     rng = np.random.default_rng(2)
     x, y = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 4)))
@@ -202,7 +205,7 @@ def test_zeroing_chunk_factors_touches_only_that_slice():
     target = 1
     p.factors_x[target].weight.data[:] = 0.0
     after = fusion.block_fuse(x, y, p).data
-    lo, hi = p.out_chunks[target]
+    _, (lo, hi) = list(chunk_columns(p))[target]
     assert np.allclose(after[:, lo:hi], 0.0)
     mask = np.ones(6, dtype=bool)
     mask[lo:hi] = False

@@ -59,14 +59,16 @@ def fuse_oracle(attended, word, p: VgwParams):
     px = attended @ f.proj_x.weight.data + f.proj_x.bias.data
     py = refined @ f.proj_y.weight.data + f.proj_y.bias.data
     parts = []
-    for c, ((lo, hi), (o_lo, o_hi)) in enumerate(zip(f.x_chunks, f.out_chunks)):
-        fx, fy = f.factors_x[c], f.factors_y[c]
+    lo = 0
+    for fx, fy in zip(f.factors_x, f.factors_y):
+        hi, width = lo + fx.d_in, fx.d_out // f.rank
         acc = 0.0
         for r in range(f.rank):
-            cols = slice(r * (o_hi - o_lo), (r + 1) * (o_hi - o_lo))
+            cols = slice(r * width, (r + 1) * width)
             acc = acc + (px[..., lo:hi] @ fx.weight.data[:, cols] + fx.bias.data[cols]) \
                       * (py[..., lo:hi] @ fy.weight.data[:, cols] + fy.bias.data[cols])
         parts.append(acc)
+        lo = hi
     return np.concatenate(parts, axis=-1) @ f.proj_out.weight.data + f.proj_out.bias.data
 
 
@@ -216,7 +218,10 @@ class TestVgwFuse:
 
     def test_zero_visual_with_flags_off_gives_zero(self):
         p = make_vgw()
-        p.fusion = block_params_init(D_V, D_REF, 4, 4, D_G, 2, 2, seed=0, use_bias=False)
+        p.fusion = block_params_init(D_V, D_REF, 4, 4, D_G, 2, 2, seed=0)
+        for name, t in p.fusion.named_arrays():
+            if name.endswith(".bias"):
+                t.data[...] = 0.0
         rng = np.random.default_rng(3)
         out = ground(np.zeros((2, 1, D_V)), rng.normal(size=(2, 1, D_W)),
                      rng.normal(size=(2, D_W)), p)

@@ -30,21 +30,23 @@ SIZES = {"default": ({}, 128, 8, 4), "tiny": (TINY, 4, 3, 3)}
 REL = 1e-12
 
 
-def scene_major_block_bilinear(px, py, wx, bx, wy, by, x_chunks, out_chunks, rank):
+def scene_major_block_bilinear(px, py, wx, bx, wy, by, rank):
     """block_bilinear with x row i paired with y row i // k, ranks added block by block."""
     px, py = T.as_tensor(px), T.as_tensor(py)
     n = py.shape[0]
     k = px.shape[0] // n
     px_data, py_data = px.data, py.data
     wx_data, wy_data = [w.data for w in wx], [w.data for w in wy]
-    out = np.empty((px.shape[0], out_chunks[-1][1]), dtype=px_data.dtype)
+    # chunk c reads the next wx[c].shape[0] columns and writes the next
+    # wx[c].shape[1] // rank, from column 0
+    x_bounds = np.cumsum([0] + [w.shape[0] for w in wx_data])
+    out_bounds = np.cumsum([0] + [w.shape[1] // rank for w in wx_data])
+    chunks = list(zip(zip(x_bounds, x_bounds[1:]), zip(out_bounds, out_bounds[1:])))
+    out = np.empty((px.shape[0], out_bounds[-1]), dtype=px_data.dtype)
     saved = []
-    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
-        u = px_data[:, xs:xe] @ wx_data[c]
-        v = py_data[:, xs:xe] @ wy_data[c]
-        if bx is not None:
-            u += bx[c].data
-            v += by[c].data
+    for c, ((xs, xe), (os_, oe)) in enumerate(chunks):
+        u = px_data[:, xs:xe] @ wx_data[c] + bx[c].data
+        v = py_data[:, xs:xe] @ wy_data[c] + by[c].data
         uv = (u.reshape(n, k, -1) * v[:, None]).reshape(u.shape)
         width = oe - os_
         acc = uv[:, :width]
@@ -56,7 +58,7 @@ def scene_major_block_bilinear(px, py, wx, bx, wy, by, x_chunks, out_chunks, ran
     def bw(g):
         g_px, g_py = np.zeros_like(px_data), np.zeros_like(py_data)
         g_wx, g_wy, g_bx, g_by = [], [], [], []
-        for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
+        for c, ((xs, xe), (os_, oe)) in enumerate(chunks):
             u, v = saved[c]
             g_uv = np.tile(g[:, os_:oe], (1, rank)).reshape(n, k, -1)
             g_u = (g_uv * v[:, None]).reshape(u.shape)
@@ -67,12 +69,9 @@ def scene_major_block_bilinear(px, py, wx, bx, wy, by, x_chunks, out_chunks, ran
             g_wy.append(py_data[:, xs:xe].T @ g_v)
             g_bx.append(g_u.sum(axis=0))
             g_by.append(g_v.sum(axis=0))
-        if bx is None:
-            return (g_px, g_py, *g_wx, *g_wy)
         return (g_px, g_py, *g_wx, *g_bx, *g_wy, *g_by)
 
-    inputs = (px, py, *wx, *wy) if bx is None else (px, py, *wx, *bx, *wy, *by)
-    return T._record("block_bilinear", inputs, out, bw)
+    return T._record("block_bilinear", (px, py, *wx, *bx, *wy, *by), out, bw)
 
 
 def argmax_reduce_max(x, axis):

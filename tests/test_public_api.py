@@ -42,7 +42,7 @@ SURFACE = {
                  "constant_majority_floor", "evaluate_split", "histograms_csv",
                  "predict_split", "report_from_json", "report_to_json",
                  "summarize_predictions"},
-    "fusion": {"BlockFusionParams", "_rank_stacked_init", "_ranges", "block_fuse",
+    "fusion": {"BlockFusionParams", "_rank_stacked_init", "block_fuse",
                "block_params_init", "near_equal_partition"},
     "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
                 "encode_questions_baseline", "gru_cell", "gru_params_init"},
@@ -105,8 +105,11 @@ def test_removed_knobs_stay_removed():
     from vqalab.model import ModelConfig, ModelParams
     from vqalab.tensor import Tensor
     assert set(EmbeddingTable.__dataclass_fields__) == {"vectors"}
-    assert "use_bias" in BlockFusionParams.__dataclass_fields__
-    assert not any("nonlinearity" in f for f in BlockFusionParams.__dataclass_fields__)
+    # the five layers alone: every map has a bias, and the chunk layout, chunk
+    # count and rank are read from the factor weights
+    assert set(BlockFusionParams.__dataclass_fields__) == {
+        "proj_x", "proj_y", "factors_x", "factors_y", "proj_out"}
+    assert inspect.signature(tensor.affine).parameters["b"].default is inspect.Parameter.empty
     # one grounded-word module, read by both directions; no pre-pool switch
     assert not {"shared_vgw", "prepool_nonlinearity"} & set(ModelConfig.__dataclass_fields__)
     assert len(ModelConfig.__dataclass_fields__) == 14

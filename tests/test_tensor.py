@@ -484,44 +484,40 @@ def test_dtype_and_recording_are_per_thread():
 
 
 def test_block_bilinear_rejects_mismatched_factors():
-    # two chunks: columns 0:2 -> 0:1 and 2:3 -> 1:2, rank 2
-    x_chunks, out_chunks = [(0, 2), (2, 3)], [(0, 1), (1, 2)]
+    # two chunks of rank 2, read from the weights: columns 0:2 -> 0:1 and 2:3 -> 1:2
     px = py = Tensor(np.ones((4, 3)))
     w = [Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2)))]
     b = [Tensor(np.ones(2)), Tensor(np.ones(2))]
-    out = T.block_bilinear(px, py, w, b, w, b, x_chunks, out_chunks, 2)
+    out = T.block_bilinear(px, py, w, b, w, b, 2)
     assert np.array_equal(out.data, np.full((4, 2), [2 * 9.0, 2 * 4.0]))
-    with pytest.raises(ShapeError, match="chunk 1"):
-        T.block_bilinear(px, py, w, b, [w[0], Tensor(np.ones((1, 3)))], b,
-                         x_chunks, out_chunks, 2)
-    with pytest.raises(ShapeError, match="both sides"):
-        T.block_bilinear(px, py, w, b, w, None, x_chunks, out_chunks, 2)
-    with pytest.raises(ShapeError, match="do not agree"):
-        T.block_bilinear(px, py, w[:1], None, w[:1], None, x_chunks, out_chunks, 2)
-    with pytest.raises(ShapeError, match="chunked columns"):
-        T.block_bilinear(Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))), w, b, w, b,
-                         x_chunks, out_chunks, 2)
+    with pytest.raises(ShapeError, match="same chunks"):
+        T.block_bilinear(px, py, w, b[:1], w, b[:1], 2)
 
 
-@pytest.mark.parametrize("side,chunks", [
-    ("x_chunks", [(0, 3), (4, 7)]),      # a gap
-    ("x_chunks", [(0, 5), (3, 7)]),      # an overlap
-    ("x_chunks", [(3, 7), (0, 3)]),      # the wrong order
-    ("x_chunks", [(0, 0), (0, 7)]),      # an empty chunk
-    ("out_chunks", [(0, 2), (3, 5)]),
-    ("out_chunks", [(0, 3), (2, 5)]),
-    ("out_chunks", [(2, 5), (0, 2)]),
-    ("out_chunks", [(1, 3), (3, 5)]),    # not from column 0
-])
-def test_block_bilinear_refuses_chunks_that_do_not_tile(side, chunks):
-    # the factors fit the chunks, so only the tiling can refuse them; an
-    # out_chunks gap would leave an output column unwritten
-    given = {"x_chunks": [(0, 3), (3, 7)], "out_chunks": [(0, 2), (2, 5)], side: chunks}
-    x_chunks, out_chunks = given["x_chunks"], given["out_chunks"]
-    w = [Tensor(np.ones((xe - xs, 2 * (oe - os_))))
-         for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)]
-    px = py = Tensor(np.ones((4, 7)))
-    with pytest.raises(ShapeError) as err:
-        T.block_bilinear(px, py, w, None, w, None, x_chunks, out_chunks, 2)
-    assert str(err.value) == (f"block_bilinear: {side} {chunks} do not run contiguously, "
-                              "in order, from column 0")
+# chunks of 3 -> 2 and 4 -> 3 columns at rank 2; each case spoils one thing,
+# and the refusal names the op and what it could not do
+STACKING = {"wx": [(3, 4), (4, 6)], "bx": [4, 6], "wy": [(3, 4), (4, 6)], "by": [4, 6],
+            "px": (4, 7), "rank": 2}
+SPOILED = {
+    "wy_of_another_shape": (dict(wy=[(3, 4), (4, 4)]), "chunk 1 .* do not stack"),
+    "bias_of_the_wrong_width": (dict(by=[4, 5]), "chunk 1 .* do not stack"),
+    "width_not_divisible_by_rank": (dict(wx=[(3, 4), (4, 5)], wy=[(3, 4), (4, 5)],
+                                         bx=[4, 5], by=[4, 5]), "chunk 1 .* do not stack"),
+    "px_narrower_than_the_chunks": (dict(px=(4, 6)), "inputs .* do not match 7 chunked columns"),
+    "px_wider_than_the_chunks": (dict(px=(4, 8)), "inputs .* do not match 7 chunked columns"),
+    "one_dimensional_factor": (dict(wx=[(12,), (4, 6)], wy=[(12,), (4, 6)]),
+                               "chunk 0 .* do not stack"),
+    "rank_below_one": (dict(rank=0), "rank 0 is not an int of at least 1"),
+    "rank_not_an_int": (dict(rank=2.0), "rank 2.0 is not an int of at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPOILED))
+def test_block_bilinear_refuses_factors_that_do_not_stack(case):
+    spoil, message = SPOILED[case]
+    given = {**STACKING, **spoil}
+    wx, bx, wy, by = ([Tensor(np.ones(shape)) for shape in given[side]]
+                      for side in ("wx", "bx", "wy", "by"))
+    px = py = Tensor(np.ones(given["px"]))
+    with pytest.raises(ShapeError, match=f"^block_bilinear: {message}"):
+        T.block_bilinear(px, py, wx, bx, wy, by, given["rank"])
