@@ -216,6 +216,12 @@ def test_gru_sequence_rejects_mismatched_shapes():
 X_CHUNKS = [(0, 3), (3, 5), (5, 7)]        # P=7 splits 3/2/2
 OUT_CHUNKS = [(0, 2), (2, 4), (4, 5)]      # P_out=5 splits 2/2/1
 RANK = 2
+# (x_chunks, out_chunks, rank): block_bilinear reads the layout from the factor
+# shapes alone, so the composition is checked on more than one of them
+LAYOUTS = {
+    "three_chunks": (X_CHUNKS, OUT_CHUNKS, RANK),
+    "uneven_two_chunks": ([(0, 1), (1, 6)], [(0, 3), (3, 4)], 3),
+}
 
 
 def select(n, start, end):
@@ -225,20 +231,21 @@ def select(n, start, end):
     return Tensor(s)
 
 
-def block_bilinear_composed(px, py, wx, bx, wy, by, k):
+def block_bilinear_composed(px, py, wx, bx, wy, by, k, layout):
     """Chunk by chunk and rank by rank from primitive tape ops, y tiled k times."""
+    x_chunks, out_chunks, rank = layout
     py = T.concat([py] * k)
     parts = []
-    for c, ((xs, xe), (os_, oe)) in enumerate(zip(X_CHUNKS, OUT_CHUNKS)):
+    for c, ((xs, xe), (os_, oe)) in enumerate(zip(x_chunks, out_chunks)):
         width = oe - os_
         cols = select(px.shape[1], xs, xe)
         acc = None
-        for r in range(RANK):
-            rank_cols = select(RANK * width, r * width, (r + 1) * width)
+        for r in range(rank):
+            rank_cols = select(rank * width, r * width, (r + 1) * width)
 
             def factor(p, w, b):
                 return T.add(T.matmul(T.matmul(p, cols), T.matmul(w[c], rank_cols)),
-                             T.reshape(T.matmul(T.reshape(b[c], (1, RANK * width)),
+                             T.reshape(T.matmul(T.reshape(b[c], (1, rank * width)),
                                                 rank_cols), (width,)))
 
             uv = T.mul(factor(px, wx, bx), factor(py, wy, by))
@@ -247,22 +254,23 @@ def block_bilinear_composed(px, py, wx, bx, wy, by, k):
     return T.concat(parts, axis=1)
 
 
-@pytest.mark.parametrize("rows,k,x_grad",
-                         list(itertools.product((1, 3), (1, 4), (True, False))))
-def test_grouped_block_bilinear_matches_composition(rows, k, x_grad):
+@pytest.mark.parametrize("rows,k,x_grad,layout",
+                         list(itertools.product((1, 3), (1, 4), (True, False), LAYOUTS)))
+def test_grouped_block_bilinear_matches_composition(rows, k, x_grad, layout):
+    x_chunks, out_chunks, rank = LAYOUTS[layout]
     rng = np.random.default_rng(100 * rows + 10 * k + 1)
-    px = Tensor(rng.normal(size=(rows * k, 7)), requires_grad=x_grad)
-    py = Tensor(rng.normal(size=(rows, 7)), requires_grad=True)
+    px = Tensor(rng.normal(size=(rows * k, x_chunks[-1][1])), requires_grad=x_grad)
+    py = Tensor(rng.normal(size=(rows, x_chunks[-1][1])), requires_grad=True)
 
     def side():
-        w = [Tensor(rng.normal(size=(xe - xs, RANK * (oe - os_))), requires_grad=True)
-             for (xs, xe), (os_, oe) in zip(X_CHUNKS, OUT_CHUNKS)]
-        b = [Tensor(rng.normal(size=RANK * (oe - os_)), requires_grad=True)
-             for os_, oe in OUT_CHUNKS]
+        w = [Tensor(rng.normal(size=(xe - xs, rank * (oe - os_))), requires_grad=True)
+             for (xs, xe), (os_, oe) in zip(x_chunks, out_chunks)]
+        b = [Tensor(rng.normal(size=rank * (oe - os_)), requires_grad=True)
+             for os_, oe in out_chunks]
         return w, b
 
     (wx, bx), (wy, by) = side(), side()
-    probe = Tensor(rng.normal(size=(rows * k, 5)))
+    probe = Tensor(rng.normal(size=(rows * k, out_chunks[-1][1])))
     leaves = [px, py, *wx, *wy, *bx, *by]
 
     def run(core):
@@ -271,8 +279,8 @@ def test_grouped_block_bilinear_matches_composition(rows, k, x_grad):
             return z, T.mul(z, probe).sum()
         return gradients(loss_fn, leaves)
 
-    fused = run(lambda: T.block_bilinear(px, py, wx, bx, wy, by, RANK))
-    composed = run(lambda: block_bilinear_composed(px, py, wx, bx, wy, by, k))
+    fused = run(lambda: T.block_bilinear(px, py, wx, bx, wy, by, rank))
+    composed = run(lambda: block_bilinear_composed(px, py, wx, bx, wy, by, k, LAYOUTS[layout]))
     assert_same(fused, composed)
 
 

@@ -117,6 +117,17 @@ class TestInitDeterminism:
         for name, value in fused.items():
             assert value.dtype == dtype and value.tobytes() == want_fused[name].tobytes()
 
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    def test_every_affine_map_has_a_bias(self, variant):
+        # each `.weight` is an affine map's, and its `.bias` is as wide as its output
+        arrays = dict(init_model(ModelConfig(variant=variant, seed=0)).named_arrays())
+        weights = [n for n in arrays if n.endswith(".weight")]
+        assert weights
+        for name in weights:
+            bias = arrays[name[: -len("weight")] + "bias"]
+            assert bias.shape == (arrays[name].shape[1],) and bias.requires_grad
+        assert sum(n.endswith(".bias") for n in arrays) == len(weights)
+
 
 class TestBilinearity:
     def test_zero_input_gives_zero(self):
@@ -164,10 +175,11 @@ class TestAgainstDenseOracle:
         expected = ((x @ a) * (y @ b)) @ w_out
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_matches_per_chunk_per_rank_composition(self):
+    @pytest.mark.parametrize("C,R", [(3, 3), (1, 2)])
+    def test_matches_per_chunk_per_rank_composition(self, C, R):
         # the composition block_bilinear replaces: per chunk, R separate affine
         # factor maps per side, multiplied and summed rank by rank
-        p = make_params(d_x=5, d_y=4, P=7, P_out=5, o=3, C=3, R=3, seed=8)
+        p = make_params(d_x=5, d_y=4, P=7, P_out=5, o=3, C=C, R=R, seed=8)
         rng = np.random.default_rng(10)
         x, y = rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
         affine = lambda v, layer: v @ layer.weight.data + layer.bias.data

@@ -43,14 +43,16 @@ def assert_bits(got, want):
 # affine
 
 
-@pytest.mark.parametrize("dtype,x_grad", list(itertools.product(
-    (np.float64, np.float32), (True, False))))
-def test_affine_matches_matmul_then_add(dtype, x_grad):
+@pytest.mark.parametrize("dtype,x_grad,shape", list(itertools.product(
+    (np.float64, np.float32), (True, False), ((37, 9, 13), (1, 9, 1)))))
+def test_affine_matches_matmul_then_add(dtype, x_grad, shape):
+    # shape is (rows, d_in, d_out); one row and one output column are the edges
+    rows, d_in, d_out = shape
     rng = np.random.default_rng(11)
     with T.using_dtype(dtype):
-        x = Tensor(rng.normal(size=(37, 9)), requires_grad=x_grad)
-        w = Tensor(rng.normal(size=(9, 13)), requires_grad=True)
-        b = Tensor(rng.normal(size=13), requires_grad=True)
+        x = Tensor(rng.normal(size=(rows, d_in)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(d_in, d_out)), requires_grad=True)
+        b = Tensor(rng.normal(size=d_out), requires_grad=True)
         leaves = [x, w, b]
         assert_bits(leaf_grads(lambda: T.affine(x, w, b), leaves),
                     leaf_grads(lambda: T.add(T.matmul(x, w), b), leaves))

@@ -31,9 +31,10 @@ def default_size_batch(seed):
         rng.integers(0, 16, size=(128, 4)), rng
 
 
-def test_block_fuse_records():
-    # proj_x and proj_y (one affine op each), block_bilinear, proj_out
-    p = block_params_init(32, 64, 32, 32, 32, chunks=4, rank=3, seed=0)
+@pytest.mark.parametrize("chunks,rank", [(4, 3), (1, 1)])
+def test_block_fuse_records(chunks, rank):
+    # proj_x and proj_y (one affine op each), block_bilinear, proj_out, at any layout
+    p = block_params_init(32, 64, 32, 32, 32, chunks=chunks, rank=rank, seed=0)
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(5, 32)), requires_grad=True)
     y = Tensor(rng.normal(size=(5, 64)))
