@@ -11,14 +11,14 @@ Run:  python demos/demo_03_grounded_encoding.py
 import numpy as np
 
 from vqalab.data import DataConfig, generate_dataset
-from vqalab.encoder import EmbeddingTable, gru_params_init
+from vqalab.encoder import gru_params_init
 from vqalab.grounding import encode_question_vgqe, trace_records, vgw_params_init
 from vqalab.tensor import Tensor
 
 # A tiny dataset supplies scenes whose label features encode the shape of
 # each object, plus the shared word/label embedding table.
 ds = generate_dataset(DataConfig(n_train=40, n_test=10, seed=7))
-table = EmbeddingTable(Tensor(ds.vocab.embedding))
+table = Tensor(ds.vocab.embedding)
 
 # One grounded-word module, read by a forward and a backward recurrence.
 parts = (vgw_params_init(d_v=ds.config.d_v, d_w=ds.config.d_w, refined_dim=16,

@@ -8,8 +8,8 @@ the two encoders under distribution shift.
 """
 
 from .data import DataConfig, DatasetSplit, SyntheticDataset, generate_dataset
-from .encoder import (EmbeddingTable, GruParams, embed, embedding_table_init,
-                      encode_questions_baseline, gru_cell, gru_params_init)
+from .encoder import (GruParams, embed, embedding_table_init, encode_questions_baseline,
+                      gru_cell, gru_params_init)
 from .evaluate import EvalReport, evaluate_split, summarize_predictions
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .grounding import (VgwParams, encode_question_vgqe, encode_questions_vgqe,

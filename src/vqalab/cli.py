@@ -26,7 +26,7 @@ from .data import (SPLITS, ConfigError, DataConfig, build_config, config_section
 from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
-from .gradcheck import CHECKS, run_all
+from .gradcheck import CHECKS, TOLERANCE, run_all
 # encode_question_vgqe is not called here; the name stays bound because
 # perfbench/tracer.py wraps it at vqalab.cli:encode_question_vgqe.
 from .grounding import encode_question_vgqe, trace_records  # noqa: F401
@@ -169,7 +169,7 @@ def cmd_gradcheck(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.module:12s} {r.name:24s} max_rel_error {r.max_rel_error:.3e} "
-              f"tol {r.tolerance:.0e} {status}")
+              f"tol {TOLERANCE:.0e} {status}")
     by_module: dict[str, float] = {}
     for r in results:
         by_module[r.module] = max(by_module.get(r.module, 0.0), r.max_rel_error)
@@ -192,8 +192,12 @@ def cmd_report(args) -> int:
     if [r.example_id for r in baseline.predictions] != \
             [r.example_id for r in vgqe.predictions]:
         raise CliError(f"{pair} predict different example ids")
+    if not (baseline.data_dir and vgqe.data_dir
+            and Path(baseline.data_dir).resolve() == Path(vgqe.data_dir).resolve()):
+        raise CliError(f"{pair} do not name one dataset directory: {baseline.data_dir!r} "
+                       f"and {vgqe.data_dir!r}")
 
-    data_dir = Path(vgqe.data_dir or baseline.data_dir)
+    data_dir = Path(vgqe.data_dir)
     manifest = load_manifest(data_dir)
     answers, type_names = manifest.vocabularies.answers, manifest.type_names
     for flag, report in (("baseline", baseline), ("vgqe", vgqe)):

@@ -19,41 +19,25 @@ from .layers import init_rng, matrix_init
 from .tensor import Tensor
 
 
-@dataclass
-class EmbeddingTable:
-    """Frozen word vectors: looked up, never trained."""
-
-    vectors: Tensor           # (vocab, d_w)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def named_arrays(self, prefix: str = "embedding"):
-        yield f"{prefix}.vectors", self.vectors
-
-
-def embedding_table_init(vocab_size: int, dim: int, seed: int | None) -> EmbeddingTable:
-    """Unit-variance Gaussian rows standing in for pre-trained word vectors;
+def embedding_table_init(vocab_size: int, dim: int, seed: int | None) -> Tensor:
+    """A frozen (vocab_size, dim) word table, looked up and never trained:
+    unit-variance Gaussian rows standing in for pre-trained word vectors;
     zeros for a seed of None."""
     rng = init_rng(seed, 0xE4BED)
-    return EmbeddingTable(Tensor(rng.normal(size=(vocab_size, dim))))
+    return Tensor(rng.normal(size=(vocab_size, dim)))
 
 
-def embed(ids, table: EmbeddingTable) -> Tensor:
+def embed(ids, table: Tensor) -> Tensor:
     """Look up token rows, order preserved: ids of shape S -> S + (d_w,)."""
     ids = np.asarray(ids)
     if ids.size == 0:
         raise ValueError("cannot embed an empty token sequence")
-    bad = (ids < 0) | (ids >= table.vocab_size)
+    vocab_size = table.shape[0]
+    bad = (ids < 0) | (ids >= vocab_size)
     if bad.any():
         raise IndexError(f"token id {ids[bad][0]} out of range for vocabulary "
-                         f"of size {table.vocab_size}")
-    return Tensor(table.vectors.data[ids])
+                         f"of size {vocab_size}")
+    return Tensor(table.data[ids])
 
 
 @dataclass
@@ -108,7 +92,7 @@ def gru_cell(x, h_prev, p: GruParams) -> Tensor:
     return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, c))
 
 
-def encode_questions_baseline(token_matrix: np.ndarray, table: EmbeddingTable,
+def encode_questions_baseline(token_matrix: np.ndarray, table: Tensor,
                               forward: GruParams, backward: GruParams) -> Tensor:
     """Bidirectional recurrence over embeddings: (B, T) token ids -> (B, 2H),
     the concatenated final states. All rows share one length.

@@ -23,6 +23,8 @@ from .data import ConfigError, DatasetSplit, SyntheticDataset, read_record
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
+HISTOGRAM_TOP = 8    # answers per type in the histograms CSV
+
 
 @dataclass
 class PredictionRecord:
@@ -116,11 +118,11 @@ def summarize_predictions(records: list[PredictionRecord], answer_count: int,
 
 
 def evaluate_split(params: ModelParams, split: DatasetSplit,
-                   ds: SyntheticDataset, batch_size: int = 256) -> EvalReport:
+                   ds: SyntheticDataset) -> EvalReport:
     """Run the model over a split (dropout off) and summarize."""
     if not len(split):
         raise ValueError("cannot evaluate an empty split")
-    preds = predict_split(params, split, batch_size)
+    preds = predict_split(params, split)
     records = [PredictionRecord(example_id=i, qtype=q, answer=a, prediction=p)
                for i, q, a, p in zip(split.ids, split.qtypes.tolist(),
                                      split.answers.tolist(), preds)]
@@ -242,12 +244,11 @@ def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:
 
 
 def histograms_csv(reports: dict[str, EvalReport], train_hists: dict[int, list[float]],
-                   answers: list[str], type_names: dict[int, str], path,
-                   top: int = 8) -> None:
+                   answers: list[str], type_names: dict[int, str], path) -> None:
     """Long-format answer-distribution table: one row per (type, answer) with
     the train prior, the evaluated split's ground truth, and each model's
-    prediction mass. Rows truncate to the top answers per type; the complete
-    histograms live in the report JSONs.
+    prediction mass. Rows truncate to the HISTOGRAM_TOP answers per type; the
+    complete histograms live in the report JSONs.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -262,7 +263,7 @@ def histograms_csv(reports: dict[str, EvalReport], train_hists: dict[int, list[f
             gt_hist = (np.asarray(first.per_type[qt].gt_histogram)
                        if qt in first.per_type else np.zeros_like(train_hist))
             mass = train_hist + gt_hist
-            for a in np.argsort(-mass)[:top]:
+            for a in np.argsort(-mass)[:HISTOGRAM_TOP]:
                 if mass[a] == 0:
                     continue
                 row = [type_names.get(qt, str(qt)), answers[a],

@@ -56,10 +56,6 @@ class BlockFusionParams:
     def d_y(self) -> int:
         return self.proj_y.d_in
 
-    @property
-    def out_dim(self) -> int:
-        return self.proj_out.d_out
-
     def named_arrays(self, prefix: str = "fusion"):
         yield from self.proj_x.named_arrays(f"{prefix}.proj_x")
         yield from self.proj_y.named_arrays(f"{prefix}.proj_y")
@@ -109,9 +105,9 @@ def block_params_init(d_x: int, d_y: int, proj_dim: int, out_proj_dim: int,
 
 
 def block_fuse(x, y, p: BlockFusionParams) -> Tensor:
-    """Fuse row-batches x (k*N, d_x) and y (N, d_y) into (k*N, p.out_dim): x row
-    i pairs with y row i mod N, so x is k blocks of N rows that each pair row for
-    row with y, and y is projected once; `tensor.block_bilinear` raises
+    """Fuse row-batches x (k*N, d_x) and y (N, d_y) into (k*N, p.proj_out.d_out):
+    x row i pairs with y row i mod N, so x is k blocks of N rows that each pair
+    row for row with y, and y is projected once; `tensor.block_bilinear` raises
     ShapeError when N does not divide the x rows."""
     x, y = T.as_tensor(x), T.as_tensor(y)
     if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != p.d_x or y.shape[1] != p.d_y:

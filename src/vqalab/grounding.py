@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 # gru_cell is not called here; the name stays bound because perfbench/tracer.py
 # wraps it at vqalab.grounding:gru_cell.
-from .encoder import EmbeddingTable, GruParams, embed, gru_cell  # noqa: F401
+from .encoder import GruParams, embed, gru_cell  # noqa: F401
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .layers import Linear, child_seed, init_rng, linear_init, matrix_init, vector_init
 from .tensor import ShapeError, Tensor
@@ -101,7 +101,7 @@ def grounded_words(visual: np.ndarray, labels: np.ndarray, words: Tensor,
 
 
 def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
-                          token_matrix: np.ndarray, table: EmbeddingTable, vgw: VgwParams,
+                          token_matrix: np.ndarray, table: Tensor, vgw: VgwParams,
                           forward: GruParams, backward: GruParams) -> tuple[Tensor, np.ndarray]:
     """Grounded encoding: scenes (B, k, *) and tokens (B, T) -> ((B, 2H), attention).
 
@@ -132,7 +132,7 @@ def encode_questions_vgqe(visual: np.ndarray, labels: np.ndarray,
     return T.concat([h_f, h_b], axis=1), alpha.data.reshape(steps, batch, -1)
 
 
-def encode_question_vgqe(visual, labels, tokens, table: EmbeddingTable, vgw: VgwParams,
+def encode_question_vgqe(visual, labels, tokens, table: Tensor, vgw: VgwParams,
                          forward: GruParams, backward: GruParams
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Encode one question against one scene, for attention traces.

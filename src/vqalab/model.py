@@ -22,8 +22,8 @@ import numpy as np
 from . import tensor as T
 from .data import (ConfigError, bounded, check_fields, config_section, existing_file,
                    read_record)
-from .encoder import (EmbeddingTable, GruParams, embedding_table_init,
-                      encode_questions_baseline, gru_params_init)
+from .encoder import (GruParams, embedding_table_init, encode_questions_baseline,
+                      gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
 from .grounding import VgwParams, encode_questions_vgqe, vgw_params_init
 from .layers import Linear, child_seed, init_rng, linear_init
@@ -72,7 +72,7 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     config: ModelConfig
-    embedding: EmbeddingTable
+    embedding: Tensor              # (vocab, d_w) frozen word table; no slice of `flat`
     gru_fwd: GruParams
     gru_bwd: GruParams
     obj_fusion: BlockFusionParams
@@ -101,7 +101,7 @@ class ModelParams:
 
     def named_arrays(self):
         """Every array in the model, frozen ones included; fixed order."""
-        yield from self.embedding.named_arrays("embedding")
+        yield "embedding.vectors", self.embedding
         if self.vgw is not None:
             yield from self.vgw.named_arrays("vgw")
         yield from self.gru_fwd.named_arrays("gru_fwd")
@@ -113,7 +113,7 @@ class ModelParams:
     def named_parameters(self):
         """Trainable arrays: every array but the frozen embedding table."""
         for name, t in self.named_arrays():
-            if t is not self.embedding.vectors:
+            if t is not self.embedding:
                 yield name, t
 
 
@@ -133,9 +133,9 @@ def _build_model(config: ModelConfig, seed: int | None,
     layout alone, every array zero and nothing drawn."""
     rng = init_rng(seed, 0xD0DE)
     if embedding_vectors is not None:
-        embedding = EmbeddingTable(Tensor(np.asarray(embedding_vectors)))
-        if embedding.dim != config.d_w or embedding.vocab_size != config.vocab_size:
-            raise ShapeError(f"embedding table {embedding.vectors.shape} does not match "
+        embedding = Tensor(embedding_vectors)
+        if embedding.shape != (config.vocab_size, config.d_w):
+            raise ShapeError(f"embedding table {embedding.shape} does not match "
                              f"config (vocab={config.vocab_size}, d_w={config.d_w})")
     else:
         embedding = embedding_table_init(config.vocab_size, config.d_w, seed=seed)
@@ -239,10 +239,10 @@ def save_checkpoint(params: ModelParams, path) -> None:
             "shape": list(t.shape),
             "dtype": str(t.data.dtype),
             "byte_offset": offset,
-            "trainable": t is not params.embedding.vectors,
+            "trainable": t is not params.embedding,
         })
         offset += t.data.nbytes
-    raw = params.embedding.vectors.data.tobytes() + params.flat.tobytes()
+    raw = params.embedding.data.tobytes() + params.flat.tobytes()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
@@ -307,7 +307,7 @@ def load_checkpoint(path) -> ModelParams:
             raise ValueError(f"checkpoint array {name!r} is {stored.dtype} {tuple(stored.shape)} "
                              f"at byte {stored.byte_offset}, this config expects {dtype} "
                              f"{target.shape} at byte {offset}")
-        if stored.trainable != (target is not params.embedding.vectors):
+        if stored.trainable != (target is not params.embedding):
             raise ValueError(f"checkpoint array {name!r} has trainable {stored.trainable}, "
                              f"this config expects {not stored.trainable}")
         offset += target.size * dtype.itemsize
@@ -320,7 +320,7 @@ def load_checkpoint(path) -> ModelParams:
     if digest != manifest.data_sha256:
         raise ValueError(f"checkpoint data file {bin_path} has sha256 {digest}, its "
                          f"manifest records {manifest.data_sha256!r}")
-    embedding = params.embedding.vectors.data
+    embedding = params.embedding.data
     embedding[...] = np.frombuffer(raw, dtype, count=embedding.size).reshape(embedding.shape)
     params.flat[...] = np.frombuffer(raw, dtype, offset=embedding.size * dtype.itemsize)
     return params

@@ -112,8 +112,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_tape", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=_default_dtype.get())
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -138,31 +136,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    # operator sugar; scalars are lifted automatically
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return reduce_sum(self, axis)

@@ -96,23 +96,21 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimizer
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # moment decay rates and denominator guard
+
 
 @dataclass
 class AdamWState:
     m: np.ndarray                 # first and second moments, shaped like ModelParams.flat
     v: np.ndarray
     lr: float = 3.5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 2e-5
     step_count: int = 0
 
 
-def adamw_init(params_flat: np.ndarray, lr: float = 3.5e-4,
-               weight_decay: float = 2e-5) -> AdamWState:
+def adamw_init(params_flat: np.ndarray, weight_decay: float = 2e-5) -> AdamWState:
     return AdamWState(np.zeros_like(params_flat), np.zeros_like(params_flat),
-                      lr=lr, weight_decay=weight_decay)
+                      weight_decay=weight_decay)
 
 
 def adamw_step(params_flat: np.ndarray, grad_flat: np.ndarray,
@@ -122,11 +120,11 @@ def adamw_step(params_flat: np.ndarray, grad_flat: np.ndarray,
         raise T.ShapeError(f"gradient {grad_flat.shape} vs parameters {params_flat.shape}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grad_flat
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grad_flat * grad_flat
-    update = (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    state.m = BETA1 * state.m + (1 - BETA1) * grad_flat
+    state.v = BETA2 * state.v + (1 - BETA2) * grad_flat * grad_flat
+    update = (state.m / bc1) / (np.sqrt(state.v / bc2) + EPS)
     params_flat -= state.lr * (update + state.weight_decay * params_flat)
     return state
 
@@ -190,7 +188,8 @@ class EpochStats:
 
 def train(params: ModelParams, split: DatasetSplit,
           config: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
-    """Optimize params on a split; returns the params and a per-epoch log."""
+    """Optimize params on a split by clipped AdamW steps (BETA1, BETA2, EPS);
+    returns the params and a per-epoch log."""
     if not len(split):
         raise ValueError("cannot train on an empty split")
     leaves = [t for _, t in params.named_parameters()]

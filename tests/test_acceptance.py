@@ -204,6 +204,7 @@ def test_criterion_overfit_sanity(variant, criterion_output, split_rows):
 # criterion 5: the bias-shift comparison
 
 
+@pytest.mark.slow
 def test_criterion_bias_shift_experiment(criterion_output):
     started = time.perf_counter()
     ds = generate_dataset(DataConfig())

@@ -937,12 +937,19 @@ class TestReportRefusals:
         assert not out_dir.exists()
         return err
 
-    def edited_report(self, workspace, tmp_path, edit):
-        payload = json.loads((workspace / "vgqe_report.json").read_text())
+    def edited_report(self, workspace, tmp_path, edit, variant="vgqe"):
+        payload = json.loads((workspace / f"{variant}_report.json").read_text())
         edit(payload)
-        path = tmp_path / "edited_report.json"
+        path = tmp_path / f"edited_{variant}_report.json"
         path.write_text(json.dumps(payload))
         return path
+
+    def reports_on(self, workspace, tmp_path, baseline_dir, vgqe_dir):
+        """The baseline and vgqe reports, with their data_dirs set as given."""
+        def point(data_dir):
+            return lambda payload: payload.update(data_dir=str(data_dir))
+        return (self.edited_report(workspace, tmp_path, point(baseline_dir), "baseline"),
+                self.edited_report(workspace, tmp_path, point(vgqe_dir)))
 
     def test_mixed_splits(self, workspace, tmp_path, capsys):
         iid = tmp_path / "vgqe_iid.json"
@@ -986,13 +993,49 @@ class TestReportRefusals:
         shutil.copytree(workspace / "data", data_dir)
         manifest = data_dir / "manifest.json"
         manifest.write_text("[]")
-
-        def point_at_copy(payload):
-            payload["data_dir"] = str(data_dir)
-
-        edited = self.edited_report(workspace, tmp_path, point_at_copy)
-        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        reports = self.reports_on(workspace, tmp_path, data_dir, data_dir)
+        err = self.refusal(tmp_path, capsys, *reports)
         assert err == f"error: dataset manifest {manifest}: top level is not a JSON object\n"
+
+    def test_reports_on_different_datasets(self, workspace, tmp_path, capsys):
+        # a dataset of the same sizes from another seed numbers its examples alike
+        other = tmp_path / "other"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": TINY_CONFIG["data"]}))
+        assert run(["gen-data", "--config", str(config), "--seed", "5", "--out",
+                    str(other)]) == 0
+        vgqe = tmp_path / "vgqe_other.json"
+        assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(other), "--split", "test", "--report", str(vgqe)]) == 0
+        baseline = workspace / "baseline_report.json"
+        ids = [[r["example_id"] for r in json.loads(p.read_text())["predictions"]]
+               for p in (baseline, vgqe)]
+        assert ids[0] == ids[1]
+        err = self.refusal(tmp_path, capsys, baseline, vgqe)
+        assert err == (f"error: reports {baseline} (--baseline) and {vgqe} (--vgqe) do not "
+                       f"name one dataset directory: '{workspace / 'data'}' and '{other}'\n")
+
+    @pytest.mark.parametrize("empty", ["baseline", "vgqe", "both"])
+    def test_reports_without_a_dataset_directory(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, empty):
+        # an empty data_dir once read manifest.json from the working directory
+        monkeypatch.chdir(workspace / "data")
+        data = str(workspace / "data")
+        dirs = {"baseline": ("", data), "vgqe": (data, ""), "both": ("", "")}[empty]
+        baseline, vgqe = self.reports_on(workspace, tmp_path, *dirs)
+        err = self.refusal(tmp_path, capsys, baseline, vgqe)
+        assert err == (f"error: reports {baseline} (--baseline) and {vgqe} (--vgqe) do not "
+                       f"name one dataset directory: {dirs[0]!r} and {dirs[1]!r}\n")
+
+    def test_one_dataset_directory_named_two_ways(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.chdir(workspace)
+        pairs = [self.reports_on(workspace, tmp_path, "./data/", workspace / "data"),
+                 (workspace / "baseline_report.json", workspace / "vgqe_report.json")]
+        for out, (baseline, vgqe) in zip(("a", "b"), pairs):
+            assert run(["report", "--baseline", str(baseline), "--vgqe", str(vgqe),
+                        "--out", str(tmp_path / out)]) == 0
+        for name in ("comparison.csv", "histograms.csv", "traces.json"):
+            assert sha(tmp_path / "a" / name) == sha(tmp_path / "b" / name), name
 
     @pytest.mark.parametrize("edit,problem", [   # ids as first collected
         renamed(lambda m: m["histograms"].pop("train"), "histograms.train is missing",
@@ -1039,12 +1082,8 @@ class TestReportRefusals:
         payload = json.loads(manifest.read_text())
         edit(payload)
         manifest.write_text(json.dumps(payload))
-
-        def point_at_copy(report):
-            report["data_dir"] = str(data_dir)
-
-        edited = self.edited_report(workspace, tmp_path, point_at_copy)
-        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        reports = self.reports_on(workspace, tmp_path, data_dir, data_dir)
+        err = self.refusal(tmp_path, capsys, *reports)
         problem = problem(payload) if callable(problem) else problem
         assert err == f"error: dataset manifest {manifest}: {problem}\n"
 

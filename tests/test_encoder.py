@@ -3,9 +3,8 @@ import pytest
 
 from vqalab import model as M, tensor as T
 from vqalab.data import DataConfig, generate_dataset
-from vqalab.encoder import (EmbeddingTable, embed, embedding_table_init,
-                            encode_questions_baseline, gru_cell,
-                            gru_params_init)
+from vqalab.encoder import (embed, embedding_table_init, encode_questions_baseline,
+                            gru_cell, gru_params_init)
 from vqalab.layers import seeded_rng
 from vqalab.model import FusionConfig, ModelConfig, forward_batch, init_model
 from vqalab.tensor import Tensor
@@ -26,7 +25,7 @@ def gru_oracle(x, h, p):
 
 class TestEmbedding:
     def test_lookup(self):
-        table = EmbeddingTable(Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        table = Tensor([[1.0, 2.0], [3.0, 4.0]])
         out = embed([0], table)
         assert out.data.tolist() == [[1.0, 2.0]]
 
@@ -50,7 +49,7 @@ class TestEmbedding:
 
     def test_frozen_table_contributes_no_parameters(self):
         table = embedding_table_init(5, 3, seed=0)
-        assert not table.vectors.requires_grad
+        assert not table.requires_grad
         assert not embed(np.array([[1, 2]]), table).requires_grad
 
     def test_question_tokens_validates_length(self):
@@ -116,7 +115,7 @@ class TestBaselineEncoder:
 
     def test_single_step_unrolling(self):
         out = self.encode([[7]]).data
-        x = Tensor(self.table.vectors.data[[7]])
+        x = Tensor(self.table.data[[7]])
         h0 = Tensor(np.zeros((1, 3)))
         f = gru_cell(x, h0, self.fwd).data
         b = gru_cell(x, h0, self.bwd).data
@@ -133,7 +132,7 @@ class TestBaselineEncoder:
     def test_matches_manual_unroll_oracle(self):
         ids = np.array([[2, 9, 4], [0, 3, 3]])
         got = self.encode(ids).data
-        xs = self.table.vectors.data[ids]          # (B, T, d_w)
+        xs = self.table.data[ids]                  # (B, T, d_w)
         hf = np.zeros((2, 3))
         for t in range(3):
             hf = gru_oracle(xs[:, t], hf, self.fwd)

@@ -343,7 +343,7 @@ class TestCellStep:
         tokens = np.array([[4], [9]])
         enc, attention = encode_questions_vgqe(visual, labels, tokens, self.table,
                                                vgw, forward, backward)
-        words = self.table.vectors.data[tokens[:, 0]]
+        words = self.table.data[tokens[:, 0]]
         direct = fuse_oracle(visual[:, 0], words, vgw)
         want = gru_oracle(direct, np.zeros((2, HIDDEN)), forward)
         assert attention.shape == (1, 2, 1) and np.allclose(attention, 1.0)
@@ -356,7 +356,7 @@ class TestCellStep:
         visual, labels = make_scenes(rng, k=3)
         tokens = np.array([[4, 1], [0, 7]])
         got, _ = encode_questions_vgqe(visual, labels, tokens, self.table, *p)
-        want = encoding_oracle(visual, labels, self.table.vectors.data[tokens], *p)
+        want = encoding_oracle(visual, labels, self.table.data[tokens], *p)
         assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_backward_direction_uses_backward_rnn(self):
@@ -402,7 +402,7 @@ class TestEncoder:
         visual, labels = make_scenes(rng)
         enc = self.encode(visual, labels, [[4], [4]])[0].data
         vgw, forward, backward = self.params
-        word = Tensor(self.table.vectors.data[[4, 4]])
+        word = Tensor(self.table.data[[4, 4]])
         g, _ = grounded_words(visual, labels, word, vgw)
         zero = Tensor(np.zeros((2, HIDDEN)))
         f = gru_cell(g, zero, forward).data

@@ -167,7 +167,7 @@ class TestCountParameters:
     def test_frozen_embedding_excluded(self):
         params = init_model(tiny_config())
         total_arrays = sum(t.size for _, t in params.named_arrays())
-        emb = params.embedding.vectors.size
+        emb = params.embedding.size
         assert count_parameters(params) == total_arrays - emb
 
     @pytest.mark.parametrize("kw,count,arrays", [
@@ -219,8 +219,8 @@ def assert_in_arena(params):
         offset += t.size
     assert offset == params.flat.size
     assert params.grad.shape == params.flat.shape and params.grad.dtype == params.flat.dtype
-    assert not np.shares_memory(params.embedding.vectors.data, params.flat)
-    assert params.embedding.vectors.grad is None
+    assert not np.shares_memory(params.embedding.data, params.flat)
+    assert params.embedding.grad is None
 
 
 class TestArena:
@@ -302,7 +302,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         raw = (tmp_path / "ckpt.json.bin").read_bytes()
-        assert raw == params.embedding.vectors.data.tobytes() + params.flat.tobytes()
+        assert raw == params.embedding.data.tobytes() + params.flat.tobytes()
         assert json.loads(path.read_text())["data_sha256"] == hashlib.sha256(raw).hexdigest()
 
     @pytest.mark.parametrize("variant", ["baseline", "vgqe"])

@@ -44,8 +44,8 @@ SURFACE = {
                  "summarize_predictions"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "block_fuse",
                "block_params_init", "near_equal_partition"},
-    "encoder": {"EmbeddingTable", "GruParams", "embed", "embedding_table_init",
-                "encode_questions_baseline", "gru_cell", "gru_params_init"},
+    "encoder": {"GruParams", "embed", "embedding_table_init", "encode_questions_baseline",
+                "gru_cell", "gru_params_init"},
     "grounding": {"VgwParams", "encode_question_vgqe",
                   "encode_questions_vgqe", "grounded_words", "trace_records",
                   "vgw_attention", "vgw_params_init"},
@@ -98,13 +98,13 @@ def test_no_module_imports_another_modules_private_name():
 
 
 def test_removed_knobs_stay_removed():
-    from vqalab import tensor
-    from vqalab.encoder import EmbeddingTable
+    from vqalab import encoder, tensor
     from vqalab.fusion import BlockFusionParams
     from vqalab.grounding import encode_questions_vgqe
     from vqalab.model import ModelConfig, ModelParams
     from vqalab.tensor import Tensor
-    assert set(EmbeddingTable.__dataclass_fields__) == {"vectors"}
+    # the frozen word table is the Tensor itself, with no wrapper around it
+    assert not hasattr(encoder, "EmbeddingTable")
     # the five layers alone: every map has a bias, and the chunk layout, chunk
     # count and rank are read from the factor weights
     assert set(BlockFusionParams.__dataclass_fields__) == {
@@ -122,3 +122,22 @@ def test_removed_knobs_stay_removed():
     assert not {"active_tape", "no_grad", "set_default_dtype"} & set(vars(tensor))
     assert not hasattr(Tensor, "backward")
     assert "_generation" not in Tensor.__slots__
+
+
+def test_unused_surface_stays_deleted():
+    """No caller used Tensor's operators, and the settings below only ever
+    took one value: they are constants now, or gone."""
+    from vqalab.evaluate import evaluate_split, histograms_csv
+    from vqalab.fusion import BlockFusionParams
+    from vqalab.gradcheck import CheckResult
+    from vqalab.tensor import Tensor
+    from vqalab.train import AdamWState, adamw_init
+    assert not {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__neg__", "__matmul__"} & set(vars(Tensor))
+    assert not hasattr(BlockFusionParams, "out_dim")
+    assert set(AdamWState.__dataclass_fields__) == {"m", "v", "lr", "weight_decay",
+                                                    "step_count"}
+    assert "lr" not in inspect.signature(adamw_init).parameters
+    assert set(CheckResult.__dataclass_fields__) == {"module", "name", "max_rel_error"}
+    assert "batch_size" not in inspect.signature(evaluate_split).parameters
+    assert "top" not in inspect.signature(histograms_csv).parameters
