@@ -10,10 +10,8 @@ to disk so each artifact can be regenerated from its manifest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +20,7 @@ import numpy as np
 from . import grounding
 from .data import (SPLITS, ConfigError, DataConfig, build_config, config_section, digest_file,
                    generate_dataset, load_dataset, load_manifest, read_json_object,
-                   save_dataset)
+                   record_json, save_dataset)
 from .encoder import embed
 from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
@@ -68,9 +66,7 @@ def output_path(path: str, what: str, directory: bool) -> Path:
 
 
 def write_manifest(out_dir: Path, payload: dict) -> None:
-    with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    (out_dir / "run_manifest.json").write_text(record_json(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +80,7 @@ def cmd_gen_data(args) -> int:
     ds = generate_dataset(config)
     write_manifest(out_dir, {
         "command": "gen-data",
-        "config": {"data": dataclasses.asdict(config)},
+        "config": {"data": config},
         "seed": config.seed,
         "artifacts": save_dataset(ds, out_dir),
     })
@@ -125,10 +121,7 @@ def cmd_train(args) -> int:
     write_training_log(log, out_dir / "training_log.csv")
     write_manifest(out_dir, {
         "command": "train",
-        "config": {
-            "model": dataclasses.asdict(model_cfg),
-            "train": dataclasses.asdict(train_cfg),
-        },
+        "config": {"model": model_cfg, "train": train_cfg},
         "seed": train_cfg.seed,
         "precision": args.precision,
         "data_dir": str(data_dir),
@@ -234,9 +227,7 @@ def cmd_report(args) -> int:
     comparison_csv(baseline, vgqe, out_dir / "comparison.csv")
     histograms_csv({"baseline": baseline, "vgqe": vgqe}, manifest.histograms.train, answers,
                    type_names, out_dir / "histograms.csv")
-    with open(out_dir / "traces.json", "w") as fh:
-        json.dump(traces, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    (out_dir / "traces.json").write_text(record_json(traces) + "\n")
 
     write_manifest(out_dir, {
         "command": "report",

@@ -630,6 +630,26 @@ def read_record(cls, path, what: str, complete: bool = True, file_format: str | 
     return build_config(cls, values, f"{what} {path}:", complete)
 
 
+def _json_ready(value):
+    """`value` as `read_record` reads it back: a record as an object of its
+    fields, a dict with `str` keys (question type ids as `str(int)`), a numpy
+    array as lists. Fields of `_JSON_TYPES` and lists of numbers are not walked."""
+    if is_dataclass(value):
+        return {name: getattr(value, name) if kind in _JSON_TYPES
+                else _json_ready(getattr(value, name))
+                for name, (kind, *_) in _field_specs(type(value)).items()}
+    if type(value) is dict:
+        return {str(k): _json_ready(v) for k, v in value.items()}
+    if type(value) is list and value and (is_dataclass(value[0]) or type(value[0]) is dict):
+        return list(map(_json_ready, value))
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+def record_json(record) -> str:
+    """`json.dumps(..., sort_keys=True, indent=1)` of a record, as `_json_ready` has it."""
+    return json.dumps(_json_ready(record), sort_keys=True, indent=1)
+
+
 def _check_rows(rows: list, shape: tuple[int, int], where: str) -> None:
     """ConfigError at `where` unless `rows` are shape[0] lists of shape[1] numbers."""
     lengths = sorted(set(map(len, rows)))
@@ -1171,11 +1191,23 @@ def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     """Write all splits and the manifest into a directory; returns the sha256
-    of each file written, by file name.
+    of each file written, by file name. The manifest is a `DatasetManifest`,
+    built before any file is written and written by one `record_json` call, so
+    a dataset `load_dataset` would refuse raises first: ValueError naming the
+    splits not at hand, or the manifest's ConfigError.
 
     Each split is also stored in the `.jsonl.columns` cache that `load_split`
     would write after parsing it, under the key it computes, so the first
     load does not parse. A split that a parse could refuse is left uncached."""
+    if missing := [name for name in SPLITS if name not in ds.loaded]:
+        raise ValueError(f"cannot save a dataset missing splits: {', '.join(missing)}")
+    a = ds.vocab.answer_count
+    histograms = Histograms(**{
+        name: {qt: answer_distribution(split, qt, a) for qt in np.unique(split.qtypes).tolist()}
+        for name, split in ds.loaded.items()})
+    manifest = DatasetManifest(config=ds.config, vocabularies=ds.vocab, bias_spec=ds.bias,
+                               feature_map=ds.feature_map, type_names=ds.type_names(),
+                               histograms=histograms)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
@@ -1191,27 +1223,7 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
             inside = np.arange(width) < split.lengths[:, None]
             columns["tokens"] = np.where(inside, split.tokens[:, :width], -1)
             _write_cache(path.with_name(path.name + ".columns"), key.hexdigest(), columns)
-    a = ds.vocab.answer_count
-    histograms = {
-        name: {str(qt): answer_distribution(split, qt, a).tolist()
-               for qt in np.unique(split.qtypes).tolist()}
-        for name, split in ds.splits().items()
-    }
-    manifest = {
-        "config": asdict(ds.config),
-        "vocabularies": {
-            "tokens": ds.vocab.tokens,
-            "answers": ds.vocab.answers,
-            "shapes": ds.vocab.shapes,
-            "colors": ds.vocab.colors,
-            "embedding": ds.vocab.embedding.tolist(),
-        },
-        "bias_spec": {str(qt): asdict(b) for qt, b in ds.bias.items()},
-        "feature_map": ds.feature_map.tolist(),
-        "type_names": {str(qt): name for qt, name in ds.type_names().items()},
-        "histograms": histograms,
-    }
-    text = (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode()
+    text = (record_json(manifest) + "\n").encode()
     (out_dir / "manifest.json").write_bytes(text)
     written["manifest.json"] = hashlib.sha256(text).hexdigest()
     return written

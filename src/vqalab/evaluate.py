@@ -12,14 +12,13 @@ top-8 answers per type for readability.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, DatasetSplit, SyntheticDataset, read_record
+from .data import ConfigError, DatasetSplit, SyntheticDataset, read_record, record_json
 from .model import ModelParams, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
@@ -156,12 +155,14 @@ _PREDICTION = ('  {{\n   "answer": {},\n   "example_id": {},\n   "prediction": {
 
 
 def report_to_json(report: EvalReport, path) -> None:
-    """Write `json.dumps(payload, sort_keys=True, indent=1)` plus a newline.
+    """Write `record_json(report)` plus a newline.
 
-    Predictions are most of a report, so they are rendered from `_PREDICTION`,
-    the id by the encoder `json.dumps` itself uses; the bytes are the same. A
-    record `report_from_json` would refuse (an id that is not a str, a qtype,
-    answer or prediction that is not an int) raises ValueError first."""
+    Predictions are most of a report, so `record_json` writes the report
+    without them, and they are rendered into its empty "predictions" array
+    from `_PREDICTION`, the id by the encoder `json.dumps` itself uses; the
+    bytes are the same. A record `report_from_json` would refuse (an id that
+    is not a str, a qtype, answer or prediction that is not an int) raises
+    ValueError first."""
     records = report.predictions
     typed = [type(r.example_id) is str and type(r.qtype) is type(r.answer) is type(r.prediction)
              is int for r in records]
@@ -171,28 +172,14 @@ def report_to_json(report: EvalReport, path) -> None:
                          f"answer and prediction, got {records[i]!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "split": report.split,
-        "variant": report.variant,
-        "count": report.count,
-        "overall": report.overall,
-        "answers": report.answers,
-        "checkpoint": report.checkpoint,
-        "data_dir": report.data_dir,
-        "precision": report.precision,
-        # vars(): a record's fields as they are, without asdict's deep copy
-        "per_type": {str(qt): vars(tr) for qt, tr in report.per_type.items()},
-        "predictions": [],
-    }
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = record_json(replace(report, predictions=[]))
     if records:
         # a raw newline never occurs inside a JSON string, and only top-level
         # keys follow it with a single space, so this matches exactly once
         body = ",\n".join([_PREDICTION.format(r.answer, encode_basestring_ascii(r.example_id),
                                                r.prediction, r.qtype) for r in records])
         text = text.replace('\n "predictions": []', '\n "predictions": [\n' + body + "\n ]", 1)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    path.write_text(text + "\n")
 
 
 def report_from_json(path) -> EvalReport:

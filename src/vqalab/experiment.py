@@ -72,16 +72,14 @@ class ExperimentResult:
         ]
 
 
-def experiment_train_config(seed: int, epochs: int = EXPERIMENT_EPOCHS,
-                            lr: float = EXPERIMENT_LR) -> TrainConfig:
+def experiment_train_config(seed: int, epochs: int = EXPERIMENT_EPOCHS) -> TrainConfig:
     """Short constant-rate recipe sized for the CPU budget of the comparison."""
     return TrainConfig(epochs=epochs, batch_size=128, seed=seed,
-                       schedule=constant_schedule(lr))
+                       schedule=constant_schedule(EXPERIMENT_LR))
 
 
 def run_bias_shift(ds: SyntheticDataset, seeds=(0, 1, 2, 3, 4),
-                   epochs: int = EXPERIMENT_EPOCHS, lr: float = EXPERIMENT_LR,
-                   progress=None) -> ExperimentResult:
+                   epochs: int = EXPERIMENT_EPOCHS) -> ExperimentResult:
     started = time.perf_counter()
     outcomes = {"baseline": VariantOutcome(), "vgqe": VariantOutcome()}
     for variant in ("baseline", "vgqe"):
@@ -91,13 +89,11 @@ def run_bias_shift(ds: SyntheticDataset, seeds=(0, 1, 2, 3, 4),
                               answer_count=ds.vocab.answer_count,
                               vocab_size=len(ds.vocab.tokens), seed=seed)
             params = init_model(cfg, embedding_vectors=ds.vocab.embedding)
-            train(params, ds.train, experiment_train_config(seed, epochs, lr))
+            train(params, ds.train, experiment_train_config(seed, epochs))
             iid = evaluate_split(params, ds.test_iid, ds).overall
             ood = evaluate_split(params, ds.test, ds).overall
             outcomes[variant].iid.append(iid)
             outcomes[variant].ood.append(ood)
-            if progress is not None:
-                progress(f"{variant} seed {seed}: iid {iid:.3f} ood {ood:.3f}")
     return ExperimentResult(
         outcomes=outcomes,
         floor_iid=constant_majority_floor(ds.train, ds.test_iid),

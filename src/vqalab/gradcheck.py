@@ -23,7 +23,6 @@ from .tensor import Tensor
 from .train import cross_entropy_rows
 
 TOLERANCE = 1e-4
-EPS = 1e-5
 
 
 @dataclass
@@ -40,7 +39,7 @@ class CheckResult:
 def _check(module, name, loss_fn, tensors, results):
     worst = 0.0
     for _, t in tensors:
-        worst = max(worst, T.grad_check(lambda _t: loss_fn(), t, eps=EPS))
+        worst = max(worst, T.grad_check(lambda _t: loss_fn(), t))
     results.append(CheckResult(module=module, name=name, max_rel_error=worst))
 
 

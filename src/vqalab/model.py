@@ -12,8 +12,7 @@ takes row-batches of scenes and token rows, a batch of one included.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import (ConfigError, bounded, check_fields, config_section, existing_file,
-                   read_record)
+                   read_record, record_json)
 from .encoder import (GruParams, embedding_table_init, encode_questions_baseline,
                       gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
@@ -228,33 +227,21 @@ CHECKPOINT_FORMAT = "vqalab-flat-arrays-v4"
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write `path` (JSON manifest) and `path`.bin (the embedding, then `flat`)."""
+    """Write `path`.bin (the embedding, then `flat`) and `path`, its
+    `CheckpointManifest`, by one `record_json` call."""
     path = Path(path)
     bin_path = path.with_suffix(path.suffix + ".bin")
-    entries = []
-    offset = 0
-    for name, t in params.named_arrays():
-        entries.append({
-            "name": name,
-            "shape": list(t.shape),
-            "dtype": str(t.data.dtype),
-            "byte_offset": offset,
-            "trainable": t is not params.embedding,
-        })
-        offset += t.data.nbytes
     raw = params.embedding.data.tobytes() + params.flat.tobytes()
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "config": asdict(params.config),
-        "data_file": bin_path.name,
-        "data_sha256": hashlib.sha256(raw).hexdigest(),
-        "arrays": entries,
-    }
+    arrays, offset = [], 0
+    for name, t in params.named_arrays():
+        arrays.append(ArrayEntry(name, list(t.shape), str(t.data.dtype), offset,
+                                 trainable=t is not params.embedding))
+        offset += t.data.nbytes
+    manifest = CheckpointManifest(CHECKPOINT_FORMAT, params.config, bin_path.name,
+                                  hashlib.sha256(raw).hexdigest(), arrays)
     path.parent.mkdir(parents=True, exist_ok=True)
     bin_path.write_bytes(raw)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text(record_json(manifest) + "\n")
 
 
 @dataclass

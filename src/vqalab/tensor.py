@@ -795,14 +795,14 @@ def backward(root: Tensor) -> None:
     tape.release()
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Compare the analytic gradient of scalar f at x with central differences.
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Compare the analytic gradient of scalar f at x with central differences
+    of step 1e-5.
 
     Returns max over coordinates of |analytic - numeric| / max(1, |analytic|,
     |numeric|). f must be deterministic.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = 1e-5
     if not x.requires_grad:
         raise ValueError("grad_check target must require gradients")
     saved_grad, x.grad = x.grad, None

@@ -18,13 +18,13 @@ from vqalab.cli import run as cli_run
 from vqalab.data import DataConfig, generate_dataset
 from vqalab.encoder import embedding_table_init, encode_questions_baseline
 from vqalab.evaluate import report_from_json
-from vqalab.experiment import experiment_train_config, run_bias_shift
+from vqalab.experiment import run_bias_shift
 from vqalab.fusion import block_fuse, block_params_init
 from vqalab.gradcheck import run_all
 from vqalab.grounding import encode_questions_vgqe, vgw_attention, vgw_params_init
 from vqalab.model import ModelConfig, forward_batch, init_model
 from vqalab.tensor import Tensor
-from vqalab.train import TrainConfig, train
+from vqalab.train import TrainConfig, constant_schedule, train
 from vqalab.encoder import gru_params_init
 
 
@@ -181,7 +181,7 @@ def test_criterion_overfit_sanity(variant, criterion_output, split_rows):
     cfg = ModelConfig(variant=variant, answer_count=ds.vocab.answer_count,
                       vocab_size=len(ds.vocab.tokens), dropout=0.0, seed=0)
     params = init_model(cfg, embedding_vectors=ds.vocab.embedding)
-    tcfg = experiment_train_config(seed=0, epochs=200, lr=5e-3)
+    tcfg = TrainConfig(epochs=200, batch_size=128, seed=0, schedule=constant_schedule(5e-3))
     started = time.perf_counter()
     _, log = train(params, subset, tcfg)
     elapsed = time.perf_counter() - started

@@ -587,6 +587,17 @@ class TestSerialization:
         with pytest.raises(FileNotFoundError, match="train.jsonl"):
             load_dataset(tmp_path)
 
+    def test_partial_dataset_is_refused_before_writing(self, tmp_path):
+        # load_dataset reads every split's histograms from the manifest, so a
+        # dataset loaded in part cannot be saved as a whole one
+        save_dataset(generate_dataset(DataConfig(n_train=40, n_test=15, seed=6)), tmp_path / "ds")
+        partial = load_dataset(tmp_path / "ds", splits=("test",))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            save_dataset(partial, out)
+        assert str(err.value) == "cannot save a dataset missing splits: train, test_iid"
+        assert not out.exists()
+
     def test_label_features_encode_shape_only(self, small_ds):
         # objects of one shape share a label centroid regardless of color
         by_shape = {}
@@ -657,6 +668,7 @@ class TestFloatText:
     """Every float is rendered as the text `json.dumps` writes for it, on the
     fast path or through the per-value fallback."""
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("family", ["normal", "scaled", "significands", "powers_of_ten",
                                         "short", "powers_of_two"])
     def test_families_match_json_dumps(self, family):
@@ -797,6 +809,14 @@ class TestSplitCache:
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    # the edits whose ids also reach the manifest's histograms, with what it says
+    MANIFEST_REFUSALS = {
+        "question type id 99 out of range for question types of size 18":
+            r"^histograms\.train must hold some of the question types \[0, 1, .*, 17\], "
+            r"got \[.*, 99\]$",
+        "answer id 11 out of range for answer vocabulary of size 11":
+            r"^histograms\.train\.\d+ must hold 11 numbers, one per answer, got 12$"}
+
     @pytest.mark.parametrize("edit,message", [
         (lambda s: s.visual.__setitem__((1, 2, 3), np.nan), "non-finite object feature"),
         (lambda s: s.qtypes.__setitem__(1, 99),
@@ -815,9 +835,16 @@ class TestSplitCache:
     def test_split_a_parse_refuses_is_not_cached(self, tmp_path, edit, message):
         ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
         edit(ds.train)
-        save_dataset(ds, tmp_path)
+        if message in self.MANIFEST_REFUSALS:
+            # the histograms counted from these ids are refused before any file is written
+            with pytest.raises(ConfigError, match=self.MANIFEST_REFUSALS[message]):
+                save_dataset(ds, tmp_path)
+            assert list(tmp_path.iterdir()) == []
+            save_split(ds.train, tmp_path / "train.jsonl")
+        else:
+            save_dataset(ds, tmp_path)
+            assert (tmp_path / "test.jsonl.columns").exists()
         assert not (tmp_path / "train.jsonl.columns").exists()
-        assert (tmp_path / "test.jsonl.columns").exists()
         # the split is read alone: the manifest's histograms, counted from
         # the same bad ids, may be refused first
         with pytest.raises(ValueError) as err:

@@ -490,6 +490,12 @@ class TestCheckpoint:
                                np.array(batch["tokens"])).data
         assert np.max(np.abs(logits - np.array(batch["logits"]))) < 1e-12
 
+    def test_golden_checkpoint_saves_back_byte_for_byte(self, tmp_path):
+        # the golden bin names the data file, so the copy keeps its file name
+        save_checkpoint(load_checkpoint(GOLDEN / "vgqe_tiny.json"), tmp_path / "vgqe_tiny.json")
+        for name in ("vgqe_tiny.json", "vgqe_tiny.json.bin"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_v1_manifest_refused(self, tmp_path):
         path = tmp_path / "old.json"
         save_checkpoint(init_model(tiny_config("vgqe")), path)

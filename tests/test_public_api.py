@@ -36,7 +36,8 @@ SURFACE = {
              "load_split", "num_question_types", "question_type_name",
              "DatasetManifest", "Histograms", "_check_rows", "_crc32", "_items",
              "_vocabulary_lists",
-             "existing_file", "load_manifest", "read_json_object", "read_record", "save_dataset",
+             "existing_file", "load_manifest", "read_json_object", "read_record", "record_json",
+             "_json_ready", "save_dataset",
              "save_split", "template_tokens", "type_answer_domain"},
     "evaluate": {"EvalReport", "PredictionRecord", "TypeReport", "comparison_csv",
                  "constant_majority_floor", "evaluate_split", "histograms_csv",
@@ -127,10 +128,12 @@ def test_removed_knobs_stay_removed():
 def test_unused_surface_stays_deleted():
     """No caller used Tensor's operators, and the settings below only ever
     took one value: they are constants now, or gone."""
+    from vqalab import gradcheck
     from vqalab.evaluate import evaluate_split, histograms_csv
+    from vqalab.experiment import experiment_train_config, run_bias_shift
     from vqalab.fusion import BlockFusionParams
     from vqalab.gradcheck import CheckResult
-    from vqalab.tensor import Tensor
+    from vqalab.tensor import Tensor, grad_check
     from vqalab.train import AdamWState, adamw_init
     assert not {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                 "__neg__", "__matmul__"} & set(vars(Tensor))
@@ -141,3 +144,8 @@ def test_unused_surface_stays_deleted():
     assert set(CheckResult.__dataclass_fields__) == {"module", "name", "max_rel_error"}
     assert "batch_size" not in inspect.signature(evaluate_split).parameters
     assert "top" not in inspect.signature(histograms_csv).parameters
+    # the experiment's rate, its progress callback and the finite-difference step
+    assert list(inspect.signature(run_bias_shift).parameters) == ["ds", "seeds", "epochs"]
+    assert list(inspect.signature(experiment_train_config).parameters) == ["seed", "epochs"]
+    assert list(inspect.signature(grad_check).parameters) == ["f", "x"]
+    assert not hasattr(gradcheck, "EPS")

@@ -210,7 +210,7 @@ class TestBackward:
         def loss(t):
             return T.mul(T.tanh(T.mul(t, t)), Tensor(w)).sum()
 
-        err = T.grad_check(loss, x, eps=1e-5)
+        err = T.grad_check(loss, x)
         assert err < 1e-5
 
     def test_non_scalar_root_rejected(self):
