@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 from pathlib import Path
 
@@ -36,10 +35,6 @@ from .train import TrainConfig, TrainingDiverged, train, write_training_log
 
 class CliError(Exception):
     pass
-
-
-def sha256_of(path: Path) -> str:
-    return digest_file(hashlib.sha256(), path).hexdigest()
 
 
 def load_config_file(path: str | None) -> dict:
@@ -116,8 +111,7 @@ def cmd_train(args) -> int:
         # a diverged run writes nothing
         params, log = train(params, ds.train, train_cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ckpt_path = out_dir / "checkpoint.json"
-        save_checkpoint(params, ckpt_path)
+        artifacts = save_checkpoint(params, out_dir / "checkpoint.json")
     write_training_log(log, out_dir / "training_log.csv")
     write_manifest(out_dir, {
         "command": "train",
@@ -126,10 +120,7 @@ def cmd_train(args) -> int:
         "precision": args.precision,
         "data_dir": str(data_dir),
         "trainable_parameters": count_parameters(params),
-        "artifacts": {
-            "checkpoint.json": sha256_of(ckpt_path),
-            "checkpoint.json.bin": sha256_of(out_dir / "checkpoint.json.bin"),
-        },
+        "artifacts": artifacts,
     })
     print(f"trained {args.variant} ({count_parameters(params)} parameters) "
           f"for {train_cfg.epochs} epochs; final loss {log[-1].mean_loss:.4f}, "
@@ -232,7 +223,7 @@ def cmd_report(args) -> int:
     write_manifest(out_dir, {
         "command": "report",
         "inputs": {"baseline": args.baseline, "vgqe": args.vgqe},
-        "artifacts": {name: sha256_of(out_dir / name)
+        "artifacts": {name: digest_file(out_dir / name)
                       for name in ("comparison.csv", "histograms.csv", "traces.json")},
     })
     print(f"report written to {out_dir} (baseline {baseline.overall:.4f} vs "

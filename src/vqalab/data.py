@@ -650,12 +650,18 @@ def record_json(record) -> str:
     return json.dumps(_json_ready(record), sort_keys=True, indent=1)
 
 
-def _check_rows(rows: list, shape: tuple[int, int], where: str) -> None:
-    """ConfigError at `where` unless `rows` are shape[0] lists of shape[1] numbers."""
+def _check_rows(rows: list, shape: tuple[int, int], where: str) -> np.ndarray:
+    """`rows` as floats; ConfigError at `where` unless shape[0] rows of shape[1] finite numbers."""
     lengths = sorted(set(map(len, rows)))
     if len(rows) != shape[0] or lengths != [shape[1]]:
         raise ConfigError(where, f"must hold {shape[0]} rows of {shape[1]} numbers, got "
                                  f"{len(rows)} rows of lengths {lengths}")
+    array = np.asarray(rows, dtype=np.float64)
+    if not (finite := np.isfinite(array).all(axis=1)).all():
+        row = int(finite.argmin())
+        raise ConfigError(f"{where}.{row}", "must be a list of finite numbers, got "
+                                            f"{array[row].tolist()}")
+    return array
 
 
 @dataclass
@@ -686,8 +692,10 @@ class DatasetManifest:
             if getattr(vocab, name) != words:
                 raise ConfigError(f"vocabularies.{name}", f"must be {words} for this config, "
                                                           f"got {getattr(vocab, name)}")
-        _check_rows(vocab.embedding, (len(vocab.tokens), config.d_w), "vocabularies.embedding")
-        _check_rows(self.feature_map, (config.d_v, config.shapes * config.colors), "feature_map")
+        embedding = _check_rows(vocab.embedding, (len(vocab.tokens), config.d_w),
+                                "vocabularies.embedding")
+        feature_map = _check_rows(self.feature_map, (config.d_v, config.shapes * config.colors),
+                                  "feature_map")
         types = list(range(num_question_types(config)))
         if sorted(self.bias_spec) != types:
             raise ConfigError("bias_spec", f"must hold question types {types}, "
@@ -705,8 +713,7 @@ class DatasetManifest:
                 if len(hist) != len(vocab.answers):
                     raise ConfigError(f"histograms.{split}.{qt}", f"must hold {len(vocab.answers)} "
                                       f"numbers, one per answer, got {len(hist)}")
-        vocab.embedding = np.asarray(vocab.embedding, dtype=np.float64)
-        self.feature_map = np.asarray(self.feature_map, dtype=np.float64)
+        vocab.embedding, self.feature_map = embedding, feature_map
 
 
 def load_manifest(data_dir) -> DatasetManifest:
@@ -886,13 +893,12 @@ def _float_texts(values: np.ndarray, last: np.ndarray) -> tuple[bytes, np.ndarra
 _FLOATS_PER_BLOCK = 1 << 13   # floats rendered at once by `save_split`
 
 
-def save_split(split: DatasetSplit, path, digests=()) -> None:
+def save_split(split: DatasetSplit, path) -> str:
     """Write a split as JSON Lines: line i is `json.dumps` of example i's
     record, `{"id", "type", "tokens", "answer", "objects": [{"shape",
     "color", "v", "l"}, ...]}`, with ids as strings and the other columns
-    as ints and floats. Every byte written also goes into each hashlib
-    object in `digests`. An id that is not a string raises ValueError
-    naming it, before anything is written.
+    as ints and floats; returns the sha256 of the bytes written. An id that
+    is not a string raises ValueError naming it, before anything is written.
 
     Records are written a block at a time: the block's features are
     rendered into one bytes object (`_float_texts`) and cut into its `v`
@@ -907,7 +913,7 @@ def save_split(split: DatasetSplit, path, digests=()) -> None:
     record = (b'{"id": %b, "type": %d, "tokens": [%b], "answer": %d, "objects": ['
               + b", ".join([b'{"shape": %d, "color": %d, "v": [%b], "l": [%b]}'] * k)
               + b"]}\n")
-    step = max(1, _FLOATS_PER_BLOCK // (k * width))
+    step, digest = max(1, _FLOATS_PER_BLOCK // (k * width)), hashlib.sha256()
     with open(path, "wb") as fh:
         for start in range(0, len(split.ids), step):
             block = slice(start, min(start + step, len(split.ids)))
@@ -932,36 +938,35 @@ def save_split(split: DatasetSplit, path, digests=()) -> None:
             fields[:, 1:, 2:] = np.array([text[i:j] for i, j in zip(cuts, cuts[1:])],
                                          dtype=object).reshape(-1, k, 2)
             lines = (record * len(fields)) % tuple(fields.ravel().tolist())
-            for digest in digests:
-                digest.update(lines)
+            digest.update(lines)
             fh.write(lines)
+    return digest.hexdigest()
 
 
 # Bump the tag whenever the parse, its checks or the stored columns change, so
 # that no cache written by older code is ever read.
-_CACHE_TAG = b"vqalab split columns v3\n"
+_CACHE_TAG = b"vqalab split columns v4\n"
 _CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
                   "labels")
 
 
-def _cache_key(config: DataConfig, vocab: Vocabularies):
-    """A sha256 primed with everything but the split's bytes that decides what
-    `load_split` returns: the cache format and every value its checks read."""
+def _cache_key(config: DataConfig, vocab: Vocabularies, split_sha256: str) -> str:
+    """The sha256 hex of everything that decides what `load_split` returns: the
+    cache format, every value its checks read, and the split file's sha256 hex."""
     sizes = [len(vocab.tokens), vocab.answer_count, len(vocab.shapes), len(vocab.colors)]
-    key = hashlib.sha256(_CACHE_TAG)
-    key.update(json.dumps([asdict(config), sizes], sort_keys=True).encode())
-    return key
+    text = json.dumps([asdict(config), sizes], sort_keys=True) + split_sha256
+    return hashlib.sha256(_CACHE_TAG + text.encode()).hexdigest()
 
 
-def digest_file(digest, path):
-    """`digest` updated with every byte of the file at `path`, read in 1 MiB
-    chunks through one reused buffer; returned."""
-    buffer = bytearray(1 << 20)
+def digest_file(path) -> str:
+    """The sha256 hex of the file at `path`, read in 1 MiB chunks through one
+    reused buffer."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 20)
     view = memoryview(buffer)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(buffer):
             digest.update(view[:size])
-    return digest
+    return digest.hexdigest()
 
 
 def _crc32(arrays) -> int:
@@ -1076,28 +1081,27 @@ def load_split(path, config: DataConfig, vocab: Vocabularies,
     `_refused_row` orders them; `save_dataset` caches by the same checks.
 
     A parsed split's columns are stored beside it in `<split>.jsonl.columns`,
-    one plain file of consecutive `.npy` arrays: the key, a sha256 of the
-    cache format, the file's bytes, the config and the vocabulary sizes, then
-    `ids` and `_CACHE_COLUMNS` in order, then the crc32 of their bytes. A
-    later call whose key and crc32 match returns them without parsing.
-    Deleting the file is always safe."""
+    one plain file of consecutive `.npy` arrays: the key (`_cache_key` of the
+    file's sha256, taken by `digest_file` or by the parse), then `ids` and
+    `_CACHE_COLUMNS` in order, then the crc32 of their bytes. A later call
+    whose key and crc32 match returns them without parsing. Deleting the
+    cache is always safe."""
     path = existing_file(Path(path), "split file")
     cache = path.with_name(path.name + ".columns")
-    key = _cache_key(config, vocab)
     if cache.exists():
-        columns = _cached_columns(cache, digest_file(key.copy(), path).hexdigest(), config)
+        columns = _cached_columns(cache, _cache_key(config, vocab, digest_file(path)), config)
         if columns is not None:
             return DatasetSplit(name or path.stem, **columns)
-    columns = _parse_split(path, config, vocab, key)  # key takes in the bytes parsed
-    _write_cache(cache, key.hexdigest(), columns)
+    columns, split_sha256 = _parse_split(path, config, vocab)
+    _write_cache(cache, _cache_key(config, vocab, split_sha256), columns)
     return DatasetSplit(name or path.stem, **columns)
 
 
-def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) -> dict:
-    """The checked columns of a JSONL split, streamed line by line; `digest`
-    takes in every byte read. Reading stops at the first line `_split_row`
+def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies) -> tuple[dict, str]:
+    """The checked columns of a JSONL split, streamed line by line, and the
+    sha256 hex of the bytes read. Reading stops at the first line `_split_row`
     refuses, which is named unless `_refused_row` refuses a row before it."""
-    k, rows, fault = config.objects_per_scene, [], None
+    k, rows, fault, digest = config.objects_per_scene, [], None, hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             digest.update(raw)
@@ -1123,7 +1127,7 @@ def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies, digest) ->
         raise ValueError(f"{path}:{linenos[refused[0]]}: {refused[1]}")
     if fault is not None:
         raise ValueError(f"{path}:{fault[0]}: {fault[1]}") from fault[1]
-    return columns
+    return columns, digest.hexdigest()
 
 
 def _id_array(ids) -> np.ndarray:
@@ -1192,15 +1196,22 @@ def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     """Write all splits and the manifest into a directory; returns the sha256
     of each file written, by file name. The manifest is a `DatasetManifest`,
-    built before any file is written and written by one `record_json` call, so
-    a dataset `load_dataset` would refuse raises first: ValueError naming the
-    splits not at hand, or the manifest's ConfigError.
+    built before any file is written, so a dataset `load_dataset` would
+    refuse raises first: ValueError naming the splits not at hand, or a split
+    whose record count is not the config's `n_train` (train) or `n_test`, or
+    the manifest's ConfigError (a non-finite embedding or feature map, say).
 
     Each split is also stored in the `.jsonl.columns` cache that `load_split`
-    would write after parsing it, under the key it computes, so the first
-    load does not parse. A split that a parse could refuse is left uncached."""
+    would write after parsing it, keyed by the sha256 `save_split` returns, so
+    the first load does not parse. A split that a parse could refuse is left
+    uncached."""
     if missing := [name for name in SPLITS if name not in ds.loaded]:
         raise ValueError(f"cannot save a dataset missing splits: {', '.join(missing)}")
+    for name, split in ds.splits().items():
+        field_name = "n_train" if name == "train" else "n_test"
+        if len(split) != getattr(ds.config, field_name):
+            raise ValueError(f"cannot save split {name} of {len(split)} records: the "
+                             f"config's {field_name} is {getattr(ds.config, field_name)}")
     a = ds.vocab.answer_count
     histograms = Histograms(**{
         name: {qt: answer_distribution(split, qt, a) for qt in np.unique(split.qtypes).tolist()}
@@ -1213,16 +1224,15 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     written = {}
     for name, split in ds.splits().items():
         path = out_dir / f"{name}.jsonl"
-        digest, key = hashlib.sha256(), _cache_key(ds.config, ds.vocab)
-        save_split(split, path, (digest, key))
-        written[path.name] = digest.hexdigest()
+        written[path.name] = save_split(split, path)
         columns = {column: getattr(split, column) for column in ("ids",) + _CACHE_COLUMNS}
         if _columns_fit(columns, len(split), ds.config) and \
                 _refused_row(columns, ds.config, ds.vocab) is None:
             width = int(split.lengths.max(initial=0))   # a parse's tokens end at the longest
             inside = np.arange(width) < split.lengths[:, None]
             columns["tokens"] = np.where(inside, split.tokens[:, :width], -1)
-            _write_cache(path.with_name(path.name + ".columns"), key.hexdigest(), columns)
+            _write_cache(path.with_name(path.name + ".columns"),
+                         _cache_key(ds.config, ds.vocab, written[path.name]), columns)
     text = (record_json(manifest) + "\n").encode()
     (out_dir / "manifest.json").write_bytes(text)
     written["manifest.json"] = hashlib.sha256(text).hexdigest()

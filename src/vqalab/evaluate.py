@@ -55,10 +55,6 @@ class EvalReport:
     data_dir: str = ""
     precision: str = ""           # dtype of the parameters the predictions came from
 
-    def type_weighted_mean(self) -> float:
-        total = sum(tr.count for tr in self.per_type.values())
-        return sum(tr.count * tr.accuracy for tr in self.per_type.values()) / total
-
 
 def predict_split(params: ModelParams, split: DatasetSplit,
                   batch_size: int = 256) -> list[int]:

@@ -226,9 +226,9 @@ def count_parameters(params: ModelParams) -> int:
 CHECKPOINT_FORMAT = "vqalab-flat-arrays-v4"
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write `path`.bin (the embedding, then `flat`) and `path`, its
-    `CheckpointManifest`, by one `record_json` call."""
+def save_checkpoint(params: ModelParams, path) -> dict[str, str]:
+    """Write `path`.bin (the embedding, then `flat`) and `path`, its `CheckpointManifest`,
+    by one `record_json` call; returns each file's sha256 by file name."""
     path = Path(path)
     bin_path = path.with_suffix(path.suffix + ".bin")
     raw = params.embedding.data.tobytes() + params.flat.tobytes()
@@ -239,9 +239,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
         offset += t.data.nbytes
     manifest = CheckpointManifest(CHECKPOINT_FORMAT, params.config, bin_path.name,
                                   hashlib.sha256(raw).hexdigest(), arrays)
+    text = (record_json(manifest) + "\n").encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     bin_path.write_bytes(raw)
-    path.write_text(record_json(manifest) + "\n")
+    path.write_bytes(text)
+    return {bin_path.name: manifest.data_sha256, path.name: hashlib.sha256(text).hexdigest()}
 
 
 @dataclass

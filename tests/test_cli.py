@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import shutil
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 from vqalab import cli
-from vqalab.cli import run, sha256_of
-from vqalab.data import DataConfig, load_dataset
+from vqalab.cli import run
+from vqalab.data import DataConfig, digest_file, load_dataset
 from vqalab.evaluate import EvalReport, evaluate_split
 from vqalab.grounding import encode_question_vgqe
 from vqalab.model import FusionConfig, ModelConfig, load_checkpoint
@@ -214,10 +216,11 @@ class TestGenData:
 
 
 def test_sha256_of_streams_past_one_chunk(tmp_path):
+    """`digest_file`, which digests the report's artifacts, reads in 1 MiB chunks."""
     data = np.random.default_rng(0).bytes((1 << 20) * 2 + 12345)
     path = tmp_path / "blob"
     path.write_bytes(data)
-    assert sha256_of(path) == hashlib.sha256(data).hexdigest()
+    assert digest_file(path) == hashlib.sha256(data).hexdigest()
 
 
 class TestTrain:
@@ -230,6 +233,37 @@ class TestTrain:
         assert manifest["config"]["train"]["epochs"] == 2
         assert manifest["trainable_parameters"] > 0
         assert sha(run_dir / "checkpoint.json") == manifest["artifacts"]["checkpoint.json"]
+
+    @pytest.mark.parametrize("variant", ["baseline", "vgqe"])
+    def test_every_artifact_digest_is_its_files(self, workspace, variant):
+        manifest = json.loads((workspace / variant / "run_manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["checkpoint.json", "checkpoint.json.bin"]
+        for name, digest in manifest["artifacts"].items():
+            assert sha(workspace / variant / name) == digest, name
+
+    def test_reads_back_neither_checkpoint_file(self, workspace, tmp_path, monkeypatch):
+        """The run manifest's digests are those `save_checkpoint` took as it wrote."""
+        opened = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            opened.append((Path(str(file)).name, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        real_open = io.open
+        monkeypatch.setattr(io, "open", spy)
+        monkeypatch.setattr(builtins, "open", spy)
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(workspace / "data"), "--variant", "vgqe",
+                    "--seed", "1", "--out", str(out),
+                    "--config", str(workspace / "config.json")]) == 0
+        monkeypatch.undo()
+        assert {name for name, mode in opened if name.startswith("checkpoint")} == \
+            {"checkpoint.json", "checkpoint.json.bin"}
+        assert not [(name, mode) for name, mode in opened
+                    if name.startswith("checkpoint") and "w" not in mode]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        for name, digest in manifest["artifacts"].items():
+            assert sha(out / name) == digest, name
 
     def test_determinism_byte_identical(self, workspace, tmp_path):
         cfg_path = workspace / "config.json"
@@ -868,6 +902,16 @@ class TestReport:
             for step in rec["weights"]:
                 assert len(step) == k
                 assert abs(sum(step) - 1.0) < 1e-6
+
+    def test_every_artifact_digest_is_its_files(self, workspace, tmp_path):
+        assert run(["report", "--baseline", str(workspace / "baseline_report.json"),
+                    "--vgqe", str(workspace / "vgqe_report.json"),
+                    "--out", str(tmp_path), "--traces", "3"]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["comparison.csv", "histograms.csv",
+                                                 "traces.json"]
+        for name, digest in manifest["artifacts"].items():
+            assert sha(tmp_path / name) == digest, name
 
     def test_traces_match_golden_digest(self, workspace, tmp_path):
         assert run(["report", "--baseline", str(workspace / "baseline_report.json"),

@@ -598,6 +598,59 @@ class TestSerialization:
         assert str(err.value) == "cannot save a dataset missing splits: train, test_iid"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,size", [("train", "n_train"), ("test_iid", "n_test")])
+    def test_split_of_another_size_is_refused_before_writing(self, tmp_path, split_rows,
+                                                             name, size):
+        # load_dataset refuses a split whose record count is not its config's
+        ds = generate_dataset(DataConfig(n_train=40, n_test=15, seed=6))
+        ds.loaded[name] = split_rows(ds.split(name), slice(0, 3))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            save_dataset(ds, out)
+        assert str(err.value) == (f"cannot save split {name} of 3 records: the config's "
+                                  f"{size} is {getattr(ds.config, size)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,value", [("vocabularies.embedding", np.nan),
+                                             ("feature_map", -np.inf)])
+    def test_non_finite_table_is_refused_before_writing(self, tmp_path, where, value):
+        # refused as `load_manifest` refuses the number `json.dumps` writes for it
+        ds = generate_dataset(DataConfig(n_train=40, n_test=15, seed=6))
+        table = ds.vocab.embedding if where == "vocabularies.embedding" else ds.feature_map
+        table[1, 2] = value
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            save_dataset(ds, out)
+        assert str(err.value) == f"{where}.1 must be a list of finite numbers, got " \
+                                 f"{table[1].tolist()!r}"
+        assert not out.exists()
+
+    def test_each_split_is_hashed_once(self, tmp_path, monkeypatch):
+        """Each split's bytes go into one sha256 object, the one whose digest
+        `save_dataset` returns."""
+        real, fed = hashlib.sha256, []
+
+        class Spy:
+            def __init__(self, data=b""):
+                self.inner, self.data = real(data), bytearray(data)
+                fed.append(self.data)
+
+            def update(self, data):
+                self.inner.update(data)
+                self.data += data
+
+            def hexdigest(self):
+                return self.inner.hexdigest()
+
+        ds = generate_dataset(DataConfig(n_train=40, n_test=15, seed=6))
+        monkeypatch.setattr(D.hashlib, "sha256", Spy)
+        digests = save_dataset(ds, tmp_path)
+        monkeypatch.undo()
+        for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl"):
+            data = (tmp_path / name).read_bytes()
+            assert [bytes(f) for f in fed if data in f] == [data], name
+            assert digests[name] == hashlib.sha256(data).hexdigest(), name
+
     def test_label_features_encode_shape_only(self, small_ds):
         # objects of one shape share a label centroid regardless of color
         by_shape = {}
@@ -714,11 +767,11 @@ class TestSplitWriter:
         n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
              "2blocks+3": 2 * block + 3}[size]
         split = self.random_split(np.random.default_rng(n), n, k, d_v, d_w)
-        path, digest = tmp_path / "random.jsonl", hashlib.sha256()
-        save_split(split, path, (digest,))
+        path = tmp_path / "random.jsonl"
+        digest = save_split(split, path)
         expected = json_dumps_lines(split)
         assert path.read_bytes() == expected
-        assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+        assert digest == hashlib.sha256(expected).hexdigest()
 
     def test_generated_splits_match_json_dumps(self, tmp_path, small_ds, split_rows):
         for name, split in small_ds.splits().items():
@@ -791,15 +844,20 @@ class TestSplitCache:
 
     @pytest.mark.parametrize("size", [0, 1000, 1 << 20, (1 << 20) * 2 + 12345],
                              ids=["empty", "shorter", "one-buffer", "longer"])
-    def test_file_digest_is_the_key_prefix_then_every_byte(self, tmp_path, size):
-        # the reads go through one 1 MiB buffer
+    def test_file_digest_is_the_key_prefix_then_every_byte(self, tmp_path, small_ds, size):
+        # the reads go through one 1 MiB buffer; the key hashes the cache tag,
+        # the config and vocabulary sizes, then the file's sha256 hex
         data = np.random.default_rng(size).bytes(size)
         path = tmp_path / "split.jsonl"
         path.write_bytes(data)
-        key = hashlib.sha256(D._CACHE_TAG)
-        assert D.digest_file(key.copy(), path).hexdigest() == \
-            hashlib.sha256(D._CACHE_TAG + data).hexdigest()
-        assert key.hexdigest() == hashlib.sha256(D._CACHE_TAG).hexdigest()
+        digest = D.digest_file(path)
+        assert digest == hashlib.sha256(data).hexdigest()
+        vocab = small_ds.vocab
+        sizes = [len(vocab.tokens), vocab.answer_count, len(vocab.shapes), len(vocab.colors)]
+        prefix = D._CACHE_TAG + json.dumps([dataclasses.asdict(small_ds.config), sizes],
+                                           sort_keys=True).encode()
+        assert D._cache_key(small_ds.config, vocab, digest) == \
+            hashlib.sha256(prefix + digest.encode()).hexdigest()
 
     def test_saved_digests_are_the_files(self, tmp_path):
         digests = save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)),
@@ -856,6 +914,7 @@ class TestSplitCache:
         ds = generate_dataset(DataConfig(n_train=40, n_test=3, seed=2))
         short = int(np.argmin(ds.train.lengths))
         ds.loaded["train"] = split_rows(ds.train, [short])
+        ds.config = dataclasses.replace(ds.config, n_train=1)   # the split's own size
         ds.train.tokens[0, ds.train.lengths[0]:] = 7   # past the length: never written
         save_dataset(ds, tmp_path)
         self.no_parse(monkeypatch)
@@ -930,7 +989,7 @@ class TestSplitCache:
         ds, path = saved
         split = load_split(path, ds.config, ds.vocab)
         arrays = self.stored_arrays(path.with_name("test.jsonl.columns").read_bytes())
-        key = D.digest_file(D._cache_key(ds.config, ds.vocab), path).hexdigest()
+        key = D._cache_key(ds.config, ds.vocab, hashlib.sha256(path.read_bytes()).hexdigest())
         assert len(arrays) == 3 + len(D._CACHE_COLUMNS)
         assert arrays[0].shape == () and arrays[0].tolist() == key
         assert arrays[1].tolist() == split.ids == ds.test.ids

@@ -126,10 +126,11 @@ def test_removed_knobs_stay_removed():
 
 
 def test_unused_surface_stays_deleted():
-    """No caller used Tensor's operators, and the settings below only ever
-    took one value: they are constants now, or gone."""
-    from vqalab import gradcheck
-    from vqalab.evaluate import evaluate_split, histograms_csv
+    """No caller used Tensor's operators or `EvalReport.type_weighted_mean`,
+    and the settings below only ever took one value: they are constants now,
+    or gone."""
+    from vqalab import cli, data, gradcheck
+    from vqalab.evaluate import EvalReport, evaluate_split, histograms_csv
     from vqalab.experiment import experiment_train_config, run_bias_shift
     from vqalab.fusion import BlockFusionParams
     from vqalab.gradcheck import CheckResult
@@ -149,3 +150,11 @@ def test_unused_surface_stays_deleted():
     assert list(inspect.signature(experiment_train_config).parameters) == ["seed", "epochs"]
     assert list(inspect.signature(grad_check).parameters) == ["f", "x"]
     assert not hasattr(gradcheck, "EPS")
+    assert not hasattr(EvalReport, "type_weighted_mean")
+    # a digest is a sha256 hex string taken in the pass that writes or reads
+    # the file: no hasher goes into a writer, a file digest or the cache key
+    assert list(inspect.signature(data.save_split).parameters) == ["split", "path"]
+    assert list(inspect.signature(data.digest_file).parameters) == ["path"]
+    assert list(inspect.signature(data._cache_key).parameters) == ["config", "vocab",
+                                                                   "split_sha256"]
+    assert not hasattr(cli, "sha256_of") and not hasattr(cli, "hashlib")
