@@ -21,13 +21,13 @@ from .data import (SPLITS, ConfigError, DataConfig, build_config, config_section
                    generate_dataset, load_dataset, load_manifest, read_json_object,
                    record_json, save_dataset)
 from .encoder import embed
-from .evaluate import (comparison_csv, evaluate_split, histograms_csv,
+from .evaluate import (comparison_csv, dataset_mismatch, evaluate_split, histograms_csv,
                        report_from_json, report_to_json)
 from .gradcheck import CHECKS, TOLERANCE, run_all
 # encode_question_vgqe is not called here; the name stays bound because
 # perfbench/tracer.py wraps it at vqalab.cli:encode_question_vgqe.
 from .grounding import encode_question_vgqe, trace_records  # noqa: F401
-from .model import (ModelConfig, count_parameters, init_model, load_checkpoint,
+from .model import (ModelConfig, count_parameters, dataset_fields, init_model, load_checkpoint,
                     save_checkpoint)
 from .tensor import using_dtype
 from .train import TrainConfig, TrainingDiverged, train, write_training_log
@@ -93,8 +93,7 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     ds = load_dataset(data_dir, splits=("train",))
     # the dataset and --variant decide these; a config file may only repeat them
-    decided = {"variant": args.variant, "d_v": ds.config.d_v, "d_w": ds.config.d_w,
-               "answer_count": ds.vocab.answer_count, "vocab_size": len(ds.vocab.tokens)}
+    decided = {"variant": args.variant, **dataset_fields(ds)}
     section = file_cfg.get("model", {})
     for name, value in decided.items():   # a conflict, named before the build's type errors
         if type(section) is dict and name in section \
@@ -132,6 +131,8 @@ def cmd_eval(args) -> int:
     report_path = output_path(args.report, "report", directory=False)
     params = load_checkpoint(Path(args.checkpoint))
     ds = load_dataset(Path(args.data), splits=(args.split,))
+    if problem := dataset_mismatch(params, ds):
+        raise CliError(f"checkpoint {args.checkpoint} on the dataset in {args.data}: {problem}")
     with using_dtype(params.flat.dtype.type):
         report = evaluate_split(params, ds.split(args.split), ds)
     report.checkpoint = args.checkpoint
@@ -144,22 +145,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    modules = [args.module] if args.module else None
-    try:
-        results = run_all(modules)
-    except KeyError as err:
-        raise CliError(str(err)) from err
-    failed = [r for r in results if not r.passed]
+    results = run_all([args.module] if args.module else None)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.module:12s} {r.name:24s} max_rel_error {r.max_rel_error:.3e} "
               f"tol {TOLERANCE:.0e} {status}")
-    by_module: dict[str, float] = {}
-    for r in results:
-        by_module[r.module] = max(by_module.get(r.module, 0.0), r.max_rel_error)
-    for module, worst in by_module.items():
+    for module in dict.fromkeys(r.module for r in results):
+        worst = max(r.max_rel_error for r in results if r.module == module)
         print(f"{module}: max relative error {worst:.3e}")
-    return 1 if failed else 0
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_report(args) -> int:
@@ -173,9 +167,13 @@ def cmd_report(args) -> int:
     if baseline.split != vgqe.split:
         raise CliError(f"{pair} evaluate different splits, {baseline.split!r} and "
                        f"{vgqe.split!r}")
-    if [r.example_id for r in baseline.predictions] != \
-            [r.example_id for r in vgqe.predictions]:
+    if [r.example_id for r in baseline.predictions] != [r.example_id for r in vgqe.predictions]:
         raise CliError(f"{pair} predict different example ids")
+    for b, v in zip(baseline.predictions, vgqe.predictions):
+        if (b.qtype, b.answer) != (v.qtype, v.answer):
+            raise CliError(f"{pair} disagree on example {b.example_id!r}: question type "
+                           f"{b.qtype}, answer {b.answer} against question type {v.qtype}, "
+                           f"answer {v.answer}")
     if not (baseline.data_dir and vgqe.data_dir
             and Path(baseline.data_dir).resolve() == Path(vgqe.data_dir).resolve()):
         raise CliError(f"{pair} do not name one dataset directory: {baseline.data_dir!r} "
@@ -196,13 +194,15 @@ def cmd_report(args) -> int:
 
     traces = []
     if vgqe.checkpoint:
-        ckpt_path = Path(vgqe.checkpoint)
-        params = load_checkpoint(ckpt_path)
+        params = load_checkpoint(Path(vgqe.checkpoint))
+        behind = f"checkpoint {Path(vgqe.checkpoint)} behind vgqe report {args.vgqe}"
         if params.config.variant != "vgqe":
-            raise CliError(f"checkpoint {ckpt_path} behind vgqe report {args.vgqe} holds "
-                           f"a {params.config.variant} model")
-        split = load_dataset(data_dir, (vgqe.split,), manifest).split(vgqe.split)
-        rng = np.random.default_rng(np.random.SeedSequence([args.trace_seed]))
+            raise CliError(f"{behind} holds a {params.config.variant} model")
+        ds = load_dataset(data_dir, (vgqe.split,), manifest)
+        if problem := dataset_mismatch(params, ds):
+            raise CliError(f"{behind} on the dataset in {data_dir}: {problem}")
+        split = ds.split(vgqe.split)
+        rng = np.random.default_rng(np.random.SeedSequence([0]))
         chosen = rng.choice(len(split), size=min(args.traces, len(split)), replace=False)
         # the grounding attention alone: the encoder's recurrence and fusion
         # never touch the weights a trace records
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--traces", type=count, default=8,
                    help="number of questions to trace")
-    p.add_argument("--trace-seed", dest="trace_seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -309,3 +308,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

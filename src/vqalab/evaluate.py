@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ConfigError, DatasetSplit, SyntheticDataset, read_record, record_json
-from .model import ModelParams, forward_batch
+from .model import ModelParams, dataset_fields, forward_batch
 from .train import length_bucketed_batches, stack_batch
 
 HISTOGRAM_TOP = 8    # answers per type in the histograms CSV
@@ -112,9 +112,25 @@ def summarize_predictions(records: list[PredictionRecord], answer_count: int,
                       overall=overall, per_type=per_type, predictions=records)
 
 
+def dataset_mismatch(params: ModelParams, ds: SyntheticDataset) -> str | None:
+    """How `params` differ from the `dataset_fields` and word embedding of `ds`,
+    each differing field named with both values; None if they do not."""
+    config, ours = params.config, params.embedding.data
+    theirs = ds.vocab.embedding.astype(ours.dtype)
+    differ = [f"{name} is {getattr(config, name)}, the dataset's is {value}"
+              for name, value in dataset_fields(ds).items() if getattr(config, name) != value]
+    if not differ and not np.array_equal(ours, theirs):   # equal fields, equal shapes
+        i, j = np.argwhere(ours != theirs)[0].tolist()
+        differ = [f"embedding [{i}, {j}] is {float(ours[i, j])!r}, the dataset's is "
+                  f"{float(theirs[i, j])!r}"]
+    return f"the model was built for another dataset: {'; '.join(differ)}" if differ else None
+
+
 def evaluate_split(params: ModelParams, split: DatasetSplit,
                    ds: SyntheticDataset) -> EvalReport:
-    """Run the model over a split (dropout off) and summarize."""
+    """Run the model over a split (dropout off) and summarize; refuses a `dataset_mismatch`."""
+    if problem := dataset_mismatch(params, ds):
+        raise ValueError(problem)
     if not len(split):
         raise ValueError("cannot evaluate an empty split")
     preds = predict_split(params, split)
@@ -207,21 +223,16 @@ def report_from_json(path) -> EvalReport:
 
 
 def comparison_csv(baseline: EvalReport, vgqe: EvalReport, path) -> None:
-    """Side-by-side per-type accuracy table, overall row last."""
+    """Side-by-side per-type accuracy table, overall row last, for two reports
+    of the same (example id, question type, answer) records."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    types = sorted(set(baseline.per_type) | set(vgqe.per_type))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["question_type", "n", "baseline", "vgqe"])
-        for qt in types:
-            b = baseline.per_type.get(qt)
-            v = vgqe.per_type.get(qt)
-            name = (b or v).name
-            n = (b.count if b else 0) + (0 if b else v.count)
-            writer.writerow([name, n,
-                             "" if b is None else repr(b.accuracy),
-                             "" if v is None else repr(v.accuracy)])
+        for qt in sorted(baseline.per_type):
+            b, v = baseline.per_type[qt], vgqe.per_type[qt]
+            writer.writerow([b.name, b.count, repr(b.accuracy), repr(v.accuracy)])
         writer.writerow(["overall", baseline.count,
                          repr(baseline.overall), repr(vgqe.overall)])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .data import SyntheticDataset
 from .evaluate import constant_majority_floor, evaluate_split
-from .model import ModelConfig, init_model
+from .model import ModelConfig, dataset_fields, init_model
 from .train import TrainConfig, constant_schedule, train
 
 EXPERIMENT_EPOCHS = 6
@@ -84,10 +84,7 @@ def run_bias_shift(ds: SyntheticDataset, seeds=(0, 1, 2, 3, 4),
     outcomes = {"baseline": VariantOutcome(), "vgqe": VariantOutcome()}
     for variant in ("baseline", "vgqe"):
         for seed in seeds:
-            cfg = ModelConfig(variant=variant, d_v=ds.config.d_v,
-                              d_w=ds.config.d_w,
-                              answer_count=ds.vocab.answer_count,
-                              vocab_size=len(ds.vocab.tokens), seed=seed)
+            cfg = ModelConfig(variant=variant, seed=seed, **dataset_fields(ds))
             params = init_model(cfg, embedding_vectors=ds.vocab.embedding)
             train(params, ds.train, experiment_train_config(seed, epochs))
             iid = evaluate_split(params, ds.test_iid, ds).overall

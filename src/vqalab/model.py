@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .data import (ConfigError, bounded, check_fields, config_section, existing_file,
-                   read_record, record_json)
+from .data import (ConfigError, SyntheticDataset, bounded, check_fields, config_section,
+                   existing_file, read_record, record_json)
 from .encoder import (GruParams, embedding_table_init, encode_questions_baseline,
                       gru_params_init)
 from .fusion import BlockFusionParams, block_fuse, block_params_init
@@ -68,6 +68,12 @@ class ModelConfig:
         return 2 * self.hidden
 
 
+def dataset_fields(ds: SyntheticDataset) -> dict[str, int]:
+    """The `ModelConfig` fields a dataset fixes."""
+    return {"d_v": ds.config.d_v, "d_w": ds.config.d_w, "answer_count": ds.vocab.answer_count,
+            "vocab_size": len(ds.vocab.tokens)}
+
+
 @dataclass
 class ModelParams:
     config: ModelConfig
@@ -93,10 +99,6 @@ class ModelParams:
             start, end = end, end + t.size
             t.data, t.grad = self.flat[start:end].reshape(t.shape), \
                 self.grad[start:end].reshape(t.shape)
-
-    @property
-    def variant(self) -> str:
-        return self.config.variant
 
     def named_arrays(self):
         """Every array in the model, frozen ones included; fixed order."""
@@ -170,7 +172,7 @@ def _build_model(config: ModelConfig, seed: int | None,
 def encode_questions(params: ModelParams, visual: np.ndarray, labels: np.ndarray,
                      tokens: np.ndarray) -> Tensor:
     """Question representations (B, 2H) for a batch sharing one length."""
-    if params.variant == "vgqe":
+    if params.config.variant == "vgqe":
         return encode_questions_vgqe(visual, labels, tokens, params.embedding, params.vgw,
                                      params.gru_fwd, params.gru_bwd)[0]
     return encode_questions_baseline(tokens, params.embedding,
@@ -223,7 +225,7 @@ def count_parameters(params: ModelParams) -> int:
 # records their sha256
 
 
-CHECKPOINT_FORMAT = "vqalab-flat-arrays-v4"
+CHECKPOINT_FORMAT = "vqalab-flat-arrays-v5"
 
 
 def save_checkpoint(params: ModelParams, path) -> dict[str, str]:
@@ -232,13 +234,9 @@ def save_checkpoint(params: ModelParams, path) -> dict[str, str]:
     path = Path(path)
     bin_path = path.with_suffix(path.suffix + ".bin")
     raw = params.embedding.data.tobytes() + params.flat.tobytes()
-    arrays, offset = [], 0
-    for name, t in params.named_arrays():
-        arrays.append(ArrayEntry(name, list(t.shape), str(t.data.dtype), offset,
-                                 trainable=t is not params.embedding))
-        offset += t.data.nbytes
-    manifest = CheckpointManifest(CHECKPOINT_FORMAT, params.config, bin_path.name,
-                                  hashlib.sha256(raw).hexdigest(), arrays)
+    arrays = [ArrayEntry(name, list(t.shape)) for name, t in params.named_arrays()]
+    manifest = CheckpointManifest(CHECKPOINT_FORMAT, params.config, params.flat.dtype.name,
+                                  bin_path.name, hashlib.sha256(raw).hexdigest(), arrays)
     text = (record_json(manifest) + "\n").encode()
     path.parent.mkdir(parents=True, exist_ok=True)
     bin_path.write_bytes(raw)
@@ -250,9 +248,6 @@ def save_checkpoint(params: ModelParams, path) -> dict[str, str]:
 class ArrayEntry:
     name: str
     shape: list[int]
-    dtype: str
-    byte_offset: int
-    trainable: bool
 
 
 @dataclass
@@ -260,29 +255,27 @@ class CheckpointManifest:
     """The JSON manifest `save_checkpoint` writes beside its `.bin`."""
     format: str
     config: ModelConfig
+    dtype: str       # of every array
     data_file: str   # a bare file name, in the manifest's directory
     data_sha256: str
     arrays: list[ArrayEntry]
 
     def __post_init__(self):
+        if self.dtype not in ("float64", "float32"):
+            raise ConfigError("dtype", f"must be 'float64' or 'float32', got {self.dtype!r}")
         if self.data_file in ("", ".", "..") or Path(self.data_file).name != self.data_file:
             raise ConfigError("data_file", f"must be a bare file name, got {self.data_file!r}")
-        for i, entry in enumerate(self.arrays):
-            if entry.dtype not in ("float64", "float32"):
-                raise ConfigError(f"arrays.{i}.dtype", "must be 'float64' or 'float32', "
-                                                       f"got {entry.dtype!r}")
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild a model, in the dtype it was saved in, from a manifest laying out
-    the config's arrays as saved and a data file of the recorded sha256.
+    """Rebuild a model, in the dtype it was saved in, from a manifest naming
+    the config's arrays and their shapes and a data file of the recorded sha256.
 
     The config's layout is built without drawing a value; the embedding and
-    `flat` are then filled from the data file."""
+    `flat` are then filled from the data file, which holds them back to back."""
     path = Path(path)
     manifest = read_record(CheckpointManifest, path, "checkpoint", file_format=CHECKPOINT_FORMAT)
-    first = manifest.arrays[0].dtype if manifest.arrays else "float64"   # none: names refuse
-    dtype = np.dtype(first)
+    dtype = np.dtype(manifest.dtype)
     with T.using_dtype(dtype.type):
         params = _build_model(manifest.config, None)
     arrays = list(params.named_arrays())
@@ -290,26 +283,21 @@ def load_checkpoint(path) -> ModelParams:
                                                 (name for name, _ in arrays))):
         if got != want:
             raise ValueError(f"checkpoint array {i} is {got!r}, this config expects {want!r}")
-    offset = 0
     for (name, target), stored in zip(arrays, manifest.arrays):
-        if (stored.dtype, stored.shape, stored.byte_offset) != (first, list(target.shape), offset):
-            raise ValueError(f"checkpoint array {name!r} is {stored.dtype} {tuple(stored.shape)} "
-                             f"at byte {stored.byte_offset}, this config expects {dtype} "
-                             f"{target.shape} at byte {offset}")
-        if stored.trainable != (target is not params.embedding):
-            raise ValueError(f"checkpoint array {name!r} has trainable {stored.trainable}, "
-                             f"this config expects {not stored.trainable}")
-        offset += target.size * dtype.itemsize
+        if tuple(stored.shape) != target.shape:
+            raise ValueError(f"checkpoint array {name!r} has shape {tuple(stored.shape)}, "
+                             f"this config expects {target.shape}")
     bin_path = existing_file(path.parent / manifest.data_file, "checkpoint data file")
     raw = bin_path.read_bytes()
-    if len(raw) != offset:
+    embedding = params.embedding.data
+    size = (embedding.size + params.flat.size) * dtype.itemsize
+    if len(raw) != size:
         raise ValueError(f"checkpoint data file {bin_path} holds {len(raw)} bytes, "
-                         f"its manifest expects {offset}")
+                         f"its manifest expects {size}")
     digest = hashlib.sha256(raw).hexdigest()
     if digest != manifest.data_sha256:
         raise ValueError(f"checkpoint data file {bin_path} has sha256 {digest}, its "
                          f"manifest records {manifest.data_sha256!r}")
-    embedding = params.embedding.data
     embedding[...] = np.frombuffer(raw, dtype, count=embedding.size).reshape(embedding.shape)
     params.flat[...] = np.frombuffer(raw, dtype, offset=embedding.size * dtype.itemsize)
     return params

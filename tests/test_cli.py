@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -12,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vqalab
 from vqalab import cli
 from vqalab.cli import run
 from vqalab.data import DataConfig, digest_file, load_dataset
-from vqalab.evaluate import EvalReport, evaluate_split
+from vqalab.evaluate import EvalReport, evaluate_split, report_from_json, report_to_json, \
+    summarize_predictions
 from vqalab.grounding import encode_question_vgqe
 from vqalab.model import FusionConfig, ModelConfig, load_checkpoint
 from vqalab.tensor import using_dtype
@@ -83,7 +88,7 @@ GOLDEN_REPORT_SHA256 = {
 
 
 # sha256 of traces.json as `vqalab report` writes it from the TINY workspace's
-# test-split reports with the default --traces 8 and --trace-seed 0. Taken
+# test-split reports with the default --traces 8, drawn from seed 0. Taken
 # while each trace still came from a full grounded encoding of its question;
 # traces now come from the grounding attention alone, with the same bytes.
 # Re-taken with the object-major checkpoint pins above: the trained vgqe
@@ -97,6 +102,20 @@ def sha(path):
 
 def work_that_must_not_run(*args, **kwargs):
     raise AssertionError("a refused output path must be refused before any work")
+
+
+def checkpoint_with_other_embedding(workspace, tmp_path):
+    """A copy of the workspace vgqe checkpoint whose embedding [0, 0] is 1.0
+    higher, its data_sha256 re-taken so that it loads."""
+    shutil.copytree(workspace / "vgqe", tmp_path / "other_vgqe")
+    path = tmp_path / "other_vgqe" / "checkpoint.json"
+    raw = np.frombuffer(Path(f"{path}.bin").read_bytes(), np.float64).copy()
+    raw[0] += 1.0
+    Path(f"{path}.bin").write_bytes(raw.tobytes())
+    manifest = json.loads(path.read_text())
+    manifest["data_sha256"] = hashlib.sha256(raw.tobytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
+    return path
 
 
 def renamed(edit, problem, first_problem):
@@ -359,8 +378,7 @@ class TestTrain:
                     "--config", str(workspace / "config.json"),
                     "--precision", "float32"]) == 0
         manifest = json.loads((out / "checkpoint.json").read_text())
-        dtypes = {entry["dtype"] for entry in manifest["arrays"]}
-        assert dtypes == {"float32"}
+        assert manifest["dtype"] == "float32"
 
 
 # a value of the wrong JSON type and one outside the field's bound, for every
@@ -600,6 +618,31 @@ class TestEval:
             else f"{target} exists and is a directory\n")
         assert (blocker.read_text() == "kept") if under else not any(blocker.iterdir())
 
+    @pytest.mark.parametrize("other", ["answers", "embedding"])
+    def test_checkpoint_for_another_dataset_is_refused(self, workspace, tmp_path, capsys,
+                                                       other):
+        # one more color is one more answer; an edited embedding keeps every size
+        checkpoint, data = workspace / "vgqe" / "checkpoint.json", workspace / "data"
+        problem = "answer_count is 8, the dataset's is 9"
+        if other == "answers":
+            data = tmp_path / "data"
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": {**TINY_CONFIG["data"], "colors": 4}}))
+            assert run(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+        else:
+            checkpoint = checkpoint_with_other_embedding(workspace, tmp_path)
+            vectors = load_dataset(data, splits=()).vocab.embedding
+            problem = f"embedding [0, 0] is {float(vectors[0, 0]) + 1.0!r}, the dataset's " \
+                      f"is {float(vectors[0, 0])!r}"
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                    "--report", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint} on the dataset in {data}: the model was built "
+            f"for another dataset: {problem}\n")
+        assert not report.exists()
+
     def test_missing_checkpoint_names_path(self, workspace, tmp_path, capsys):
         code = run(["eval", "--checkpoint", str(tmp_path / "absent.json"),
                     "--data", str(workspace / "data"), "--split", "test",
@@ -697,10 +740,8 @@ class TestEval:
                                                     "got -1"),
         (lambda m: m["arrays"][1].update(shape=True), "arrays.1.shape must be a list of "
                                                       "integers, got True"),
-        (lambda m: m["arrays"][1].update(dtype="x"), "arrays.1.dtype must be 'float64' or "
-                                                     "'float32', got 'x'"),
-        (lambda m: m["arrays"][2].update(trainable=1), "arrays.2.trainable must be a boolean, "
-                                                       "got 1"),
+        (lambda m: m.update(dtype="x"), "dtype must be 'float64' or 'float32', got 'x'"),
+        (lambda m: m.update(dtype=1), "dtype must be a string, got 1"),
         (lambda m: m.update(data_file=0), "data_file must be a string, got 0"),
         (lambda m: m.update(data_file=[]), "data_file must be a string, got []"),
         (lambda m: m.update(data_file="../vgqe/checkpoint.json.bin"),
@@ -946,6 +987,15 @@ class TestReport:
                     params.embedding, params.vgw, params.gru_fwd, params.gru_bwd)
                 assert rec["weights"] == weights.tolist(), rec["question_id"]
 
+    def test_trace_seed_flag_is_refused(self, workspace, tmp_path, capsys):
+        # traces are drawn from seed 0; the flag that once set it is gone
+        assert run(["report", "--baseline", str(workspace / "baseline_report.json"),
+                    "--vgqe", str(workspace / "vgqe_report.json"), "--out", str(tmp_path / "cmp"),
+                    "--trace-seed", "0"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "vqalab: error: unrecognized arguments: --trace-seed 0")
+        assert not (tmp_path / "cmp").exists()
+
     def test_negative_trace_count_refused(self, workspace, tmp_path, capsys):
         argv = ["report", "--baseline", str(workspace / "baseline_report.json"),
                 "--vgqe", str(workspace / "vgqe_report.json"), "--out", str(tmp_path / "cmp")]
@@ -1032,6 +1082,44 @@ class TestReportRefusals:
         assert err == (f"error: checkpoint {checkpoint} behind vgqe report {edited} "
                        "holds a baseline model\n")
 
+    def test_checkpoint_for_another_dataset_behind_vgqe_report(self, workspace, tmp_path,
+                                                               capsys):
+        checkpoint = checkpoint_with_other_embedding(workspace, tmp_path)
+
+        def point_at_it(payload):
+            payload["checkpoint"] = str(checkpoint)
+
+        edited = self.edited_report(workspace, tmp_path, point_at_it)
+        err = self.refusal(tmp_path, capsys, workspace / "baseline_report.json", edited)
+        vectors = load_dataset(workspace / "data", splits=()).vocab.embedding
+        assert err == (f"error: checkpoint {checkpoint} behind vgqe report {edited} on the "
+                       f"dataset in {workspace / 'data'}: the model was built for another "
+                       f"dataset: embedding [0, 0] is {float(vectors[0, 0]) + 1.0!r}, the "
+                       f"dataset's is {float(vectors[0, 0])!r}\n")
+
+    def test_records_that_disagree(self, workspace, tmp_path, capsys):
+        # one vgqe record moved to another question type and answer, its
+        # tables recounted, reads back as a valid report
+        vgqe = report_from_json(workspace / "vgqe_report.json")
+        records = vgqe.predictions
+        moved = next(r for r in records if r.qtype != records[0].qtype)
+        first = dataclasses.replace(records[0], qtype=moved.qtype, answer=moved.answer)
+        recounted = summarize_predictions(
+            [first] + records[1:], len(vgqe.answers),
+            {qt: tr.name for qt, tr in vgqe.per_type.items()}, vgqe.split, vgqe.variant)
+        edited = tmp_path / "moved_vgqe_report.json"
+        report_to_json(dataclasses.replace(recounted, answers=vgqe.answers,
+                                           checkpoint=vgqe.checkpoint, data_dir=vgqe.data_dir,
+                                           precision=vgqe.precision), edited)
+        report_from_json(edited)
+        baseline = workspace / "baseline_report.json"
+        err = self.refusal(tmp_path, capsys, baseline, edited)
+        was = records[0]
+        assert err == (f"error: reports {baseline} (--baseline) and {edited} (--vgqe) disagree "
+                       f"on example {was.example_id!r}: question type {was.qtype}, answer "
+                       f"{was.answer} against question type {moved.qtype}, answer "
+                       f"{moved.answer}\n")
+
     def test_malformed_dataset_manifest_behind_reports(self, workspace, tmp_path, capsys):
         data_dir = tmp_path / "data"
         shutil.copytree(workspace / "data", data_dir)
@@ -1048,13 +1136,7 @@ class TestReportRefusals:
         config.write_text(json.dumps({"data": TINY_CONFIG["data"]}))
         assert run(["gen-data", "--config", str(config), "--seed", "5", "--out",
                     str(other)]) == 0
-        vgqe = tmp_path / "vgqe_other.json"
-        assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
-                    "--data", str(other), "--split", "test", "--report", str(vgqe)]) == 0
-        baseline = workspace / "baseline_report.json"
-        ids = [[r["example_id"] for r in json.loads(p.read_text())["predictions"]]
-               for p in (baseline, vgqe)]
-        assert ids[0] == ids[1]
+        baseline, vgqe = self.reports_on(workspace, tmp_path, workspace / "data", other)
         err = self.refusal(tmp_path, capsys, baseline, vgqe)
         assert err == (f"error: reports {baseline} (--baseline) and {vgqe} (--vgqe) do not "
                        f"name one dataset directory: '{workspace / 'data'}' and '{other}'\n")
@@ -1447,6 +1529,15 @@ def test_path_that_is_not_a_file_is_refused(workspace, tmp_path, capsys, case):
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not out.exists()
+
+
+def test_module_runs_as_the_cli():
+    # a checkout with no console script: `python -m vqalab.cli` with src/ on the path
+    env = {**os.environ, "PYTHONPATH": str(Path(vqalab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "vqalab.cli", "gradcheck", "--module", "fusion"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("fusion: max relative error ")
 
 
 def test_unknown_flag_nonzero():

@@ -338,18 +338,17 @@ class TestCheckpoint:
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_non_float_dtype_refused(self, tmp_path):
-        def as_int(entries):
-            for entry in entries:
-                entry["dtype"] = "int64"
-        assert self.edited_manifest(tmp_path, as_int) == (
-            f"checkpoint {tmp_path / 'ckpt.json'}: arrays.0.dtype must be 'float64' or "
+        def as_int(manifest):
+            manifest["dtype"] = "int64"
+        assert self.edited_manifest(tmp_path, as_int, whole=True) == (
+            f"checkpoint {tmp_path / 'ckpt.json'}: dtype must be 'float64' or "
             "'float32', got 'int64'")
 
-    def edited_manifest(self, tmp_path, edit):
+    def edited_manifest(self, tmp_path, edit, whole=False):
         path = tmp_path / "ckpt.json"
         save_checkpoint(init_model(tiny_config("vgqe", seed=5)), path)
         manifest = json.loads(path.read_text())
-        edit(manifest["arrays"])
+        edit(manifest if whole else manifest["arrays"])
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
@@ -362,25 +361,21 @@ class TestCheckpoint:
             "checkpoint array 1 is 'vgw.attn_matrix', this config expects "
             "'vgw.attn_vector'")
 
-    def test_gap_in_byte_offsets_refused(self, tmp_path):
-        seen = []
+    def test_wrong_shape_refused(self, tmp_path):
+        def transpose(entries):
+            entries[3]["shape"].reverse()
+        assert self.edited_manifest(tmp_path, transpose) == (
+            "checkpoint array 'vgw.refine_hidden.weight' has shape (4, 5), this config "
+            "expects (5, 4)")
 
-        def gap(entries):
-            seen.append(entries[3])
-            for entry in entries[3:]:
-                entry["byte_offset"] += 8
-        message = self.edited_manifest(tmp_path, gap)
-        shape, start = tuple(seen[0]["shape"]), seen[0]["byte_offset"] - 8
-        assert message == (f"checkpoint array 'vgw.refine_hidden.weight' is float64 {shape} "
-                           f"at byte {start + 8}, this config expects float64 {shape} "
-                           f"at byte {start}")
-
-    def test_mixed_dtypes_refused(self, tmp_path):
-        def mixed(entries):
-            entries[-1]["dtype"] = "float32"
-        message = self.edited_manifest(tmp_path, mixed)
-        assert message.startswith("checkpoint array 'cls_out.bias' is float32 (")
-        assert ", this config expects float64 (" in message
+    def test_manifest_dtype_sets_the_layout(self, tmp_path):
+        # a float64 .bin read as float32 is twice the length the manifest gives
+        def as_float32(manifest):
+            manifest["dtype"] = "float32"
+        message = self.edited_manifest(tmp_path, as_float32, whole=True)
+        size = (tmp_path / "ckpt.json.bin").stat().st_size
+        assert message == (f"checkpoint data file {tmp_path / 'ckpt.json.bin'} holds {size} "
+                           f"bytes, its manifest expects {size // 2}")
 
     @pytest.mark.parametrize("edit,named", [
         (lambda entries: entries.pop(), "None, this config expects 'cls_out.bias'"),
@@ -413,7 +408,7 @@ class TestCheckpoint:
             return json.dumps(manifest)
         assert self.manifest_error(tmp_path, config_list) == "config is not a JSON object"
 
-    @pytest.mark.parametrize("key", ["config", "data_file", "data_sha256", "arrays"])
+    @pytest.mark.parametrize("key", ["config", "dtype", "data_file", "data_sha256", "arrays"])
     def test_manifest_missing_field_named(self, tmp_path, key):
         def drop(text):
             manifest = json.loads(text)
@@ -421,7 +416,7 @@ class TestCheckpoint:
             return json.dumps(manifest)
         assert self.manifest_error(tmp_path, drop) == f"{key} is missing"
 
-    @pytest.mark.parametrize("key", ["name", "shape", "dtype", "byte_offset", "trainable"])
+    @pytest.mark.parametrize("key", ["name", "shape"])
     def test_manifest_entry_missing_field_named(self, tmp_path, key):
         def drop(text):
             manifest = json.loads(text)
@@ -481,7 +476,9 @@ class TestCheckpoint:
         # A vgqe model (one grounded-word module) with perturbed weights, plus
         # its logits on one fixed batch, both written by the v2 code; the v3
         # manifest only dropped the two config keys v2 had for switches since
-        # removed, and the v4 manifest only adds the data file's sha256. It
+        # removed, the v4 manifest only adds the data file's sha256, and the
+        # v5 manifest only moves the dtype to the file and drops each array's
+        # byte offset and trainable flag. It
         # pins array names, orientation and the file format until a
         # deliberate format change replaces it.
         params = load_checkpoint(GOLDEN / "vgqe_tiny.json")
@@ -505,7 +502,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v1', "
-                                  "expected 'vqalab-flat-arrays-v4'")
+                                  "expected 'vqalab-flat-arrays-v5'")
 
     def test_v2_manifest_refused(self, tmp_path):
         # a v2 manifest still carries the removed switches; the format check
@@ -517,7 +514,7 @@ class TestCheckpoint:
         manifest["config"].update(shared_vgw=True, prepool_nonlinearity=False)
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="has format 'vqalab-flat-arrays-v2', "
-                                             "expected 'vqalab-flat-arrays-v4'"):
+                                             "expected 'vqalab-flat-arrays-v5'"):
             load_checkpoint(path)
 
     def test_v3_manifest_refused(self, tmp_path):
@@ -532,7 +529,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v3', "
-                                  "expected 'vqalab-flat-arrays-v4'")
+                                  "expected 'vqalab-flat-arrays-v5'")
+
+    def test_v4_manifest_refused(self, tmp_path):
+        # a v4 manifest gives each array a dtype, byte offset and trainable
+        # flag, and the file none; the format check names it before any field
+        # is looked for
+        path = tmp_path / "v4.json"
+        save_checkpoint(init_model(tiny_config("vgqe")), path)
+        manifest = json.loads(path.read_text())
+        manifest["format"] = "vqalab-flat-arrays-v4"
+        del manifest["dtype"]
+        for entry in manifest["arrays"]:
+            entry.update(dtype="float64", byte_offset=0, trainable=True)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"checkpoint {path} has format 'vqalab-flat-arrays-v4', "
+                                  "expected 'vqalab-flat-arrays-v5'")
 
     @pytest.mark.parametrize("changes,problem", [   # ids as first collected
         pytest.param({"bogus": 1}, "config.bogus is not a ModelConfig field",

@@ -40,7 +40,7 @@ SURFACE = {
              "_json_ready", "save_dataset",
              "save_split", "template_tokens", "type_answer_domain"},
     "evaluate": {"EvalReport", "PredictionRecord", "TypeReport", "comparison_csv",
-                 "constant_majority_floor", "evaluate_split", "histograms_csv",
+                 "constant_majority_floor", "dataset_mismatch", "evaluate_split", "histograms_csv",
                  "predict_split", "report_from_json", "report_to_json",
                  "summarize_predictions"},
     "fusion": {"BlockFusionParams", "_rank_stacked_init", "block_fuse",
@@ -52,8 +52,8 @@ SURFACE = {
                   "vgw_attention", "vgw_params_init"},
     "model": {"ArrayEntry", "CheckpointManifest", "FusionConfig", "ModelConfig", "ModelParams",
               "_build_model", "_dropout",
-              "count_parameters", "encode_questions", "forward_batch", "init_model",
-              "load_checkpoint", "save_checkpoint"},
+              "count_parameters", "dataset_fields", "encode_questions", "forward_batch",
+              "init_model", "load_checkpoint", "save_checkpoint"},
     "train": {"AdamWState", "EpochStats", "ScheduleConfig", "TrainConfig",
               "TrainingDiverged", "adamw_init", "adamw_step", "clip_grad_norm",
               "constant_schedule", "cross_entropy_rows", "length_bucketed_batches",
@@ -102,7 +102,7 @@ def test_removed_knobs_stay_removed():
     from vqalab import encoder, tensor
     from vqalab.fusion import BlockFusionParams
     from vqalab.grounding import encode_questions_vgqe
-    from vqalab.model import ModelConfig, ModelParams
+    from vqalab.model import ArrayEntry, CheckpointManifest, ModelConfig, ModelParams
     from vqalab.tensor import Tensor
     # the frozen word table is the Tensor itself, with no wrapper around it
     assert not hasattr(encoder, "EmbeddingTable")
@@ -116,6 +116,11 @@ def test_removed_knobs_stay_removed():
     assert len(ModelConfig.__dataclass_fields__) == 14
     assert "vgw_backward" not in ModelParams.__dataclass_fields__
     assert not hasattr(ModelParams, "vgqe_params")
+    assert not hasattr(ModelParams, "variant")   # it is `config.variant`
+    # a checkpoint states its dtype once; each array's offset and trainable
+    # flag follow from the names and shapes
+    assert list(ArrayEntry.__dataclass_fields__) == ["name", "shape"]
+    assert "dtype" in CheckpointManifest.__dataclass_fields__
     assert "return_trace" not in inspect.signature(encode_questions_vgqe).parameters
     assert not hasattr(Tensor, "detach")
     # recording is scoped to `with tensor.recording()`: no global tape or grad
