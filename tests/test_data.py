@@ -132,6 +132,38 @@ class TestGeneration:
         for name, digest in golden.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    @pytest.mark.parametrize("config,golden", [
+        (DataConfig(n_train=40, n_test=15, seed=6), {
+            "train": "34b393edd53769b4314818ef4eca6621d4dae83e170d6c8fc680191d7116e693",
+            "test": "68e6bc166e582c69ac9546c4b54647d085ded412a5a1931acf37a8ebf048e6eb",
+            "test_iid": "1b92a819adecf358d39d5535e8c38dfceec469ba24c8135cd1bfef57b7bddf5d"}),
+        (DataConfig(shapes=8, colors=8, count_max=5, n_train=60, n_test=20, seed=9), {
+            "train": "893899b2fbc6eed1d177c9235de5e304502a702123f2fc3baa13c96453457830",
+            "test": "c3010648c81b8db2cc0a39fe8cf9d2a3c4e283026c694e292c72814ceabd06d7",
+            "test_iid": "13b04772d4052e1104d7627a1f841321efcfb87f930d2d42db63dd7310055aa6"})],
+        ids=["seed6", "wide"])
+    def test_loaded_columns_match_golden_digests(self, tmp_path, config, golden):
+        """Whatever the file layout, a saved dataset loads as the same columns:
+        the ids, the six id columns and both feature arrays, with their dtypes
+        and shapes, read from the split caches and again from the files alone."""
+        def digests(ds):
+            out = {}
+            for name, split in ds.splits().items():
+                digest = hashlib.sha256(json.dumps(split.ids).encode())
+                for column in ("qtypes", "tokens", "lengths", "answers", "shapes", "colors",
+                               "visual", "labels"):
+                    array = getattr(split, column)
+                    digest.update(f"{column} {array.dtype.str} {array.shape}".encode())
+                    digest.update(np.ascontiguousarray(array).tobytes())
+                out[name] = digest.hexdigest()
+            return out
+
+        save_dataset(generate_dataset(config), tmp_path)
+        assert digests(load_dataset(tmp_path)) == golden
+        for cache in tmp_path.glob("*.jsonl.columns"):
+            cache.unlink()
+        assert digests(load_dataset(tmp_path)) == golden
+
     @pytest.mark.parametrize("overrides", [
         {},
         {"shapes": 2},                                  # one distractor shape
@@ -408,6 +440,24 @@ class TestSerialization:
                        "labels"):
             a, b = getattr(split, column), getattr(loaded, column)
             assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+    def test_edge_floats_round_trip_bit_exact(self, tmp_path, small_ds, split_rows):
+        # signed zero, the smallest subnormal, the largest double, and values
+        # a text writer cannot shorten by a fast path: below 1e-4, at or above
+        # 1e16, power-of-two significands and odd 16-digit candidates
+        edges = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 1e-5, -3e-7, 1e16, 2.5e17, 0.5, -1024.0, 0.9985196810136125,
+                 0.9065691321231881, -0.9014636363022173]
+        split = split_rows(small_ds.train, slice(0, 2))
+        split.visual.ravel()[:len(edges)] = edges
+        split.labels.ravel()[-len(edges):] = edges
+        path = tmp_path / "edges.jsonl"
+        save_split(split, path)
+        loaded = load_split(path, small_ds.config, small_ds.vocab)
+        for column in ("visual", "labels"):
+            a, b = getattr(split, column), getattr(loaded, column)
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, column
+            assert a.tobytes() == b.tobytes(), column
 
     def test_truncated_line_reports_line_number(self, tmp_path, small_ds, split_rows):
         split = split_rows(small_ds.train, slice(0, 2))
