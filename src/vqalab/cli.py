@@ -300,7 +300,7 @@ def run(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, ValueError, KeyError, IndexError,
+    except (CliError, FileNotFoundError, ValueError, KeyError, IndexError, MemoryError,
             TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

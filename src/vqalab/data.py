@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import typing
 import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -427,7 +428,7 @@ def _scene_shapes_for(template: str, target_shape: int, answer: int,
     return ids[:, rng.permutation(k)]
 
 
-_BLOCK = 256   # examples whose streams are seeded, and features composed, at once
+_BLOCK = 256   # examples seeded and composed, or written, at once
 
 # numpy's SeedSequence constants (bit_generator.pyx) and PCG64's multiplier (pcg64.h)
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
@@ -551,9 +552,32 @@ def _generate_split(name: str, n: int, config: DataConfig, vocab: Vocabularies,
                         lengths, answers, shapes, colors, visual, labels)
 
 
+def split_array_bytes(config: DataConfig) -> int:
+    """The bytes of the arrays that `generate_dataset` fills for `config`'s
+    three splits, as `save_split` writes and `load_split` returns them, token
+    rows at their widest: per example, 8 bytes for each of its question type,
+    length, answer and tokens, each object's shape and color ids, and each
+    object's d_v + d_w features."""
+    k, width = config.objects_per_scene, max(len(template_tokens(t, "")) for t in TEMPLATES)
+    per_example = 8 * (3 + width + 2 * k + k * (config.d_v + config.d_w))
+    return per_example * (config.n_train + 2 * config.n_test)
+
+
+def _physical_memory() -> int:
+    """This machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def generate_dataset(config: DataConfig) -> SyntheticDataset:
     """Deterministically build train, out-of-distribution test, and iid test
-    splits plus the vocabularies they share."""
+    splits plus the vocabularies they share. A config whose splits' arrays
+    (`split_array_bytes`) exceed the machine's physical memory raises
+    ConfigError naming the size field of the larger splits and both byte
+    counts, before any draw."""
+    if (needed := split_array_bytes(config)) > (memory := _physical_memory()):
+        name = "n_train" if config.n_train >= 2 * config.n_test else "n_test"
+        raise ConfigError(name, f"{getattr(config, name)} makes the splits' arrays {needed} "
+                                f"bytes, more than the {memory} bytes of physical memory")
     master = np.random.SeedSequence([config.seed])
     table_rng, map_rng, bias_rng = (np.random.default_rng(c)
                                     for c in master.spawn(3))
@@ -587,11 +611,12 @@ def answer_distribution(split: DatasetSplit, qtype: int,
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON Lines splits plus one dataset manifest
+# serialization: each split as JSON Lines questions plus one `.npy` array of
+# features, and one dataset manifest
 
 
 REQUIRED_FIELDS = ("id", "type", "tokens", "answer", "objects")
-OBJECT_FIELDS = frozenset(("shape", "color", "v", "l"))
+OBJECT_FIELDS = frozenset(("shape", "color"))
 
 
 def existing_file(path: Path, what: str) -> Path:
@@ -722,237 +747,51 @@ def load_manifest(data_dir) -> DatasetManifest:
     return read_record(DatasetManifest, Path(data_dir) / "manifest.json", "dataset manifest")
 
 
-# Floats as `json.dumps` writes them, rendered in numpy. A finite x is
-# `float.__repr__(x)`: the shortest digits that read back as x, the nearest
-# to x of that length (ties to even), in fixed notation when
-# 1e-4 <= |x| < 1e16. Here |x| in that range is scaled to
-# y = |x| * 10**(16-E), 10**16 <= y < 10**17, held exactly as hi + lo
-# (Dekker's product). The rounded 17-, 16- and 15-digit integers of y follow
-# from int64 divmod and exact comparisons of lo, and a candidate N of p
-# digits is kept when float(N) times or divided by an exact power of ten
-# (Clinger's fast path, N <= 2**53) gives x back. 17 digits always read
-# back, and a length that reads back implies every longer one does, so only
-# values that pass at 15 digits try fewer. A value this cannot certify gets
-# the text `json.dumps` gives it alone (`float.__repr__`, or NaN and
-# Infinity): zero, |x| < 1e-4 or >= 1e16, non-finite values, power-of-two
-# significands (whose rounding interval is lopsided), odd 16-digit
-# candidates above 2**53 when 15 digits do not read back, and candidates
-# that round up to 10**p.
-_EXACT_POW10 = np.array([float(10 ** i) for i in range(23)])   # 10**i is a double for i <= 22
-_INT_POW10 = 10 ** np.arange(19, dtype=np.int64)
-_SIGNIFICAND = (1 << 52) - 1
-
-
-def _veltkamp(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v as hi + lo exactly, each half with at most 26 significant bits."""
-    t = v * 134217729.0   # 2**27 + 1
-    hi = t - (t - v)
-    return hi, v - hi
-
-
-_POW10_HI, _POW10_LO = _veltkamp(_EXACT_POW10)
-
-
-def _divmod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
-    """`np.divmod` for non-negative ints, in half its time."""
-    q = a // b
-    return q, a - q * b
-
-
-def _rounded(n17: np.ndarray, lo: np.ndarray, m) -> np.ndarray:
-    """Round-half-even of (n17 + lo) / 10**m for |lo| <= 1/2 and m >= 1."""
-    q, r = _divmod(n17, _INT_POW10[m])
-    half = _INT_POW10[m] // 2
-    return q + ((r > half) | (r == half) & ((lo > 0) | (lo == 0) & (q & 1 == 1)))
-
-
-def _reads_back(n: np.ndarray, exponent: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Whether the decimal n * 10**exponent parses to a, for n <= 2**53 and
-    |exponent| <= 22: one correctly rounded product or quotient of doubles
-    (the other factor is 1)."""
-    return (n.astype(np.float64) * _EXACT_POW10[np.maximum(exponent, 0)]
-            / _EXACT_POW10[np.maximum(-exponent, 0)] == a)
-
-
-def _shortest_digits(x: np.ndarray):
-    """For each float64 in x: the digits `float.__repr__` writes as an int64
-    N, their count p and the decimal point position, x = ±0.N * 10**point,
-    plus a mask of the values that must fall back (see above)."""
-    a = np.abs(x)
-    slow = ~((a >= 1e-4) & (a < 1e16)) | (x.view(np.int64) & _SIGNIFICAND == 0)
-    a[slow] = 1.0   # keeps the arithmetic below in range; these are not read
-    e = np.floor(np.log10(a)).astype(np.int64)
-    scaled = a * _EXACT_POW10[16 - e]   # log10 can miss a power of ten by one
-    e += (scaled >= 1e17).astype(np.int64) - (scaled < 1e16)
-    hi = a * _EXACT_POW10[16 - e]
-    a_hi, a_lo = _veltkamp(a)
-    p_hi, p_lo = _POW10_HI[16 - e], _POW10_LO[16 - e]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    step = np.rint(lo)
-    n17 = hi.astype(np.int64) + step.astype(np.int64)   # hi >= 2**53 is an even integer
-    lo -= step   # exact: y = n17 + lo, |lo| <= 1/2
-    slow |= (hi == 1e16) & (lo < 0) | (n17 >= 10 ** 17)   # y below 10**16 or rounding up
-    n16, n15 = _rounded(n17, lo, 1), _rounded(n17, lo, 2)
-    fits15 = _reads_back(n15, e - 14, a)
-    fits16 = _reads_back(n16, e - 15, a)
-    slow |= ~fits15 & (n16 > 2 ** 53) & (n16 & 1 == 1)
-    digits, count = np.where(fits16, n16, n17), np.where(fits16, 16, 17)
-    rows = np.flatnonzero(fits15)
-    digits[rows], count[rows] = n15[rows], 15
-    for p in range(14, 0, -1):   # fewer digits, while any still read back
-        shorter = _rounded(n17[rows], lo[rows], 17 - p)
-        fits = _reads_back(shorter, e[rows] + 1 - p, a[rows])
-        if not fits.any():
-            break
-        rows = rows[fits]
-        digits[rows], count[rows] = shorter[fits], p
-    slow |= digits == _INT_POW10[count]
-    return digits, count, e + 1, slow
-
-
-# Each value is rendered into 4-byte quads from one table: its sign, the
-# integer digits (four per quad, as many quads as the block's widest integer
-# part needs, at most four), the point with up to three zeros after it
-# (".000"), 17 more fraction digits and 3 zeros, and its separator. Digits
-# come as "0000".."9999"; the quad holding an integer's leading digit has
-# its leading zeros as NUL, quads above it are all NUL, and likewise for the
-# fraction's trailing zeros, so deleting the NUL bytes leaves the text.
-def _quad_table() -> np.ndarray:
-    """"0000".."9999"; the same with leading zeros as NUL (0 all NUL); the
-    same with trailing zeros as NUL; then "0", "0", NUL, "-", ", " and the
-    point followed by 0-3 zeros, NUL-padded."""
-    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    padded = (digits + ord("0")).astype(np.uint8)
-    leading = np.where(digits.cumsum(axis=1) > 0, padded, 0)
-    trailing = np.where(digits[:, ::-1].cumsum(axis=1)[:, ::-1] > 0, padded, 0)
-    specials = np.frombuffer(b"\0\0\0" b"0" b"0\0\0\0" b"\0\0\0\0" b"\0\0\0-" b", \0\0"
-                             b"\0\0\0." b"\0\0.0" b"\0.00" b".000", dtype=np.uint8)
-    return np.concatenate([padded.ravel(), leading.ravel(), trailing.ravel(),
-                           specials]).view(np.uint32)
-
-
-_QUADS = _quad_table()
-_LEADING, _TRAILING = 10000, 20000   # where those variants of "0000".."9999" start
-_ZERO_WHOLE, _ZERO_FRACTION, _NUL, _MINUS, _SEPARATOR, _POINT = range(30000, 30006)
-
-
-# `float.__repr__` and `json.dumps` differ only on these
-_NON_FINITE = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"-inf", b"-Infinity"))
-
-
-def _float_texts(values: np.ndarray, last: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The text `json.dumps` writes for each float64 in `values` (1-D), each
-    followed by ", " unless `last` marks it as the end of its list, as one
-    bytes object, and the offset at which each value's text ends."""
-    n = values.size
-    digits, count, point, slow = _shortest_digits(values)
-    whole, frac = _divmod(digits, _INT_POW10[np.clip(count - point, 0, 18)])
-    whole *= _INT_POW10[np.clip(point - count, 0, 18)]
-    # the fraction's digits after its leading zeros, left-aligned to 17 (frac
-    # is 0 where the exponent is clipped)
-    frac_head, frac_tail = _divmod(
-        frac * _INT_POW10[np.minimum(17 - count + np.maximum(point, 0), 18)], 10 ** 13)
-    frac_tail *= 1000
-    negative, separated, int_digits = np.signbit(values), ~last, np.maximum(point, 1)
-    wide = -(-int(int_digits[~slow].max(initial=1)) // 4)   # integer quads needed
-    quads = np.empty((wide + 8, n), dtype=np.int64)   # quad j of value i at [j, i]
-    frac_row = wide + 2
-    quads[0] = np.where(negative, _MINUS, _NUL)
-    quads[wide + 1] = _POINT + np.maximum(-point, 0)
-    quads[-1] = np.where(separated, _SEPARATOR, _NUL)
-    for row in range(wide, 1, -1):
-        whole, quads[row] = _divmod(whole, 10000)
-    quads[1] = whole
-    for row in range(frac_row + 4, frac_row + 1, -1):
-        frac_tail, quads[row] = _divmod(frac_tail, 10000)
-    quads[frac_row + 1], quads[frac_row] = frac_tail, frac_head
-    above = np.ones(n, dtype=bool)   # whether the quads above this one are all zero
-    for row in range(1, wide):
-        quads[row] += _LEADING * above
-        above &= quads[row] == _LEADING
-    quads[wide] = np.where(above & (quads[wide] == 0), _ZERO_WHOLE,
-                           quads[wide] + _LEADING * above)
-    below = np.ones(n, dtype=bool)   # whether the quads below this one are all zero
-    for row in range(frac_row + 4, frac_row, -1):
-        quads[row] += _TRAILING * below
-        below &= quads[row] == _TRAILING
-    quads[frac_row] = np.where(below & (quads[frac_row] == 0), _ZERO_FRACTION,
-                               quads[frac_row] + _TRAILING * below)
-    rows = _QUADS[quads].T   # one value's quads per row
-    length = negative + int_digits + 1 + np.maximum(count - point, 1) + 2 * separated
-    if (fallback := np.flatnonzero(slow)).size:   # its text, NULs, and its separator quad
-        texts = np.array(list(map(float.__repr__, values[fallback].tolist())), dtype="S24")
-        for text, json_text in _NON_FINITE:
-            texts[texts == text] = json_text
-        rows[fallback, :6] = texts.view(np.uint32).reshape(-1, 6)
-        rows[fallback, 6:-1] = 0
-        length[fallback] = np.char.str_len(texts) + 2 * separated[fallback]
-    return rows.tobytes().translate(None, b"\0"), np.cumsum(length)
-
-
-_FLOATS_PER_BLOCK = 1 << 13   # floats rendered at once by `save_split`
-
-
-def save_split(split: DatasetSplit, path) -> str:
-    """Write a split as JSON Lines: line i is `json.dumps` of example i's
-    record, `{"id", "type", "tokens", "answer", "objects": [{"shape",
-    "color", "v", "l"}, ...]}`, with ids as strings and the other columns
-    as ints and floats; returns the sha256 of the bytes written. An id that
-    is not a string raises ValueError naming it, before anything is written.
-
-    Records are written a block at a time: the block's features are
-    rendered into one bytes object (`_float_texts`) and cut into its `v`
-    and `l` lists, which fill a bytes template with the ids and ints."""
+def save_split(split: DatasetSplit, path) -> dict[str, str]:
+    """Write a split as two files and return the sha256 of each, by file name:
+    `path`, JSON Lines whose line i is `json.dumps` of example i's record
+    `{"id", "type", "tokens", "answer", "objects": [{"shape", "color"}, ...]}`,
+    and `<split>.features.npy` beside it, one C-order float64 `(n, k, d_v +
+    d_w)` array, the bytes `np.save` writes, whose row i holds example i's
+    visual then label features. Those rows are joined and written `_BLOCK`
+    at a time, so that the array is never copied whole. An id that is not a
+    string raises ValueError naming it, before anything is written."""
     for example_id in split.ids:
         if not isinstance(example_id, str):
             raise ValueError(f"example id {example_id!r} is not a string")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _, k, d_v = split.visual.shape
-    width = d_v + split.labels.shape[2]   # one object's floats: its v list, then its l list
-    record = (b'{"id": %b, "type": %d, "tokens": [%b], "answer": %d, "objects": ['
-              + b", ".join([b'{"shape": %d, "color": %d, "v": [%b], "l": [%b]}'] * k)
-              + b"]}\n")
-    step, digest = max(1, _FLOATS_PER_BLOCK // (k * width)), hashlib.sha256()
-    with open(path, "wb") as fh:
-        for start in range(0, len(split.ids), step):
-            block = slice(start, min(start + step, len(split.ids)))
-            features = np.concatenate([split.visual[block], split.labels[block]],
-                                      axis=2, dtype=np.float64).ravel()
-            objects = (block.stop - start) * k
-            last = np.zeros((objects, width), dtype=bool)
-            last[:, [d_v - 1, -1]] = True   # the end of each v and each l list
-            text, ends = _float_texts(features, last.ravel())
-            # object o's v list starts at float o * width and its l list d_v later
-            starts = np.append((np.arange(objects)[:, None] * width + [0, d_v]).ravel(),
-                               features.size)
-            cuts = np.append(0, ends)[starts].tolist()
-            fields = np.empty((block.stop - start, 1 + k, 4), dtype=object)
-            fields[:, 0, 0] = [encode_basestring_ascii(i).encode() for i in split.ids[block]]
-            fields[:, 0, 1] = split.qtypes[block]
-            fields[:, 0, 2] = [", ".join(map(str, row[:m])).encode() for row, m in
-                               zip(split.tokens[block].tolist(), split.lengths[block].tolist())]
-            fields[:, 0, 3] = split.answers[block]
-            fields[:, 1:, 0] = split.shapes[block]
-            fields[:, 1:, 1] = split.colors[block]
-            fields[:, 1:, 2:] = np.array([text[i:j] for i, j in zip(cuts, cuts[1:])],
-                                         dtype=object).reshape(-1, k, 2)
-            lines = (record * len(fields)) % tuple(fields.ravel().tolist())
-            digest.update(lines)
-            fh.write(lines)
-    return digest.hexdigest()
+    rows = zip(split.ids, split.qtypes.tolist(), split.tokens.tolist(), split.lengths.tolist(),
+               split.answers.tolist(), split.shapes.tolist(), split.colors.tolist())
+    text = "".join(json.dumps({"id": i, "type": qtype, "tokens": tokens[:length],
+                               "answer": answer, "objects": [{"shape": s, "color": c}
+                                                             for s, c in zip(shapes, colors)]})
+                   + "\n" for i, qtype, tokens, length, answer, shapes, colors in rows).encode()
+    path.write_bytes(text)
+    (n, k, d_v), d_w = split.visual.shape, split.labels.shape[2]
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": np.dtype(np.float64).str,
+                                                  "fortran_order": False,
+                                                  "shape": (n, k, d_v + d_w)})
+    blocks = (np.concatenate([split.visual[i:i + _BLOCK], split.labels[i:i + _BLOCK]], axis=2,
+                             dtype=np.float64) for i in range(0, n, _BLOCK))
+    features, digest = path.with_suffix(".features.npy"), hashlib.sha256()
+    with open(features, "wb") as fh:
+        for data in chain([header.getvalue()], blocks):
+            digest.update(data)
+            fh.write(data)
+    return {path.name: hashlib.sha256(text).hexdigest(), features.name: digest.hexdigest()}
 
 
 # Bump the tag whenever the parse, its checks or the stored columns change, so
 # that no cache written by older code is ever read.
-_CACHE_TAG = b"vqalab split columns v4\n"
-_CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors", "visual",
-                  "labels")
+_CACHE_TAG = b"vqalab split columns v5\n"
+_CACHE_COLUMNS = ("qtypes", "tokens", "lengths", "answers", "shapes", "colors")
 
 
 def _cache_key(config: DataConfig, vocab: Vocabularies, split_sha256: str) -> str:
     """The sha256 hex of everything that decides what `load_split` returns: the
-    cache format, every value its checks read, and the split file's sha256 hex."""
+    cache format, every value its checks read, and the JSONL file's sha256 hex."""
     sizes = [len(vocab.tokens), vocab.answer_count, len(vocab.shapes), len(vocab.colors)]
     text = json.dumps([asdict(config), sizes], sort_keys=True) + split_sha256
     return hashlib.sha256(_CACHE_TAG + text.encode()).hexdigest()
@@ -1001,14 +840,12 @@ def _cached_columns(cache: Path, key: str, config: DataConfig) -> dict | None:
 
 
 def _columns_fit(columns: dict, n: int, config: DataConfig) -> bool:
-    """Whether `columns` hold n rows of int64 ids and float64 features in the
-    shapes a parse of a split under `config` returns, each question in its row."""
+    """Whether `columns` hold n rows of int64 ids in the shapes a parse of a
+    split under `config` returns, each question in its row."""
     k, tokens = config.objects_per_scene, columns["tokens"]
     shapes = {"qtypes": (n,), "tokens": (n, tokens.shape[1]) if tokens.ndim == 2 else None,
-              "lengths": (n,), "answers": (n,), "shapes": (n, k), "colors": (n, k),
-              "visual": (n, k, config.d_v), "labels": (n, k, config.d_w)}
-    return all(columns[name].dtype == (np.float64 if name in ("visual", "labels")
-                                       else np.int64) and columns[name].shape == shape
+              "lengths": (n,), "answers": (n,), "shapes": (n, k), "colors": (n, k)}
+    return all(columns[name].dtype == np.int64 and columns[name].shape == shape
                for name, shape in shapes.items()) and \
         columns["lengths"].max(initial=0) <= tokens.shape[1]
 
@@ -1019,7 +856,7 @@ def _refused_row(columns: dict, config: DataConfig,
     reason, or None. Within a row the checks run in this order: an empty
     question; an id out of its vocabulary's range, for the question type,
     the tokens up to the row's length, the answer, the object shapes and the
-    object colors; a non-finite visual, then label, feature."""
+    object colors."""
     lengths = columns["lengths"]
     if not lengths.size:
         return None
@@ -1035,9 +872,6 @@ def _refused_row(columns: dict, config: DataConfig,
         if name == "tokens":
             inside |= np.arange(ids.shape[1]) >= lengths[:, None]
         checks.append((ids, inside, f"{what} id {{}} out of range for {vocabulary} of size {size}"))
-    for name in ("visual", "labels"):
-        features = columns[name].reshape(lengths.size, -1)
-        checks.append((features, np.isfinite(features), "non-finite object feature"))
     if all(ok.all() for _, ok, _ in checks):
         return None
     row = int(np.logical_and.reduce([ok.all(axis=1) for _, ok, _ in checks]).argmin())
@@ -1068,39 +902,97 @@ def _write_cache(cache: Path, key: str, columns: dict) -> None:
 
 def load_split(path, config: DataConfig, vocab: Vocabularies,
                name: str | None = None) -> DatasetSplit:
-    """Read one JSONL split into columns. Every record is a JSON object with
-    the required fields, a string id and lists of tokens and objects. Every
-    question needs a token, every question type, token, answer, object shape
-    and object color id must be an integer indexing into its vocabulary, and
-    every scene must hold `objects_per_scene` objects, each a JSON object with
-    a shape, a color and lists of `d_v` visual and `d_w` label numbers, all
-    finite. The first line that is not UTF-8 or breaks a rule raises
-    ValueError naming its path and line. Within a record, a fault of its JSON
-    structure (an id that is not an int among them) comes first, then an
-    empty question, an id out of range and a non-finite feature, as
-    `_refused_row` orders them; `save_dataset` caches by the same checks.
+    """Read one split: its questions from the JSON Lines file at `path`, its
+    features from the `.features.npy` file beside it (see `_read_features`).
+    Every record is a JSON object with the required fields, a string id and
+    lists of tokens and objects. Every question needs a token, every question
+    type, token, answer, object shape and object color id must be an integer
+    indexing into its vocabulary, and every scene must hold
+    `objects_per_scene` objects, each a JSON object with a shape and a color.
+    The first line that is not UTF-8 or breaks a rule raises ValueError
+    naming its path and line. Within a record, a fault of its JSON structure
+    (an id that is not an int among them) comes first, then an empty question
+    and an id out of range, as `_refused_row` orders them; `save_dataset`
+    caches by the same checks. A split of the older layout, with no features
+    file and `v` and `l` feature lists in its objects, is refused in one line
+    that says to re-run `vqalab gen-data`.
 
-    A parsed split's columns are stored beside it in `<split>.jsonl.columns`,
-    one plain file of consecutive `.npy` arrays: the key (`_cache_key` of the
-    file's sha256, taken by `digest_file` or by the parse), then `ids` and
-    `_CACHE_COLUMNS` in order, then the crc32 of their bytes. A later call
-    whose key and crc32 match returns them without parsing. Deleting the
-    cache is always safe."""
+    A parsed split's question columns are stored beside it in
+    `<split>.jsonl.columns`, one plain file of consecutive `.npy` arrays: the
+    key (`_cache_key` of the JSONL file's sha256, taken by `digest_file` or by
+    the parse), then `ids` and `_CACHE_COLUMNS` in order, then the crc32 of
+    their bytes. A later call whose key and crc32 match returns them without
+    parsing. Features are never cached or hashed: every load reads them from
+    their file. Deleting the cache is always safe."""
     path = existing_file(Path(path), "split file")
+    features = path.with_suffix(".features.npy")
+    if not features.exists():
+        raise FileNotFoundError(f"features file {features} not found beside split file {path}, "
+                                "as in the older layout of features as text; re-run "
+                                "`vqalab gen-data`")
+    existing_file(features, "features file")
     cache = path.with_name(path.name + ".columns")
+    columns = None
     if cache.exists():
         columns = _cached_columns(cache, _cache_key(config, vocab, digest_file(path)), config)
-        if columns is not None:
-            return DatasetSplit(name or path.stem, **columns)
-    columns, split_sha256 = _parse_split(path, config, vocab)
-    _write_cache(cache, _cache_key(config, vocab, split_sha256), columns)
-    return DatasetSplit(name or path.stem, **columns)
+    if columns is None:
+        columns, split_sha256 = _parse_split(path, config, vocab)
+        _write_cache(cache, _cache_key(config, vocab, split_sha256), columns)
+    visual, labels = _read_features(features, path, len(columns["ids"]), config)
+    return DatasetSplit(name or path.stem, **columns, visual=visual, labels=labels)
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_features(path: Path, split_path: Path, n: int,
+                   config: DataConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The visual and label features of the n records of `split_path`, as
+    C-contiguous float64 copies, from its features file at `path`. The
+    header is read and checked before any data: the array must be float64
+    (either byte order, C or Fortran order) of shape (n, objects_per_scene,
+    d_v + d_w), followed by exactly its bytes. ValueError names the file and
+    the first fault, a non-finite value by its row and the split line it
+    belongs to."""
+    shape = (n, config.objects_per_scene, config.d_v + config.d_w)
+    nbytes = 8 * math.prod(shape)
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f".npy format version {version} is not 1.0 or 2.0")
+            stored, _, dtype = _NPY_HEADERS[version](fh)
+        except ValueError as err:
+            raise ValueError(f"features file {path} is not a .npy array file: {err}") from err
+        problem = None
+        if dtype.str not in ("<f8", ">f8"):
+            problem = f"holds {dtype} values, expected float64"
+        elif stored != shape:
+            problem = (f"holds an array of shape {stored}, expected {shape}: the {n} records of "
+                       f"split file {split_path}, objects_per_scene, d_v + d_w")
+        elif (size := os.fstat(fh.fileno()).st_size - fh.tell()) != nbytes:
+            problem = f"holds {size} bytes after its header, expected {nbytes}"
+        if problem is not None:
+            raise ValueError(f"features file {path} {problem}")
+        fh.seek(0)
+        array = np.load(fh, allow_pickle=False)
+    if not np.isfinite(array).all():
+        row = int(np.isfinite(array).all(axis=(1, 2)).argmin())
+        lines = [lineno for lineno, raw in enumerate(split_path.read_bytes().split(b"\n"), 1)
+                 if raw.decode().strip()]   # as the parse reads them: blank lines hold no record
+        raise ValueError(f"features file {path} row {row}: non-finite object feature, for the "
+                         f"record at {split_path}:{lines[row]}")
+    d_v = config.d_v
+    return (np.array(array[..., :d_v], dtype=np.float64, order="C"),
+            np.array(array[..., d_v:], dtype=np.float64, order="C"))
 
 
 def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies) -> tuple[dict, str]:
-    """The checked columns of a JSONL split, streamed line by line, and the
-    sha256 hex of the bytes read. Reading stops at the first line `_split_row`
-    refuses, which is named unless `_refused_row` refuses a row before it."""
+    """The checked question columns of a JSONL split, streamed line by line,
+    and the sha256 hex of the bytes read. Reading stops at the first line
+    `_split_row` refuses, which is named unless `_refused_row` refuses a row
+    before it."""
     k, rows, fault, digest = config.objects_per_scene, [], None, hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -1112,17 +1004,14 @@ def _parse_split(path: Path, config: DataConfig, vocab: Vocabularies) -> tuple[d
                 break
             if row is not None:   # blank lines are skipped, so each row keeps its line number
                 rows.append((lineno, *row))
-    linenos, ids, qtypes, token_rows, answers, shapes, colors, visual, labels = (
-        list(zip(*rows)) or [()] * 9)
+    linenos, ids, qtypes, token_rows, answers, shapes, colors = list(zip(*rows)) or [()] * 7
     lengths = np.array([len(row) for row in token_rows], dtype=np.int64)
     width = int(lengths.max(initial=0))   # rows padded with -1, as `_padded` pads them
     padded = [row + [-1] * (width - len(row)) for row in token_rows]
     columns = {"ids": list(ids), "qtypes": _id_array(qtypes), "lengths": lengths,
                "tokens": _id_array(padded).reshape(len(padded), width),
                "answers": _id_array(answers), "shapes": _id_array(shapes).reshape(-1, k),
-               "colors": _id_array(colors).reshape(-1, k),
-               "visual": np.array(visual).reshape(-1, k, config.d_v),
-               "labels": np.array(labels).reshape(-1, k, config.d_w)}
+               "colors": _id_array(colors).reshape(-1, k)}
     if (refused := _refused_row(columns, config, vocab)) is not None:
         raise ValueError(f"{path}:{linenos[refused[0]]}: {refused[1]}")
     if fault is not None:
@@ -1140,8 +1029,8 @@ def _id_array(ids) -> np.ndarray:
 
 def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
     """One JSONL line's fields, (id, type, tokens, answer, object shapes,
-    object colors, visual, labels), after the checks that need its JSON
-    objects; None for a blank line. ValueError names the first fault."""
+    object colors), after the checks that need its JSON objects; None for a
+    blank line. ValueError names the first fault."""
     line = raw.decode()   # a UnicodeDecodeError is a ValueError too
     if not line.strip():
         return None
@@ -1165,6 +1054,9 @@ def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
     for j, o in enumerate(objects):
         if type(o) is not dict:
             raise ValueError(f"object {j} is not a JSON object")
+        if "v" in o or "l" in o:
+            raise ValueError(f"object {j} holds 'v' and 'l' feature lists, as splits of the "
+                             "older layout of features as text do; re-run `vqalab gen-data`")
         if not o.keys() >= OBJECT_FIELDS:
             raise ValueError(f"object {j} is missing field {min(OBJECT_FIELDS - o.keys())!r}")
     shapes, colors = [o["shape"] for o in objects], [o["color"] for o in objects]
@@ -1174,37 +1066,22 @@ def _split_row(raw: bytes, config: DataConfig) -> tuple | None:
         for i in ids:
             if type(i) is not int:   # a dtype check would pass `true` and 1.0
                 raise ValueError(f"{what} id {i!r} is not an integer")
-    features = []
-    for key, dim, size in (("v", "d_v", config.d_v), ("l", "d_w", config.d_w)):
-        for j, o in enumerate(objects):
-            if type(o[key]) is not list:
-                raise ValueError(f"object {j} {key!r} is not a list")
-            if len(o[key]) != size:
-                raise ValueError(f"object {j} has {len(o[key])} {key!r} values, "
-                                 f"expected {dim} {size}")
-        try:
-            values = np.array([o[key] for o in objects])
-        except ValueError:  # ragged: a list where a number belongs
-            values = None
-        if values is None or values.dtype.kind not in "iuf" or values.ndim != 2:
-            raise ValueError(f"non-numeric {key!r} value")
-        features.append(values.astype(float, copy=False))
-    return (record["id"], record["type"], record["tokens"], record["answer"], shapes, colors,
-            *features)
+    return record["id"], record["type"], record["tokens"], record["answer"], shapes, colors
 
 
 def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
-    """Write all splits and the manifest into a directory; returns the sha256
-    of each file written, by file name. The manifest is a `DatasetManifest`,
-    built before any file is written, so a dataset `load_dataset` would
-    refuse raises first: ValueError naming the splits not at hand, or a split
-    whose record count is not the config's `n_train` (train) or `n_test`, or
-    the manifest's ConfigError (a non-finite embedding or feature map, say).
+    """Write all splits (two files each, see `save_split`) and the manifest
+    into a directory; returns the sha256 of each file written, by file name.
+    The manifest is a `DatasetManifest`, built before any file is written, so
+    a dataset `load_dataset` would refuse raises first: ValueError naming the
+    splits not at hand, or a split whose record count is not the config's
+    `n_train` (train) or `n_test`, or the manifest's ConfigError (a
+    non-finite embedding or feature map, say).
 
-    Each split is also stored in the `.jsonl.columns` cache that `load_split`
-    would write after parsing it, keyed by the sha256 `save_split` returns, so
-    the first load does not parse. A split that a parse could refuse is left
-    uncached."""
+    Each split's questions are also stored in the `.jsonl.columns` cache that
+    `load_split` would write after parsing them, keyed by the JSONL file's
+    sha256 that `save_split` returns, so the first load does not parse. A
+    split that a parse could refuse is left uncached."""
     if missing := [name for name in SPLITS if name not in ds.loaded]:
         raise ValueError(f"cannot save a dataset missing splits: {', '.join(missing)}")
     for name, split in ds.splits().items():
@@ -1224,7 +1101,7 @@ def save_dataset(ds: SyntheticDataset, out_dir) -> dict[str, str]:
     written = {}
     for name, split in ds.splits().items():
         path = out_dir / f"{name}.jsonl"
-        written[path.name] = save_split(split, path)
+        written.update(save_split(split, path))
         columns = {column: getattr(split, column) for column in ("ids",) + _CACHE_COLUMNS}
         if _columns_fit(columns, len(split), ds.config) and \
                 _refused_row(columns, ds.config, ds.vocab) is None:

@@ -18,7 +18,7 @@ import pytest
 import vqalab
 from vqalab import cli
 from vqalab.cli import run
-from vqalab.data import DataConfig, digest_file, load_dataset
+from vqalab.data import DataConfig, digest_file, load_dataset, split_array_bytes
 from vqalab.evaluate import EvalReport, evaluate_split, report_from_json, report_to_json, \
     summarize_predictions
 from vqalab.grounding import encode_question_vgqe
@@ -227,11 +227,43 @@ class TestGenData:
             else f"{out} exists and is not a directory\n")
         assert blocker.read_text() == "kept"
 
+    def test_sizes_beyond_physical_memory_are_refused_before_writing(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the machine's memory is patched down; nothing of that size is made
+        monkeypatch.setattr("vqalab.data._physical_memory", lambda: 10 ** 6)
+        out = tmp_path / "d"
+        assert run(["gen-data", "--out", str(out), "--n-train", "400", "--n-test", "3"]) == 2
+        needed = split_array_bytes(DataConfig(n_train=400, n_test=3))
+        assert capsys.readouterr().err == (f"error: n_train 400 makes the splits' arrays "
+                                           f"{needed} bytes, more than the 1000000 bytes of "
+                                           "physical memory\n")
+        assert not out.exists()
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                              "(1099511627776,) and data type float64")
+
+        monkeypatch.setattr(cli, "generate_dataset", out_of_memory)
+        out = tmp_path / "d"
+        assert run(["gen-data", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and "
+            "data type float64\n")
+        assert not out.exists()
+
     def test_large_seed_round_trips(self, tmp_path):
         out = tmp_path / "d"
         assert run(["gen-data", "--out", str(out), "--seed", str(2**70),
                     "--n-train", "5", "--n-test", "3"]) == 0
         assert load_dataset(out).config.seed == 2**70
+
+
+def cut_to_12_records(split):
+    """Cut a split to its first 12 records: its JSONL lines and its features' rows."""
+    split.write_text("".join(split.read_text().splitlines(keepends=True)[:12]))
+    features = split.with_suffix(".features.npy")
+    np.save(features, np.load(features)[:12])
 
 
 def test_sha256_of_streams_past_one_chunk(tmp_path):
@@ -335,7 +367,7 @@ class TestTrain:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         cut = data / "train.jsonl"
-        cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:12]))
+        cut_to_12_records(cut)
         out = tmp_path / "out"
         assert run(["train", "--data", str(data), "--variant", "baseline", "--out", str(out),
                     "--config", str(workspace / "config.json")]) == 2
@@ -582,7 +614,7 @@ class TestEval:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         cut = data / "test.jsonl"
-        cut.write_text("".join(cut.read_text().splitlines(keepends=True)[:12]))
+        cut_to_12_records(cut)
         report = tmp_path / "report.json"
         assert run(["eval", "--checkpoint", str(workspace / "baseline" / "checkpoint.json"),
                     "--data", str(data), "--split", "test", "--report", str(report)]) == 2
@@ -686,13 +718,28 @@ class TestEval:
         assert f"{split}:4: answer id 42 out of range for answer vocabulary of size" in err
 
     def test_malformed_object_names_line(self, workspace, tmp_path, capsys):
-        def scalar_features(record):
-            record["objects"][1]["v"] = 5
+        def scalar_object(record):
+            record["objects"][1] = 5
 
-        code, split = self.eval_with_record_edit(workspace, tmp_path, scalar_features)
+        code, split = self.eval_with_record_edit(workspace, tmp_path, scalar_object)
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: {split}:4: object 1 'v' is not a list\n"
+        assert err == f"error: {split}:4: object 1 is not a JSON object\n"
+
+    def test_split_of_the_older_layout_is_refused(self, workspace, tmp_path, capsys):
+        # a split written before features moved to their own file has no
+        # `.features.npy` beside it
+        data_dir = tmp_path / "data"
+        shutil.copytree(workspace / "data", data_dir)
+        (data_dir / "test.features.npy").unlink()
+        report = tmp_path / "r.json"
+        assert run(["eval", "--checkpoint", str(workspace / "vgqe" / "checkpoint.json"),
+                    "--data", str(data_dir), "--split", "test", "--report", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: features file {data_dir / 'test.features.npy'} not found beside split "
+            f"file {data_dir / 'test.jsonl'}, as in the older layout of features as text; "
+            "re-run `vqalab gen-data`\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("bad_id", [[1], {"a": 1}, 5, None])
     def test_non_string_id_names_line(self, workspace, tmp_path, capsys, bad_id):
@@ -1379,8 +1426,9 @@ def mutated_json(value, rng: random.Random) -> tuple:
 def mutated_file(raw: bytes, form: str, rng: random.Random) -> tuple[bytes, str]:
     """`raw` with one mutation: for a JSON file ("json") or a JSON Lines file
     ("jsonl", one line), a node swapped or a key deleted; for any file, one
-    bit flipped or the file cut short; for a binary file, a byte appended."""
-    kind = rng.choice(("node", "flip", "truncate") if form != "bytes" else
+    bit flipped or the file cut short; for a binary file ("bytes", or "npy"
+    for a `.npy` array), a byte appended."""
+    kind = rng.choice(("node", "flip", "truncate") if form in ("json", "jsonl") else
                       ("append", "flip", "truncate"))
     if kind == "flip":
         at, bit = rng.randrange(len(raw)), 1 << rng.randrange(8)
@@ -1416,9 +1464,14 @@ def edits_only(a, b, free, deletable, path=()) -> bool:
 
 
 def valid_edit(original: bytes, raw: bytes, form: str, free, deletable) -> bool:
-    """Whether mutated file `raw` is `original` changed only as `edits_only` allows."""
+    """Whether mutated file `raw` is `original` changed only as `edits_only`
+    allows, or for a `.npy` array, only in its values."""
     if form == "bytes":
         return False
+    if form == "npy":
+        fh = io.BytesIO(original)
+        np.lib.format.read_array_header_1_0(fh, np.lib.format.read_magic(fh))
+        return len(raw) == len(original) and raw[:fh.tell()] == original[:fh.tell()]
     try:
         pairs = [(json.loads(original), json.loads(raw))] if form == "json" else \
             list(zip(map(json.loads, original.splitlines()), map(json.loads, raw.splitlines()),
@@ -1436,10 +1489,10 @@ class TestMutations:
 
     Some files hold values that may be changed: a config file (any value, and
     a deleted key takes its default), a split (its ids, question types,
-    tokens, answers and features are data) and an eval report's fields that
-    reports written before them lack. A mutation that changes only those,
-    each value within its JSON type, is another valid input: it may also exit
-    0 with other output bytes."""
+    tokens and answers, and the values of its features file, are data) and an
+    eval report's fields that reports written before them lack. A mutation
+    that changes only those, each value within its JSON type, is another
+    valid input: it may also exit 0 with other output bytes."""
 
     def cases(self, workspace, tmp_path):
         shutil.copytree(workspace / "data", tmp_path / "data")
@@ -1463,6 +1516,7 @@ class TestMutations:
             tmp_path / "data" / "manifest.json": (evaluate, "json", nothing, nothing),
             tmp_path / "data" / "test.jsonl": (evaluate, "jsonl", anything, nothing),
             tmp_path / "data" / "test.jsonl.columns": (evaluate, "bytes", nothing, nothing),
+            tmp_path / "data" / "test.features.npy": (evaluate, "npy", nothing, nothing),
             tmp_path / "vgqe" / "checkpoint.json": (evaluate, "json", nothing, nothing),
             tmp_path / "vgqe" / "checkpoint.json.bin": (evaluate, "bytes", nothing, nothing),
             tmp_path / "vgqe_report.json": (compare, "json", optional, optional),
@@ -1470,7 +1524,8 @@ class TestMutations:
         return {path.name: (path, *case) for path, case in files.items()}, out
 
     @pytest.mark.parametrize("name", ["config.json", "manifest.json", "test.jsonl",
-                                      "test.jsonl.columns", "checkpoint.json",
+                                      "test.jsonl.columns", "test.features.npy",
+                                      "checkpoint.json",
                                       "checkpoint.json.bin", "vgqe_report.json"])
     def test_mutated_file_is_refused_or_read_as_written(self, workspace, tmp_path, capsys, name):
         cases, out = self.cases(workspace, tmp_path)

@@ -71,24 +71,30 @@ def choice_split(name, n, config, vocab, bias, feature_map):
     return {c: np.array(values) for c, values in columns.items()}
 
 
-def json_dumps_lines(split):
-    """The bytes of a split as `save_split` wrote them one `json.dumps` per
-    record."""
+def json_dumps_lines(split, older_layout=False):
+    """The bytes of a split's JSONL file, one `json.dumps` per record; in the
+    older layout, each object also holds its features as `v` and `l` lists."""
     lines = []
     for i, example_id in enumerate(split.ids):
+        objects = [{"shape": s, "color": c}
+                   for s, c in zip(split.shapes[i].tolist(), split.colors[i].tolist())]
+        if older_layout:
+            for o, v, l in zip(objects, split.visual[i].tolist(), split.labels[i].tolist()):
+                o.update(v=v, l=l)
         record = {
             "id": example_id,
             "type": int(split.qtypes[i]),
             "tokens": split.tokens[i, :split.lengths[i]].tolist(),
             "answer": int(split.answers[i]),
-            "objects": [{"shape": s, "color": c, "v": v, "l": l}
-                        for s, c, v, l in zip(split.shapes[i].tolist(),
-                                              split.colors[i].tolist(),
-                                              split.visual[i].tolist(),
-                                              split.labels[i].tolist())],
+            "objects": objects,
         }
         lines.append((json.dumps(record) + "\n").encode())
     return b"".join(lines)
+
+
+def write_features(split_path, array):
+    """Write `array` as the features file beside the JSONL split at `split_path`."""
+    np.save(Path(split_path).with_suffix(".features.npy"), array, allow_pickle=False)
 
 
 class TestGeneration:
@@ -97,16 +103,23 @@ class TestGeneration:
         b = generate_dataset(DataConfig(n_train=50, n_test=20, seed=3))
         save_dataset(a, tmp_path / "a")
         save_dataset(b, tmp_path / "b")
-        for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl", "manifest.json"):
+        for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl", "train.features.npy",
+                     "test.features.npy", "test_iid.features.npy", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_written_bytes_match_golden_digests(self, tmp_path):
-        # pins the per-(seed, split, index) draw order and the JSON layout
+        # pins the per-(seed, split, index) draw order and the file layout
         save_dataset(generate_dataset(DataConfig(n_train=40, n_test=15, seed=6)), tmp_path)
         golden = {
-            "train.jsonl": "80c09bb2f24d338b1d288ce4817d924504075272d00570a26184c71aecf15c08",
-            "test.jsonl": "6e19089f174a912c248201b7823bc71a61e1aa7824e1d6eb9e389f0b314d998f",
-            "test_iid.jsonl": "4270115254e3951c414bc76f02a67ec073251faa866e17e8420e53b48928397d",
+            "train.jsonl": "945549653509e48a9a37f0a87ae005be0e2d500624ab4fe82f8bcfa6760076d5",
+            "train.features.npy":
+                "c6e89ccde1cbf81ffa986b503c1e7275547f14e2685fdf552a56f115000d3649",
+            "test.jsonl": "e1e9e0fcecefaf4a915535d872ad5af8ec9afe5ef41fc68d4262b4827f64b5e8",
+            "test.features.npy":
+                "1e025842e568633135bae2790f779987a1bec50d46b773548152fa27b95cfbc5",
+            "test_iid.jsonl": "ce8dc886773715d12e2af6792eba57db33d264ca7da63dab0fc5ff07a69a72e2",
+            "test_iid.features.npy":
+                "36bab4bba87e12cc03d982e6d67aa7e7eedc8e1437111fcfe1e3ef05e2d9f490",
             "manifest.json": "2339e99504bf0cc1b5619a965c53163c504920fe2e7330838fa3e0a1ab38e47b",
         }
         for name, digest in golden.items():
@@ -124,9 +137,15 @@ class TestGeneration:
         assert {"0", "5"} <= counts
         save_dataset(ds, tmp_path)
         golden = {
-            "train.jsonl": "4f49979248c98c6fe9bc61a0eacd90df27592596851728e95231209e73c43ad2",
-            "test.jsonl": "c069dcebdf9c334c37159e47f0af92eed178ee9781d2a732a084dfb3024012af",
-            "test_iid.jsonl": "60a011dc106416482f11a0d4a323dc568f274ae452f1dcc5d617d3c7b505a18f",
+            "train.jsonl": "a8bc6bbf6e9427313a7eea04dd9e7dc2e36e4558ba082a301fade584644c918a",
+            "train.features.npy":
+                "6d6428d9f480c6396ad21d3ed64314950c4b00eaea6c79d8daef6442afbb5827",
+            "test.jsonl": "6487155daef65e939b9e8a8d33ef9e55e63d3817b1eb8cd4f443514c0efd46dd",
+            "test.features.npy":
+                "12da29c218de243d06e282b5eb5b21050ae83130cb9af47d5f15d3473a674915",
+            "test_iid.jsonl": "0e9d20ff50ab08026eba51148b1abd4801bd3e9f4e716cd89cc7449b57093f05",
+            "test_iid.features.npy":
+                "b57d32903df933fb8f83c9e92203298dfa64ffd57783aa3d9d990d96986ca0c9",
             "manifest.json": "22ae26ac9536bb01e84c4e79a6850e0b3c292c5abca2f02eb4e4357ffae37ce2",
         }
         for name, digest in golden.items():
@@ -472,6 +491,7 @@ class TestSerialization:
         record = {"id": "x", "type": 0, "tokens": [0], "objects": []}
         path = tmp_path / "missing.jsonl"
         path.write_text(json.dumps(record) + "\n")
+        write_features(path, np.zeros((1, 8, 48)))
         with pytest.raises(ValueError, match="answer"):
             load_split(path, small_ds.config, small_ds.vocab)
 
@@ -482,24 +502,15 @@ class TestSerialization:
         ("color", -1, "object color id -1 out of range for color vocabulary of size 5"),
         ("objects", 7, "7 objects, expected objects_per_scene 8"),
         ("objects", 9, "9 objects, expected objects_per_scene 8"),
-        ("v", 31, "object 1 has 31 'v' values, expected d_v 32"),
-        ("l", 17, "object 1 has 17 'l' values, expected d_w 16"),
-        ("v", float("nan"), "non-finite object feature"),
-        ("l", float("inf"), "non-finite object feature"),
         ("question", None, "empty token list"),
         ("type", 99, "question type id 99 out of range for question types of size 18"),
-        ("v", "x", "non-numeric 'v' value"),
         ("answer", "3", "answer id '3' is not an integer"),
-        ("v=", 5, "object 1 'v' is not a list"),
         ("tokens=", 5, "'tokens' is not a list"),
         ("objects=", "scene", "'objects' is not a list"),
         ("object", 5, "object 1 is not a JSON object"),
         ("object", [1, 2], "object 1 is not a JSON object"),
         ("shape", None, "object 1 is missing field 'shape'"),
         ("color", None, "object 1 is missing field 'color'"),
-        ("v", None, "object 1 is missing field 'v'"),
-        ("l", None, "object 1 is missing field 'l'"),
-        ("v", [1, 2], "non-numeric 'v' value"),
         ("record", 5, "record is not a JSON object"),
         ("id=", [1], "example id [1] is not a string"),
         ("id=", {"a": 1}, "example id {'a': 1} is not a string"),
@@ -532,10 +543,6 @@ class TestSerialization:
             objects[1] = bad
         elif bad is None:
             del objects[1][field]
-        elif field in ("v", "l") and isinstance(bad, int):  # a vector of the wrong length
-            objects[1][field] = (objects[1][field] * 2)[:bad]
-        elif field in ("v", "l"):  # one non-finite, non-numeric or nested value
-            objects[1][field][3] = bad
         else:
             objects[1][field] = bad
         lines[2] = json.dumps(record)
@@ -545,24 +552,23 @@ class TestSerialization:
         assert str(err.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize("edits,where,message", [
-        ({1: {("tokens", 0): 99}, 3: {("objects", 0, "v"): 5}},
+        ({1: {("tokens", 0): 99}, 3: {("objects", 0): 5}},
          2, "token id 99 out of range for vocabulary of size 14"),
-        ({1: {("objects", 0, "v"): 5}, 3: {("tokens", 0): 99}},
-         2, "object 0 'v' is not a list"),
-        ({1: {("objects", 2, "l", 0): float("nan")}, 2: None},
-         2, "non-finite object feature"),
-        ({2: {("tokens",): [], ("answer",): 99, ("objects", 0, "v", 1): float("inf")}},
+        ({1: {("objects", 0): 5}, 3: {("tokens", 0): 99}},
+         2, "object 0 is not a JSON object"),
+        ({1: {("answer",): 99}, 2: None},
+         2, "answer id 99 out of range for answer vocabulary of size 11"),
+        ({2: {("tokens",): [], ("answer",): 99, ("objects", 0, "shape"): 6}},
          3, "empty token list"),
-        ({2: {("answer",): 99, ("objects", 0, "v", 1): float("inf")}},
+        ({2: {("answer",): 99, ("objects", 0, "shape"): 6}},
          3, "answer id 99 out of range for answer vocabulary of size 11"),
-        ({2: {("tokens",): [], ("objects", 1, "l"): 5}},
-         3, "object 1 'l' is not a list")])
+        ({2: {("tokens",): [], ("objects", 1): 5}},
+         3, "object 1 is not a JSON object")])
     def test_first_fault_in_file_order_is_named(self, tmp_path, edits, where, message):
         """The first refused line is named whichever check refuses it; within a
-        line a JSON-structure fault comes before an empty question, an empty
-        question before an id out of range, and that before a non-finite
-        feature. Each edit sets values by their path in a record, or (None)
-        cuts the line short."""
+        line a JSON-structure fault comes before an empty question, and an
+        empty question before an id out of range. Each edit sets values by
+        their path in a record, or (None) cuts the line short."""
         save_dataset(generate_dataset(DataConfig(n_train=5, n_test=3, seed=2)), tmp_path)
         path = tmp_path / "train.jsonl"
         lines = path.read_text().splitlines()
@@ -586,14 +592,15 @@ class TestSerialization:
         save_dataset(generate_dataset(DataConfig(n_train=60, n_test=5, seed=8)), tmp_path)
         records = [json.loads(line)
                    for line in (tmp_path / "train.jsonl").read_text().splitlines()]
+        features = np.load(tmp_path / "train.features.npy", allow_pickle=False)
         split = load_dataset(tmp_path).train
         batches = length_bucketed_batches(split, 16, np.random.default_rng(0))
         assert sorted(i for b in batches for i in b) == list(range(60))
         for batch in batches:
             visual, labels, tokens, answers = stack_batch(split, batch)
             rows = [records[i] for i in batch]
-            assert np.array_equal(visual, [[o["v"] for o in r["objects"]] for r in rows])
-            assert np.array_equal(labels, [[o["l"] for o in r["objects"]] for r in rows])
+            assert np.array_equal(visual, features[batch, :, :split.visual.shape[2]])
+            assert np.array_equal(labels, features[batch, :, split.visual.shape[2]:])
             assert np.array_equal(tokens, [r["tokens"] for r in rows])
             assert np.array_equal(answers, [r["answer"] for r in rows])
             assert [split.ids[i] for i in batch] == [r["id"] for r in rows]
@@ -605,6 +612,7 @@ class TestSerialization:
     def test_empty_file_is_valid(self, tmp_path, small_ds):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
+        write_features(path, np.zeros((0, 8, 48)))
         empty = load_split(path, small_ds.config, small_ds.vocab)
         assert len(empty) == 0
         assert empty.visual.shape == (0, 8, 32) and empty.tokens.shape == (0, 0)
@@ -685,9 +693,9 @@ class TestSerialization:
                 self.inner, self.data = real(data), bytearray(data)
                 fed.append(self.data)
 
-            def update(self, data):
+            def update(self, data):   # bytes, or an array's buffer
                 self.inner.update(data)
-                self.data += data
+                self.data += memoryview(data).cast("B")
 
             def hexdigest(self):
                 return self.inner.hexdigest()
@@ -696,7 +704,8 @@ class TestSerialization:
         monkeypatch.setattr(D.hashlib, "sha256", Spy)
         digests = save_dataset(ds, tmp_path)
         monkeypatch.undo()
-        for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl"):
+        for name in ("train.jsonl", "test.jsonl", "test_iid.jsonl", "train.features.npy",
+                     "test.features.npy", "test_iid.features.npy"):
             data = (tmp_path / name).read_bytes()
             assert [bytes(f) for f in fed if data in f] == [data], name
             assert digests[name] == hashlib.sha256(data).hexdigest(), name
@@ -715,84 +724,24 @@ class TestSerialization:
             assert np.abs(spread).max() < 6 * small_ds.config.noise_l
 
 
-FAMILY_SIZE = 10 ** 6
+def npy(array, allow_pickle=False) -> bytes:
+    """The bytes `np.save` writes for `array`."""
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
 
 
-def float_family(name, rng):
-    """At least FAMILY_SIZE doubles aimed at one part of the float renderer."""
-    n = FAMILY_SIZE
-    if name == "normal":
-        return rng.standard_normal(n)
-    if name == "scaled":   # both notations and the bounds between them
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n)
-    if name == "significands":   # random 53-bit significands times 2**-60 .. 2**0
-        return (np.ldexp(rng.integers(2 ** 52, 2 ** 53, n).astype(float),
-                         rng.integers(-112, -51, n)) * rng.choice([-1.0, 1.0], n))
-    if name == "powers_of_ten":   # 10**k, k = -8 .. 20, and its next 17242 doubles each way
-        bases = np.array([float(f"1e{k}") for k in range(-8, 21)]).view(np.int64)
-        steps = np.arange(-(n // 58 + 1), n // 58 + 2)
-        return (bases[:, None] + steps).ravel().view(np.float64)
-    if name == "short":   # short reprs such as 0.1, 0.3 and 2.0
-        values = rng.standard_normal(n) * 10.0 ** rng.integers(-2, 6, n)
-        decimals = rng.integers(0, 17, n)
-        for d in range(17):
-            values[decimals == d] = np.round(values[decimals == d], d)
-        return values
-    if name == "powers_of_two":   # ±2**k for every k, and 2500 doubles each way for |k| <= 50
-        bases = np.ldexp(1.0, np.arange(-50, 51)).view(np.int64)
-        near = (bases[:, None] + np.arange(-2500, 2501)).ravel().view(np.float64)
-        values = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)), near])
-        return np.concatenate([values, -values])
-    raise ValueError(name)
+def npy_header(shape, descr="<f8") -> bytes:
+    """A `.npy` version 1.0 header for a C-order array, with no data after it."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": descr, "fortran_order": False,
+                                               "shape": shape})
+    return out.getvalue()
 
 
-def assert_renders_as_json_dumps(values):
-    """`_float_texts` gives, chunk by chunk, `json.dumps`'s text of the values
-    joined by ", " and the end of each value's text."""
-    for start in range(0, values.size, 1 << 16):
-        chunk = values[start:start + (1 << 16)]
-        last = np.zeros(chunk.size, dtype=bool)
-        last[-1] = True
-        text, ends = D._float_texts(chunk, last)
-        expected = json.dumps(chunk.tolist())[1:-1].encode()
-        if text != expected:
-            pairs = zip(chunk, text.split(b", "), expected.split(b", "))
-            value, got, want = next(p for p in pairs if p[1] != p[2])
-            pytest.fail(f"{float(value).hex()}: rendered {got!r}, json.dumps {want!r}")
-        # no float's text holds ", ", so each end but the last follows one
-        chars = np.frombuffer(text, dtype=np.uint8)
-        assert text.count(b", ") == chunk.size - 1 and ends[-1] == len(text)
-        assert (np.diff(ends) > 0).all()
-        assert (chars[ends[:-1] - 2] == ord(",")).all()
-        assert (chars[ends[:-1] - 1] == ord(" ")).all()
-
-
-class TestFloatText:
-    """Every float is rendered as the text `json.dumps` writes for it, on the
-    fast path or through the per-value fallback."""
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("family", ["normal", "scaled", "significands", "powers_of_ten",
-                                        "short", "powers_of_two"])
-    def test_families_match_json_dumps(self, family):
-        values = float_family(family, np.random.default_rng(15))
-        assert values.size >= FAMILY_SIZE
-        assert_renders_as_json_dumps(values)
-
-    def test_edge_values_match_json_dumps(self):
-        edges = np.array([0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0), 1e16,
-                          np.nextafter(1e16, 0), np.inf, np.nan, 0.1, 0.3, 2.0, 1.0])
-        assert_renders_as_json_dumps(np.concatenate([edges, -edges]))
-
-    def test_most_default_features_take_the_fast_path(self, default_ds):
-        features = np.concatenate([default_ds.train.visual[:2000].ravel(),
-                                   default_ds.train.labels[:2000].ravel()])
-        slow = D._shortest_digits(features)[3]
-        assert slow.mean() < 0.05
-
-
-class TestSplitWriter:
-    """`save_split` writes the bytes one `json.dumps` per record gives."""
+class TestSplitFiles:
+    """`save_split` writes one `json.dumps` line per record and one `.npy`
+    array of features, and returns the sha256 of each file."""
 
     IDS = ['say "hi"', "back\\slash", "ünïcødé", "tab\tand\nnewline", "\U0001f600", "",
            "x\0"]
@@ -811,17 +760,19 @@ class TestSplitWriter:
             features[..., :d_v], features[..., d_v:])
 
     @pytest.mark.parametrize("k,d_v,d_w", [(8, 32, 16), (2, 3, 1)])
-    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "2blocks+3"])
-    def test_bytes_match_json_dumps(self, tmp_path, k, d_v, d_w, size):
-        block = D._FLOATS_PER_BLOCK // (k * (d_v + d_w))
-        n = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
-             "2blocks+3": 2 * block + 3}[size]
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_files_are_json_lines_and_one_npy_array(self, tmp_path, k, d_v, d_w, n):
         split = self.random_split(np.random.default_rng(n), n, k, d_v, d_w)
         path = tmp_path / "random.jsonl"
-        digest = save_split(split, path)
-        expected = json_dumps_lines(split)
-        assert path.read_bytes() == expected
-        assert digest == hashlib.sha256(expected).hexdigest()
+        digests = save_split(split, path)
+        features = tmp_path / "random.features.npy"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests) == [
+            "random.features.npy", "random.jsonl"]
+        assert path.read_bytes() == json_dumps_lines(split)
+        expected = np.concatenate([split.visual, split.labels], axis=2)
+        assert features.read_bytes() == npy(expected)   # C order, float64, as `np.save` writes
+        for file in (path, features):
+            assert digests[file.name] == hashlib.sha256(file.read_bytes()).hexdigest()
 
     def test_generated_splits_match_json_dumps(self, tmp_path, small_ds, split_rows):
         for name, split in small_ds.splits().items():
@@ -838,12 +789,227 @@ class TestSplitWriter:
         with pytest.raises(ValueError) as err:
             save_split(split, path)
         assert str(err.value) == f"example id {bad_id!r} is not a string"
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+def shape_problem(shape) -> str:
+    """Why a features file holding an array of `shape` is refused for the
+    train split of `TestFeaturesFile` (4 records of 8 objects, 48 features
+    each), the split file left as "{split}"."""
+    return (f"holds an array of shape {shape}, expected (4, 8, 48): the 4 records of split "
+            "file {split}, objects_per_scene, d_v + d_w")
+
+
+class TestFeaturesFile:
+    """`load_split` reads the features from the `.npy` file beside a split,
+    checking its header before any data, and refuses a file that does not
+    hold the split's features with one ValueError naming it."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A saved dataset (4 train records, 8 objects, 48 features each), the
+        train split's path, its features file and the features it holds."""
+        ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
+        save_dataset(ds, tmp_path)
+        features = tmp_path / "train.features.npy"
+        return ds, tmp_path / "train.jsonl", features, np.load(features)
+
+    @pytest.mark.parametrize("damage,problem", [
+        (lambda a: npy(a.astype(np.float32)), "holds float32 values, expected float64"),
+        (lambda a: npy(a.astype(np.int64)), "holds int64 values, expected float64"),
+        (lambda a: npy(a.astype(object), allow_pickle=True),
+         "holds object values, expected float64"),
+        (lambda a: npy(a.reshape(4, -1)), shape_problem((4, 384))),
+        (lambda a: npy(a[:3]), shape_problem((3, 8, 48))),
+        (lambda a: npy(np.concatenate([a, a])), shape_problem((8, 8, 48))),
+        (lambda a: npy(a[:, :7]), shape_problem((4, 7, 48))),
+        (lambda a: npy(a[..., :47]), shape_problem((4, 8, 47))),
+        (lambda a: npy(a)[:-8], "holds 12280 bytes after its header, expected 12288"),
+        (lambda a: npy(a) + b"\0", "holds 12289 bytes after its header, expected 12288"),
+        (lambda a: npy_header((4, 8, 48)), "holds 0 bytes after its header, expected 12288")],
+        ids=["float32", "int64", "object", "2-d", "fewer-rows", "more-rows", "objects",
+             "width", "truncated", "trailing-byte", "header-only"])
+    def test_misfit_array_is_refused(self, saved, damage, problem):
+        ds, split, features, array = saved
+        features.write_bytes(damage(array))
+        with pytest.raises(ValueError) as err:
+            load_split(split, ds.config, ds.vocab)
+        assert str(err.value) == f"features file {features} " + problem.format(split=split)
+
+    @pytest.mark.parametrize("data,numpy_says", [
+        (b"", "EOF: reading magic string"),
+        (b"not an array at all", "the magic string is not correct"),
+        (b"\x93NUMPY\x03\x00" + bytes(8), ".npy format version (3, 0) is not 1.0 or 2.0")])
+    def test_file_that_is_not_npy_is_refused(self, saved, data, numpy_says):
+        ds, split, features, _ = saved
+        features.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_split(split, ds.config, ds.vocab)
+        assert str(err.value).startswith(
+            f"features file {features} is not a .npy array file: {numpy_says}")
+        assert "\n" not in str(err.value)
+
+    def test_header_is_checked_before_any_data(self, saved, monkeypatch):
+        # a header claiming 2**40 rows (12 PiB) is refused by its row count,
+        # before anything reads or allocates the data
+        ds, split, features, _ = saved
+        features.write_bytes(npy_header((1 << 40, 8, 48)))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(np, "load", no_read)
+        with pytest.raises(ValueError) as err:
+            load_split(split, ds.config, ds.vocab)
+        assert str(err.value) == f"features file {features} " + shape_problem(
+            (1 << 40, 8, 48)).format(split=split)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_named_by_row_and_line_on_every_load(self, tmp_path,
+                                                                    monkeypatch, value):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
+        ds.train.labels[2, 5, 3] = value
+        save_dataset(ds, tmp_path)
+        split = tmp_path / "train.jsonl"
+        # the questions are fine, so they are cached; the features are read on every load
+        assert split.with_name("train.jsonl.columns").exists()
+        expected = (f"features file {tmp_path / 'train.features.npy'} row 2: non-finite object "
+                    f"feature, for the record at {split}:3")
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                load_split(split, ds.config, ds.vocab)
+            assert str(err.value) == expected
+            TestSplitCache.no_parse(monkeypatch)
+
+    def test_non_finite_row_is_named_by_its_line_past_blank_lines(self, saved):
+        ds, split, features, array = saved
+        lines = split.read_text().splitlines(keepends=True)
+        split.write_text("".join(lines[:1] + ["\n", "  \n"] + lines[1:]))
+        array[1, 0, 0] = np.nan
+        features.write_bytes(npy(array))
+        with pytest.raises(ValueError) as err:
+            load_split(split, ds.config, ds.vocab)
+        assert str(err.value) == (f"features file {features} row 1: non-finite object feature, "
+                                  f"for the record at {split}:4")
+
+    def test_question_fault_is_named_before_a_features_fault(self, saved):
+        ds, split, features, array = saved
+        lines = split.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["answer"] = 99
+        lines[1] = json.dumps(record)
+        split.write_text("\n".join(lines) + "\n")
+        features.write_bytes(npy(array[:2]))
+        with pytest.raises(ValueError) as err:
+            load_split(split, ds.config, ds.vocab)
+        assert str(err.value) == (f"{split}:2: answer id 99 out of range for answer vocabulary "
+                                  "of size 11")
+
+    @pytest.mark.parametrize("layout", [lambda a: a.astype(">f8"), np.asfortranarray],
+                             ids=["big-endian", "fortran-order"])
+    def test_same_values_in_another_layout_load_as_c_order_float64(self, saved, layout):
+        ds, split, features, array = saved
+        features.write_bytes(npy(layout(array)))
+        loaded = load_split(split, ds.config, ds.vocab)
+        for column in ("visual", "labels"):
+            got, want = getattr(loaded, column), getattr(ds.train, column)
+            assert got.dtype == np.dtype("<f8") and got.flags.c_contiguous, column
+            assert got.tobytes() == want.tobytes(), column
+
+
+class TestOldLayouts:
+    """A split written before features moved to their own `.npy` file, or a
+    cache written under an older tag, is refused or rewritten, never misread."""
+
+    def test_split_without_its_features_file_is_refused(self, tmp_path, small_ds, split_rows):
+        split = split_rows(small_ds.test, slice(0, 3))
+        path = tmp_path / "test.jsonl"
+        path.write_bytes(json_dumps_lines(split, older_layout=True))
+        with pytest.raises(FileNotFoundError) as err:
+            load_split(path, small_ds.config, small_ds.vocab)
+        assert str(err.value) == (f"features file {tmp_path / 'test.features.npy'} not found "
+                                  f"beside split file {path}, as in the older layout of "
+                                  "features as text; re-run `vqalab gen-data`")
+
+    def test_records_with_feature_lists_are_refused(self, tmp_path, small_ds, split_rows):
+        split = split_rows(small_ds.test, slice(0, 3))
+        path = tmp_path / "test.jsonl"
+        save_split(split, path)
+        path.write_bytes(json_dumps_lines(split, older_layout=True))   # beside a features file
+        with pytest.raises(ValueError) as err:
+            load_split(path, small_ds.config, small_ds.vocab)
+        assert str(err.value) == (f"{path}:1: object 0 holds 'v' and 'l' feature lists, as "
+                                  "splits of the older layout of features as text do; re-run "
+                                  "`vqalab gen-data`")
+
+    def test_v4_cache_misses_on_its_tag_and_is_rewritten(self, tmp_path, monkeypatch):
+        ds = generate_dataset(DataConfig(n_train=4, n_test=12, seed=2))
+        save_dataset(ds, tmp_path)
+        path, cache = tmp_path / "test.jsonl", tmp_path / "test.jsonl.columns"
+        current = cache.read_bytes()
+        # the cache as v4 wrote it: its tag, and the features among its columns
+        monkeypatch.setattr(D, "_CACHE_TAG", b"vqalab split columns v4\n")
+        monkeypatch.setattr(D, "_CACHE_COLUMNS", D._CACHE_COLUMNS + ("visual", "labels"))
+        columns = {c: getattr(ds.test, c) for c in ("ids",) + D._CACHE_COLUMNS}
+        D._write_cache(cache, D._cache_key(ds.config, ds.vocab, D.digest_file(path)), columns)
+        monkeypatch.undo()
+        assert cache.read_bytes() != current
+        parse, parsed = D._parse_split, []
+
+        def counted(*args):
+            parsed.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(D, "_parse_split", counted)
+        split = load_split(path, ds.config, ds.vocab)
+        assert parsed == [path] and cache.read_bytes() == current
+        assert split.ids == ds.test.ids and split.answers.tolist() == ds.test.answers.tolist()
+
+
+class TestSplitArrayBytes:
+    """`split_array_bytes` gives a config's split array bytes without making
+    them, and `generate_dataset` refuses, before any draw, a config whose
+    arrays would not fit in physical memory."""
+
+    def test_bytes_are_those_of_the_generated_arrays(self):
+        cfg = DataConfig(n_train=40, n_test=15, seed=6)
+        splits = generate_dataset(cfg).splits().values()
+        assert {split.tokens.shape[1] for split in splits} == {5}   # a color question in each
+        arrays = [getattr(split, f.name) for split in splits for f in dataclasses.fields(split)
+                  if f.name not in ("name", "ids")]
+        assert D.split_array_bytes(cfg) == sum(a.nbytes for a in arrays)
+        # a size no machine holds is only arithmetic
+        per_example = 8 * (3 + 5 + 2 * 8 + 8 * 48)
+        assert D.split_array_bytes(DataConfig(n_train=10 ** 12)) == per_example * (10 ** 12 + 8000)
+
+    @pytest.mark.parametrize("sizes,name", [((40, 15), "n_train"), ((20, 15), "n_test")])
+    def test_config_beyond_physical_memory_is_refused_before_any_draw(self, monkeypatch,
+                                                                      sizes, name):
+        cfg = DataConfig(n_train=sizes[0], n_test=sizes[1], seed=6)
+        needed = D.split_array_bytes(cfg)
+        monkeypatch.setattr(D, "_physical_memory", lambda: needed)
+        assert len(generate_dataset(cfg).train) == sizes[0]   # exactly fits
+
+        def no_draw(*args):
+            raise AssertionError("drew a split")
+
+        monkeypatch.setattr(D, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(D, "_generate_split", no_draw)
+        with pytest.raises(ConfigError) as err:
+            generate_dataset(cfg)
+        assert str(err.value) == (f"{name} {getattr(cfg, name)} makes the splits' arrays "
+                                  f"{needed} bytes, more than the {needed - 1} bytes of "
+                                  "physical memory")
+
+    def test_physical_memory_is_the_machines(self):
+        assert D._physical_memory() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert D._physical_memory() > D.split_array_bytes(DataConfig())
 
 
 class TestSplitCache:
-    """`load_split` stores a parsed split's columns in `<split>.jsonl.columns`
-    and returns them only for the same bytes under the same checks."""
+    """`load_split` stores a parsed split's question columns in
+    `<split>.jsonl.columns` and returns them only for the same JSONL bytes
+    under the same checks."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -887,7 +1053,7 @@ class TestSplitCache:
         path.with_name("test.jsonl.columns").unlink()
         parsed = load_split(path, ds.config, ds.vocab, "test")
         assert hit.ids == parsed.ids == ds.test.ids
-        for column in D._CACHE_COLUMNS:
+        for column in D._CACHE_COLUMNS + ("visual", "labels"):
             a, b = getattr(hit, column), getattr(parsed, column)
             assert a.dtype == b.dtype and a.shape == b.shape, column
             assert a.tobytes() == b.tobytes(), column
@@ -912,8 +1078,9 @@ class TestSplitCache:
     def test_saved_digests_are_the_files(self, tmp_path):
         digests = save_dataset(generate_dataset(DataConfig(n_train=4, n_test=3, seed=2)),
                                tmp_path)
-        assert sorted(digests) == ["manifest.json", "test.jsonl", "test_iid.jsonl",
-                                   "train.jsonl"]
+        assert sorted(digests) == ["manifest.json", "test.features.npy", "test.jsonl",
+                                   "test_iid.features.npy", "test_iid.jsonl",
+                                   "train.features.npy", "train.jsonl"]
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -926,7 +1093,6 @@ class TestSplitCache:
             r"^histograms\.train\.\d+ must hold 11 numbers, one per answer, got 12$"}
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda s: s.visual.__setitem__((1, 2, 3), np.nan), "non-finite object feature"),
         (lambda s: s.qtypes.__setitem__(1, 99),
          "question type id 99 out of range for question types of size 18"),
         (lambda s: s.tokens.__setitem__((1, 0), 14),
@@ -937,9 +1103,7 @@ class TestSplitCache:
         (lambda s: s.shapes.__setitem__((1, 2), 6),
          "object shape id 6 out of range for shape vocabulary of size 6"),
         (lambda s: s.colors.__setitem__((1, 0), -1),
-         "object color id -1 out of range for color vocabulary of size 5"),
-        pytest.param(lambda s: s.labels.__setitem__((1, 4, 0), np.inf),
-                     "non-finite object feature", id="labels-inf")])
+         "object color id -1 out of range for color vocabulary of size 5")])
     def test_split_a_parse_refuses_is_not_cached(self, tmp_path, edit, message):
         ds = generate_dataset(DataConfig(n_train=4, n_test=3, seed=2))
         edit(ds.train)
@@ -1013,16 +1177,16 @@ class TestSplitCache:
         return out.getvalue() + data
 
     @staticmethod
-    def flipped_feature(data: bytes) -> bytes:
-        """One bit of a label feature flipped, under the right key and headers."""
+    def flipped_column(data: bytes) -> bytes:
+        """One bit of an object color id flipped, under the right key and headers."""
         arrays = TestSplitCache.stored_arrays(data)
-        at = len(data) - len(arrays[-1].tobytes()) - 200   # inside `labels`, before the crc32
+        at = len(data) - len(arrays[-1].tobytes()) - 200   # inside `colors`, before the crc32
         return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
 
     @pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2],
                                         lambda b: b"PK\x03\x04" + bytes(range(256)) * 4,
                                         lambda b: b"", trailing_bytes, zip_archive,
-                                        huge_header, flipped_feature])
+                                        huge_header, flipped_column])
     def test_damaged_cache_is_parsed_around_and_rewritten(self, saved, monkeypatch,
                                                           damage):
         ds, path = saved
@@ -1033,7 +1197,7 @@ class TestSplitCache:
         assert load_split(path, ds.config, ds.vocab).ids == ds.test.ids
         assert cache.read_bytes() == written
         self.no_parse(monkeypatch)
-        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).colors, ds.test.colors)
 
     def test_cache_file_is_the_key_ids_then_the_columns_as_npy_arrays(self, saved):
         ds, path = saved
@@ -1059,14 +1223,14 @@ class TestSplitCache:
         cache = path.with_name("test.jsonl.columns")
         arrays = dict(zip(("key", "ids") + D._CACHE_COLUMNS,
                           self.stored_arrays(cache.read_bytes())))
-        arrays["visual"] = arrays["visual"] + 1.0   # what a read of the archive would return
+        arrays["answers"] = arrays["answers"] + 1   # what a read of the archive would return
         leftover = path.with_name("test.jsonl.npz")
         np.savez(leftover, **arrays)
         before = leftover.read_bytes()
         cache.unlink()
-        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).answers, ds.test.answers)
         self.no_parse(monkeypatch)
-        assert np.array_equal(load_split(path, ds.config, ds.vocab).visual, ds.test.visual)
+        assert np.array_equal(load_split(path, ds.config, ds.vocab).answers, ds.test.answers)
         assert leftover.read_bytes() == before
 
     def test_smaller_vocabulary_misses_and_runs_the_range_checks(self, saved):
@@ -1106,7 +1270,8 @@ class TestSplitCache:
         assert sorted(replaced) == ["test.jsonl.columns", "test_iid.jsonl.columns",
                                     "train.jsonl.columns"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests) == [
-            "manifest.json", "test.jsonl", "test_iid.jsonl", "train.jsonl"]
+            "manifest.json", "test.features.npy", "test.jsonl", "test_iid.features.npy",
+            "test_iid.jsonl", "train.features.npy", "train.jsonl"]
         for name, digest in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
         loaded = load_dataset(tmp_path)
@@ -1117,9 +1282,9 @@ class TestSplitCache:
     def test_ids_a_fixed_width_array_would_change_are_not_cached(self, tmp_path, small_ds):
         path = tmp_path / "nul.jsonl"
         record = {"id": "x\0", "type": 0, "tokens": [0], "answer": 0,
-                  "objects": [{"shape": 0, "color": 0, "v": [0.0] * 32, "l": [0.0] * 16}
-                              for _ in range(8)]}
+                  "objects": [{"shape": 0, "color": 0} for _ in range(8)]}
         path.write_text(json.dumps(record) + "\n")
+        write_features(path, np.zeros((1, 8, 48)))
         for _ in range(2):
             assert load_split(path, small_ds.config, small_ds.vocab).ids == ["x\0"]
         assert not path.with_name("nul.jsonl.columns").exists()

@@ -24,12 +24,12 @@ SURFACE = {
         "scale", "scene_attention", "sigmoid", "softmax", "sub", "take_rows", "tanh",
         "using_dtype", "zero_grads"},
     "data": {"ConfigError", "DataConfig", "DatasetSplit", "SyntheticDataset",
-             "TypeBias", "Vocabularies", "_answer_probs", "_cache_key", "_cached_columns",
-             "_columns_fit", "_divmod", "_dotted", "_finite", "_float_texts",
+             "TypeBias", "Vocabularies", "_answer_probs", "_cache_key",
+             "_cached_columns", "_columns_fit", "_dotted", "_finite",
              "_generate_split", "_hasher", "_id_array", "_padded", "_parse_split",
-             "_column", "_problem", "_quad_table", "_read", "_reads_back", "_refused_row",
-             "_rounded", "_scene_shapes_for",
-             "_shortest_digits", "_split_row", "_stream_states", "_veltkamp", "_within",
+             "_column", "_physical_memory", "_problem", "_read", "_read_features",
+             "_refused_row", "_scene_shapes_for",
+             "_split_row", "_stream_states", "_within",
              "_write_cache", "bounded", "build_config", "check_fields", "config_section",
              "answer_distribution", "digest_file",
              "build_bias_spec", "build_vocabularies", "generate_dataset", "load_dataset",
@@ -38,7 +38,7 @@ SURFACE = {
              "_vocabulary_lists",
              "existing_file", "load_manifest", "read_json_object", "read_record", "record_json",
              "_json_ready", "save_dataset",
-             "save_split", "template_tokens", "type_answer_domain"},
+             "save_split", "split_array_bytes", "template_tokens", "type_answer_domain"},
     "evaluate": {"EvalReport", "PredictionRecord", "TypeReport", "comparison_csv",
                  "constant_majority_floor", "dataset_mismatch", "evaluate_split", "histograms_csv",
                  "predict_split", "report_from_json", "report_to_json",
@@ -159,6 +159,8 @@ def test_unused_surface_stays_deleted():
     # a digest is a sha256 hex string taken in the pass that writes or reads
     # the file: no hasher goes into a writer, a file digest or the cache key
     assert list(inspect.signature(data.save_split).parameters) == ["split", "path"]
+    # a split is two files, a JSONL file and a `.npy` array, each hashed as it is written
+    assert inspect.signature(data.save_split).return_annotation == "dict[str, str]"
     assert list(inspect.signature(data.digest_file).parameters) == ["path"]
     assert list(inspect.signature(data._cache_key).parameters) == ["config", "vocab",
                                                                    "split_sha256"]
